@@ -161,15 +161,16 @@ def cmd_verify_dynamics(args):
         if report.classification != "holds" or args.refine:
             series = []
             for g in _refinement_grids(sc.grid, sc.refine_levels):
-                if sc.battery == "standard":
-                    try:
-                        st = standard_battery(g, sc.params, seed=sc.seed)
-                    except PreconditionError:
-                        continue  # rung too coarse to host the battery
-                else:
-                    st = [sc.make_state()]  # state tied to scenario grid
-                    if g != sc.grid:
-                        continue
+                if g == sc.grid:
+                    # same states and Hamiltonian as the check just run
+                    series.append((g.n[0], report.residual))
+                    continue
+                if sc.battery != "standard":
+                    continue  # the single state is tied to the scenario grid
+                try:
+                    st = standard_battery(g, sc.params, seed=sc.seed)
+                except PreconditionError:
+                    continue  # rung too coarse to host the battery
                 h = sc.make_hamiltonian(family=family, grid=g)
                 r = verify(kind, h, st)
                 series.append((g.n[0], r.residual))

@@ -654,7 +654,7 @@ def verify(kind: SpinKind, hamiltonian: NamedHamiltonian, states,
     """
     params = hamiltonian.params
     s_triple = spin_expr(kind, params)
-    terms, total = rhs(kind, hamiltonian.family, hamiltonian.model, params)
+    terms, _ = rhs(kind, hamiltonian.family, hamiltonian.model, params)
 
     cells = []
     worst = 0.0
@@ -673,14 +673,18 @@ def verify(kind: SpinKind, hamiltonian: NamedHamiltonian, states,
             h_s = apply_expr(hamiltonian.total, s_psi, t, guard)
             lhs = (s_h - h_s) * (-1j)
             scale = s_h.norm() + h_s.norm()
-            rhs_field = apply_expr(total[axis], psi, t, guard)
+            # one apply per printed term: its norm is recorded and the term
+            # folded into the running right-hand side before the next one
+            rhs_field = psi * 0.0
+            term_norms = {}
+            for name, triple in terms:
+                term = apply_expr(triple[axis], psi, t, guard)
+                term_norms[name] = term.norm()
+                rhs_field = rhs_field + term
             diff = lhs - rhs_field
             eps = _EPS_FLOOR * psi.norm()
             denom = max(scale, rhs_field.norm(), eps)
             residual = diff.norm() / denom
-            term_norms = {}
-            for name, triple in terms:
-                term_norms[name] = apply_expr(triple[axis], psi, t, guard).norm()
             cells.append(VerifyCell(si, _AXES[axis], residual, lhs.norm(),
                                     rhs_field.norm(), scale, term_norms))
             worst = max(worst, residual)

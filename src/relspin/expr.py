@@ -6,12 +6,20 @@ position or momentum space and whose nodes are Add / Mul / Scale / Commutator
 matrix) pairs -- every operator appearing in the spin-dynamics equations has
 this shape -- so applying a leaf never materializes per-point 4x4 matrices:
 
-    (L psi)(x) = sum_j M_j (f_j(x) * psi(x)).
+    (L psi)_a(x) = sum_j sum_b M_j[a, b] f_j(x) psi_b(x).
 
-Scalar leaf arrays are built lazily per (grid, t) and cached; caches are
-immutable after first build and safe to share across threads.  Mul(a, b)
-applies b first (left factor last), matching left-to-right operator products
-as written in equations.
+The kernel is sparse: each matrix's nonzero (row, col, entry) triples are
+found once when the leaf is built, and an apply accumulates
+(M_j[a, b] f_j) psi_b into row a for those triples only, with f_j kept at
+its broadcast shape (a sparse mesh stays a sparse mesh).  Every alpha / beta /
+Sigma product is monomial, one nonzero per row, so a term costs four
+pointwise products; general patterns such as Sigma.alpha or (1 - beta) Sigma
+take one product per nonzero.
+
+Scalar leaf arrays are built lazily per (grid, t) and cached on the leaf;
+once the cache holds more than 16 entries, the next miss empties it.
+Mul(a, b) applies b first (left factor last), matching left-to-right operator
+products as written in equations.
 
 Leaves flagged ``singular_origin`` (the longitudinal 1/p^2 projector and
 friends) refuse to act on states whose k = 0 amplitude fraction exceeds the
@@ -72,6 +80,9 @@ class _DiagLeaf(OperatorExpr):
         for _, m in self.terms:
             if m.shape != (4, 4):
                 raise PreconditionError("leaf matrices must be 4x4")
+        # nonzero (row, col, entry) triples of every matrix
+        self._entries = [[(int(a), int(b), complex(m[a, b]))
+                          for a, b in zip(*np.nonzero(m))] for _, m in self.terms]
         self.name = name
         self.time_dependent = bool(time_dependent)
         self.singular_origin = bool(singular_origin)
@@ -102,14 +113,24 @@ class _DiagLeaf(OperatorExpr):
                 raise SingularMomentumError(
                     f"operator {self.name or self.__class__.__name__} is singular at "
                     f"k=0 but the state has zero-mode weight {w0:.3e} > guard {guard:.1e}")
-        flat = field.values.reshape(4, -1)
-        out = np.zeros_like(flat)
-        for (fn, mat), arr in zip(self.terms, arrays):
+        psi = field.values
+        out = np.empty_like(psi)
+        fresh = [True] * 4  # rows not yet written
+        tmp = np.empty(grid.shape, dtype=complex)
+        for entries, arr in zip(self._entries, arrays):
             if arr.size == 1 and complex(arr.reshape(())) == 0:
                 continue
-            scaled = (np.broadcast_to(arr, grid.shape).reshape(-1) * flat)
-            out += mat @ scaled
-        return SpinorField(grid, out.reshape(field.values.shape), self.space)
+            for a, b, m in entries:
+                if fresh[a]:
+                    np.multiply(m * arr, psi[b], out=out[a])
+                    fresh[a] = False
+                else:
+                    np.multiply(m * arr, psi[b], out=tmp)
+                    np.add(out[a], tmp, out=out[a])
+        for a in range(4):
+            if fresh[a]:
+                out[a] = 0.0
+        return SpinorField(grid, out, self.space)
 
     def _adjoint(self):
         terms = [(_conj_producer(fn), m.conj().T) for fn, m in self.terms]
@@ -146,14 +167,21 @@ class ConstMatrix(OperatorExpr):
             raise PreconditionError("ConstMatrix needs a 4x4 matrix")
         self.coeff = coeff
         self.name = name
+        self._zero = not self.matrix.any()
 
-    def _apply(self, field, t, guard):
-        v = _value(self.coeff, t)
+    def _factor(self, t):
+        """The coefficient at t; exactly 0 when the matrix is all zero."""
+        return 0j if self._zero else _value(self.coeff, t)
+
+    def _times(self, field, v):
         if v == 0:
             return SpinorField(field.grid, np.zeros_like(field.values), field.space)
         flat = field.values.reshape(4, -1)
         out = v * (self.matrix @ flat)
         return SpinorField(field.grid, out.reshape(field.values.shape), field.space)
+
+    def _apply(self, field, t, guard):
+        return self._times(field, self._factor(t))
 
     def _adjoint(self):
         coeff = self.coeff
@@ -168,9 +196,20 @@ class Add(OperatorExpr):
             raise PreconditionError("Add needs at least one child")
 
     def _apply(self, field, t, guard):
-        acc = self.children[0]._apply(field, t, guard)
-        for child in self.children[1:]:
-            acc = acc + child._apply(field, t, guard)
+        acc = None
+        for child in self.children:
+            if isinstance(child, ConstMatrix):
+                # an exactly-zero constant adds nothing, but adding its result
+                # into an accumulator held in the other space costs a transform
+                v = child._factor(t)
+                if v == 0:
+                    continue
+                out = child._times(field, v)
+            else:
+                out = child._apply(field, t, guard)
+            acc = out if acc is None else acc + out
+        if acc is None:  # every child is an exactly-zero constant
+            return SpinorField(field.grid, np.zeros_like(field.values), field.space)
         return acc
 
     def _adjoint(self):

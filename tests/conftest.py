@@ -35,3 +35,20 @@ def battery_3d(grid_3d, params):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(771)
+
+
+@pytest.fixture
+def fft_count(monkeypatch):
+    """Counts scipy.fft.fftn/ifftn calls; read ``fft_count[0]``."""
+    import scipy.fft
+    count = [0]
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            count[0] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(scipy.fft, "fftn", counted(scipy.fft.fftn))
+    monkeypatch.setattr(scipy.fft, "ifftn", counted(scipy.fft.ifftn))
+    return count

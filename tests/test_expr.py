@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relspin.algebra import ID4
 from relspin.errors import SingularMomentumError
 from relspin.expr import (Add, Adjoint, Commutator, ConstMatrix, MomentumDiag,
-                          Mul, Scale, apply_expr, block_parity, expectation,
-                          hermiticity_residual)
-from relspin.grid import GridSpec, SpinorField, gaussian_packet
+                          Mul, PositionDiag, Scale, apply_expr, block_parity,
+                          expectation, hermiticity_residual)
+from relspin.grid import POSITION, GridSpec, SpinorField, gaussian_packet
 from relspin.hamiltonians import momentum_component, position_component
 from relspin.operators import ALPHA, BETA, SIGMA
 from relspin.dynamics import spin_expr
@@ -47,6 +49,91 @@ class TestLeaves:
         bad = MomentumDiag([(lambda g, t: np.full(g.shape, np.inf), ID4)])
         with pytest.raises(FloatingPointError):
             apply_expr(bad, psi)
+
+
+_KERNEL_GRIDS = [GridSpec(1, 16, 12.0), GridSpec(3, 8, 10.0)]
+_NAMED_MATRICES = [ID4, BETA, ALPHA[0], SIGMA[1], 1j * BETA @ ALPHA[2],
+                   (ID4 - BETA) @ SIGMA[0],
+                   sum(SIGMA[j] @ ALPHA[j] for j in range(3))]
+
+
+def _kernel_matrix(kind, rng):
+    z = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if kind == "named":
+        return _NAMED_MATRICES[rng.integers(len(_NAMED_MATRICES))] * z()
+    if kind == "monomial":
+        m = np.zeros((4, 4), dtype=complex)
+        m[np.arange(4), rng.permutation(4)] = z(4)
+        return m
+    m = z(4, 4)
+    if kind == "zero-rows":
+        m[rng.choice(4, size=rng.integers(1, 4), replace=False)] = 0.0
+    return m
+
+
+def _kernel_producer(kind, grid, rng):
+    z = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if kind == "scalar":
+        value = np.asarray(z())
+    elif kind == "mesh":
+        shape = [1] * grid.dim
+        axis = rng.integers(grid.dim)
+        shape[axis] = grid.n[axis]
+        value = z(*shape)
+    else:
+        value = z(*grid.shape)
+    return lambda g, t: value
+
+
+def _reference_leaf_apply(terms, grid, psi):
+    """sum_j M_j (f_j psi), written out with einsum."""
+    out = np.zeros_like(psi)
+    for fn, m in terms:
+        f = np.broadcast_to(np.asarray(fn(grid, 0.0), dtype=complex), grid.shape)
+        out += np.einsum("ab,b...->a...", m, f * psi)
+    return out
+
+
+class TestLeafKernel:
+    """The sparse leaf apply against the dense per-term reference."""
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from(range(len(_KERNEL_GRIDS))),
+           st.sampled_from([PositionDiag, MomentumDiag]),
+           st.lists(st.tuples(
+               st.sampled_from(["named", "monomial", "dense", "zero-rows"]),
+               st.sampled_from(["scalar", "mesh", "full"])),
+               min_size=1, max_size=4))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference(self, seed, grid_index, leaf_type, kinds):
+        rng = np.random.default_rng(seed)
+        grid = _KERNEL_GRIDS[grid_index]
+        terms = [(_kernel_producer(pk, grid, rng), _kernel_matrix(mk, rng))
+                 for mk, pk in kinds]
+        psi = (rng.normal(size=(4, *grid.shape))
+               + 1j * rng.normal(size=(4, *grid.shape)))
+        field = SpinorField(grid, psi, leaf_type.space)
+        out = apply_expr(leaf_type(terms), field)
+        ref = _reference_leaf_apply(terms, grid, psi)
+        assert np.max(np.abs(out.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_singular_leaf_refuses_zero_mode(self):
+        grid = _KERNEL_GRIDS[1]
+        vals = np.ones((4, *grid.shape), dtype=complex)  # all weight at k = 0
+        psi = SpinorField(grid, vals, POSITION)
+        leaf = MomentumDiag([(lambda g, t: g.k2, (ID4 - BETA) @ SIGMA[2])],
+                            name="singular", singular_origin=True)
+        with pytest.raises(SingularMomentumError):
+            apply_expr(leaf, psi)
+
+    def test_zero_leaf_does_no_transform(self, grid, rng, fft_count):
+        psi = random_field(grid, rng)
+        leaf = MomentumDiag([(lambda g, t: np.zeros(()), ALPHA[0]),
+                             (lambda g, t: 0.0, SIGMA[1])])
+        out = apply_expr(leaf, psi)
+        assert fft_count[0] == 0
+        assert out.space == POSITION
+        assert not out.values.any()
 
 
 class TestCanonicalCommutator:
