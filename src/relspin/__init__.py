@@ -26,3 +26,18 @@ from .dynamics import (ResidualReport, refinement_study, rhs, spin_expr,
                        standard_battery, total_j_identity, verify)
 from .propagate import Trajectory, ehrenfest_residual, krylov_step, run, strang_step_dirac
 from .scenario import Scenario, load_scenario, parse_scenario
+
+__all__ = [
+    "anticommutator", "commutator", "dirac_matrices", "exp_minus_iHt", "herm_eigs",
+    "is_hermitian", "is_unitary", "BoundaryFluxError", "ConfigError",
+    "GridResolutionError", "KrylovConvergenceError", "PreconditionError",
+    "SingularMomentumError", "Envelope", "PlaneWavePulse", "UniformB", "UniformE",
+    "ZeroField", "maxwell_probe", "GridSpec", "SpinorField", "gaussian_packet",
+    "load_field", "save_field", "zero_mode_weight", "NamedHamiltonian",
+    "build_dirac_em", "build_free_dirac", "build_fw_direct", "build_fw_full",
+    "PhysParams", "SpinKind", "condition_checks", "energy_ep", "free_dirac_matrix",
+    "position_correction", "spin_operator", "ResidualReport", "refinement_study",
+    "rhs", "spin_expr", "standard_battery", "total_j_identity", "verify",
+    "Trajectory", "ehrenfest_residual", "krylov_step", "run", "strang_step_dirac",
+    "Scenario", "load_scenario", "parse_scenario",
+]

@@ -11,10 +11,9 @@ fixed to the standard one with beta diagonal,
 so that "diagonal / off-diagonal in particle-antiparticle space" is literal
 2x2 block structure.
 
-The Hermitian eigensolver is a cyclic complex Jacobi iteration - deterministic
-and dependency-free, accurate to ~1e-15 on 4x4 inputs.  Degenerate eigenvalues
-are ordered ascending and each eigenvector's phase is fixed by making its
-first nonzero component real and positive.
+The Hermitian eigensolver is numpy's ``eigh`` behind a Hermiticity check.
+Eigenvalues come out ascending and each eigenvector's phase is fixed by making
+its first nonzero component real and positive.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ __all__ = [
     "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "ID4",
     "dirac_matrices", "commutator", "anticommutator",
     "is_hermitian", "is_unitary", "herm_eigs", "exp_minus_iHt",
-    "levi_civita",
+    "levi_civita", "levi_civita_pairs",
 ]
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -61,6 +60,11 @@ def levi_civita(i: int, j: int, k: int) -> float:
     return _EPS[i, j, k]
 
 
+def levi_civita_pairs(i: int):
+    """(j, k, eps_ijk) for the two nonzero entries with first index i."""
+    return [(j, k, _EPS[i, j, k]) for j in range(3) for k in range(3) if _EPS[i, j, k]]
+
+
 def dirac_matrices():
     """Return ``(alpha, beta, sigma)``: the three alpha_i, beta, and the
     three doubled Pauli matrices Sigma_i, all as fresh 4x4 complex arrays."""
@@ -91,20 +95,6 @@ def is_unitary(a: np.ndarray, tol: float = 1e-10) -> bool:
     return np.linalg.norm(a.conj().T @ a - np.eye(n)) <= tol * max(1.0, np.linalg.norm(a))
 
 
-def _jacobi_rotation(app, aqq, apq):
-    """Unitary 2x2 rotation (c, s, phase) zeroing the (p,q) element of a
-    Hermitian matrix with diagonal entries app, aqq and off-diagonal apq."""
-    mod = abs(apq)
-    phase = apq / mod
-    tau = (aqq.real - app.real) / (2.0 * mod)
-    if tau >= 0:
-        t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-    else:
-        t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    return c, t * c, phase
-
-
 def herm_eigs(a: np.ndarray, tol: float = 1e-10):
     """Eigendecomposition of a Hermitian 4x4 (or nxn) complex matrix.
 
@@ -115,51 +105,12 @@ def herm_eigs(a: np.ndarray, tol: float = 1e-10):
     a = np.asarray(a, dtype=complex)
     if not is_hermitian(a, tol):
         raise PreconditionError("herm_eigs requires a Hermitian matrix")
-    n = a.shape[0]
-    h = 0.5 * (a + a.conj().T)  # symmetrize roundoff, exact for Hermitian input
-    v = np.eye(n, dtype=complex)
-    scale = max(np.linalg.norm(h), 1e-300)
-
-    for _sweep in range(60):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off += abs(h[p, q]) ** 2
-        if np.sqrt(2.0 * off) <= 1e-15 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(h[p, q]) <= 1e-18 * scale:
-                    continue
-                c, s, ph = _jacobi_rotation(h[p, p], h[q, q], h[p, q])
-                # columns of the plane rotation: G[p,p]=c, G[q,p]=-s*conj(ph),
-                # G[p,q]=s*ph, G[q,q]=c ; then h <- G^H h G, v <- v G
-                gp = np.zeros(n, dtype=complex)
-                gq = np.zeros(n, dtype=complex)
-                gp[p], gp[q] = c, -s * np.conj(ph)
-                gq[p], gq[q] = s * ph, c
-                hp = h @ gp
-                hq = h @ gq
-                h[:, p], h[:, q] = hp, hq
-                hp = np.conj(gp) @ h
-                hq = np.conj(gq) @ h
-                h[p, :], h[q, :] = hp, hq
-                vp = v @ gp
-                vq = v @ gq
-                v[:, p], v[:, q] = vp, vq
-
-    w = np.real(np.diag(h))
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    v = v[:, order]
+    # symmetrize roundoff (exact for Hermitian input); eigh sorts ascending
+    w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
     # phase convention: first component with non-negligible modulus made
     # real positive, so degenerate pairs come out reproducibly
-    for k in range(n):
-        col = v[:, k]
-        idx = int(np.argmax(np.abs(col) > 1e-12))
-        ph = col[idx] / abs(col[idx])
-        v[:, k] = col / ph
-    return w, v
+    lead = v[np.argmax(np.abs(v) > 1e-12, axis=0), np.arange(v.shape[1])]
+    return w, v / (lead / np.abs(lead))
 
 
 def exp_minus_iHt(h: np.ndarray, t: float, tol: float = 1e-10) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .algebra import ID4, levi_civita
+from .algebra import ID4, levi_civita_pairs
 from .errors import PreconditionError
 from .expr import (Add, ConstMatrix, MomentumDiag, Mul, PositionDiag, Scale,
                    apply_expr, block_parity)
@@ -34,7 +34,8 @@ from .grid import GridSpec, gaussian_packet, suppress_zero_mode
 from .hamiltonians import (NamedHamiltonian, build_dirac_em, build_free_dirac,
                            build_fw_direct, build_fw_full, momentum_component,
                            position_component)
-from .operators import ALPHA, BETA, SIGMA, PhysParams, SpinKind
+from .operators import (ALPHA, BETA, SIGMA, PhysParams, SpinKind, energy_k2,
+                        position_terms, spin_terms)
 
 __all__ = [
     "spin_expr", "position_correction_expr", "rhs", "verify",
@@ -58,31 +59,21 @@ def _ones(g, t):
     return np.ones(())
 
 
-def _ek(params):
+def _inv_ek(params, with_w=False, scale=1.0):
+    """scale / E_k or scale / (E_k (E_k + m0 c^2))."""
     def fn(g, t):
-        return np.sqrt(g.k2 * params.c**2 + params.rest_energy**2)
+        e = energy_k2(g.k2, params)
+        return scale / (e * (e + params.rest_energy) if with_w else e)
     return fn
 
 
-def _inv_ek(params, power=1, with_w=False, scale=1.0):
-    """scale / (E_k^power) or scale / (E_k^power (E_k + m0 c^2))."""
-    def fn(g, t):
-        e = np.sqrt(g.k2 * params.c**2 + params.rest_energy**2)
-        den = e**power
-        if with_w:
-            den = den * (e + params.rest_energy)
-        return scale / den
-    return fn
-
-
-def _inv_k2(scale=1.0):
-    def fn(g, t):
-        k2 = np.array(g.k2, dtype=float)
-        k2[g.origin_index] = 1.0
-        out = scale / k2
-        out[g.origin_index] = 0.0
-        return out
-    return fn
+def _inv_k2(g, t=None):
+    """1/k^2 on the lattice, 0 in the k = 0 bin."""
+    k2 = np.array(g.k2, dtype=float)
+    k2[g.origin_index] = 1.0
+    out = 1.0 / k2
+    out[g.origin_index] = 0.0
+    return out
 
 
 def _mom_scalar(fn, name=None, singular=False):
@@ -124,17 +115,17 @@ def _field_vec_triple(mesh_fn, name):
 
 def _cross(a, b):
     """(a x b)_i as expression triple; right factor acts first."""
-    out = []
-    for i in range(3):
-        parts = []
-        for j in range(3):
-            for k in range(3):
-                e = levi_civita(i, j, k)
-                if e:
-                    term = Mul(a[j], b[k])
-                    parts.append(term if e > 0 else Scale(-1.0, term))
-        out.append(Add(parts))
-    return out
+    return [Add([Mul(a[j], b[k]) if e > 0 else Scale(-1.0, Mul(a[j], b[k]))
+                 for j, k, e in levi_civita_pairs(i)]) for i in range(3)]
+
+
+def _dot_angular(vec_of_t):
+    """v(t).(r x p) for a uniform time-dependent vector; p acts first."""
+    return Add([
+        Scale((lambda t, j=j: complex(vec_of_t(t)[j])),
+              Add([Scale(e, Mul(position_component(l), momentum_component(m)))
+                   for l, m, e in levi_civita_pairs(j)]))
+        for j in range(3)])
 
 
 def _dot(a, b):
@@ -165,102 +156,36 @@ def _add_triples(triples):
 # spin operators and position corrections as momentum-diagonal expressions
 # ---------------------------------------------------------------------------
 
+_LABELS = {SpinKind.DIRAC: "D", SpinKind.FW: "FW", SpinKind.PRYCE: "Py"}
+
+
+def _grid_leaves(table, kind, label):
+    """Wrap an ``operators`` S or R table in grid leaves.  A component whose
+    pairs are all constant stays a ConstMatrix, which acts without a
+    transform in either space."""
+    singular = kind is SpinKind.PRYCE
+    out = []
+    for axis, pairs in zip(_AXES, table):
+        if all(coeff is None for coeff, _ in pairs):
+            out.append(ConstMatrix(sum((m for _, m in pairs), _ZERO44), name=label))
+            continue
+        leaf = [(_ones if coeff is None else
+                 (lambda g, t, f=coeff: f(g.k, g.k2, _inv_k2(g) if singular else None)),
+                 m) for coeff, m in pairs]
+        out.append(MomentumDiag(leaf, name=f"{label}_{axis}", singular_origin=singular))
+    return out
+
+
 def spin_expr(kind: SpinKind, params: PhysParams):
     """The spin operator as a triple of momentum-diagonal expressions,
     componentwise equal to ``operators.spin_operator`` at every lattice k."""
-    if kind is SpinKind.DIRAC:
-        return _const_triple([0.5 * s for s in SIGMA], name="S_D")
-
-    c, er = params.c, params.rest_energy
-    if kind is SpinKind.FW:
-        out = []
-        for i in range(3):
-            pairs = [(_ones, 0.5 * SIGMA[i])]
-            for j in range(3):
-                for k in range(3):
-                    e = levi_civita(i, j, k)
-                    if e:
-                        pairs.append((
-                            lambda g, t, j=j: c * g.k[j] / (2.0 * np.sqrt(
-                                g.k2 * c**2 + er**2)),
-                            e * 1j * BETA @ ALPHA[k]))
-            ekw = _inv_ek(params, power=1, with_w=True)
-            pairs.append((lambda g, t, f=ekw: -0.5 * c**2 * g.k2 * f(g, t), SIGMA[i]))
-            for m in range(3):
-                pairs.append((
-                    lambda g, t, i=i, m=m, f=ekw: 0.5 * c**2 * np.broadcast_to(
-                        g.k[i] * g.k[m], g.shape) * f(g, t),
-                    SIGMA[m]))
-            out.append(MomentumDiag(pairs, name=f"S_FW_{_AXES[i]}"))
-        return out
-
-    if kind is SpinKind.PRYCE:
-        lower = ID4 - BETA
-        out = []
-        for i in range(3):
-            pairs = [(_ones, 0.5 * BETA @ SIGMA[i])]
-            inv = _inv_k2()
-            for m in range(3):
-                pairs.append((
-                    lambda g, t, i=i, m=m, inv=inv: 0.5 * np.broadcast_to(
-                        g.k[i] * g.k[m], g.shape) * inv(g, t),
-                    lower @ SIGMA[m]))
-            out.append(MomentumDiag(pairs, name=f"S_Py_{_AXES[i]}",
-                                    singular_origin=True))
-        return out
-
-    raise PreconditionError(f"unknown spin kind {kind!r}")
+    return _grid_leaves(spin_terms(kind, params), kind, f"S_{_LABELS[kind]}")
 
 
 def position_correction_expr(kind: SpinKind, params: PhysParams):
     """Momentum-diagonal correction R(p) with r_kind = r + R(p), fixed by the
     exact identity R x p + S_kind = Sigma/2."""
-    if kind is SpinKind.DIRAC:
-        return _const_triple([_ZERO44] * 3, name="R_D")
-
-    c, er = params.c, params.rest_energy
-    if kind is SpinKind.FW:
-        ek = _ek(params)
-        ekw = _inv_ek(params, power=1, with_w=True)
-        e2w = _inv_ek(params, power=2, with_w=True)
-        out = []
-        for j in range(3):
-            pairs = [(lambda g, t, f=ek: 0.5 * c / f(g, t), 1j * BETA @ ALPHA[j])]
-            for m in range(3):
-                pairs.append((
-                    lambda g, t, j=j, m=m, f=e2w: -0.5 * c**3 * np.broadcast_to(
-                        g.k[m] * g.k[j], g.shape) * f(g, t),
-                    1j * BETA @ ALPHA[m]))
-            for a in range(3):
-                for b in range(3):
-                    e = levi_civita(j, a, b)
-                    if e:
-                        pairs.append((
-                            lambda g, t, b=b, f=ekw: -0.5 * c**2 * np.broadcast_to(
-                                g.k[b], g.shape) * f(g, t),
-                            e * SIGMA[a]))
-            out.append(MomentumDiag(pairs, name=f"R_FW_{_AXES[j]}"))
-        return out
-
-    if kind is SpinKind.PRYCE:
-        lower = ID4 - BETA
-        inv = _inv_k2()
-        out = []
-        for j in range(3):
-            pairs = []
-            for a in range(3):
-                for b in range(3):
-                    e = levi_civita(j, a, b)
-                    if e:
-                        pairs.append((
-                            lambda g, t, b=b, inv=inv: -0.5 * np.broadcast_to(
-                                g.k[b], g.shape) * inv(g, t),
-                            e * lower @ SIGMA[a]))
-            out.append(MomentumDiag(pairs, name=f"R_Py_{_AXES[j]}",
-                                    singular_origin=True))
-        return out
-
-    raise PreconditionError(f"unknown spin kind {kind!r}")
+    return _grid_leaves(position_terms(kind, params), kind, f"R_{_LABELS[kind]}")
 
 
 # ---------------------------------------------------------------------------
@@ -295,17 +220,10 @@ def rhs(kind: SpinKind, family: str, model: FieldModel, params: PhysParams):
     if family == "free":
         if kind is SpinKind.DIRAC:
             # -c (alpha x p)_i
-            out = []
-            for i in range(3):
-                pairs = []
-                for j in range(3):
-                    for k in range(3):
-                        e = levi_civita(i, j, k)
-                        if e:
-                            pairs.append((lambda g, t, k=k: np.broadcast_to(
-                                g.k[k], g.shape).astype(float),
-                                -params.c * e * ALPHA[j]))
-                out.append(MomentumDiag(pairs, name=f"dSD_{_AXES[i]}"))
+            out = [MomentumDiag([(lambda g, t, k=k: np.broadcast_to(
+                g.k[k], g.shape).astype(float), -params.c * e * ALPHA[j])
+                for j, k, e in levi_civita_pairs(i)], name=f"dSD_{_AXES[i]}")
+                for i in range(3)]
             terms = [("alpha-cross-momentum", out)]
             return terms, out
         # FW and Pryce spin operators are constants of the free motion
@@ -325,42 +243,40 @@ def rhs(kind: SpinKind, family: str, model: FieldModel, params: PhysParams):
 
 def _rhs_em(kind, model, params):
     c, e = params.c, params.e
-    m0 = params.m0
     b_fun = _b_fun(model, 0)
     p_t = _p_triple()
     r_t = _r_triple()
     alpha_t = _const_triple(ALPHA, name="alpha")
     sigma_t = _const_triple(SIGMA, name="Sigma")
     b_t = _uniform_vec_triple(b_fun, "B")
-    pi_t = _kinetic_triple(model, params)
 
-    inv_e = _mom_scalar(_inv_ek(params, power=1), name="1/E")
-    inv_ew = _mom_scalar(_inv_ek(params, power=1, with_w=True), name="1/EW")
-    p2_over_ew = _mom_scalar(
-        lambda g, t, f=_inv_ek(params, power=1, with_w=True): g.k2 * f(g, t),
-        name="p^2/EW")
+    # factors of the two gradient terms both kinds print
+    alpha_dot_r = PositionDiag(
+        [(lambda g, t, j=j: g.r[j], ALPHA[j]) for j in range(3)],
+        name="alpha.r")
+    b_dot_p = MomentumDiag(
+        [(lambda g, t, j=j: b_fun(t)[j] * np.broadcast_to(g.k[j], g.shape), ID4)
+         for j in range(3)],
+        name="B.p", time_dependent=True)
+    r_dot_p = _dot(r_t, p_t)
+    alpha_dot_b = Add([ConstMatrix(ALPHA[j], coeff=(lambda t, j=j: complex(b_fun(t)[j])))
+                       for j in range(3)])
 
     if kind is SpinKind.FW:
+        pi_t = _kinetic_triple(model, params)
+        inv_ew = _mom_scalar(_inv_ek(params, with_w=True), name="1/EW")
+        p2_over_ew = _mom_scalar(
+            lambda g, t, f=_inv_ek(params, with_w=True): g.k2 * f(g, t),
+            name="p^2/EW")
         terms = []
         terms.append(("alpha-cross-kinetic",
                       _scale_triple(-c, _cross(alpha_t, pi_t))))
         terms.append(("beta-p-cross-kinetic",
                       _prefix([ConstMatrix(BETA), _mom_scalar(
-                          _inv_ek(params, power=1, scale=c), name="c/E")],
+                          _inv_ek(params, scale=c), name="c/E")],
                           _cross(p_t, pi_t))))
         terms.append(("longitudinal-alpha-cross",
                       _scale_triple(c, _prefix([p2_over_ew], _cross(alpha_t, pi_t)))))
-
-        alpha_dot_r = PositionDiag(
-            [(lambda g, t, j=j: g.r[j], ALPHA[j]) for j in range(3)],
-            name="alpha.r")
-        b_dot_p = MomentumDiag(
-            [(lambda g, t, j=j: b_fun(t)[j] * np.broadcast_to(g.k[j], g.shape), ID4)
-             for j in range(3)],
-            name="B.p", time_dependent=True)
-        r_dot_p = _dot(r_t, p_t)
-        alpha_dot_b = Add([ConstMatrix(ALPHA[j], coeff=(lambda t, j=j: complex(b_fun(t)[j])))
-                           for j in range(3)])
         terms.append(("alpha-r-gradient", _scale_triple(
             c * e, _prefix([inv_ew, Scale(0.5, alpha_dot_r), b_dot_p], p_t))))
         terms.append(("alpha-b-gradient", _scale_triple(
@@ -389,26 +305,17 @@ def _rhs_em(kind, model, params):
         return terms, total
 
     # Pryce with the minimally coupled Dirac Hamiltonian
-    inv_p2 = _mom_scalar(_inv_k2(), name="1/p^2", singular=True)
+    inv_p2 = _mom_scalar(_inv_k2, name="1/p^2", singular=True)
     alpha_dot_p = MomentumDiag([(lambda g, t, j=j: np.broadcast_to(
         g.k[j], g.shape).astype(float), ALPHA[j]) for j in range(3)],
         name="alpha.p")
-    sxb = _cross(_const_triple(SIGMA), _uniform_vec_triple(b_fun, "B"))
+    sxb = _cross(sigma_t, b_t)
     terms = [("sigma-cross-b-alpha-p", _scale_triple(
         0.25 * e * c, _prefix([inv_p2], [Mul(sxb[i], alpha_dot_p) for i in range(3)])))]
-
-    alpha_dot_r = PositionDiag([(lambda g, t, j=j: g.r[j], ALPHA[j])
-                                for j in range(3)], name="alpha.r")
-    b_dot_p = MomentumDiag(
-        [(lambda g, t, j=j: b_fun(t)[j] * np.broadcast_to(g.k[j], g.shape), ID4)
-         for j in range(3)], name="B.p", time_dependent=True)
-    r_dot_p = _dot(_r_triple(), _p_triple())
-    alpha_dot_b = Add([ConstMatrix(ALPHA[j], coeff=(lambda t, j=j: complex(b_fun(t)[j])))
-                       for j in range(3)])
     terms.append(("alpha-r-gradient", _scale_triple(
-        0.5 * e * c, _prefix([inv_p2, alpha_dot_r, b_dot_p], _p_triple()))))
+        0.5 * e * c, _prefix([inv_p2, alpha_dot_r, b_dot_p], p_t))))
     terms.append(("r-p-alpha-b", _scale_triple(
-        -0.5 * e * c, _prefix([inv_p2, r_dot_p, alpha_dot_b], _p_triple()))))
+        -0.5 * e * c, _prefix([inv_p2, r_dot_p, alpha_dot_b], p_t))))
     total = _add_triples([t for _, t in terms])
     return terms, total
 
@@ -427,16 +334,15 @@ def _rhs_direct(kind, model, params):
     bddot_t = _uniform_vec_triple(bddot, "d2B/dt2")
     e_t = _field_vec_triple(model.e_mesh, "E")
 
-    inv_e = _mom_scalar(_inv_ek(params, power=1), name="1/E")
-    inv_ew = _mom_scalar(_inv_ek(params, power=1, with_w=True), name="1/EW")
-    sigma_dot_alpha = ConstMatrix(sum(SIGMA[j] @ ALPHA[j] for j in range(3)),
-                                  name="Sigma.alpha")
-
     pref_soc = e / (4 * m0**2 * c**2)
     pref_bdot = e / (8 * m0**2 * c**2)
     pref_nut = e / (16 * m0**3 * c**4)
 
     if kind is SpinKind.FW:
+        inv_e = _mom_scalar(_inv_ek(params), name="1/E")
+        inv_ew = _mom_scalar(_inv_ek(params, with_w=True), name="1/EW")
+        sigma_dot_alpha = ConstMatrix(sum(SIGMA[j] @ ALPHA[j] for j in range(3)),
+                                      name="Sigma.alpha")
         pxalpha_t = _cross(p_t, alpha_t)
         exp_t = _cross(e_t, p_t)
         terms = []
@@ -444,14 +350,7 @@ def _rhs_direct(kind, model, params):
             e / (2 * m0), _prefix([beta_c], _cross(sigma_t, b_t)))))
 
         p2_leaf = _mom_scalar(lambda g, t: np.array(g.k2, dtype=float), name="p^2")
-        b_dot_l = Add([
-            Scale((lambda t, j=j: complex(b(t)[j])),
-                  Add([Scale(levi_civita(j, l, m),
-                             Mul(position_component(l), momentum_component(m)))
-                       for l in range(3) for m in range(3)
-                       if levi_civita(j, l, m)]))
-            for j in range(3)])
-        kin_scalar = Add([p2_leaf, Scale(-e, b_dot_l)])
+        kin_scalar = Add([p2_leaf, Scale(-e, _dot_angular(b))])
         terms.append(("kinetic-coupling", _prefix(
             [inv_e], _scale_triple(1.0 / (2 * m0),
                                    [Mul(pxalpha_t[i], kin_scalar) for i in range(3)]))))
@@ -491,8 +390,7 @@ def _rhs_direct(kind, model, params):
     lower = ID4 - BETA
     beta_lower = ConstMatrix(BETA @ lower, name="beta(1-beta)")
     lower_c = ConstMatrix(lower, name="(1-beta)")
-    inv_p2 = _mom_scalar(_inv_k2(), name="1/p^2", singular=True)
-    sxb_t = _cross(sigma_t, b_t)
+    inv_p2 = _mom_scalar(_inv_k2, name="1/p^2", singular=True)
     sxbdot_t = _cross(sigma_t, bdot_t)
     sxbddot_t = _cross(sigma_t, bddot_t)
     sigma_dot_p = MomentumDiag([(lambda g, t, m=m: np.broadcast_to(
@@ -510,12 +408,6 @@ def _rhs_direct(kind, model, params):
 
     sigma_dot_bdot = Add([ConstMatrix(SIGMA[m], coeff=(lambda t, m=m: complex(bdot(t)[m])))
                           for m in range(3)])
-    l_dot_bdot = Add([
-        Scale((lambda t, j=j: complex(bdot(t)[j])),
-              Add([Scale(levi_civita(j, l, m),
-                         Mul(position_component(l), momentum_component(m)))
-                   for l in range(3) for m in range(3) if levi_civita(j, l, m)]))
-        for j in range(3)])
     bdot_dot_p = MomentumDiag(
         [(lambda g, t, m=m: bdot(t)[m] * np.broadcast_to(g.k[m], g.shape), ID4)
          for m in range(3)], name="dB/dt.p", time_dependent=True)
@@ -523,7 +415,7 @@ def _rhs_direct(kind, model, params):
     terms.append(("bdot-spin-spin", _scale_triple(
         pref_bdot, _prefix([lower_c, inv_p2, sigma_dot_p, sigma_dot_bdot], p_t))))
     terms.append(("bdot-spin-orbital", _scale_triple(
-        -pref_bdot, _prefix([lower_c, inv_p2, sigma_dot_p, l_dot_bdot], p_t))))
+        -pref_bdot, _prefix([lower_c, inv_p2, sigma_dot_p, _dot_angular(bdot)], p_t))))
     sym = [Scale(0.5, Add([Scale(3.0, p_t[i]), Mul(sigma_dot_p, ConstMatrix(SIGMA[i]))]))
            for i in range(3)]
     terms.append(("bdot-symmetrized", _scale_triple(

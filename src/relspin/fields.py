@@ -152,10 +152,6 @@ class FieldModel:
         s = self.sample(np.zeros(3), t)
         return s.B, s.dBdt, s.d2Bdt2
 
-    def scaled(self, factor: float) -> "FieldModel":
-        """A copy with the overall field amplitude multiplied by ``factor``."""
-        raise NotImplementedError
-
     def describe(self) -> dict:
         raise NotImplementedError
 
@@ -169,9 +165,6 @@ class ZeroField(FieldModel):
     def sample(self, r, t):
         return FieldSample(_zeros3(), 0.0, _zeros3(), _zeros3(),
                            _zeros3(), _zeros3(), _zeros3(), 0.0)
-
-    def scaled(self, factor):
-        return ZeroField()
 
     def describe(self):
         return {"type": "zero"}
@@ -228,9 +221,6 @@ class UniformB(FieldModel):
         gpp = self.envelope.derivatives(t)[2]
         return [self.b0[0] * gpp, self.b0[1] * gpp, self.b0[2] * gpp]
 
-    def scaled(self, factor):
-        return UniformB(self.b0 * factor, self.envelope)
-
     def describe(self):
         return {"type": "uniform_b", "b0": self.b0.tolist(),
                 "envelope": self.envelope.shape}
@@ -265,9 +255,6 @@ class UniformE(FieldModel):
     def dedt_mesh(self, r, t):
         gp = self.envelope.derivatives(t)[1]
         return [self.e0[0] * gp, self.e0[1] * gp, self.e0[2] * gp]
-
-    def scaled(self, factor):
-        return UniformE(self.e0 * factor, self.envelope)
 
     def describe(self):
         return {"type": "uniform_e", "e0": self.e0.tolist(),
@@ -366,10 +353,6 @@ class PlaneWavePulse(FieldModel):
     def dive_mesh(self, r, t):
         s2 = _pulse_shape(self._u_mesh(r, t), self.env_center, self.env_width)[2]
         return float(np.dot(self.wavevector, self.e0)) * s2
-
-    def scaled(self, factor):
-        return PlaneWavePulse(self.e0 * factor, self.wavevector, self.omega,
-                              self.env_center, self.env_width)
 
     def describe(self):
         return {"type": "plane_wave", "e0": self.e0.tolist(),

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.fft
 
 from .errors import GridResolutionError, PreconditionError
-from .operators import ALPHA, BETA, PhysParams
+from .operators import ALPHA, BETA, PhysParams, energy_k2
 
 __all__ = [
     "GridSpec", "SpinorField", "gaussian_packet", "zero_mode_weight",
@@ -321,7 +321,7 @@ def gaussian_packet(grid: GridSpec, center, sigma: float, k0,
         mom = field.to_momentum()
         v = mom.values
         kx, ky, kz = grid.k
-        e_k = np.sqrt(grid.k2 * params.c**2 + params.rest_energy**2)
+        e_k = energy_k2(grid.k2, params)
         hv = params.rest_energy * np.einsum("ab,b...->a...", BETA, v)
         for comp, kvec in zip(ALPHA, (kx, ky, kz)):
             if np.isscalar(kvec) and kvec == 0.0:

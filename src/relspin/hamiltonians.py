@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import ID4, levi_civita
+from .algebra import ID4, levi_civita_pairs
 from .errors import PreconditionError
 from .expr import Add, Adjoint, ConstMatrix, MomentumDiag, Mul, OperatorExpr, PositionDiag, Scale
 from .fields import FieldModel
@@ -174,18 +174,14 @@ def _cross_dot_sigma(model, params, vec_mesh, reverse: bool = False):
     (the right factor acts first)."""
     out = []
     for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                e = levi_civita(i, j, k)
-                if not e:
-                    continue
-                if reverse:
-                    left = kinetic_momentum(model, params, j)
-                    right = _mesh_vec_leaf(vec_mesh, k, matrix=e * SIGMA[i])
-                else:
-                    left = _mesh_vec_leaf(vec_mesh, j, matrix=e * SIGMA[i])
-                    right = kinetic_momentum(model, params, k)
-                out.append(Mul(left, right))
+        for j, k, e in levi_civita_pairs(i):
+            if reverse:
+                left = kinetic_momentum(model, params, j)
+                right = _mesh_vec_leaf(vec_mesh, k, matrix=e * SIGMA[i])
+            else:
+                left = _mesh_vec_leaf(vec_mesh, j, matrix=e * SIGMA[i])
+                right = kinetic_momentum(model, params, k)
+            out.append(Mul(left, right))
     return Add(out)
 
 

@@ -15,6 +15,15 @@ Three candidate spin operators are supported:
 * ``PRYCE``:  S_Py = beta Sigma/2 + (1 - beta)(Sigma.p)p / (2 p^2), singular
   at p = 0 where the longitudinal projector has no limit.
 
+Each kind's position operator is r + R(p), with R fixed by the exact identity
+R(p) x p + S_kind(p) = Sigma/2.
+
+``spin_terms`` and ``position_terms`` are the single source of S and R: per
+component, a list of (coefficient of k, k^2 and 1/k^2, constant 4x4 matrix)
+pairs.  ``spin_operator`` and ``position_correction`` evaluate them at one
+momentum; ``dynamics.spin_expr`` and ``dynamics.position_correction_expr``
+wrap the same pairs in momentum-diagonal grid leaves.
+
 The condition checks quantify, at a fixed momentum: (i) commutation with the
 free Dirac Hamiltonian, (ii) the SU(2) algebra [S_i, S_j] = i eps_ijk S_k,
 (iii) the +-1/2 eigenvalue spectrum of every component.
@@ -27,12 +36,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import ID4, commutator, dirac_matrices, herm_eigs, levi_civita
+from .algebra import ID4, commutator, dirac_matrices, herm_eigs, levi_civita_pairs
 from .errors import PreconditionError, SingularMomentumError
 
 __all__ = [
-    "PhysParams", "SpinKind", "energy_ep", "free_dirac_matrix",
-    "spin_operator", "position_correction", "condition_checks",
+    "PhysParams", "SpinKind", "energy_k2", "energy_ep", "free_dirac_matrix",
+    "spin_terms", "position_terms", "spin_operator", "position_correction",
+    "condition_checks",
     "ConditionReport", "spin_rotation_matrix",
 ]
 
@@ -69,10 +79,16 @@ class SpinKind(enum.Enum):
     PRYCE = "pryce"
 
 
+def energy_k2(k2, params: PhysParams):
+    """E_k = sqrt(k^2 c^2 + m0^2 c^4) of a squared momentum: a float, or the
+    grid's k^2 array for one energy per lattice mode."""
+    return np.sqrt(k2 * params.c**2 + params.rest_energy**2)
+
+
 def energy_ep(p, params: PhysParams) -> float:
     """Relativistic energy sqrt(p^2 c^2 + m0^2 c^4) of momentum p."""
     p = np.asarray(p, dtype=float)
-    return float(np.sqrt(np.dot(p, p) * params.c**2 + params.rest_energy**2))
+    return float(energy_k2(np.dot(p, p), params))
 
 
 def free_dirac_matrix(p, params: PhysParams) -> np.ndarray:
@@ -84,18 +100,89 @@ def free_dirac_matrix(p, params: PhysParams) -> np.ndarray:
     return h
 
 
-def _cross_matrix(vec_mats, p):
-    """(v x p)_i for a list of three matrices v_j and a numeric 3-vector p."""
-    out = []
-    for i in range(3):
-        m = np.zeros((4, 4), dtype=complex)
-        for j in range(3):
-            for k in range(3):
-                e = levi_civita(i, j, k)
-                if e:
-                    m += e * vec_mats[j] * p[k]
-        out.append(m)
-    return out
+# ---------------------------------------------------------------------------
+# the operator table: the one transcription of S(p) and R(p)
+# ---------------------------------------------------------------------------
+#
+# Component i of S or R is a list of (coefficient, M) pairs standing for
+# sum coefficient(k, k2, inv_k2) M.  The coefficients take the momentum
+# triple, k^2 and 1/k^2 either as floats at one momentum (spin_operator,
+# position_correction) or as the grid's broadcast meshes
+# (dynamics.spin_expr, dynamics.position_correction_expr), and only the
+# Pryce entries read 1/k^2.  ``None`` is the constant coefficient 1.
+
+_I_BETA_ALPHA = tuple(1j * BETA @ a for a in ALPHA)
+_LOWER_SIGMA = tuple((ID4 - BETA) @ s for s in SIGMA)  # (1 - beta) Sigma
+
+
+def _inv_ew(k2, params, power=1):
+    """1 / (E_k^power (E_k + m0 c^2))."""
+    e = energy_k2(k2, params)
+    return 1.0 / (e**power * (e + params.rest_energy))
+
+
+def spin_terms(kind: SpinKind, params: PhysParams):
+    """S_kind as three lists of (coefficient, matrix) pairs (see above)."""
+    c = params.c
+    if kind is SpinKind.DIRAC:
+        return [[(None, 0.5 * SIGMA[i])] for i in range(3)]
+    if kind is SpinKind.FW:
+        # Sigma/2 + i c beta (p x alpha)/(2E) - c^2 p x (Sigma x p)/(2EW),
+        # with p x (Sigma x p) = Sigma p^2 - p (Sigma.p)
+        return [
+            [(None, 0.5 * SIGMA[i])]
+            + [(lambda k, k2, inv_k2, j=j: c * k[j] / (2.0 * energy_k2(k2, params)),
+                e * _I_BETA_ALPHA[kk]) for j, kk, e in levi_civita_pairs(i)]
+            + [(lambda k, k2, inv_k2: -0.5 * c**2 * k2 * _inv_ew(k2, params), SIGMA[i])]
+            + [(lambda k, k2, inv_k2, i=i, m=m: 0.5 * c**2 * (k[i] * k[m])
+                * _inv_ew(k2, params), SIGMA[m]) for m in range(3)]
+            for i in range(3)]
+    if kind is SpinKind.PRYCE:
+        return [
+            [(None, 0.5 * BETA @ SIGMA[i])]
+            + [(lambda k, k2, inv_k2, i=i, m=m: 0.5 * (k[i] * k[m]) * inv_k2,
+                _LOWER_SIGMA[m]) for m in range(3)]
+            for i in range(3)]
+    raise PreconditionError(f"unknown spin kind {kind!r}")
+
+
+def position_terms(kind: SpinKind, params: PhysParams):
+    """R_kind as three lists of (coefficient, matrix) pairs (see above)."""
+    c = params.c
+    if kind is SpinKind.DIRAC:
+        return [[] for _ in range(3)]
+    if kind is SpinKind.FW:
+        # i c beta alpha/(2E) - i c^3 beta (alpha.p) p/(2E^2 W)
+        # - c^2 (Sigma x p)/(2EW)
+        return [
+            [(lambda k, k2, inv_k2: 0.5 * c / energy_k2(k2, params), _I_BETA_ALPHA[j])]
+            + [(lambda k, k2, inv_k2, j=j, m=m: -0.5 * c**3 * (k[m] * k[j])
+                * _inv_ew(k2, params, power=2), _I_BETA_ALPHA[m])
+               for m in range(3)]
+            + [(lambda k, k2, inv_k2, b=b: -0.5 * c**2 * k[b] * _inv_ew(k2, params),
+                e * SIGMA[a]) for a, b, e in levi_civita_pairs(j)]
+            for j in range(3)]
+    if kind is SpinKind.PRYCE:
+        # -(1 - beta)(Sigma x p)/(2 p^2)
+        return [
+            [(lambda k, k2, inv_k2, b=b: -0.5 * k[b] * inv_k2, e * _LOWER_SIGMA[a])
+             for a, b, e in levi_civita_pairs(j)]
+            for j in range(3)]
+    raise PreconditionError(f"unknown spin kind {kind!r}")
+
+
+def _at_momentum(table, kind, p, params, what):
+    """Evaluate a spin or position table at one momentum."""
+    p = np.asarray(p, dtype=float)
+    p2 = float(np.dot(p, p))
+    if kind is SpinKind.PRYCE and np.sqrt(p2) <= params.p_floor:
+        raise SingularMomentumError(
+            f"Pryce {what} is singular at p=0; "
+            f"|p|={np.sqrt(p2):.3e} <= floor {params.p_floor:.3e}")
+    inv_p2 = 1.0 / p2 if p2 > 0 else 0.0
+    zero = np.zeros((4, 4), dtype=complex)
+    return tuple(sum((m if f is None else f(p, p2, inv_p2) * m for f, m in pairs), zero)
+                 for pairs in table)
 
 
 def spin_operator(kind: SpinKind, p, params: PhysParams):
@@ -105,40 +192,7 @@ def spin_operator(kind: SpinKind, p, params: PhysParams):
     Raises :class:`SingularMomentumError` for the Pryce operator when
     |p| <= params.p_floor.
     """
-    p = np.asarray(p, dtype=float)
-    if kind is SpinKind.DIRAC:
-        return tuple(0.5 * s for s in SIGMA)
-
-    c = params.c
-    p2 = float(np.dot(p, p))
-    if kind is SpinKind.PRYCE:
-        if np.sqrt(p2) <= params.p_floor:
-            raise SingularMomentumError(
-                "Pryce spin operator is singular at p=0; "
-                f"|p|={np.sqrt(p2):.3e} <= floor {params.p_floor:.3e}"
-            )
-        sp = sum(p[m] * SIGMA[m] for m in range(3))
-        lower = ID4 - BETA
-        return tuple(
-            0.5 * BETA @ SIGMA[i] + 0.5 * lower @ sp * (p[i] / p2)
-            for i in range(3)
-        )
-
-    if kind is not SpinKind.FW:
-        raise PreconditionError(f"unknown spin kind {kind!r}")
-
-    e_p = energy_ep(p, params)
-    w = e_p + params.rest_energy
-    pxalpha = _cross_matrix(list(ALPHA), -p)  # (p x alpha)_i = -(alpha x p)_i
-    sp = sum(p[m] * SIGMA[m] for m in range(3))
-    out = []
-    for i in range(3):
-        term1 = 0.5 * SIGMA[i]
-        term2 = 1j * c * BETA @ pxalpha[i] / (2.0 * e_p)
-        # p x (Sigma x p) = Sigma p^2 - p (Sigma.p)
-        term3 = -(c**2) * (SIGMA[i] * p2 - p[i] * sp) / (2.0 * e_p * w)
-        out.append(term1 + term2 + term3)
-    return tuple(out)
+    return _at_momentum(spin_terms(kind, params), kind, p, params, "spin operator")
 
 
 def position_correction(kind: SpinKind, p, params: PhysParams):
@@ -149,32 +203,8 @@ def position_correction(kind: SpinKind, p, params: PhysParams):
     R(p) x p + S_kind(p) = Sigma/2.  For the Dirac kind R = 0; the Pryce
     correction carries a genuine 1/p^2 singularity and is refused at p = 0.
     """
-    p = np.asarray(p, dtype=float)
-    if kind is SpinKind.DIRAC:
-        return tuple(np.zeros((4, 4), dtype=complex) for _ in range(3))
-
-    p2 = float(np.dot(p, p))
-    if kind is SpinKind.PRYCE:
-        if np.sqrt(p2) <= params.p_floor:
-            raise SingularMomentumError(
-                "Pryce position correction is singular at p=0"
-            )
-        sxp = _cross_matrix(list(SIGMA), p)  # (Sigma x p)_i
-        lower = ID4 - BETA
-        return tuple(-0.5 * lower @ sxp[i] / p2 for i in range(3))
-
-    c = params.c
-    e_p = energy_ep(p, params)
-    w = e_p + params.rest_energy
-    ap = sum(p[m] * ALPHA[m] for m in range(3))
-    sxp = _cross_matrix(list(SIGMA), p)
-    out = []
-    for j in range(3):
-        r1 = 1j * c * BETA @ ALPHA[j] / (2.0 * e_p)
-        r2 = -1j * c**3 * BETA @ ap * p[j] / (2.0 * e_p**2 * w)
-        r3 = -(c**2) * sxp[j] / (2.0 * e_p * w)
-        out.append(r1 + r2 + r3)
-    return tuple(out)
+    return _at_momentum(position_terms(kind, params), kind, p, params,
+                        "position correction")
 
 
 @dataclass
@@ -207,15 +237,9 @@ def condition_checks(kind: SpinKind, p, params: PhysParams) -> ConditionReport:
     s = spin_operator(kind, p, params)
     h = free_dirac_matrix(p, params)
 
-    su2 = 0.0
-    for i in range(3):
-        for j in range(3):
-            target = np.zeros((4, 4), dtype=complex)
-            for k in range(3):
-                e = levi_civita(i, j, k)
-                if e:
-                    target += 1j * e * s[k]
-            su2 = max(su2, float(np.linalg.norm(commutator(s[i], s[j]) - target)))
+    # [S_i, S_i] = 0 exactly, so only i != j can leave a residual
+    su2 = max(float(np.linalg.norm(commutator(s[i], s[j]) - 1j * e * s[k]))
+              for i in range(3) for j, k, e in levi_civita_pairs(i))
 
     spectrum = [herm_eigs(s[i])[0].tolist() for i in range(3)]
     free_components = [float(np.linalg.norm(commutator(s[i], h))) for i in range(3)]

@@ -30,7 +30,7 @@ from .expr import Add, Adjoint, Scale, apply_expr, expectation
 from .fields import FieldModel
 from .grid import MOMENTUM, POSITION, GridSpec, SpinorField
 from .hamiltonians import NamedHamiltonian, momentum_component, position_component
-from .operators import ALPHA, BETA, PhysParams, SpinKind
+from .operators import ALPHA, BETA, PhysParams, SpinKind, energy_k2
 from .dynamics import spin_expr
 
 __all__ = [
@@ -66,7 +66,7 @@ def _position_half_step(values, grid: GridSpec, model: FieldModel,
 
 def _kinetic_full_step(values, grid: GridSpec, params: PhysParams, dt: float):
     """exp(-i dt (c alpha.k + beta m0 c^2)) per momentum mode."""
-    e_k = np.sqrt(grid.k2 * params.c**2 + params.rest_energy**2)
+    e_k = energy_k2(grid.k2, params)
     cosf = np.cos(dt * e_k)
     sinf = np.sin(dt * e_k) / e_k
     h_values = params.rest_energy * _apply_const(BETA, values)
@@ -177,6 +177,15 @@ def choose_propagator(hamiltonian: NamedHamiltonian) -> str:
     return "strang" if hamiltonian.family in ("free", "dirac-em") else "krylov"
 
 
+def _stepper(hamiltonian, propagator, krylov_m, krylov_tol):
+    """``step(psi, t, dt)`` with the named propagator, or the default one."""
+    if (propagator or choose_propagator(hamiltonian)) == "strang":
+        return lambda psi, t, dt: strang_step_dirac(
+            psi, hamiltonian.model, hamiltonian.params, t, dt)
+    return lambda psi, t, dt: krylov_step(hamiltonian, psi, t, dt,
+                                          m=krylov_m, tol=krylov_tol)
+
+
 @dataclass
 class Trajectory:
     """Observable time series; one row per sampled step."""
@@ -250,7 +259,7 @@ def run(hamiltonian: NamedHamiltonian, state: SpinorField, dt: float,
     """
     if steps < 0 or stride < 1:
         raise PreconditionError("steps must be >= 0 and stride >= 1")
-    method = propagator or choose_propagator(hamiltonian)
+    step_fn = _stepper(hamiltonian, propagator, krylov_m, krylov_tol)
     obs = _Observables(hamiltonian.grid, hamiltonian.params)
     traj = Trajectory()
     psi = state
@@ -258,11 +267,7 @@ def run(hamiltonian: NamedHamiltonian, state: SpinorField, dt: float,
     row = obs.measure(hamiltonian, psi, t)
     traj.append(**row)
     for step in range(1, steps + 1):
-        if method == "strang":
-            psi = strang_step_dirac(psi, hamiltonian.model, hamiltonian.params,
-                                    t, dt)
-        else:
-            psi = krylov_step(hamiltonian, psi, t, dt, m=krylov_m, tol=krylov_tol)
+        psi = step_fn(psi, t, dt)
         t = t0 + step * dt
         if step % stride == 0 or step == steps:
             row = obs.measure(hamiltonian, psi, t)
@@ -285,7 +290,7 @@ def ehrenfest_residual(kind: SpinKind, hamiltonian: NamedHamiltonian,
     skipped; otherwise H is split as H_H + H_A via the expression adjoint so
     the identity closes for the printed non-Hermitian forms too.
     """
-    method = propagator or choose_propagator(hamiltonian)
+    step_fn = _stepper(hamiltonian, propagator, krylov_m, krylov_tol)
     s_triple = spin_expr(kind, hamiltonian.params)
     if hamiltonian.assume_hermitian:
         h_herm, h_anti = hamiltonian.total, None
@@ -318,11 +323,7 @@ def ehrenfest_residual(kind: SpinKind, hamiltonian: NamedHamiltonian,
         gvals.append(grow)
         if step == steps:
             break
-        if method == "strang":
-            psi = strang_step_dirac(psi, hamiltonian.model, hamiltonian.params,
-                                    t, dt)
-        else:
-            psi = krylov_step(hamiltonian, psi, t, dt, m=krylov_m, tol=krylov_tol)
+        psi = step_fn(psi, t, dt)
         t = t0 + (step + 1) * dt
 
     times = np.array(times)

@@ -11,31 +11,38 @@ from relspin.fields import PlaneWavePulse, UniformB, ZeroField
 from relspin.grid import GridSpec, SpinorField, gaussian_packet
 from relspin.hamiltonians import build_dirac_em, build_fw_direct, build_free_dirac
 from relspin.dynamics import (HOLD_TOL, classify_residual_series,
-                              refinement_study, rhs, spin_expr,
-                              standard_battery, total_j_identity, verify)
+                              position_correction_expr, refinement_study, rhs,
+                              spin_expr, standard_battery, total_j_identity,
+                              verify)
 from relspin.operators import (ALPHA, BETA, SIGMA, PhysParams, SpinKind,
-                               spin_operator)
+                               position_correction, spin_operator)
 
 
 class TestSpinExpr:
     @pytest.mark.parametrize("kind", list(SpinKind))
     def test_matches_fixed_momentum_matrices(self, kind, params):
-        # plane wave at a lattice momentum: expression action == 4x4 action
-        g = GridSpec(1, 64, 32.0)
-        m = 45
-        k = np.array([g.axis_momenta(0)[m], 0.0, 0.0])
+        # plane wave at a lattice momentum: expression action == 4x4 action,
+        # for S and for R; the 3D momentum has all three components nonzero
         rng = np.random.default_rng(9)
-        pol = rng.normal(size=4) + 1j * rng.normal(size=4)
-        vals = np.zeros((4, 64), dtype=complex)
-        vals[:] = pol[:, None] * np.exp(1j * k[0] * g.axis_positions(0))
-        psi = SpinorField(g, vals).normalized()
-        triple = spin_expr(kind, params)
-        mats = spin_operator(kind, k, params)
-        for i in range(3):
-            out = apply_expr(triple[i], psi)
-            # S psi at each x equals the fixed-k matrix acting on psi(x)
-            direct = np.einsum("ab,b...->a...", mats[i], psi.values)
-            assert np.max(np.abs(out.values - direct)) <= 1e-12
+        for g, idx in ((GridSpec(1, 64, 32.0), (45,)),
+                       (GridSpec(3, 8, 8.0), (5, 2, 7))):
+            k = np.zeros(3)
+            for axis, m in enumerate(idx):
+                k[axis] = g.axis_momenta(axis)[m]
+            rx, ry, rz = g.r
+            pol = rng.normal(size=4) + 1j * rng.normal(size=4)
+            wave = np.broadcast_to(np.exp(1j * (k[0] * rx + k[1] * ry + k[2] * rz)),
+                                   g.shape)
+            psi = SpinorField(g, pol.reshape((4,) + (1,) * g.dim) * wave).normalized()
+            for triple, mats in ((spin_expr(kind, params), spin_operator(kind, k, params)),
+                                 (position_correction_expr(kind, params),
+                                  position_correction(kind, k, params))):
+                for i in range(3):
+                    out = apply_expr(triple[i], psi)
+                    # the operator psi at each x equals the fixed-k matrix
+                    # acting on psi(x)
+                    direct = np.einsum("ab,b...->a...", mats[i], psi.values)
+                    assert np.max(np.abs(out.values - direct)) <= 1e-12
 
     def test_polarized_packet_spin_half(self, grid_1d, params):
         # x-polarized positive-energy packet with k along x: <S_FW,x> = 1/2

@@ -6,8 +6,8 @@ here as a failure instead of only as a slower run.
 
 import numpy as np
 
-from relspin.dynamics import build_hamiltonian, verify
-from relspin.expr import apply_expr
+from relspin.dynamics import build_hamiltonian, spin_expr, verify
+from relspin.expr import apply_expr, expectation
 from relspin.fields import UniformB
 from relspin.grid import GridSpec, SpinorField
 from relspin.operators import SpinKind
@@ -25,6 +25,14 @@ def test_round_trip(fft_count):
     psi = _position_state(GridSpec(3, 16, 24.0))
     psi.to_momentum().to_position()
     assert fft_count[0] == 2
+
+
+def test_dirac_spin_expectation(params, fft_count):
+    # S_D = Sigma/2 is a constant matrix: it acts in the state's own space
+    psi = _position_state(GridSpec(3, 16, 24.0))
+    for comp in spin_expr(SpinKind.DIRAC, params):
+        expectation(comp, psi)
+    assert fft_count[0] == 0
 
 
 def test_dirac_em_apply(params, fft_count):

@@ -109,10 +109,6 @@ class TestUniformB:
                 assert abs(a - s.A[comp]) <= 1e-14
                 assert abs(e - s.E[comp]) <= 1e-14
 
-    def test_scaled(self):
-        model = UniformB(np.array([0.0, 0.0, 2.0]))
-        assert np.allclose(model.scaled(0.5).b0, [0, 0, 1.0])
-
 
 class TestUniformE:
     def test_scalar_potential_gauge(self):
