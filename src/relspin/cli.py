@@ -126,7 +126,7 @@ def _offending_term(kind, ham, states, t=0.0):
         return None
     s_triple = spin_expr(kind, params)
     worst_name, worst_gain = None, -np.inf
-    psi = states[0]
+    psi = states[0].to_momentum()  # as in verify: norms only, no leaf transforms
     guard = VERIFY_GUARD
     h_psi = apply_expr(ham.total, psi, t, guard)
     for axis in range(3):

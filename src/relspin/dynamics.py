@@ -543,6 +543,13 @@ def verify(kind: SpinKind, hamiltonian: NamedHamiltonian, states,
     convention drops that content consistently on every term, so the paired
     gradient terms still cancel; the guard only needs to catch states whose
     zero-mode weight is structural rather than leakage.
+
+    Each state is moved to momentum space once, before any apply, so the
+    momentum-diagonal leaves (S, p_i, alpha.p, B.p, 1/p^2) act without a
+    transform and only the position leaves pay for one.  Every reported
+    value is a norm of a field or of a difference of fields, and the
+    transform is unitary with the dx^d weight in both spaces, so the report
+    does not depend on the space the states arrive in beyond roundoff.
     """
     params = hamiltonian.params
     s_triple = spin_expr(kind, params)
@@ -558,6 +565,7 @@ def verify(kind: SpinKind, hamiltonian: NamedHamiltonian, states,
             "zero" if not parities else "mixed")
 
     for si, psi in enumerate(states):
+        psi = psi.to_momentum()
         h_psi = apply_expr(hamiltonian.total, psi, t, guard)
         for axis in range(3):
             s_h = apply_expr(s_triple[axis], h_psi, t, guard)
@@ -618,7 +626,11 @@ def refinement_study(check, grids):
 def total_j_identity(kind: SpinKind, states, params: PhysParams,
                      t: float = 0.0):
     """Per-component residual of (r_kind x p + S_kind) psi = (r x p + Sigma/2) psi,
-    normalized by ||psi||, maximized over the given states."""
+    normalized by ||psi||, maximized over the given states.
+
+    As in ``verify``, the states are evaluated in momentum space, where the
+    momentum-diagonal leaves act without a transform; the residuals are norms
+    and so do not depend on the space the states arrive in beyond roundoff."""
     s_triple = spin_expr(kind, params)
     r_corr = position_correction_expr(kind, params)
     p_t = _p_triple()
@@ -626,6 +638,7 @@ def total_j_identity(kind: SpinKind, states, params: PhysParams,
     r_kind = [Add([r_t[j], r_corr[j]]) for j in range(3)]
     lhs = [Add([_cross(r_kind, p_t)[i], s_triple[i]]) for i in range(3)]
     rhs_ = [Add([_cross(r_t, p_t)[i], ConstMatrix(0.5 * SIGMA[i])]) for i in range(3)]
+    states = [psi.to_momentum() for psi in states]
     out = []
     for i in range(3):
         worst = 0.0
@@ -655,6 +668,9 @@ def standard_battery(grid: GridSpec, params: PhysParams, seed: int = 1234,
     bin stripped so operators with a momentum-origin singularity apply
     without guard violations; ``seed`` is accepted for interface stability
     (the battery is fully deterministic).
+
+    The states are returned in momentum space, where the stripping happens,
+    with the k = 0 bin exactly zero.
     """
     mc = params.m0 * params.c
     sigma = grid.lengths[0] / (16.0 if grid.dim == 1 else 8.0)
@@ -691,5 +707,5 @@ def standard_battery(grid: GridSpec, params: PhysParams, seed: int = 1234,
                 "increase the grid resolution")
         packet = gaussian_packet(grid, np.zeros(3), sigma, k0, pol,
                                  params=params, energy_projection=True)
-        states.append(suppress_zero_mode(packet))
+        states.append(suppress_zero_mode(packet.to_momentum()))
     return states

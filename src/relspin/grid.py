@@ -11,7 +11,8 @@ Conventions (frozen; binary dumps and golden data depend on them)
 
   which for N divisible by 4 reduces to P * FFT(P * psi) / sqrt(N) with the
   checkerboard phase P = (-1)^(n_1 + ... + n_d).  The inverse is
-  P * IFFT(P * psihat) * sqrt(N).
+  P * IFFT(P * psihat) * sqrt(N).  Both scale factors are scipy's
+  ``norm="ortho"``.
 * Inner products carry the position-measure weight dx^d in both spaces
   (the index-lattice transform is unitary, so the weighted norm agrees).
 
@@ -21,6 +22,7 @@ r_y = r_z = 0; operators along the missing axes act trivially.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -182,9 +184,10 @@ class SpinorField:
             return self
         g = self.grid
         ph = g._phase
+        # overwrite_x is safe: the input is a fresh product, never self.values
         work = scipy.fft.fftn(self.values * ph, axes=_spatial_axes(g.dim),
-                              workers=_FFT_WORKERS)
-        work *= ph / np.sqrt(g.npoints)
+                              norm="ortho", overwrite_x=True, workers=_FFT_WORKERS)
+        work *= ph
         return SpinorField(g, work, MOMENTUM)
 
     def to_position(self) -> "SpinorField":
@@ -193,8 +196,8 @@ class SpinorField:
         g = self.grid
         ph = g._phase
         work = scipy.fft.ifftn(self.values * ph, axes=_spatial_axes(g.dim),
-                               workers=_FFT_WORKERS)
-        work *= ph * np.sqrt(g.npoints)
+                               norm="ortho", overwrite_x=True, workers=_FFT_WORKERS)
+        work *= ph
         return SpinorField(g, work, POSITION)
 
     def in_space(self, space: str) -> "SpinorField":
@@ -349,15 +352,36 @@ def save_field(field: SpinorField, path):
 
 
 def load_field(path) -> SpinorField:
+    """Read a dump written by ``save_field``; a malformed file raises
+    PreconditionError naming the defect."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise PreconditionError(f"not a spinor-field dump: magic {magic!r}")
-        version, endian, dim, space_flag = fh.read(4)
+        header = fh.read(4)
+        if len(header) != 4:
+            raise PreconditionError("dump truncated inside the 8-byte header")
+        version, endian, dim, space_flag = header
         if version != 1 or chr(endian) != "<":
             raise PreconditionError("unsupported dump version or endianness")
-        n = np.fromfile(fh, dtype="<u4", count=dim)
-        lengths = np.fromfile(fh, dtype="<f8", count=dim)
+        if dim not in (1, 3):
+            raise PreconditionError(f"dump grid dimension must be 1 or 3, got {dim}")
+        if space_flag not in (0, 1):
+            raise PreconditionError(
+                f"dump space byte must be 0 (position) or 1 (momentum), got {space_flag}")
+        axes = fh.read(12 * dim)
+        if len(axes) != 12 * dim:
+            raise PreconditionError("dump truncated inside the per-axis fields")
+        n = np.frombuffer(axes, dtype="<u4", count=dim)
+        lengths = np.frombuffer(axes, dtype="<f8", count=dim, offset=4 * dim)
         grid = GridSpec(int(dim), n.tolist(), lengths.tolist())
+        want = 4 * grid.npoints * 16
+        got = os.fstat(fh.fileno()).st_size - fh.tell()
+        if got != want:
+            raise PreconditionError(
+                f"dump payload {'truncated' if got < want else 'has trailing bytes'}: "
+                f"{got} bytes where the grid needs {want}")
         values = np.fromfile(fh, dtype="<c16").reshape((4, *grid.shape))
+    if not np.all(np.isfinite(values)):
+        raise PreconditionError("dump payload holds NaN or Inf values")
     return SpinorField(grid, values, POSITION if space_flag == 0 else MOMENTUM)

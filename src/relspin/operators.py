@@ -32,6 +32,7 @@ free Dirac Hamiltonian, (ii) the SU(2) algebra [S_i, S_j] = i eps_ijk S_k,
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,7 +110,8 @@ def free_dirac_matrix(p, params: PhysParams) -> np.ndarray:
 # triple, k^2 and 1/k^2 either as floats at one momentum (spin_operator,
 # position_correction) or as the grid's broadcast meshes
 # (dynamics.spin_expr, dynamics.position_correction_expr), and only the
-# Pryce entries read 1/k^2.  ``None`` is the constant coefficient 1.
+# Pryce entries read 1/k^2.  ``None`` is the constant coefficient 1.  Each
+# table is built once per (kind, params) and shared, so it is all tuples.
 
 _I_BETA_ALPHA = tuple(1j * BETA @ a for a in ALPHA)
 _LOWER_SIGMA = tuple((ID4 - BETA) @ s for s in SIGMA)  # (1 - beta) Sigma
@@ -121,53 +123,59 @@ def _inv_ew(k2, params, power=1):
     return 1.0 / (e**power * (e + params.rest_energy))
 
 
+def _frozen(table):
+    return tuple(tuple(pairs) for pairs in table)
+
+
+@functools.cache
 def spin_terms(kind: SpinKind, params: PhysParams):
-    """S_kind as three lists of (coefficient, matrix) pairs (see above)."""
+    """S_kind as three tuples of (coefficient, matrix) pairs (see above)."""
     c = params.c
     if kind is SpinKind.DIRAC:
-        return [[(None, 0.5 * SIGMA[i])] for i in range(3)]
+        return _frozen([(None, 0.5 * SIGMA[i])] for i in range(3))
     if kind is SpinKind.FW:
         # Sigma/2 + i c beta (p x alpha)/(2E) - c^2 p x (Sigma x p)/(2EW),
         # with p x (Sigma x p) = Sigma p^2 - p (Sigma.p)
-        return [
+        return _frozen(
             [(None, 0.5 * SIGMA[i])]
             + [(lambda k, k2, inv_k2, j=j: c * k[j] / (2.0 * energy_k2(k2, params)),
                 e * _I_BETA_ALPHA[kk]) for j, kk, e in levi_civita_pairs(i)]
             + [(lambda k, k2, inv_k2: -0.5 * c**2 * k2 * _inv_ew(k2, params), SIGMA[i])]
             + [(lambda k, k2, inv_k2, i=i, m=m: 0.5 * c**2 * (k[i] * k[m])
                 * _inv_ew(k2, params), SIGMA[m]) for m in range(3)]
-            for i in range(3)]
+            for i in range(3))
     if kind is SpinKind.PRYCE:
-        return [
+        return _frozen(
             [(None, 0.5 * BETA @ SIGMA[i])]
             + [(lambda k, k2, inv_k2, i=i, m=m: 0.5 * (k[i] * k[m]) * inv_k2,
                 _LOWER_SIGMA[m]) for m in range(3)]
-            for i in range(3)]
+            for i in range(3))
     raise PreconditionError(f"unknown spin kind {kind!r}")
 
 
+@functools.cache
 def position_terms(kind: SpinKind, params: PhysParams):
-    """R_kind as three lists of (coefficient, matrix) pairs (see above)."""
+    """R_kind as three tuples of (coefficient, matrix) pairs (see above)."""
     c = params.c
     if kind is SpinKind.DIRAC:
-        return [[] for _ in range(3)]
+        return ((), (), ())
     if kind is SpinKind.FW:
         # i c beta alpha/(2E) - i c^3 beta (alpha.p) p/(2E^2 W)
         # - c^2 (Sigma x p)/(2EW)
-        return [
+        return _frozen(
             [(lambda k, k2, inv_k2: 0.5 * c / energy_k2(k2, params), _I_BETA_ALPHA[j])]
             + [(lambda k, k2, inv_k2, j=j, m=m: -0.5 * c**3 * (k[m] * k[j])
                 * _inv_ew(k2, params, power=2), _I_BETA_ALPHA[m])
                for m in range(3)]
             + [(lambda k, k2, inv_k2, b=b: -0.5 * c**2 * k[b] * _inv_ew(k2, params),
                 e * SIGMA[a]) for a, b, e in levi_civita_pairs(j)]
-            for j in range(3)]
+            for j in range(3))
     if kind is SpinKind.PRYCE:
         # -(1 - beta)(Sigma x p)/(2 p^2)
-        return [
+        return _frozen(
             [(lambda k, k2, inv_k2, b=b: -0.5 * k[b] * inv_k2, e * _LOWER_SIGMA[a])
              for a, b, e in levi_civita_pairs(j)]
-            for j in range(3)]
+            for j in range(3))
     raise PreconditionError(f"unknown spin kind {kind!r}")
 
 

@@ -164,7 +164,7 @@ class TestZeemanIdentities:
                 sxb = sum(levi_civita(i, a, c) * SIGMA[a] * model.b0[c]
                           for a in range(3) for c in range(3))
                 want = SpinorField(grid_1d, np.einsum(
-                    "ab,b...->a...", (e / (2 * m0)) * BETA @ sxb, psi.values))
+                    "ab,b...->a...", (e / (2 * m0)) * BETA @ sxb, psi.values), psi.space)
                 scale = max(want.norm(), 1e-14)
                 assert (lhs - want).norm() <= 1e-10 * max(scale, 1.0)
 

@@ -48,18 +48,48 @@ def test_dirac_em_apply(params, fft_count):
     assert fft_count[0] == 4
 
 
+def test_dirac_em_apply_momentum_state(params, fft_count):
+    grid = GridSpec(3, 16, 24.0)
+    psi = _position_state(grid).to_momentum()
+    ham = build_hamiltonian("dirac-em", _MODEL, params, grid)
+    fft_count[0] = 0
+    apply_expr(ham.total, psi)
+    # kinetic and mass act in momentum (0); the gauge term goes to position
+    # and its result back into the momentum accumulator (2)
+    assert fft_count[0] == 2
+
+
 def test_pryce_dirac_em_verify(params, battery_3d, fft_count):
     ham = build_hamiltonian("dirac-em", _MODEL, params, battery_3d[0].grid)
     fft_count[0] = 0
     verify(SpinKind.PRYCE, ham, battery_3d)
-    # per state: H psi (4), then per axis
-    #   S (H psi) and S psi, momentum-diagonal:      2 + 2
-    #   H (S psi):                                   4
+    # the battery is in momentum space, where verify works; per state:
+    # H psi (2: the gauge leaf goes to position and back), then per axis
+    #   S (H psi) and S psi, momentum-diagonal:      0 + 0
+    #   H (S psi):                                   2
     #   printed terms, each applied once:
-    #     sigma-cross-b-alpha-p  alpha.p in momentum, back          2
-    #     alpha-r-gradient       p_i, alpha.r, 1/p^2, back          4
-    #     r-p-alpha-b            p_i, three r_j p_j products in
-    #                            position, 1/p^2, back              6
-    # so 4 + 3 * (4 + 4 + 12) = 64 per state, 128 for the two-packet battery
+    #     sigma-cross-b-alpha-p  alpha.p and constants in momentum  0
+    #     alpha-r-gradient       alpha.r in position, back          2
+    #     r-p-alpha-b            three r_j p_j products to
+    #                            position, 1/p^2 back               4
+    # so 2 + 3 * (0 + 2 + 6) = 26 per state, 52 for the two-packet battery
     assert len(battery_3d) == 2
-    assert fft_count[0] == 128
+    assert fft_count[0] == 52
+
+
+def test_pryce_dirac_em_verify_position_states(params, battery_3d, fft_count):
+    ham = build_hamiltonian("dirac-em", _MODEL, params, battery_3d[0].grid)
+    want = verify(SpinKind.PRYCE, ham, battery_3d)
+    states = [psi.to_position() for psi in battery_3d]
+    fft_count[0] = 0
+    got = verify(SpinKind.PRYCE, ham, states)
+    # one transform per state into momentum space, then the 52 above
+    assert fft_count[0] == 54
+    assert len(got.cells) == len(want.cells)
+    for a, b in zip(got.cells, want.cells):
+        assert (a.state, a.axis) == (b.state, b.axis)
+        pairs = [(a.residual, b.residual), (a.lhs_norm, b.lhs_norm),
+                 (a.rhs_norm, b.rhs_norm), (a.scale, b.scale)]
+        pairs += [(a.term_norms[n], b.term_norms[n]) for n in b.term_norms]
+        for x, y in pairs:
+            assert abs(x - y) <= 1e-12 * abs(y)

@@ -78,6 +78,37 @@ class TestTransforms:
         assert np.unravel_index(np.argmax(mags), mags.shape) == target
 
 
+    @staticmethod
+    def _dft_matrix(g):
+        """exp(-i k_m r_n) / sqrt(N) over flattened lattice indices."""
+        r = np.stack([np.broadcast_to(c, g.shape).ravel() for c in g.r[:g.dim]])
+        k = np.stack([np.broadcast_to(c, g.shape).ravel() for c in g.k[:g.dim]])
+        return np.exp(-1j * (k.T @ r)) / np.sqrt(g.npoints)
+
+    @pytest.mark.parametrize("dim,n,length", [(1, 16, 5.0), (3, 8, 6.0)])
+    def test_matches_direct_dft(self, dim, n, length, rng):
+        # psihat_m = N^{-1/2} sum_n psi_n exp(-i k_m r_n) pins phase and scale
+        g = GridSpec(dim, n, length)
+        f = random_field(g, rng)
+        dft = self._dft_matrix(g)
+        want = (f.values.reshape(4, -1) @ dft.T).reshape(f.values.shape)
+        mom = f.to_momentum()
+        assert np.max(np.abs(mom.values - want)) <= 1e-12 * np.max(np.abs(want))
+        back = (mom.values.reshape(4, -1) @ dft.conj()).reshape(f.values.shape)
+        got = mom.to_position().values
+        assert np.max(np.abs(got - back)) <= 1e-12 * np.max(np.abs(back))
+
+    def test_transforms_leave_input_unchanged(self, rng):
+        g = GridSpec(3, 8, 6.0)
+        f = random_field(g, rng)
+        before = f.values.copy()
+        mom = f.to_momentum()
+        assert np.array_equal(f.values, before)
+        mom_before = mom.values.copy()
+        mom.to_position()
+        assert np.array_equal(mom.values, mom_before)
+
+
 class TestSpinorField:
     def test_inner_product_weight(self, rng):
         g = GridSpec(1, 64, 32.0)
@@ -184,6 +215,48 @@ class TestBinaryDump:
         path = tmp_path / "bad.rspn"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(PreconditionError):
+            load_field(path)
+
+    @staticmethod
+    def _dump(tmp_path, rng, values=None):
+        g = GridSpec(1, 8, 4.0)
+        f = random_field(g, rng) if values is None else SpinorField(g, values)
+        path = tmp_path / "field.rspn"
+        save_field(f, path)
+        return path, path.read_bytes()
+
+    @pytest.mark.parametrize("cut,what", [(6, "8-byte header"),
+                                          (8 + 7, "per-axis fields")])
+    def test_rejects_truncated_header(self, tmp_path, rng, cut, what):
+        path, data = self._dump(tmp_path, rng)
+        path.write_bytes(data[:cut])
+        with pytest.raises(PreconditionError, match=what):
+            load_field(path)
+
+    def test_rejects_truncated_payload(self, tmp_path, rng):
+        path, data = self._dump(tmp_path, rng)
+        path.write_bytes(data[:-1])
+        with pytest.raises(PreconditionError, match="truncated"):
+            load_field(path)
+
+    def test_rejects_trailing_bytes(self, tmp_path, rng):
+        path, data = self._dump(tmp_path, rng)
+        path.write_bytes(data + b"\x00" * 16)
+        with pytest.raises(PreconditionError, match="trailing bytes"):
+            load_field(path)
+
+    def test_rejects_unknown_space_byte(self, tmp_path, rng):
+        path, data = self._dump(tmp_path, rng)
+        path.write_bytes(data[:7] + bytes([2]) + data[8:])
+        with pytest.raises(PreconditionError, match="space byte"):
+            load_field(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_payload(self, tmp_path, rng, bad):
+        values = np.ones((4, 8), dtype=complex)
+        values[2, 5] = bad
+        path, _ = self._dump(tmp_path, rng, values)
+        with pytest.raises(PreconditionError, match="NaN or Inf"):
             load_field(path)
 
 
