@@ -13,7 +13,8 @@ so that "diagonal / off-diagonal in particle-antiparticle space" is literal
 
 The Hermitian eigensolver is numpy's ``eigh`` behind a Hermiticity check.
 Eigenvalues come out ascending and each eigenvector's phase is fixed by making
-its first nonzero component real and positive.
+its first nonzero component real and positive.  The commutators,
+``is_hermitian`` and ``herm_eigs`` act per matrix on ``(..., n, n)`` stacks.
 """
 
 from __future__ import annotations
@@ -76,18 +77,19 @@ def dirac_matrices():
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """[a, b] = ab - ba."""
+    """[a, b] = ab - ba, per matrix for stacks that broadcast."""
     return a @ b - b @ a
 
 
 def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """{a, b} = ab + ba."""
+    """{a, b} = ab + ba, per matrix for stacks that broadcast."""
     return a @ b + b @ a
 
 
 def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
-    scale = max(np.linalg.norm(a), 1.0)
-    return np.linalg.norm(a - a.conj().T) <= tol * scale
+    scale = np.maximum(np.linalg.norm(a, axis=(-2, -1)), 1.0)
+    diff = np.linalg.norm(a - a.conj().swapaxes(-1, -2), axis=(-2, -1))
+    return bool(np.all(diff <= tol * scale))
 
 
 def is_unitary(a: np.ndarray, tol: float = 1e-10) -> bool:
@@ -96,20 +98,22 @@ def is_unitary(a: np.ndarray, tol: float = 1e-10) -> bool:
 
 
 def herm_eigs(a: np.ndarray, tol: float = 1e-10):
-    """Eigendecomposition of a Hermitian 4x4 (or nxn) complex matrix.
+    """Eigendecomposition of a Hermitian 4x4 (or nxn) complex matrix, or of
+    each matrix of a ``(..., n, n)`` stack.
 
     Returns ``(w, v)`` with eigenvalues ``w`` ascending and orthonormal
-    eigenvector columns ``v``.  Raises :class:`PreconditionError` when the
-    input is not Hermitian within ``tol``.
+    eigenvector columns ``v``.  Raises :class:`PreconditionError` when any
+    input matrix is not Hermitian within ``tol``.
     """
     a = np.asarray(a, dtype=complex)
     if not is_hermitian(a, tol):
         raise PreconditionError("herm_eigs requires a Hermitian matrix")
     # symmetrize roundoff (exact for Hermitian input); eigh sorts ascending
-    w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
-    # phase convention: first component with non-negligible modulus made
-    # real positive, so degenerate pairs come out reproducibly
-    lead = v[np.argmax(np.abs(v) > 1e-12, axis=0), np.arange(v.shape[1])]
+    w, v = np.linalg.eigh(0.5 * (a + a.conj().swapaxes(-1, -2)))
+    # phase convention: first component with non-negligible modulus of each
+    # eigenvector made real positive, so degenerate pairs come out reproducibly
+    first = np.argmax(np.abs(v) > 1e-12, axis=-2)[..., None, :]
+    lead = np.take_along_axis(v, first, axis=-2)
     return w, v / (lead / np.abs(lead))
 
 

@@ -30,7 +30,7 @@ from .errors import PreconditionError
 from .expr import (Add, ConstMatrix, MomentumDiag, Mul, PositionDiag, Scale,
                    apply_expr, block_parity)
 from .fields import FieldModel
-from .grid import GridSpec, gaussian_packet, suppress_zero_mode
+from .grid import GridSpec, gaussian_packet, positive_energy_part, suppress_zero_mode
 from .hamiltonians import (NamedHamiltonian, build_dirac_em, build_free_dirac,
                            build_fw_direct, build_fw_full, momentum_component,
                            position_component)
@@ -705,7 +705,6 @@ def standard_battery(grid: GridSpec, params: PhysParams, seed: int = 1234,
             raise PreconditionError(
                 "battery momentum too close to the lattice Nyquist bound; "
                 "increase the grid resolution")
-        packet = gaussian_packet(grid, np.zeros(3), sigma, k0, pol,
-                                 params=params, energy_projection=True)
-        states.append(suppress_zero_mode(packet.to_momentum()))
+        packet = gaussian_packet(grid, np.zeros(3), sigma, k0, pol)
+        states.append(suppress_zero_mode(positive_energy_part(packet, params)))
     return states

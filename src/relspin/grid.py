@@ -321,18 +321,23 @@ def gaussian_packet(grid: GridSpec, center, sigma: float, k0,
     if energy_projection:
         if params is None:
             raise PreconditionError("energy projection requires PhysParams")
-        mom = field.to_momentum()
-        v = mom.values
-        kx, ky, kz = grid.k
-        e_k = energy_k2(grid.k2, params)
-        hv = params.rest_energy * np.einsum("ab,b...->a...", BETA, v)
-        for comp, kvec in zip(ALPHA, (kx, ky, kz)):
-            if np.isscalar(kvec) and kvec == 0.0:
-                continue
-            hv += params.c * kvec * np.einsum("ab,b...->a...", comp, v)
-        projected = 0.5 * (v + hv / e_k)
-        field = SpinorField(grid, projected, MOMENTUM).normalized().to_position()
+        field = positive_energy_part(field, params).to_position()
     return field
+
+
+def positive_energy_part(field: SpinorField, params: PhysParams) -> SpinorField:
+    """Project every momentum component of ``field`` onto the positive-energy
+    subspace of the free Dirac matrix at that k, (1 + H_free(k)/E_k)/2, and
+    renormalize.  The result is in momentum space."""
+    grid = field.grid
+    v = field.to_momentum().values
+    e_k = energy_k2(grid.k2, params)
+    hv = params.rest_energy * np.einsum("ab,b...->a...", BETA, v)
+    for comp, kvec in zip(ALPHA, grid.k):
+        if np.isscalar(kvec) and kvec == 0.0:
+            continue
+        hv += params.c * kvec * np.einsum("ab,b...->a...", comp, v)
+    return SpinorField(grid, 0.5 * (v + hv / e_k), MOMENTUM).normalized()
 
 
 # -- binary dump -------------------------------------------------------------

@@ -20,13 +20,15 @@ R(p) x p + S_kind(p) = Sigma/2.
 
 ``spin_terms`` and ``position_terms`` are the single source of S and R: per
 component, a list of (coefficient of k, k^2 and 1/k^2, constant 4x4 matrix)
-pairs.  ``spin_operator`` and ``position_correction`` evaluate them at one
-momentum; ``dynamics.spin_expr`` and ``dynamics.position_correction_expr``
-wrap the same pairs in momentum-diagonal grid leaves.
+pairs.  ``spin_operator`` and ``position_correction`` evaluate them at
+momenta shaped ``(..., 3)`` (one momentum is a batch with no leading axes);
+``dynamics.spin_expr`` and ``dynamics.position_correction_expr`` wrap the
+same pairs in momentum-diagonal grid leaves.
 
-The condition checks quantify, at a fixed momentum: (i) commutation with the
-free Dirac Hamiltonian, (ii) the SU(2) algebra [S_i, S_j] = i eps_ijk S_k,
-(iii) the +-1/2 eigenvalue spectrum of every component.
+The condition checks quantify, at each fixed momentum of a batch: (i)
+commutation with the free Dirac Hamiltonian, (ii) the SU(2) algebra
+[S_i, S_j] = i eps_ijk S_k, (iii) the +-1/2 eigenvalue spectrum of every
+component.
 """
 
 from __future__ import annotations
@@ -60,6 +62,9 @@ class PhysParams:
     p_floor_scale: float = 1e-12  # |p| <= p_floor_scale * m0 * c refuses Pryce
 
     def __post_init__(self):
+        for name, value in (("m0", self.m0), ("c", self.c), ("e", self.e)):
+            if not np.isfinite(value):
+                raise PreconditionError(f"{name} must be finite, got {value}")
         if not self.m0 > 0:
             raise PreconditionError(f"rest mass must be positive, got {self.m0}")
         if not self.c > 0:
@@ -93,11 +98,11 @@ def energy_ep(p, params: PhysParams) -> float:
 
 
 def free_dirac_matrix(p, params: PhysParams) -> np.ndarray:
-    """c alpha.p + beta m0 c^2 as an exact 4x4 matrix."""
+    """c alpha.p + beta m0 c^2 as an exact 4x4 matrix per momentum."""
     p = np.asarray(p, dtype=float)
-    h = params.rest_energy * BETA.copy()
+    h = params.rest_energy * BETA
     for i in range(3):
-        h += params.c * p[i] * ALPHA[i]
+        h = h + params.c * p[..., i, None, None] * ALPHA[i]
     return h
 
 
@@ -180,32 +185,36 @@ def position_terms(kind: SpinKind, params: PhysParams):
 
 
 def _at_momentum(table, kind, p, params, what):
-    """Evaluate a spin or position table at one momentum."""
+    """Evaluate a spin or position table at momenta shaped (..., 3)."""
     p = np.asarray(p, dtype=float)
-    p2 = float(np.dot(p, p))
-    if kind is SpinKind.PRYCE and np.sqrt(p2) <= params.p_floor:
+    p2 = np.sum(p * p, axis=-1)
+    mag = np.sqrt(p2)
+    singular = mag[mag <= params.p_floor]
+    if kind is SpinKind.PRYCE and singular.size:
         raise SingularMomentumError(
             f"Pryce {what} is singular at p=0; "
-            f"|p|={np.sqrt(p2):.3e} <= floor {params.p_floor:.3e}")
-    inv_p2 = 1.0 / p2 if p2 > 0 else 0.0
-    zero = np.zeros((4, 4), dtype=complex)
-    return tuple(sum((m if f is None else f(p, p2, inv_p2) * m for f, m in pairs), zero)
+            f"|p|={singular[0]:.3e} <= floor {params.p_floor:.3e}")
+    inv_p2 = np.divide(1.0, p2, out=np.zeros_like(p2), where=p2 > 0)
+    k = tuple(p[..., i, None, None] for i in range(3))
+    k2, inv_k2 = p2[..., None, None], inv_p2[..., None, None]
+    zero = np.zeros(p.shape[:-1] + (4, 4), dtype=complex)
+    return tuple(sum((m if f is None else f(k, k2, inv_k2) * m for f, m in pairs), zero)
                  for pairs in table)
 
 
 def spin_operator(kind: SpinKind, p, params: PhysParams):
     """The three components (S_x, S_y, S_z) of the requested spin operator
-    at fixed momentum, each a Hermitian 4x4 matrix.
+    at momenta ``(..., 3)``, each a ``(..., 4, 4)`` stack of Hermitian 4x4s.
 
     Raises :class:`SingularMomentumError` for the Pryce operator when
-    |p| <= params.p_floor.
+    |p| <= params.p_floor at any momentum of the batch.
     """
     return _at_momentum(spin_terms(kind, params), kind, p, params, "spin operator")
 
 
 def position_correction(kind: SpinKind, p, params: PhysParams):
     """Momentum-dependent matrix correction R(p) such that the kind's
-    position operator is r + R(p).
+    position operator is r + R(p); batched like :func:`spin_operator`.
 
     R is fixed by the exact total-angular-momentum identity
     R(p) x p + S_kind(p) = Sigma/2.  For the Dirac kind R = 0; the Pryce
@@ -217,25 +226,26 @@ def position_correction(kind: SpinKind, p, params: PhysParams):
 
 @dataclass
 class ConditionReport:
-    """Outcome of the proper-spin-operator checks at one momentum."""
+    """Outcome of the proper-spin-operator checks at momenta ``p`` shaped
+    ``(..., 3)``: residuals ``(...)``, components ``(..., 3)``, spectra
+    ``(..., 3, 4)``."""
 
     kind: SpinKind
     p: np.ndarray
-    su2_residual: float
-    spectrum: list  # per component, eigenvalues ascending
-    free_commutation_residual: float
-    free_commutation_components: list = field(default_factory=list)
-    spectrum_residual: float = field(init=False)
+    su2_residual: np.ndarray
+    spectrum: np.ndarray  # per component, eigenvalues ascending
+    free_commutation_residual: np.ndarray
+    free_commutation_components: np.ndarray
+    spectrum_residual: np.ndarray = field(init=False)
 
     def __post_init__(self):
         target = np.array([-0.5, -0.5, 0.5, 0.5])
-        self.spectrum_residual = max(
-            float(np.max(np.abs(np.asarray(s) - target))) for s in self.spectrum
-        )
+        self.spectrum_residual = np.max(np.abs(self.spectrum - target), axis=(-2, -1))
 
 
 def condition_checks(kind: SpinKind, p, params: PhysParams) -> ConditionReport:
-    """Evaluate the three fixed-momentum proper-spin-operator conditions.
+    """Evaluate the three fixed-momentum proper-spin-operator conditions at
+    each momentum of a ``(..., 3)`` batch.
 
     su2_residual           max_ij || [S_i,S_j] - i eps_ijk S_k ||_F
     spectrum               sorted eigenvalues of each component
@@ -243,16 +253,14 @@ def condition_checks(kind: SpinKind, p, params: PhysParams) -> ConditionReport:
     """
     p = np.asarray(p, dtype=float)
     s = spin_operator(kind, p, params)
+    spectrum = np.stack([herm_eigs(si)[0] for si in s], axis=-2)
+    # [S_i, S_i] = 0 and [S_j, S_i] = -[S_i, S_j] exactly, so the cyclic
+    # (i, j, k) carry every residual
+    su2 = np.max([np.linalg.norm(commutator(s[i], s[j]) - 1j * s[k], axis=(-2, -1))
+                  for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))], axis=0)
     h = free_dirac_matrix(p, params)
-
-    # [S_i, S_i] = 0 exactly, so only i != j can leave a residual
-    su2 = max(float(np.linalg.norm(commutator(s[i], s[j]) - 1j * e * s[k]))
-              for i in range(3) for j, k, e in levi_civita_pairs(i))
-
-    spectrum = [herm_eigs(s[i])[0].tolist() for i in range(3)]
-    free_components = [float(np.linalg.norm(commutator(s[i], h))) for i in range(3)]
-    return ConditionReport(kind, p, su2, spectrum, max(free_components),
-                           free_components)
+    free = np.stack([np.linalg.norm(commutator(si, h), axis=(-2, -1)) for si in s], -1)
+    return ConditionReport(kind, p, su2, spectrum, free.max(axis=-1), free)
 
 
 def spin_rotation_matrix(axis: int, angle: float) -> np.ndarray:

@@ -117,6 +117,40 @@ class TestHermEigs:
                 assert first.real > 0
 
 
+class TestStackedHermEigs:
+    """A (..., n, n) stack is decomposed as each matrix on its own."""
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.integers(min_value=1, max_value=6))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_matrix(self, seed, n):
+        r = np.random.default_rng(seed)
+        stack = np.stack([random_hermitian(r) for _ in range(2 * n)]).reshape(2, n, 4, 4)
+        # a degenerate spectrum exercises the phase convention hardest
+        stack[0, 0] = SIGMA[r.integers(3)] / 2
+        w, v = herm_eigs(stack)
+        assert w.shape == (2, n, 4) and v.shape == (2, n, 4, 4)
+        for idx in np.ndindex(2, n):
+            w1, v1 = herm_eigs(stack[idx])
+            assert np.max(np.abs(w[idx] - w1)) <= 1e-13 * max(1.0, np.max(np.abs(w1)))
+            assert np.max(np.abs(v[idx] - v1)) <= 1e-13
+
+    def test_one_non_hermitian_rejects_the_batch(self, rng):
+        stack = np.stack([random_hermitian(rng) for _ in range(5)])
+        assert is_hermitian(stack)
+        stack[3, 0, 1] += 1.0
+        assert not is_hermitian(stack)
+        with pytest.raises(PreconditionError):
+            herm_eigs(stack)
+
+    def test_stacked_commutator(self, rng):
+        a = np.stack([random_hermitian(rng) for _ in range(3)])
+        b = random_hermitian(rng)
+        got = commutator(a, b)
+        for i in range(3):
+            assert np.array_equal(got[i], commutator(a[i], b))
+
+
 class TestExpMinusIHt:
     def test_zero_time_is_identity(self, rng):
         assert np.allclose(exp_minus_iHt(random_hermitian(rng), 0.0), ID4,

@@ -6,7 +6,7 @@ here as a failure instead of only as a slower run.
 
 import numpy as np
 
-from relspin.dynamics import build_hamiltonian, spin_expr, verify
+from relspin.dynamics import build_hamiltonian, spin_expr, standard_battery, verify
 from relspin.expr import apply_expr, expectation
 from relspin.fields import UniformB
 from relspin.grid import GridSpec, SpinorField
@@ -56,6 +56,14 @@ def test_dirac_em_apply_momentum_state(params, fft_count):
     apply_expr(ham.total, psi)
     # kinetic and mass act in momentum (0); the gauge term goes to position
     # and its result back into the momentum accumulator (2)
+    assert fft_count[0] == 2
+
+
+def test_standard_battery_3d(params, grid_3d, fft_count):
+    states = standard_battery(grid_3d, params)
+    # each packet is built in position space and moved to momentum once,
+    # where it is projected and its k = 0 bin stripped
+    assert len(states) == 2
     assert fft_count[0] == 2
 
 

@@ -3,7 +3,8 @@ import pytest
 
 from relspin.errors import GridResolutionError, PreconditionError
 from relspin.grid import (GridSpec, SpinorField, gaussian_packet, load_field,
-                          save_field, suppress_zero_mode, zero_mode_weight)
+                          positive_energy_part, save_field, suppress_zero_mode,
+                          zero_mode_weight)
 from relspin.operators import ALPHA, BETA
 
 
@@ -164,6 +165,15 @@ class TestGaussianPacket:
         hv += params.c * grid_1d.k[0] * np.einsum("ab,b...->a...", ALPHA[0], mom.values)
         sign_exp = np.vdot(mom.values, hv / e_k) * grid_1d.weight
         assert abs(sign_exp - 1.0) <= 1e-10
+
+    def test_positive_energy_part_skips_the_round_trip(self, grid_3d, params):
+        # the projection the packet applies, left in momentum space, equals
+        # the projected packet transformed back there
+        args = (grid_3d, np.zeros(3), 6.0, [0.8, 0.4, 0.0], [1, 0, 0, 1])
+        got = positive_energy_part(gaussian_packet(*args), params)
+        want = gaussian_packet(*args, params=params, energy_projection=True).to_momentum()
+        assert got.space == "momentum"
+        assert np.max(np.abs(got.values - want.values)) <= 1e-13 * np.max(np.abs(want.values))
 
     def test_packet_momentum_mean(self, grid_1d):
         psi = gaussian_packet(grid_1d, 0.0, 16.0, 1.25, [1, 0, 0, 0])

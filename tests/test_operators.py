@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relspin.algebra import ID4, commutator, herm_eigs, levi_civita
 from relspin.errors import PreconditionError, SingularMomentumError
@@ -178,20 +180,74 @@ class TestConditionChecks:
     def test_momentum_battery(self, rng):
         params = PhysParams()
         mags = 10.0 ** rng.uniform(-3, 1, size=100)
-        for mag in mags:
-            d = rng.normal(size=3)
-            p = mag * d / np.linalg.norm(d)
-            for kind in (SpinKind.FW, SpinKind.PRYCE):
-                rep = condition_checks(kind, p, params)
-                assert rep.su2_residual <= 1e-12
-                assert rep.spectrum_residual <= 1e-12
-                assert rep.free_commutation_residual <= 1e-12
-            rep = condition_checks(SpinKind.DIRAC, p, params)
-            analytic = [2 * np.sqrt(p[1]**2 + p[2]**2),
-                        2 * np.sqrt(p[0]**2 + p[2]**2),
-                        2 * np.sqrt(p[0]**2 + p[1]**2)]
-            for got, want in zip(rep.free_commutation_components, analytic):
-                assert abs(got - want) <= 1e-10
+        d = rng.normal(size=(100, 3))
+        p = mags[:, None] * d / np.linalg.norm(d, axis=1)[:, None]
+        for kind in (SpinKind.FW, SpinKind.PRYCE):
+            rep = condition_checks(kind, p, params)
+            assert np.all(rep.su2_residual <= 1e-12)
+            assert np.all(rep.spectrum_residual <= 1e-12)
+            assert np.all(rep.free_commutation_residual <= 1e-12)
+        rep = condition_checks(SpinKind.DIRAC, p, params)
+        analytic = 2 * np.sqrt(np.stack([p[:, 1]**2 + p[:, 2]**2,
+                                         p[:, 0]**2 + p[:, 2]**2,
+                                         p[:, 0]**2 + p[:, 1]**2], axis=1))
+        assert np.all(np.abs(rep.free_commutation_components - analytic) <= 1e-10)
+
+
+def _assert_close(got, want, tol=1e-13):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= tol * max(1.0, np.max(np.abs(want)))
+
+
+class TestBatchedEvaluation:
+    """A batch of momenta gives what a loop over its momenta gives."""
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.integers(min_value=1, max_value=12),
+           st.floats(min_value=0.2, max_value=5.0))
+    @settings(max_examples=40, deadline=None)
+    def test_batch_matches_loop(self, seed, n, c):
+        r = np.random.default_rng(seed)
+        params = PhysParams(m0=r.uniform(0.5, 2.0), c=c)
+        mags = params.m0 * c * 10.0 ** r.uniform(-3, 2, size=n)
+        d = r.normal(size=(n, 3))
+        p = mags[:, None] * d / np.linalg.norm(d, axis=1)[:, None]
+        for kind in SpinKind:
+            rep = condition_checks(kind, p, params)
+            singles = [condition_checks(kind, q, params) for q in p]
+            for name in ("su2_residual", "spectrum_residual",
+                         "free_commutation_residual", "free_commutation_components",
+                         "spectrum"):
+                _assert_close(getattr(rep, name), [getattr(s, name) for s in singles])
+            for fn in (spin_operator, position_correction):
+                got = fn(kind, p, params)
+                loop = [fn(kind, q, params) for q in p]
+                for i in range(3):
+                    _assert_close(got[i], [m[i] for m in loop])
+            # two leading axes: the batch shape carries through
+            rep2 = condition_checks(kind, p.reshape(n, 1, 3), params)
+            assert rep2.spectrum.shape == (n, 1, 3, 4)
+            _assert_close(rep2.free_commutation_components[:, 0],
+                          rep.free_commutation_components)
+
+    def test_single_momentum_has_no_batch_axes(self):
+        rep = condition_checks(SpinKind.FW, [0.3, -1.2, 2.5], PhysParams())
+        assert np.shape(rep.su2_residual) == ()
+        assert np.shape(rep.spectrum_residual) == ()
+        assert np.shape(rep.free_commutation_components) == (3,)
+        assert np.shape(rep.spectrum) == (3, 4)
+        assert all(m.shape == (4, 4) for m in spin_operator(SpinKind.FW, [0, 0, 1],
+                                                           PhysParams()))
+
+    def test_pryce_floor_in_batch_refused(self):
+        p = np.array([[0.3, -1.2, 2.5], [0.0, 0.0, 1e-14], [1.0, 0.0, 0.0]])
+        with pytest.raises(SingularMomentumError, match="1.000e-14"):
+            condition_checks(SpinKind.PRYCE, p, PhysParams())
+        with pytest.raises(SingularMomentumError):
+            position_correction(SpinKind.PRYCE, p, PhysParams())
+        # the other kinds are regular at p = 0
+        assert np.all(condition_checks(SpinKind.FW, p, PhysParams()).su2_residual <= 1e-12)
 
 
 class TestRotationCovariance:
@@ -222,6 +278,12 @@ class TestPhysParams:
             PhysParams(m0=0.0)
         with pytest.raises(PreconditionError):
             PhysParams(c=-1.0)
+
+    @pytest.mark.parametrize("name", ["m0", "c", "e"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(PreconditionError, match=f"^{name} must be finite"):
+            PhysParams(**{name: value})
 
     def test_charge_sign_free(self):
         assert PhysParams(e=2.5).e == 2.5

@@ -104,6 +104,48 @@ class TestCheckOperators:
         assert doc["results"]["fw"]["pass"] is True
         assert doc["results"]["dirac"]["pass"] is True
 
+    @pytest.mark.parametrize("flag,value,named", [
+        ("--pmax", "nan", "--pmax"), ("--pmax", "inf", "--pmax"),
+        ("--m0", "inf", "m0"), ("--c", "inf", "c"),
+        ("--e", "nan", "e"), ("--e", "inf", "e")])
+    def test_non_finite_input_usage_error(self, capsys, flag, value, named):
+        assert main(["check-operators", "--samples", "5", flag, value]) == 2
+        assert f"{named} must be finite" in capsys.readouterr().err
+
+    def test_nan_residual_fails(self, tmp_path, capsys, monkeypatch):
+        import relspin.cli
+        from relspin.operators import SpinKind, condition_checks
+
+        def nan_su2(kind, p, params):
+            rep = condition_checks(kind, p, params)
+            if kind is SpinKind.FW:
+                rep.su2_residual[3] = np.nan
+            return rep
+
+        monkeypatch.setattr(relspin.cli, "condition_checks", nan_su2)
+        path = tmp_path / "ops.json"
+        assert main(["check-operators", "--samples", "20",
+                     "--json", str(path)]) == 1
+        assert "FAIL" in capsys.readouterr().out
+        results = json.loads(path.read_text())["results"]
+        assert [results[k]["pass"] for k in ("fw", "pryce", "dirac")] == \
+            [False, True, True]
+
+    @pytest.mark.parametrize("samples", ["50", "200"])
+    def test_eigensolves_per_kind_independent_of_samples(self, monkeypatch, samples):
+        # one eigh per spin component, stacked over the samples: three per
+        # spin kind, whatever the sample count
+        calls = [0]
+        eigh = np.linalg.eigh
+
+        def counted(a):
+            calls[0] += 1
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        assert main(["check-operators", "--samples", samples]) == 0
+        assert calls[0] == 3 * 3
+
 
 class TestVerifyDynamics:
     def test_free_scenario_passes(self, tmp_path, capsys):
