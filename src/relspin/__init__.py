@@ -22,8 +22,8 @@ from .hamiltonians import (NamedHamiltonian, build_dirac_em, build_free_dirac,
                            build_fw_direct, build_fw_full)
 from .operators import (PhysParams, SpinKind, condition_checks, energy_ep,
                         free_dirac_matrix, position_correction, spin_operator)
-from .dynamics import (ResidualReport, refinement_study, rhs, spin_expr,
-                       standard_battery, total_j_identity, verify)
+from .dynamics import (ResidualReport, rhs, spin_expr, standard_battery,
+                       total_j_identity, verify)
 from .propagate import Trajectory, ehrenfest_residual, krylov_step, run, strang_step_dirac
 from .scenario import Scenario, load_scenario, parse_scenario
 
@@ -36,8 +36,8 @@ __all__ = [
     "load_field", "save_field", "zero_mode_weight", "NamedHamiltonian",
     "build_dirac_em", "build_free_dirac", "build_fw_direct", "build_fw_full",
     "PhysParams", "SpinKind", "condition_checks", "energy_ep", "free_dirac_matrix",
-    "position_correction", "spin_operator", "ResidualReport", "refinement_study",
-    "rhs", "spin_expr", "standard_battery", "total_j_identity", "verify",
+    "position_correction", "spin_operator", "ResidualReport", "rhs",
+    "spin_expr", "standard_battery", "total_j_identity", "verify",
     "Trajectory", "ehrenfest_residual", "krylov_step", "run", "strang_step_dirac",
     "Scenario", "load_scenario", "parse_scenario",
 ]

@@ -32,14 +32,14 @@ from .expr import (Add, ConstMatrix, MomentumDiag, Mul, PositionDiag, Scale,
 from .fields import FieldModel
 from .grid import GridSpec, gaussian_packet, positive_energy_part, suppress_zero_mode
 from .hamiltonians import (NamedHamiltonian, build_dirac_em, build_free_dirac,
-                           build_fw_direct, build_fw_full, momentum_component,
-                           position_component)
+                           build_fw_direct, build_fw_full, field_dot,
+                           kinetic_momentum, momentum_component, position_component)
 from .operators import (ALPHA, BETA, SIGMA, PhysParams, SpinKind, energy_k2,
                         position_terms, spin_terms)
 
 __all__ = [
     "spin_expr", "position_correction_expr", "rhs", "verify",
-    "total_j_identity", "refinement_study", "standard_battery",
+    "total_j_identity", "standard_battery",
     "ResidualReport", "classify_residual_series", "build_hamiltonian",
     "HOLD_TOL", "VERIFY_GUARD",
 ]
@@ -67,13 +67,8 @@ def _inv_ek(params, with_w=False, scale=1.0):
     return fn
 
 
-def _inv_k2(g, t=None):
-    """1/k^2 on the lattice, 0 in the k = 0 bin."""
-    k2 = np.array(g.k2, dtype=float)
-    k2[g.origin_index] = 1.0
-    out = 1.0 / k2
-    out[g.origin_index] = 0.0
-    return out
+def _inv_p2(g, t):
+    return g.inv_k2
 
 
 def _mom_scalar(fn, name=None, singular=False):
@@ -100,14 +95,9 @@ def _const_triple(mats, name=None):
     return [ConstMatrix(m, name=name) for m in mats]
 
 
-def _uniform_vec_triple(vec_of_t, name):
-    """Triple of scalar-identity factors for a uniform time-dependent vector."""
-    return [ConstMatrix(ID4, coeff=(lambda t, j=j: complex(vec_of_t(t)[j])),
-                        name=f"{name}_{_AXES[j]}") for j in range(3)]
-
-
 def _field_vec_triple(mesh_fn, name):
-    """Triple of position-diagonal scalar factors for a model mesh vector."""
+    """Triple of position-diagonal scalar factors for a model mesh vector;
+    constant leaves for a uniform vector."""
     return [PositionDiag([(lambda g, t, j=j: np.asarray(mesh_fn(g.r, t)[j]), ID4)],
                          name=f"{name}_{_AXES[j]}", time_dependent=True)
             for j in range(3)]
@@ -119,13 +109,11 @@ def _cross(a, b):
                  for j, k, e in levi_civita_pairs(i)]) for i in range(3)]
 
 
-def _dot_angular(vec_of_t):
-    """v(t).(r x p) for a uniform time-dependent vector; p acts first."""
-    return Add([
-        Scale((lambda t, j=j: complex(vec_of_t(t)[j])),
-              Add([Scale(e, Mul(position_component(l), momentum_component(m)))
-                   for l, m, e in levi_civita_pairs(j)]))
-        for j in range(3)])
+def _field_dot_p(mesh_fn, name):
+    """X.p for a uniform model vector X, momentum-diagonal."""
+    return MomentumDiag(
+        [(lambda g, t, j=j: mesh_fn(g.r, t)[j] * np.broadcast_to(g.k[j], g.shape), ID4)
+         for j in range(3)], name=name, time_dependent=True)
 
 
 def _dot(a, b):
@@ -170,7 +158,7 @@ def _grid_leaves(table, kind, label):
             out.append(ConstMatrix(sum((m for _, m in pairs), _ZERO44), name=label))
             continue
         leaf = [(_ones if coeff is None else
-                 (lambda g, t, f=coeff: f(g.k, g.k2, _inv_k2(g) if singular else None)),
+                 (lambda g, t, f=coeff: f(g.k, g.k2, g.inv_k2 if singular else None)),
                  m) for coeff, m in pairs]
         out.append(MomentumDiag(leaf, name=f"{label}_{axis}", singular_origin=singular))
     return out
@@ -202,12 +190,7 @@ def _require_uniform_gauge(model):
             "the printed dynamics equations assume a vanishing scalar potential")
 
 
-def _b_fun(model, deriv):
-    return lambda t: model.b_of_t(t)[deriv]
-
-
 def _kinetic_triple(model, params):
-    from .hamiltonians import kinetic_momentum
     return [kinetic_momentum(model, params, i) for i in range(3)]
 
 
@@ -243,24 +226,19 @@ def rhs(kind: SpinKind, family: str, model: FieldModel, params: PhysParams):
 
 def _rhs_em(kind, model, params):
     c, e = params.c, params.e
-    b_fun = _b_fun(model, 0)
     p_t = _p_triple()
     r_t = _r_triple()
     alpha_t = _const_triple(ALPHA, name="alpha")
     sigma_t = _const_triple(SIGMA, name="Sigma")
-    b_t = _uniform_vec_triple(b_fun, "B")
+    b_t = _field_vec_triple(model.b_mesh, "B")
 
     # factors of the two gradient terms both kinds print
     alpha_dot_r = PositionDiag(
         [(lambda g, t, j=j: g.r[j], ALPHA[j]) for j in range(3)],
         name="alpha.r")
-    b_dot_p = MomentumDiag(
-        [(lambda g, t, j=j: b_fun(t)[j] * np.broadcast_to(g.k[j], g.shape), ID4)
-         for j in range(3)],
-        name="B.p", time_dependent=True)
+    b_dot_p = _field_dot_p(model.b_mesh, "B.p")
     r_dot_p = _dot(r_t, p_t)
-    alpha_dot_b = Add([ConstMatrix(ALPHA[j], coeff=(lambda t, j=j: complex(b_fun(t)[j])))
-                       for j in range(3)])
+    alpha_dot_b = field_dot(model.b_mesh, ALPHA, name="alpha.B")
 
     if kind is SpinKind.FW:
         pi_t = _kinetic_triple(model, params)
@@ -288,16 +266,14 @@ def _rhs_em(kind, model, params):
                                       name="Sigma.alpha")
         alpha_dot_bxp = _dot(alpha_t, b_cross_p)
         sigma_dot_pxalpha = _dot(sigma_t, _cross(p_t, alpha_t))
-        sigma_dot_b = Add([ConstMatrix(SIGMA[j], coeff=(lambda t, j=j: complex(b_fun(t)[j])))
-                           for j in range(3)])
+        sigma_dot_b = field_dot(model.b_mesh, SIGMA, name="Sigma.B")
         terms.append(("sigma-alpha-field-cross", _scale_triple(
             quarter, _prefix([inv_ew], [Mul(ConstMatrix(SIGMA[i]), alpha_dot_bxp)
                                         for i in range(3)]))))
         terms.append(("sigma-dot-alpha-cross", _scale_triple(
             quarter, _prefix([inv_ew, sigma_dot_alpha], b_cross_p))))
         terms.append(("sigma-p-alpha-b", _scale_triple(
-            -quarter, _prefix([inv_ew], [Mul(sigma_dot_pxalpha,
-                                             ConstMatrix(ID4, coeff=(lambda t, i=i: complex(b_fun(t)[i]))))
+            -quarter, _prefix([inv_ew], [Mul(sigma_dot_pxalpha, b_t[i])
                                          for i in range(3)]))))
         terms.append(("sigma-b-p-alpha", _scale_triple(
             -quarter, _prefix([inv_ew, sigma_dot_b], _cross(p_t, alpha_t)))))
@@ -305,7 +281,7 @@ def _rhs_em(kind, model, params):
         return terms, total
 
     # Pryce with the minimally coupled Dirac Hamiltonian
-    inv_p2 = _mom_scalar(_inv_k2, name="1/p^2", singular=True)
+    inv_p2 = _mom_scalar(_inv_p2, name="1/p^2", singular=True)
     alpha_dot_p = MomentumDiag([(lambda g, t, j=j: np.broadcast_to(
         g.k[j], g.shape).astype(float), ALPHA[j]) for j in range(3)],
         name="alpha.p")
@@ -322,16 +298,14 @@ def _rhs_em(kind, model, params):
 
 def _rhs_direct(kind, model, params):
     c, e, m0 = params.c, params.e, params.m0
-    b = _b_fun(model, 0)
-    bdot = _b_fun(model, 1)
-    bddot = _b_fun(model, 2)
     p_t = _p_triple()
+    l_t = _cross(_r_triple(), p_t)
     alpha_t = _const_triple(ALPHA, name="alpha")
     sigma_t = _const_triple(SIGMA, name="Sigma")
     beta_c = ConstMatrix(BETA, name="beta")
-    b_t = _uniform_vec_triple(b, "B")
-    bdot_t = _uniform_vec_triple(bdot, "dB/dt")
-    bddot_t = _uniform_vec_triple(bddot, "d2B/dt2")
+    b_t = _field_vec_triple(model.b_mesh, "B")
+    bdot_t = _field_vec_triple(model.dbdt_mesh, "dB/dt")
+    bddot_t = _field_vec_triple(model.d2bdt2_mesh, "d2B/dt2")
     e_t = _field_vec_triple(model.e_mesh, "E")
 
     pref_soc = e / (4 * m0**2 * c**2)
@@ -350,7 +324,7 @@ def _rhs_direct(kind, model, params):
             e / (2 * m0), _prefix([beta_c], _cross(sigma_t, b_t)))))
 
         p2_leaf = _mom_scalar(lambda g, t: np.array(g.k2, dtype=float), name="p^2")
-        kin_scalar = Add([p2_leaf, Scale(-e, _dot_angular(b))])
+        kin_scalar = Add([p2_leaf, Scale(-e, _dot(b_t, l_t))])
         terms.append(("kinetic-coupling", _prefix(
             [inv_e], _scale_triple(1.0 / (2 * m0),
                                    [Mul(pxalpha_t[i], kin_scalar) for i in range(3)]))))
@@ -390,7 +364,7 @@ def _rhs_direct(kind, model, params):
     lower = ID4 - BETA
     beta_lower = ConstMatrix(BETA @ lower, name="beta(1-beta)")
     lower_c = ConstMatrix(lower, name="(1-beta)")
-    inv_p2 = _mom_scalar(_inv_k2, name="1/p^2", singular=True)
+    inv_p2 = _mom_scalar(_inv_p2, name="1/p^2", singular=True)
     sxbdot_t = _cross(sigma_t, bdot_t)
     sxbddot_t = _cross(sigma_t, bddot_t)
     sigma_dot_p = MomentumDiag([(lambda g, t, m=m: np.broadcast_to(
@@ -406,16 +380,13 @@ def _rhs_direct(kind, model, params):
     terms.append(("soc-precession", _scale_triple(
         pref_soc, _prefix([beta_c], _cross(sigma_t, _cross(e_t, p_t))))))
 
-    sigma_dot_bdot = Add([ConstMatrix(SIGMA[m], coeff=(lambda t, m=m: complex(bdot(t)[m])))
-                          for m in range(3)])
-    bdot_dot_p = MomentumDiag(
-        [(lambda g, t, m=m: bdot(t)[m] * np.broadcast_to(g.k[m], g.shape), ID4)
-         for m in range(3)], name="dB/dt.p", time_dependent=True)
+    sigma_dot_bdot = field_dot(model.dbdt_mesh, SIGMA, name="Sigma.dB/dt")
+    bdot_dot_p = _field_dot_p(model.dbdt_mesh, "dB/dt.p")
 
     terms.append(("bdot-spin-spin", _scale_triple(
         pref_bdot, _prefix([lower_c, inv_p2, sigma_dot_p, sigma_dot_bdot], p_t))))
     terms.append(("bdot-spin-orbital", _scale_triple(
-        -pref_bdot, _prefix([lower_c, inv_p2, sigma_dot_p, _dot_angular(bdot)], p_t))))
+        -pref_bdot, _prefix([lower_c, inv_p2, sigma_dot_p, _dot(bdot_t, l_t)], p_t))))
     sym = [Scale(0.5, Add([Scale(3.0, p_t[i]), Mul(sigma_dot_p, ConstMatrix(SIGMA[i]))]))
            for i in range(3)]
     terms.append(("bdot-symmetrized", _scale_triple(
@@ -615,12 +586,6 @@ def classify_residual_series(residuals, hold_tol: float = HOLD_TOL) -> str:
     if len(residuals) >= 2 and finest <= 0.5 * residuals[0]:
         return "converging"
     return "non-converging"
-
-
-def refinement_study(check, grids):
-    """Re-run ``check(grid) -> float`` over a grid ladder; returns
-    [(points_per_axis, residual)] rows, coarsest first."""
-    return [(g.n[0], float(check(g))) for g in grids]
 
 
 def total_j_identity(kind: SpinKind, states, params: PhysParams,

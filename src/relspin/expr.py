@@ -1,10 +1,10 @@
 """Composition language for grid operators.
 
 An :class:`OperatorExpr` is a finite tree whose leaves are diagonal in either
-position or momentum space and whose nodes are Add / Mul / Scale / Commutator
-/ Adjoint.  A leaf is a sum of (scalar lattice function) x (constant 4x4
-matrix) pairs -- every operator appearing in the spin-dynamics equations has
-this shape -- so applying a leaf never materializes per-point 4x4 matrices:
+position or momentum space and whose nodes are Add / Mul / Scale / Adjoint.
+A leaf is a sum of (scalar lattice function) x (constant 4x4 matrix) pairs
+-- every operator appearing in the spin-dynamics equations has this shape --
+so applying a leaf never materializes per-point 4x4 matrices:
 
     (L psi)_a(x) = sum_j sum_b M_j[a, b] f_j(x) psi_b(x).
 
@@ -16,6 +16,15 @@ Sigma product is monomial, one nonzero per row, so a term costs four
 pointwise products; general patterns such as Sigma.alpha or (1 - beta) Sigma
 take one product per nonzero.
 
+A leaf whose scalar arrays all have size 1 is a constant: the same operator
+in both spaces.  It acts in the state's own space, without a transform, and
+returns its result in that space.  Uniform fields (B, dB/dt, d2B/dt2 of a
+uniform-B model), axes a 1D grid does not carry and switched-off envelopes
+all give constant leaves.  :class:`ConstMatrix` is the plain constant
+matrix.  ``Add`` skips every child known to be exactly zero (an all-zero
+ConstMatrix or constant leaf), because adding its result into an accumulator
+held in the other space would cost a transform.
+
 Scalar leaf arrays are built lazily per (grid, t) and cached on the leaf;
 once the cache holds more than 16 entries, the next miss empties it.
 Mul(a, b) applies b first (left factor last), matching left-to-right operator
@@ -23,7 +32,8 @@ products as written in equations.
 
 Leaves flagged ``singular_origin`` (the longitudinal 1/p^2 projector and
 friends) refuse to act on states whose k = 0 amplitude fraction exceeds the
-zero-mode guard, and their scalar producers must return 0 in that bin.
+zero-mode guard, and their scalar producers must return 0 in that bin (so a
+constant singular leaf is zero and needs no guard).
 """
 
 from __future__ import annotations
@@ -31,11 +41,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PreconditionError, SingularMomentumError
-from .grid import MOMENTUM, POSITION, GridSpec, SpinorField, zero_mode_weight
+from .grid import MOMENTUM, POSITION, GridSpec, SpinorField, apply_matrix, zero_mode_weight
 
 __all__ = [
     "OperatorExpr", "PositionDiag", "MomentumDiag", "ConstMatrix",
-    "Add", "Mul", "Scale", "Commutator", "Adjoint",
+    "Add", "Mul", "Scale", "Adjoint",
     "apply_expr", "expectation", "hermiticity_residual", "block_parity",
     "DEFAULT_ZERO_MODE_GUARD",
 ]
@@ -43,8 +53,8 @@ __all__ = [
 DEFAULT_ZERO_MODE_GUARD = 1e-10
 
 
-def _value(factor, t):
-    return complex(factor(t)) if callable(factor) else complex(factor)
+def _is_zero(arr):
+    return arr.size == 1 and complex(arr.reshape(())) == 0
 
 
 class OperatorExpr:
@@ -53,6 +63,10 @@ class OperatorExpr:
     def apply(self, field: SpinorField, t: float = 0.0,
               guard: float = DEFAULT_ZERO_MODE_GUARD) -> SpinorField:
         return apply_expr(self, field, t, guard)
+
+    def _vanishes(self, grid: GridSpec, t: float) -> bool:
+        """True when the operator is known to be exactly zero at t."""
+        return False
 
     def __add__(self, other):
         return Add([self, other])
@@ -99,26 +113,27 @@ class _DiagLeaf(OperatorExpr):
         self._cache[key] = arrays
         return arrays
 
+    def _vanishes(self, grid, t):
+        return all(_is_zero(a) for a in self._scalars(grid, t))
+
     def _apply(self, field: SpinorField, t: float, guard: float) -> SpinorField:
         grid = field.grid
         arrays = self._scalars(grid, t)
-        # leaves that are identically zero (axes a 1D grid does not carry,
-        # switched-off envelopes) act without any transform
-        if all(a.size == 1 and complex(a.reshape(())) == 0 for a in arrays):
-            return SpinorField(grid, np.zeros_like(field.values), field.space)
-        field = field.in_space(self.space)
-        if self.singular_origin:
-            w0 = zero_mode_weight(field)
-            if w0 > guard:
-                raise SingularMomentumError(
-                    f"operator {self.name or self.__class__.__name__} is singular at "
-                    f"k=0 but the state has zero-mode weight {w0:.3e} > guard {guard:.1e}")
+        # a constant leaf acts in the state's own space (see module docstring)
+        if any(a.size != 1 for a in arrays):
+            field = field.in_space(self.space)
+            if self.singular_origin:
+                w0 = zero_mode_weight(field)
+                if w0 > guard:
+                    raise SingularMomentumError(
+                        f"operator {self.name or self.__class__.__name__} is singular at "
+                        f"k=0 but the state has zero-mode weight {w0:.3e} > guard {guard:.1e}")
         psi = field.values
         out = np.empty_like(psi)
         fresh = [True] * 4  # rows not yet written
         tmp = np.empty(grid.shape, dtype=complex)
         for entries, arr in zip(self._entries, arrays):
-            if arr.size == 1 and complex(arr.reshape(())) == 0:
+            if _is_zero(arr):
                 continue
             for a, b, m in entries:
                 if fresh[a]:
@@ -130,7 +145,7 @@ class _DiagLeaf(OperatorExpr):
         for a in range(4):
             if fresh[a]:
                 out[a] = 0.0
-        return SpinorField(grid, out, self.space)
+        return SpinorField(grid, out, field.space)
 
     def _adjoint(self):
         terms = [(_conj_producer(fn), m.conj().T) for fn, m in self.terms]
@@ -156,37 +171,26 @@ class MomentumDiag(_DiagLeaf):
 
 
 class ConstMatrix(OperatorExpr):
-    """A constant 4x4 matrix, optionally with a time-dependent coefficient.
+    """A constant 4x4 matrix.
 
     Space-agnostic: acts pointwise in whichever space the state is in.
     """
 
-    def __init__(self, matrix, coeff=1.0, name=None):
+    def __init__(self, matrix, name=None):
         self.matrix = np.asarray(matrix, dtype=complex)
         if self.matrix.shape != (4, 4):
             raise PreconditionError("ConstMatrix needs a 4x4 matrix")
-        self.coeff = coeff
         self.name = name
         self._zero = not self.matrix.any()
 
-    def _factor(self, t):
-        """The coefficient at t; exactly 0 when the matrix is all zero."""
-        return 0j if self._zero else _value(self.coeff, t)
-
-    def _times(self, field, v):
-        if v == 0:
-            return SpinorField(field.grid, np.zeros_like(field.values), field.space)
-        flat = field.values.reshape(4, -1)
-        out = v * (self.matrix @ flat)
-        return SpinorField(field.grid, out.reshape(field.values.shape), field.space)
+    def _vanishes(self, grid, t):
+        return self._zero
 
     def _apply(self, field, t, guard):
-        return self._times(field, self._factor(t))
+        return SpinorField(field.grid, apply_matrix(self.matrix, field.values), field.space)
 
     def _adjoint(self):
-        coeff = self.coeff
-        conj = (lambda t, c=coeff: np.conj(c(t))) if callable(coeff) else np.conj(coeff)
-        return ConstMatrix(self.matrix.conj().T, conj, _adj_name(self.name))
+        return ConstMatrix(self.matrix.conj().T, _adj_name(self.name))
 
 
 class Add(OperatorExpr):
@@ -198,17 +202,13 @@ class Add(OperatorExpr):
     def _apply(self, field, t, guard):
         acc = None
         for child in self.children:
-            if isinstance(child, ConstMatrix):
-                # an exactly-zero constant adds nothing, but adding its result
-                # into an accumulator held in the other space costs a transform
-                v = child._factor(t)
-                if v == 0:
-                    continue
-                out = child._times(field, v)
-            else:
-                out = child._apply(field, t, guard)
+            # an exactly-zero child adds nothing, but adding its result into
+            # an accumulator held in the other space would cost a transform
+            if child._vanishes(field.grid, t):
+                continue
+            out = child._apply(field, t, guard)
             acc = out if acc is None else acc + out
-        if acc is None:  # every child is an exactly-zero constant
+        if acc is None:  # every child is exactly zero
             return SpinorField(field.grid, np.zeros_like(field.values), field.space)
         return acc
 
@@ -232,33 +232,14 @@ class Mul(OperatorExpr):
 
 class Scale(OperatorExpr):
     def __init__(self, factor, child):
-        self.factor = factor
+        self.factor = complex(factor)
         self.child = child
 
     def _apply(self, field, t, guard):
-        return self.child._apply(field, t, guard) * _value(self.factor, t)
+        return self.child._apply(field, t, guard) * self.factor
 
     def _adjoint(self):
-        factor = self.factor
-        conj = (lambda t, f=factor: np.conj(f(t))) if callable(factor) else np.conj(factor)
-        return Scale(conj, self.child._adjoint())
-
-
-class Commutator(OperatorExpr):
-    """[a, b] applied as a(b psi) - b(a psi)."""
-
-    def __init__(self, a, b):
-        self.a = a
-        self.b = b
-
-    def _apply(self, field, t, guard):
-        ab = self.a._apply(self.b._apply(field, t, guard), t, guard)
-        ba = self.b._apply(self.a._apply(field, t, guard), t, guard)
-        return ab - ba
-
-    def _adjoint(self):
-        # [a,b]^H = [b^H, a^H]
-        return Commutator(self.b._adjoint(), self.a._adjoint())
+        return Scale(np.conj(self.factor), self.child._adjoint())
 
 
 class Adjoint(OperatorExpr):
@@ -346,11 +327,6 @@ def block_parity(expr: OperatorExpr) -> str:
         return _combine_mul(block_parity(expr.left), block_parity(expr.right))
     if isinstance(expr, Scale):
         return block_parity(expr.child)
-    if isinstance(expr, Commutator):
-        return _combine_add([
-            _combine_mul(block_parity(expr.a), block_parity(expr.b)),
-            _combine_mul(block_parity(expr.b), block_parity(expr.a)),
-        ])
     if isinstance(expr, Adjoint):
         return block_parity(expr.child)
     raise PreconditionError(f"unknown expression node {type(expr).__name__}")

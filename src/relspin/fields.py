@@ -5,7 +5,8 @@ derivatives dB/dt, d2B/dt2 (plus dE/dt and div E, which the fourth-order
 Hamiltonian terms need) as analytic closed forms -- derivatives are never
 finite-differenced in production code.  ``maxwell_probe`` is the independent
 stencil check that B = curl A and E = -dA/dt - grad phi actually hold for
-whatever a model returns.
+whatever a model returns.  Operators read only the vectorized ``*_mesh``
+methods; the point evaluation ``sample`` is the test reference.
 
 Models
 ------
@@ -105,11 +106,13 @@ class FieldSample:
 
 class FieldModel:
     """Base class; subclasses implement :meth:`sample` plus the vectorized
-    ``*_mesh`` evaluators used when building grid operators.  Mesh arguments
+    ``*_mesh`` evaluators, which every grid operator reads.  Mesh arguments
     are broadcastable coordinate arrays (absent axes enter as the scalar 0.0)
     and the returned components are arrays or scalars broadcastable against
-    them.  ``sample`` remains the scalar reference implementation the mesh
-    paths are tested against."""
+    them; a uniform quantity comes back as scalars, which the operator
+    leaves treat as constants.  ``sample`` is the scalar reference the tests
+    check the meshes against (and ``maxwell_probe`` differentiates); no
+    operator reads it."""
 
     #: B, dB/dt, d2B/dt2 do not depend on position (true for all but plane waves)
     uniform_b = True
@@ -144,13 +147,6 @@ class FieldModel:
 
     def dive_mesh(self, r, t):
         return 0.0
-
-    def b_of_t(self, t):
-        """(B, dB/dt, d2B/dt2) at time t for uniform-B models."""
-        if not self.uniform_b:
-            raise PreconditionError("b_of_t is only defined for uniform-B models")
-        s = self.sample(np.zeros(3), t)
-        return s.B, s.dBdt, s.d2Bdt2
 
     def describe(self) -> dict:
         raise NotImplementedError

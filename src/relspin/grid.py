@@ -34,6 +34,7 @@ from .operators import ALPHA, BETA, PhysParams, energy_k2
 
 __all__ = [
     "GridSpec", "SpinorField", "gaussian_packet", "zero_mode_weight",
+    "apply_matrix", "free_dirac_values", "positive_energy_part",
     "save_field", "load_field", "set_fft_workers",
 ]
 
@@ -122,6 +123,15 @@ class GridSpec:
     def k2(self):
         kx, ky, kz = self.k
         return np.broadcast_to(kx**2 + ky**2 + kz**2, self.shape).copy()
+
+    @cached_property
+    def inv_k2(self):
+        """1/k^2 on the lattice, 0 in the k = 0 bin."""
+        k2 = self.k2.copy()
+        k2[self.origin_index] = 1.0
+        out = 1.0 / k2
+        out[self.origin_index] = 0.0
+        return out
 
     @cached_property
     def origin_index(self):
@@ -325,18 +335,28 @@ def gaussian_packet(grid: GridSpec, center, sigma: float, k0,
     return field
 
 
+def apply_matrix(mat, values):
+    """A constant 4x4 matrix applied pointwise to spinor values (4, *shape)."""
+    return (mat @ values.reshape(4, -1)).reshape(values.shape)
+
+
+def free_dirac_values(values, grid: GridSpec, params: PhysParams):
+    """(c alpha.k + beta m0 c^2) applied to momentum-space spinor values."""
+    out = params.rest_energy * apply_matrix(BETA, values)
+    for kmesh, a_mat in zip(grid.k, ALPHA):
+        if not np.isscalar(kmesh):
+            out += params.c * kmesh * apply_matrix(a_mat, values)
+    return out
+
+
 def positive_energy_part(field: SpinorField, params: PhysParams) -> SpinorField:
     """Project every momentum component of ``field`` onto the positive-energy
     subspace of the free Dirac matrix at that k, (1 + H_free(k)/E_k)/2, and
     renormalize.  The result is in momentum space."""
     grid = field.grid
     v = field.to_momentum().values
+    hv = free_dirac_values(v, grid, params)
     e_k = energy_k2(grid.k2, params)
-    hv = params.rest_energy * np.einsum("ab,b...->a...", BETA, v)
-    for comp, kvec in zip(ALPHA, grid.k):
-        if np.isscalar(kvec) and kvec == 0.0:
-            continue
-        hv += params.c * kvec * np.einsum("ab,b...->a...", comp, v)
     return SpinorField(grid, 0.5 * (v + hv / e_k), MOMENTUM).normalized()
 
 

@@ -47,7 +47,7 @@ from .operators import ALPHA, BETA, SIGMA, PhysParams
 __all__ = [
     "NamedHamiltonian", "build_free_dirac", "build_dirac_em",
     "build_fw_full", "build_fw_direct",
-    "momentum_component", "position_component", "kinetic_momentum",
+    "momentum_component", "position_component", "kinetic_momentum", "field_dot",
 ]
 
 FW_FULL_TERMS = ("rest-mass", "kinetic", "zeeman", "mass-correction",
@@ -134,32 +134,19 @@ def _mesh_vec_leaf(producer_list_fn, i, matrix=None, name=None):
                         name=name, time_dependent=True)
 
 
-def _sigma_dot_uniform(model, deriv: int, prefactor, beta_weighted: bool):
-    """Sigma.X(t) (optionally beta Sigma.X) for a uniform field X drawn from
-    (B, dB/dt, d2B/dt2)[deriv], times a scalar prefactor."""
-    mats = [BETA @ s if beta_weighted else s for s in SIGMA]
-
-    def coeff(t, j):
-        return prefactor * model.b_of_t(t)[deriv][j]
-
-    return Add([ConstMatrix(mats[j], coeff=(lambda t, j=j: coeff(t, j)),
-                            name=f"Sigma_{'xyz'[j]}*field") for j in range(3)])
-
-
-def _sigma_dot_field_leaf(mesh_fn, prefactor, beta_weighted: bool):
-    mats = [BETA @ s if beta_weighted else s for s in SIGMA]
+def field_dot(mesh_fn, mats, prefactor=1.0, name=None) -> PositionDiag:
+    """sum_j prefactor X_j mats[j] for a model mesh vector X such as B or
+    dB/dt; a constant leaf when X is uniform."""
     return PositionDiag(
         [(lambda g, t, j=j: prefactor * np.asarray(mesh_fn(g.r, t)[j]), mats[j])
          for j in range(3)],
-        time_dependent=True)
+        name=name, time_dependent=True)
 
 
-def _sigma_dot_b_term(model, params, deriv, prefactor, beta_weighted):
-    """Sigma dot (a time derivative of B), uniform-aware."""
-    if model.uniform_b:
-        return _sigma_dot_uniform(model, deriv, prefactor, beta_weighted)
-    mesh = {0: model.b_mesh, 1: model.dbdt_mesh, 2: model.d2bdt2_mesh}[deriv]
-    return _sigma_dot_field_leaf(mesh, prefactor, beta_weighted)
+def _sigma_dot(mesh_fn, prefactor, beta_weighted: bool):
+    """prefactor Sigma.X, or prefactor beta Sigma.X, for a mesh vector X."""
+    return field_dot(mesh_fn, [BETA @ s if beta_weighted else s for s in SIGMA],
+                     prefactor)
 
 
 def _kinetic_squared(model, params):
@@ -241,23 +228,17 @@ def build_fw_full(model: FieldModel, params: PhysParams, grid: GridSpec,
     terms = {}
     terms["rest-mass"] = ConstMatrix(params.rest_energy * BETA, name="rest-mass")
     terms["kinetic"] = Scale(1.0 / (2 * m0), Mul(beta_c, sq))
-    terms["zeeman"] = _sigma_dot_b_term(model, params, 0, -e / (2 * m0), True)
+    terms["zeeman"] = _sigma_dot(model.b_mesh, -e / (2 * m0), True)
     terms["mass-correction"] = Scale(-1.0 / (8 * m0**3 * c**2),
                                      Mul(beta_c, Mul(sq, sq)))
-    szb = _sigma_dot_b_term(model, params, 0, 1.0, True)
+    szb = _sigma_dot(model.b_mesh, 1.0, True)
     terms["kinetic-zeeman-cross"] = Scale(
         e / (8 * m0**3 * c**2), Add([Mul(sq, szb), Mul(szb, sq)]))
 
-    if model.uniform_b:
-        terms["b-squared"] = ConstMatrix(
-            BETA, coeff=lambda t: -e**2 / (8 * m0**3 * c**2)
-            * float(np.dot(model.b_of_t(t)[0], model.b_of_t(t)[0])),
-            name="b-squared")
-    else:
-        terms["b-squared"] = PositionDiag(
-            [(lambda g, t: -e**2 / (8 * m0**3 * c**2)
-              * sum(np.asarray(b) ** 2 for b in model.b_mesh(g.r, t)), BETA)],
-            name="b-squared", time_dependent=True)
+    terms["b-squared"] = PositionDiag(
+        [(lambda g, t: -e**2 / (8 * m0**3 * c**2)
+          * sum(np.asarray(b) ** 2 for b in model.b_mesh(g.r, t)), BETA)],
+        name="b-squared", time_dependent=True)
 
     terms["darwin"] = PositionDiag(
         [(lambda g, t: -e / (8 * m0**2 * c**2) * np.asarray(model.dive_mesh(g.r, t)),
@@ -304,14 +285,14 @@ def build_fw_direct(model: FieldModel, params: PhysParams, grid: GridSpec,
     sq = _kinetic_squared(model, params)
 
     kinetic = Scale(1.0 / (2 * m0), Mul(beta_c, sq))
-    zeeman = _sigma_dot_b_term(model, params, 0, -e / (2 * m0), True)
+    zeeman = _sigma_dot(model.b_mesh, -e / (2 * m0), True)
 
     exp_cross = _cross_dot_sigma(model, params, model.e_mesh, reverse=False)
-    dbdt_piece = _sigma_dot_b_term(model, params, 1, 1.0, False)
+    dbdt_piece = _sigma_dot(model.dbdt_mesh, 1.0, False)
     soc = Scale(-e / (8 * m0**2 * c**2),
                 Add([Scale(2.0, exp_cross), Scale(-1j, dbdt_piece)]))
 
-    nutation = _sigma_dot_b_term(model, params, 2, e / (16 * m0**3 * c**4), True)
+    nutation = _sigma_dot(model.d2bdt2_mesh, e / (16 * m0**3 * c**4), True)
 
     ordered = [("kinetic", kinetic), ("zeeman", zeeman),
                ("field-derivative-soc", soc), ("nutation", nutation)]

@@ -28,19 +28,15 @@ import scipy.linalg
 from .errors import BoundaryFluxError, KrylovConvergenceError, PreconditionError
 from .expr import Add, Adjoint, Scale, apply_expr, expectation
 from .fields import FieldModel
-from .grid import MOMENTUM, POSITION, GridSpec, SpinorField
+from .grid import MOMENTUM, POSITION, GridSpec, SpinorField, apply_matrix, free_dirac_values
 from .hamiltonians import NamedHamiltonian, momentum_component, position_component
-from .operators import ALPHA, BETA, PhysParams, SpinKind, energy_k2
+from .operators import ALPHA, PhysParams, SpinKind, energy_k2
 from .dynamics import spin_expr
 
 __all__ = [
     "strang_step_dirac", "krylov_step", "run", "ehrenfest_residual",
     "Trajectory", "choose_propagator",
 ]
-
-
-def _apply_const(mat, values):
-    return (mat @ values.reshape(4, -1)).reshape(values.shape)
 
 
 def _position_half_step(values, grid: GridSpec, model: FieldModel,
@@ -55,7 +51,7 @@ def _position_half_step(values, grid: GridSpec, model: FieldModel,
     alpha_u = np.zeros_like(values)
     for ui, a_mat in zip(u, ALPHA):
         if np.any(ui):
-            alpha_u += ui * _apply_const(a_mat, values)
+            alpha_u += ui * apply_matrix(a_mat, values)
     out = cosf * values - 1j * sinf * alpha_u
     if model.has_scalar_potential:
         phase = np.exp(-1j * tau * params.e *
@@ -69,11 +65,7 @@ def _kinetic_full_step(values, grid: GridSpec, params: PhysParams, dt: float):
     e_k = energy_k2(grid.k2, params)
     cosf = np.cos(dt * e_k)
     sinf = np.sin(dt * e_k) / e_k
-    h_values = params.rest_energy * _apply_const(BETA, values)
-    for kmesh, a_mat in zip(grid.k, ALPHA):
-        if not np.isscalar(kmesh):
-            h_values += params.c * kmesh * _apply_const(a_mat, values)
-    return cosf * values - 1j * sinf * h_values
+    return cosf * values - 1j * sinf * free_dirac_values(values, grid, params)
 
 
 def strang_step_dirac(field: SpinorField, model: FieldModel, params: PhysParams,

@@ -27,6 +27,7 @@ carry the JSON path of the offending field and surface as exit code 2.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -69,7 +70,17 @@ def _get(doc, path, key, expected=None, default=_SENTINEL):
         raise ConfigError(
             here, f"expected {'/'.join(t.__name__ for t in names)}, "
                   f"got {type(value).__name__}")
+    _check_finite(value, here)
     return value
+
+
+def _check_finite(value, where):
+    """json reads NaN and Infinity as floats; no scenario number may be one."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(where, f"expected a finite number, got {value!r}")
+    if isinstance(value, (list, tuple)):
+        for i, v in enumerate(value):
+            _check_finite(v, f"{where}[{i}]")
 
 
 def _vec3(doc, path, key, default=None):

@@ -11,7 +11,7 @@ from relspin.fields import PlaneWavePulse, UniformB, ZeroField
 from relspin.grid import GridSpec, SpinorField, gaussian_packet
 from relspin.hamiltonians import build_dirac_em, build_fw_direct, build_free_dirac
 from relspin.dynamics import (HOLD_TOL, classify_residual_series,
-                              position_correction_expr, refinement_study, rhs,
+                              position_correction_expr, rhs,
                               spin_expr, standard_battery, total_j_identity,
                               verify)
 from relspin.operators import (ALPHA, BETA, SIGMA, PhysParams, SpinKind,
@@ -292,9 +292,7 @@ class TestTotalJ:
             states = standard_battery(grid, params, count=2)
             return max(total_j_identity(kind, states, params))
 
-        rows = refinement_study(check, [GridSpec(1, n, 256.0)
-                                        for n in (256, 512, 1024)])
-        residuals = [r for _, r in rows]
+        residuals = [check(GridSpec(1, n, 256.0)) for n in (256, 512, 1024)]
         assert max(residuals) <= 1e-6
         floor = 1e-10
         for coarse, fine in zip(residuals, residuals[1:]):

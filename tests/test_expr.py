@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from relspin.algebra import ID4
 from relspin.errors import SingularMomentumError
-from relspin.expr import (Add, Adjoint, Commutator, ConstMatrix, MomentumDiag,
-                          Mul, PositionDiag, Scale, apply_expr, block_parity,
+from relspin.expr import (Add, Adjoint, ConstMatrix, MomentumDiag, Mul,
+                          PositionDiag, Scale, apply_expr, block_parity,
                           expectation, hermiticity_residual)
-from relspin.grid import POSITION, GridSpec, SpinorField, gaussian_packet
+from relspin.grid import MOMENTUM, POSITION, GridSpec, SpinorField, gaussian_packet
 from relspin.hamiltonians import momentum_component, position_component
 from relspin.operators import ALPHA, BETA, SIGMA
 from relspin.dynamics import spin_expr
@@ -39,9 +39,10 @@ class TestLeaves:
 
     def test_time_dependent_coefficients(self, grid, rng):
         psi = random_field(grid, rng)
-        leaf = ConstMatrix(SIGMA[2], coeff=lambda t: 2.0 * t)
-        assert (apply_expr(leaf, psi, t=3.0)
-                - 6.0 * apply_expr(ConstMatrix(SIGMA[2]), psi)).norm() <= 1e-13
+        leaf = PositionDiag([(lambda g, t: 2.0 * t, SIGMA[2])], time_dependent=True)
+        sigma_psi = apply_expr(ConstMatrix(SIGMA[2]), psi)
+        assert (apply_expr(leaf, psi, t=3.0) - 6.0 * sigma_psi).norm() <= 1e-13
+        assert (apply_expr(leaf, psi, t=0.5) - 1.0 * sigma_psi).norm() <= 1e-13
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_nan_guard(self, grid, rng):
@@ -136,11 +137,46 @@ class TestLeafKernel:
         assert not out.values.any()
 
 
+class TestConstantLeaf:
+    """A leaf whose scalars all have size 1 acts in the state's own space."""
+
+    @pytest.mark.parametrize("leaf_type, state_space", [
+        (PositionDiag, MOMENTUM), (MomentumDiag, POSITION)])
+    def test_acts_in_state_space(self, rng, fft_count, leaf_type, state_space):
+        grid = _KERNEL_GRIDS[1]
+        psi = random_field(grid, rng).in_space(state_space)
+        leaf = leaf_type([(lambda g, t: 0.3, SIGMA[2]),
+                          (lambda g, t: np.asarray(-1.1 + 0.2j), BETA @ ALPHA[0]),
+                          (lambda g, t: np.zeros((1,) * g.dim), ALPHA[1])])
+        fft_count[0] = 0
+        out = apply_expr(leaf, psi)
+        assert fft_count[0] == 0
+        assert out.space == state_space
+        want = apply_expr(ConstMatrix(0.3 * SIGMA[2] + (-1.1 + 0.2j) * BETA @ ALPHA[0]),
+                          psi)
+        assert np.max(np.abs(out.values - want.values)) <= 1e-13
+
+    def test_sum_skips_zero_constant_leaf(self, grid, rng, fft_count):
+        psi = random_field(grid, rng)
+        zero = PositionDiag([(lambda g, t: 0.0, SIGMA[0])])
+        p_x = momentum_component(0)
+        fft_count[0] = 0
+        out = apply_expr(Add([p_x, zero]), psi)
+        # p_x there and back; the zero leaf's position-space result would
+        # otherwise be transformed into the momentum accumulator
+        assert fft_count[0] == 2
+        assert np.array_equal(out.values, apply_expr(p_x, psi).values)
+
+
+def _comm(a, b):
+    return a @ b - b @ a
+
+
 class TestCanonicalCommutator:
     def test_xp_commutator_on_resolved_packet(self):
         g = GridSpec(1, 256, 256.0)
         psi = gaussian_packet(g, 0.0, 12.0, 1.0, [1, 0, 0, 0])
-        out = apply_expr(Commutator(position_component(0), momentum_component(0)), psi)
+        out = apply_expr(_comm(position_component(0), momentum_component(0)), psi)
         assert (out - 1j * psi).norm() <= 1e-8
 
     def test_spectral_refinement(self):
@@ -153,8 +189,8 @@ class TestCanonicalCommutator:
             vals = np.zeros((4, n), dtype=complex)
             vals[0] = np.exp(-x**2 / (4 * sigma**2)) * np.exp(1j * 0.5 * x)
             psi = SpinorField(g, vals).normalized()
-            out = apply_expr(Commutator(position_component(0),
-                                        momentum_component(0)), psi)
+            out = apply_expr(_comm(position_component(0),
+                                   momentum_component(0)), psi)
             residuals.append((out - 1j * psi).norm())
         for coarse, fine in zip(residuals, residuals[1:]):
             if coarse <= 1e-12:
@@ -185,8 +221,8 @@ class TestAlgebraicLaws:
         # equality holds to transform-roundtrip roundoff rather than bitwise
         psi = random_field(grid, rng)
         a, b = position_component(0), momentum_component(0)
-        fwd = apply_expr(Commutator(a, b), psi)
-        bwd = apply_expr(Commutator(b, a), psi)
+        fwd = apply_expr(_comm(a, b), psi)
+        bwd = apply_expr(_comm(b, a), psi)
         assert (fwd + bwd).norm() <= 1e-12 * fwd.norm()
 
     def test_adjoint_defining_property(self, grid, rng):
@@ -258,4 +294,4 @@ class TestBlockParity:
         assert block_parity(Mul(d, o)) == "offdiagonal"
         assert block_parity(Add([d, Mul(o, o)])) == "diagonal"
         assert block_parity(Add([d, o])) == "mixed"
-        assert block_parity(Commutator(d, o)) == "offdiagonal"
+        assert block_parity(_comm(d, o)) == "offdiagonal"

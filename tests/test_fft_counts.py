@@ -5,14 +5,17 @@ here as a failure instead of only as a slower run.
 """
 
 import numpy as np
+import pytest
 
 from relspin.dynamics import build_hamiltonian, spin_expr, standard_battery, verify
 from relspin.expr import apply_expr, expectation
-from relspin.fields import UniformB
+from relspin.fields import Envelope, UniformB
 from relspin.grid import GridSpec, SpinorField
 from relspin.operators import SpinKind
 
 _MODEL = UniformB([0.0, 0.0, 0.05])
+_PULSED = UniformB([0.0, 0.0, 0.05],
+                   Envelope(shape="gaussian", amplitude=1.0, center=0.3, width=2.0))
 
 
 def _position_state(grid):
@@ -57,6 +60,26 @@ def test_dirac_em_apply_momentum_state(params, fft_count):
     # kinetic and mass act in momentum (0); the gauge term goes to position
     # and its result back into the momentum accumulator (2)
     assert fft_count[0] == 2
+
+
+@pytest.mark.parametrize("family, model, space, count", [
+    ("fw-direct", _MODEL, "position", 33), ("fw-direct", _MODEL, "momentum", 32),
+    ("fw-direct", _PULSED, "position", 34), ("fw-direct", _PULSED, "momentum", 32),
+    ("fw-full", _MODEL, "position", 125), ("fw-full", _MODEL, "momentum", 134),
+    ("fw-full", _PULSED, "position", 125), ("fw-full", _PULSED, "momentum", 134),
+], ids=lambda v: v.envelope.shape if isinstance(v, UniformB) else str(v))
+def test_fw_apply(params, fft_count, family, model, space, count):
+    grid = GridSpec(3, 16, 24.0)
+    psi = _position_state(grid).in_space(space)
+    ham = build_hamiltonian(family, model, params, grid)
+    fft_count[0] = 0
+    apply_expr(ham.total, psi, 0.7)
+    # B, dB/dt and d2B/dt2 are constant leaves that act in the state's own
+    # space.  The sum of the terms accumulates in momentum space, and it
+    # skips each exactly-zero term instead of transforming that term's
+    # position result into it: the darwin term (div E = 0) in fw-full and,
+    # under the constant envelope only, the nutation term in fw-direct.
+    assert fft_count[0] == count
 
 
 def test_standard_battery_3d(params, grid_3d, fft_count):

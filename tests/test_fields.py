@@ -103,11 +103,14 @@ class TestUniformB:
         t = 0.9
         for idx, x in enumerate(rx):
             s = model.sample([x, 0.7, -0.3], t)
+            # the operators read B and its time derivatives from the meshes
+            pairs = ((model.a_mesh, s.A), (model.e_mesh, s.E), (model.b_mesh, s.B),
+                     (model.dbdt_mesh, s.dBdt), (model.d2bdt2_mesh, s.d2Bdt2),
+                     (model.dedt_mesh, s.dEdt))
             for comp in range(3):
-                a = np.broadcast_to(model.a_mesh(mesh, t)[comp], rx.shape)[idx]
-                e = np.broadcast_to(model.e_mesh(mesh, t)[comp], rx.shape)[idx]
-                assert abs(a - s.A[comp]) <= 1e-14
-                assert abs(e - s.E[comp]) <= 1e-14
+                for fn, want in pairs:
+                    got = np.broadcast_to(fn(mesh, t)[comp], rx.shape)[idx]
+                    assert abs(got - want[comp]) <= 1e-14
 
 
 class TestUniformE:
@@ -180,7 +183,3 @@ class TestPlaneWavePulse:
                     got = np.broadcast_to(fn(mesh, t)[comp], xs.shape)[idx]
                     want = {"a": s.A, "e": s.E, "b": s.B, "dbdt": s.dBdt}[name][comp]
                     assert abs(got - want) <= 1e-13
-
-    def test_uniform_b_accessor_refused(self):
-        with pytest.raises(PreconditionError):
-            self.pulse().b_of_t(0.0)

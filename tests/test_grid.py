@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from relspin.errors import GridResolutionError, PreconditionError
-from relspin.grid import (GridSpec, SpinorField, gaussian_packet, load_field,
-                          positive_energy_part, save_field, suppress_zero_mode,
-                          zero_mode_weight)
-from relspin.operators import ALPHA, BETA
+from relspin.grid import (GridSpec, SpinorField, free_dirac_values, gaussian_packet,
+                          load_field, positive_energy_part, save_field,
+                          suppress_zero_mode, zero_mode_weight)
+from relspin.operators import ALPHA, BETA, PhysParams, free_dirac_matrix
 
 
 def random_field(grid, rng):
@@ -38,6 +38,25 @@ class TestGridSpec:
     def test_hashable(self):
         assert GridSpec(1, 64, 8.0) == GridSpec(1, 64, 8.0)
         assert len({GridSpec(1, 64, 8.0), GridSpec(1, 64, 8.0)}) == 1
+
+    def test_inv_k2(self):
+        g = GridSpec(3, 8, [8.0, 16.0, 32.0])
+        inv = g.inv_k2
+        assert inv[g.origin_index] == 0.0
+        off = np.ones(g.shape, dtype=bool)
+        off[g.origin_index] = False
+        assert np.max(np.abs(inv[off] * g.k2[off] - 1.0)) <= 1e-15
+        assert g.inv_k2 is inv  # built once per grid
+
+    @pytest.mark.parametrize("grid", [GridSpec(1, 16, 12.0),
+                                      GridSpec(3, 8, [8.0, 10.0, 12.0])])
+    def test_free_dirac_values_matches_matrix(self, grid, rng):
+        params = PhysParams(m0=0.8, c=1.7)
+        v = random_field(grid, rng).values
+        got = free_dirac_values(v, grid, params)
+        kvec = np.stack([np.broadcast_to(k, grid.shape) for k in grid.k], axis=-1)
+        want = np.einsum("...ab,b...->a...", free_dirac_matrix(kvec, params), v)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestTransforms:

@@ -196,10 +196,9 @@ class TestFwDirect:
         t = 2.0
         anti = Scale(0.5, Add([ham.total, Scale(-1.0, Adjoint(ham.total))]))
         anti_norm = apply_expr(anti, psi, t).norm()
-        bdot = model.b_of_t(t)[1]
+        bdot = model.dbdt_mesh(g.r, t)  # uniform: three scalars
         coeff = params.e / (8 * params.m0**2 * params.c**2)
-        piece = Add([ConstMatrix(SIGMA[j], coeff=1j * coeff * bdot[j])
-                     for j in range(3)])
+        piece = Add([ConstMatrix(1j * coeff * bdot[j] * SIGMA[j]) for j in range(3)])
         piece_norm = apply_expr(piece, psi, t).norm()
         assert piece_norm > 1e-4          # the dB/dt piece itself is sizable
         assert anti_norm <= 1e-2 * piece_norm

@@ -64,6 +64,27 @@ class TestParsing:
             parse_scenario(base_scenario(
                 verification={"checks": [{"kind": "weyl", "family": "free"}]}))
 
+    @pytest.mark.parametrize("edit, path", [
+        (lambda d: d["state"].update(k0=[float("nan"), 0, 0]), "state.k0[0]"),
+        (lambda d: d["propagation"].update(dt=float("inf")), "propagation.dt"),
+        (lambda d: d.update(field={"type": "uniform_b", "b0": [0, 0, float("-inf")]}),
+         "field.b0[2]"),
+        (lambda d: d.update(field={"type": "uniform_b", "b0": [0, 0, 1.0],
+                                   "envelope": {"shape": "gaussian", "width": 2.0,
+                                                "amplitude": float("inf")}}),
+         "field.envelope.amplitude"),
+    ], ids=["k0", "dt", "b0", "envelope"])
+    def test_non_finite_numbers_rejected(self, tmp_path, capsys, edit, path):
+        # json writes and reads NaN / Infinity / -Infinity as bare tokens
+        doc = base_scenario()
+        edit(doc)
+        scenario = write_scenario(tmp_path, doc)
+        code = main(["simulate", "--scenario", scenario,
+                     "--output", str(tmp_path / "traj.csv")])
+        assert code == 2
+        assert path in capsys.readouterr().err
+        assert not (tmp_path / "traj.csv").exists()
+
     def test_si_units_rescale(self):
         doc = base_scenario(units="si")
         doc["params"] = {"m0": 9.1093837015e-31, "c": 2.99792458e8,
