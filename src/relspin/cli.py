@@ -23,11 +23,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .dynamics import (VERIFY_GUARD, classify_residual_series, rhs, spin_expr,
-                       standard_battery, total_j_identity, verify)
+from .dynamics import classify_residual_series, standard_battery, total_j_identity, verify
 from .errors import (BoundaryFluxError, ConfigError, KrylovConvergenceError,
                      PreconditionError, SingularMomentumError)
-from .expr import apply_expr
 from .fields import UniformB, UniformE, PlaneWavePulse
 from .grid import GridSpec, set_fft_workers
 from .operators import PhysParams, SpinKind, condition_checks
@@ -108,32 +106,6 @@ def _refinement_grids(grid, levels):
     return ladder
 
 
-def _offending_term(kind, ham, states, t=0.0):
-    """Name the printed term whose removal shrinks the defect the most."""
-    params = ham.params
-    terms, total = rhs(kind, ham.family, ham.model, params)
-    if not terms:
-        return None
-    s_triple = spin_expr(kind, params)
-    worst_name, worst_gain = None, -np.inf
-    psi = states[0].to_momentum()  # as in verify: norms only, no leaf transforms
-    guard = VERIFY_GUARD
-    h_psi = apply_expr(ham.total, psi, t, guard)
-    for axis in range(3):
-        s_h = apply_expr(s_triple[axis], h_psi, t, guard)
-        h_s = apply_expr(ham.total, apply_expr(s_triple[axis], psi, t, guard),
-                         t, guard)
-        lhs = (s_h - h_s) * (-1j)
-        rhs_field = apply_expr(total[axis], psi, t, guard)
-        base = (lhs - rhs_field).norm()
-        for name, triple in terms:
-            without = rhs_field - apply_expr(triple[axis], psi, t, guard)
-            gain = (lhs - without).norm() - base
-            if gain > worst_gain:
-                worst_gain, worst_name = gain, name
-    return worst_name
-
-
 def cmd_verify_dynamics(args):
     sc = load_scenario(args.scenario)
     if not sc.checks:
@@ -170,7 +142,9 @@ def cmd_verify_dynamics(args):
             report.term_classification = {
                 n: report.classification for n in report.term_names}
             if report.classification == "non-converging":
-                report.offending_term = _offending_term(kind, ham, states)
+                # the term whose removal shrinks state 0's defect the most
+                gains = report.removal_gains
+                report.offending_term = max(gains, key=gains.get) if gains else None
         reports.append(report)
         print(report.table())
         if report.classification == "non-converging":

@@ -28,7 +28,7 @@ import numpy as np
 from .algebra import ID4, levi_civita_pairs
 from .errors import PreconditionError
 from .expr import (Add, ConstMatrix, MomentumDiag, Mul, PositionDiag, Scale,
-                   apply_expr, block_parity)
+                   _one, apply_expr, block_parity)
 from .fields import FieldModel
 from .grid import GridSpec, gaussian_packet, positive_energy_part, suppress_zero_mode
 from .hamiltonians import (NamedHamiltonian, build_dirac_em, build_free_dirac,
@@ -54,10 +54,6 @@ _AXES = "xyz"
 # ---------------------------------------------------------------------------
 # momentum-space scalar producers
 # ---------------------------------------------------------------------------
-
-def _ones(g, t):
-    return np.ones(())
-
 
 def _inv_ek(params, with_w=False, scale=1.0):
     """scale / E_k or scale / (E_k (E_k + m0 c^2))."""
@@ -149,15 +145,12 @@ _LABELS = {SpinKind.DIRAC: "D", SpinKind.FW: "FW", SpinKind.PRYCE: "Py"}
 
 def _grid_leaves(table, kind, label):
     """Wrap an ``operators`` S or R table in grid leaves.  A component whose
-    pairs are all constant stays a ConstMatrix, which acts without a
+    pairs are all constant is a constant leaf, which acts without a
     transform in either space."""
     singular = kind is SpinKind.PRYCE
     out = []
     for axis, pairs in zip(_AXES, table):
-        if all(coeff is None for coeff, _ in pairs):
-            out.append(ConstMatrix(sum((m for _, m in pairs), _ZERO44), name=label))
-            continue
-        leaf = [(_ones if coeff is None else
+        leaf = [(_one if coeff is None else
                  (lambda g, t, f=coeff: f(g.k, g.k2, g.inv_k2 if singular else None)),
                  m) for coeff, m in pairs]
         out.append(MomentumDiag(leaf, name=f"{label}_{axis}", singular_origin=singular))
@@ -457,6 +450,9 @@ class ResidualReport:
     term_classification: dict = dc_field(default_factory=dict)
     offending_term: str | None = None
     block_structure: dict = dc_field(default_factory=dict)
+    #: term name -> largest removal gain ||diff + T|| - ||diff|| over the axes
+    #: of state 0, with diff = LHS - RHS; not part of the serialised report
+    removal_gains: dict = dc_field(default_factory=dict)
 
     def to_dict(self):
         return {
@@ -500,6 +496,36 @@ class ResidualReport:
 VERIFY_GUARD = 1e-4
 
 
+def _verify_cell(si, axis, s_i, h_total, terms, psi, h_psi, t, guard, gains):
+    """One (state, axis) cell of ``verify``.  When ``gains`` is a dict, every
+    term's removal gain is folded into it, keeping the largest per term.
+    A function of its own so that the cell's fields are freed before the
+    next cell forms its own."""
+    s_h = apply_expr(s_i, h_psi, t, guard)
+    h_s = apply_expr(h_total, apply_expr(s_i, psi, t, guard), t, guard)
+    lhs = (s_h - h_s) * (-1j)
+    scale = s_h.norm() + h_s.norm()
+    del s_h, h_s  # the term fields kept below take their place
+    # one apply per printed term: its norm is recorded and the term folded
+    # into the running right-hand side before the next one
+    rhs_field = psi * 0.0
+    term_norms = {}
+    kept = []
+    for name, triple in terms:
+        term = apply_expr(triple[axis], psi, t, guard)
+        term_norms[name] = term.norm()
+        rhs_field = rhs_field + term
+        if gains is not None:
+            kept.append((name, term))
+    diff = lhs - rhs_field
+    base = diff.norm()
+    for name, term in kept:
+        gains[name] = max(gains.get(name, -np.inf), (diff + term).norm() - base)
+    denom = max(scale, rhs_field.norm(), _EPS_FLOOR * psi.norm())
+    return VerifyCell(si, _AXES[axis], base / denom, lhs.norm(), rhs_field.norm(),
+                      scale, term_norms)
+
+
 def verify(kind: SpinKind, hamiltonian: NamedHamiltonian, states,
            t: float = 0.0, guard: float = VERIFY_GUARD) -> ResidualReport:
     """Measure ||(1/i)[S_i, H] psi - RHS_i psi|| per component and state.
@@ -515,6 +541,11 @@ def verify(kind: SpinKind, hamiltonian: NamedHamiltonian, states,
     gradient terms still cancel; the guard only needs to catch states whose
     zero-mode weight is structural rather than leakage.
 
+    For state 0 each printed term T is also ranked by its removal gain
+    ||diff + T|| - ||diff|| (diff = LHS - RHS), the largest over the axes, in
+    ``removal_gains``: the term whose removal shrinks the defect the most
+    has the largest gain.
+
     Each state is moved to momentum space once, before any apply, so the
     momentum-diagonal leaves (S, p_i, alpha.p, B.p, 1/p^2) act without a
     transform and only the position leaves pay for one.  Every reported
@@ -526,8 +557,7 @@ def verify(kind: SpinKind, hamiltonian: NamedHamiltonian, states,
     s_triple = spin_expr(kind, params)
     terms, _ = rhs(kind, hamiltonian.family, hamiltonian.model, params)
 
-    cells = []
-    worst = 0.0
+    gains = {}
     term_struct = {}
     for name, triple in terms:
         parities = {block_parity(comp) for comp in triple}
@@ -535,30 +565,15 @@ def verify(kind: SpinKind, hamiltonian: NamedHamiltonian, states,
         term_struct[name] = parities.pop() if len(parities) == 1 else (
             "zero" if not parities else "mixed")
 
+    cells = []
     for si, psi in enumerate(states):
         psi = psi.to_momentum()
         h_psi = apply_expr(hamiltonian.total, psi, t, guard)
         for axis in range(3):
-            s_h = apply_expr(s_triple[axis], h_psi, t, guard)
-            s_psi = apply_expr(s_triple[axis], psi, t, guard)
-            h_s = apply_expr(hamiltonian.total, s_psi, t, guard)
-            lhs = (s_h - h_s) * (-1j)
-            scale = s_h.norm() + h_s.norm()
-            # one apply per printed term: its norm is recorded and the term
-            # folded into the running right-hand side before the next one
-            rhs_field = psi * 0.0
-            term_norms = {}
-            for name, triple in terms:
-                term = apply_expr(triple[axis], psi, t, guard)
-                term_norms[name] = term.norm()
-                rhs_field = rhs_field + term
-            diff = lhs - rhs_field
-            eps = _EPS_FLOOR * psi.norm()
-            denom = max(scale, rhs_field.norm(), eps)
-            residual = diff.norm() / denom
-            cells.append(VerifyCell(si, _AXES[axis], residual, lhs.norm(),
-                                    rhs_field.norm(), scale, term_norms))
-            worst = max(worst, residual)
+            cells.append(_verify_cell(si, axis, s_triple[axis], hamiltonian.total,
+                                      terms, psi, h_psi, t, guard,
+                                      gains if si == 0 else None))
+    worst = max(c.residual for c in cells)
 
     grid = states[0].grid
     report = ResidualReport(
@@ -568,7 +583,7 @@ def verify(kind: SpinKind, hamiltonian: NamedHamiltonian, states,
         model=hamiltonian.model.describe(),
         time=t, cells=cells, residual=worst,
         term_names=[n for n, _ in terms],
-        block_structure=term_struct,
+        block_structure=term_struct, removal_gains=gains,
     )
     if worst <= HOLD_TOL:
         report.classification = "holds"

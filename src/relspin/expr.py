@@ -20,13 +20,16 @@ A leaf whose scalar arrays all have size 1 is a constant: the same operator
 in both spaces.  It acts in the state's own space, without a transform, and
 returns its result in that space.  Uniform fields (B, dB/dt, d2B/dt2 of a
 uniform-B model), axes a 1D grid does not carry and switched-off envelopes
-all give constant leaves.  :class:`ConstMatrix` is the plain constant
-matrix.  ``Add`` skips every child known to be exactly zero (an all-zero
-ConstMatrix or constant leaf), because adding its result into an accumulator
-held in the other space would cost a transform.
+all give constant leaves, and :func:`ConstMatrix` (a plain constant matrix)
+is one too.  ``Add`` skips every child known to be exactly zero (a leaf
+whose every pair has a zero scalar or an all-zero matrix), because adding
+its result into an accumulator held in the other space would cost a
+transform.
 
-Scalar leaf arrays are built lazily per (grid, t) and cached on the leaf;
-once the cache holds more than 16 entries, the next miss empties it.
+Scalar leaf arrays are built lazily per (grid, t) and cached on the leaf in
+the dtype their producer returns, so a real mesh such as k^2 is held once,
+not as a complex copy; once the cache holds more than 16 entries, the next
+miss empties it.
 Mul(a, b) applies b first (left factor last), matching left-to-right operator
 products as written in equations.
 
@@ -41,7 +44,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PreconditionError, SingularMomentumError
-from .grid import MOMENTUM, POSITION, GridSpec, SpinorField, apply_matrix, zero_mode_weight
+from .grid import MOMENTUM, POSITION, GridSpec, SpinorField, zero_mode_weight
 
 __all__ = [
     "OperatorExpr", "PositionDiag", "MomentumDiag", "ConstMatrix",
@@ -57,12 +60,13 @@ def _is_zero(arr):
     return arr.size == 1 and complex(arr.reshape(())) == 0
 
 
+def _one(grid, t):
+    """The scalar producer of a constant pair."""
+    return np.ones(())
+
+
 class OperatorExpr:
     """Base class; use the concrete leaves and combinators below."""
-
-    def apply(self, field: SpinorField, t: float = 0.0,
-              guard: float = DEFAULT_ZERO_MODE_GUARD) -> SpinorField:
-        return apply_expr(self, field, t, guard)
 
     def _vanishes(self, grid: GridSpec, t: float) -> bool:
         """True when the operator is known to be exactly zero at t."""
@@ -107,14 +111,15 @@ class _DiagLeaf(OperatorExpr):
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        arrays = tuple(np.asarray(fn(grid, t), dtype=complex) for fn, _ in self.terms)
+        arrays = tuple(np.asarray(fn(grid, t)) for fn, _ in self.terms)
         if len(self._cache) > 16:
             self._cache.clear()
         self._cache[key] = arrays
         return arrays
 
     def _vanishes(self, grid, t):
-        return all(_is_zero(a) for a in self._scalars(grid, t))
+        return all(not entries or _is_zero(a)
+                   for entries, a in zip(self._entries, self._scalars(grid, t)))
 
     def _apply(self, field: SpinorField, t: float, guard: float) -> SpinorField:
         grid = field.grid
@@ -170,27 +175,10 @@ class MomentumDiag(_DiagLeaf):
     space = MOMENTUM
 
 
-class ConstMatrix(OperatorExpr):
-    """A constant 4x4 matrix.
-
-    Space-agnostic: acts pointwise in whichever space the state is in.
-    """
-
-    def __init__(self, matrix, name=None):
-        self.matrix = np.asarray(matrix, dtype=complex)
-        if self.matrix.shape != (4, 4):
-            raise PreconditionError("ConstMatrix needs a 4x4 matrix")
-        self.name = name
-        self._zero = not self.matrix.any()
-
-    def _vanishes(self, grid, t):
-        return self._zero
-
-    def _apply(self, field, t, guard):
-        return SpinorField(field.grid, apply_matrix(self.matrix, field.values), field.space)
-
-    def _adjoint(self):
-        return ConstMatrix(self.matrix.conj().T, _adj_name(self.name))
+def ConstMatrix(matrix, name=None) -> PositionDiag:
+    """A constant 4x4 matrix: a constant leaf, so it acts in the state's own
+    space."""
+    return PositionDiag([(_one, matrix)], name=name)
 
 
 class Add(OperatorExpr):
@@ -316,11 +304,9 @@ def _combine_mul(a, b):
 def block_parity(expr: OperatorExpr) -> str:
     """Classify an expression's particle-antiparticle block structure as
     'diagonal', 'offdiagonal', 'zero', or 'mixed', by propagating the parity
-    of every constant matrix leaf through the tree."""
+    of every leaf matrix through the tree."""
     if isinstance(expr, _DiagLeaf):
         return _combine_add(_matrix_parity(m) for _, m in expr.terms)
-    if isinstance(expr, ConstMatrix):
-        return _matrix_parity(expr.matrix)
     if isinstance(expr, Add):
         return _combine_add(block_parity(c) for c in expr.children)
     if isinstance(expr, Mul):

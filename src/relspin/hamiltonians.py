@@ -32,14 +32,15 @@ part of Sigma.(E x (p-eA)) is (i/2) Sigma.dB/dt and cancels the explicit
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .algebra import ID4, levi_civita_pairs
 from .errors import PreconditionError
-from .expr import Add, Adjoint, ConstMatrix, MomentumDiag, Mul, OperatorExpr, PositionDiag, Scale
+from .expr import (Add, Adjoint, ConstMatrix, MomentumDiag, Mul, OperatorExpr, PositionDiag,
+                   Scale, _one)
 from .fields import FieldModel
 from .grid import GridSpec
 from .operators import ALPHA, BETA, SIGMA, PhysParams
@@ -68,7 +69,6 @@ class NamedHamiltonian:
     hermitized: bool = False
     #: propagators may use the symmetric Lanczos recursion when this is set
     assume_hermitian: bool = True
-    time_dependent: bool = dc_field(default=False)
 
     @cached_property
     def total(self) -> OperatorExpr:
@@ -92,31 +92,24 @@ class NamedHamiltonian:
             raise PreconditionError(f"unknown term names {sorted(unknown)}")
         kept = [(n, e) for n, e in self.terms if n in names]
         return NamedHamiltonian(self.family, kept, self.params, self.model,
-                                self.grid, self.hermitized,
-                                self.assume_hermitian, self.time_dependent)
+                                self.grid, self.hermitized, self.assume_hermitian)
 
 
 # -- small expression builders -------------------------------------------------
 
-def _one(grid, t):
-    return np.ones(())
+def momentum_component(i: int) -> MomentumDiag:
+    """k_i."""
+    return MomentumDiag([(lambda g, t, i=i: g.k[i], ID4)], name=f"p_{'xyz'[i]}")
 
 
-def momentum_component(i: int, matrix=None, name=None) -> MomentumDiag:
-    """k_i times a constant matrix (identity by default)."""
-    m = ID4 if matrix is None else matrix
-    return MomentumDiag([(lambda g, t, i=i: g.k[i], m)], name=name or f"p_{'xyz'[i]}")
+def position_component(i: int) -> PositionDiag:
+    """r_i."""
+    return PositionDiag([(lambda g, t, i=i: g.r[i], ID4)], name=f"r_{'xyz'[i]}")
 
 
-def position_component(i: int, matrix=None, name=None) -> PositionDiag:
-    m = ID4 if matrix is None else matrix
-    return PositionDiag([(lambda g, t, i=i: g.r[i], m)], name=name or f"r_{'xyz'[i]}")
-
-
-def _a_leaf(model, i, matrix=None, name=None):
-    m = ID4 if matrix is None else matrix
-    return PositionDiag([(lambda g, t, i=i: model.a_mesh(g.r, t)[i], m)],
-                        name=name or f"A_{'xyz'[i]}", time_dependent=True)
+def _a_leaf(model, i):
+    return PositionDiag([(lambda g, t, i=i: model.a_mesh(g.r, t)[i], ID4)],
+                        name=f"A_{'xyz'[i]}", time_dependent=True)
 
 
 def kinetic_momentum(model: FieldModel, params: PhysParams, i: int) -> OperatorExpr:
@@ -212,9 +205,7 @@ def build_dirac_em(model: FieldModel, params: PhysParams,
         scalar = ConstMatrix(np.zeros((4, 4)), name="scalar")
     terms = [("kinetic-free", kin), ("gauge-coupling", gauge),
              ("mass", mass), ("scalar", scalar)]
-    tdep = model.has_vector_potential or model.has_scalar_potential
-    return NamedHamiltonian("dirac-em", terms, params, model, grid,
-                            time_dependent=tdep)
+    return NamedHamiltonian("dirac-em", terms, params, model, grid)
 
 
 def build_fw_full(model: FieldModel, params: PhysParams, grid: GridSpec,
@@ -267,8 +258,7 @@ def build_fw_full(model: FieldModel, params: PhysParams, grid: GridSpec,
     if hermitize:
         ordered = [(n, _hermitize(x)) for n, x in ordered]
     return NamedHamiltonian("fw-full", ordered, params, model, grid,
-                            hermitized=hermitize, assume_hermitian=hermitize,
-                            time_dependent=True)
+                            hermitized=hermitize, assume_hermitian=hermitize)
 
 
 def build_fw_direct(model: FieldModel, params: PhysParams, grid: GridSpec,
@@ -299,5 +289,4 @@ def build_fw_direct(model: FieldModel, params: PhysParams, grid: GridSpec,
     if hermitize:
         ordered = [(n, _hermitize(x)) for n, x in ordered]
     return NamedHamiltonian("fw-direct", ordered, params, model, grid,
-                            hermitized=hermitize, assume_hermitian=hermitize,
-                            time_dependent=True)
+                            hermitized=hermitize, assume_hermitian=hermitize)

@@ -96,8 +96,6 @@ def _vec3(doc, path, key, default=None):
 class Scenario:
     """Validated, unit-converted scenario ready to build runtime objects."""
 
-    raw: dict
-    units: str
     seed: int
     params: PhysParams
     grid: GridSpec
@@ -296,7 +294,7 @@ def parse_scenario(doc: dict) -> Scenario:
     refine_levels = int(_get(vdoc, "verification", "refine_levels", int, 1))
 
     output = _get(doc, "", "output", dict, {})
-    return Scenario(doc, units, seed, params, grid, model, family, term_mask,
+    return Scenario(seed, params, grid, model, family, term_mask,
                     hermitize, state_spec, dt, steps, stride, checks, battery,
                     refine_levels, output)
 

@@ -352,6 +352,40 @@ class TestVerifyReporting:
         assert classify_residual_series([1e-3, 9e-4, 8e-4]) == "non-converging"
         assert classify_residual_series([1e-3, 1e-9]) == "holds"
 
+    def test_removal_gains_match_brute_force(self, params, battery_1d):
+        # gain of T = ||LHS - (RHS - T)|| - ||LHS - RHS||, largest over the
+        # axes of state 0, with the reduced right-hand side summed afresh
+        grid = battery_1d[0].grid
+        ham = build_dirac_em(UniformB(np.array([0.0, 0.0, 0.05])), params, grid)
+        report = verify(SpinKind.FW, ham, battery_1d[:2])
+        assert report.residual > HOLD_TOL
+        assert "removal_gains" not in report.to_dict()
+        terms, _ = rhs(SpinKind.FW, "dirac-em", ham.model, params)
+        s_triple = spin_expr(SpinKind.FW, params)
+        psi = battery_1d[0]
+        want = {}
+        for i in range(3):
+            lhs = (apply_expr(s_triple[i], apply_expr(ham.total, psi))
+                   - apply_expr(ham.total, apply_expr(s_triple[i], psi))) * (-1j)
+            applied = [(n, apply_expr(tr[i], psi)) for n, tr in terms]
+            full = psi * 0.0
+            for _, field in applied:
+                full = full + field
+            base = (lhs - full).norm()
+            for name, _ in applied:
+                reduced = psi * 0.0
+                for other, field in applied:
+                    if other != name:
+                        reduced = reduced + field
+                gain = (lhs - reduced).norm() - base
+                want[name] = max(want.get(name, -np.inf), gain)
+        assert list(report.removal_gains) == [n for n, _ in terms]
+        for name, value in want.items():
+            assert abs(report.removal_gains[name] - value) <= 1e-12 * abs(value)
+        # the ranking reads state 0 only
+        alone = verify(SpinKind.FW, ham, battery_1d[:1])
+        assert alone.removal_gains == report.removal_gains
+
     def test_em_verification_classifies_reproducibly(self, params, battery_3d):
         grid = battery_3d[0].grid
         model = UniformB(np.array([0.0, 0.0, 0.05]))

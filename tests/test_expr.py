@@ -8,7 +8,8 @@ from relspin.errors import SingularMomentumError
 from relspin.expr import (Add, Adjoint, ConstMatrix, MomentumDiag, Mul,
                           PositionDiag, Scale, apply_expr, block_parity,
                           expectation, hermiticity_residual)
-from relspin.grid import MOMENTUM, POSITION, GridSpec, SpinorField, gaussian_packet
+from relspin.grid import (MOMENTUM, POSITION, GridSpec, SpinorField, apply_matrix,
+                          gaussian_packet)
 from relspin.hamiltonians import momentum_component, position_component
 from relspin.operators import ALPHA, BETA, SIGMA
 from relspin.dynamics import spin_expr
@@ -152,9 +153,8 @@ class TestConstantLeaf:
         out = apply_expr(leaf, psi)
         assert fft_count[0] == 0
         assert out.space == state_space
-        want = apply_expr(ConstMatrix(0.3 * SIGMA[2] + (-1.1 + 0.2j) * BETA @ ALPHA[0]),
-                          psi)
-        assert np.max(np.abs(out.values - want.values)) <= 1e-13
+        want = apply_matrix(0.3 * SIGMA[2] + (-1.1 + 0.2j) * BETA @ ALPHA[0], psi.values)
+        assert np.max(np.abs(out.values - want)) <= 1e-13
 
     def test_sum_skips_zero_constant_leaf(self, grid, rng, fft_count):
         psi = random_field(grid, rng)
@@ -166,6 +166,34 @@ class TestConstantLeaf:
         # otherwise be transformed into the momentum accumulator
         assert fft_count[0] == 2
         assert np.array_equal(out.values, apply_expr(p_x, psi).values)
+
+    @pytest.mark.parametrize("zero", [
+        ConstMatrix(np.zeros((4, 4))),
+        PositionDiag([(lambda g, t: g.r[0], np.zeros((4, 4))),
+                      (lambda g, t: 0.0, BETA)]),
+    ], ids=["const-matrix", "mesh-scalar"])
+    def test_sum_skips_leaf_with_zero_matrices(self, grid, rng, fft_count, zero):
+        # every pair has a zero scalar or an all-zero matrix
+        psi = random_field(grid, rng)
+        p_x = momentum_component(0)
+        fft_count[0] = 0
+        out = apply_expr(Add([p_x, zero]), psi)
+        assert fft_count[0] == 2
+        assert np.array_equal(out.values, apply_expr(p_x, psi).values)
+
+
+class TestScalarCache:
+    def test_real_mesh_is_cached_without_a_complex_copy(self, rng):
+        grid = _KERNEL_GRIDS[1]
+        psi = random_field(grid, rng).to_momentum()
+        m = (0.3 - 1.2j) * SIGMA[1] + BETA @ ALPHA[0]
+        leaf = MomentumDiag([(lambda g, t: g.k2, m)])
+        ref = MomentumDiag([(lambda g, t: g.k2.astype(complex), m)])
+        out = apply_expr(leaf, psi)
+        (cached,) = leaf._scalars(grid, 0.0)
+        assert cached is grid.k2
+        assert cached.dtype == np.float64
+        assert np.array_equal(out.values, apply_expr(ref, psi).values)
 
 
 def _comm(a, b):

@@ -183,6 +183,23 @@ class TestVerifyDynamics:
         assert max(doc["total_j"]["fw"]) <= 1e-6
         assert max(doc["total_j"]["pryce"]) <= 1e-6
 
+    def test_non_converging_check_names_offending_term(self, tmp_path, capsys):
+        # the smallest 3D standard battery, with no refinement rungs
+        doc = base_scenario(
+            grid={"dim": 3, "n": 32, "lengths": 48.0},
+            field={"type": "uniform_b", "b0": [0.0, 0.0, 0.05]},
+            hamiltonian={"family": "dirac-em"},
+            verification={"checks": [{"kind": "pryce", "family": "dirac-em"}],
+                          "battery": "standard", "refine_levels": 0})
+        report = tmp_path / "report.json"
+        path = write_scenario(tmp_path, doc)
+        code = main(["verify-dynamics", "--scenario", path, "--report", str(report)])
+        assert code == 1
+        (rep,) = json.loads(report.read_text())["reports"]
+        assert rep["classification"] == "non-converging"
+        assert rep["offending_term"] == "r-p-alpha-b"
+        assert "offending printed term: r-p-alpha-b" in capsys.readouterr().out
+
     def test_pryce_with_zero_centered_state_is_config_error(self, tmp_path, capsys):
         doc = base_scenario()
         doc["state"]["k0"] = [0.0, 0.0, 0.0]
