@@ -606,7 +606,8 @@ def classify_residual_series(residuals, hold_tol: float = HOLD_TOL) -> str:
 def total_j_identity(kind: SpinKind, states, params: PhysParams,
                      t: float = 0.0):
     """Per-component residual of (r_kind x p + S_kind) psi = (r x p + Sigma/2) psi,
-    normalized by ||psi||, maximized over the given states.
+    normalized by ||psi||, maximized over the given states.  The zero-mode
+    guard is ``verify``'s, so any state ``verify`` accepts is accepted here.
 
     As in ``verify``, the states are evaluated in momentum space, where the
     momentum-diagonal leaves act without a transform; the residuals are norms
@@ -623,7 +624,7 @@ def total_j_identity(kind: SpinKind, states, params: PhysParams,
     for i in range(3):
         worst = 0.0
         for psi in states:
-            d = apply_expr(lhs[i], psi, t) - apply_expr(rhs_[i], psi, t)
+            d = apply_expr(lhs[i], psi, t, VERIFY_GUARD) - apply_expr(rhs_[i], psi, t, VERIFY_GUARD)
             worst = max(worst, d.norm() / psi.norm())
         out.append(worst)
     return out

@@ -7,6 +7,7 @@ Two propagators:
   the position-diagonal part -ec alpha.A + e phi satisfies (alpha.n)^2 = 1,
   the momentum-diagonal part satisfies (c alpha.k + beta m0 c^2)^2 = E_k^2.
   Each step is a product of unitaries; global observable error is O(dt^2).
+  Without potentials a step is the kinetic factor alone, in momentum space.
 * ``krylov_step`` -- Lanczos (Hermitian) or Arnoldi (general) projection of
   exp(-i H dt) for Hamiltonians that mix position and momentum factors and
   admit no exact split.  Time-dependent coefficients are sampled at the
@@ -14,12 +15,14 @@ Two propagators:
 
 Trajectories record the three spin expectations, norm, energy, <r>, <p> and a
 boundary-flux diagnostic at a configurable stride; the run aborts when flux
-into the margin shell exceeds the documented limit.  CSV column order is
-frozen (see ``Trajectory.CSV_COLUMNS``).
+into the margin shell exceeds the documented limit.  A row costs one
+transform of the state plus what the energy's Hamiltonian apply needs.  CSV
+column order is frozen (see ``Trajectory.CSV_COLUMNS``).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -39,9 +42,11 @@ __all__ = [
 ]
 
 
-def _position_half_step(values, grid: GridSpec, model: FieldModel,
-                        params: PhysParams, tau: float, t: float):
+def _position_half_step(field: SpinorField, model: FieldModel,
+                        params: PhysParams, tau: float, t: float) -> SpinorField:
     """exp(-i tau (-ec alpha.A(r,t) + e phi(r,t))) applied pointwise."""
+    grid = field.grid
+    values = field.to_position().values
     u = [np.broadcast_to(np.asarray(-params.e * params.c * a, dtype=float), grid.shape)
          for a in model.a_mesh(grid.r, t)]
     mag = np.sqrt(u[0]**2 + u[1]**2 + u[2]**2)
@@ -57,15 +62,15 @@ def _position_half_step(values, grid: GridSpec, model: FieldModel,
         phase = np.exp(-1j * tau * params.e *
                        np.broadcast_to(model.phi_mesh(grid.r, t), grid.shape))
         out = out * phase
-    return out
+    return SpinorField(grid, out, POSITION)
 
 
-def _kinetic_full_step(values, grid: GridSpec, params: PhysParams, dt: float):
-    """exp(-i dt (c alpha.k + beta m0 c^2)) per momentum mode."""
+@functools.lru_cache(maxsize=4)
+def _kinetic_factors(grid: GridSpec, params: PhysParams, dt: float):
+    """cos(dt E_k) and sin(dt E_k)/E_k: exp(-i dt (c alpha.k + beta m0 c^2))
+    per momentum mode is cos - i sin/E_k (c alpha.k + beta m0 c^2)."""
     e_k = energy_k2(grid.k2, params)
-    cosf = np.cos(dt * e_k)
-    sinf = np.sin(dt * e_k) / e_k
-    return cosf * values - 1j * sinf * free_dirac_values(values, grid, params)
+    return np.cos(dt * e_k), np.sin(dt * e_k) / e_k
 
 
 def strang_step_dirac(field: SpinorField, model: FieldModel, params: PhysParams,
@@ -73,19 +78,21 @@ def strang_step_dirac(field: SpinorField, model: FieldModel, params: PhysParams,
     """One second-order split step for c alpha.(p-eA) + beta m0 c^2 + e phi.
 
     Potentials are sampled at the interval midpoint; every factor is an exact
-    unitary, so norm drift is pure roundoff.
+    unitary, so norm drift is pure roundoff.  Without potentials the identity
+    position factor is skipped, and the result stays in momentum space.
     """
     if not dt > 0 and not dt < 0:
         raise PreconditionError("dt must be nonzero")
-    grid = field.grid
     tm = t + dt / 2.0
-    pos = field.to_position()
-    vals = _position_half_step(pos.values, grid, model, params, dt / 2.0, tm)
-    mom = SpinorField(grid, vals, POSITION).to_momentum()
-    vals = _kinetic_full_step(mom.values, grid, params, dt)
-    back = SpinorField(grid, vals, MOMENTUM).to_position()
-    vals = _position_half_step(back.values, grid, model, params, dt / 2.0, tm)
-    out = SpinorField(grid, vals, POSITION)
+    potentials = model.has_vector_potential or model.has_scalar_potential
+    if potentials:
+        field = _position_half_step(field, model, params, dt / 2.0, tm)
+    grid, mom = field.grid, field.to_momentum().values
+    cosf, sinf = _kinetic_factors(grid, params, dt)
+    out = SpinorField(grid, cosf * mom - 1j * sinf * free_dirac_values(mom, grid, params),
+                      MOMENTUM)
+    if potentials:
+        out = _position_half_step(out, model, params, dt / 2.0, tm)
     if not np.all(np.isfinite(out.values)):
         raise FloatingPointError("Strang step produced non-finite values")
     return out
@@ -222,21 +229,22 @@ class _Observables:
         self.p = [momentum_component(i) for i in range(3)]
 
     def measure(self, hamiltonian, psi, t):
-        out = {"t": t, "norm": psi.norm(),
-               "energy": float(np.real(expectation(hamiltonian.total, psi, t,
-                                                   guard=OBSERVABLE_GUARD))),
-               "flux": psi.boundary_flux()}
+        """One row; r and the flux read the position copy of psi, every other
+        observable the momentum copy, so each result stays in its space."""
+        pos, mom = psi.to_position(), psi.to_momentum()
+
+        def mean(expr, copy):
+            return float(np.real(expectation(expr, copy, t, guard=OBSERVABLE_GUARD)))
+
+        out = {"t": t, "norm": psi.norm(), "energy": mean(hamiltonian.total, mom),
+               "flux": pos.boundary_flux()}
         names = {SpinKind.DIRAC: "S_D", SpinKind.FW: "S_FW", SpinKind.PRYCE: "S_Py"}
         for kind, label in names.items():
             for i, ax in enumerate("xyz"):
-                out[f"{label}_{ax}"] = float(np.real(
-                    expectation(self.spin[kind][i], psi, t,
-                                guard=OBSERVABLE_GUARD)))
+                out[f"{label}_{ax}"] = mean(self.spin[kind][i], mom)
         for i, ax in enumerate("xyz"):
-            out[f"r_{ax}"] = float(np.real(
-                expectation(self.r[i], psi, t, guard=OBSERVABLE_GUARD)))
-            out[f"p_{ax}"] = float(np.real(
-                expectation(self.p[i], psi, t, guard=OBSERVABLE_GUARD)))
+            out[f"r_{ax}"] = mean(self.r[i], pos)
+            out[f"p_{ax}"] = mean(self.p[i], mom)
         return out
 
 

@@ -27,7 +27,7 @@ carry the JSON path of the offending field and surface as exit code 2.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -58,7 +58,11 @@ _KINDS = {"dirac": SpinKind.DIRAC, "fw": SpinKind.FW, "pryce": SpinKind.PRYCE}
 _SENTINEL = object()
 
 
-def _get(doc, path, key, expected=None, default=_SENTINEL):
+def _get(doc, path, key, expected=None, default=_SENTINEL, items=None):
+    """doc[key] checked against ``expected`` types (and, for a list, every
+    element against ``items``), or ``default`` when absent."""
+    if not isinstance(doc, dict):
+        raise ConfigError(path, f"expected an object, got {type(doc).__name__}")
     here = f"{path}.{key}" if path else key
     if key not in doc:
         if default is not _SENTINEL:
@@ -66,27 +70,38 @@ def _get(doc, path, key, expected=None, default=_SENTINEL):
         raise ConfigError(here, "missing required field")
     value = doc[key]
     if expected is not None and not isinstance(value, expected):
-        names = expected if isinstance(expected, tuple) else (expected,)
         raise ConfigError(
-            here, f"expected {'/'.join(t.__name__ for t in names)}, "
-                  f"got {type(value).__name__}")
+            here, f"expected {_names(expected)}, got {type(value).__name__}")
+    if items is not None and isinstance(value, list) and not all(
+            isinstance(v, items) for v in value):
+        raise ConfigError(here, f"expected a list of {_names(items)}")
     _check_finite(value, here)
     return value
 
 
+def _names(types):
+    return "/".join(t.__name__ for t in (types if isinstance(types, tuple) else (types,)))
+
+
+def _build(path, ctor, *args, **kwargs):
+    """``ctor(*args, **kwargs)`` with its ValueError reported at ``path``."""
+    try:
+        return ctor(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
 def _check_finite(value, where):
-    """json reads NaN and Infinity as floats; no scenario number may be one."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(where, f"expected a finite number, got {value!r}")
+    """No scenario number may be NaN, infinite or beyond the float range."""
+    if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
+        raise ConfigError(where, f"expected a finite number, got {value!r:.24}")
     if isinstance(value, (list, tuple)):
         for i, v in enumerate(value):
             _check_finite(v, f"{where}[{i}]")
 
 
-def _vec3(doc, path, key, default=None):
-    v = _get(doc, path, key, (list, tuple), default)
-    if v is default and default is not None:
-        return np.asarray(default, dtype=float)
+def _vec3(doc, path, key, default=_SENTINEL):
+    v = _get(doc, path, key, list, default)
     if len(v) != 3 or not all(isinstance(x, (int, float)) for x in v):
         raise ConfigError(f"{path}.{key}", "expected a 3-vector of numbers")
     return np.asarray(v, dtype=float)
@@ -140,31 +155,25 @@ def _parse_envelope(doc, path):
     if doc is None:
         return Envelope()
     shape = _get(doc, path, "shape", str, "constant")
-    try:
-        if shape == "constant":
-            return Envelope(shape="constant",
-                            value=float(_get(doc, path, "value", (int, float), 1.0)))
-        if shape == "poly":
-            coeffs = _get(doc, path, "coeffs", (list, tuple), [0.0, 0.0, 0.0])
-            if len(coeffs) > 3:
-                raise ConfigError(f"{path}.coeffs",
-                                  "polynomial envelopes support degree <= 2")
-            coeffs = tuple(float(c) for c in coeffs) + (0.0,) * (3 - len(coeffs))
-            return Envelope(shape="poly", coeffs=coeffs)
-        if shape == "gaussian":
-            return Envelope(shape="gaussian",
-                            amplitude=float(_get(doc, path, "amplitude", (int, float), 1.0)),
-                            center=float(_get(doc, path, "center", (int, float), 0.0)),
-                            width=float(_get(doc, path, "width", (int, float))))
-        if shape == "sinusoid":
-            return Envelope(shape="sinusoid",
-                            amplitude=float(_get(doc, path, "amplitude", (int, float), 1.0)),
-                            omega=float(_get(doc, path, "omega", (int, float))),
-                            phase=float(_get(doc, path, "phase", (int, float), 0.0)))
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+    number = (int, float)
+    if shape == "constant":
+        return Envelope(shape="constant", value=float(_get(doc, path, "value", number, 1.0)))
+    if shape == "poly":
+        coeffs = _get(doc, path, "coeffs", list, [0.0, 0.0, 0.0], items=number)
+        if len(coeffs) > 3:
+            raise ConfigError(f"{path}.coeffs", "polynomial envelopes support degree <= 2")
+        coeffs = tuple(float(c) for c in coeffs) + (0.0,) * (3 - len(coeffs))
+        return Envelope(shape="poly", coeffs=coeffs)
+    if shape == "gaussian":
+        return _build(path, Envelope, shape="gaussian",
+                      amplitude=float(_get(doc, path, "amplitude", number, 1.0)),
+                      center=float(_get(doc, path, "center", number, 0.0)),
+                      width=float(_get(doc, path, "width", number)))
+    if shape == "sinusoid":
+        return Envelope(shape="sinusoid",
+                        amplitude=float(_get(doc, path, "amplitude", number, 1.0)),
+                        omega=float(_get(doc, path, "omega", number)),
+                        phase=float(_get(doc, path, "phase", number, 0.0)))
     raise ConfigError(f"{path}.shape", f"unknown envelope shape {shape!r}")
 
 
@@ -179,8 +188,8 @@ def _parse_field(doc, path, field_scale):
         return UniformE(field_scale * _vec3(doc, path, "e0"),
                         _parse_envelope(doc.get("envelope"), f"{path}.envelope"))
     if kind == "plane_wave":
-        return PlaneWavePulse(
-            field_scale * _vec3(doc, path, "e0"),
+        return _build(
+            path, PlaneWavePulse, field_scale * _vec3(doc, path, "e0"),
             _vec3(doc, path, "wavevector"),
             float(_get(doc, path, "omega", (int, float))),
             float(_get(doc, path, "env_center", (int, float), 0.0)),
@@ -207,18 +216,12 @@ def parse_scenario(doc: dict) -> Scenario:
     if units == "si":
         m0 = m0 / HBAR_SI
         e = e / HBAR_SI
-    try:
-        params = PhysParams(m0=m0, c=c, e=e)
-    except ValueError as exc:
-        raise ConfigError("params", str(exc)) from exc
+    params = _build("params", PhysParams, m0=m0, c=c, e=e)
 
     gdoc = _get(doc, "", "grid", dict)
-    try:
-        grid = GridSpec(int(_get(gdoc, "grid", "dim", int)),
-                        _get(gdoc, "grid", "n", (int, list)),
-                        _get(gdoc, "grid", "lengths", (int, float, list)))
-    except ValueError as exc:
-        raise ConfigError("grid", str(exc)) from exc
+    grid = _build("grid", GridSpec, int(_get(gdoc, "grid", "dim", int)),
+                  _get(gdoc, "grid", "n", (int, list), items=int),
+                  _get(gdoc, "grid", "lengths", (int, float, list), items=(int, float)))
 
     model = _parse_field(_get(doc, "", "field", dict, {"type": "zero"}),
                          "field", 1.0)
@@ -228,7 +231,7 @@ def parse_scenario(doc: dict) -> Scenario:
     if family not in _FAMILIES:
         raise ConfigError("hamiltonian.family",
                           f"unknown family {family!r}; expected one of {_FAMILIES}")
-    term_mask = _get(hdoc, "hamiltonian", "terms", list, None)
+    term_mask = _get(hdoc, "hamiltonian", "terms", list, None, items=str)
     hermitize = bool(_get(hdoc, "hamiltonian", "hermitize", bool, False))
 
     sdoc = _get(doc, "", "state", dict, None)
@@ -241,7 +244,8 @@ def parse_scenario(doc: dict) -> Scenario:
                                   f"{sorted(_POLARIZATIONS)} or 4 [re, im] pairs")
             pol = _POLARIZATIONS[pol]
         else:
-            if len(pol) != 4:
+            if len(pol) != 4 or any(not isinstance(p, list) or len(p) != 2 or not all(
+                    isinstance(x, (int, float)) for x in p) for p in pol):
                 raise ConfigError("state.polarization", "expected 4 [re, im] pairs")
             pol = np.array([complex(p[0], p[1]) for p in pol])
         sigma = float(_get(sdoc, "state", "sigma", (int, float)))

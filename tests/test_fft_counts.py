@@ -4,14 +4,18 @@ Transforms dominate large-grid applies, so a change that adds one shows up
 here as a failure instead of only as a slower run.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from relspin.dynamics import build_hamiltonian, spin_expr, standard_battery, verify
 from relspin.expr import apply_expr, expectation
-from relspin.fields import Envelope, UniformB
+from relspin.fields import Envelope, UniformB, ZeroField
 from relspin.grid import GridSpec, SpinorField
 from relspin.operators import SpinKind
+from relspin.propagate import _Observables, run, strang_step_dirac
+from relspin.scenario import load_scenario
 
 _MODEL = UniformB([0.0, 0.0, 0.05])
 _PULSED = UniformB([0.0, 0.0, 0.05],
@@ -124,3 +128,46 @@ def test_pryce_dirac_em_verify_position_states(params, battery_3d, fft_count):
         pairs += [(a.term_norms[n], b.term_norms[n]) for n in b.term_norms]
         for x, y in pairs:
             assert abs(x - y) <= 1e-12 * abs(y)
+
+
+@pytest.mark.parametrize("space, count", [("momentum", 0), ("position", 1)])
+def test_potential_free_strang_step(params, fft_count, space, count):
+    psi = _position_state(GridSpec(3, 16, 24.0)).in_space(space)
+    fft_count[0] = 0
+    out = strang_step_dirac(psi, ZeroField(), params, 0.0, 0.01)
+    # the position factor is the identity: one kinetic step in momentum space,
+    # which is where the result stays
+    assert out.space == "momentum"
+    assert fft_count[0] == count
+
+
+def test_uniform_b_strang_step(params, fft_count):
+    psi = _position_state(GridSpec(3, 16, 24.0))
+    fft_count[0] = 0
+    strang_step_dirac(psi, _MODEL, params, 0.0, 0.01)
+    # position half-step, to momentum (1), kinetic step, back (1), half-step
+    assert fft_count[0] == 2
+
+
+@pytest.mark.parametrize("space", ["position", "momentum"])
+def test_measure_free(params, fft_count, space):
+    grid = GridSpec(3, 16, 24.0)
+    psi = _position_state(grid).in_space(space)
+    ham = build_hamiltonian("free", ZeroField(), params, grid)
+    obs = _Observables(grid, params)
+    fft_count[0] = 0
+    obs.measure(ham, psi, 0.0)
+    # psi is transformed once; r and the flux read the position copy, every
+    # other observable (the free H included) the momentum copy
+    assert fft_count[0] == 1
+
+
+def test_free_particle_run(fft_count):
+    sc = load_scenario(Path(__file__).resolve().parents[1] / "scenarios"
+                       / "free_particle.json")
+    ham = sc.make_hamiltonian()
+    fft_count[0] = 0
+    run(ham, sc.make_state(), sc.dt, sc.steps, stride=sc.stride)
+    # the packet (2), the first step into momentum space (1), then one
+    # transform per recorded row (101); the steps between rows need none
+    assert fft_count[0] <= 110

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from relspin.dynamics import build_hamiltonian
 from relspin.errors import BoundaryFluxError, KrylovConvergenceError, PreconditionError
-from relspin.fields import PlaneWavePulse, UniformB, ZeroField
+from relspin.expr import apply_expr, expectation
+from relspin.fields import Envelope, PlaneWavePulse, UniformB, ZeroField
 from relspin.grid import GridSpec, SpinorField, gaussian_packet
 from relspin.hamiltonians import (build_dirac_em, build_free_dirac,
                                   build_fw_direct)
-from relspin.operators import ALPHA, BETA, SpinKind
-from relspin.propagate import (choose_propagator, ehrenfest_residual,
-                               krylov_step, run, strang_step_dirac)
+from relspin.operators import ALPHA, BETA, SpinKind, free_dirac_matrix
+from relspin.propagate import (OBSERVABLE_GUARD, _Observables, choose_propagator,
+                               ehrenfest_residual, krylov_step, run,
+                               strang_step_dirac)
 
 
 def mixed_energy_state(grid, params, k0, sigma):
@@ -84,6 +88,22 @@ class TestStrang:
         fwd = strang_step_dirac(psi, pulse_1d, params, 0.0, 0.01)
         back = strang_step_dirac(fwd, pulse_1d, params, 0.01, -0.01)
         assert (back - psi).norm() <= 1e-9
+
+    @pytest.mark.parametrize("space", ["position", "momentum"])
+    def test_potential_free_step_is_exact_per_mode(self, params, space):
+        # without potentials the step is the kinetic factor alone; each
+        # momentum mode must get exactly exp(-i dt H_free(k))
+        g = GridSpec(1, 32, 16.0)
+        rng = np.random.default_rng(3)
+        vals = rng.normal(size=(4, 32)) + 1j * rng.normal(size=(4, 32))
+        psi = SpinorField(g, vals).normalized().in_space(space)
+        dt = 0.37
+        got = strang_step_dirac(psi, ZeroField(), params, 0.0, dt)
+        assert got.space == "momentum"
+        mom = psi.to_momentum().values
+        for m, k in enumerate(g.axis_momenta(0)):
+            u = scipy.linalg.expm(-1j * dt * free_dirac_matrix([k, 0.0, 0.0], params))
+            assert np.max(np.abs(got.values[:, m] - u @ mom[:, m])) <= 1e-12
 
     def test_rejects_zero_step(self, params, pulse_1d):
         g = GridSpec(1, 256, 256.0)
@@ -244,6 +264,43 @@ class TestRun:
         path = tmp_path / "traj.csv"
         t1.save(path)
         assert path.read_text() == t1.to_csv()
+
+
+_PULSED_B = UniformB(np.array([0.0, 0.0, 0.2]),
+                     Envelope(shape="gaussian", amplitude=1.0, center=0.3, width=2.0))
+
+
+class TestMeasure:
+    """A row from the transform-once measure equals, column by column, the
+    expectations taken on the caller's state as given."""
+
+    @pytest.mark.parametrize("space", ["position", "momentum"])
+    @pytest.mark.parametrize("family", ["free", "dirac-em", "fw-direct"])
+    def test_row_matches_reference(self, params, pulse_1d, family, space):
+        g = GridSpec(1, 256, 256.0)
+        model = _PULSED_B if family == "fw-direct" else pulse_1d
+        ham = build_hamiltonian(family, model, params, g)
+        psi = gaussian_packet(g, 10.0, 12.0, 1.0, [1, 1, 0, 0], params=params,
+                              energy_projection=True).in_space(space)
+        t = 0.3
+        obs = _Observables(g, params)
+        row = obs.measure(ham, psi, t)
+        exprs = {"energy": ham.total}
+        labels = {SpinKind.DIRAC: "S_D", SpinKind.FW: "S_FW", SpinKind.PRYCE: "S_Py"}
+        for kind, label in labels.items():
+            for i, ax in enumerate("xyz"):
+                exprs[f"{label}_{ax}"] = obs.spin[kind][i]
+        for i, ax in enumerate("xyz"):
+            exprs[f"r_{ax}"] = obs.r[i]
+            exprs[f"p_{ax}"] = obs.p[i]
+        for name, expr in exprs.items():
+            ref = float(np.real(expectation(expr, psi, t, guard=OBSERVABLE_GUARD)))
+            # |<psi, E psi>| <= |psi| |E psi| is the scale of the roundoff
+            scale = psi.norm() * apply_expr(expr, psi, t, OBSERVABLE_GUARD).norm()
+            assert abs(row[name] - ref) <= 1e-13 * scale, name
+        assert row["norm"] == pytest.approx(psi.norm(), rel=1e-13)
+        assert row["flux"] == pytest.approx(psi.boundary_flux(), rel=1e-13, abs=1e-300)
+        assert row["t"] == t
 
 
 class TestEhrenfest:

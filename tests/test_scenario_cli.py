@@ -200,6 +200,24 @@ class TestVerifyDynamics:
         assert rep["offending_term"] == "r-p-alpha-b"
         assert "offending printed term: r-p-alpha-b" in capsys.readouterr().out
 
+    def test_single_state_3d_reports_finding(self, tmp_path, capsys):
+        # a packet with 9.4e-7 zero-mode weight: over the default 1e-10 guard
+        # but within verify's, which the total-J identity must share
+        doc = base_scenario(
+            grid={"dim": 3, "n": 32, "lengths": 48.0},
+            field={"type": "uniform_b", "b0": [0.0, 0.0, 0.05]},
+            hamiltonian={"family": "dirac-em"},
+            verification={"checks": [{"kind": "pryce", "family": "dirac-em"}],
+                          "battery": "state", "refine_levels": 0})
+        doc["state"].update(sigma=6.0, k0=[1.0, 0.0, 0.0])
+        report = tmp_path / "report.json"
+        path = write_scenario(tmp_path, doc)
+        code = main(["verify-dynamics", "--scenario", path, "--report", str(report)])
+        assert code == 1
+        out = json.loads(report.read_text())
+        assert out["reports"][0]["classification"] == "non-converging"
+        assert max(out["total_j"]["pryce"]) <= 1e-6
+
     def test_pryce_with_zero_centered_state_is_config_error(self, tmp_path, capsys):
         doc = base_scenario()
         doc["state"]["k0"] = [0.0, 0.0, 0.0]
