@@ -134,7 +134,7 @@ def cmd_verify_dynamics(args):
                 except PreconditionError:
                     continue  # rung too coarse to host the battery
                 h = sc.make_hamiltonian(family=family, grid=g)
-                r = verify(kind, h, st)
+                r = verify(kind, h, st, removal_gains=False)
                 series.append((g.n[0], r.residual))
             report.refinement = series
             report.classification = classify_residual_series(

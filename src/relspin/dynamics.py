@@ -108,7 +108,7 @@ def _cross(a, b):
 def _field_dot_p(mesh_fn, name):
     """X.p for a uniform model vector X, momentum-diagonal."""
     return MomentumDiag(
-        [(lambda g, t, j=j: mesh_fn(g.r, t)[j] * np.broadcast_to(g.k[j], g.shape), ID4)
+        [(lambda g, t, j=j: mesh_fn(g.r, t)[j] * g.k[j], ID4)
          for j in range(3)], name=name, time_dependent=True)
 
 
@@ -196,10 +196,10 @@ def rhs(kind: SpinKind, family: str, model: FieldModel, params: PhysParams):
     if family == "free":
         if kind is SpinKind.DIRAC:
             # -c (alpha x p)_i
-            out = [MomentumDiag([(lambda g, t, k=k: np.broadcast_to(
-                g.k[k], g.shape).astype(float), -params.c * e * ALPHA[j])
-                for j, k, e in levi_civita_pairs(i)], name=f"dSD_{_AXES[i]}")
-                for i in range(3)]
+            out = [MomentumDiag([(lambda g, t, k=k: g.k[k], -params.c * e * ALPHA[j])
+                                 for j, k, e in levi_civita_pairs(i)],
+                                name=f"dSD_{_AXES[i]}")
+                   for i in range(3)]
             terms = [("alpha-cross-momentum", out)]
             return terms, out
         # FW and Pryce spin operators are constants of the free motion
@@ -275,9 +275,8 @@ def _rhs_em(kind, model, params):
 
     # Pryce with the minimally coupled Dirac Hamiltonian
     inv_p2 = _mom_scalar(_inv_p2, name="1/p^2", singular=True)
-    alpha_dot_p = MomentumDiag([(lambda g, t, j=j: np.broadcast_to(
-        g.k[j], g.shape).astype(float), ALPHA[j]) for j in range(3)],
-        name="alpha.p")
+    alpha_dot_p = MomentumDiag([(lambda g, t, j=j: g.k[j], ALPHA[j]) for j in range(3)],
+                               name="alpha.p")
     sxb = _cross(sigma_t, b_t)
     terms = [("sigma-cross-b-alpha-p", _scale_triple(
         0.25 * e * c, _prefix([inv_p2], [Mul(sxb[i], alpha_dot_p) for i in range(3)])))]
@@ -360,9 +359,8 @@ def _rhs_direct(kind, model, params):
     inv_p2 = _mom_scalar(_inv_p2, name="1/p^2", singular=True)
     sxbdot_t = _cross(sigma_t, bdot_t)
     sxbddot_t = _cross(sigma_t, bddot_t)
-    sigma_dot_p = MomentumDiag([(lambda g, t, m=m: np.broadcast_to(
-        g.k[m], g.shape).astype(float), SIGMA[m]) for m in range(3)],
-        name="Sigma.p")
+    sigma_dot_p = MomentumDiag([(lambda g, t, m=m: g.k[m], SIGMA[m]) for m in range(3)],
+                               name="Sigma.p")
 
     terms = []
     terms.append(("zeeman-precession", _scale_triple(
@@ -527,7 +525,8 @@ def _verify_cell(si, axis, s_i, h_total, terms, psi, h_psi, t, guard, gains):
 
 
 def verify(kind: SpinKind, hamiltonian: NamedHamiltonian, states,
-           t: float = 0.0, guard: float = VERIFY_GUARD) -> ResidualReport:
+           t: float = 0.0, guard: float = VERIFY_GUARD,
+           removal_gains: bool = True) -> ResidualReport:
     """Measure ||(1/i)[S_i, H] psi - RHS_i psi|| per component and state.
 
     The residual is relative: ||LHS - RHS|| / max(scale, ||RHS||, eps) with
@@ -544,7 +543,8 @@ def verify(kind: SpinKind, hamiltonian: NamedHamiltonian, states,
     For state 0 each printed term T is also ranked by its removal gain
     ||diff + T|| - ||diff|| (diff = LHS - RHS), the largest over the axes, in
     ``removal_gains``: the term whose removal shrinks the defect the most
-    has the largest gain.
+    has the largest gain.  ``removal_gains=False`` skips the ranking (a
+    refinement rung needs only the residual), leaving the field empty.
 
     Each state is moved to momentum space once, before any apply, so the
     momentum-diagonal leaves (S, p_i, alpha.p, B.p, 1/p^2) act without a
@@ -557,7 +557,7 @@ def verify(kind: SpinKind, hamiltonian: NamedHamiltonian, states,
     s_triple = spin_expr(kind, params)
     terms, _ = rhs(kind, hamiltonian.family, hamiltonian.model, params)
 
-    gains = {}
+    gains = {} if removal_gains else None
     term_struct = {}
     for name, triple in terms:
         parities = {block_parity(comp) for comp in triple}
@@ -583,7 +583,7 @@ def verify(kind: SpinKind, hamiltonian: NamedHamiltonian, states,
         model=hamiltonian.model.describe(),
         time=t, cells=cells, residual=worst,
         term_names=[n for n, _ in terms],
-        block_structure=term_struct, removal_gains=gains,
+        block_structure=term_struct, removal_gains=gains or {},
     )
     if worst <= HOLD_TOL:
         report.classification = "holds"

@@ -49,7 +49,7 @@ from .grid import MOMENTUM, POSITION, GridSpec, SpinorField, zero_mode_weight
 __all__ = [
     "OperatorExpr", "PositionDiag", "MomentumDiag", "ConstMatrix",
     "Add", "Mul", "Scale", "Adjoint",
-    "apply_expr", "expectation", "hermiticity_residual", "block_parity",
+    "LeafStack", "apply_expr", "expectation", "hermiticity_residual", "block_parity",
     "DEFAULT_ZERO_MODE_GUARD",
 ]
 
@@ -128,11 +128,7 @@ class _DiagLeaf(OperatorExpr):
         if any(a.size != 1 for a in arrays):
             field = field.in_space(self.space)
             if self.singular_origin:
-                w0 = zero_mode_weight(field)
-                if w0 > guard:
-                    raise SingularMomentumError(
-                        f"operator {self.name or self.__class__.__name__} is singular at "
-                        f"k=0 but the state has zero-mode weight {w0:.3e} > guard {guard:.1e}")
+                self._guard(field, guard)
         psi = field.values
         out = np.empty_like(psi)
         fresh = [True] * 4  # rows not yet written
@@ -151,6 +147,14 @@ class _DiagLeaf(OperatorExpr):
             if fresh[a]:
                 out[a] = 0.0
         return SpinorField(grid, out, field.space)
+
+    def _guard(self, field, guard):
+        """Refuse a state whose k = 0 weight exceeds the guard."""
+        w0 = zero_mode_weight(field)
+        if w0 > guard:
+            raise SingularMomentumError(
+                f"operator {self.name or self.__class__.__name__} is singular at "
+                f"k=0 but the state has zero-mode weight {w0:.3e} > guard {guard:.1e}")
 
     def _adjoint(self):
         terms = [(_conj_producer(fn), m.conj().T) for fn, m in self.terms]
@@ -258,6 +262,75 @@ def expectation(expr: OperatorExpr, field: SpinorField, t: float = 0.0,
                 guard: float = DEFAULT_ZERO_MODE_GUARD) -> complex:
     """<psi | E | psi> with the dx^d-weighted inner product."""
     return field.inner(expr._apply(field, t, guard))
+
+
+class LeafStack:
+    """<psi | L | psi> of several diagonal leaves at once, without applying any.
+
+    With rho_ab = conj(psi_a) psi_b, a leaf sum_j f_j M_j has the expectation
+    dx^d sum_j sum_ab M_j[a, b] sum_x f_j(x) rho_ab(x).  The rows of F are a
+    row of ones, for every constant term, and each non-constant term scalar;
+    F contracts with rho in one matrix product per block of at most
+    ``BLOCK_POINTS`` points along the leading grid axis (one block in 1D, so
+    a 3D block needs memory of the order of the state's), and each leaf sums
+    its matrices against its rows.  Singular leaves keep the zero-mode guard
+    of an apply.  The rows are gathered from the leaves' cached scalars.
+    """
+
+    BLOCK_POINTS = 4096
+
+    def __init__(self, leaves):
+        self.leaves = list(leaves)
+        self._time_dependent = any(leaf.time_dependent for leaf in self.leaves)
+        self._key = self._plan = None
+
+    def _gather(self, grid, t):
+        n = len(self.leaves)
+        rows, mats, live = [np.broadcast_to(1.0, grid.shape)], [np.zeros((n, 16), complex)], []
+        for li, leaf in enumerate(self.leaves):
+            for (_, m), a in zip(leaf.terms, leaf._scalars(grid, t)):
+                if a.size == 1:
+                    mats[0][li] += complex(a.reshape(())) * m.ravel()
+                    continue
+                live.append(leaf)
+                if not a.any():  # adds nothing; a 1D grid zeroes 20 of 29 rows
+                    continue
+                rows.append(np.broadcast_to(a, grid.shape))
+                mats.append(np.zeros((n, 16), complex))
+                mats[-1][li] = m.ravel()
+        spaces = {leaf.space for leaf in live}
+        if len(spaces) > 1:
+            raise PreconditionError("a LeafStack needs leaves of one space")
+        step = max(1, self.BLOCK_POINTS * grid.shape[0] // grid.npoints)
+        blocks = [slice(i0, i0 + step) for i0 in range(0, grid.shape[0], step)]
+        # a single block's F is stacked here, once
+        fixed = np.stack(rows).reshape(len(rows), -1) if len(blocks) == 1 else None
+        return (spaces.pop() if spaces else None,
+                next((leaf for leaf in live if leaf.singular_origin), None),
+                np.stack(mats, axis=1).reshape(n, -1), rows, blocks, fixed)
+
+    def expectations(self, field: SpinorField, t: float = 0.0,
+                     guard: float = DEFAULT_ZERO_MODE_GUARD) -> np.ndarray:
+        """The complex expectation of every leaf, in the order given."""
+        key = (field.grid, t if self._time_dependent else None)
+        if self._key != key:
+            self._key, self._plan = key, self._gather(field.grid, t)
+        space, singular, mats, rows, blocks, fixed = self._plan
+        if space is not None:
+            field = field.in_space(space)
+        if singular is not None:
+            singular._guard(field, guard)
+        dens = np.zeros((len(rows), 16), dtype=complex)
+        for sl in blocks:
+            f = fixed if fixed is not None else (
+                np.stack([a[sl] for a in rows]).reshape(len(rows), -1))
+            psi = field.values[:, sl].reshape(4, -1).T
+            rho = np.multiply(psi.conj()[:, :, None], psi[:, None, :],
+                              order="C").reshape(-1, 16)
+            dens += f @ rho if np.iscomplexobj(f) else (f @ rho.view(float)).view(complex)
+        # not a BLAS gemv: with OpenBLAS's default threads, one here made the
+        # Krylov steps' expm, and so the default Larmor sweep, several times slower
+        return np.einsum("lk,k->l", mats, dens.ravel()) * field.grid.weight
 
 
 def hermiticity_residual(expr: OperatorExpr, fields, t: float = 0.0) -> float:

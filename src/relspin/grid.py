@@ -80,7 +80,7 @@ class GridSpec:
     def dx(self):
         return tuple(length / nn for length, nn in zip(self.lengths, self.n))
 
-    @property
+    @cached_property
     def weight(self) -> float:
         """Quadrature weight dx^d of the discrete inner product."""
         return float(np.prod(self.dx))
@@ -258,7 +258,7 @@ def zero_mode_weight(field: SpinorField) -> float:
     mom = field.to_momentum()
     idx = (slice(None), *mom.grid.origin_index)
     w0 = float(np.sum(np.abs(mom.values[idx]) ** 2))
-    total = float(np.sum(np.abs(mom.values) ** 2))
+    total = float(np.vdot(mom.values, mom.values).real)
     return w0 / total if total > 0 else 0.0
 
 

@@ -16,8 +16,9 @@ Two propagators:
 Trajectories record the three spin expectations, norm, energy, <r>, <p> and a
 boundary-flux diagnostic at a configurable stride; the run aborts when flux
 into the margin shell exceeds the documented limit.  A row costs one
-transform of the state plus what the energy's Hamiltonian apply needs.  CSV
-column order is frozen (see ``Trajectory.CSV_COLUMNS``).
+transform of the state plus what the energy's Hamiltonian apply needs; the
+spins, r and p are contracted from it without applying a leaf
+(``expr.LeafStack``).  CSV column order is frozen (see ``Trajectory.CSV_COLUMNS``).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BoundaryFluxError, KrylovConvergenceError, PreconditionError
-from .expr import Add, Adjoint, Scale, apply_expr, expectation
+from .expr import Add, Adjoint, LeafStack, Scale, apply_expr, expectation
 from .fields import FieldModel
 from .grid import MOMENTUM, POSITION, GridSpec, SpinorField, apply_matrix, free_dirac_values
 from .hamiltonians import NamedHamiltonian, momentum_component, position_component
@@ -227,24 +228,24 @@ class _Observables:
         self.spin = {k: spin_expr(k, params) for k in SpinKind}
         self.r = [position_component(i) for i in range(3)]
         self.p = [momentum_component(i) for i in range(3)]
+        # every observable but the energy is one diagonal leaf
+        labels = {SpinKind.DIRAC: "S_D", SpinKind.FW: "S_FW", SpinKind.PRYCE: "S_Py"}
+        mom = [(f"{labels[k]}_{ax}", s) for k in SpinKind for ax, s in zip("xyz", self.spin[k])]
+        mom += [(f"p_{ax}", p) for ax, p in zip("xyz", self.p)]
+        pos = [(f"r_{ax}", r) for ax, r in zip("xyz", self.r)]
+        self.stacks = [([n for n, _ in obs], LeafStack(leaf for _, leaf in obs))
+                       for obs in (mom, pos)]
 
     def measure(self, hamiltonian, psi, t):
         """One row; r and the flux read the position copy of psi, every other
-        observable the momentum copy, so each result stays in its space."""
+        observable the momentum copy.  The energy applies the Hamiltonian;
+        the other columns are one ``LeafStack`` contraction per space."""
         pos, mom = psi.to_position(), psi.to_momentum()
-
-        def mean(expr, copy):
-            return float(np.real(expectation(expr, copy, t, guard=OBSERVABLE_GUARD)))
-
-        out = {"t": t, "norm": psi.norm(), "energy": mean(hamiltonian.total, mom),
-               "flux": pos.boundary_flux()}
-        names = {SpinKind.DIRAC: "S_D", SpinKind.FW: "S_FW", SpinKind.PRYCE: "S_Py"}
-        for kind, label in names.items():
-            for i, ax in enumerate("xyz"):
-                out[f"{label}_{ax}"] = mean(self.spin[kind][i], mom)
-        for i, ax in enumerate("xyz"):
-            out[f"r_{ax}"] = mean(self.r[i], pos)
-            out[f"p_{ax}"] = mean(self.p[i], mom)
+        out = {"t": t, "norm": psi.norm(), "flux": pos.boundary_flux(),
+               "energy": float(np.real(expectation(hamiltonian.total, mom, t,
+                                                   guard=OBSERVABLE_GUARD)))}
+        for (names, stack), copy in zip(self.stacks, (mom, pos)):
+            out.update(zip(names, stack.expectations(copy, t, OBSERVABLE_GUARD).real.tolist()))
         return out
 
 

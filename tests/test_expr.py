@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from relspin.algebra import ID4
 from relspin.errors import SingularMomentumError
-from relspin.expr import (Add, Adjoint, ConstMatrix, MomentumDiag, Mul,
+from relspin.errors import PreconditionError
+from relspin.expr import (Add, Adjoint, ConstMatrix, LeafStack, MomentumDiag, Mul,
                           PositionDiag, Scale, apply_expr, block_parity,
                           expectation, hermiticity_residual)
 from relspin.grid import (MOMENTUM, POSITION, GridSpec, SpinorField, apply_matrix,
@@ -271,6 +272,56 @@ class TestAlgebraicLaws:
         e = Mul(position_component(0), momentum_component(1))
         assert (apply_expr(Adjoint(Adjoint(e)), psi)
                 - apply_expr(e, psi)).norm() <= 1e-12
+
+
+class _SmallBlocks(LeafStack):
+    BLOCK_POINTS = 64  # the 8^3 kernel grid in eight blocks
+
+
+class TestLeafStack:
+    """The one-contraction expectations against ``expectation`` per leaf."""
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from(range(len(_KERNEL_GRIDS))),
+           st.sampled_from([PositionDiag, MomentumDiag]),
+           st.sampled_from([POSITION, MOMENTUM]),
+           st.sampled_from([LeafStack, _SmallBlocks]),
+           st.booleans(),
+           st.lists(st.lists(st.tuples(
+               st.sampled_from(["named", "monomial", "dense", "zero-rows"]),
+               st.sampled_from(["scalar", "mesh", "full"])),
+               min_size=1, max_size=3), min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_expectation(self, seed, grid_index, leaf_type, space,
+                                 stack_type, real, leaf_kinds):
+        rng = np.random.default_rng(seed)
+        grid = _KERNEL_GRIDS[grid_index]
+
+        def producer(kind):
+            fn = _kernel_producer(kind, grid, rng)
+            return (lambda g, t: fn(g, t).real) if real else fn
+
+        leaves = [leaf_type([(producer(pk), _kernel_matrix(mk, rng)) for mk, pk in kinds])
+                  for kinds in leaf_kinds]
+        psi = random_field(grid, rng).in_space(space)
+        got = stack_type(leaves).expectations(psi)
+        for leaf, value in zip(leaves, got):
+            # |<psi, L psi>| <= |psi| |L psi| is the scale of the roundoff
+            scale = psi.norm() * apply_expr(leaf, psi).norm()
+            assert abs(value - expectation(leaf, psi)) <= 1e-13 * scale
+
+    def test_leaves_of_two_spaces_are_refused(self, grid, rng):
+        stack = LeafStack([momentum_component(0), position_component(0)])
+        with pytest.raises(PreconditionError):
+            stack.expectations(random_field(grid, rng))
+
+    def test_singular_leaf_refuses_zero_mode(self):
+        grid = _KERNEL_GRIDS[1]
+        psi = SpinorField(grid, np.ones((4, *grid.shape), dtype=complex), POSITION)
+        leaf = MomentumDiag([(lambda g, t: g.k2, (ID4 - BETA) @ SIGMA[2])],
+                            name="singular", singular_origin=True)
+        with pytest.raises(SingularMomentumError, match="singular"):
+            LeafStack([momentum_component(0), leaf]).expectations(psi)
 
 
 class TestExpectation:

@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from relspin.dynamics import build_hamiltonian
-from relspin.errors import BoundaryFluxError, KrylovConvergenceError, PreconditionError
-from relspin.expr import apply_expr, expectation
+from relspin.errors import (BoundaryFluxError, KrylovConvergenceError, PreconditionError,
+                            SingularMomentumError)
+from relspin.expr import _DiagLeaf, apply_expr, expectation
 from relspin.fields import Envelope, PlaneWavePulse, UniformB, ZeroField
-from relspin.grid import GridSpec, SpinorField, gaussian_packet
+from relspin.grid import GridSpec, SpinorField, gaussian_packet, zero_mode_weight
 from relspin.hamiltonians import (build_dirac_em, build_free_dirac,
                                   build_fw_direct)
 from relspin.operators import ALPHA, BETA, SpinKind, free_dirac_matrix
@@ -270,6 +273,14 @@ _PULSED_B = UniformB(np.array([0.0, 0.0, 0.2]),
                      Envelope(shape="gaussian", amplitude=1.0, center=0.3, width=2.0))
 
 
+_UNIFORM_B = UniformB(np.array([0.0, 0.0, 0.05]))
+
+
+def _packet_3d(grid, params):
+    return gaussian_packet(grid, [0.0, 0.0, 0.0], 6.0, [1.0, 0.5, 0.0], [1, 1, 0, 0],
+                           params=params, energy_projection=True)
+
+
 class TestMeasure:
     """A row from the transform-once measure equals, column by column, the
     expectations taken on the caller's state as given."""
@@ -301,6 +312,86 @@ class TestMeasure:
         assert row["norm"] == pytest.approx(psi.norm(), rel=1e-13)
         assert row["flux"] == pytest.approx(psi.boundary_flux(), rel=1e-13, abs=1e-300)
         assert row["t"] == t
+
+    @pytest.mark.parametrize("space", ["position", "momentum"])
+    def test_row_matches_reference_3d(self, params, space):
+        # 32^3 points are contracted in blocks of the leading axis
+        g = GridSpec(3, 32, 48.0)
+        ham = build_hamiltonian("dirac-em", _UNIFORM_B, params, g)
+        psi = _packet_3d(g, params).in_space(space)
+        t = 0.3
+        obs = _Observables(g, params)
+        row = obs.measure(ham, psi, t)
+        exprs = {"energy": ham.total}
+        labels = {SpinKind.DIRAC: "S_D", SpinKind.FW: "S_FW", SpinKind.PRYCE: "S_Py"}
+        for kind, label in labels.items():
+            exprs.update((f"{label}_{ax}", s) for ax, s in zip("xyz", obs.spin[kind]))
+        exprs.update((f"r_{ax}", r) for ax, r in zip("xyz", obs.r))
+        exprs.update((f"p_{ax}", p) for ax, p in zip("xyz", obs.p))
+        for name, expr in exprs.items():
+            ref = float(np.real(expectation(expr, psi, t, guard=OBSERVABLE_GUARD)))
+            scale = psi.norm() * apply_expr(expr, psi, t, OBSERVABLE_GUARD).norm()
+            assert abs(row[name] - ref) <= 1e-13 * scale, name
+
+    @pytest.mark.parametrize("weight, refused", [(2e-3, True), (5e-4, False)])
+    def test_zero_mode_guard(self, params, weight, refused):
+        g = GridSpec(1, 256, 256.0)
+        ham = build_free_dirac(params, g)
+        vals = gaussian_packet(g, 0.0, 12.0, 1.0, [1, 0, 0, 0], params=params,
+                               energy_projection=True).to_momentum().values.copy()
+        vals[(slice(None), *g.origin_index)] = 0.0
+        # put the given share of the squared norm into the k = 0 bin
+        rest = np.vdot(vals, vals).real
+        vals[(0, *g.origin_index)] = np.sqrt(weight * rest / (1.0 - weight))
+        psi = SpinorField(g, vals, "momentum")
+        assert zero_mode_weight(psi) == pytest.approx(weight, rel=1e-12)
+        obs = _Observables(g, params)
+        if refused:
+            with pytest.raises(SingularMomentumError,
+                               match="S_Py_x is singular at k=0 .* > guard 1.0e-03"):
+                obs.measure(ham, psi, 0.0)
+        else:
+            assert np.isfinite(obs.measure(ham, psi, 0.0)["S_Py_x"])
+
+    def test_row_applies_only_the_energy(self, params, pulse_1d, monkeypatch):
+        g = GridSpec(1, 256, 256.0)
+        ham = build_hamiltonian("dirac-em", pulse_1d, params, g)
+        psi = gaussian_packet(g, 10.0, 12.0, 1.0, [1, 1, 0, 0], params=params,
+                              energy_projection=True).to_momentum()
+        calls = [0]
+        apply = _DiagLeaf._apply
+
+        def counted(self, *args):
+            calls[0] += 1
+            return apply(self, *args)
+
+        monkeypatch.setattr(_DiagLeaf, "_apply", counted)
+        expectation(ham.total, psi, 0.3, guard=OBSERVABLE_GUARD)
+        energy, calls[0] = calls[0], 0
+        _Observables(g, params).measure(ham, psi, 0.3)
+        assert calls[0] == energy > 0
+
+    def test_3d_memory(self, params):
+        g = GridSpec(3, 32, 48.0)
+        ham = build_hamiltonian("dirac-em", _UNIFORM_B, params, g)
+        psi = _packet_3d(g, params)
+        obs = _Observables(g, params)
+        obs.measure(ham, psi, 0.3)  # fills the leaf caches
+        mom = psi.to_momentum()
+        tracemalloc.start()
+        try:
+            obs.measure(ham, psi, 0.3)
+            row_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            obs.stacks[0][1].expectations(mom, 0.3, guard=OBSERVABLE_GUARD)
+            stack_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        state = psi.values.nbytes  # 2.1 MB
+        # the energy's H apply alone peaks at 5.0x the state; the blocked
+        # contraction of the twelve momentum observables stays under 2x
+        assert row_peak <= 10.5e6
+        assert stack_peak <= 2.0 * state
 
 
 class TestEhrenfest:
