@@ -265,7 +265,8 @@ def expectation(expr: OperatorExpr, field: SpinorField, t: float = 0.0,
 
 
 class LeafStack:
-    """<psi | L | psi> of several diagonal leaves at once, without applying any.
+    """<psi | L | psi> of several static diagonal leaves at once, without
+    applying any.
 
     With rho_ab = conj(psi_a) psi_b, a leaf sum_j f_j M_j has the expectation
     dx^d sum_j sum_ab M_j[a, b] sum_x f_j(x) rho_ab(x).  The rows of F are a
@@ -274,21 +275,23 @@ class LeafStack:
     ``BLOCK_POINTS`` points along the leading grid axis (one block in 1D, so
     a 3D block needs memory of the order of the state's), and each leaf sums
     its matrices against its rows.  Singular leaves keep the zero-mode guard
-    of an apply.  The rows are gathered from the leaves' cached scalars.
+    of an apply.  The rows are gathered once per grid from the leaves'
+    cached scalars.
     """
 
     BLOCK_POINTS = 4096
 
     def __init__(self, leaves):
         self.leaves = list(leaves)
-        self._time_dependent = any(leaf.time_dependent for leaf in self.leaves)
-        self._key = self._plan = None
+        if any(leaf.time_dependent for leaf in self.leaves):
+            raise PreconditionError("a LeafStack needs time-independent leaves")
+        self._grid = self._plan = None
 
-    def _gather(self, grid, t):
+    def _gather(self, grid):
         n = len(self.leaves)
         rows, mats, live = [np.broadcast_to(1.0, grid.shape)], [np.zeros((n, 16), complex)], []
         for li, leaf in enumerate(self.leaves):
-            for (_, m), a in zip(leaf.terms, leaf._scalars(grid, t)):
+            for (_, m), a in zip(leaf.terms, leaf._scalars(grid, 0.0)):
                 if a.size == 1:
                     mats[0][li] += complex(a.reshape(())) * m.ravel()
                     continue
@@ -302,28 +305,24 @@ class LeafStack:
         if len(spaces) > 1:
             raise PreconditionError("a LeafStack needs leaves of one space")
         step = max(1, self.BLOCK_POINTS * grid.shape[0] // grid.npoints)
-        blocks = [slice(i0, i0 + step) for i0 in range(0, grid.shape[0], step)]
-        # a single block's F is stacked here, once
-        fixed = np.stack(rows).reshape(len(rows), -1) if len(blocks) == 1 else None
         return (spaces.pop() if spaces else None,
                 next((leaf for leaf in live if leaf.singular_origin), None),
-                np.stack(mats, axis=1).reshape(n, -1), rows, blocks, fixed)
+                np.stack(mats, axis=1).reshape(n, -1), rows,
+                [slice(i0, i0 + step) for i0 in range(0, grid.shape[0], step)])
 
-    def expectations(self, field: SpinorField, t: float = 0.0,
+    def expectations(self, field: SpinorField,
                      guard: float = DEFAULT_ZERO_MODE_GUARD) -> np.ndarray:
         """The complex expectation of every leaf, in the order given."""
-        key = (field.grid, t if self._time_dependent else None)
-        if self._key != key:
-            self._key, self._plan = key, self._gather(field.grid, t)
-        space, singular, mats, rows, blocks, fixed = self._plan
+        if self._grid != field.grid:
+            self._grid, self._plan = field.grid, self._gather(field.grid)
+        space, singular, mats, rows, blocks = self._plan
         if space is not None:
             field = field.in_space(space)
         if singular is not None:
             singular._guard(field, guard)
         dens = np.zeros((len(rows), 16), dtype=complex)
         for sl in blocks:
-            f = fixed if fixed is not None else (
-                np.stack([a[sl] for a in rows]).reshape(len(rows), -1))
+            f = np.stack([a[sl] for a in rows]).reshape(len(rows), -1)
             psi = field.values[:, sl].reshape(4, -1).T
             rho = np.multiply(psi.conj()[:, :, None], psi[:, None, :],
                               order="C").reshape(-1, 16)

@@ -5,9 +5,8 @@ derivatives dB/dt, d2B/dt2 (plus dE/dt and div E, which the fourth-order
 Hamiltonian terms need) as analytic closed forms -- derivatives are never
 finite-differenced in production code.  ``maxwell_probe`` is the independent
 stencil check that B = curl A and E = -dA/dt - grad phi actually hold for
-whatever a model returns.  Each formula is written once, in the vectorized
-``*_mesh`` methods that the operators read; the point evaluation ``sample``
-reads the same meshes at one point.
+whatever a model returns.  Operators read only the vectorized ``*_mesh``
+methods; the point evaluation ``sample`` is the test reference.
 
 Models
 ------
@@ -106,12 +105,14 @@ class FieldSample:
 
 
 class FieldModel:
-    """Base class; subclasses implement the vectorized ``*_mesh`` evaluators,
-    which every grid operator reads.  Mesh arguments are broadcastable
-    coordinate arrays (absent axes enter as the scalar 0.0) and the returned
-    components are arrays or scalars broadcastable against them; a uniform
-    quantity comes back as scalars, which the operator leaves treat as
-    constants."""
+    """Base class; subclasses implement :meth:`sample` plus the vectorized
+    ``*_mesh`` evaluators, which every grid operator reads.  Mesh arguments
+    are broadcastable coordinate arrays (absent axes enter as the scalar 0.0)
+    and the returned components are arrays or scalars broadcastable against
+    them; a uniform quantity comes back as scalars, which the operator
+    leaves treat as constants.  ``sample`` is the scalar reference the tests
+    check the meshes against (and ``maxwell_probe`` differentiates); no
+    operator reads it."""
 
     #: B, dB/dt, d2B/dt2 do not depend on position (true for all but plane waves)
     uniform_b = True
@@ -121,13 +122,7 @@ class FieldModel:
     has_scalar_potential = False
 
     def sample(self, r, t: float) -> FieldSample:
-        """Every quantity at the point r, read from the meshes (for
-        ``maxwell_probe`` and the tests; no operator reads it)."""
-        r = tuple(float(v) for v in r)
-        vec = lambda mesh: np.array([float(c) for c in mesh(r, t)])
-        return FieldSample(vec(self.a_mesh), float(self.phi_mesh(r, t)), vec(self.e_mesh),
-                           vec(self.b_mesh), vec(self.dbdt_mesh), vec(self.d2bdt2_mesh),
-                           vec(self.dedt_mesh), float(self.dive_mesh(r, t)))
+        raise NotImplementedError
 
     def a_mesh(self, r, t):
         return [0.0, 0.0, 0.0]
@@ -157,8 +152,16 @@ class FieldModel:
         raise NotImplementedError
 
 
+def _zeros3():
+    return np.zeros(3)
+
+
 @dataclass
 class ZeroField(FieldModel):
+    def sample(self, r, t):
+        return FieldSample(_zeros3(), 0.0, _zeros3(), _zeros3(),
+                           _zeros3(), _zeros3(), _zeros3(), 0.0)
+
     def describe(self):
         return {"type": "zero"}
 
@@ -180,6 +183,15 @@ class UniformB(FieldModel):
 
     def __post_init__(self):
         self.b0 = np.asarray(self.b0, dtype=float)
+
+    def sample(self, r, t):
+        r = np.asarray(r, dtype=float)
+        g, gp, gpp = self.envelope.derivatives(t)
+        b = self.b0 * g
+        a = 0.5 * np.cross(b, r)
+        e = -0.5 * np.cross(self.b0, r) * gp   # - dA/dt
+        dedt = -0.5 * np.cross(self.b0, r) * gpp
+        return FieldSample(a, 0.0, e, b, self.b0 * gp, self.b0 * gpp, dedt, 0.0)
 
     def a_mesh(self, r, t):
         g = self.envelope.derivatives(t)[0]
@@ -219,6 +231,13 @@ class UniformE(FieldModel):
 
     def __post_init__(self):
         self.e0 = np.asarray(self.e0, dtype=float)
+
+    def sample(self, r, t):
+        r = np.asarray(r, dtype=float)
+        g, gp, _ = self.envelope.derivatives(t)
+        phi = -float(np.dot(self.e0, r)) * g
+        return FieldSample(_zeros3(), phi, self.e0 * g, _zeros3(),
+                           _zeros3(), _zeros3(), self.e0 * gp, 0.0)
 
     def phi_mesh(self, r, t):
         g = self.envelope.derivatives(t)[0]
@@ -281,6 +300,20 @@ class PlaneWavePulse(FieldModel):
         if not self.env_width > 0:
             raise PreconditionError("plane-wave pulse needs env_width > 0")
 
+    def sample(self, r, t):
+        r = np.asarray(r, dtype=float)
+        u = float(np.dot(self.wavevector, r)) - self.omega * t
+        s, s1, s2, s3 = _pulse_shape(u, self.env_center, self.env_width)
+        a = (self.e0 / self.omega) * s
+        e = self.e0 * s1
+        kxe = np.cross(self.wavevector, self.e0)
+        b = (kxe / self.omega) * s1
+        dbdt = -kxe * s2                   # du/dt = -omega cancels 1/omega
+        d2bdt2 = (kxe * self.omega) * s3
+        dedt = -self.e0 * self.omega * s2
+        dive = float(np.dot(self.wavevector, self.e0)) * s2
+        return FieldSample(a, 0.0, e, b, dbdt, d2bdt2, dedt, dive)
+
     def _u_mesh(self, r, t):
         rx, ry, rz = r
         k = self.wavevector
@@ -306,7 +339,7 @@ class PlaneWavePulse(FieldModel):
     def dbdt_mesh(self, r, t):
         s2 = _pulse_shape(self._u_mesh(r, t), self.env_center, self.env_width)[2]
         kxe = np.cross(self.wavevector, self.e0)
-        return [-c * s2 for c in kxe]  # du/dt = -omega cancels 1/omega
+        return [-c * s2 for c in kxe]
 
     def d2bdt2_mesh(self, r, t):
         s3 = _pulse_shape(self._u_mesh(r, t), self.env_center, self.env_width)[3]

@@ -258,7 +258,7 @@ def zero_mode_weight(field: SpinorField) -> float:
     mom = field.to_momentum()
     idx = (slice(None), *mom.grid.origin_index)
     w0 = float(np.sum(np.abs(mom.values[idx]) ** 2))
-    total = float(np.vdot(mom.values, mom.values).real)
+    total = float(np.sum(np.abs(mom.values) ** 2))
     return w0 / total if total > 0 else 0.0
 
 

@@ -245,7 +245,7 @@ class _Observables:
                "energy": float(np.real(expectation(hamiltonian.total, mom, t,
                                                    guard=OBSERVABLE_GUARD)))}
         for (names, stack), copy in zip(self.stacks, (mom, pos)):
-            out.update(zip(names, stack.expectations(copy, t, OBSERVABLE_GUARD).real.tolist()))
+            out.update(zip(names, stack.expectations(copy, OBSERVABLE_GUARD).real.tolist()))
         return out
 
 

@@ -315,6 +315,11 @@ class TestLeafStack:
         with pytest.raises(PreconditionError):
             stack.expectations(random_field(grid, rng))
 
+    def test_time_dependent_leaf_is_refused(self):
+        leaf = PositionDiag([(lambda g, t: t * g.r[0], ID4)], time_dependent=True)
+        with pytest.raises(PreconditionError, match="time-independent"):
+            LeafStack([position_component(0), leaf])
+
     def test_singular_leaf_refuses_zero_mode(self):
         grid = _KERNEL_GRIDS[1]
         psi = SpinorField(grid, np.ones((4, *grid.shape), dtype=complex), POSITION)

@@ -383,7 +383,7 @@ class TestMeasure:
             obs.measure(ham, psi, 0.3)
             row_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            obs.stacks[0][1].expectations(mom, 0.3, guard=OBSERVABLE_GUARD)
+            obs.stacks[0][1].expectations(mom, guard=OBSERVABLE_GUARD)
             stack_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
