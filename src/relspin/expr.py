@@ -1,10 +1,10 @@
 """Composition language for grid operators.
 
 An :class:`OperatorExpr` is a finite tree whose leaves are diagonal in either
-position or momentum space and whose nodes are Add / Mul / Scale / Adjoint.
-A leaf is a sum of (scalar lattice function) x (constant 4x4 matrix) pairs
--- every operator appearing in the spin-dynamics equations has this shape --
-so applying a leaf never materializes per-point 4x4 matrices:
+position or momentum space and whose nodes are Add / Mul / Scale.  A leaf is
+a sum of (scalar lattice function) x (constant 4x4 matrix) pairs -- every
+operator appearing in the spin-dynamics equations has this shape -- so
+applying a leaf never materializes per-point 4x4 matrices:
 
     (L psi)_a(x) = sum_j sum_b M_j[a, b] f_j(x) psi_b(x).
 
@@ -16,20 +16,22 @@ Sigma product is monomial, one nonzero per row, so a term costs four
 pointwise products; general patterns such as Sigma.alpha or (1 - beta) Sigma
 take one product per nonzero.
 
-A leaf whose scalar arrays all have size 1 is a constant: the same operator
-in both spaces.  It acts in the state's own space, without a transform, and
-returns its result in that space.  Uniform fields (B, dB/dt, d2B/dt2 of a
-uniform-B model), axes a 1D grid does not carry and switched-off envelopes
-all give constant leaves, and :func:`ConstMatrix` (a plain constant matrix)
-is one too.  ``Add`` skips every child known to be exactly zero (a leaf
-whose every pair has a zero scalar or an all-zero matrix), because adding
-its result into an accumulator held in the other space would cost a
-transform.
+A leaf caches its scalar arrays for one (grid, t) at a time, since every
+caller finishes with one t before the next, in the dtype their producer
+returns (a real mesh such as k^2 is held once, not as a complex copy).  An
+all-zero array is held as a 0-d zero.  A leaf whose scalars all have size 1
+is a constant: the same operator in both spaces, which acts in the state's
+own space without a transform.  Uniform fields, axes a 1D grid does not
+carry and switched-off envelopes all give constant leaves, and
+:func:`ConstMatrix` is one too.
 
-Scalar leaf arrays are built lazily per (grid, t) and cached on the leaf in
-the dtype their producer returns, so a real mesh such as k^2 is held once,
-not as a complex copy; once the cache holds more than 16 entries, the next
-miss empties it.
+Exact zeros are decided here once.  A leaf vanishes when every pair has a
+zero scalar or an all-zero matrix, a Scale when its factor is 0 or its child
+vanishes, a Mul when either factor does and an Add when all its children do.
+A vanishing subtree is never applied: an Add skips it (adding its result
+into an accumulator held in the other space would cost a transform) and
+``apply_expr`` returns zeros for it.
+
 Mul(a, b) applies b first (left factor last), matching left-to-right operator
 products as written in equations.
 
@@ -104,18 +106,17 @@ class _DiagLeaf(OperatorExpr):
         self.name = name
         self.time_dependent = bool(time_dependent)
         self.singular_origin = bool(singular_origin)
-        self._cache = {}
+        self._key = self._arrays = None
 
     def _scalars(self, grid: GridSpec, t: float):
         key = (grid, t if self.time_dependent else None)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        arrays = tuple(np.asarray(fn(grid, t)) for fn, _ in self.terms)
-        if len(self._cache) > 16:
-            self._cache.clear()
-        self._cache[key] = arrays
-        return arrays
+        if self._key != key:
+            # an all-zero mesh is held as a 0-d zero, so its term is known to
+            # vanish; a constant's fill does no reduction
+            arrays = [np.asarray(fn(grid, t)) for fn, _ in self.terms]
+            self._arrays = tuple(np.zeros(()) if a.size > 1 and not a.any() else a for a in arrays)
+            self._key = key
+        return self._arrays
 
     def _vanishes(self, grid, t):
         return all(not entries or _is_zero(a)
@@ -191,18 +192,17 @@ class Add(OperatorExpr):
         if not self.children:
             raise PreconditionError("Add needs at least one child")
 
+    def _vanishes(self, grid, t):
+        return all(c._vanishes(grid, t) for c in self.children)
+
     def _apply(self, field, t, guard):
         acc = None
         for child in self.children:
-            # an exactly-zero child adds nothing, but adding its result into
-            # an accumulator held in the other space would cost a transform
-            if child._vanishes(field.grid, t):
+            if child._vanishes(field.grid, t):  # see the module docstring
                 continue
             out = child._apply(field, t, guard)
             acc = out if acc is None else acc + out
-        if acc is None:  # every child is exactly zero
-            return SpinorField(field.grid, np.zeros_like(field.values), field.space)
-        return acc
+        return _zero_like(field) if acc is None else acc
 
     def _adjoint(self):
         return Add([c._adjoint() for c in self.children])
@@ -214,6 +214,9 @@ class Mul(OperatorExpr):
     def __init__(self, left, right):
         self.left = left
         self.right = right
+
+    def _vanishes(self, grid, t):
+        return self.right._vanishes(grid, t) or self.left._vanishes(grid, t)
 
     def _apply(self, field, t, guard):
         return self.left._apply(self.right._apply(field, t, guard), t, guard)
@@ -227,6 +230,9 @@ class Scale(OperatorExpr):
         self.factor = complex(factor)
         self.child = child
 
+    def _vanishes(self, grid, t):
+        return self.factor == 0 or self.child._vanishes(grid, t)
+
     def _apply(self, field, t, guard):
         return self.child._apply(field, t, guard) * self.factor
 
@@ -234,25 +240,25 @@ class Scale(OperatorExpr):
         return Scale(np.conj(self.factor), self.child._adjoint())
 
 
-class Adjoint(OperatorExpr):
-    def __init__(self, child):
-        self.child = child
-        self._resolved = None
+def Adjoint(expr: OperatorExpr) -> OperatorExpr:
+    """The Hermitian adjoint tree: products reversed, everything conjugated."""
+    return expr._adjoint()
 
-    def _apply(self, field, t, guard):
-        if self._resolved is None:
-            self._resolved = self.child._adjoint()
-        return self._resolved._apply(field, t, guard)
 
-    def _adjoint(self):
-        return self.child
+def _zero_like(field):
+    return SpinorField(field.grid, np.zeros_like(field.values), field.space)
+
+
+def _evaluate(expr, field, t, guard):
+    """E psi, or a zero field for an expression known to vanish."""
+    return _zero_like(field) if expr._vanishes(field.grid, t) else expr._apply(field, t, guard)
 
 
 def apply_expr(expr: OperatorExpr, field: SpinorField, t: float = 0.0,
                guard: float = DEFAULT_ZERO_MODE_GUARD) -> SpinorField:
     """Apply an operator expression; the result is returned in the input's
     space.  Raises on NaN/Inf in the output (upstream singularities)."""
-    out = expr._apply(field, t, guard).in_space(field.space)
+    out = _evaluate(expr, field, t, guard).in_space(field.space)
     if not np.all(np.isfinite(out.values)):
         raise FloatingPointError("operator application produced non-finite values")
     return out
@@ -261,7 +267,7 @@ def apply_expr(expr: OperatorExpr, field: SpinorField, t: float = 0.0,
 def expectation(expr: OperatorExpr, field: SpinorField, t: float = 0.0,
                 guard: float = DEFAULT_ZERO_MODE_GUARD) -> complex:
     """<psi | E | psi> with the dx^d-weighted inner product."""
-    return field.inner(expr._apply(field, t, guard))
+    return field.inner(_evaluate(expr, field, t, guard))
 
 
 class LeafStack:
@@ -296,8 +302,6 @@ class LeafStack:
                     mats[0][li] += complex(a.reshape(())) * m.ravel()
                     continue
                 live.append(leaf)
-                if not a.any():  # adds nothing; a 1D grid zeroes 20 of 29 rows
-                    continue
                 rows.append(np.broadcast_to(a, grid.shape))
                 mats.append(np.zeros((n, 16), complex))
                 mats[-1][li] = m.ravel()
@@ -384,7 +388,5 @@ def block_parity(expr: OperatorExpr) -> str:
     if isinstance(expr, Mul):
         return _combine_mul(block_parity(expr.left), block_parity(expr.right))
     if isinstance(expr, Scale):
-        return block_parity(expr.child)
-    if isinstance(expr, Adjoint):
         return block_parity(expr.child)
     raise PreconditionError(f"unknown expression node {type(expr).__name__}")

@@ -67,7 +67,7 @@ class NamedHamiltonian:
     model: FieldModel
     grid: GridSpec
     hermitized: bool = False
-    #: propagators may use the symmetric Lanczos recursion when this is set
+    #: the Krylov step symmetrizes its projected matrix when this is set
     assume_hermitian: bool = True
 
     @cached_property
@@ -107,17 +107,11 @@ def position_component(i: int) -> PositionDiag:
     return PositionDiag([(lambda g, t, i=i: g.r[i], ID4)], name=f"r_{'xyz'[i]}")
 
 
-def _a_leaf(model, i):
-    return PositionDiag([(lambda g, t, i=i: model.a_mesh(g.r, t)[i], ID4)],
-                        name=f"A_{'xyz'[i]}", time_dependent=True)
-
-
 def kinetic_momentum(model: FieldModel, params: PhysParams, i: int) -> OperatorExpr:
-    """(p - eA)_i; collapses to p_i for models without a vector potential."""
-    p_i = momentum_component(i)
-    if not model.has_vector_potential:
-        return p_i
-    return Add([p_i, Scale(-params.e, _a_leaf(model, i))])
+    """(p - eA)_i; a vanishing A_i is skipped when the sum is applied."""
+    a_i = PositionDiag([(lambda g, t: model.a_mesh(g.r, t)[i], ID4)],
+                       name=f"A_{'xyz'[i]}", time_dependent=True)
+    return Add([momentum_component(i), Scale(-params.e, a_i)])
 
 
 def _mesh_vec_leaf(producer_list_fn, i, matrix=None, name=None):
@@ -190,19 +184,13 @@ def build_dirac_em(model: FieldModel, params: PhysParams,
     """Minimal-coupling Dirac Hamiltonian c alpha.(p-eA) + beta m0 c^2 + e phi."""
     kin = MomentumDiag([(lambda g, t, i=i: g.k[i], params.c * ALPHA[i])
                         for i in range(3)], name="kinetic-free")
-    if model.has_vector_potential:
-        gauge = PositionDiag(
-            [(lambda g, t, i=i: model.a_mesh(g.r, t)[i], -params.e * params.c * ALPHA[i])
-             for i in range(3)],
-            name="gauge-coupling", time_dependent=True)
-    else:
-        gauge = ConstMatrix(np.zeros((4, 4)), name="gauge-coupling")
+    gauge = PositionDiag(
+        [(lambda g, t, i=i: model.a_mesh(g.r, t)[i], -params.e * params.c * ALPHA[i])
+         for i in range(3)],
+        name="gauge-coupling", time_dependent=True)
     mass = ConstMatrix(params.rest_energy * BETA, name="mass")
-    if model.has_scalar_potential:
-        scalar = PositionDiag([(lambda g, t: model.phi_mesh(g.r, t), params.e * ID4)],
-                              name="scalar", time_dependent=True)
-    else:
-        scalar = ConstMatrix(np.zeros((4, 4)), name="scalar")
+    scalar = PositionDiag([(lambda g, t: model.phi_mesh(g.r, t), params.e * ID4)],
+                          name="scalar", time_dependent=True)
     terms = [("kinetic-free", kin), ("gauge-coupling", gauge),
              ("mass", mass), ("scalar", scalar)]
     return NamedHamiltonian("dirac-em", terms, params, model, grid)

@@ -8,10 +8,10 @@ Two propagators:
   the momentum-diagonal part satisfies (c alpha.k + beta m0 c^2)^2 = E_k^2.
   Each step is a product of unitaries; global observable error is O(dt^2).
   Without potentials a step is the kinetic factor alone, in momentum space.
-* ``krylov_step`` -- Lanczos (Hermitian) or Arnoldi (general) projection of
-  exp(-i H dt) for Hamiltonians that mix position and momentum factors and
-  admit no exact split.  Time-dependent coefficients are sampled at the
-  midpoint, keeping second order.
+* ``krylov_step`` -- Arnoldi projection of exp(-i H dt) for Hamiltonians
+  that mix position and momentum factors and admit no exact split.
+  Time-dependent coefficients are sampled at the midpoint, keeping second
+  order.
 
 Trajectories record the three spin expectations, norm, energy, <r>, <p> and a
 boundary-flux diagnostic at a configurable stride; the run aborts when flux
@@ -103,10 +103,11 @@ def krylov_step(hamiltonian: NamedHamiltonian, field: SpinorField, t: float,
                 dt: float, m: int = 40, tol: float = 1e-10) -> SpinorField:
     """Approximate exp(-i H(t + dt/2) dt) psi in an m-dimensional Krylov space.
 
-    Uses the symmetric Lanczos recursion (with full reorthogonalization) when
-    the Hamiltonian is trusted Hermitian, the Arnoldi recursion otherwise.
-    Raises :class:`KrylovConvergenceError` with a suggested smaller step when
-    the subspace cap is hit before the residual estimate reaches ``tol``.
+    Builds the basis by the Arnoldi recursion; for a trusted-Hermitian
+    Hamiltonian the projected matrix is symmetrized, so the step is exactly
+    unitary.  Raises :class:`KrylovConvergenceError` with a suggested
+    smaller step when the subspace cap is hit before the residual estimate
+    reaches ``tol``.
     """
     if m < 8:
         raise PreconditionError("krylov subspace must allow m >= 8")
@@ -124,33 +125,21 @@ def krylov_step(hamiltonian: NamedHamiltonian, field: SpinorField, t: float,
         return field.copy()
     basis = [v0 / beta0]
     hess = np.zeros((m + 1, m), dtype=complex)
-    hermitian = hamiltonian.assume_hermitian
 
     y = None
     used = 0
     for j in range(m):
         w = matvec(basis[j])
-        if hermitian:
-            lo = max(0, j - 1)
-            for i in range(lo, j + 1):
-                hess[i, j] = np.vdot(basis[i], w)
-                w = w - hess[i, j] * basis[i]
-            # full reorthogonalization: cheap at these subspace sizes and
-            # keeps the tridiagonal model honest for 1e-10 targets
-            for i in range(j + 1):
-                corr = np.vdot(basis[i], w)
-                w = w - corr * basis[i]
-        else:
-            for i in range(j + 1):
-                hess[i, j] = np.vdot(basis[i], w)
-                w = w - hess[i, j] * basis[i]
+        for i in range(j + 1):
+            hess[i, j] = np.vdot(basis[i], w)
+            w = w - hess[i, j] * basis[i]
         nrm = np.linalg.norm(w)
         hess[j + 1, j] = nrm
         used = j + 1
         happy = nrm <= 1e-14 * beta0
         if happy or used >= 8 or used == m:
             small = hess[:used, :used]
-            if hermitian:
+            if hamiltonian.assume_hermitian:
                 small = 0.5 * (small + small.conj().T)
             e1 = np.zeros(used, dtype=complex)
             e1[0] = 1.0
@@ -296,9 +285,9 @@ def ehrenfest_residual(kind: SpinKind, hamiltonian: NamedHamiltonian,
     if hamiltonian.assume_hermitian:
         h_herm, h_anti = hamiltonian.total, None
     else:
-        h_herm = Scale(0.5, Add([hamiltonian.total, Adjoint(hamiltonian.total)]))
-        h_anti = Scale(0.5, Add([hamiltonian.total,
-                                 Scale(-1.0, Adjoint(hamiltonian.total))]))
+        adj = Adjoint(hamiltonian.total)
+        h_herm = Scale(0.5, Add([hamiltonian.total, adj]))
+        h_anti = Scale(0.5, Add([hamiltonian.total, Scale(-1.0, adj)]))
 
     guard = OBSERVABLE_GUARD
     times, svals, gvals = [], [], []

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import ConfigError
 from .fields import Envelope, FieldModel, PlaneWavePulse, UniformB, UniformE, ZeroField
 from .grid import GridSpec, SpinorField, gaussian_packet
-from .hamiltonians import NamedHamiltonian
+from .hamiltonians import FW_DIRECT_TERMS, FW_FULL_TERMS, NamedHamiltonian
 from .dynamics import build_hamiltonian
 from .operators import PhysParams, SpinKind
 
@@ -52,6 +52,8 @@ _POLARIZATIONS = {
 }
 
 _FAMILIES = ("free", "dirac-em", "fw-full", "fw-direct")
+#: the families whose terms a scenario may select
+_TERMS = {"fw-full": FW_FULL_TERMS, "fw-direct": FW_DIRECT_TERMS}
 _KINDS = {"dirac": SpinKind.DIRAC, "fw": SpinKind.FW, "pryce": SpinKind.PRYCE}
 
 
@@ -232,6 +234,10 @@ def parse_scenario(doc: dict) -> Scenario:
         raise ConfigError("hamiltonian.family",
                           f"unknown family {family!r}; expected one of {_FAMILIES}")
     term_mask = _get(hdoc, "hamiltonian", "terms", list, None, items=str)
+    choices = _TERMS.get(family, ())
+    if term_mask is not None and not (term_mask and set(term_mask) <= set(choices)):
+        raise ConfigError("hamiltonian.terms", f"{family} takes a non-empty subset "
+                                               f"of {list(choices)}, got {term_mask}")
     hermitize = bool(_get(hdoc, "hamiltonian", "hermitize", bool, False))
 
     sdoc = _get(doc, "", "state", dict, None)

@@ -196,6 +196,63 @@ class TestScalarCache:
         assert cached.dtype == np.float64
         assert np.array_equal(out.values, apply_expr(ref, psi).values)
 
+    def test_one_entry_across_times(self):
+        grid = _KERNEL_GRIDS[0]
+        calls = []
+
+        def producer(g, t):
+            calls.append(t)
+            return t * g.r[0]
+
+        leaf = PositionDiag([(producer, SIGMA[2])], time_dependent=True)
+        times = [0.1 * i for i in range(20)]
+        for t in times:
+            leaf._scalars(grid, t)
+        leaf._scalars(grid, times[-1])  # the entry held
+        assert len(calls) == 20
+        leaf._scalars(grid, times[0])   # dropped when the next t filled
+        assert len(calls) == 21
+
+
+class TestExactZeros:
+    """An all-zero mesh is held as a 0-d zero, and a product, scaling or sum
+    over a vanishing part vanishes and is not applied."""
+
+    def test_all_zero_mesh_is_cached_as_0d(self, grid, rng, fft_count):
+        psi = random_field(grid, rng)
+        leaf = MomentumDiag([(lambda g, t: np.zeros(g.shape), ALPHA[0]),
+                             (lambda g, t: 0.0 * g.k[0], SIGMA[1])])
+        assert all(a.shape == () and a == 0 for a in leaf._scalars(grid, 0.0))
+        assert leaf._vanishes(grid, 0.0)
+        out = apply_expr(leaf, psi)
+        assert fft_count[0] == 0
+        assert out.space == POSITION and not out.values.any()
+
+    @pytest.mark.parametrize("build", [
+        lambda p, z: Scale(0.0, p),
+        lambda p, z: Mul(p, z),
+        lambda p, z: Mul(z, p),
+        lambda p, z: Add([Scale(2.0, Mul(z, p)), Scale(0.0, p)]),
+    ], ids=["scale-0", "mul-zero-right", "mul-zero-left", "sum-of-zeros"])
+    def test_vanishing_node_makes_no_transform(self, grid, rng, fft_count, build):
+        psi = random_field(grid, rng)
+        zero = PositionDiag([(lambda g, t: np.zeros(g.shape), BETA)])
+        expr = build(momentum_component(0), zero)
+        assert expr._vanishes(grid, 0.0)
+        fft_count[0] = 0
+        out = apply_expr(expr, psi)
+        assert fft_count[0] == 0
+        assert out.space == POSITION and not out.values.any()
+        assert expectation(expr, psi) == 0
+        assert fft_count[0] == 0
+
+    def test_mesh_with_a_zero_entry_is_kept(self, grid):
+        # r_x passes through 0 at the box centre
+        leaf = position_component(0)
+        (cached,) = leaf._scalars(grid, 0.0)
+        assert cached is grid.r[0]
+        assert not leaf._vanishes(grid, 0.0)
+
 
 def _comm(a, b):
     return a @ b - b @ a

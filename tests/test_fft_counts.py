@@ -66,11 +66,39 @@ def test_dirac_em_apply_momentum_state(params, fft_count):
     assert fft_count[0] == 2
 
 
+# Under _MODEL's constant envelope, E, dE/dt, dB/dt and d2B/dt2 vanish, and
+# A_z = (b0 x r)_z / 2 is an all-zero mesh: every term built on them is
+# skipped.  Under _PULSED at t = 0.7 only A_z and E_z, dE/dt_z vanish.  B,
+# dB/dt and d2B/dt2 are constant leaves, which act in the state's own space,
+# and each sum accumulates in the space of its first live child.  From a
+# momentum state a kinetic component (p - eA)_i costs 2 (its A_i to position
+# and the result back) for i = x, y and 0 for i = z, so (p - eA)^2 costs 8;
+# from a position state it costs 9 (p_z adds one), and returns in momentum.
 @pytest.mark.parametrize("family, model, space, count", [
-    ("fw-direct", _MODEL, "position", 33), ("fw-direct", _MODEL, "momentum", 32),
-    ("fw-direct", _PULSED, "position", 34), ("fw-direct", _PULSED, "momentum", 32),
-    ("fw-full", _MODEL, "position", 125), ("fw-full", _MODEL, "momentum", 134),
-    ("fw-full", _PULSED, "position", 125), ("fw-full", _PULSED, "momentum", 134),
+    # kinetic 8, zeeman 0
+    ("fw-direct", _MODEL, "momentum", 8),
+    # kinetic 9, zeeman's position result into the momentum sum 1, back 1
+    ("fw-direct", _MODEL, "position", 11),
+    # the above 8 plus field-derivative-soc 10: E x (p - eA) without its E_z
+    # pairs, E_y p_z and E_x p_z 1 each, E_x (p - eA)_y and E_y (p - eA)_x 3
+    # each, the dB/dt piece's momentum result into that position sum 1, and
+    # the soc result into the total 1
+    ("fw-direct", _PULSED, "momentum", 18),
+    # kinetic 9, zeeman 1, soc 2 + 2 + 3 + 3 (+1 into the total), nutation 1,
+    # back 1
+    ("fw-direct", _PULSED, "position", 23),
+    # kinetic 8, mass-correction (sq sq) 16, kinetic-zeeman-cross 16
+    ("fw-full", _MODEL, "momentum", 40),
+    # kinetic 9, zeeman 1, mass-correction 9 + 8, kinetic-zeeman-cross
+    # 9 + 9, b-squared 1, back 1
+    ("fw-full", _MODEL, "position", 47),
+    # the above 40 plus spin-orbit and de-dt 19 each: (p - eA) x X without
+    # its X_z pairs 2 + 2 + 3 + 3, X x (p - eA) 8 as in fw-direct, and that
+    # position sum into the momentum one 1
+    ("fw-full", _PULSED, "momentum", 78),
+    # the above 46 plus spin-orbit and de-dt 17 each (1 + 1 + 2 + 2, 10, 1),
+    # back 1
+    ("fw-full", _PULSED, "position", 81),
 ], ids=lambda v: v.envelope.shape if isinstance(v, UniformB) else str(v))
 def test_fw_apply(params, fft_count, family, model, space, count):
     grid = GridSpec(3, 16, 24.0)
@@ -78,11 +106,6 @@ def test_fw_apply(params, fft_count, family, model, space, count):
     ham = build_hamiltonian(family, model, params, grid)
     fft_count[0] = 0
     apply_expr(ham.total, psi, 0.7)
-    # B, dB/dt and d2B/dt2 are constant leaves that act in the state's own
-    # space.  The sum of the terms accumulates in momentum space, and it
-    # skips each exactly-zero term instead of transforming that term's
-    # position result into it: the darwin term (div E = 0) in fw-full and,
-    # under the constant envelope only, the nutation term in fw-direct.
     assert fft_count[0] == count
 
 
@@ -128,6 +151,28 @@ def test_pryce_dirac_em_verify_position_states(params, battery_3d, fft_count):
         pairs += [(a.term_norms[n], b.term_norms[n]) for n in b.term_norms]
         for x, y in pairs:
             assert abs(x - y) <= 1e-12 * abs(y)
+
+
+@pytest.mark.parametrize("kind, family, count", [
+    # per state H psi 8 and, per axis, H (S psi) 8: under the constant
+    # envelope only the zeeman terms are printed non-zero, and they are
+    # momentum-diagonal, so 8 + 3 * 8 = 32
+    (SpinKind.PRYCE, "fw-direct", 64),
+    # as above, plus 3 per axis for kinetic-coupling's B.(r x p): B_z is the
+    # only live component, so r_x p_y and r_y p_x go to position (1 each)
+    # and their sum joins p^2 in momentum (1); 8 + 3 * (8 + 3) = 41
+    (SpinKind.FW, "fw-direct", 82),
+    # per state H psi 2, then per axis H (S psi) 2, alpha-r-gradient 2,
+    # alpha-b-gradient 4 and the three cross terms with (p - eA), which cost
+    # 2 on the x and y axes (one live A_i) and 4 on z (A_x and A_y):
+    # 2 + 2 * (2 + 3 * 2 + 6) + (2 + 3 * 4 + 6) = 50
+    (SpinKind.FW, "dirac-em", 100),
+])
+def test_verify(params, battery_3d, fft_count, kind, family, count):
+    ham = build_hamiltonian(family, _MODEL, params, battery_3d[0].grid)
+    fft_count[0] = 0
+    verify(kind, ham, battery_3d)
+    assert fft_count[0] == count
 
 
 @pytest.mark.parametrize("space, count", [("momentum", 0), ("position", 1)])

@@ -136,14 +136,12 @@ class TestKrylov:
         assert (a - b).norm() <= 1e-8
 
     def test_hermitian_norm_drift(self, params):
-        # static-field direct Hamiltonian: Lanczos preserves the norm.  With
-        # B along the 1D axis the symmetric-gauge A vanishes on the grid, and
-        # the static printed form is exactly Hermitian.
-        class AxialUniformB(UniformB):
-            has_vector_potential = False
-
+        # static-field direct Hamiltonian: the symmetrized Arnoldi step
+        # preserves the norm.  With B along the 1D axis the symmetric-gauge A
+        # is an all-zero mesh, which vanishes, and the static printed form is
+        # exactly Hermitian.
         g = GridSpec(1, 128, 128.0)
-        model = AxialUniformB(np.array([0.2, 0.0, 0.0]))
+        model = UniformB(np.array([0.2, 0.0, 0.0]))
         # soc and nutation terms are identically zero for a static field
         ham = build_fw_direct(model, params, g).subset(["kinetic", "zeeman"])
         ham.assume_hermitian = True

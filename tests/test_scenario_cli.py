@@ -3,8 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from relspin import grid as grid_module
 from relspin.cli import main
+from relspin.dynamics import build_hamiltonian
 from relspin.errors import ConfigError
+from relspin.expr import apply_expr
+from relspin.fields import UniformB
+from relspin.grid import GridSpec, SpinorField, set_fft_workers
+from relspin.operators import PhysParams
 from relspin.scenario import SCHEMA_ID, parse_scenario
 
 
@@ -84,6 +90,22 @@ class TestParsing:
         assert code == 2
         assert path in capsys.readouterr().err
         assert not (tmp_path / "traj.csv").exists()
+
+    @pytest.mark.parametrize("hamiltonian", [
+        {"family": "free", "terms": ["bogus"]},
+        {"family": "dirac-em", "terms": ["mass"]},
+        {"family": "fw-direct", "terms": []},
+        {"family": "fw-full", "terms": []},
+        {"family": "fw-direct", "terms": ["kinetic", "darwin"]},
+        {"family": "fw-full", "terms": ["nutation"]},
+    ], ids=["free", "dirac-em", "empty-fw-direct", "empty-fw-full",
+            "fw-full-term-on-fw-direct", "fw-direct-term-on-fw-full"])
+    def test_terms_refused_where_they_would_be_ignored(self, hamiltonian):
+        # free and dirac-em have no selectable terms, and an empty list or an
+        # unknown name selects nothing; each once ran the full Hamiltonian
+        # or failed later
+        with pytest.raises(ConfigError, match="hamiltonian.terms"):
+            parse_scenario(base_scenario(hamiltonian=hamiltonian))
 
     def test_si_units_rescale(self):
         doc = base_scenario(units="si")
@@ -313,6 +335,29 @@ class TestUsage:
 
     def test_version_flag(self):
         assert main(["--version"]) == 0
+
+    def test_threads_give_identical_bytes(self, tmp_path, monkeypatch):
+        # the FFT worker count splits the work, not the arithmetic
+        monkeypatch.setattr(grid_module, "_FFT_WORKERS", grid_module._FFT_WORKERS)
+        path = write_scenario(tmp_path, base_scenario())
+        csv = []
+        for n in (1, 2):
+            out = tmp_path / f"traj{n}.csv"
+            assert main(["--threads", str(n), "simulate", "--scenario", path,
+                         "--output", str(out)]) == 0
+            csv.append(out.read_bytes())
+        assert csv[0] == csv[1]
+        params = PhysParams()
+        grid = GridSpec(3, 16, 24.0)
+        rng = np.random.default_rng(5)
+        psi = SpinorField(grid, rng.normal(size=(4, *grid.shape))
+                          + 1j * rng.normal(size=(4, *grid.shape)))
+        ham = build_hamiltonian("dirac-em", UniformB([0.0, 0.0, 0.05]), params, grid)
+        applied = []
+        for n in (1, 2):
+            set_fft_workers(n)
+            applied.append(apply_expr(ham.total, psi).values)
+        assert np.array_equal(applied[0], applied[1])
 
     def test_threads_knob(self):
         assert main(["--threads", "2", "check-operators", "--samples", "5"]) == 0
