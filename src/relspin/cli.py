@@ -48,6 +48,24 @@ def _sample_momenta(n, pmax, params, seed):
     return mags[:, None] * dirs
 
 
+#: momenta per ``condition_checks`` call, so that the peak memory of
+#: check-operators does not grow with --samples
+_CHUNK = 1000
+
+
+def _worst_residuals(kind, p, params):
+    """The largest value of each check's residual over the momenta p."""
+    rep = condition_checks(kind, p, params)
+    worst = {"su2": rep.su2_residual, "spectrum": rep.spectrum_residual,
+             "free": rep.free_commutation_residual, "dirac_mismatch": 0.0}
+    if kind is SpinKind.DIRAC:
+        # ||(1/i)[S_D,i, H_free]||_F = ||c (alpha x p)_i||_F = 2c sqrt(p_j^2 + p_k^2)
+        sq = p**2
+        analytic = 2 * params.c * np.sqrt(sq[:, [1, 0, 0]] + sq[:, [2, 2, 1]])
+        worst["dirac_mismatch"] = np.abs(rep.free_commutation_components - analytic)
+    return {k: np.max(v) for k, v in worst.items()}
+
+
 def cmd_check_operators(args):
     params = PhysParams(m0=args.m0, c=args.c, e=args.e)
     if args.samples < 1:
@@ -58,22 +76,16 @@ def cmd_check_operators(args):
               f"got {args.pmax}", file=sys.stderr)
         return EXIT_USAGE
     momenta = _sample_momenta(args.samples, args.pmax, params, args.seed)
-    # ||(1/i)[S_D,i, H_free]||_F = ||c (alpha x p)_i||_F = 2c sqrt(p_j^2 + p_k^2)
-    sq = momenta**2
-    dirac_analytic = 2 * params.c * np.sqrt(sq[:, [1, 0, 0]] + sq[:, [2, 2, 1]])
+    chunks = [momenta[i:i + _CHUNK] for i in range(0, len(momenta), _CHUNK)]
 
     summary = {}
     for kind in (SpinKind.FW, SpinKind.PRYCE, SpinKind.DIRAC):
-        rep = condition_checks(kind, momenta, params)
-        worst = {"su2": rep.su2_residual, "spectrum": rep.spectrum_residual,
-                 "free": rep.free_commutation_residual, "dirac_mismatch": 0.0}
+        per_chunk = [_worst_residuals(kind, p, params) for p in chunks]
+        # np.max propagates NaN, and a non-finite worst value fails the kind
+        worst = {k: float(np.max([w[k] for w in per_chunk])) for k in per_chunk[0]}
         tol = dict.fromkeys(("su2", "spectrum", "free"), _CONDITION_TOL)
         if kind is SpinKind.DIRAC:  # gated on matching the analytic violation
-            worst["dirac_mismatch"] = np.abs(rep.free_commutation_components
-                                             - dirac_analytic)
             tol["free"], tol["dirac_mismatch"] = np.inf, _DIRAC_ANALYTIC_TOL
-        # np.max propagates NaN, and a non-finite worst value fails the kind
-        worst = {k: float(np.max(v)) for k, v in worst.items()}
         summary[kind.value] = {"residuals": worst, "pass": all(
             np.isfinite(v) and v <= tol.get(k, np.inf) for k, v in worst.items())}
 

@@ -31,9 +31,9 @@ from .expr import (Add, ConstMatrix, MomentumDiag, Mul, PositionDiag, Scale,
                    _one, apply_expr, block_parity)
 from .fields import FieldModel
 from .grid import GridSpec, gaussian_packet, positive_energy_part, suppress_zero_mode
-from .hamiltonians import (NamedHamiltonian, build_dirac_em, build_free_dirac,
-                           build_fw_direct, build_fw_full, field_dot,
-                           kinetic_momentum, momentum_component, position_component)
+from .hamiltonians import (NamedHamiltonian, _kinetic_triple, build_dirac_em,
+                           build_free_dirac, build_fw_direct, build_fw_full, field_dot,
+                           momentum_component, position_component)
 from .operators import (ALPHA, BETA, SIGMA, PhysParams, SpinKind, energy_k2,
                         position_terms, spin_terms)
 
@@ -95,7 +95,8 @@ def _field_vec_triple(mesh_fn, name):
     """Triple of position-diagonal scalar factors for a model mesh vector;
     constant leaves for a uniform vector."""
     return [PositionDiag([(lambda g, t, j=j: np.asarray(mesh_fn(g.r, t)[j]), ID4)],
-                         name=f"{name}_{_AXES[j]}", time_dependent=True)
+                         name=f"{name}_{_AXES[j]}",
+                         time_dependent=mesh_fn.__self__.time_dependent)
             for j in range(3)]
 
 
@@ -109,7 +110,7 @@ def _field_dot_p(mesh_fn, name):
     """X.p for a uniform model vector X, momentum-diagonal."""
     return MomentumDiag(
         [(lambda g, t, j=j: mesh_fn(g.r, t)[j] * g.k[j], ID4)
-         for j in range(3)], name=name, time_dependent=True)
+         for j in range(3)], name=name, time_dependent=mesh_fn.__self__.time_dependent)
 
 
 def _dot(a, b):
@@ -181,10 +182,6 @@ def _require_uniform_gauge(model):
     if model.has_scalar_potential:
         raise PreconditionError(
             "the printed dynamics equations assume a vanishing scalar potential")
-
-
-def _kinetic_triple(model, params):
-    return [kinetic_momentum(model, params, i) for i in range(3)]
 
 
 def rhs(kind: SpinKind, family: str, model: FieldModel, params: PhysParams):

@@ -18,19 +18,23 @@ take one product per nonzero.
 
 A leaf caches its scalar arrays for one (grid, t) at a time, since every
 caller finishes with one t before the next, in the dtype their producer
-returns (a real mesh such as k^2 is held once, not as a complex copy).  An
-all-zero array is held as a 0-d zero.  A leaf whose scalars all have size 1
-is a constant: the same operator in both spaces, which acts in the state's
-own space without a transform.  Uniform fields, axes a 1D grid does not
-carry and switched-off envelopes all give constant leaves, and
-:func:`ConstMatrix` is one too.
+returns (a real mesh such as k^2 is held once, not as a complex copy).  A
+leaf built ``time_dependent=False`` keys its cache on the grid alone, so it
+fills once per grid.  An all-zero array is held as a 0-d zero.  A leaf whose
+scalars all have size 1 is a constant: the same operator in both spaces,
+which acts in the state's own space without a transform.  Uniform fields,
+axes a 1D grid does not carry and switched-off envelopes all give constant
+leaves, and :func:`ConstMatrix` is one too.
 
-Exact zeros are decided here once.  A leaf vanishes when every pair has a
-zero scalar or an all-zero matrix, a Scale when its factor is 0 or its child
-vanishes, a Mul when either factor does and an Add when all its children do.
-A vanishing subtree is never applied: an Add skips it (adding its result
-into an accumulator held in the other space would cost a transform) and
-``apply_expr`` returns zeros for it.
+Exact zeros are decided here once.  When a leaf's cache fills, it also
+records its live terms (the pairs with a nonzero matrix and a scalar that is
+not a 0-d zero) and whether it is a constant; its ``_vanishes`` and
+``_apply`` read those records until the next fill, so an apply loops over
+the live terms only.  A leaf vanishes when no term is live, a Scale when its
+factor is 0 or its child vanishes, a Mul when either factor does and an Add
+when all its children do.  A vanishing subtree is never applied: an Add
+skips it (adding its result into an accumulator held in the other space
+would cost a transform) and ``apply_expr`` returns zeros for it.
 
 Mul(a, b) applies b first (left factor last), matching left-to-right operator
 products as written in equations.
@@ -106,27 +110,34 @@ class _DiagLeaf(OperatorExpr):
         self.name = name
         self.time_dependent = bool(time_dependent)
         self.singular_origin = bool(singular_origin)
-        self._key = self._arrays = None
+        self._key = self._arrays = self._live = self._constant = None
+
+    def _fill(self, grid: GridSpec, t: float):
+        """The producers' scalar arrays, an all-zero mesh held as a 0-d zero
+        (so its term is known to vanish; a constant's fill does no reduction)."""
+        arrays = [np.asarray(fn(grid, t)) for fn, _ in self.terms]
+        return tuple(np.zeros(()) if a.size > 1 and not a.any() else a for a in arrays)
 
     def _scalars(self, grid: GridSpec, t: float):
         key = (grid, t if self.time_dependent else None)
         if self._key != key:
-            # an all-zero mesh is held as a 0-d zero, so its term is known to
-            # vanish; a constant's fill does no reduction
-            arrays = [np.asarray(fn(grid, t)) for fn, _ in self.terms]
-            self._arrays = tuple(np.zeros(()) if a.size > 1 and not a.any() else a for a in arrays)
+            self._arrays = self._fill(grid, t)
+            # the records every apply reads until the next fill
+            self._live = [(entries, a) for entries, a in zip(self._entries, self._arrays)
+                          if entries and not _is_zero(a)]
+            self._constant = all(a.size == 1 for a in self._arrays)
             self._key = key
         return self._arrays
 
     def _vanishes(self, grid, t):
-        return all(not entries or _is_zero(a)
-                   for entries, a in zip(self._entries, self._scalars(grid, t)))
+        self._scalars(grid, t)
+        return not self._live
 
     def _apply(self, field: SpinorField, t: float, guard: float) -> SpinorField:
         grid = field.grid
-        arrays = self._scalars(grid, t)
+        self._scalars(grid, t)
         # a constant leaf acts in the state's own space (see module docstring)
-        if any(a.size != 1 for a in arrays):
+        if not self._constant:
             field = field.in_space(self.space)
             if self.singular_origin:
                 self._guard(field, guard)
@@ -134,9 +145,7 @@ class _DiagLeaf(OperatorExpr):
         out = np.empty_like(psi)
         fresh = [True] * 4  # rows not yet written
         tmp = np.empty(grid.shape, dtype=complex)
-        for entries, arr in zip(self._entries, arrays):
-            if _is_zero(arr):
-                continue
+        for entries, arr in self._live:
             for a, b, m in entries:
                 if fresh[a]:
                     np.multiply(m * arr, psi[b], out=out[a])

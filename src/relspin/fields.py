@@ -8,6 +8,12 @@ stencil check that B = curl A and E = -dA/dt - grad phi actually hold for
 whatever a model returns.  Operators read only the vectorized ``*_mesh``
 methods; the point evaluation ``sample`` is the test reference.
 
+A model's read-only ``time_dependent`` says whether its meshes can change
+with t.  It is derived from the model, never set: False for ``ZeroField``
+and for ``UniformB``/``UniformE`` under a constant envelope, True otherwise.
+The operator builders pass it to every leaf they build on a model mesh, so
+the leaves of a static field fill once per grid instead of at every t.
+
 Models
 ------
 Zero            everything vanishes.
@@ -121,6 +127,12 @@ class FieldModel:
     #: phi is identically zero
     has_scalar_potential = False
 
+    @property
+    def time_dependent(self) -> bool:
+        """Whether the meshes can change with t (True unless a model knows
+        better)."""
+        return True
+
     def sample(self, r, t: float) -> FieldSample:
         raise NotImplementedError
 
@@ -158,6 +170,10 @@ def _zeros3():
 
 @dataclass
 class ZeroField(FieldModel):
+    @property
+    def time_dependent(self):
+        return False
+
     def sample(self, r, t):
         return FieldSample(_zeros3(), 0.0, _zeros3(), _zeros3(),
                            _zeros3(), _zeros3(), _zeros3(), 0.0)
@@ -183,6 +199,10 @@ class UniformB(FieldModel):
 
     def __post_init__(self):
         self.b0 = np.asarray(self.b0, dtype=float)
+
+    @property
+    def time_dependent(self):
+        return self.envelope.shape != "constant"
 
     def sample(self, r, t):
         r = np.asarray(r, dtype=float)
@@ -231,6 +251,10 @@ class UniformE(FieldModel):
 
     def __post_init__(self):
         self.e0 = np.asarray(self.e0, dtype=float)
+
+    @property
+    def time_dependent(self):
+        return self.envelope.shape != "constant"
 
     def sample(self, r, t):
         r = np.asarray(r, dtype=float)

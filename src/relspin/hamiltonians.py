@@ -110,24 +110,25 @@ def position_component(i: int) -> PositionDiag:
 def kinetic_momentum(model: FieldModel, params: PhysParams, i: int) -> OperatorExpr:
     """(p - eA)_i; a vanishing A_i is skipped when the sum is applied."""
     a_i = PositionDiag([(lambda g, t: model.a_mesh(g.r, t)[i], ID4)],
-                       name=f"A_{'xyz'[i]}", time_dependent=True)
+                       name=f"A_{'xyz'[i]}", time_dependent=model.time_dependent)
     return Add([momentum_component(i), Scale(-params.e, a_i)])
 
 
-def _mesh_vec_leaf(producer_list_fn, i, matrix=None, name=None):
-    """Position leaf for component i of a model mesh vector (e.g. E, B)."""
-    m = ID4 if matrix is None else matrix
-    return PositionDiag([(lambda g, t, i=i: producer_list_fn(g.r, t)[i], m)],
-                        name=name, time_dependent=True)
+def _mesh_vec_leaf(mesh_fn, i, matrix):
+    """matrix X_i, a position leaf for component i of a model mesh vector X."""
+    return PositionDiag([(lambda g, t, i=i: mesh_fn(g.r, t)[i], matrix)],
+                        time_dependent=mesh_fn.__self__.time_dependent)
 
 
 def field_dot(mesh_fn, mats, prefactor=1.0, name=None) -> PositionDiag:
     """sum_j prefactor X_j mats[j] for a model mesh vector X such as B or
-    dB/dt; a constant leaf when X is uniform."""
+    dB/dt; a constant leaf when X is uniform.  ``mesh_fn`` is a bound
+    ``*_mesh`` method, and the leaf refills at every t only when its model
+    is time-dependent."""
     return PositionDiag(
         [(lambda g, t, j=j: prefactor * np.asarray(mesh_fn(g.r, t)[j]), mats[j])
          for j in range(3)],
-        name=name, time_dependent=True)
+        name=name, time_dependent=mesh_fn.__self__.time_dependent)
 
 
 def _sigma_dot(mesh_fn, prefactor, beta_weighted: bool):
@@ -136,13 +137,18 @@ def _sigma_dot(mesh_fn, prefactor, beta_weighted: bool):
                      prefactor)
 
 
-def _kinetic_squared(model, params):
+def _kinetic_triple(model, params):
+    """The three (p - eA)_i, built once per Hamiltonian and shared by every
+    term, so each A_i leaf fills once per t."""
+    return [kinetic_momentum(model, params, i) for i in range(3)]
+
+
+def _kinetic_squared(pi):
     """(p - eA)^2 = sum_i (p - eA)_i (p - eA)_i."""
-    comps = [kinetic_momentum(model, params, i) for i in range(3)]
-    return Add([Mul(c, c) for c in comps])
+    return Add([Mul(c, c) for c in pi])
 
 
-def _cross_dot_sigma(model, params, vec_mesh, reverse: bool = False):
+def _cross_dot_sigma(pi, vec_mesh, reverse: bool = False):
     """Sigma.[X x (p-eA)] (reverse=False) or Sigma.[(p-eA) x X] (reverse=True)
     for a model mesh vector X, with products ordered exactly as written
     (the right factor acts first)."""
@@ -150,11 +156,9 @@ def _cross_dot_sigma(model, params, vec_mesh, reverse: bool = False):
     for i in range(3):
         for j, k, e in levi_civita_pairs(i):
             if reverse:
-                left = kinetic_momentum(model, params, j)
-                right = _mesh_vec_leaf(vec_mesh, k, matrix=e * SIGMA[i])
+                left, right = pi[j], _mesh_vec_leaf(vec_mesh, k, e * SIGMA[i])
             else:
-                left = _mesh_vec_leaf(vec_mesh, j, matrix=e * SIGMA[i])
-                right = kinetic_momentum(model, params, k)
+                left, right = _mesh_vec_leaf(vec_mesh, j, e * SIGMA[i]), pi[k]
             out.append(Mul(left, right))
     return Add(out)
 
@@ -187,10 +191,10 @@ def build_dirac_em(model: FieldModel, params: PhysParams,
     gauge = PositionDiag(
         [(lambda g, t, i=i: model.a_mesh(g.r, t)[i], -params.e * params.c * ALPHA[i])
          for i in range(3)],
-        name="gauge-coupling", time_dependent=True)
+        name="gauge-coupling", time_dependent=model.time_dependent)
     mass = ConstMatrix(params.rest_energy * BETA, name="mass")
     scalar = PositionDiag([(lambda g, t: model.phi_mesh(g.r, t), params.e * ID4)],
-                          name="scalar", time_dependent=True)
+                          name="scalar", time_dependent=model.time_dependent)
     terms = [("kinetic-free", kin), ("gauge-coupling", gauge),
              ("mass", mass), ("scalar", scalar)]
     return NamedHamiltonian("dirac-em", terms, params, model, grid)
@@ -201,7 +205,8 @@ def build_fw_full(model: FieldModel, params: PhysParams, grid: GridSpec,
     """The expanded even Hamiltonian; ``term_mask`` selects a subset of
     FW_FULL_TERMS (default: everything except ``rest-mass``)."""
     m0, c, e = params.m0, params.c, params.e
-    sq = _kinetic_squared(model, params)
+    pi = _kinetic_triple(model, params)
+    sq = _kinetic_squared(pi)
     beta_c = ConstMatrix(BETA, name="beta")
 
     terms = {}
@@ -217,21 +222,21 @@ def build_fw_full(model: FieldModel, params: PhysParams, grid: GridSpec,
     terms["b-squared"] = PositionDiag(
         [(lambda g, t: -e**2 / (8 * m0**3 * c**2)
           * sum(np.asarray(b) ** 2 for b in model.b_mesh(g.r, t)), BETA)],
-        name="b-squared", time_dependent=True)
+        name="b-squared", time_dependent=model.time_dependent)
 
     terms["darwin"] = PositionDiag(
         [(lambda g, t: -e / (8 * m0**2 * c**2) * np.asarray(model.dive_mesh(g.r, t)),
-          ID4)], name="darwin", time_dependent=True)
+          ID4)], name="darwin", time_dependent=model.time_dependent)
 
     so = Add([
-        _cross_dot_sigma(model, params, model.e_mesh, reverse=True),
-        Scale(-1.0, _cross_dot_sigma(model, params, model.e_mesh, reverse=False)),
+        _cross_dot_sigma(pi, model.e_mesh, reverse=True),
+        Scale(-1.0, _cross_dot_sigma(pi, model.e_mesh, reverse=False)),
     ])
     terms["spin-orbit"] = Scale(e / (8 * m0**2 * c**2), so)
 
     dedt = Add([
-        _cross_dot_sigma(model, params, model.dedt_mesh, reverse=True),
-        _cross_dot_sigma(model, params, model.dedt_mesh, reverse=False),
+        _cross_dot_sigma(pi, model.dedt_mesh, reverse=True),
+        _cross_dot_sigma(pi, model.dedt_mesh, reverse=False),
     ])
     terms["de-dt"] = Scale(-1j * e / (16 * m0**3 * c**4), Mul(beta_c, dedt))
 
@@ -260,12 +265,13 @@ def build_fw_direct(model: FieldModel, params: PhysParams, grid: GridSpec,
     """
     m0, c, e = params.m0, params.c, params.e
     beta_c = ConstMatrix(BETA, name="beta")
-    sq = _kinetic_squared(model, params)
+    pi = _kinetic_triple(model, params)
+    sq = _kinetic_squared(pi)
 
     kinetic = Scale(1.0 / (2 * m0), Mul(beta_c, sq))
     zeeman = _sigma_dot(model.b_mesh, -e / (2 * m0), True)
 
-    exp_cross = _cross_dot_sigma(model, params, model.e_mesh, reverse=False)
+    exp_cross = _cross_dot_sigma(pi, model.e_mesh, reverse=False)
     dbdt_piece = _sigma_dot(model.dbdt_mesh, 1.0, False)
     soc = Scale(-e / (8 * m0**2 * c**2),
                 Add([Scale(2.0, exp_cross), Scale(-1j, dbdt_piece)]))

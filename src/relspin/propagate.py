@@ -11,7 +11,8 @@ Two propagators:
 * ``krylov_step`` -- Arnoldi projection of exp(-i H dt) for Hamiltonians
   that mix position and momentum factors and admit no exact split.
   Time-dependent coefficients are sampled at the midpoint, keeping second
-  order.
+  order.  The basis is kept as the rows of one array that grows as rows are
+  needed, and the step is one product of the projected solution with it.
 
 Trajectories record the three spin expectations, norm, energy, <r>, <p> and a
 boundary-flux diagnostic at a configurable stride; the run aborts when flux
@@ -99,15 +100,23 @@ def strang_step_dirac(field: SpinorField, model: FieldModel, params: PhysParams,
     return out
 
 
+def _norm(v):
+    return np.sqrt(np.vdot(v, v).real)
+
+
 def krylov_step(hamiltonian: NamedHamiltonian, field: SpinorField, t: float,
                 dt: float, m: int = 40, tol: float = 1e-10) -> SpinorField:
     """Approximate exp(-i H(t + dt/2) dt) psi in an m-dimensional Krylov space.
 
     Builds the basis by the Arnoldi recursion; for a trusted-Hermitian
     Hamiltonian the projected matrix is symmetrized, so the step is exactly
-    unitary.  Raises :class:`KrylovConvergenceError` with a suggested
-    smaller step when the subspace cap is hit before the residual estimate
-    reaches ``tol``.
+    unitary.  The basis vectors are the rows of one array, as in Expokit
+    (Sidje, ACM TOMS 24, 1998).  It doubles its rows when full, so a step
+    that converges early never holds the m rows a capped one may need, and
+    the result is one product of the projected solution with those rows.
+    Raises :class:`KrylovConvergenceError` with a suggested smaller step
+    when the subspace cap is hit before the residual estimate reaches
+    ``tol``.
     """
     if m < 8:
         raise PreconditionError("krylov subspace must allow m >= 8")
@@ -120,10 +129,11 @@ def krylov_step(hamiltonian: NamedHamiltonian, field: SpinorField, t: float,
         return apply_expr(hamiltonian.total, f, tm).values.ravel()
 
     v0 = field.values.ravel()
-    beta0 = np.linalg.norm(v0)
+    beta0 = _norm(v0)
     if beta0 == 0:
         return field.copy()
-    basis = [v0 / beta0]
+    basis = np.empty((1, v0.size), dtype=complex)
+    np.divide(v0, beta0, out=basis[0])
     hess = np.zeros((m + 1, m), dtype=complex)
 
     y = None
@@ -131,9 +141,9 @@ def krylov_step(hamiltonian: NamedHamiltonian, field: SpinorField, t: float,
     for j in range(m):
         w = matvec(basis[j])
         for i in range(j + 1):
-            hess[i, j] = np.vdot(basis[i], w)
-            w = w - hess[i, j] * basis[i]
-        nrm = np.linalg.norm(w)
+            h = hess[i, j] = np.vdot(basis[i], w)
+            w -= h * basis[i]
+        nrm = _norm(w)
         hess[j + 1, j] = nrm
         used = j + 1
         happy = nrm <= 1e-14 * beta0
@@ -152,9 +162,13 @@ def krylov_step(hamiltonian: NamedHamiltonian, field: SpinorField, t: float,
                 f"Krylov propagation did not reach tol={tol:.1e} with m={m} "
                 f"(estimate {est:.3e}); retry with a smaller step",
                 suggested_dt=dt / 2.0)
-        basis.append(w / nrm)
+        if used == len(basis):
+            grown = np.empty((min(2 * used, m), v0.size), dtype=complex)
+            grown[:used] = basis
+            basis = grown
+        np.divide(w, nrm, out=basis[used])
 
-    out = beta0 * (np.stack(basis[:used], axis=1) @ y)
+    out = beta0 * (y @ basis[:used])
     result = SpinorField(grid, out.reshape(4, *grid.shape), space)
     if not np.all(np.isfinite(result.values)):
         raise FloatingPointError("Krylov step produced non-finite values")

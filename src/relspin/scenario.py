@@ -131,16 +131,21 @@ class Scenario:
 
     def make_hamiltonian(self, family=None, model=None,
                          grid=None) -> NamedHamiltonian:
+        """The scenario's own Hamiltonian, restricted to its ``terms``, when
+        no family is given (what ``simulate`` and ``sweep`` propagate); the
+        named family's full Hamiltonian otherwise (a verification check or
+        a refinement rung)."""
+        mask = self.term_mask if family is None else None
         family = family or self.family
         kwargs = {}
         if family == "fw-full":
-            kwargs = {"term_mask": self.term_mask, "hermitize": self.hermitize}
+            kwargs = {"term_mask": mask, "hermitize": self.hermitize}
         elif family == "fw-direct":
             kwargs = {"hermitize": self.hermitize}
         ham = build_hamiltonian(family, model or self.model, self.params,
                                 grid or self.grid, **kwargs)
-        if family == "fw-direct" and self.term_mask:
-            ham = ham.subset(self.term_mask)
+        if family == "fw-direct" and mask:
+            ham = ham.subset(mask)
         return ham
 
     def make_state(self) -> SpinorField:

@@ -52,3 +52,31 @@ def fft_count(monkeypatch):
     monkeypatch.setattr(scipy.fft, "fftn", counted(scipy.fft.fftn))
     monkeypatch.setattr(scipy.fft, "ifftn", counted(scipy.fft.ifftn))
     return count
+
+
+@pytest.fixture
+def mesh_count(monkeypatch):
+    """Counts the calls of every ``*_mesh`` method of the FieldModel classes,
+    by method name; read ``mesh_count["b_mesh"]``.  A leaf built on a mesh
+    method keeps the method it was given, so build after the fixture is set."""
+    from collections import Counter
+
+    from relspin.fields import FieldModel
+    count = Counter()
+
+    def classes(cls):
+        yield cls
+        for sub in cls.__subclasses__():
+            yield from classes(sub)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            count[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for cls in classes(FieldModel):
+        for name, fn in list(vars(cls).items()):
+            if name.endswith("_mesh") and callable(fn):
+                monkeypatch.setattr(cls, name, counted(name, fn))
+    return count

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import relspin.expr
 from relspin.algebra import ID4, commutator, levi_civita
 from relspin.errors import PreconditionError
 from relspin.expr import (ConstMatrix, MomentumDiag, Mul, OperatorExpr, Scale,
@@ -404,9 +405,10 @@ def _expr_classes(cls=OperatorExpr):
 
 class TestZeroSkipEquivalence:
     """Skipping the subtrees known to vanish changes no result: with every
-    ``_vanishes`` patched to False, and the leaves' scalars taken from their
-    producers unfolded, each subtree is applied, and the Hamiltonians and
-    printed right-hand sides agree with the default apply."""
+    ``_vanishes`` patched to False, the leaves filled from their producers
+    unfolded and every term recorded live at the fill, each subtree and each
+    term is applied, and the Hamiltonians and printed right-hand sides agree
+    with the default apply."""
 
     MODELS = {
         "constant": UniformB([0.0, 0.0, 0.05]),
@@ -425,21 +427,27 @@ class TestZeroSkipEquivalence:
         vals = rng.normal(size=(4, *grid.shape)) + 1j * rng.normal(size=(4, *grid.shape))
         psi = SpinorField(grid, vals).normalized().in_space(space)
         field = self.MODELS[model]
-        exprs = [build_hamiltonian(f, field, params, grid).total
-                 for f in ("dirac-em", "fw-direct", "fw-full")]
-        if field.uniform_b:  # the printed equations assume a uniform B
-            for kind in (SpinKind.FW, SpinKind.PRYCE):
-                for family in ("dirac-em", "fw-direct"):
-                    terms, _ = rhs(kind, family, field, params)
-                    exprs += [comp for _, triple in terms for comp in triple]
+
+        def build():
+            exprs = [build_hamiltonian(f, field, params, grid).total
+                     for f in ("dirac-em", "fw-direct", "fw-full")]
+            if field.uniform_b:  # the printed equations assume a uniform B
+                for kind in (SpinKind.FW, SpinKind.PRYCE):
+                    for family in ("dirac-em", "fw-direct"):
+                        terms, _ = rhs(kind, family, field, params)
+                        exprs += [comp for _, triple in terms for comp in triple]
+            return exprs
+
         # a loose guard: the patched apply also reaches the singular leaves
         # of vanishing subtrees
-        want = [apply_expr(e, psi, 0.7, guard=1.0).values for e in exprs]
+        want = [apply_expr(e, psi, 0.7, guard=1.0).values for e in build()]
         for cls in list(_expr_classes()):
             if "_vanishes" in vars(cls):
                 monkeypatch.setattr(cls, "_vanishes", lambda self, grid, t: False)
-        monkeypatch.setattr(_DiagLeaf, "_scalars", lambda self, grid, t: tuple(
+        monkeypatch.setattr(_DiagLeaf, "_fill", lambda self, grid, t: tuple(
             np.asarray(fn(grid, t)) for fn, _ in self.terms))
-        for e, w in zip(exprs, want):
+        monkeypatch.setattr(relspin.expr, "_is_zero", lambda arr: False)
+        # fresh trees, whose leaves fill under the patches
+        for e, w in zip(build(), want):
             got = apply_expr(e, psi, 0.7, guard=1.0).values
             assert np.max(np.abs(got - w)) <= 1e-13 * max(np.max(np.abs(w)), 1e-300)

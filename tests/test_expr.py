@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import relspin.expr
 from relspin.algebra import ID4
 from relspin.errors import SingularMomentumError
 from relspin.errors import PreconditionError
@@ -212,6 +213,32 @@ class TestScalarCache:
         assert len(calls) == 20
         leaf._scalars(grid, times[0])   # dropped when the next t filled
         assert len(calls) == 21
+
+    def test_zeros_are_decided_at_the_fill(self, grid, rng, monkeypatch):
+        # a leaf with a live mesh, an all-zero mesh, a zero constant and an
+        # all-zero matrix: the fill decides once which terms are live, and
+        # neither _vanishes nor an apply tests a scalar for zero again
+        psi = random_field(grid, rng)
+        want = apply_expr(PositionDiag([(lambda g, t: g.r[0], ALPHA[0])]), psi)
+        calls = [0]
+        is_zero = relspin.expr._is_zero
+
+        def counted(arr):
+            calls[0] += 1
+            return is_zero(arr)
+
+        monkeypatch.setattr(relspin.expr, "_is_zero", counted)
+        leaf = PositionDiag([(lambda g, t: g.r[0], ALPHA[0]),
+                             (lambda g, t: np.zeros(g.shape), SIGMA[1]),
+                             (lambda g, t: 0.0, BETA),
+                             (lambda g, t: g.r[0], np.zeros((4, 4)))])
+        for _ in range(3):
+            assert not leaf._vanishes(grid, 0.0)
+            got = apply_expr(leaf, psi)
+            assert np.array_equal(got.values, want.values)
+        assert [entries for entries, _ in leaf._live] == [leaf._entries[0]]
+        # the all-zero matrix term has no entries and is never tested
+        assert calls[0] == 3
 
 
 class TestExactZeros:

@@ -1,7 +1,9 @@
-"""Exact transform counts of fixed operations.
+"""Exact transform and field-mesh counts of fixed operations.
 
 Transforms dominate large-grid applies, so a change that adds one shows up
-here as a failure instead of only as a slower run.
+here as a failure instead of only as a slower run.  Field meshes are
+evaluated when a leaf's cache fills, so their counts show how often a leaf
+refills.
 """
 
 from pathlib import Path
@@ -12,7 +14,8 @@ import pytest
 from relspin.dynamics import build_hamiltonian, spin_expr, standard_battery, verify
 from relspin.expr import apply_expr, expectation
 from relspin.fields import Envelope, UniformB, ZeroField
-from relspin.grid import GridSpec, SpinorField
+from relspin.grid import GridSpec, SpinorField, gaussian_packet
+from relspin.hamiltonians import build_fw_direct
 from relspin.operators import SpinKind
 from relspin.propagate import _Observables, run, strang_step_dirac
 from relspin.scenario import load_scenario
@@ -216,3 +219,52 @@ def test_free_particle_run(fft_count):
     # the packet (2), the first step into momentum space (1), then one
     # transform per recorded row (101); the steps between rows need none
     assert fft_count[0] <= 110
+
+
+# A model-vector leaf calls its mesh once per term and fill: a field_dot
+# leaf (zeeman, Sigma.dB/dt, nutation) has three terms, an A_i, E_j or
+# dE/dt_j leaf one, and b-squared and darwin one each.  The three
+# (p - eA)_i are built once per Hamiltonian, so A fills three times however
+# many terms use them; fw-direct's E x (p - eA) has six E_j leaves, and
+# fw-full's spin-orbit and de-dt twelve E_j and twelve dE/dt_j leaves.
+@pytest.mark.parametrize("family, counts", [
+    ("dirac-em", {"a_mesh": 3, "phi_mesh": 1}),
+    ("fw-direct", {"a_mesh": 3, "b_mesh": 3, "e_mesh": 6, "dbdt_mesh": 3,
+                   "d2bdt2_mesh": 3}),
+    ("fw-full", {"a_mesh": 3, "b_mesh": 7, "e_mesh": 12, "dedt_mesh": 12,
+                 "dive_mesh": 1}),
+])
+@pytest.mark.parametrize("model", [_MODEL, _PULSED], ids=["constant", "gaussian"])
+def test_mesh_calls_per_apply(params, mesh_count, family, counts, model):
+    grid = GridSpec(3, 16, 24.0)
+    psi = _position_state(grid)
+    ham = build_hamiltonian(family, model, params, grid)
+    apply_expr(ham.total, psi, 0.7)
+    assert dict(mesh_count) == counts
+    mesh_count.clear()
+    apply_expr(ham.total, psi, 0.9)
+    # a static field's leaves fill once per grid; a pulsed one's once per t
+    assert dict(mesh_count) == ({} if model is _MODEL else counts)
+
+
+def _zeeman_run(params, model, steps, stride):
+    grid = GridSpec(1, 128, 128.0)
+    ham = build_fw_direct(model, params, grid).subset(["zeeman"])
+    psi = gaussian_packet(grid, 0.0, 8.0, 0.5, [1, 1, 0, 0], params=params,
+                          energy_projection=True)
+    return run(ham, psi, 0.05, steps, stride=stride)
+
+
+def test_static_krylov_run_fills_once(params, mesh_count):
+    # the zeeman leaf's three b_mesh calls, once for the whole run
+    traj = _zeeman_run(params, _MODEL, 600, 100)
+    assert len(traj.rows) == 7
+    assert dict(mesh_count) == {"b_mesh": 3}
+
+
+def test_pulsed_krylov_run_fills_per_t(params, mesh_count):
+    # every step applies H at its midpoint and every row at its own time:
+    # 20 midpoints and 5 rows, each a new t, so 25 fills of three calls
+    traj = _zeeman_run(params, _PULSED, 20, 5)
+    assert len(traj.rows) == 5
+    assert dict(mesh_count) == {"b_mesh": 3 * 25}

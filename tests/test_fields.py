@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from relspin.errors import PreconditionError
-from relspin.fields import (Envelope, PlaneWavePulse, UniformB, UniformE,
+from relspin.fields import (Envelope, FieldModel, PlaneWavePulse, UniformB, UniformE,
                             ZeroField, maxwell_probe)
 
 
@@ -183,3 +183,45 @@ class TestPlaneWavePulse:
                     got = np.broadcast_to(fn(mesh, t)[comp], xs.shape)[idx]
                     want = {"a": s.A, "e": s.E, "b": s.B, "dbdt": s.dBdt}[name][comp]
                     assert abs(got - want) <= 1e-13
+
+
+_MESHES = ("a_mesh", "phi_mesh", "e_mesh", "b_mesh", "dedt_mesh", "dbdt_mesh",
+           "d2bdt2_mesh", "dive_mesh")
+_ENVELOPES = [
+    Envelope(value=0.8),
+    Envelope(shape="poly", coeffs=(0.3, -1.2, 0.4)),
+    Envelope(shape="gaussian", amplitude=2.0, center=1.5, width=0.8),
+    Envelope(shape="sinusoid", amplitude=0.7, omega=2.2, phase=0.3),
+]
+_MODELS = [ZeroField(), PlaneWavePulse()] + [
+    cls(np.array([0.1, -0.2, 0.3]), env) for cls in (UniformB, UniformE) for env in _ENVELOPES]
+
+
+class TestTimeDependent:
+    """``time_dependent`` is derived from the model and read-only, and a model
+    that says False has meshes that do not change with t, which is what lets
+    its leaves fill once per grid."""
+
+    @pytest.mark.parametrize("model", _MODELS, ids=lambda m: str(m.describe()))
+    def test_derived_from_the_model(self, model):
+        static = (isinstance(model, ZeroField) or
+                  (isinstance(model, (UniformB, UniformE))
+                   and model.envelope.shape == "constant"))
+        assert model.time_dependent is not static
+        with pytest.raises(AttributeError):
+            model.time_dependent = static
+
+    def test_base_class_is_time_dependent(self):
+        assert FieldModel().time_dependent is True
+
+    @pytest.mark.parametrize("model", [m for m in _MODELS if not m.time_dependent],
+                             ids=lambda m: str(m.describe()))
+    def test_static_meshes_do_not_change_with_t(self, model):
+        r = np.meshgrid(*(np.linspace(-3.0, 3.0, 5),) * 3, indexing="ij")
+        for name in _MESHES:
+            mesh = getattr(model, name)
+            early, late = mesh(r, 0.0), mesh(r, 1.3)
+            if name in ("phi_mesh", "dive_mesh"):
+                early, late = [early], [late]
+            for a, b in zip(early, late):
+                assert np.array_equal(np.asarray(a), np.asarray(b)), name

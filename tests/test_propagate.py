@@ -162,6 +162,42 @@ class TestKrylov:
         back = krylov_step(ham, fwd, 0.05, -0.05, tol=1e-13)
         assert (back - psi).norm() <= 1e-9
 
+    @pytest.mark.parametrize("hermitize", [False, True])
+    def test_matches_dense_expm(self, params, hermitize):
+        # H(t + dt/2) as an explicit 4N x 4N matrix, one apply per unit column
+        g = GridSpec(1, 32, 32.0)
+        ham = build_fw_direct(_PULSED_B, params, g, hermitize=hermitize)
+        psi = gaussian_packet(g, 0.0, 4.0, 0.5, [1, 1, 0, 0], params=params,
+                              energy_projection=True)
+        t, dt = 0.1, 0.05
+        dense = np.stack([apply_expr(ham.total, SpinorField(g, col.reshape(4, *g.shape)),
+                                     t + dt / 2).values.ravel()
+                          for col in np.eye(4 * g.npoints, dtype=complex)], axis=1)
+        want = scipy.linalg.expm(-1j * dt * dense) @ psi.values.ravel()
+        got = krylov_step(ham, psi, t, dt)
+        assert got.space == psi.space
+        err = np.linalg.norm(got.values.ravel() - want)
+        assert err <= 1e-9 * np.linalg.norm(want)
+        if hermitize:  # the symmetrized projection makes the step unitary
+            assert abs(got.norm() - psi.norm()) <= 1e-13 * psi.norm()
+
+    def test_step_memory(self, params):
+        # a 32^3 fw-direct step takes 8 matvecs, so its basis is one array
+        # of 8 rows (15.0 states at the peak); kept as a list of rows and
+        # stacked into a matrix at the end it peaked at 37 778 638 bytes
+        # (18.0 states) in this test
+        g = GridSpec(3, 32, 48.0)
+        ham = build_fw_direct(_UNIFORM_B, params, g)
+        psi = _packet_3d(g, params).to_momentum()
+        krylov_step(ham, psi, 0.0, 0.05)  # fills the leaf caches
+        tracemalloc.start()
+        try:
+            krylov_step(ham, psi, 0.0, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 37_778_638
+
     def test_small_subspace_rejected(self, params):
         g = GridSpec(1, 128, 128.0)
         psi = gaussian_packet(g, 0.0, 8.0, 1.0, [1, 0, 0, 0])

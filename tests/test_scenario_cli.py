@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,10 +175,35 @@ class TestCheckOperators:
         assert [results[k]["pass"] for k in ("fw", "pryce", "dirac")] == \
             [False, True, True]
 
+    def test_chunked_report_equals_one_batch(self, tmp_path, monkeypatch, capsys):
+        # 2500 samples are three chunks of at most 1000
+        import relspin.cli
+        docs = []
+        for chunk in (relspin.cli._CHUNK, 2500):
+            monkeypatch.setattr(relspin.cli, "_CHUNK", chunk)
+            path = tmp_path / f"ops-{chunk}.json"
+            assert main(["check-operators", "--samples", "2500",
+                         "--json", str(path)]) == 0
+            docs.append(path.read_bytes())
+        assert docs[0] == docs[1]
+
+    def test_memory_bounded_in_samples(self, capsys):
+        # the momenta go through the checks in chunks, so twenty times the
+        # samples cost well under twice the peak (one batch: about 17 times)
+        peaks = {}
+        for n in (1000, 20000):
+            tracemalloc.start()
+            try:
+                assert main(["check-operators", "--samples", str(n)]) == 0
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[20000] < 2 * peaks[1000]
+
     @pytest.mark.parametrize("samples", ["50", "200"])
     def test_eigensolves_per_kind_independent_of_samples(self, monkeypatch, samples):
-        # one eigh per spin component, stacked over the samples: three per
-        # spin kind, whatever the sample count
+        # one eigh per spin component, stacked over the samples of a chunk:
+        # three per spin kind, whatever the sample count up to one chunk
         calls = [0]
         eigh = np.linalg.eigh
 
@@ -250,6 +276,40 @@ class TestVerifyDynamics:
         err = capsys.readouterr().err
         assert code == 2
         assert "singular" in err.lower()
+
+    _PULSED_B = {"type": "uniform_b", "b0": [0.0, 0.0, 0.2],
+                 "envelope": {"shape": "gaussian", "amplitude": 1.0,
+                              "center": 0.3, "width": 2.0}}
+
+    @pytest.mark.parametrize("family, terms", [
+        # fw-full names that fw-direct does not have
+        ("fw-full", ["kinetic", "darwin"]),
+        # a subset of the checked family itself: the soc and nutation terms,
+        # live under the pulse, stay in the checked Hamiltonian
+        ("fw-direct", ["kinetic", "zeeman"]),
+    ], ids=["fw-full-terms", "fw-direct-subset"])
+    def test_checks_ignore_the_term_mask(self, tmp_path, capsys, family, terms):
+        # hamiltonian.terms selects what simulate and sweep propagate; a
+        # check verifies its family's full Hamiltonian either way
+        docs = {}
+        for name, hamiltonian in (("masked", {"family": family, "terms": terms}),
+                                  ("full", {"family": family})):
+            docs[name] = base_scenario(
+                field=self._PULSED_B, hamiltonian=hamiltonian,
+                verification={"checks": [{"kind": "pryce", "family": "fw-direct"}],
+                              "refine_levels": 0})
+        sc = parse_scenario(docs["masked"])
+        assert sc.make_hamiltonian().term_names() == terms
+        assert sc.make_hamiltonian(family="fw-direct").term_names() == \
+            ["kinetic", "zeeman", "field-derivative-soc", "nutation"]
+        reports = {}
+        for name, doc in docs.items():
+            path = write_scenario(tmp_path, doc, name=f"{name}.json")
+            report = tmp_path / f"{name}-report.json"
+            code = main(["verify-dynamics", "--scenario", path, "--report", str(report)])
+            assert code in (0, 1), capsys.readouterr().err
+            reports[name] = report.read_bytes()
+        assert reports["masked"] == reports["full"]
 
     def test_missing_checks_rejected(self, tmp_path):
         doc = base_scenario(verification={"checks": []})
