@@ -56,6 +56,7 @@ __all__ = [
     "OperatorExpr", "PositionDiag", "MomentumDiag", "ConstMatrix",
     "Add", "Mul", "Scale", "Adjoint",
     "LeafStack", "apply_expr", "expectation", "hermiticity_residual", "block_parity",
+    "constant_matrix",
     "DEFAULT_ZERO_MODE_GUARD",
 ]
 
@@ -110,7 +111,7 @@ class _DiagLeaf(OperatorExpr):
         self.name = name
         self.time_dependent = bool(time_dependent)
         self.singular_origin = bool(singular_origin)
-        self._key = self._arrays = self._live = self._constant = None
+        self._key = self._arrays = self._live = self._constant = self._adj = None
 
     def _fill(self, grid: GridSpec, t: float):
         """The producers' scalar arrays, an all-zero mesh held as a 0-d zero
@@ -167,18 +168,16 @@ class _DiagLeaf(OperatorExpr):
                 f"k=0 but the state has zero-mode weight {w0:.3e} > guard {guard:.1e}")
 
     def _adjoint(self):
-        terms = [(_conj_producer(fn), m.conj().T) for fn, m in self.terms]
-        return type(self)(terms, name=_adj_name(self.name),
-                          time_dependent=self.time_dependent,
-                          singular_origin=self.singular_origin)
-
-
-def _conj_producer(fn):
-    return lambda grid, t: np.conj(fn(grid, t))
-
-
-def _adj_name(name):
-    return None if name is None else name + "^H"
+        """The adjoint leaf, built once: its scalars are the conjugates of this
+        leaf's cached ones, so a tree and its adjoint share every fill."""
+        if self._adj is None:
+            terms = [(lambda grid, t, j=j: np.conj(self._scalars(grid, t)[j]), m.conj().T)
+                     for j, (_, m) in enumerate(self.terms)]
+            self._adj = type(self)(terms, name=None if self.name is None else self.name + "^H",
+                                   time_dependent=self.time_dependent,
+                                   singular_origin=self.singular_origin)
+            self._adj._adj = self
+        return self._adj
 
 
 class PositionDiag(_DiagLeaf):
@@ -398,4 +397,25 @@ def block_parity(expr: OperatorExpr) -> str:
         return _combine_mul(block_parity(expr.left), block_parity(expr.right))
     if isinstance(expr, Scale):
         return block_parity(expr.child)
+    raise PreconditionError(f"unknown expression node {type(expr).__name__}")
+
+
+def constant_matrix(expr: OperatorExpr, grid: GridSpec, t: float):
+    """The 4x4 matrix of an expression whose live leaves are all constants at
+    (grid, t), or None.  It reads the leaves' fill records and applies
+    nothing; a vanishing subtree is zero, and Mul gives left @ right."""
+    if expr._vanishes(grid, t):
+        return np.zeros((4, 4), dtype=complex)
+    if isinstance(expr, _DiagLeaf):
+        return (sum(m * a.reshape(()) for (_, m), a in zip(expr.terms, expr._arrays))
+                if expr._constant else None)
+    if isinstance(expr, Add):
+        parts = [constant_matrix(c, grid, t) for c in expr.children]
+        return None if any(p is None for p in parts) else sum(parts)
+    if isinstance(expr, Mul):
+        left, right = constant_matrix(expr.left, grid, t), constant_matrix(expr.right, grid, t)
+        return None if left is None or right is None else left @ right
+    if isinstance(expr, Scale):
+        child = constant_matrix(expr.child, grid, t)
+        return None if child is None else expr.factor * child
     raise PreconditionError(f"unknown expression node {type(expr).__name__}")

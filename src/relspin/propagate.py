@@ -1,6 +1,6 @@
 """Time evolution of spinor fields and trajectory observables.
 
-Two propagators:
+Three steps:
 
 * ``strang_step_dirac`` -- exact-factor Strang splitting for the minimally
   coupled Dirac Hamiltonian.  Both factors have closed-form exponentials:
@@ -13,6 +13,9 @@ Two propagators:
   Time-dependent coefficients are sampled at the midpoint, keeping second
   order.  The basis is kept as the rows of one array that grows as rows are
   needed, and the step is one product of the projected solution with it.
+* the exact step of a constant Hamiltonian -- when H at the midpoint is one
+  4x4 matrix M (``expr.constant_matrix``), exp(-i dt M) applied pointwise in
+  the state's own space: no transform, and no Krylov space of at most 4 rows.
 
 Trajectories record the three spin expectations, norm, energy, <r>, <p> and a
 boundary-flux diagnostic at a configurable stride; the run aborts when flux
@@ -28,10 +31,10 @@ import functools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.linalg
 
+from .algebra import exp_minus_iHt
 from .errors import BoundaryFluxError, KrylovConvergenceError, PreconditionError
-from .expr import Add, Adjoint, LeafStack, Scale, apply_expr, expectation
+from .expr import Add, Adjoint, LeafStack, Scale, apply_expr, constant_matrix, expectation
 from .fields import FieldModel
 from .grid import MOMENTUM, POSITION, GridSpec, SpinorField, apply_matrix, free_dirac_values
 from .hamiltonians import NamedHamiltonian, momentum_component, position_component
@@ -44,27 +47,35 @@ __all__ = [
 ]
 
 
-def _position_half_step(field: SpinorField, model: FieldModel,
-                        params: PhysParams, tau: float, t: float) -> SpinorField:
-    """exp(-i tau (-ec alpha.A(r,t) + e phi(r,t))) applied pointwise."""
-    grid = field.grid
-    values = field.to_position().values
+def _position_factor(model: FieldModel, params: PhysParams, grid: GridSpec,
+                     tau: float, t: float):
+    """exp(-i tau (-ec alpha.A(r,t) + e phi(r,t))) as u = -ec A, cos(tau |u|),
+    sin(tau |u|)/|u| and the phase of phi (None without a scalar potential)."""
     u = [np.broadcast_to(np.asarray(-params.e * params.c * a, dtype=float), grid.shape)
          for a in model.a_mesh(grid.r, t)]
     mag = np.sqrt(u[0]**2 + u[1]**2 + u[2]**2)
     small = mag < 1e-14
     cosf = np.cos(tau * mag)
     sinf = np.where(small, tau, np.sin(tau * mag) / np.where(small, 1.0, mag))
+    phase = None
+    if model.has_scalar_potential:
+        phase = np.exp(-1j * tau * params.e *
+                       np.broadcast_to(model.phi_mesh(grid.r, t), grid.shape))
+    return u, cosf, sinf, phase
+
+
+def _position_half_step(field: SpinorField, factor) -> SpinorField:
+    """A ``_position_factor`` applied pointwise."""
+    u, cosf, sinf, phase = factor
+    values = field.to_position().values
     alpha_u = np.zeros_like(values)
     for ui, a_mat in zip(u, ALPHA):
         if np.any(ui):
             alpha_u += ui * apply_matrix(a_mat, values)
     out = cosf * values - 1j * sinf * alpha_u
-    if model.has_scalar_potential:
-        phase = np.exp(-1j * tau * params.e *
-                       np.broadcast_to(model.phi_mesh(grid.r, t), grid.shape))
+    if phase is not None:
         out = out * phase
-    return SpinorField(grid, out, POSITION)
+    return SpinorField(field.grid, out, POSITION)
 
 
 @functools.lru_cache(maxsize=4)
@@ -76,25 +87,28 @@ def _kinetic_factors(grid: GridSpec, params: PhysParams, dt: float):
 
 
 def strang_step_dirac(field: SpinorField, model: FieldModel, params: PhysParams,
-                      t: float, dt: float) -> SpinorField:
+                      t: float, dt: float, position_factor=None) -> SpinorField:
     """One second-order split step for c alpha.(p-eA) + beta m0 c^2 + e phi.
 
     Potentials are sampled at the interval midpoint; every factor is an exact
     unitary, so norm drift is pure roundoff.  Without potentials the identity
-    position factor is skipped, and the result stays in momentum space.
+    position factor is skipped, and the result stays in momentum space.  Both
+    half steps use one factor, from ``position_factor(grid, tau, t)`` if given.
     """
     if not dt > 0 and not dt < 0:
         raise PreconditionError("dt must be nonzero")
     tm = t + dt / 2.0
     potentials = model.has_vector_potential or model.has_scalar_potential
     if potentials:
-        field = _position_half_step(field, model, params, dt / 2.0, tm)
+        factor = (position_factor or functools.partial(_position_factor, model, params))(
+            field.grid, dt / 2.0, tm)
+        field = _position_half_step(field, factor)
     grid, mom = field.grid, field.to_momentum().values
     cosf, sinf = _kinetic_factors(grid, params, dt)
     out = SpinorField(grid, cosf * mom - 1j * sinf * free_dirac_values(mom, grid, params),
                       MOMENTUM)
     if potentials:
-        out = _position_half_step(out, model, params, dt / 2.0, tm)
+        out = _position_half_step(out, factor)
     if not np.all(np.isfinite(out.values)):
         raise FloatingPointError("Strang step produced non-finite values")
     return out
@@ -148,12 +162,7 @@ def krylov_step(hamiltonian: NamedHamiltonian, field: SpinorField, t: float,
         used = j + 1
         happy = nrm <= 1e-14 * beta0
         if happy or used >= 8 or used == m:
-            small = hess[:used, :used]
-            if hamiltonian.assume_hermitian:
-                small = 0.5 * (small + small.conj().T)
-            e1 = np.zeros(used, dtype=complex)
-            e1[0] = 1.0
-            y = scipy.linalg.expm(-1j * dt * small) @ e1
+            y = exp_minus_iHt(hess[:used, :used], dt, hamiltonian.assume_hermitian)[:, 0]
             est = 0.0 if happy else abs(dt) * nrm * abs(y[-1])
             if happy or est <= tol:
                 break
@@ -181,12 +190,41 @@ def choose_propagator(hamiltonian: NamedHamiltonian) -> str:
 
 
 def _stepper(hamiltonian, propagator, krylov_m, krylov_tol):
-    """``step(psi, t, dt)`` with the named propagator, or the default one."""
+    """``step(psi, t, dt)`` with the named propagator, or the default one.
+
+    Strang, for the families with an exact split, builds its position factor
+    once per step.  Otherwise, unless Krylov is named, a step whose
+    Hamiltonian at the midpoint is one constant matrix M is U psi with
+    U = exp(-i dt M), applied pointwise in the state's space; any other step
+    is a Krylov step.  The factor, or U or the finding that there is none, is
+    kept for one (grid, dt), and for one midpoint under a time-dependent model.
+    """
+    model, params = hamiltonian.model, hamiltonian.params
+    slot = [None, None]  # the key and value of the one kept factor or U
+
+    def kept(make, grid, dt, tm):
+        key = (grid, dt, tm if model.time_dependent else None)
+        if slot[0] != key:
+            slot[:] = key, make(grid, dt, tm)
+        return slot[1]
+
     if (propagator or choose_propagator(hamiltonian)) == "strang":
-        return lambda psi, t, dt: strang_step_dirac(
-            psi, hamiltonian.model, hamiltonian.params, t, dt)
-    return lambda psi, t, dt: krylov_step(hamiltonian, psi, t, dt,
-                                          m=krylov_m, tol=krylov_tol)
+        factor = functools.partial(kept, functools.partial(_position_factor, model, params))
+        return lambda psi, t, dt: strang_step_dirac(psi, model, params, t, dt, factor)
+
+    def exact(grid, dt, tm):
+        m = None if propagator == "krylov" else constant_matrix(hamiltonian.total, grid, tm)
+        return None if m is None else exp_minus_iHt(m, dt, hamiltonian.assume_hermitian)
+
+    def step(psi, t, dt):
+        u = kept(exact, psi.grid, dt, t + dt / 2.0)
+        if u is None:
+            return krylov_step(hamiltonian, psi, t, dt, m=krylov_m, tol=krylov_tol)
+        out = SpinorField(psi.grid, apply_matrix(u, psi.values), psi.space)
+        if not np.all(np.isfinite(out.values)):
+            raise FloatingPointError("constant-Hamiltonian step produced non-finite values")
+        return out
+    return step
 
 
 @dataclass

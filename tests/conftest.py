@@ -80,3 +80,19 @@ def mesh_count(monkeypatch):
             if name.endswith("_mesh") and callable(fn):
                 monkeypatch.setattr(cls, name, counted(name, fn))
     return count
+
+
+@pytest.fixture
+def krylov_count(monkeypatch):
+    """Counts ``propagate.krylov_step`` calls, the Arnoldi steps a run
+    takes; read ``krylov_count[0]``."""
+    from relspin import propagate
+    count = [0]
+    step = propagate.krylov_step
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(propagate, "krylov_step", counted)
+    return count

@@ -9,7 +9,7 @@ from relspin.errors import SingularMomentumError
 from relspin.errors import PreconditionError
 from relspin.expr import (Add, Adjoint, ConstMatrix, LeafStack, MomentumDiag, Mul,
                           PositionDiag, Scale, apply_expr, block_parity,
-                          expectation, hermiticity_residual)
+                          constant_matrix, expectation, hermiticity_residual)
 from relspin.grid import (MOMENTUM, POSITION, GridSpec, SpinorField, apply_matrix,
                           gaussian_packet)
 from relspin.hamiltonians import momentum_component, position_component
@@ -351,6 +351,11 @@ class TestAlgebraicLaws:
             rhs = phi.inner(apply_expr(e, psi))
             assert abs(lhs - rhs) <= 1e-10
 
+    def test_adjoint_leaf_is_built_once(self):
+        leaf = position_component(0)
+        assert Adjoint(leaf) is Adjoint(leaf)
+        assert Adjoint(Adjoint(leaf)) is leaf
+
     def test_double_adjoint(self, grid, rng):
         psi = random_field(grid, rng)
         e = Mul(position_component(0), momentum_component(1))
@@ -463,3 +468,30 @@ class TestBlockParity:
         assert block_parity(Add([d, Mul(o, o)])) == "diagonal"
         assert block_parity(Add([d, o])) == "mixed"
         assert block_parity(_comm(d, o)) == "offdiagonal"
+
+
+class TestConstantMatrix:
+    def test_constant_tree_is_its_dense_matrix(self, grid):
+        # a two-term leaf with uniform scalars, a sum, a scale and a product
+        # whose left factor acts last
+        uniform = PositionDiag([(lambda g, t: np.asarray(0.3), SIGMA[2]),
+                                (lambda g, t: np.ones((1,)) * (1 - 2j), BETA)])
+        e = Add([uniform, Scale(-0.7j, Mul(ConstMatrix(ALPHA[0]), ConstMatrix(SIGMA[1])))])
+        want = 0.3 * SIGMA[2] + (1 - 2j) * BETA - 0.7j * ALPHA[0] @ SIGMA[1]
+        assert np.allclose(constant_matrix(e, grid, 0.0), want, rtol=0, atol=1e-15)
+        assert not np.allclose(ALPHA[0] @ SIGMA[1], SIGMA[1] @ ALPHA[0])
+
+    def test_one_live_nonconstant_leaf_gives_none(self, grid, params):
+        from relspin.fields import UniformB
+        from relspin.hamiltonians import build_fw_direct
+        ham = build_fw_direct(UniformB([0.0, 0.0, 0.2]), params, grid)
+        assert constant_matrix(ham.subset(["zeeman"]).total, grid, 0.0) is not None
+        assert constant_matrix(ham.subset(["kinetic", "zeeman"]).total, grid, 0.0) is None
+        assert constant_matrix(Mul(ConstMatrix(BETA), momentum_component(0)), grid, 0.0) is None
+
+    def test_vanishing_child_is_ignored(self, grid):
+        zero_mesh = PositionDiag([(lambda g, t: np.zeros(g.shape), ALPHA[1])])
+        e = Add([ConstMatrix(BETA), zero_mesh, Mul(momentum_component(0), zero_mesh)])
+        assert np.array_equal(constant_matrix(e, grid, 0.0), BETA)
+        assert np.array_equal(constant_matrix(Scale(0.0, momentum_component(0)), grid, 0.0),
+                              np.zeros((4, 4)))

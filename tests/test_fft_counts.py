@@ -1,9 +1,9 @@
-"""Exact transform and field-mesh counts of fixed operations.
+"""Exact transform, field-mesh and Arnoldi-step counts of fixed operations.
 
 Transforms dominate large-grid applies, so a change that adds one shows up
 here as a failure instead of only as a slower run.  Field meshes are
 evaluated when a leaf's cache fills, so their counts show how often a leaf
-refills.
+refills.  Arnoldi steps are what a run pays where no exact step applies.
 """
 
 from pathlib import Path
@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from relspin.dynamics import build_hamiltonian, spin_expr, standard_battery, verify
-from relspin.expr import apply_expr, expectation
+from relspin.expr import _DiagLeaf, apply_expr, expectation
 from relspin.fields import Envelope, UniformB, ZeroField
 from relspin.grid import GridSpec, SpinorField, gaussian_packet
-from relspin.hamiltonians import build_fw_direct
+from relspin.hamiltonians import build_dirac_em, build_fw_direct
 from relspin.operators import SpinKind
-from relspin.propagate import _Observables, run, strang_step_dirac
+from relspin.propagate import Trajectory, _Observables, run, strang_step_dirac
 from relspin.scenario import load_scenario
 
 _MODEL = UniformB([0.0, 0.0, 0.05])
@@ -227,13 +227,16 @@ def test_free_particle_run(fft_count):
 # (p - eA)_i are built once per Hamiltonian, so A fills three times however
 # many terms use them; fw-direct's E x (p - eA) has six E_j leaves, and
 # fw-full's spin-orbit and de-dt twelve E_j and twelve dE/dt_j leaves.
-@pytest.mark.parametrize("family, counts", [
-    ("dirac-em", {"a_mesh": 3, "phi_mesh": 1}),
-    ("fw-direct", {"a_mesh": 3, "b_mesh": 3, "e_mesh": 6, "dbdt_mesh": 3,
-                   "d2bdt2_mesh": 3}),
-    ("fw-full", {"a_mesh": 3, "b_mesh": 7, "e_mesh": 12, "dedt_mesh": 12,
-                 "dive_mesh": 1}),
-])
+_MESH_CALLS = {
+    "dirac-em": {"a_mesh": 3, "phi_mesh": 1},
+    "fw-direct": {"a_mesh": 3, "b_mesh": 3, "e_mesh": 6, "dbdt_mesh": 3,
+                  "d2bdt2_mesh": 3},
+    "fw-full": {"a_mesh": 3, "b_mesh": 7, "e_mesh": 12, "dedt_mesh": 12,
+                "dive_mesh": 1},
+}
+
+
+@pytest.mark.parametrize("family, counts", list(_MESH_CALLS.items()))
 @pytest.mark.parametrize("model", [_MODEL, _PULSED], ids=["constant", "gaussian"])
 def test_mesh_calls_per_apply(params, mesh_count, family, counts, model):
     grid = GridSpec(3, 16, 24.0)
@@ -247,12 +250,37 @@ def test_mesh_calls_per_apply(params, mesh_count, family, counts, model):
     assert dict(mesh_count) == ({} if model is _MODEL else counts)
 
 
-def _zeeman_run(params, model, steps, stride):
+def _fresh_adjoint(leaf):
+    """The adjoint as a new leaf at every occurrence, each producer
+    conjugated: the reference the shared adjoint leaves must equal."""
+    return type(leaf)([(lambda g, t, fn=fn: np.conj(fn(g, t)), m.conj().T)
+                       for fn, m in leaf.terms],
+                      time_dependent=leaf.time_dependent,
+                      singular_origin=leaf.singular_origin)
+
+
+@pytest.mark.parametrize("family", ["fw-direct", "fw-full"])
+@pytest.mark.parametrize("model", [_MODEL, _PULSED], ids=["constant", "gaussian"])
+def test_mesh_calls_per_hermitized_apply(params, mesh_count, monkeypatch, family, model):
+    # a leaf's adjoint is built once and reads the conjugates of the leaf's
+    # cached scalars, so (T + T^H)/2 fills no mesh that T does not
+    grid = GridSpec(3, 16, 24.0)
+    psi = _position_state(grid)
+    got = apply_expr(build_hamiltonian(family, model, params, grid, hermitize=True).total,
+                     psi, 0.7)
+    assert dict(mesh_count) == _MESH_CALLS[family]
+    monkeypatch.setattr(_DiagLeaf, "_adjoint", _fresh_adjoint)
+    want = apply_expr(build_hamiltonian(family, model, params, grid, hermitize=True).total,
+                      psi, 0.7)
+    assert np.array_equal(got.values, want.values)
+
+
+def _zeeman_run(params, model, steps, stride, terms=("zeeman",), propagator=None):
     grid = GridSpec(1, 128, 128.0)
-    ham = build_fw_direct(model, params, grid).subset(["zeeman"])
+    ham = build_fw_direct(model, params, grid).subset(terms)
     psi = gaussian_packet(grid, 0.0, 8.0, 0.5, [1, 1, 0, 0], params=params,
                           energy_projection=True)
-    return run(ham, psi, 0.05, steps, stride=stride)
+    return run(ham, psi, 0.05, steps, stride=stride, propagator=propagator)
 
 
 def test_static_krylov_run_fills_once(params, mesh_count):
@@ -268,3 +296,69 @@ def test_pulsed_krylov_run_fills_per_t(params, mesh_count):
     traj = _zeeman_run(params, _PULSED, 20, 5)
     assert len(traj.rows) == 5
     assert dict(mesh_count) == {"b_mesh": 3 * 25}
+
+
+def test_static_arnoldi_run_fills_once(params, mesh_count, krylov_count):
+    traj = _zeeman_run(params, _MODEL, 600, 100, propagator="krylov")
+    assert len(traj.rows) == 7
+    assert krylov_count[0] == 600
+    assert dict(mesh_count) == {"b_mesh": 3}
+
+
+def test_pulsed_arnoldi_run_fills_per_t(params, mesh_count, krylov_count):
+    traj = _zeeman_run(params, _PULSED, 20, 5, propagator="krylov")
+    assert len(traj.rows) == 5
+    assert krylov_count[0] == 20
+    assert dict(mesh_count) == {"b_mesh": 3 * 25}
+
+
+def test_shipped_sweep_scenario_takes_no_arnoldi_step(krylov_count):
+    # its zeeman-only Hamiltonian under a uniform B is one constant matrix
+    sc = load_scenario(Path(__file__).resolve().parents[1] / "scenarios"
+                       / "larmor_sweep.json")
+    traj = run(sc.make_hamiltonian(), sc.make_state(), sc.dt, sc.steps, stride=sc.stride)
+    assert len(traj.rows) == sc.steps // sc.stride + 1
+    assert krylov_count[0] == 0
+
+
+@pytest.mark.parametrize("terms, propagator", [
+    (("kinetic", "zeeman"), None),   # p^2 acts in momentum, so no constant matrix
+    (("zeeman",), "krylov"),         # named, Arnoldi runs even on a constant
+])
+def test_arnoldi_step_per_step(params, krylov_count, terms, propagator):
+    _zeeman_run(params, _MODEL, 20, 5, terms, propagator)
+    assert krylov_count[0] == 20
+
+
+@pytest.mark.parametrize("model, steps, count", [(_MODEL, 600, 1), (_PULSED, 20, 20)],
+                         ids=["constant", "gaussian"])
+def test_constant_step_exponentials_per_run(params, monkeypatch, model, steps, count):
+    # a static field's U = exp(-i dt M) is built once per (grid, dt), a
+    # pulsed one's at every midpoint
+    from relspin import propagate
+    calls = []
+    exp = propagate.exp_minus_iHt
+    monkeypatch.setattr(propagate, "exp_minus_iHt",
+                        lambda *args: calls.append(args) or exp(*args))
+    _zeeman_run(params, model, steps, steps)
+    assert len(calls) == count
+
+
+def test_static_strang_run_builds_its_factor_once(params, mesh_count):
+    # the position factor is built once per run for a static field, so a_mesh
+    # is called once for it and three times for the energy's gauge leaf (one
+    # per term), however many steps run; rebuilt per half step it was 83
+    grid = GridSpec(1, 128, 128.0)
+    ham = build_dirac_em(_MODEL, params, grid)
+    psi = gaussian_packet(grid, 0.0, 8.0, 0.5, [1, 1, 0, 0], params=params,
+                          energy_projection=True)
+    traj = run(ham, psi, 0.05, 40, stride=10)
+    assert mesh_count["a_mesh"] == 4
+    # every row equals one measured after plain steps, each building its factor
+    obs = _Observables(grid, params)
+    want = [obs.measure(ham, psi, 0.0)]
+    for step in range(1, 41):
+        psi = strang_step_dirac(psi, _MODEL, params, (step - 1) * 0.05, 0.05)
+        if step % 10 == 0:
+            want.append(obs.measure(ham, psi, step * 0.05))
+    assert traj.rows == [[row[c] for c in Trajectory.CSV_COLUMNS] for row in want]

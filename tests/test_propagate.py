@@ -12,10 +12,17 @@ from relspin.fields import Envelope, PlaneWavePulse, UniformB, ZeroField
 from relspin.grid import GridSpec, SpinorField, gaussian_packet, zero_mode_weight
 from relspin.hamiltonians import (build_dirac_em, build_free_dirac,
                                   build_fw_direct)
-from relspin.operators import ALPHA, BETA, SpinKind, free_dirac_matrix
-from relspin.propagate import (OBSERVABLE_GUARD, _Observables, choose_propagator,
-                               ehrenfest_residual, krylov_step, run,
+from relspin.operators import ALPHA, BETA, SIGMA, SpinKind, free_dirac_matrix
+from relspin.propagate import (OBSERVABLE_GUARD, _Observables, _stepper,
+                               choose_propagator, ehrenfest_residual, krylov_step, run,
                                strang_step_dirac)
+
+
+_PULSED_B = UniformB(np.array([0.0, 0.0, 0.2]),
+                     Envelope(shape="gaussian", amplitude=1.0, center=0.3, width=2.0))
+
+
+_UNIFORM_B = UniformB(np.array([0.0, 0.0, 0.05]))
 
 
 def mixed_energy_state(grid, params, k0, sigma):
@@ -214,6 +221,43 @@ class TestKrylov:
         assert err.value.suggested_dt == pytest.approx(25.0)
 
 
+class TestConstantStep:
+    """A Hamiltonian that is one constant 4x4 matrix steps by its exact
+    exponential; Krylov, named explicitly, is the reference."""
+
+    @pytest.mark.parametrize("hermitize", [False, True])
+    @pytest.mark.parametrize("space", ["position", "momentum"])
+    def test_one_step_is_dense_expm_per_point(self, params, fft_count, space, hermitize):
+        g = GridSpec(1, 64, 64.0)
+        b = np.array([0.03, -0.02, 0.04])  # Sigma_y makes M Hermitian, not symmetric
+        ham = build_fw_direct(UniformB(b), params, g, hermitize=hermitize).subset(["zeeman"])
+        dense = -params.e / (2 * params.m0) * sum(bj * BETA @ s for bj, s in zip(b, SIGMA))
+        psi = gaussian_packet(g, 0.0, 6.0, 0.5, [1, 1, 0, 0], params=params,
+                              energy_projection=True).in_space(space)
+        fft_count[0] = 0
+        got = _stepper(ham, None, 40, 1e-10)(psi, 0.2, 0.05)
+        assert fft_count[0] == 0 and got.space == space
+        want = np.einsum("ab,b...->a...", scipy.linalg.expm(-0.05j * dense), psi.values)
+        assert np.linalg.norm(got.values - want) <= 1e-14 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("hermitize", [False, True])
+    @pytest.mark.parametrize("model", [_UNIFORM_B, _PULSED_B], ids=["constant", "gaussian"])
+    def test_run_matches_krylov(self, params, krylov_count, model, hermitize):
+        # hermitized runs take the eigh exponential, the others expm; every
+        # column is compared relative to its scale, at least 1, since energy
+        # and S_z of this transverse precession are zero up to roundoff
+        g = GridSpec(1, 128, 128.0)
+        ham = build_fw_direct(model, params, g, hermitize=hermitize).subset(["zeeman"])
+        psi = gaussian_packet(g, 0.0, 8.0, 0.5, [1, 1, 0, 0], params=params,
+                              energy_projection=True)
+        got = np.array(run(ham, psi, 0.05, 600, stride=100).rows)
+        assert krylov_count[0] == 0
+        want = np.array(run(ham, psi, 0.05, 600, stride=100, propagator="krylov").rows)
+        assert krylov_count[0] == 600
+        scale = np.maximum(np.max(np.abs(want), axis=0), 1.0)
+        assert np.all(np.max(np.abs(got - want), axis=0) <= 1e-13 * scale)
+
+
 class TestRun:
     def test_dispatch(self, params, grid_1d):
         free = build_free_dirac(params, grid_1d)
@@ -301,13 +345,6 @@ class TestRun:
         path = tmp_path / "traj.csv"
         t1.save(path)
         assert path.read_text() == t1.to_csv()
-
-
-_PULSED_B = UniformB(np.array([0.0, 0.0, 0.2]),
-                     Envelope(shape="gaussian", amplitude=1.0, center=0.3, width=2.0))
-
-
-_UNIFORM_B = UniformB(np.array([0.0, 0.0, 0.05]))
 
 
 def _packet_3d(grid, params):
