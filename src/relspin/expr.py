@@ -410,11 +410,17 @@ def constant_matrix(expr: OperatorExpr, grid: GridSpec, t: float):
         return (sum(m * a.reshape(()) for (_, m), a in zip(expr.terms, expr._arrays))
                 if expr._constant else None)
     if isinstance(expr, Add):
-        parts = [constant_matrix(c, grid, t) for c in expr.children]
-        return None if any(p is None for p in parts) else sum(parts)
+        total = 0
+        for child in expr.children:
+            part = constant_matrix(child, grid, t)
+            if part is None:
+                return None
+            total = total + part
+        return total
     if isinstance(expr, Mul):
-        left, right = constant_matrix(expr.left, grid, t), constant_matrix(expr.right, grid, t)
-        return None if left is None or right is None else left @ right
+        right = constant_matrix(expr.right, grid, t)
+        left = None if right is None else constant_matrix(expr.left, grid, t)
+        return None if left is None else left @ right
     if isinstance(expr, Scale):
         child = constant_matrix(expr.child, grid, t)
         return None if child is None else expr.factor * child

@@ -31,8 +31,8 @@ import functools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+import scipy.linalg
 
-from .algebra import exp_minus_iHt
 from .errors import BoundaryFluxError, KrylovConvergenceError, PreconditionError
 from .expr import Add, Adjoint, LeafStack, Scale, apply_expr, constant_matrix, expectation
 from .fields import FieldModel
@@ -47,10 +47,10 @@ __all__ = [
 ]
 
 
-def _position_factor(model: FieldModel, params: PhysParams, grid: GridSpec,
-                     tau: float, t: float):
-    """exp(-i tau (-ec alpha.A(r,t) + e phi(r,t))) as u = -ec A, cos(tau |u|),
-    sin(tau |u|)/|u| and the phase of phi (None without a scalar potential)."""
+def _position_half_step(model: FieldModel, params: PhysParams, grid: GridSpec,
+                        tau: float, t: float):
+    """exp(-i tau (-ec alpha.A(r,t) + e phi(r,t))), as a function that applies
+    it pointwise to a field; both half steps of a Strang step use one."""
     u = [np.broadcast_to(np.asarray(-params.e * params.c * a, dtype=float), grid.shape)
          for a in model.a_mesh(grid.r, t)]
     mag = np.sqrt(u[0]**2 + u[1]**2 + u[2]**2)
@@ -61,21 +61,16 @@ def _position_factor(model: FieldModel, params: PhysParams, grid: GridSpec,
     if model.has_scalar_potential:
         phase = np.exp(-1j * tau * params.e *
                        np.broadcast_to(model.phi_mesh(grid.r, t), grid.shape))
-    return u, cosf, sinf, phase
 
-
-def _position_half_step(field: SpinorField, factor) -> SpinorField:
-    """A ``_position_factor`` applied pointwise."""
-    u, cosf, sinf, phase = factor
-    values = field.to_position().values
-    alpha_u = np.zeros_like(values)
-    for ui, a_mat in zip(u, ALPHA):
-        if np.any(ui):
-            alpha_u += ui * apply_matrix(a_mat, values)
-    out = cosf * values - 1j * sinf * alpha_u
-    if phase is not None:
-        out = out * phase
-    return SpinorField(field.grid, out, POSITION)
+    def half_step(field: SpinorField) -> SpinorField:
+        values = field.to_position().values
+        alpha_u = np.zeros_like(values)
+        for ui, a_mat in zip(u, ALPHA):
+            if np.any(ui):
+                alpha_u += ui * apply_matrix(a_mat, values)
+        out = cosf * values - 1j * sinf * alpha_u
+        return SpinorField(grid, out if phase is None else out * phase, POSITION)
+    return half_step
 
 
 @functools.lru_cache(maxsize=4)
@@ -87,28 +82,26 @@ def _kinetic_factors(grid: GridSpec, params: PhysParams, dt: float):
 
 
 def strang_step_dirac(field: SpinorField, model: FieldModel, params: PhysParams,
-                      t: float, dt: float, position_factor=None) -> SpinorField:
+                      t: float, dt: float) -> SpinorField:
     """One second-order split step for c alpha.(p-eA) + beta m0 c^2 + e phi.
 
     Potentials are sampled at the interval midpoint; every factor is an exact
     unitary, so norm drift is pure roundoff.  Without potentials the identity
-    position factor is skipped, and the result stays in momentum space.  Both
-    half steps use one factor, from ``position_factor(grid, tau, t)`` if given.
+    position factor is skipped, and the result stays in momentum space.
     """
     if not dt > 0 and not dt < 0:
         raise PreconditionError("dt must be nonzero")
     tm = t + dt / 2.0
     potentials = model.has_vector_potential or model.has_scalar_potential
     if potentials:
-        factor = (position_factor or functools.partial(_position_factor, model, params))(
-            field.grid, dt / 2.0, tm)
-        field = _position_half_step(field, factor)
+        half_step = _position_half_step(model, params, field.grid, dt / 2.0, tm)
+        field = half_step(field)
     grid, mom = field.grid, field.to_momentum().values
     cosf, sinf = _kinetic_factors(grid, params, dt)
     out = SpinorField(grid, cosf * mom - 1j * sinf * free_dirac_values(mom, grid, params),
                       MOMENTUM)
     if potentials:
-        out = _position_half_step(out, factor)
+        out = half_step(out)
     if not np.all(np.isfinite(out.values)):
         raise FloatingPointError("Strang step produced non-finite values")
     return out
@@ -116,6 +109,13 @@ def strang_step_dirac(field: SpinorField, model: FieldModel, params: PhysParams,
 
 def _norm(v):
     return np.sqrt(np.vdot(v, v).real)
+
+
+def _exp_minus_idt(h: np.ndarray, dt: float, hermitian: bool) -> np.ndarray:
+    """exp(-i dt h), h symmetrized first when trusted to be ``hermitian``."""
+    if hermitian:
+        h = 0.5 * (h + h.conj().T)
+    return scipy.linalg.expm(-1j * dt * h)
 
 
 def krylov_step(hamiltonian: NamedHamiltonian, field: SpinorField, t: float,
@@ -162,7 +162,9 @@ def krylov_step(hamiltonian: NamedHamiltonian, field: SpinorField, t: float,
         used = j + 1
         happy = nrm <= 1e-14 * beta0
         if happy or used >= 8 or used == m:
-            y = exp_minus_iHt(hess[:used, :used], dt, hamiltonian.assume_hermitian)[:, 0]
+            e1 = np.zeros(used, dtype=complex)
+            e1[0] = 1.0
+            y = _exp_minus_idt(hess[:used, :used], dt, hamiltonian.assume_hermitian) @ e1
             est = 0.0 if happy else abs(dt) * nrm * abs(y[-1])
             if happy or est <= tol:
                 break
@@ -192,35 +194,31 @@ def choose_propagator(hamiltonian: NamedHamiltonian) -> str:
 def _stepper(hamiltonian, propagator, krylov_m, krylov_tol):
     """``step(psi, t, dt)`` with the named propagator, or the default one.
 
-    Strang, for the families with an exact split, builds its position factor
-    once per step.  Otherwise, unless Krylov is named, a step whose
-    Hamiltonian at the midpoint is one constant matrix M is U psi with
-    U = exp(-i dt M), applied pointwise in the state's space; any other step
-    is a Krylov step.  The factor, or U or the finding that there is none, is
-    kept for one (grid, dt), and for one midpoint under a time-dependent model.
+    Where Strang is neither named nor chosen and Krylov is not named, a step
+    whose Hamiltonian at the midpoint is one constant matrix is its exact
+    step, any other a Krylov step; U, or the finding that there is none, is
+    kept per (grid, dt), and per midpoint under a time-dependent model.
     """
-    model, params = hamiltonian.model, hamiltonian.params
-    slot = [None, None]  # the key and value of the one kept factor or U
-
-    def kept(make, grid, dt, tm):
-        key = (grid, dt, tm if model.time_dependent else None)
-        if slot[0] != key:
-            slot[:] = key, make(grid, dt, tm)
-        return slot[1]
-
     if (propagator or choose_propagator(hamiltonian)) == "strang":
-        factor = functools.partial(kept, functools.partial(_position_factor, model, params))
-        return lambda psi, t, dt: strang_step_dirac(psi, model, params, t, dt, factor)
+        return lambda psi, t, dt: strang_step_dirac(
+            psi, hamiltonian.model, hamiltonian.params, t, dt)
 
-    def exact(grid, dt, tm):
-        m = None if propagator == "krylov" else constant_matrix(hamiltonian.total, grid, tm)
-        return None if m is None else exp_minus_iHt(m, dt, hamiltonian.assume_hermitian)
+    def krylov(psi, t, dt):
+        return krylov_step(hamiltonian, psi, t, dt, m=krylov_m, tol=krylov_tol)
+
+    if propagator == "krylov":
+        return krylov
+    slot = [None, None]  # the key and value of the one kept U
 
     def step(psi, t, dt):
-        u = kept(exact, psi.grid, dt, t + dt / 2.0)
-        if u is None:
-            return krylov_step(hamiltonian, psi, t, dt, m=krylov_m, tol=krylov_tol)
-        out = SpinorField(psi.grid, apply_matrix(u, psi.values), psi.space)
+        grid, tm = psi.grid, t + dt / 2.0
+        key = (grid, dt, tm if hamiltonian.model.time_dependent else None)
+        if slot[0] != key:
+            m = constant_matrix(hamiltonian.total, grid, tm)
+            slot[:] = key, m if m is None else _exp_minus_idt(m, dt, hamiltonian.assume_hermitian)
+        if slot[1] is None:
+            return krylov(psi, t, dt)
+        out = SpinorField(grid, apply_matrix(slot[1], psi.values), psi.space)
         if not np.all(np.isfinite(out.values)):
             raise FloatingPointError("constant-Hamiltonian step produced non-finite values")
         return out

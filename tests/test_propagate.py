@@ -13,7 +13,7 @@ from relspin.grid import GridSpec, SpinorField, gaussian_packet, zero_mode_weigh
 from relspin.hamiltonians import (build_dirac_em, build_free_dirac,
                                   build_fw_direct)
 from relspin.operators import ALPHA, BETA, SIGMA, SpinKind, free_dirac_matrix
-from relspin.propagate import (OBSERVABLE_GUARD, _Observables, _stepper,
+from relspin.propagate import (OBSERVABLE_GUARD, _exp_minus_idt, _Observables, _stepper,
                                choose_propagator, ehrenfest_residual, krylov_step, run,
                                strang_step_dirac)
 
@@ -225,6 +225,20 @@ class TestConstantStep:
     """A Hamiltonian that is one constant 4x4 matrix steps by its exact
     exponential; Krylov, named explicitly, is the reference."""
 
+    def test_exponential_symmetrizes_only_trusted_hermitian(self, rng):
+        # the one exponential of the Krylov projection and the constant step,
+        # at every size a projection can have: expm itself, of the symmetrized
+        # matrix when trusted Hermitian, so roundoff asymmetry stays unitary
+        for n in range(1, 41):
+            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            h = 0.5 * (a + a.conj().T)
+            skewed = h + 1e-9 * (a - a.conj().T)
+            assert np.array_equal(_exp_minus_idt(h, 0.5, True), scipy.linalg.expm(-0.5j * h))
+            assert np.array_equal(_exp_minus_idt(a, 0.5, False), scipy.linalg.expm(-0.5j * a))
+            u = _exp_minus_idt(skewed, 0.5, True)
+            assert np.linalg.norm(u.conj().T @ u - np.eye(n)) <= 1e-13 * n
+            assert np.linalg.norm(u - scipy.linalg.expm(-0.5j * h)) <= 1e-8
+
     @pytest.mark.parametrize("hermitize", [False, True])
     @pytest.mark.parametrize("space", ["position", "momentum"])
     def test_one_step_is_dense_expm_per_point(self, params, fft_count, space, hermitize):
@@ -243,7 +257,7 @@ class TestConstantStep:
     @pytest.mark.parametrize("hermitize", [False, True])
     @pytest.mark.parametrize("model", [_UNIFORM_B, _PULSED_B], ids=["constant", "gaussian"])
     def test_run_matches_krylov(self, params, krylov_count, model, hermitize):
-        # hermitized runs take the eigh exponential, the others expm; every
+        # hermitized runs symmetrize M before expm, the others do not; every
         # column is compared relative to its scale, at least 1, since energy
         # and S_z of this transverse precession are zero up to roundoff
         g = GridSpec(1, 128, 128.0)
