@@ -11,8 +11,7 @@ trajectories.
 
 __version__ = "0.1.0"
 
-from .algebra import (anticommutator, commutator, dirac_matrices, exp_minus_iHt,
-                      herm_eigs, is_hermitian, is_unitary)
+from .algebra import anticommutator, commutator, dirac_matrices, herm_eigs, is_hermitian
 from .errors import (BoundaryFluxError, ConfigError, GridResolutionError,
                      KrylovConvergenceError, PreconditionError,
                      SingularMomentumError)
@@ -28,8 +27,8 @@ from .propagate import Trajectory, ehrenfest_residual, krylov_step, run, strang_
 from .scenario import Scenario, load_scenario, parse_scenario
 
 __all__ = [
-    "anticommutator", "commutator", "dirac_matrices", "exp_minus_iHt", "herm_eigs",
-    "is_hermitian", "is_unitary", "BoundaryFluxError", "ConfigError",
+    "anticommutator", "commutator", "dirac_matrices", "herm_eigs",
+    "is_hermitian", "BoundaryFluxError", "ConfigError",
     "GridResolutionError", "KrylovConvergenceError", "PreconditionError",
     "SingularMomentumError", "Envelope", "PlaneWavePulse", "UniformB", "UniformE",
     "ZeroField", "maxwell_probe", "GridSpec", "SpinorField", "gaussian_packet",

@@ -26,7 +26,7 @@ from .errors import PreconditionError
 __all__ = [
     "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "ID4",
     "dirac_matrices", "commutator", "anticommutator",
-    "is_hermitian", "is_unitary", "herm_eigs", "exp_minus_iHt",
+    "is_hermitian", "herm_eigs",
     "levi_civita", "levi_civita_pairs",
 ]
 
@@ -92,11 +92,6 @@ def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
     return bool(np.all(diff <= tol * scale))
 
 
-def is_unitary(a: np.ndarray, tol: float = 1e-10) -> bool:
-    n = a.shape[0]
-    return np.linalg.norm(a.conj().T @ a - np.eye(n)) <= tol * max(1.0, np.linalg.norm(a))
-
-
 def herm_eigs(a: np.ndarray, tol: float = 1e-10):
     """Eigendecomposition of a Hermitian 4x4 (or nxn) complex matrix, or of
     each matrix of a ``(..., n, n)`` stack.
@@ -116,13 +111,3 @@ def herm_eigs(a: np.ndarray, tol: float = 1e-10):
     lead = np.take_along_axis(v, first, axis=-2)
     return w, v / (lead / np.abs(lead))
 
-
-def exp_minus_iHt(h: np.ndarray, t: float, tol: float = 1e-10) -> np.ndarray:
-    """exp(-i h t) for Hermitian h, via the spectral decomposition.
-
-    The result is unitary to roundoff; composing with the inverse time step
-    recovers the identity.
-    """
-    w, v = herm_eigs(h, tol)
-    phases = np.exp(-1j * w * t)
-    return (v * phases) @ v.conj().T

@@ -4,7 +4,12 @@ For each spin kind S and Hamiltonian H the left-hand side is always computed
 as (1/i)[S_i, H] applied to test states -- never from any published
 right-hand side -- so a failed comparison indicts the printed equation, not
 the harness.  The right-hand sides are transcribed term-for-term with
-operator products ordered exactly as written (no symmetrization, no repair).
+operator products ordered exactly as written (no symmetrization, no repair),
+in the vector vocabulary of ``hamiltonians`` (``triple``, ``cross``, ``dot``,
+``prefix``, ``vec_leaf`` ...): each right-hand side builds one model vector
+per field it reads, so it calls each mesh method once per (grid, t), and
+this module builds no leaf of its own beyond the S and R tables and its
+momentum scalars (1/E, 1/EW, 1/p^2, p^2).
 
 Checks classify as:
 
@@ -27,13 +32,14 @@ import numpy as np
 
 from .algebra import ID4, levi_civita_pairs
 from .errors import PreconditionError
-from .expr import (Add, ConstMatrix, MomentumDiag, Mul, PositionDiag, Scale,
-                   _one, apply_expr, block_parity)
+from .expr import (Add, ConstMatrix, MomentumDiag, Mul, Scale, _one, apply_expr,
+                   block_parity)
 from .fields import FieldModel
 from .grid import GridSpec, gaussian_packet, positive_energy_part, suppress_zero_mode
-from .hamiltonians import (NamedHamiltonian, _kinetic_triple, build_dirac_em,
-                           build_free_dirac, build_fw_direct, build_fw_full, field_dot,
-                           momentum_component, position_component)
+from .hamiltonians import (P, R, ModelVector, NamedHamiltonian, add, build_dirac_em,
+                           build_free_dirac, build_fw_direct, build_fw_full, const_triple,
+                           cross, dot, dot_p, kinetic_triple, prefix, scale, triple,
+                           vec_leaf)
 from .operators import (ALPHA, BETA, SIGMA, PhysParams, SpinKind, energy_k2,
                         position_terms, spin_terms)
 
@@ -55,11 +61,11 @@ _AXES = "xyz"
 # momentum-space scalar producers
 # ---------------------------------------------------------------------------
 
-def _inv_ek(params, with_w=False, scale=1.0):
-    """scale / E_k or scale / (E_k (E_k + m0 c^2))."""
+def _inv_ek(params, with_w=False, numerator=1.0):
+    """numerator / E_k or numerator / (E_k (E_k + m0 c^2))."""
     def fn(g, t):
         e = energy_k2(g.k2, params)
-        return scale / (e * (e + params.rest_energy) if with_w else e)
+        return numerator / (e * (e + params.rest_energy) if with_w else e)
     return fn
 
 
@@ -69,72 +75,6 @@ def _inv_p2(g, t):
 
 def _mom_scalar(fn, name=None, singular=False):
     return MomentumDiag([(fn, ID4)], name=name, singular_origin=singular)
-
-
-def _zero_triple():
-    return [ConstMatrix(_ZERO44, name="zero") for _ in range(3)]
-
-
-# ---------------------------------------------------------------------------
-# operator-vector helpers (triples of expressions)
-# ---------------------------------------------------------------------------
-
-def _p_triple():
-    return [momentum_component(i) for i in range(3)]
-
-
-def _r_triple():
-    return [position_component(i) for i in range(3)]
-
-
-def _const_triple(mats, name=None):
-    return [ConstMatrix(m, name=name) for m in mats]
-
-
-def _field_vec_triple(mesh_fn, name):
-    """Triple of position-diagonal scalar factors for a model mesh vector;
-    constant leaves for a uniform vector."""
-    return [PositionDiag([(lambda g, t, j=j: np.asarray(mesh_fn(g.r, t)[j]), ID4)],
-                         name=f"{name}_{_AXES[j]}",
-                         time_dependent=mesh_fn.__self__.time_dependent)
-            for j in range(3)]
-
-
-def _cross(a, b):
-    """(a x b)_i as expression triple; right factor acts first."""
-    return [Add([Mul(a[j], b[k]) if e > 0 else Scale(-1.0, Mul(a[j], b[k]))
-                 for j, k, e in levi_civita_pairs(i)]) for i in range(3)]
-
-
-def _field_dot_p(mesh_fn, name):
-    """X.p for a uniform model vector X, momentum-diagonal."""
-    return MomentumDiag(
-        [(lambda g, t, j=j: mesh_fn(g.r, t)[j] * g.k[j], ID4)
-         for j in range(3)], name=name, time_dependent=mesh_fn.__self__.time_dependent)
-
-
-def _dot(a, b):
-    """sum_j a_j b_j; right factor acts first."""
-    return Add([Mul(a[j], b[j]) for j in range(3)])
-
-
-def _prefix(factors, triple):
-    """Left-multiply every component by the given prefactor chain."""
-    out = []
-    for comp in triple:
-        expr = comp
-        for f in reversed(factors):
-            expr = Mul(f, expr)
-        out.append(expr)
-    return out
-
-
-def _scale_triple(s, triple):
-    return [Scale(s, comp) for comp in triple]
-
-
-def _add_triples(triples):
-    return [Add([tr[i] for tr in triples]) for i in range(3)]
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +133,13 @@ def rhs(kind: SpinKind, family: str, model: FieldModel, params: PhysParams):
     if family == "free":
         if kind is SpinKind.DIRAC:
             # -c (alpha x p)_i
-            out = [MomentumDiag([(lambda g, t, k=k: g.k[k], -params.c * e * ALPHA[j])
-                                 for j, k, e in levi_civita_pairs(i)],
-                                name=f"dSD_{_AXES[i]}")
+            out = [vec_leaf(P, [(k, -params.c * e * ALPHA[j])
+                                for j, k, e in levi_civita_pairs(i)], name=f"dSD_{_AXES[i]}")
                    for i in range(3)]
             terms = [("alpha-cross-momentum", out)]
             return terms, out
         # FW and Pryce spin operators are constants of the free motion
-        return [], _zero_triple()
+        return [], const_triple([_ZERO44] * 3, name="zero")
 
     _require_uniform_gauge(model)
     if kind is SpinKind.DIRAC:
@@ -216,86 +155,84 @@ def rhs(kind: SpinKind, family: str, model: FieldModel, params: PhysParams):
 
 def _rhs_em(kind, model, params):
     c, e = params.c, params.e
-    p_t = _p_triple()
-    r_t = _r_triple()
-    alpha_t = _const_triple(ALPHA, name="alpha")
-    sigma_t = _const_triple(SIGMA, name="Sigma")
-    b_t = _field_vec_triple(model.b_mesh, "B")
+    p_t = triple(P)
+    r_t = triple(R)
+    alpha_t = const_triple(ALPHA, name="alpha")
+    sigma_t = const_triple(SIGMA, name="Sigma")
+    b = ModelVector(model.b_mesh, "B")
+    b_t = triple(b)
 
     # factors of the two gradient terms both kinds print
-    alpha_dot_r = PositionDiag(
-        [(lambda g, t, j=j: g.r[j], ALPHA[j]) for j in range(3)],
-        name="alpha.r")
-    b_dot_p = _field_dot_p(model.b_mesh, "B.p")
-    r_dot_p = _dot(r_t, p_t)
-    alpha_dot_b = field_dot(model.b_mesh, ALPHA, name="alpha.B")
+    alpha_dot_r = vec_leaf(R, enumerate(ALPHA), name="alpha.r")
+    b_dot_p = dot_p(b, "B.p")
+    r_dot_p = dot(r_t, p_t)
+    alpha_dot_b = vec_leaf(b, enumerate(ALPHA), name="alpha.B")
 
     if kind is SpinKind.FW:
-        pi_t = _kinetic_triple(model, params)
+        pi_t = kinetic_triple(ModelVector(model.a_mesh, "A"), e)
         inv_ew = _mom_scalar(_inv_ek(params, with_w=True), name="1/EW")
         p2_over_ew = _mom_scalar(
             lambda g, t, f=_inv_ek(params, with_w=True): g.k2 * f(g, t),
             name="p^2/EW")
         terms = []
         terms.append(("alpha-cross-kinetic",
-                      _scale_triple(-c, _cross(alpha_t, pi_t))))
+                      scale(-c, cross(alpha_t, pi_t))))
         terms.append(("beta-p-cross-kinetic",
-                      _prefix([ConstMatrix(BETA), _mom_scalar(
-                          _inv_ek(params, scale=c), name="c/E")],
-                          _cross(p_t, pi_t))))
+                      prefix([ConstMatrix(BETA), _mom_scalar(
+                          _inv_ek(params, numerator=c), name="c/E")],
+                          cross(p_t, pi_t))))
         terms.append(("longitudinal-alpha-cross",
-                      _scale_triple(c, _prefix([p2_over_ew], _cross(alpha_t, pi_t)))))
-        terms.append(("alpha-r-gradient", _scale_triple(
-            c * e, _prefix([inv_ew, Scale(0.5, alpha_dot_r), b_dot_p], p_t))))
-        terms.append(("alpha-b-gradient", _scale_triple(
-            -c * e, _prefix([inv_ew, Scale(0.5, r_dot_p), alpha_dot_b], p_t))))
+                      scale(c, prefix([p2_over_ew], cross(alpha_t, pi_t)))))
+        terms.append(("alpha-r-gradient", scale(
+            c * e, prefix([inv_ew, Scale(0.5, alpha_dot_r), b_dot_p], p_t))))
+        terms.append(("alpha-b-gradient", scale(
+            -c * e, prefix([inv_ew, Scale(0.5, r_dot_p), alpha_dot_b], p_t))))
 
         quarter = 0.25 * c * e
-        b_cross_p = _cross(b_t, p_t)
+        b_cross_p = cross(b_t, p_t)
         sigma_dot_alpha = ConstMatrix(sum(SIGMA[j] @ ALPHA[j] for j in range(3)),
                                       name="Sigma.alpha")
-        alpha_dot_bxp = _dot(alpha_t, b_cross_p)
-        sigma_dot_pxalpha = _dot(sigma_t, _cross(p_t, alpha_t))
-        sigma_dot_b = field_dot(model.b_mesh, SIGMA, name="Sigma.B")
-        terms.append(("sigma-alpha-field-cross", _scale_triple(
-            quarter, _prefix([inv_ew], [Mul(ConstMatrix(SIGMA[i]), alpha_dot_bxp)
+        alpha_dot_bxp = dot(alpha_t, b_cross_p)
+        sigma_dot_pxalpha = dot(sigma_t, cross(p_t, alpha_t))
+        sigma_dot_b = vec_leaf(b, enumerate(SIGMA), name="Sigma.B")
+        terms.append(("sigma-alpha-field-cross", scale(
+            quarter, prefix([inv_ew], [Mul(ConstMatrix(SIGMA[i]), alpha_dot_bxp)
+                                       for i in range(3)]))))
+        terms.append(("sigma-dot-alpha-cross", scale(
+            quarter, prefix([inv_ew, sigma_dot_alpha], b_cross_p))))
+        terms.append(("sigma-p-alpha-b", scale(
+            -quarter, prefix([inv_ew], [Mul(sigma_dot_pxalpha, b_t[i])
                                         for i in range(3)]))))
-        terms.append(("sigma-dot-alpha-cross", _scale_triple(
-            quarter, _prefix([inv_ew, sigma_dot_alpha], b_cross_p))))
-        terms.append(("sigma-p-alpha-b", _scale_triple(
-            -quarter, _prefix([inv_ew], [Mul(sigma_dot_pxalpha, b_t[i])
-                                         for i in range(3)]))))
-        terms.append(("sigma-b-p-alpha", _scale_triple(
-            -quarter, _prefix([inv_ew, sigma_dot_b], _cross(p_t, alpha_t)))))
-        total = _add_triples([t for _, t in terms])
+        terms.append(("sigma-b-p-alpha", scale(
+            -quarter, prefix([inv_ew, sigma_dot_b], cross(p_t, alpha_t)))))
+        total = add([t for _, t in terms])
         return terms, total
 
     # Pryce with the minimally coupled Dirac Hamiltonian
     inv_p2 = _mom_scalar(_inv_p2, name="1/p^2", singular=True)
-    alpha_dot_p = MomentumDiag([(lambda g, t, j=j: g.k[j], ALPHA[j]) for j in range(3)],
-                               name="alpha.p")
-    sxb = _cross(sigma_t, b_t)
-    terms = [("sigma-cross-b-alpha-p", _scale_triple(
-        0.25 * e * c, _prefix([inv_p2], [Mul(sxb[i], alpha_dot_p) for i in range(3)])))]
-    terms.append(("alpha-r-gradient", _scale_triple(
-        0.5 * e * c, _prefix([inv_p2, alpha_dot_r, b_dot_p], p_t))))
-    terms.append(("r-p-alpha-b", _scale_triple(
-        -0.5 * e * c, _prefix([inv_p2, r_dot_p, alpha_dot_b], p_t))))
-    total = _add_triples([t for _, t in terms])
+    alpha_dot_p = vec_leaf(P, enumerate(ALPHA), name="alpha.p")
+    sxb = cross(sigma_t, b_t)
+    terms = [("sigma-cross-b-alpha-p", scale(
+        0.25 * e * c, prefix([inv_p2], [Mul(sxb[i], alpha_dot_p) for i in range(3)])))]
+    terms.append(("alpha-r-gradient", scale(
+        0.5 * e * c, prefix([inv_p2, alpha_dot_r, b_dot_p], p_t))))
+    terms.append(("r-p-alpha-b", scale(
+        -0.5 * e * c, prefix([inv_p2, r_dot_p, alpha_dot_b], p_t))))
+    total = add([t for _, t in terms])
     return terms, total
 
 
 def _rhs_direct(kind, model, params):
     c, e, m0 = params.c, params.e, params.m0
-    p_t = _p_triple()
-    l_t = _cross(_r_triple(), p_t)
-    alpha_t = _const_triple(ALPHA, name="alpha")
-    sigma_t = _const_triple(SIGMA, name="Sigma")
+    p_t = triple(P)
+    l_t = cross(triple(R), p_t)
+    alpha_t = const_triple(ALPHA, name="alpha")
+    sigma_t = const_triple(SIGMA, name="Sigma")
     beta_c = ConstMatrix(BETA, name="beta")
-    b_t = _field_vec_triple(model.b_mesh, "B")
-    bdot_t = _field_vec_triple(model.dbdt_mesh, "dB/dt")
-    bddot_t = _field_vec_triple(model.d2bdt2_mesh, "d2B/dt2")
-    e_t = _field_vec_triple(model.e_mesh, "E")
+    bdot = ModelVector(model.dbdt_mesh, "dB/dt")
+    b_t, bdot_t = triple(ModelVector(model.b_mesh, "B")), triple(bdot)
+    bddot_t = triple(ModelVector(model.d2bdt2_mesh, "d2B/dt2"))
+    e_t = triple(ModelVector(model.e_mesh, "E"))
 
     pref_soc = e / (4 * m0**2 * c**2)
     pref_bdot = e / (8 * m0**2 * c**2)
@@ -306,47 +243,46 @@ def _rhs_direct(kind, model, params):
         inv_ew = _mom_scalar(_inv_ek(params, with_w=True), name="1/EW")
         sigma_dot_alpha = ConstMatrix(sum(SIGMA[j] @ ALPHA[j] for j in range(3)),
                                       name="Sigma.alpha")
-        pxalpha_t = _cross(p_t, alpha_t)
-        exp_t = _cross(e_t, p_t)
+        pxalpha_t = cross(p_t, alpha_t)
+        exp_t = cross(e_t, p_t)
         terms = []
-        terms.append(("zeeman-precession", _scale_triple(
-            e / (2 * m0), _prefix([beta_c], _cross(sigma_t, b_t)))))
+        terms.append(("zeeman-precession", scale(
+            e / (2 * m0), prefix([beta_c], cross(sigma_t, b_t)))))
 
         p2_leaf = _mom_scalar(lambda g, t: np.array(g.k2, dtype=float), name="p^2")
-        kin_scalar = Add([p2_leaf, Scale(-e, _dot(b_t, l_t))])
-        terms.append(("kinetic-coupling", _prefix(
-            [inv_e], _scale_triple(1.0 / (2 * m0),
-                                   [Mul(pxalpha_t[i], kin_scalar) for i in range(3)]))))
-        terms.append(("sigma-alpha-zeeman", _prefix(
-            [inv_e], _scale_triple(e / (6 * m0),
-                                   _prefix([sigma_dot_alpha], _cross(b_t, p_t))))))
-        terms.append(("zeeman-projection", _scale_triple(
+        kin_scalar = Add([p2_leaf, Scale(-e, dot(b_t, l_t))])
+        terms.append(("kinetic-coupling", prefix(
+            [inv_e], scale(1.0 / (2 * m0),
+                           [Mul(pxalpha_t[i], kin_scalar) for i in range(3)]))))
+        terms.append(("sigma-alpha-zeeman", prefix(
+            [inv_e], scale(e / (6 * m0), prefix([sigma_dot_alpha], cross(b_t, p_t))))))
+        terms.append(("zeeman-projection", scale(
             -e / (4 * m0),
-            _prefix([beta_c, inv_ew], _cross(p_t, _cross(_cross(sigma_t, b_t), p_t))))))
+            prefix([beta_c, inv_ew], cross(p_t, cross(cross(sigma_t, b_t), p_t))))))
 
-        terms.append(("soc-precession", _scale_triple(
-            pref_soc, _cross(sigma_t, exp_t))))
-        terms.append(("soc-offdiag", _scale_triple(
-            pref_soc * 1j, _prefix([inv_e], _cross(pxalpha_t, exp_t)))))
-        terms.append(("soc-projection", _scale_triple(
-            -pref_soc, _prefix([inv_ew], _cross(p_t, _cross(_cross(sigma_t, exp_t), p_t))))))
+        terms.append(("soc-precession", scale(
+            pref_soc, cross(sigma_t, exp_t))))
+        terms.append(("soc-offdiag", scale(
+            pref_soc * 1j, prefix([inv_e], cross(pxalpha_t, exp_t)))))
+        terms.append(("soc-projection", scale(
+            -pref_soc, prefix([inv_ew], cross(p_t, cross(cross(sigma_t, exp_t), p_t))))))
 
-        terms.append(("bdot-precession", _scale_triple(
-            -1j * pref_bdot, _cross(sigma_t, bdot_t))))
-        terms.append(("bdot-offdiag", _scale_triple(
-            -1j * pref_bdot * 1j, _prefix([inv_e], _cross(pxalpha_t, bdot_t)))))
-        terms.append(("bdot-alpha-cross", _scale_triple(
-            1j * pref_bdot * 0.5, _prefix([inv_e], _cross(alpha_t, _cross(bdot_t, _cross(sigma_t, p_t)))))))
-        terms.append(("bdot-projection", _scale_triple(
-            -1j * pref_bdot, _prefix([inv_ew], _cross(p_t, _cross(_cross(sigma_t, bdot_t), p_t))))))
+        terms.append(("bdot-precession", scale(
+            -1j * pref_bdot, cross(sigma_t, bdot_t))))
+        terms.append(("bdot-offdiag", scale(
+            -1j * pref_bdot * 1j, prefix([inv_e], cross(pxalpha_t, bdot_t)))))
+        terms.append(("bdot-alpha-cross", scale(
+            1j * pref_bdot * 0.5, prefix([inv_e], cross(alpha_t, cross(bdot_t, cross(sigma_t, p_t)))))))
+        terms.append(("bdot-projection", scale(
+            -1j * pref_bdot, prefix([inv_ew], cross(p_t, cross(cross(sigma_t, bdot_t), p_t))))))
 
-        terms.append(("nutation-precession", _scale_triple(
-            -pref_nut, _prefix([beta_c], _cross(sigma_t, bddot_t)))))
-        terms.append(("nutation-offdiag", _scale_triple(
-            -pref_nut / 3.0, _prefix([inv_e, sigma_dot_alpha], _cross(bddot_t, p_t)))))
-        terms.append(("nutation-projection", _scale_triple(
-            -pref_nut, _prefix([beta_c, inv_ew], _cross(p_t, _cross(_cross(sigma_t, bddot_t), p_t))))))
-        total = _add_triples([t for _, t in terms])
+        terms.append(("nutation-precession", scale(
+            -pref_nut, prefix([beta_c], cross(sigma_t, bddot_t)))))
+        terms.append(("nutation-offdiag", scale(
+            -pref_nut / 3.0, prefix([inv_e, sigma_dot_alpha], cross(bddot_t, p_t)))))
+        terms.append(("nutation-projection", scale(
+            -pref_nut, prefix([beta_c, inv_ew], cross(p_t, cross(cross(sigma_t, bddot_t), p_t))))))
+        total = add([t for _, t in terms])
         return terms, total
 
     # Pryce with the direct spin-field Hamiltonian
@@ -354,48 +290,44 @@ def _rhs_direct(kind, model, params):
     beta_lower = ConstMatrix(BETA @ lower, name="beta(1-beta)")
     lower_c = ConstMatrix(lower, name="(1-beta)")
     inv_p2 = _mom_scalar(_inv_p2, name="1/p^2", singular=True)
-    sxbdot_t = _cross(sigma_t, bdot_t)
-    sxbddot_t = _cross(sigma_t, bddot_t)
-    sigma_dot_p = MomentumDiag([(lambda g, t, m=m: g.k[m], SIGMA[m]) for m in range(3)],
-                               name="Sigma.p")
+    sxbdot_t = cross(sigma_t, bdot_t)
+    sxbddot_t = cross(sigma_t, bddot_t)
+    sigma_dot_p = vec_leaf(P, enumerate(SIGMA), name="Sigma.p")
 
     terms = []
-    terms.append(("zeeman-precession", _scale_triple(
-        e / (2 * m0), _cross(sigma_t, b_t))))
-    terms.append(("zeeman-projection", _scale_triple(
-        e / (4 * m0), _prefix([beta_lower, inv_p2],
-                              _cross(sigma_t, _cross(p_t, _cross(b_t, p_t)))))))
-    terms.append(("soc-precession", _scale_triple(
-        pref_soc, _prefix([beta_c], _cross(sigma_t, _cross(e_t, p_t))))))
+    terms.append(("zeeman-precession", scale(
+        e / (2 * m0), cross(sigma_t, b_t))))
+    terms.append(("zeeman-projection", scale(
+        e / (4 * m0), prefix([beta_lower, inv_p2],
+                             cross(sigma_t, cross(p_t, cross(b_t, p_t)))))))
+    terms.append(("soc-precession", scale(
+        pref_soc, prefix([beta_c], cross(sigma_t, cross(e_t, p_t))))))
 
-    sigma_dot_bdot = field_dot(model.dbdt_mesh, SIGMA, name="Sigma.dB/dt")
-    bdot_dot_p = _field_dot_p(model.dbdt_mesh, "dB/dt.p")
+    sigma_dot_bdot = vec_leaf(bdot, enumerate(SIGMA), name="Sigma.dB/dt")
+    bdot_dot_p = dot_p(bdot, "dB/dt.p")
 
-    terms.append(("bdot-spin-spin", _scale_triple(
-        pref_bdot, _prefix([lower_c, inv_p2, sigma_dot_p, sigma_dot_bdot], p_t))))
-    terms.append(("bdot-spin-orbital", _scale_triple(
-        -pref_bdot, _prefix([lower_c, inv_p2, sigma_dot_p, _dot(bdot_t, l_t)], p_t))))
+    terms.append(("bdot-spin-spin", scale(
+        pref_bdot, prefix([lower_c, inv_p2, sigma_dot_p, sigma_dot_bdot], p_t))))
+    terms.append(("bdot-spin-orbital", scale(
+        -pref_bdot, prefix([lower_c, inv_p2, sigma_dot_p, dot(bdot_t, l_t)], p_t))))
     sym = [Scale(0.5, Add([Scale(3.0, p_t[i]), Mul(sigma_dot_p, ConstMatrix(SIGMA[i]))]))
            for i in range(3)]
-    terms.append(("bdot-symmetrized", _scale_triple(
-        -pref_bdot, _prefix([lower_c, inv_p2], [Mul(sym[i], bdot_dot_p)
-                                                for i in range(3)]))))
+    terms.append(("bdot-symmetrized", scale(
+        -pref_bdot, prefix([lower_c, inv_p2], [Mul(sym[i], bdot_dot_p)
+                                               for i in range(3)]))))
 
-    terms.append(("bdot-precession", _scale_triple(
-        -1j * pref_bdot, _prefix([beta_c], sxbdot_t))))
-    sxbdot_dot_p = Add([Mul(sxbdot_t[j], momentum_component(j)) for j in range(3)])
-    terms.append(("bdot-projection", _scale_triple(
-        -1j * pref_bdot, _prefix([beta_c, beta_lower, inv_p2],
-                                 [Mul(sxbdot_dot_p, momentum_component(i))
-                                  for i in range(3)]))))
+    terms.append(("bdot-precession", scale(
+        -1j * pref_bdot, prefix([beta_c], sxbdot_t))))
+    sxbdot_dot_p = dot(sxbdot_t, p_t)
+    terms.append(("bdot-projection", scale(
+        -1j * pref_bdot, prefix([beta_c, beta_lower, inv_p2],
+                                [Mul(sxbdot_dot_p, p) for p in p_t]))))
 
-    terms.append(("nutation-precession", _scale_triple(-pref_nut, sxbddot_t)))
-    sxbddot_dot_p = Add([Mul(sxbddot_t[j], momentum_component(j)) for j in range(3)])
-    terms.append(("nutation-projection", _scale_triple(
-        -pref_nut, _prefix([beta_lower, inv_p2],
-                           [Mul(sxbddot_dot_p, momentum_component(i))
-                            for i in range(3)]))))
-    total = _add_triples([t for _, t in terms])
+    terms.append(("nutation-precession", scale(-pref_nut, sxbddot_t)))
+    sxbddot_dot_p = dot(sxbddot_t, p_t)
+    terms.append(("nutation-projection", scale(
+        -pref_nut, prefix([beta_lower, inv_p2], [Mul(sxbddot_dot_p, p) for p in p_t]))))
+    total = add([t for _, t in terms])
     return terms, total
 
 
@@ -611,11 +543,11 @@ def total_j_identity(kind: SpinKind, states, params: PhysParams,
     and so do not depend on the space the states arrive in beyond roundoff."""
     s_triple = spin_expr(kind, params)
     r_corr = position_correction_expr(kind, params)
-    p_t = _p_triple()
-    r_t = _r_triple()
+    p_t = triple(P)
+    r_t = triple(R)
     r_kind = [Add([r_t[j], r_corr[j]]) for j in range(3)]
-    lhs = [Add([_cross(r_kind, p_t)[i], s_triple[i]]) for i in range(3)]
-    rhs_ = [Add([_cross(r_t, p_t)[i], ConstMatrix(0.5 * SIGMA[i])]) for i in range(3)]
+    lhs = [Add([cross(r_kind, p_t)[i], s_triple[i]]) for i in range(3)]
+    rhs_ = [Add([cross(r_t, p_t)[i], ConstMatrix(0.5 * SIGMA[i])]) for i in range(3)]
     states = [psi.to_momentum() for psi in states]
     out = []
     for i in range(3):

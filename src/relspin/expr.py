@@ -55,7 +55,7 @@ from .grid import MOMENTUM, POSITION, GridSpec, SpinorField, zero_mode_weight
 __all__ = [
     "OperatorExpr", "PositionDiag", "MomentumDiag", "ConstMatrix",
     "Add", "Mul", "Scale", "Adjoint",
-    "LeafStack", "apply_expr", "expectation", "hermiticity_residual", "block_parity",
+    "LeafStack", "apply_expr", "expectation", "block_parity",
     "constant_matrix",
     "DEFAULT_ZERO_MODE_GUARD",
 ]
@@ -342,15 +342,6 @@ class LeafStack:
         # not a BLAS gemv: with OpenBLAS's default threads, one here made the
         # Krylov steps' expm, and so the default Larmor sweep, several times slower
         return np.einsum("lk,k->l", mats, dens.ravel()) * field.grid.weight
-
-
-def hermiticity_residual(expr: OperatorExpr, fields, t: float = 0.0) -> float:
-    """max over the given states of |<psi,E psi> - conj(<psi,E psi>)|."""
-    worst = 0.0
-    for f in fields:
-        v = expectation(expr, f, t)
-        worst = max(worst, abs(v - np.conj(v)))
-    return worst
 
 
 # -- static block-structure analysis -----------------------------------------

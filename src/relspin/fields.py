@@ -11,8 +11,11 @@ methods; the point evaluation ``sample`` is the test reference.
 A model's read-only ``time_dependent`` says whether its meshes can change
 with t.  It is derived from the model, never set: False for ``ZeroField``
 and for ``UniformB``/``UniformE`` under a constant envelope, True otherwise.
-The operator builders pass it to every leaf they build on a model mesh, so
-the leaves of a static field fill once per grid instead of at every t.
+The operator builders read each mesh vector through one
+``hamiltonians.ModelVector``, which calls the mesh once per (grid, t), or
+once per grid when the model is static, and passes the flag to every leaf
+built on it, so the leaves of a static field fill once per grid instead of
+at every t.
 
 Models
 ------

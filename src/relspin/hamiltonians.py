@@ -23,6 +23,20 @@ Families and their term vocabularies (stable report strings):
                ``nutation``              +(e/16 m0^3 c^4) beta Sigma.d2B/dt2
 
 Operator products are ordered exactly as written (left factor applied last).
+
+Every vector operator here and in ``dynamics``' printed right-hand sides is
+built from one vocabulary: a triple is a list of three expressions; ``P``
+and ``R`` are the momentum and position vectors and a :class:`ModelVector`
+one of a model's mesh vectors (A, E, dE/dt, B, dB/dt, d2B/dt2);
+``vec_leaf`` is sum_j x_j M_j as one leaf, ``triple`` the three x_j, and
+``kinetic_triple`` the (p - eA)_i; ``cross``, ``dot``, ``prefix``, ``scale``,
+``add`` and ``const_triple`` combine triples.  A builder makes each model
+vector once, so each mesh method is called once per (grid, t), or once per
+grid for a static model, however many leaves read it.  The Hamiltonians
+fold Sigma_i into a field leaf's matrix (``_cross_dot_sigma``) where the
+printed right-hand sides write ConstMatrix(Sigma_i) @ leaf; the two are
+equal up to roundoff, and each keeps its own transform count.
+
 With ``hermitize=True`` every term is replaced by its Hermitian part
 (T + T^H)/2.  Note that for field models satisfying Faraday's law the
 printed ``field-derivative-soc`` term is already Hermitian: the anti-Hermitian
@@ -41,20 +55,23 @@ from .algebra import ID4, levi_civita_pairs
 from .errors import PreconditionError
 from .expr import (Add, Adjoint, ConstMatrix, MomentumDiag, Mul, OperatorExpr, PositionDiag,
                    Scale, _one)
-from .fields import FieldModel
-from .grid import GridSpec
+from .fields import FieldModel, ZeroField
+from .grid import MOMENTUM, POSITION, GridSpec
 from .operators import ALPHA, BETA, SIGMA, PhysParams
 
 __all__ = [
     "NamedHamiltonian", "build_free_dirac", "build_dirac_em",
     "build_fw_full", "build_fw_direct",
-    "momentum_component", "position_component", "kinetic_momentum", "field_dot",
+    "P", "R", "ModelVector", "vec_leaf", "triple", "dot_p", "const_triple",
+    "kinetic_triple", "cross", "dot", "prefix", "scale", "add", "hermitian_part",
 ]
 
 FW_FULL_TERMS = ("rest-mass", "kinetic", "zeeman", "mass-correction",
                  "kinetic-zeeman-cross", "b-squared", "darwin",
                  "spin-orbit", "de-dt")
 FW_DIRECT_TERMS = ("kinetic", "zeeman", "field-derivative-soc", "nutation")
+
+_BETA_SIGMA = [BETA @ s for s in SIGMA]
 
 
 @dataclass
@@ -95,75 +112,129 @@ class NamedHamiltonian:
                                 self.grid, self.hermitized, self.assume_hermitian)
 
 
-# -- small expression builders -------------------------------------------------
+# -- the vector vocabulary -----------------------------------------------------
+# A triple is a list of three expressions, one per Cartesian component.
 
-def momentum_component(i: int) -> MomentumDiag:
-    """k_i."""
-    return MomentumDiag([(lambda g, t, i=i: g.k[i], ID4)], name=f"p_{'xyz'[i]}")
+class _GridVector:
+    """k (``P``) or r (``R``) of the grid; the same at every t."""
 
+    time_dependent = False
 
-def position_component(i: int) -> PositionDiag:
-    """r_i."""
-    return PositionDiag([(lambda g, t, i=i: g.r[i], ID4)], name=f"r_{'xyz'[i]}")
+    def __init__(self, name, space):
+        self.name, self.space = name, space
 
-
-def kinetic_momentum(model: FieldModel, params: PhysParams, i: int) -> OperatorExpr:
-    """(p - eA)_i; a vanishing A_i is skipped when the sum is applied."""
-    a_i = PositionDiag([(lambda g, t: model.a_mesh(g.r, t)[i], ID4)],
-                       name=f"A_{'xyz'[i]}", time_dependent=model.time_dependent)
-    return Add([momentum_component(i), Scale(-params.e, a_i)])
+    def __call__(self, grid, t):
+        return grid.k if self.space == MOMENTUM else grid.r
 
 
-def _mesh_vec_leaf(mesh_fn, i, matrix):
-    """matrix X_i, a position leaf for component i of a model mesh vector X."""
-    return PositionDiag([(lambda g, t, i=i: mesh_fn(g.r, t)[i], matrix)],
-                        time_dependent=mesh_fn.__self__.time_dependent)
+P = _GridVector("p", MOMENTUM)
+R = _GridVector("r", POSITION)
 
 
-def field_dot(mesh_fn, mats, prefactor=1.0, name=None) -> PositionDiag:
-    """sum_j prefactor X_j mats[j] for a model mesh vector X such as B or
-    dB/dt; a constant leaf when X is uniform.  ``mesh_fn`` is a bound
-    ``*_mesh`` method, and the leaf refills at every t only when its model
-    is time-dependent."""
-    return PositionDiag(
-        [(lambda g, t, j=j: prefactor * np.asarray(mesh_fn(g.r, t)[j]), mats[j])
-         for j in range(3)],
-        name=name, time_dependent=mesh_fn.__self__.time_dependent)
+class ModelVector:
+    """A model mesh vector X (A, E, dE/dt, B, dB/dt or d2B/dt2) for the
+    bound ``*_mesh`` method ``mesh_fn``.  ``X(grid, t)`` calls the mesh once
+    per (grid, t), or once per grid when the model is static, and every leaf
+    built on X reads that one result."""
+
+    space = POSITION
+
+    def __init__(self, mesh_fn, name):
+        self.mesh_fn, self.name = mesh_fn, name
+        self.time_dependent = mesh_fn.__self__.time_dependent
+        self._key = self._value = None
+
+    def __call__(self, grid, t):
+        key = (grid, t if self.time_dependent else None)
+        if self._key != key:
+            self._value, self._key = self.mesh_fn(grid.r, t), key
+        return self._value
 
 
-def _sigma_dot(mesh_fn, prefactor, beta_weighted: bool):
-    """prefactor Sigma.X, or prefactor beta Sigma.X, for a mesh vector X."""
-    return field_dot(mesh_fn, [BETA @ s if beta_weighted else s for s in SIGMA],
-                     prefactor)
+def vec_leaf(x, pairs, prefactor=1.0, name=None, const=None):
+    """sum prefactor x_j M over the (j, M) in ``pairs``, plus the constant
+    matrix ``const`` if given, as one leaf diagonal in x's space: c alpha.p,
+    -ec alpha.A, alpha.r, Sigma.B, beta Sigma.B, or one component with
+    Sigma_i folded into its matrix.  A uniform x gives a constant leaf."""
+    def component(j):
+        if prefactor == 1:  # x_j itself, not a copy
+            return lambda g, t: x(g, t)[j]
+        return lambda g, t: prefactor * np.asarray(x(g, t)[j])
+    terms = [(component(j), m) for j, m in pairs]
+    if const is not None:
+        terms.append((_one, const))
+    leaf = MomentumDiag if x.space == MOMENTUM else PositionDiag
+    return leaf(terms, name=name, time_dependent=x.time_dependent)
 
 
-def _kinetic_triple(model, params):
-    """The three (p - eA)_i, built once per Hamiltonian and shared by every
-    term, so each A_i leaf fills once per t."""
-    return [kinetic_momentum(model, params, i) for i in range(3)]
+def triple(x):
+    """The components x_x, x_y, x_z as three leaves."""
+    return [vec_leaf(x, [(j, ID4)], name=f"{x.name}_{'xyz'[j]}") for j in range(3)]
 
 
-def _kinetic_squared(pi):
-    """(p - eA)^2 = sum_i (p - eA)_i (p - eA)_i."""
-    return Add([Mul(c, c) for c in pi])
+def dot_p(x, name=None):
+    """x.p as one momentum leaf, for a uniform model vector x."""
+    return MomentumDiag([(lambda g, t, j=j: x(g, t)[j] * g.k[j], ID4) for j in range(3)],
+                        name=name, time_dependent=x.time_dependent)
 
 
-def _cross_dot_sigma(pi, vec_mesh, reverse: bool = False):
-    """Sigma.[X x (p-eA)] (reverse=False) or Sigma.[(p-eA) x X] (reverse=True)
-    for a model mesh vector X, with products ordered exactly as written
-    (the right factor acts first)."""
+def const_triple(mats, name=None):
+    return [ConstMatrix(m, name=name) for m in mats]
+
+
+def kinetic_triple(a, e):
+    """The three (p - eA)_i for the model vector ``a`` of A; a vanishing A_i
+    is skipped when the sum is applied."""
+    return add([triple(P), scale(-e, triple(a))])
+
+
+def cross(a, b):
+    """(a x b)_i; right factor acts first."""
+    return [Add([Mul(a[j], b[k]) if e > 0 else Scale(-1.0, Mul(a[j], b[k]))
+                 for j, k, e in levi_civita_pairs(i)]) for i in range(3)]
+
+
+def dot(a, b):
+    """sum_j a_j b_j; right factor acts first."""
+    return Add([Mul(a[j], b[j]) for j in range(3)])
+
+
+def prefix(factors, comps):
+    """Left-multiply every component by the given prefactor chain."""
+    out = []
+    for comp in comps:
+        expr = comp
+        for f in reversed(factors):
+            expr = Mul(f, expr)
+        out.append(expr)
+    return out
+
+
+def scale(s, comps):
+    return [Scale(s, comp) for comp in comps]
+
+
+def add(triples):
+    return [Add([tr[i] for tr in triples]) for i in range(3)]
+
+
+def _cross_dot_sigma(pi, x, reverse: bool = False):
+    """Sigma.[x x (p-eA)] (reverse=False) or Sigma.[(p-eA) x x] (reverse=True)
+    for a model vector x, with Sigma_i folded into the matrix of x's leaf and
+    products ordered exactly as written (the right factor acts first)."""
     out = []
     for i in range(3):
         for j, k, e in levi_civita_pairs(i):
             if reverse:
-                left, right = pi[j], _mesh_vec_leaf(vec_mesh, k, e * SIGMA[i])
+                left, right = pi[j], vec_leaf(x, [(k, e * SIGMA[i])])
             else:
-                left, right = _mesh_vec_leaf(vec_mesh, j, e * SIGMA[i]), pi[k]
+                left, right = vec_leaf(x, [(j, e * SIGMA[i])]), pi[k]
             out.append(Mul(left, right))
     return Add(out)
 
 
-def _hermitize(expr):
+def hermitian_part(expr):
+    """(T + T^H)/2."""
     return Scale(0.5, Add([expr, Adjoint(expr)]))
 
 
@@ -171,27 +242,18 @@ def _hermitize(expr):
 
 def build_free_dirac(params: PhysParams, grid: GridSpec) -> NamedHamiltonian:
     """Single momentum-diagonal leaf  k -> c alpha.k + beta m0 c^2."""
-    pairs = [(lambda g, t, i=i: g.k[i], params.c * ALPHA[i]) for i in range(3)]
-    pairs.append((_one, params.rest_energy * BETA))
-    leaf = MomentumDiag(pairs, name="free-dirac")
-    return NamedHamiltonian("free", [("free-dirac", leaf)], params,
-                            _zero_model(), grid)
-
-
-def _zero_model():
-    from .fields import ZeroField
-    return ZeroField()
+    leaf = vec_leaf(P, [(i, params.c * ALPHA[i]) for i in range(3)], name="free-dirac",
+                    const=params.rest_energy * BETA)
+    return NamedHamiltonian("free", [("free-dirac", leaf)], params, ZeroField(), grid)
 
 
 def build_dirac_em(model: FieldModel, params: PhysParams,
                    grid: GridSpec) -> NamedHamiltonian:
     """Minimal-coupling Dirac Hamiltonian c alpha.(p-eA) + beta m0 c^2 + e phi."""
-    kin = MomentumDiag([(lambda g, t, i=i: g.k[i], params.c * ALPHA[i])
-                        for i in range(3)], name="kinetic-free")
-    gauge = PositionDiag(
-        [(lambda g, t, i=i: model.a_mesh(g.r, t)[i], -params.e * params.c * ALPHA[i])
-         for i in range(3)],
-        name="gauge-coupling", time_dependent=model.time_dependent)
+    kin = vec_leaf(P, [(i, params.c * ALPHA[i]) for i in range(3)], name="kinetic-free")
+    gauge = vec_leaf(ModelVector(model.a_mesh, "A"),
+                     [(i, -params.e * params.c * ALPHA[i]) for i in range(3)],
+                     name="gauge-coupling")
     mass = ConstMatrix(params.rest_energy * BETA, name="mass")
     scalar = PositionDiag([(lambda g, t: model.phi_mesh(g.r, t), params.e * ID4)],
                           name="scalar", time_dependent=model.time_dependent)
@@ -205,23 +267,25 @@ def build_fw_full(model: FieldModel, params: PhysParams, grid: GridSpec,
     """The expanded even Hamiltonian; ``term_mask`` selects a subset of
     FW_FULL_TERMS (default: everything except ``rest-mass``)."""
     m0, c, e = params.m0, params.c, params.e
-    pi = _kinetic_triple(model, params)
-    sq = _kinetic_squared(pi)
+    b, e_vec = ModelVector(model.b_mesh, "B"), ModelVector(model.e_mesh, "E")
+    dedt_vec = ModelVector(model.dedt_mesh, "dE/dt")
+    pi = kinetic_triple(ModelVector(model.a_mesh, "A"), e)
+    sq = dot(pi, pi)
     beta_c = ConstMatrix(BETA, name="beta")
 
     terms = {}
     terms["rest-mass"] = ConstMatrix(params.rest_energy * BETA, name="rest-mass")
     terms["kinetic"] = Scale(1.0 / (2 * m0), Mul(beta_c, sq))
-    terms["zeeman"] = _sigma_dot(model.b_mesh, -e / (2 * m0), True)
+    terms["zeeman"] = vec_leaf(b, enumerate(_BETA_SIGMA), -e / (2 * m0))
     terms["mass-correction"] = Scale(-1.0 / (8 * m0**3 * c**2),
                                      Mul(beta_c, Mul(sq, sq)))
-    szb = _sigma_dot(model.b_mesh, 1.0, True)
+    szb = vec_leaf(b, enumerate(_BETA_SIGMA))
     terms["kinetic-zeeman-cross"] = Scale(
         e / (8 * m0**3 * c**2), Add([Mul(sq, szb), Mul(szb, sq)]))
 
     terms["b-squared"] = PositionDiag(
         [(lambda g, t: -e**2 / (8 * m0**3 * c**2)
-          * sum(np.asarray(b) ** 2 for b in model.b_mesh(g.r, t)), BETA)],
+          * sum(np.asarray(bj) ** 2 for bj in b(g, t)), BETA)],
         name="b-squared", time_dependent=model.time_dependent)
 
     terms["darwin"] = PositionDiag(
@@ -229,14 +293,14 @@ def build_fw_full(model: FieldModel, params: PhysParams, grid: GridSpec,
           ID4)], name="darwin", time_dependent=model.time_dependent)
 
     so = Add([
-        _cross_dot_sigma(pi, model.e_mesh, reverse=True),
-        Scale(-1.0, _cross_dot_sigma(pi, model.e_mesh, reverse=False)),
+        _cross_dot_sigma(pi, e_vec, reverse=True),
+        Scale(-1.0, _cross_dot_sigma(pi, e_vec, reverse=False)),
     ])
     terms["spin-orbit"] = Scale(e / (8 * m0**2 * c**2), so)
 
     dedt = Add([
-        _cross_dot_sigma(pi, model.dedt_mesh, reverse=True),
-        _cross_dot_sigma(pi, model.dedt_mesh, reverse=False),
+        _cross_dot_sigma(pi, dedt_vec, reverse=True),
+        _cross_dot_sigma(pi, dedt_vec, reverse=False),
     ])
     terms["de-dt"] = Scale(-1j * e / (16 * m0**3 * c**4), Mul(beta_c, dedt))
 
@@ -249,7 +313,7 @@ def build_fw_full(model: FieldModel, params: PhysParams, grid: GridSpec,
             raise PreconditionError(f"unknown fw-full terms {sorted(unknown)}")
     ordered = [(n, terms[n]) for n in FW_FULL_TERMS if n in selected]
     if hermitize:
-        ordered = [(n, _hermitize(x)) for n, x in ordered]
+        ordered = [(n, hermitian_part(x)) for n, x in ordered]
     return NamedHamiltonian("fw-full", ordered, params, model, grid,
                             hermitized=hermitize, assume_hermitian=hermitize)
 
@@ -265,22 +329,23 @@ def build_fw_direct(model: FieldModel, params: PhysParams, grid: GridSpec,
     """
     m0, c, e = params.m0, params.c, params.e
     beta_c = ConstMatrix(BETA, name="beta")
-    pi = _kinetic_triple(model, params)
-    sq = _kinetic_squared(pi)
+    pi = kinetic_triple(ModelVector(model.a_mesh, "A"), e)
+    sq = dot(pi, pi)
 
     kinetic = Scale(1.0 / (2 * m0), Mul(beta_c, sq))
-    zeeman = _sigma_dot(model.b_mesh, -e / (2 * m0), True)
+    zeeman = vec_leaf(ModelVector(model.b_mesh, "B"), enumerate(_BETA_SIGMA), -e / (2 * m0))
 
-    exp_cross = _cross_dot_sigma(pi, model.e_mesh, reverse=False)
-    dbdt_piece = _sigma_dot(model.dbdt_mesh, 1.0, False)
+    exp_cross = _cross_dot_sigma(pi, ModelVector(model.e_mesh, "E"), reverse=False)
+    dbdt_piece = vec_leaf(ModelVector(model.dbdt_mesh, "dB/dt"), enumerate(SIGMA))
     soc = Scale(-e / (8 * m0**2 * c**2),
                 Add([Scale(2.0, exp_cross), Scale(-1j, dbdt_piece)]))
 
-    nutation = _sigma_dot(model.d2bdt2_mesh, e / (16 * m0**3 * c**4), True)
+    nutation = vec_leaf(ModelVector(model.d2bdt2_mesh, "d2B/dt2"), enumerate(_BETA_SIGMA),
+                        e / (16 * m0**3 * c**4))
 
     ordered = [("kinetic", kinetic), ("zeeman", zeeman),
                ("field-derivative-soc", soc), ("nutation", nutation)]
     if hermitize:
-        ordered = [(n, _hermitize(x)) for n, x in ordered]
+        ordered = [(n, hermitian_part(x)) for n, x in ordered]
     return NamedHamiltonian("fw-direct", ordered, params, model, grid,
                             hermitized=hermitize, assume_hermitian=hermitize)

@@ -37,7 +37,7 @@ from .errors import BoundaryFluxError, KrylovConvergenceError, PreconditionError
 from .expr import Add, Adjoint, LeafStack, Scale, apply_expr, constant_matrix, expectation
 from .fields import FieldModel
 from .grid import MOMENTUM, POSITION, GridSpec, SpinorField, apply_matrix, free_dirac_values
-from .hamiltonians import NamedHamiltonian, momentum_component, position_component
+from .hamiltonians import P, R, NamedHamiltonian, hermitian_part, triple
 from .operators import ALPHA, PhysParams, SpinKind, energy_k2
 from .dynamics import spin_expr
 
@@ -265,8 +265,7 @@ OBSERVABLE_GUARD = 1e-3
 class _Observables:
     def __init__(self, grid, params):
         self.spin = {k: spin_expr(k, params) for k in SpinKind}
-        self.r = [position_component(i) for i in range(3)]
-        self.p = [momentum_component(i) for i in range(3)]
+        self.r, self.p = triple(R), triple(P)
         # every observable but the energy is one diagonal leaf
         labels = {SpinKind.DIRAC: "S_D", SpinKind.FW: "S_FW", SpinKind.PRYCE: "S_Py"}
         mom = [(f"{labels[k]}_{ax}", s) for k in SpinKind for ax, s in zip("xyz", self.spin[k])]
@@ -335,9 +334,8 @@ def ehrenfest_residual(kind: SpinKind, hamiltonian: NamedHamiltonian,
     if hamiltonian.assume_hermitian:
         h_herm, h_anti = hamiltonian.total, None
     else:
-        adj = Adjoint(hamiltonian.total)
-        h_herm = Scale(0.5, Add([hamiltonian.total, adj]))
-        h_anti = Scale(0.5, Add([hamiltonian.total, Scale(-1.0, adj)]))
+        h_herm = hermitian_part(hamiltonian.total)
+        h_anti = Scale(0.5, Add([hamiltonian.total, Scale(-1.0, Adjoint(hamiltonian.total))]))
 
     guard = OBSERVABLE_GUARD
     times, svals, gvals = [], [], []

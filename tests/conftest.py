@@ -37,6 +37,18 @@ def rng():
     return np.random.default_rng(771)
 
 
+@pytest.fixture(scope="session")
+def hermiticity_residual():
+    """``hermiticity_residual(expr, states, t=0.0)``: the largest
+    |<psi, E psi> - conj(<psi, E psi>)| over the given states."""
+    from relspin.expr import expectation
+
+    def residual(expr, states, t=0.0):
+        return max((abs(v - np.conj(v)) for v in (expectation(expr, f, t) for f in states)),
+                   default=0.0)
+    return residual
+
+
 @pytest.fixture
 def fft_count(monkeypatch):
     """Counts scipy.fft.fftn/ifftn calls; read ``fft_count[0]``."""

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relspin.algebra import (ID4, anticommutator, commutator, dirac_matrices,
-                             exp_minus_iHt, herm_eigs, is_hermitian, is_unitary)
+                             herm_eigs, is_hermitian)
 from relspin.errors import PreconditionError
+from relspin.propagate import _exp_minus_idt
 
 ALPHA, BETA, SIGMA = dirac_matrices()
 
@@ -49,7 +50,7 @@ class TestDiracMatrices:
     def test_all_hermitian_unitary(self):
         for m in list(ALPHA) + [BETA] + list(SIGMA):
             assert is_hermitian(m, 1e-15)
-            assert is_unitary(m, 1e-15)
+            assert np.linalg.norm(m.conj().T @ m - ID4) <= 1e-15 * max(1.0, np.linalg.norm(m))
 
     def test_returns_copies(self):
         a1, b1, s1 = dirac_matrices()
@@ -151,6 +152,11 @@ class TestStackedHermEigs:
             assert np.array_equal(got[i], commutator(a[i], b))
 
 
+def exp_minus_iHt(h, t):
+    """The exponential the propagators run, for a trusted-Hermitian h."""
+    return _exp_minus_idt(h, t, True)
+
+
 class TestExpMinusIHt:
     def test_zero_time_is_identity(self, rng):
         assert np.allclose(exp_minus_iHt(random_hermitian(rng), 0.0), ID4,
@@ -174,7 +180,7 @@ class TestExpMinusIHt:
     def test_unitary(self, rng):
         for _ in range(10):
             u = exp_minus_iHt(random_hermitian(rng), 0.37)
-            assert is_unitary(u, 1e-12)
+            assert np.linalg.norm(u.conj().T @ u - ID4) <= 1e-12 * max(1.0, np.linalg.norm(u))
 
     @given(st.integers(min_value=0, max_value=2**32 - 1),
            st.floats(min_value=-5.0, max_value=5.0, allow_nan=False))

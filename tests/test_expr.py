@@ -9,10 +9,10 @@ from relspin.errors import SingularMomentumError
 from relspin.errors import PreconditionError
 from relspin.expr import (Add, Adjoint, ConstMatrix, LeafStack, MomentumDiag, Mul,
                           PositionDiag, Scale, apply_expr, block_parity,
-                          constant_matrix, expectation, hermiticity_residual)
+                          constant_matrix, expectation)
 from relspin.grid import (MOMENTUM, POSITION, GridSpec, SpinorField, apply_matrix,
                           gaussian_packet)
-from relspin.hamiltonians import momentum_component, position_component
+from relspin.hamiltonians import P, R, triple
 from relspin.operators import ALPHA, BETA, SIGMA
 from relspin.dynamics import spin_expr
 from relspin.operators import SpinKind
@@ -161,7 +161,7 @@ class TestConstantLeaf:
     def test_sum_skips_zero_constant_leaf(self, grid, rng, fft_count):
         psi = random_field(grid, rng)
         zero = PositionDiag([(lambda g, t: 0.0, SIGMA[0])])
-        p_x = momentum_component(0)
+        p_x = triple(P)[0]
         fft_count[0] = 0
         out = apply_expr(Add([p_x, zero]), psi)
         # p_x there and back; the zero leaf's position-space result would
@@ -177,7 +177,7 @@ class TestConstantLeaf:
     def test_sum_skips_leaf_with_zero_matrices(self, grid, rng, fft_count, zero):
         # every pair has a zero scalar or an all-zero matrix
         psi = random_field(grid, rng)
-        p_x = momentum_component(0)
+        p_x = triple(P)[0]
         fft_count[0] = 0
         out = apply_expr(Add([p_x, zero]), psi)
         assert fft_count[0] == 2
@@ -264,7 +264,7 @@ class TestExactZeros:
     def test_vanishing_node_makes_no_transform(self, grid, rng, fft_count, build):
         psi = random_field(grid, rng)
         zero = PositionDiag([(lambda g, t: np.zeros(g.shape), BETA)])
-        expr = build(momentum_component(0), zero)
+        expr = build(triple(P)[0], zero)
         assert expr._vanishes(grid, 0.0)
         fft_count[0] = 0
         out = apply_expr(expr, psi)
@@ -275,7 +275,7 @@ class TestExactZeros:
 
     def test_mesh_with_a_zero_entry_is_kept(self, grid):
         # r_x passes through 0 at the box centre
-        leaf = position_component(0)
+        leaf = triple(R)[0]
         (cached,) = leaf._scalars(grid, 0.0)
         assert cached is grid.r[0]
         assert not leaf._vanishes(grid, 0.0)
@@ -289,7 +289,7 @@ class TestCanonicalCommutator:
     def test_xp_commutator_on_resolved_packet(self):
         g = GridSpec(1, 256, 256.0)
         psi = gaussian_packet(g, 0.0, 12.0, 1.0, [1, 0, 0, 0])
-        out = apply_expr(_comm(position_component(0), momentum_component(0)), psi)
+        out = apply_expr(_comm(triple(R)[0], triple(P)[0]), psi)
         assert (out - 1j * psi).norm() <= 1e-8
 
     def test_spectral_refinement(self):
@@ -302,8 +302,8 @@ class TestCanonicalCommutator:
             vals = np.zeros((4, n), dtype=complex)
             vals[0] = np.exp(-x**2 / (4 * sigma**2)) * np.exp(1j * 0.5 * x)
             psi = SpinorField(g, vals).normalized()
-            out = apply_expr(_comm(position_component(0),
-                                   momentum_component(0)), psi)
+            out = apply_expr(_comm(triple(R)[0],
+                                   triple(P)[0]), psi)
             residuals.append((out - 1j * psi).norm())
         for coarse, fine in zip(residuals, residuals[1:]):
             if coarse <= 1e-12:
@@ -313,7 +313,7 @@ class TestCanonicalCommutator:
 
 class TestAlgebraicLaws:
     def test_linearity(self, grid, rng):
-        e = Add([Mul(momentum_component(0), position_component(0)),
+        e = Add([Mul(triple(P)[0], triple(R)[0]),
                  ConstMatrix(BETA)])
         a, b = random_field(grid, rng), random_field(grid, rng)
         ca, cb = 0.3 - 0.7j, 1.1 + 0.2j
@@ -323,8 +323,8 @@ class TestAlgebraicLaws:
 
     def test_composition_exact(self, grid, rng):
         psi = random_field(grid, rng)
-        e1 = position_component(0)
-        e2 = momentum_component(0)
+        e1 = triple(R)[0]
+        e2 = triple(P)[0]
         combined = apply_expr(Mul(e1, e2), psi)
         sequential = apply_expr(e1, apply_expr(e2, psi))
         assert np.array_equal(combined.values, sequential.values)
@@ -333,7 +333,7 @@ class TestAlgebraicLaws:
         # the two orderings settle in different spaces before alignment, so
         # equality holds to transform-roundtrip roundoff rather than bitwise
         psi = random_field(grid, rng)
-        a, b = position_component(0), momentum_component(0)
+        a, b = triple(R)[0], triple(P)[0]
         fwd = apply_expr(_comm(a, b), psi)
         bwd = apply_expr(_comm(b, a), psi)
         assert (fwd + bwd).norm() <= 1e-12 * fwd.norm()
@@ -341,7 +341,7 @@ class TestAlgebraicLaws:
     def test_adjoint_defining_property(self, grid, rng):
         # <adj(e) phi, psi> = <phi, e psi>
         e = Add([
-            Mul(position_component(0), momentum_component(0)),
+            Mul(triple(R)[0], triple(P)[0]),
             Scale(0.4 - 0.2j, ConstMatrix(BETA @ ALPHA[1])),
         ])
         adj = Adjoint(e)
@@ -352,13 +352,13 @@ class TestAlgebraicLaws:
             assert abs(lhs - rhs) <= 1e-10
 
     def test_adjoint_leaf_is_built_once(self):
-        leaf = position_component(0)
+        leaf = triple(R)[0]
         assert Adjoint(leaf) is Adjoint(leaf)
         assert Adjoint(Adjoint(leaf)) is leaf
 
     def test_double_adjoint(self, grid, rng):
         psi = random_field(grid, rng)
-        e = Mul(position_component(0), momentum_component(1))
+        e = Mul(triple(R)[0], triple(P)[1])
         assert (apply_expr(Adjoint(Adjoint(e)), psi)
                 - apply_expr(e, psi)).norm() <= 1e-12
 
@@ -400,14 +400,14 @@ class TestLeafStack:
             assert abs(value - expectation(leaf, psi)) <= 1e-13 * scale
 
     def test_leaves_of_two_spaces_are_refused(self, grid, rng):
-        stack = LeafStack([momentum_component(0), position_component(0)])
+        stack = LeafStack([triple(P)[0], triple(R)[0]])
         with pytest.raises(PreconditionError):
             stack.expectations(random_field(grid, rng))
 
     def test_time_dependent_leaf_is_refused(self):
         leaf = PositionDiag([(lambda g, t: t * g.r[0], ID4)], time_dependent=True)
         with pytest.raises(PreconditionError, match="time-independent"):
-            LeafStack([position_component(0), leaf])
+            LeafStack([triple(R)[0], leaf])
 
     def test_singular_leaf_refuses_zero_mode(self):
         grid = _KERNEL_GRIDS[1]
@@ -415,7 +415,7 @@ class TestLeafStack:
         leaf = MomentumDiag([(lambda g, t: g.k2, (ID4 - BETA) @ SIGMA[2])],
                             name="singular", singular_origin=True)
         with pytest.raises(SingularMomentumError, match="singular"):
-            LeafStack([momentum_component(0), leaf]).expectations(psi)
+            LeafStack([triple(P)[0], leaf]).expectations(psi)
 
 
 class TestExpectation:
@@ -427,14 +427,14 @@ class TestExpectation:
         g = GridSpec(1, 512, 256.0)
         k0 = 1.25
         psi = gaussian_packet(g, 0.0, 16.0, k0, [1, 0, 0, 0])
-        val = expectation(momentum_component(0), psi)
+        val = expectation(triple(P)[0], psi)
         assert abs(val.real - k0) <= 1e-6
         assert abs(val.imag) <= 1e-10
 
-    def test_hermiticity_residual_builtin(self, grid, rng):
+    def test_hermiticity_residual_builtin(self, grid, rng, hermiticity_residual):
         fields = [random_field(grid, rng) for _ in range(4)]
-        herm = Add([momentum_component(0), ConstMatrix(BETA),
-                    Scale(0.5, position_component(0))])
+        herm = Add([triple(P)[0], ConstMatrix(BETA),
+                    Scale(0.5, triple(R)[0])])
         assert hermiticity_residual(herm, fields) <= 1e-10
 
 
@@ -487,11 +487,11 @@ class TestConstantMatrix:
         ham = build_fw_direct(UniformB([0.0, 0.0, 0.2]), params, grid)
         assert constant_matrix(ham.subset(["zeeman"]).total, grid, 0.0) is not None
         assert constant_matrix(ham.subset(["kinetic", "zeeman"]).total, grid, 0.0) is None
-        assert constant_matrix(Mul(ConstMatrix(BETA), momentum_component(0)), grid, 0.0) is None
+        assert constant_matrix(Mul(ConstMatrix(BETA), triple(P)[0]), grid, 0.0) is None
 
     def test_vanishing_child_is_ignored(self, grid):
         zero_mesh = PositionDiag([(lambda g, t: np.zeros(g.shape), ALPHA[1])])
-        e = Add([ConstMatrix(BETA), zero_mesh, Mul(momentum_component(0), zero_mesh)])
+        e = Add([ConstMatrix(BETA), zero_mesh, Mul(triple(P)[0], zero_mesh)])
         assert np.array_equal(constant_matrix(e, grid, 0.0), BETA)
-        assert np.array_equal(constant_matrix(Scale(0.0, momentum_component(0)), grid, 0.0),
+        assert np.array_equal(constant_matrix(Scale(0.0, triple(P)[0]), grid, 0.0),
                               np.zeros((4, 4)))

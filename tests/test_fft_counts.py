@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relspin.dynamics import build_hamiltonian, spin_expr, standard_battery, verify
+from relspin.dynamics import build_hamiltonian, rhs, spin_expr, standard_battery, verify
 from relspin.expr import _DiagLeaf, apply_expr, expectation
 from relspin.fields import Envelope, UniformB, ZeroField
 from relspin.grid import GridSpec, SpinorField, gaussian_packet
@@ -221,17 +221,18 @@ def test_free_particle_run(fft_count):
     assert fft_count[0] <= 110
 
 
-# A model-vector leaf calls its mesh once per term and fill: a field_dot
-# leaf (zeeman, Sigma.dB/dt, nutation) has three terms, an A_i, E_j or
-# dE/dt_j leaf one, and b-squared and darwin one each.  The three
-# (p - eA)_i are built once per Hamiltonian, so A fills three times however
-# many terms use them; fw-direct's E x (p - eA) has six E_j leaves, and
-# fw-full's spin-orbit and de-dt twelve E_j and twelve dE/dt_j leaves.
+# A builder makes one ModelVector per model vector, which calls its mesh
+# once per (grid, t) and serves every leaf built on it: the gauge leaf or
+# the three A_i of (p - eA); zeeman, kinetic-zeeman-cross and b-squared on
+# B; the six E_j leaves of fw-direct's E x (p - eA), or the twelve E_j and
+# twelve dE/dt_j of fw-full's spin-orbit and de-dt.  phi (the scalar leaf)
+# and div E (darwin) are read by one leaf each.  So every method is called
+# once per new t.
 _MESH_CALLS = {
-    "dirac-em": {"a_mesh": 3, "phi_mesh": 1},
-    "fw-direct": {"a_mesh": 3, "b_mesh": 3, "e_mesh": 6, "dbdt_mesh": 3,
-                  "d2bdt2_mesh": 3},
-    "fw-full": {"a_mesh": 3, "b_mesh": 7, "e_mesh": 12, "dedt_mesh": 12,
+    "dirac-em": {"a_mesh": 1, "phi_mesh": 1},
+    "fw-direct": {"a_mesh": 1, "b_mesh": 1, "e_mesh": 1, "dbdt_mesh": 1,
+                  "d2bdt2_mesh": 1},
+    "fw-full": {"a_mesh": 1, "b_mesh": 1, "e_mesh": 1, "dedt_mesh": 1,
                 "dive_mesh": 1},
 }
 
@@ -248,6 +249,36 @@ def test_mesh_calls_per_apply(params, mesh_count, family, counts, model):
     apply_expr(ham.total, psi, 0.9)
     # a static field's leaves fill once per grid; a pulsed one's once per t
     assert dict(mesh_count) == ({} if model is _MODEL else counts)
+
+
+# rhs builds one ModelVector per model vector it reads, so applying its
+# three components calls each of those mesh methods once per new t, and
+# once per grid under _MODEL; the free family reads no field
+_RHS_MESH_CALLS = [
+    (SpinKind.DIRAC, "free", {}),
+    (SpinKind.FW, "free", {}),
+    (SpinKind.PRYCE, "free", {}),
+    (SpinKind.FW, "dirac-em", {"a_mesh": 1, "b_mesh": 1}),
+    (SpinKind.PRYCE, "dirac-em", {"b_mesh": 1}),
+    (SpinKind.FW, "fw-direct", {"b_mesh": 1, "e_mesh": 1, "dbdt_mesh": 1,
+                                "d2bdt2_mesh": 1}),
+    (SpinKind.PRYCE, "fw-direct", {"b_mesh": 1, "e_mesh": 1, "dbdt_mesh": 1,
+                                   "d2bdt2_mesh": 1}),
+]
+
+
+@pytest.mark.parametrize("kind, family, counts", _RHS_MESH_CALLS)
+@pytest.mark.parametrize("model", [_MODEL, _PULSED], ids=["constant", "gaussian"])
+def test_rhs_mesh_calls_per_apply(params, mesh_count, kind, family, counts, model):
+    grid = GridSpec(3, 16, 24.0)
+    psi = _position_state(grid).to_momentum()
+    total = rhs(kind, family, model, params)[1]
+    for t in (0.7, 0.9):
+        mesh_count.clear()
+        for comp in total:
+            # a guard of 1 lets the 1/p^2 leaves act on this random state
+            apply_expr(comp, psi, t, guard=1.0)
+        assert dict(mesh_count) == ({} if model is _MODEL and t == 0.9 else counts)
 
 
 def _fresh_adjoint(leaf):
@@ -284,32 +315,32 @@ def _zeeman_run(params, model, steps, stride, terms=("zeeman",), propagator=None
 
 
 def test_static_krylov_run_fills_once(params, mesh_count):
-    # the zeeman leaf's three b_mesh calls, once for the whole run
+    # the zeeman leaf's B model vector calls b_mesh once for the whole run
     traj = _zeeman_run(params, _MODEL, 600, 100)
     assert len(traj.rows) == 7
-    assert dict(mesh_count) == {"b_mesh": 3}
+    assert dict(mesh_count) == {"b_mesh": 1}
 
 
 def test_pulsed_krylov_run_fills_per_t(params, mesh_count):
     # every step applies H at its midpoint and every row at its own time:
-    # 20 midpoints and 5 rows, each a new t, so 25 fills of three calls
+    # 20 midpoints and 5 rows, each a new t, so 25 calls
     traj = _zeeman_run(params, _PULSED, 20, 5)
     assert len(traj.rows) == 5
-    assert dict(mesh_count) == {"b_mesh": 3 * 25}
+    assert dict(mesh_count) == {"b_mesh": 25}
 
 
 def test_static_arnoldi_run_fills_once(params, mesh_count, krylov_count):
     traj = _zeeman_run(params, _MODEL, 600, 100, propagator="krylov")
     assert len(traj.rows) == 7
     assert krylov_count[0] == 600
-    assert dict(mesh_count) == {"b_mesh": 3}
+    assert dict(mesh_count) == {"b_mesh": 1}
 
 
 def test_pulsed_arnoldi_run_fills_per_t(params, mesh_count, krylov_count):
     traj = _zeeman_run(params, _PULSED, 20, 5, propagator="krylov")
     assert len(traj.rows) == 5
     assert krylov_count[0] == 20
-    assert dict(mesh_count) == {"b_mesh": 3 * 25}
+    assert dict(mesh_count) == {"b_mesh": 25}
 
 
 def test_shipped_sweep_scenario_takes_no_arnoldi_step(krylov_count):
@@ -346,10 +377,11 @@ def test_constant_step_exponentials_per_run(params, monkeypatch, model, steps, c
 
 def test_strang_step_builds_one_position_factor(params, mesh_count):
     # both half steps of a step apply one position factor, so a_mesh is called
-    # once per step, plus three times for the energy's gauge leaf (one per term)
+    # once per step, plus once for the energy's gauge leaf (its A model vector
+    # under the static field)
     grid = GridSpec(1, 128, 128.0)
     ham = build_dirac_em(_MODEL, params, grid)
     psi = gaussian_packet(grid, 0.0, 8.0, 0.5, [1, 1, 0, 0], params=params,
                           energy_projection=True)
     run(ham, psi, 0.05, 40, stride=10)
-    assert mesh_count["a_mesh"] == 40 + 3
+    assert mesh_count["a_mesh"] == 40 + 1

@@ -4,13 +4,13 @@ import pytest
 from relspin.algebra import ID4
 from relspin.errors import PreconditionError
 from relspin.expr import (Add, Adjoint, ConstMatrix, Mul, Scale, apply_expr,
-                          expectation, hermiticity_residual)
+                          expectation)
 from relspin.fields import Envelope, PlaneWavePulse, UniformB, ZeroField
 from relspin.grid import GridSpec, SpinorField, gaussian_packet, suppress_zero_mode
-from relspin.hamiltonians import (FW_DIRECT_TERMS, FW_FULL_TERMS,
-                                  build_dirac_em, build_free_dirac,
-                                  build_fw_direct, build_fw_full,
-                                  kinetic_momentum, momentum_component)
+from relspin.hamiltonians import (FW_DIRECT_TERMS, FW_FULL_TERMS, ModelVector, P,
+                                  _cross_dot_sigma, build_dirac_em, build_free_dirac,
+                                  build_fw_direct, build_fw_full, const_triple, cross,
+                                  dot, kinetic_triple, triple)
 from relspin.operators import ALPHA, BETA, SIGMA, PhysParams
 
 
@@ -39,7 +39,7 @@ class TestFreeDirac:
         assert abs(val.real - oracle) <= 1e-6
         assert abs(val.imag) <= 1e-10
 
-    def test_hermiticity(self, grid_1d, params, rng):
+    def test_hermiticity(self, grid_1d, params, rng, hermiticity_residual):
         ham = build_free_dirac(params, grid_1d)
         assert hermiticity_residual(ham.total, random_states(grid_1d, rng)) <= 1e-10
 
@@ -129,12 +129,12 @@ class TestFwFull:
         # (p-eA)^2 == p^2 - e(p.A + A.p) + e^2 A^2 assembled from primitives
         g = battery_3d[0].grid
         e = params.e
-        pi2 = Add([Mul(kinetic_momentum(uniform_b, params, i),
-                       kinetic_momentum(uniform_b, params, i)) for i in range(3)])
+        pi = kinetic_triple(ModelVector(uniform_b.a_mesh, "A"), e)
+        pi2 = Add([Mul(pi[i], pi[i]) for i in range(3)])
         from relspin.expr import PositionDiag
         a_leaf = [PositionDiag([(lambda gg, t, i=i: uniform_b.a_mesh(gg.r, t)[i], ID4)],
                                time_dependent=True) for i in range(3)]
-        p_leaf = [momentum_component(i) for i in range(3)]
+        p_leaf = triple(P)
         expanded = Add(
             [Mul(p_leaf[i], p_leaf[i]) for i in range(3)]
             + [Scale(-e, Add([Mul(p_leaf[i], a_leaf[i]), Mul(a_leaf[i], p_leaf[i])]))
@@ -170,13 +170,12 @@ class TestFwDirect:
         ham = build_fw_direct(ZeroField(), params, grid_1d)
         p2_over_2m = Scale(1.0 / (2 * params.m0), Mul(
             ConstMatrix(BETA),
-            Add([Mul(momentum_component(i), momentum_component(i))
-                 for i in range(3)])))
+            Add([Mul(p, p) for p in triple(P)])))
         for psi in random_states(grid_1d, rng, 2):
             d = apply_expr(ham.total, psi) - apply_expr(p2_over_2m, psi)
             assert d.norm() <= 1e-12
 
-    def test_static_field_hermitian(self, params, uniform_b, battery_3d):
+    def test_static_field_hermitian(self, params, uniform_b, battery_3d, hermiticity_residual):
         g = battery_3d[0].grid
         ham = build_fw_direct(uniform_b, params, g)
         assert hermiticity_residual(ham.total, battery_3d) <= 1e-10
@@ -203,7 +202,7 @@ class TestFwDirect:
         assert piece_norm > 1e-4          # the dB/dt piece itself is sizable
         assert anti_norm <= 1e-2 * piece_norm
 
-    def test_hermitize_flag(self, params, battery_3d):
+    def test_hermitize_flag(self, params, battery_3d, hermiticity_residual):
         g = battery_3d[0].grid
         env = Envelope(shape="gaussian", amplitude=1.0, center=0.0, width=5.0)
         model = UniformB(np.array([0.0, 0.0, 0.2]), env)
@@ -227,3 +226,26 @@ class TestFwDirect:
             ham.subset(["nope"])
         with pytest.raises(KeyError):
             ham.term("nope")
+
+
+class TestVectorVocabulary:
+    @pytest.mark.parametrize("mesh", ["e_mesh", "dedt_mesh"])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["x-cross-pi", "pi-cross-x"])
+    @pytest.mark.parametrize("space", ["position", "momentum"])
+    def test_folded_cross_equals_generic_algebra(self, params, mesh, reverse, space):
+        # the Hamiltonians fold Sigma_i into the field leaf's matrix
+        # (spin-orbit, de-dt, field-derivative-soc); the generic algebra
+        # writes Sigma.(X x pi) with Sigma_i a constant leaf of its own
+        g = GridSpec(3, 16, 24.0)
+        model = UniformB(np.array([0.0, 0.0, 0.05]),
+                         Envelope(shape="gaussian", amplitude=1.0, center=0.3, width=2.0))
+        pi = kinetic_triple(ModelVector(model.a_mesh, "A"), params.e)
+        x = ModelVector(getattr(model, mesh), "X")
+        folded = _cross_dot_sigma(pi, x, reverse)
+        generic = dot(const_triple(SIGMA), cross(pi, triple(x)) if reverse
+                      else cross(triple(x), pi))
+        psi = random_states(g, np.random.default_rng(11), 1)[0].in_space(space)
+        want = apply_expr(generic, psi, 0.7)
+        got = apply_expr(folded, psi, 0.7)
+        assert want.norm() > 1e-3
+        assert (got - want).norm() <= 1e-13 * want.norm()
