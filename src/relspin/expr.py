@@ -290,7 +290,9 @@ class LeafStack:
     a 3D block needs memory of the order of the state's), and each leaf sums
     its matrices against its rows.  Singular leaves keep the zero-mode guard
     of an apply.  The rows are gathered once per grid from the leaves'
-    cached scalars.
+    cached scalars, and F is stacked then too when the grid is one block;
+    several blocks are stacked per call, since holding all of them would
+    cost more memory than the state.
     """
 
     BLOCK_POINTS = 4096
@@ -317,24 +319,26 @@ class LeafStack:
         if len(spaces) > 1:
             raise PreconditionError("a LeafStack needs leaves of one space")
         step = max(1, self.BLOCK_POINTS * grid.shape[0] // grid.npoints)
+        blocks = [slice(i0, i0 + step) for i0 in range(0, grid.shape[0], step)]
         return (spaces.pop() if spaces else None,
                 next((leaf for leaf in live if leaf.singular_origin), None),
-                np.stack(mats, axis=1).reshape(n, -1), rows,
-                [slice(i0, i0 + step) for i0 in range(0, grid.shape[0], step)])
+                np.stack(mats, axis=1).reshape(n, -1), rows, blocks,
+                np.stack(rows).reshape(len(rows), -1) if len(blocks) == 1 else None)
 
     def expectations(self, field: SpinorField,
                      guard: float = DEFAULT_ZERO_MODE_GUARD) -> np.ndarray:
         """The complex expectation of every leaf, in the order given."""
         if self._grid != field.grid:
             self._grid, self._plan = field.grid, self._gather(field.grid)
-        space, singular, mats, rows, blocks = self._plan
+        space, singular, mats, rows, blocks, f_whole = self._plan
         if space is not None:
             field = field.in_space(space)
         if singular is not None:
             singular._guard(field, guard)
         dens = np.zeros((len(rows), 16), dtype=complex)
         for sl in blocks:
-            f = np.stack([a[sl] for a in rows]).reshape(len(rows), -1)
+            f = (f_whole if f_whole is not None
+                 else np.stack([a[sl] for a in rows]).reshape(len(rows), -1))
             psi = field.values[:, sl].reshape(4, -1).T
             rho = np.multiply(psi.conj()[:, :, None], psi[:, None, :],
                               order="C").reshape(-1, 16)

@@ -17,6 +17,10 @@ Three steps:
   4x4 matrix M (``expr.constant_matrix``), exp(-i dt M) applied pointwise in
   the state's own space: no transform, and no Krylov space of at most 4 rows.
 
+A run makes one stepper call per row after the first.  An exact step (Strang
+without potentials, the constant step under a static model) takes the n steps
+since the last row as one of n dt, as exp(-i n dt H) = exp(-i dt H)^n.
+
 Trajectories record the three spin expectations, norm, energy, <r>, <p> and a
 boundary-flux diagnostic at a configurable stride; the run aborts when flux
 into the margin shell exceeds the documented limit.  A row costs one
@@ -192,36 +196,49 @@ def choose_propagator(hamiltonian: NamedHamiltonian) -> str:
 
 
 def _stepper(hamiltonian, propagator, krylov_m, krylov_tol):
-    """``step(psi, t, dt)`` with the named propagator, or the default one.
+    """``step(psi, t0, dt, steps=range(1))``: psi advanced over the steps
+    numbered ``steps`` (a nonempty range), step s from t0 + s dt, with the
+    named propagator or the default one; an exact step takes the whole range
+    as one step of n dt (see the module docstring), any other runs n times.
 
     Where Strang is neither named nor chosen and Krylov is not named, a step
     whose Hamiltonian at the midpoint is one constant matrix is its exact
     step, any other a Krylov step; U, or the finding that there is none, is
-    kept per (grid, dt), and per midpoint under a time-dependent model.
+    kept per (grid, step size), and per midpoint under a time-dependent model.
     """
-    if (propagator or choose_propagator(hamiltonian)) == "strang":
-        return lambda psi, t, dt: strang_step_dirac(
-            psi, hamiltonian.model, hamiltonian.params, t, dt)
-
-    def krylov(psi, t, dt):
-        return krylov_step(hamiltonian, psi, t, dt, m=krylov_m, tol=krylov_tol)
-
-    if propagator == "krylov":
-        return krylov
+    model = hamiltonian.model
+    strang = (propagator or choose_propagator(hamiltonian)) == "strang"
     slot = [None, None]  # the key and value of the one kept U
 
-    def step(psi, t, dt):
-        grid, tm = psi.grid, t + dt / 2.0
-        key = (grid, dt, tm if hamiltonian.model.time_dependent else None)
+    def exp_constant(grid, t, dt):
+        key = (grid, dt, t + dt / 2.0 if model.time_dependent else None)
         if slot[0] != key:
-            m = constant_matrix(hamiltonian.total, grid, tm)
+            m = constant_matrix(hamiltonian.total, grid, t + dt / 2.0)
             slot[:] = key, m if m is None else _exp_minus_idt(m, dt, hamiltonian.assume_hermitian)
-        if slot[1] is None:
-            return krylov(psi, t, dt)
-        out = SpinorField(grid, apply_matrix(slot[1], psi.values), psi.space)
+        return slot[1]
+
+    def one(psi, t, dt):
+        if strang:
+            return strang_step_dirac(psi, model, hamiltonian.params, t, dt)
+        if propagator == "krylov" or exp_constant(psi.grid, t, dt) is None:
+            return krylov_step(hamiltonian, psi, t, dt, m=krylov_m, tol=krylov_tol)
+        out = SpinorField(psi.grid, apply_matrix(slot[1], psi.values), psi.space)
         if not np.all(np.isfinite(out.values)):
             raise FloatingPointError("constant-Hamiltonian step produced non-finite values")
         return out
+
+    def exact(grid, t, dt):
+        if strang:
+            return not (model.has_vector_potential or model.has_scalar_potential)
+        return (propagator != "krylov" and not model.time_dependent
+                and exp_constant(grid, t, dt) is not None)
+
+    def step(psi, t0, dt, steps=range(1)):
+        if exact(psi.grid, t0 + steps[0] * dt, len(steps) * dt):
+            return one(psi, t0 + steps[0] * dt, len(steps) * dt)
+        for s in steps:
+            psi = one(psi, t0 + s * dt, dt)
+        return psi
     return step
 
 
@@ -291,7 +308,8 @@ def run(hamiltonian: NamedHamiltonian, state: SpinorField, dt: float,
         steps: int, stride: int = 1, t0: float = 0.0,
         propagator: str | None = None, krylov_m: int = 40,
         krylov_tol: float = 1e-10, flux_abort: float = 1e-6) -> Trajectory:
-    """Propagate and record observables every ``stride`` steps.
+    """Propagate and record observables every ``stride`` steps, and after
+    the last; the steps between two rows are one call to the stepper.
 
     Aborts with :class:`BoundaryFluxError` when the margin-shell norm
     fraction exceeds ``flux_abort``.
@@ -302,19 +320,17 @@ def run(hamiltonian: NamedHamiltonian, state: SpinorField, dt: float,
     obs = _Observables(hamiltonian.grid, hamiltonian.params)
     traj = Trajectory()
     psi = state
-    t = t0
-    row = obs.measure(hamiltonian, psi, t)
-    traj.append(**row)
-    for step in range(1, steps + 1):
-        psi = step_fn(psi, t, dt)
-        t = t0 + step * dt
-        if step % stride == 0 or step == steps:
-            row = obs.measure(hamiltonian, psi, t)
-            if row["flux"] > flux_abort:
-                raise BoundaryFluxError(
-                    f"boundary flux {row['flux']:.3e} exceeded {flux_abort:.1e} "
-                    f"at t={t:.6g}; enlarge the box or shorten the run")
-            traj.append(**row)
+    traj.append(**obs.measure(hamiltonian, psi, t0))
+    for done in range(0, steps, stride):
+        last = min(done + stride, steps)
+        psi = step_fn(psi, t0, dt, range(done, last))
+        t = t0 + last * dt
+        row = obs.measure(hamiltonian, psi, t)
+        if row["flux"] > flux_abort:
+            raise BoundaryFluxError(
+                f"boundary flux {row['flux']:.3e} exceeded {flux_abort:.1e} "
+                f"at t={t:.6g}; enlarge the box or shorten the run")
+        traj.append(**row)
     return traj
 
 

@@ -14,7 +14,7 @@ import pytest
 from relspin.dynamics import build_hamiltonian, rhs, spin_expr, standard_battery, verify
 from relspin.expr import _DiagLeaf, apply_expr, expectation
 from relspin.fields import Envelope, UniformB, ZeroField
-from relspin.grid import GridSpec, SpinorField, gaussian_packet
+from relspin.grid import GridSpec, SpinorField, apply_matrix, gaussian_packet
 from relspin.hamiltonians import build_dirac_em, build_fw_direct
 from relspin.operators import SpinKind
 from relspin.propagate import _Observables, run, strang_step_dirac
@@ -210,7 +210,11 @@ def test_measure_free(params, fft_count, space):
     assert fft_count[0] == 1
 
 
-def test_free_particle_run(fft_count):
+def test_free_particle_run(fft_count, monkeypatch):
+    from relspin import propagate
+    sizes = []
+    monkeypatch.setattr(propagate, "strang_step_dirac",
+                        lambda *args: sizes.append(args[-1]) or strang_step_dirac(*args))
     sc = load_scenario(Path(__file__).resolve().parents[1] / "scenarios"
                        / "free_particle.json")
     ham = sc.make_hamiltonian()
@@ -219,6 +223,9 @@ def test_free_particle_run(fft_count):
     # the packet (2), the first step into momentum space (1), then one
     # transform per recorded row (101); the steps between rows need none
     assert fft_count[0] <= 110
+    # a potential-free Strang step is the exact free propagator, so the 25
+    # steps between two rows are one step of 25 dt: 2500 / 25 = 100 calls
+    assert sizes == [sc.stride * sc.dt] * 100
 
 
 # A builder makes one ModelVector per model vector, which calls its mesh
@@ -343,13 +350,20 @@ def test_pulsed_arnoldi_run_fills_per_t(params, mesh_count, krylov_count):
     assert dict(mesh_count) == {"b_mesh": 25}
 
 
-def test_shipped_sweep_scenario_takes_no_arnoldi_step(krylov_count):
-    # its zeeman-only Hamiltonian under a uniform B is one constant matrix
+def test_shipped_sweep_scenario_takes_no_arnoldi_step(krylov_count, monkeypatch):
+    # its zeeman-only Hamiltonian under a uniform B is one constant matrix,
+    # and under a static field its exact step crosses the 5 steps between
+    # two rows at once: 600 / 5 = 120 constant steps, each one apply_matrix
+    from relspin import propagate
+    calls = []
+    monkeypatch.setattr(propagate, "apply_matrix",
+                        lambda *args: calls.append(args) or apply_matrix(*args))
     sc = load_scenario(Path(__file__).resolve().parents[1] / "scenarios"
                        / "larmor_sweep.json")
     traj = run(sc.make_hamiltonian(), sc.make_state(), sc.dt, sc.steps, stride=sc.stride)
     assert len(traj.rows) == sc.steps // sc.stride + 1
     assert krylov_count[0] == 0
+    assert len(calls) == 120
 
 
 @pytest.mark.parametrize("terms, propagator", [
@@ -361,17 +375,22 @@ def test_arnoldi_step_per_step(params, krylov_count, terms, propagator):
     assert krylov_count[0] == 20
 
 
-@pytest.mark.parametrize("model, steps, count", [(_MODEL, 600, 1), (_PULSED, 20, 20)],
-                         ids=["constant", "gaussian"])
-def test_constant_step_exponentials_per_run(params, monkeypatch, model, steps, count):
-    # a static field's U = exp(-i dt M) is built once per (grid, dt), a
-    # pulsed one's at every midpoint
+@pytest.mark.parametrize("model, steps, stride, count", [
+    (_MODEL, 600, 600, 1),
+    # 120 steps of 5 dt, then the last row's one of 3 dt: two step sizes
+    (_MODEL, 603, 5, 2),
+    (_PULSED, 20, 20, 20),
+], ids=["constant", "constant-remainder", "gaussian"])
+def test_constant_step_exponentials_per_run(params, monkeypatch, model, steps, stride, count):
+    # a static field's U = exp(-i n dt M) is built once per (grid, n dt),
+    # where n is the number of steps between two rows; a pulsed one's
+    # exp(-i dt M) at every midpoint
     from relspin import propagate
     calls = []
     exp = propagate._exp_minus_idt
     monkeypatch.setattr(propagate, "_exp_minus_idt",
                         lambda *args: calls.append(args) or exp(*args))
-    _zeeman_run(params, model, steps, steps)
+    _zeeman_run(params, model, steps, stride)
     assert len(calls) == count
 
 

@@ -13,9 +13,9 @@ from relspin.grid import GridSpec, SpinorField, gaussian_packet, zero_mode_weigh
 from relspin.hamiltonians import (build_dirac_em, build_free_dirac,
                                   build_fw_direct)
 from relspin.operators import ALPHA, BETA, SIGMA, SpinKind, free_dirac_matrix
-from relspin.propagate import (OBSERVABLE_GUARD, _exp_minus_idt, _Observables, _stepper,
-                               choose_propagator, ehrenfest_residual, krylov_step, run,
-                               strang_step_dirac)
+from relspin.propagate import (OBSERVABLE_GUARD, Trajectory, _exp_minus_idt, _Observables,
+                               _stepper, choose_propagator, ehrenfest_residual, krylov_step,
+                               run, strang_step_dirac)
 
 
 _PULSED_B = UniformB(np.array([0.0, 0.0, 0.2]),
@@ -361,6 +361,82 @@ class TestRun:
         assert path.read_text() == t1.to_csv()
 
 
+def _stepwise_rows(ham, psi, dt, steps, stride, propagator=None, t0=0.0):
+    """The rows of ``run`` with every step taken on its own, step s from
+    t0 + s dt: the reference a run that crosses a stride in one step must
+    equal."""
+    step = _stepper(ham, propagator, 40, 1e-10)
+    obs = _Observables(ham.grid, ham.params)
+    rows = [obs.measure(ham, psi, t0)]
+    for s in range(1, steps + 1):
+        psi = step(psi, t0 + (s - 1) * dt, dt)
+        if s % stride == 0 or s == steps:
+            rows.append(obs.measure(ham, psi, t0 + s * dt))
+    return np.array([[row[c] for c in Trajectory.CSV_COLUMNS] for row in rows])
+
+
+def _leap_case(params, family, model=_UNIFORM_B, hermitize=False, terms=None):
+    g = GridSpec(1, 128, 128.0)
+    ham = build_hamiltonian(family, model, params, g, hermitize=hermitize)
+    if terms is not None:
+        ham = ham.subset(terms)
+    return ham, gaussian_packet(g, 0.0, 8.0, 0.5, [1, 1, 0, 0], params=params,
+                                energy_projection=True)
+
+
+class TestLeap:
+    """A run crosses the steps between two rows in one call to its stepper;
+    an exact step takes them as one step of n dt, any other one by one."""
+
+    @pytest.mark.parametrize("family, hermitize, steps, stride", [
+        ("free", False, 200, 25),
+        ("free", False, 203, 25),        # the last row is 3 steps after the one before
+        ("free", False, 0, 25),
+        ("fw-direct", False, 600, 100),
+        ("fw-direct", True, 600, 100),
+        ("fw-direct", False, 603, 5),
+        ("fw-direct", True, 0, 5),
+    ])
+    def test_exact_step_matches_stepwise(self, params, krylov_count, family, hermitize,
+                                         steps, stride):
+        # the free packet steps by Strang (its family reads no field), the
+        # static zeeman term by its constant matrix; every column is compared
+        # relative to its scale, at least 1, since some columns are zero up
+        # to roundoff
+        terms = None if family == "free" else ["zeeman"]
+        ham, psi = _leap_case(params, family, hermitize=hermitize, terms=terms)
+        got = np.array(run(ham, psi, 0.05, steps, stride=stride).rows)
+        want = _stepwise_rows(ham, psi, 0.05, steps, stride)
+        assert got.shape == want.shape == (-(-steps // stride) + 1, len(Trajectory.CSV_COLUMNS))
+        assert np.array_equal(got[:, 0], want[:, 0])
+        scale = np.maximum(np.max(np.abs(want), axis=0), 1.0)
+        assert np.all(np.max(np.abs(got - want), axis=0) <= 1e-13 * scale)
+        assert krylov_count[0] == 0
+
+    @pytest.mark.parametrize("family, model, terms, propagator", [
+        ("dirac-em", _UNIFORM_B, None, None),             # Strang with a vector potential
+        ("fw-direct", _PULSED_B, ["zeeman"], None),       # constant steps, one per midpoint
+        ("fw-direct", _UNIFORM_B, ["kinetic", "zeeman"], None),  # Krylov
+        ("fw-direct", _UNIFORM_B, ["zeeman"], "krylov"),  # named Krylov
+    ], ids=["dirac-em", "pulsed-zeeman", "kinetic-zeeman", "named-krylov"])
+    def test_other_steps_are_stepwise(self, params, family, model, terms, propagator):
+        # the midpoints are t0 + (s + 1/2) dt, not sums of dt, so a pulsed
+        # field is sampled at the very times of a run that steps one by one
+        ham, psi = _leap_case(params, family, model, terms=terms)
+        got = np.array(run(ham, psi, 0.037, 23, stride=5, t0=0.1, propagator=propagator).rows)
+        assert np.array_equal(got, _stepwise_rows(ham, psi, 0.037, 23, 5, propagator, t0=0.1))
+
+    def test_stepwise_steps_start_at_t0_plus_s_dt(self, params, monkeypatch):
+        from relspin import propagate
+        starts = []
+        monkeypatch.setattr(propagate, "krylov_step",
+                            lambda ham, psi, t, dt, **kw: starts.append(t)
+                            or krylov_step(ham, psi, t, dt, **kw))
+        ham, psi = _leap_case(params, "fw-direct", terms=["zeeman"])
+        run(ham, psi, 0.037, 23, stride=5, t0=0.1, propagator="krylov")
+        assert starts == [0.1 + s * 0.037 for s in range(23)]
+
+
 def _packet_3d(grid, params):
     return gaussian_packet(grid, [0.0, 0.0, 0.0], 6.0, [1.0, 0.5, 0.0], [1, 1, 0, 0],
                            params=params, energy_projection=True)
@@ -504,6 +580,18 @@ class TestEhrenfest:
         out = ehrenfest_residual(SpinKind.PRYCE, ham, battery_1d[1], dt, 10,
                                  krylov_tol=1e-13)
         assert np.max(out["residual"]) <= 1e-6
+
+    def test_steps_once_per_dt(self, params, grid_1d, battery_1d, monkeypatch):
+        # the centred difference reads <S> at every step, so even an exact
+        # step is taken once per dt, never across several
+        from relspin import propagate
+        sizes = []
+        monkeypatch.setattr(propagate, "strang_step_dirac",
+                            lambda *args: sizes.append(args[-1]) or strang_step_dirac(*args))
+        out = ehrenfest_residual(SpinKind.FW, build_free_dirac(params, grid_1d),
+                                 battery_1d[0], 0.02, 8)
+        assert sizes == [0.02] * 8
+        assert len(out["spin"]) == 9
 
     def test_non_hermitian_extension_closes(self, params):
         # A transverse time-varying uniform B on a 1D grid leaves the printed
