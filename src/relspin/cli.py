@@ -108,14 +108,9 @@ def cmd_check_operators(args):
 
 def _refinement_grids(grid, levels):
     """Coarse-to-fine ladder around the scenario grid (same box)."""
-    ladder = []
-    n0 = grid.n[0]
-    cap = 2048 if grid.dim == 1 else 64
-    candidates = [n0 // 2, n0] + [n0 * 2**i for i in range(1, levels + 1)]
-    for n in candidates:
-        if 8 <= n <= cap:
-            ladder.append(GridSpec(grid.dim, n, grid.lengths[0]))
-    return ladder
+    n0, cap = grid.n[0], (2048 if grid.dim == 1 else 64)
+    return [GridSpec(grid.dim, n, grid.lengths[0])
+            for n in [n0 // 2, n0] + [n0 * 2**i for i in range(1, levels + 1)] if 8 <= n <= cap]
 
 
 def cmd_verify_dynamics(args):

@@ -25,6 +25,7 @@ make every exactly-zero identity read as O(1) roundoff noise.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field as dc_field
 
@@ -61,16 +62,17 @@ _AXES = "xyz"
 # momentum-space scalar producers
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1)
+def _energy_mesh(grid, params):  # E_k, once for every FW leaf of one (grid, params)
+    return energy_k2(grid.k2, params)
+
+
 def _inv_ek(params, with_w=False, numerator=1.0):
     """numerator / E_k or numerator / (E_k (E_k + m0 c^2))."""
     def fn(g, t):
-        e = energy_k2(g.k2, params)
+        e = _energy_mesh(g, params)
         return numerator / (e * (e + params.rest_energy) if with_w else e)
     return fn
-
-
-def _inv_p2(g, t):
-    return g.inv_k2
 
 
 def _mom_scalar(fn, name=None, singular=False):
@@ -84,16 +86,17 @@ def _mom_scalar(fn, name=None, singular=False):
 _LABELS = {SpinKind.DIRAC: "D", SpinKind.FW: "FW", SpinKind.PRYCE: "Py"}
 
 
-def _grid_leaves(table, kind, label):
+def _grid_leaves(table, kind, params, label):
     """Wrap an ``operators`` S or R table in grid leaves.  A component whose
     pairs are all constant is a constant leaf, which acts without a
     transform in either space."""
     singular = kind is SpinKind.PRYCE
+    # the kind's derived scalar (see operators); Dirac reads none
+    x = (lambda g: g.inv_k2) if singular else (lambda g: _energy_mesh(g, params))
     out = []
     for axis, pairs in zip(_AXES, table):
-        leaf = [(_one if coeff is None else
-                 (lambda g, t, f=coeff: f(g.k, g.k2, g.inv_k2 if singular else None)),
-                 m) for coeff, m in pairs]
+        leaf = [(_one if coeff is None else (lambda g, t, f=coeff: f(g.k, g.k2, x(g))), m)
+                for coeff, m in pairs]
         out.append(MomentumDiag(leaf, name=f"{label}_{axis}", singular_origin=singular))
     return out
 
@@ -101,13 +104,13 @@ def _grid_leaves(table, kind, label):
 def spin_expr(kind: SpinKind, params: PhysParams):
     """The spin operator as a triple of momentum-diagonal expressions,
     componentwise equal to ``operators.spin_operator`` at every lattice k."""
-    return _grid_leaves(spin_terms(kind, params), kind, f"S_{_LABELS[kind]}")
+    return _grid_leaves(spin_terms(kind, params), kind, params, f"S_{_LABELS[kind]}")
 
 
 def position_correction_expr(kind: SpinKind, params: PhysParams):
     """Momentum-diagonal correction R(p) with r_kind = r + R(p), fixed by the
     exact identity R x p + S_kind = Sigma/2."""
-    return _grid_leaves(position_terms(kind, params), kind, f"R_{_LABELS[kind]}")
+    return _grid_leaves(position_terms(kind, params), kind, params, f"R_{_LABELS[kind]}")
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +208,10 @@ def _rhs_em(kind, model, params):
                                         for i in range(3)]))))
         terms.append(("sigma-b-p-alpha", scale(
             -quarter, prefix([inv_ew, sigma_dot_b], cross(p_t, alpha_t)))))
-        total = add([t for _, t in terms])
-        return terms, total
+        return terms, add([t for _, t in terms])
 
     # Pryce with the minimally coupled Dirac Hamiltonian
-    inv_p2 = _mom_scalar(_inv_p2, name="1/p^2", singular=True)
+    inv_p2 = _mom_scalar(lambda g, t: g.inv_k2, name="1/p^2", singular=True)
     alpha_dot_p = vec_leaf(P, enumerate(ALPHA), name="alpha.p")
     sxb = cross(sigma_t, b_t)
     terms = [("sigma-cross-b-alpha-p", scale(
@@ -218,8 +220,7 @@ def _rhs_em(kind, model, params):
         0.5 * e * c, prefix([inv_p2, alpha_dot_r, b_dot_p], p_t))))
     terms.append(("r-p-alpha-b", scale(
         -0.5 * e * c, prefix([inv_p2, r_dot_p, alpha_dot_b], p_t))))
-    total = add([t for _, t in terms])
-    return terms, total
+    return terms, add([t for _, t in terms])
 
 
 def _rhs_direct(kind, model, params):
@@ -282,14 +283,13 @@ def _rhs_direct(kind, model, params):
             -pref_nut / 3.0, prefix([inv_e, sigma_dot_alpha], cross(bddot_t, p_t)))))
         terms.append(("nutation-projection", scale(
             -pref_nut, prefix([beta_c, inv_ew], cross(p_t, cross(cross(sigma_t, bddot_t), p_t))))))
-        total = add([t for _, t in terms])
-        return terms, total
+        return terms, add([t for _, t in terms])
 
     # Pryce with the direct spin-field Hamiltonian
     lower = ID4 - BETA
     beta_lower = ConstMatrix(BETA @ lower, name="beta(1-beta)")
     lower_c = ConstMatrix(lower, name="(1-beta)")
-    inv_p2 = _mom_scalar(_inv_p2, name="1/p^2", singular=True)
+    inv_p2 = _mom_scalar(lambda g, t: g.inv_k2, name="1/p^2", singular=True)
     sxbdot_t = cross(sigma_t, bdot_t)
     sxbddot_t = cross(sigma_t, bddot_t)
     sigma_dot_p = vec_leaf(P, enumerate(SIGMA), name="Sigma.p")
@@ -327,8 +327,7 @@ def _rhs_direct(kind, model, params):
     sxbddot_dot_p = dot(sxbddot_t, p_t)
     terms.append(("nutation-projection", scale(
         -pref_nut, prefix([beta_lower, inv_p2], [Mul(sxbddot_dot_p, p) for p in p_t]))))
-    total = add([t for _, t in terms])
-    return terms, total
+    return terms, add([t for _, t in terms])
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,13 @@ would cost a transform) and ``apply_expr`` returns zeros for it.
 Mul(a, b) applies b first (left factor last), matching left-to-right operator
 products as written in equations.
 
+Every ``_apply`` returns a fresh array, so a node writes into its children's
+results: Add accumulates into its first live child's, Scale scales its
+child's in place, and a transform of a node's own result (Add's move into the
+accumulator's space, Mul's hand-over from right to left, ``apply_expr``'s
+move back to the input's space; ``own=True``) overwrites it.  The caller's
+state and the leaves' cached scalars are never written.
+
 Leaves flagged ``singular_origin`` (the longitudinal 1/p^2 projector and
 friends) refuse to act on states whose k = 0 amplitude fraction exceeds the
 zero-mode guard, and their scalar producers must return 0 in that bin (so a
@@ -105,8 +112,9 @@ class _DiagLeaf(OperatorExpr):
         for _, m in self.terms:
             if m.shape != (4, 4):
                 raise PreconditionError("leaf matrices must be 4x4")
-        # nonzero (row, col, entry) triples of every matrix
-        self._entries = [[(int(a), int(b), complex(m[a, b]))
+        # nonzero (row, col, entry) triples of every matrix; a real entry is a
+        # float, so a real scalar array times it makes no complex temporary
+        self._entries = [[(int(a), int(b), m[a, b].real if m[a, b].imag == 0 else m[a, b])
                           for a, b in zip(*np.nonzero(m))] for _, m in self.terms]
         self.name = name
         self.time_dependent = bool(time_dependent)
@@ -134,30 +142,31 @@ class _DiagLeaf(OperatorExpr):
         self._scalars(grid, t)
         return not self._live
 
-    def _apply(self, field: SpinorField, t: float, guard: float) -> SpinorField:
+    def _apply(self, field, t, guard, own=False):
         grid = field.grid
         self._scalars(grid, t)
         # a constant leaf acts in the state's own space (see module docstring)
         if not self._constant:
-            field = field.in_space(self.space)
+            field = field.in_space(self.space, consume=own)
             if self.singular_origin:
                 self._guard(field, guard)
-        psi = field.values
+        psi = field.data
         out = np.empty_like(psi)
         fresh = [True] * 4  # rows not yet written
         tmp = np.empty(grid.shape, dtype=complex)
         for entries, arr in self._live:
             for a, b, m in entries:
+                f = arr if m == 1 else m * arr
                 if fresh[a]:
-                    np.multiply(m * arr, psi[b], out=out[a])
+                    np.multiply(f, psi[b], out=out[a])
                     fresh[a] = False
                 else:
-                    np.multiply(m * arr, psi[b], out=tmp)
+                    np.multiply(f, psi[b], out=tmp)
                     np.add(out[a], tmp, out=out[a])
         for a in range(4):
             if fresh[a]:
                 out[a] = 0.0
-        return SpinorField(grid, out, field.space)
+        return field.with_data(out)
 
     def _guard(self, field, guard):
         """Refuse a state whose k = 0 weight exceeds the guard."""
@@ -203,13 +212,16 @@ class Add(OperatorExpr):
     def _vanishes(self, grid, t):
         return all(c._vanishes(grid, t) for c in self.children)
 
-    def _apply(self, field, t, guard):
+    def _apply(self, field, t, guard, own=False):
         acc = None
         for child in self.children:
             if child._vanishes(field.grid, t):  # see the module docstring
                 continue
             out = child._apply(field, t, guard)
-            acc = out if acc is None else acc + out
+            if acc is None:
+                acc = out
+            else:
+                np.add(acc.data, acc.data_of(out, consume=True), out=acc.data)
         return _zero_like(field) if acc is None else acc
 
     def _adjoint(self):
@@ -226,8 +238,8 @@ class Mul(OperatorExpr):
     def _vanishes(self, grid, t):
         return self.right._vanishes(grid, t) or self.left._vanishes(grid, t)
 
-    def _apply(self, field, t, guard):
-        return self.left._apply(self.right._apply(field, t, guard), t, guard)
+    def _apply(self, field, t, guard, own=False):
+        return self.left._apply(self.right._apply(field, t, guard, own), t, guard, own=True)
 
     def _adjoint(self):
         return Mul(self.right._adjoint(), self.left._adjoint())
@@ -241,8 +253,10 @@ class Scale(OperatorExpr):
     def _vanishes(self, grid, t):
         return self.factor == 0 or self.child._vanishes(grid, t)
 
-    def _apply(self, field, t, guard):
-        return self.child._apply(field, t, guard) * self.factor
+    def _apply(self, field, t, guard, own=False):
+        out = self.child._apply(field, t, guard, own)
+        out.data *= self.factor
+        return out
 
     def _adjoint(self):
         return Scale(np.conj(self.factor), self.child._adjoint())
@@ -254,7 +268,7 @@ def Adjoint(expr: OperatorExpr) -> OperatorExpr:
 
 
 def _zero_like(field):
-    return SpinorField(field.grid, np.zeros_like(field.values), field.space)
+    return field.with_data(np.zeros_like(field.data))
 
 
 def _evaluate(expr, field, t, guard):
@@ -265,9 +279,10 @@ def _evaluate(expr, field, t, guard):
 def apply_expr(expr: OperatorExpr, field: SpinorField, t: float = 0.0,
                guard: float = DEFAULT_ZERO_MODE_GUARD) -> SpinorField:
     """Apply an operator expression; the result is returned in the input's
-    space.  Raises on NaN/Inf in the output (upstream singularities)."""
-    out = _evaluate(expr, field, t, guard).in_space(field.space)
-    if not np.all(np.isfinite(out.values)):
+    space and storage.  Raises on NaN/Inf in the output (upstream
+    singularities)."""
+    out = field.with_data(field.data_of(_evaluate(expr, field, t, guard), consume=True))
+    if not np.all(np.isfinite(out.data)):
         raise FloatingPointError("operator application produced non-finite values")
     return out
 
@@ -275,7 +290,7 @@ def apply_expr(expr: OperatorExpr, field: SpinorField, t: float = 0.0,
 def expectation(expr: OperatorExpr, field: SpinorField, t: float = 0.0,
                 guard: float = DEFAULT_ZERO_MODE_GUARD) -> complex:
     """<psi | E | psi> with the dx^d-weighted inner product."""
-    return field.inner(_evaluate(expr, field, t, guard))
+    return field.inner(_evaluate(expr, field, t, guard).in_space(field.space, consume=True))
 
 
 class LeafStack:
@@ -339,7 +354,7 @@ class LeafStack:
         for sl in blocks:
             f = (f_whole if f_whole is not None
                  else np.stack([a[sl] for a in rows]).reshape(len(rows), -1))
-            psi = field.values[:, sl].reshape(4, -1).T
+            psi = field.data[:, sl].reshape(4, -1).T
             rho = np.multiply(psi.conj()[:, :, None], psi[:, None, :],
                               order="C").reshape(-1, 16)
             dens += f @ rho if np.iscomplexobj(f) else (f @ rho.view(float)).view(complex)

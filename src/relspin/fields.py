@@ -139,36 +139,18 @@ class FieldModel:
     def sample(self, r, t: float) -> FieldSample:
         raise NotImplementedError
 
-    def a_mesh(self, r, t):
+    def a_mesh(self, r, t):  # every vector mesh a subclass does not define
         return [0.0, 0.0, 0.0]
 
-    def phi_mesh(self, r, t):
+    e_mesh = b_mesh = dedt_mesh = dbdt_mesh = d2bdt2_mesh = a_mesh
+
+    def phi_mesh(self, r, t):  # every scalar mesh a subclass does not define
         return 0.0
 
-    def e_mesh(self, r, t):
-        return [0.0, 0.0, 0.0]
-
-    def b_mesh(self, r, t):
-        return [0.0, 0.0, 0.0]
-
-    def dedt_mesh(self, r, t):
-        return [0.0, 0.0, 0.0]
-
-    def dbdt_mesh(self, r, t):
-        return [0.0, 0.0, 0.0]
-
-    def d2bdt2_mesh(self, r, t):
-        return [0.0, 0.0, 0.0]
-
-    def dive_mesh(self, r, t):
-        return 0.0
+    dive_mesh = phi_mesh
 
     def describe(self) -> dict:
         raise NotImplementedError
-
-
-def _zeros3():
-    return np.zeros(3)
 
 
 @dataclass
@@ -178,8 +160,8 @@ class ZeroField(FieldModel):
         return False
 
     def sample(self, r, t):
-        return FieldSample(_zeros3(), 0.0, _zeros3(), _zeros3(),
-                           _zeros3(), _zeros3(), _zeros3(), 0.0)
+        return FieldSample(np.zeros(3), 0.0, np.zeros(3), np.zeros(3),
+                           np.zeros(3), np.zeros(3), np.zeros(3), 0.0)
 
     def describe(self):
         return {"type": "zero"}
@@ -263,8 +245,8 @@ class UniformE(FieldModel):
         r = np.asarray(r, dtype=float)
         g, gp, _ = self.envelope.derivatives(t)
         phi = -float(np.dot(self.e0, r)) * g
-        return FieldSample(_zeros3(), phi, self.e0 * g, _zeros3(),
-                           _zeros3(), _zeros3(), self.e0 * gp, 0.0)
+        return FieldSample(np.zeros(3), phi, self.e0 * g, np.zeros(3),
+                           np.zeros(3), np.zeros(3), self.e0 * gp, 0.0)
 
     def phi_mesh(self, r, t):
         g = self.envelope.derivatives(t)[0]

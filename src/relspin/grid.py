@@ -13,6 +13,13 @@ Conventions (frozen; binary dumps and golden data depend on them)
   checkerboard phase P = (-1)^(n_1 + ... + n_d).  The inverse is
   P * IFFT(P * psihat) * sqrt(N).  Both scale factors are scipy's
   ``norm="ortho"``.
+* Storage is phase-folded: a transform's result holds P psihat (or P psi), so
+  transforming it again is one bare ``fftn``/``ifftn`` (P (P FFT(P psi)) =
+  FFT(P psi)).  A field built from true values (a packet, a loaded dump)
+  keeps them until its first transform.  P is +-1 per point for all four
+  components, so pointwise algebra, norms and inner products act on folded
+  values as on true ones, to the sign of a zero; ``.values`` and
+  :func:`save_field` give the true values.
 * Inner products carry the position-measure weight dx^d in both spaces
   (the index-lattice transform is unitary, so the weighted norm agrees).
 
@@ -171,71 +178,82 @@ _spatial_axes = lambda dim: tuple(range(1, 1 + dim))
 class SpinorField:
     """Four-component complex field on a grid, stored in either space.
 
-    Value-semantics object: all operations return new fields.  The inner
-    product is ``sum(conj(a) * b) * dx^d`` evaluated in a common space.
+    ``data`` holds the true values, or with ``folded`` the phase-folded ones
+    of a transform's result (see the module docstring); ``.values`` gives the
+    true values, and a result keeps its (left) operand's storage.
+
+    Value semantics: operations return new fields and write into no field's
+    ``data``, except a transform with ``consume=True``, which may overwrite
+    it (for a field its caller made and drops).  The inner product is
+    ``sum(conj(a) * b) * dx^d`` evaluated in a common space.
     """
 
-    __slots__ = ("grid", "values", "space")
+    __slots__ = ("grid", "data", "space", "folded")
 
-    def __init__(self, grid: GridSpec, values: np.ndarray, space: str = POSITION):
+    def __init__(self, grid: GridSpec, values: np.ndarray, space: str = POSITION,
+                 folded: bool = False):
         values = np.asarray(values, dtype=complex)
         if values.shape != (4, *grid.shape):
             raise PreconditionError(
                 f"spinor field values must have shape {(4, *grid.shape)}, got {values.shape}")
         if space not in (POSITION, MOMENTUM):
             raise PreconditionError(f"unknown space {space!r}")
-        self.grid = grid
-        self.values = values
-        self.space = space
+        self.grid, self.data, self.space, self.folded = grid, values, space, folded
+
+    @property
+    def values(self) -> np.ndarray:
+        """The true values psi (or psihat); a new array when folded."""
+        return self.data * self.grid._phase if self.folded else self.data
 
     # -- transforms ------------------------------------------------------
     def to_momentum(self) -> "SpinorField":
-        if self.space == MOMENTUM:
-            return self
-        g = self.grid
-        ph = g._phase
-        # overwrite_x is safe: the input is a fresh product, never self.values
-        work = scipy.fft.fftn(self.values * ph, axes=_spatial_axes(g.dim),
-                              norm="ortho", overwrite_x=True, workers=_FFT_WORKERS)
-        work *= ph
-        return SpinorField(g, work, MOMENTUM)
+        return self.in_space(MOMENTUM)
 
     def to_position(self) -> "SpinorField":
-        if self.space == POSITION:
-            return self
-        g = self.grid
-        ph = g._phase
-        work = scipy.fft.ifftn(self.values * ph, axes=_spatial_axes(g.dim),
-                               norm="ortho", overwrite_x=True, workers=_FFT_WORKERS)
-        work *= ph
-        return SpinorField(g, work, POSITION)
+        return self.in_space(POSITION)
 
-    def in_space(self, space: str) -> "SpinorField":
-        return self.to_position() if space == POSITION else self.to_momentum()
+    def in_space(self, space: str, consume: bool = False) -> "SpinorField":
+        """The field in ``space``.  The FFT runs on a buffer it may overwrite,
+        which pocketfft does faster than filling a new array."""
+        if self.space == space:
+            return self
+        work = (self.data if consume else self.data.copy()) if self.folded else \
+            self.data * self.grid._phase
+        fft = scipy.fft.fftn if space == MOMENTUM else scipy.fft.ifftn
+        out = fft(work, axes=_spatial_axes(self.grid.dim), norm="ortho",
+                  overwrite_x=True, workers=_FFT_WORKERS)
+        return SpinorField(self.grid, out, space, folded=True)
+
+    def data_of(self, other: "SpinorField", consume: bool = False) -> np.ndarray:
+        """``other``'s data in this field's space and storage (``consume``:
+        ``other`` is the caller's to drop, and a transform may overwrite it)."""
+        other = other.in_space(self.space, consume)
+        return other.data if other.folded == self.folded else other.data * self.grid._phase
+
+    def with_data(self, data) -> "SpinorField":
+        """A field holding ``data`` in this field's space and storage."""
+        return SpinorField(self.grid, data, self.space, self.folded)
 
     # -- algebra ---------------------------------------------------------
     def copy(self) -> "SpinorField":
-        return SpinorField(self.grid, self.values.copy(), self.space)
+        return self.with_data(self.data.copy())
 
     def __add__(self, other: "SpinorField") -> "SpinorField":
-        other = other.in_space(self.space)
-        return SpinorField(self.grid, self.values + other.values, self.space)
+        return self.with_data(self.data + self.data_of(other))
 
     def __sub__(self, other: "SpinorField") -> "SpinorField":
-        other = other.in_space(self.space)
-        return SpinorField(self.grid, self.values - other.values, self.space)
+        return self.with_data(self.data - self.data_of(other))
 
     def __mul__(self, scalar) -> "SpinorField":
-        return SpinorField(self.grid, self.values * scalar, self.space)
+        return self.with_data(self.data * scalar)
 
     __rmul__ = __mul__
 
     def inner(self, other: "SpinorField") -> complex:
-        other = other.in_space(self.space)
-        return complex(np.vdot(self.values, other.values) * self.grid.weight)
+        return complex(np.vdot(self.data, self.data_of(other)) * self.grid.weight)
 
     def norm(self) -> float:
-        return float(np.sqrt(np.real(np.vdot(self.values, self.values)) * self.grid.weight))
+        return float(np.sqrt(np.real(np.vdot(self.data, self.data)) * self.grid.weight))
 
     def normalized(self) -> "SpinorField":
         n = self.norm()
@@ -245,8 +263,7 @@ class SpinorField:
 
     def boundary_flux(self) -> float:
         """Fraction of the squared norm sitting in the boundary margin shell."""
-        pos = self.to_position()
-        dens = np.sum(np.abs(pos.values) ** 2, axis=0)
+        dens = np.sum(np.abs(self.to_position().data) ** 2, axis=0)
         total = float(np.sum(dens))
         if total == 0:
             return 0.0
@@ -257,8 +274,8 @@ def zero_mode_weight(field: SpinorField) -> float:
     """|psihat(k=0)|^2 fraction of the total squared norm."""
     mom = field.to_momentum()
     idx = (slice(None), *mom.grid.origin_index)
-    w0 = float(np.sum(np.abs(mom.values[idx]) ** 2))
-    total = float(np.sum(np.abs(mom.values) ** 2))
+    w0 = float(np.sum(np.abs(mom.data[idx]) ** 2))
+    total = float(np.sum(np.abs(mom.data) ** 2))
     return w0 / total if total > 0 else 0.0
 
 
@@ -271,9 +288,9 @@ def suppress_zero_mode(field: SpinorField) -> SpinorField:
     while perturbing them far below every verification tolerance.
     """
     mom = field.to_momentum()
-    vals = mom.values.copy()
+    vals = mom.data.copy()
     vals[(slice(None), *mom.grid.origin_index)] = 0.0
-    out = SpinorField(mom.grid, vals, MOMENTUM).normalized()
+    out = mom.with_data(vals).normalized()
     return out.in_space(field.space)
 
 
@@ -353,11 +370,10 @@ def positive_energy_part(field: SpinorField, params: PhysParams) -> SpinorField:
     """Project every momentum component of ``field`` onto the positive-energy
     subspace of the free Dirac matrix at that k, (1 + H_free(k)/E_k)/2, and
     renormalize.  The result is in momentum space."""
-    grid = field.grid
-    v = field.to_momentum().values
-    hv = free_dirac_values(v, grid, params)
+    grid, mom = field.grid, field.to_momentum()
+    hv = free_dirac_values(mom.data, grid, params)
     e_k = energy_k2(grid.k2, params)
-    return SpinorField(grid, 0.5 * (v + hv / e_k), MOMENTUM).normalized()
+    return mom.with_data(0.5 * (mom.data + hv / e_k)).normalized()
 
 
 # -- binary dump -------------------------------------------------------------

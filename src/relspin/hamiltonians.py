@@ -47,7 +47,7 @@ part of Sigma.(E x (p-eA)) is (i/2) Sigma.dB/dt and cancels the explicit
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -201,13 +201,7 @@ def dot(a, b):
 
 def prefix(factors, comps):
     """Left-multiply every component by the given prefactor chain."""
-    out = []
-    for comp in comps:
-        expr = comp
-        for f in reversed(factors):
-            expr = Mul(f, expr)
-        out.append(expr)
-    return out
+    return [reduce(lambda expr, f: Mul(f, expr), reversed(factors), comp) for comp in comps]
 
 
 def scale(s, comps):

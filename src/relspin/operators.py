@@ -111,20 +111,20 @@ def free_dirac_matrix(p, params: PhysParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 #
 # Component i of S or R is a list of (coefficient, M) pairs standing for
-# sum coefficient(k, k2, inv_k2) M.  The coefficients take the momentum
-# triple, k^2 and 1/k^2 either as floats at one momentum (spin_operator,
+# sum coefficient(k, k2, x) M.  The coefficients take the momentum triple,
+# k^2 and the kind's one derived scalar x -- 1/k^2 for Pryce, E_k for FW,
+# unused by Dirac -- either as floats at one momentum (spin_operator,
 # position_correction) or as the grid's broadcast meshes
-# (dynamics.spin_expr, dynamics.position_correction_expr), and only the
-# Pryce entries read 1/k^2.  ``None`` is the constant coefficient 1.  Each
-# table is built once per (kind, params) and shared, so it is all tuples.
+# (dynamics.spin_expr, dynamics.position_correction_expr); the caller
+# evaluates x once for every pair.  ``None`` is the constant coefficient 1.
+# Each table is built once per (kind, params) and shared, so it is all tuples.
 
 _I_BETA_ALPHA = tuple(1j * BETA @ a for a in ALPHA)
 _LOWER_SIGMA = tuple((ID4 - BETA) @ s for s in SIGMA)  # (1 - beta) Sigma
 
 
-def _inv_ew(k2, params, power=1):
-    """1 / (E_k^power (E_k + m0 c^2))."""
-    e = energy_k2(k2, params)
+def _inv_ew(e, params, power=1):
+    """1 / (E^power (E + m0 c^2)) of an energy E."""
     return 1.0 / (e**power * (e + params.rest_energy))
 
 
@@ -143,11 +143,11 @@ def spin_terms(kind: SpinKind, params: PhysParams):
         # with p x (Sigma x p) = Sigma p^2 - p (Sigma.p)
         return _frozen(
             [(None, 0.5 * SIGMA[i])]
-            + [(lambda k, k2, inv_k2, j=j: c * k[j] / (2.0 * energy_k2(k2, params)),
+            + [(lambda k, k2, e_k, j=j: c * k[j] / (2.0 * e_k),
                 e * _I_BETA_ALPHA[kk]) for j, kk, e in levi_civita_pairs(i)]
-            + [(lambda k, k2, inv_k2: -0.5 * c**2 * k2 * _inv_ew(k2, params), SIGMA[i])]
-            + [(lambda k, k2, inv_k2, i=i, m=m: 0.5 * c**2 * (k[i] * k[m])
-                * _inv_ew(k2, params), SIGMA[m]) for m in range(3)]
+            + [(lambda k, k2, e_k: -0.5 * c**2 * k2 * _inv_ew(e_k, params), SIGMA[i])]
+            + [(lambda k, k2, e_k, i=i, m=m: 0.5 * c**2 * (k[i] * k[m])
+                * _inv_ew(e_k, params), SIGMA[m]) for m in range(3)]
             for i in range(3))
     if kind is SpinKind.PRYCE:
         return _frozen(
@@ -168,11 +168,11 @@ def position_terms(kind: SpinKind, params: PhysParams):
         # i c beta alpha/(2E) - i c^3 beta (alpha.p) p/(2E^2 W)
         # - c^2 (Sigma x p)/(2EW)
         return _frozen(
-            [(lambda k, k2, inv_k2: 0.5 * c / energy_k2(k2, params), _I_BETA_ALPHA[j])]
-            + [(lambda k, k2, inv_k2, j=j, m=m: -0.5 * c**3 * (k[m] * k[j])
-                * _inv_ew(k2, params, power=2), _I_BETA_ALPHA[m])
+            [(lambda k, k2, e_k: 0.5 * c / e_k, _I_BETA_ALPHA[j])]
+            + [(lambda k, k2, e_k, j=j, m=m: -0.5 * c**3 * (k[m] * k[j])
+                * _inv_ew(e_k, params, power=2), _I_BETA_ALPHA[m])
                for m in range(3)]
-            + [(lambda k, k2, inv_k2, b=b: -0.5 * c**2 * k[b] * _inv_ew(k2, params),
+            + [(lambda k, k2, e_k, b=b: -0.5 * c**2 * k[b] * _inv_ew(e_k, params),
                 e * SIGMA[a]) for a, b, e in levi_civita_pairs(j)]
             for j in range(3))
     if kind is SpinKind.PRYCE:
@@ -194,11 +194,12 @@ def _at_momentum(table, kind, p, params, what):
         raise SingularMomentumError(
             f"Pryce {what} is singular at p=0; "
             f"|p|={singular[0]:.3e} <= floor {params.p_floor:.3e}")
-    inv_p2 = np.divide(1.0, p2, out=np.zeros_like(p2), where=p2 > 0)
     k = tuple(p[..., i, None, None] for i in range(3))
-    k2, inv_k2 = p2[..., None, None], inv_p2[..., None, None]
+    k2 = p2[..., None, None]
+    x = (np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0) if kind is SpinKind.PRYCE
+         else energy_k2(k2, params) if kind is SpinKind.FW else None)
     zero = np.zeros(p.shape[:-1] + (4, 4), dtype=complex)
-    return tuple(sum((m if f is None else f(k, k2, inv_k2) * m for f, m in pairs), zero)
+    return tuple(sum((m if f is None else f(k, k2, x) * m for f, m in pairs), zero)
                  for pairs in table)
 
 

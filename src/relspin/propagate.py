@@ -40,7 +40,7 @@ import scipy.linalg
 from .errors import BoundaryFluxError, KrylovConvergenceError, PreconditionError
 from .expr import Add, Adjoint, LeafStack, Scale, apply_expr, constant_matrix, expectation
 from .fields import FieldModel
-from .grid import MOMENTUM, POSITION, GridSpec, SpinorField, apply_matrix, free_dirac_values
+from .grid import GridSpec, SpinorField, apply_matrix, free_dirac_values
 from .hamiltonians import P, R, NamedHamiltonian, hermitian_part, triple
 from .operators import ALPHA, PhysParams, SpinKind, energy_k2
 from .dynamics import spin_expr
@@ -67,13 +67,13 @@ def _position_half_step(model: FieldModel, params: PhysParams, grid: GridSpec,
                        np.broadcast_to(model.phi_mesh(grid.r, t), grid.shape))
 
     def half_step(field: SpinorField) -> SpinorField:
-        values = field.to_position().values
-        alpha_u = np.zeros_like(values)
+        pos = field.to_position()
+        alpha_u = np.zeros_like(pos.data)
         for ui, a_mat in zip(u, ALPHA):
             if np.any(ui):
-                alpha_u += ui * apply_matrix(a_mat, values)
-        out = cosf * values - 1j * sinf * alpha_u
-        return SpinorField(grid, out if phase is None else out * phase, POSITION)
+                alpha_u += ui * apply_matrix(a_mat, pos.data)
+        out = cosf * pos.data - 1j * sinf * alpha_u
+        return pos.with_data(out if phase is None else out * phase)
     return half_step
 
 
@@ -100,13 +100,12 @@ def strang_step_dirac(field: SpinorField, model: FieldModel, params: PhysParams,
     if potentials:
         half_step = _position_half_step(model, params, field.grid, dt / 2.0, tm)
         field = half_step(field)
-    grid, mom = field.grid, field.to_momentum().values
+    grid, mom = field.grid, field.to_momentum()
     cosf, sinf = _kinetic_factors(grid, params, dt)
-    out = SpinorField(grid, cosf * mom - 1j * sinf * free_dirac_values(mom, grid, params),
-                      MOMENTUM)
+    out = mom.with_data(cosf * mom.data - 1j * sinf * free_dirac_values(mom.data, grid, params))
     if potentials:
         out = half_step(out)
-    if not np.all(np.isfinite(out.values)):
+    if not np.all(np.isfinite(out.data)):
         raise FloatingPointError("Strang step produced non-finite values")
     return out
 
@@ -140,13 +139,12 @@ def krylov_step(hamiltonian: NamedHamiltonian, field: SpinorField, t: float,
         raise PreconditionError("krylov subspace must allow m >= 8")
     grid = field.grid
     tm = t + dt / 2.0
-    space = field.space
 
     def matvec(flat):
-        f = SpinorField(grid, flat.reshape(4, *grid.shape), space)
-        return apply_expr(hamiltonian.total, f, tm).values.ravel()
+        f = field.with_data(flat.reshape(4, *grid.shape))
+        return apply_expr(hamiltonian.total, f, tm).data.ravel()
 
-    v0 = field.values.ravel()
+    v0 = field.data.ravel()
     beta0 = _norm(v0)
     if beta0 == 0:
         return field.copy()
@@ -184,8 +182,8 @@ def krylov_step(hamiltonian: NamedHamiltonian, field: SpinorField, t: float,
         np.divide(w, nrm, out=basis[used])
 
     out = beta0 * (y @ basis[:used])
-    result = SpinorField(grid, out.reshape(4, *grid.shape), space)
-    if not np.all(np.isfinite(result.values)):
+    result = field.with_data(out.reshape(4, *grid.shape))
+    if not np.all(np.isfinite(result.data)):
         raise FloatingPointError("Krylov step produced non-finite values")
     return result
 
@@ -222,8 +220,8 @@ def _stepper(hamiltonian, propagator, krylov_m, krylov_tol):
             return strang_step_dirac(psi, model, hamiltonian.params, t, dt)
         if propagator == "krylov" or exp_constant(psi.grid, t, dt) is None:
             return krylov_step(hamiltonian, psi, t, dt, m=krylov_m, tol=krylov_tol)
-        out = SpinorField(psi.grid, apply_matrix(slot[1], psi.values), psi.space)
-        if not np.all(np.isfinite(out.values)):
+        out = psi.with_data(apply_matrix(slot[1], psi.data))
+        if not np.all(np.isfinite(out.data)):
             raise FloatingPointError("constant-Hamiltonian step produced non-finite values")
         return out
 

@@ -55,6 +55,30 @@ class TestSpinExpr:
         assert abs(val.real - 0.5) <= 1e-8
         assert abs(val.imag) <= 1e-10
 
+    def test_fw_energy_evaluated_once(self, monkeypatch):
+        # every FW S and R pair reads E_k: one evaluation per (grid, params)
+        # for all six leaves' fills, and one per batch at fixed momenta
+        import relspin.dynamics
+        import relspin.operators
+        orig, calls = relspin.operators.energy_k2, [0]
+
+        def counted(k2, params):
+            calls[0] += 1
+            return orig(k2, params)
+        monkeypatch.setattr(relspin.operators, "energy_k2", counted)
+        monkeypatch.setattr(relspin.dynamics, "energy_k2", counted)
+        params = PhysParams(c=1.7)  # a (grid, params) pair no other test fills
+        grid = GridSpec(3, 8, 6.0)
+        for _ in range(2):
+            for leaf in (spin_expr(SpinKind.FW, params)
+                         + position_correction_expr(SpinKind.FW, params)):
+                leaf._scalars(grid, 0.0)
+        assert calls[0] == 1
+        p = np.random.default_rng(3).normal(size=(5, 3))
+        spin_operator(SpinKind.FW, p, params)
+        position_correction(SpinKind.FW, p, params)
+        assert calls[0] == 3
+
     def test_dirac_fw_agree_at_small_momentum(self, params):
         g = GridSpec(1, 512, 400000.0)
         psi = gaussian_packet(g, 0.0, 5.0e4, 0.0, [1, 0, 0, 0])

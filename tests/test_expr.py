@@ -363,6 +363,81 @@ class TestAlgebraicLaws:
                 - apply_expr(e, psi)).norm() <= 1e-12
 
 
+def _bump_r(g, t):
+    return np.exp(-g.r[0] ** 2 / 200.0)
+
+
+def _bump_k(g, t):
+    return g.k[0] / (1.0 + g.k2)
+
+
+_POS = PositionDiag([(_bump_r, ALPHA[0]), (lambda g, t: np.ones(()), 0.5 * BETA)])
+_MOM = MomentumDiag([(_bump_k, SIGMA[2] @ ALPHA[1]), (_bump_k, ID4)])
+_ZERO = PositionDiag([(lambda g, t: np.zeros(g.shape), ALPHA[2])])
+
+
+def _alias_cases():
+    """name -> (tree, the same operator from separate applies)."""
+    a, b = ConstMatrix(ALPHA[1]), ConstMatrix(BETA)
+    pos_h, mom_h = Adjoint(_POS), Adjoint(_MOM)
+    return {
+        "constants": (Add([a, Scale(-2.0, b)]),
+                      lambda psi: apply_expr(a, psi) + apply_expr(b, psi) * -2.0),
+        "vanishing-add": (Add([_ZERO, Scale(0.0, _MOM)]), lambda psi: psi * 0.0),
+        "scaled-constant": (Scale(2 - 1j, b), lambda psi: apply_expr(b, psi) * (2 - 1j)),
+        "cross-space-add": (Add([_POS, _MOM]),
+                            lambda psi: apply_expr(_POS, psi) + apply_expr(_MOM, psi)),
+        "position-after-momentum": (Mul(_POS, _MOM),
+                                    lambda psi: apply_expr(_POS, apply_expr(_MOM, psi))),
+        "sum-after-momentum": (Mul(Add([_POS, _MOM]), _MOM),
+                               lambda psi: apply_expr(_POS, apply_expr(_MOM, psi))
+                               + apply_expr(_MOM, apply_expr(_MOM, psi))),
+        "adjoint": (Adjoint(Add([Mul(_POS, _MOM), Scale(0.5j, _MOM)])),
+                    lambda psi: apply_expr(mom_h, apply_expr(pos_h, psi))
+                    + apply_expr(mom_h, psi) * -0.5j),
+    }
+
+
+class TestNoAliasing:
+    """A node writes only into results its children made for it: no apply
+    writes into its input or into a leaf's cached scalars, and the result
+    shares no memory with the input."""
+
+    @staticmethod
+    def _state(grid, rng, how):
+        psi = random_field(grid, rng)
+        if how == "position-folded":
+            return psi.to_momentum().to_position()
+        if how == "momentum-folded":
+            return psi.to_momentum()
+        if how == "momentum-true":
+            return SpinorField(grid, psi.values, MOMENTUM)
+        return psi
+
+    @pytest.mark.parametrize("case", list(_alias_cases()))
+    @pytest.mark.parametrize("how", ["position-true", "position-folded",
+                                     "momentum-true", "momentum-folded"])
+    def test_apply_writes_only_its_own_results(self, grid, rng, case, how):
+        tree, separate = _alias_cases()[case]
+        psi = self._state(grid, rng, how)
+        data, values = psi.data.copy(), psi.values.copy()
+        leaves = [_POS, _MOM, Adjoint(_POS), Adjoint(_MOM)]
+        scalars = [[a.copy() for a in leaf._scalars(grid, 0.0)] for leaf in leaves]
+        out = apply_expr(tree, psi)
+        again = apply_expr(tree, psi)
+        assert np.array_equal(psi.data, data) and np.array_equal(psi.values, values)
+        for leaf, before in zip(leaves, scalars):
+            assert all(np.array_equal(a, b) for a, b in zip(leaf._arrays, before))
+        assert not np.shares_memory(out.data, psi.data)
+        assert out.space == psi.space
+        assert np.array_equal(out.values, again.values)
+        want = separate(psi)
+        assert np.array_equal(psi.data, data)
+        assert (out - want).norm() <= 1e-13 * max(want.norm(), 1.0)
+        if case == "vanishing-add":
+            assert not np.any(out.values)
+
+
 class _SmallBlocks(LeafStack):
     BLOCK_POINTS = 64  # the 8^3 kernel grid in eight blocks
 

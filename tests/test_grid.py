@@ -240,6 +240,50 @@ class TestBinaryDump:
         assert loaded.grid == g
         assert np.array_equal(loaded.values, f.values)
 
+    @staticmethod
+    def _payload(path, grid):
+        """The complex payload of a dump, read past its header."""
+        return np.fromfile(path, dtype="<c16", offset=8 + 12 * grid.dim).reshape(
+            (4, *grid.shape))
+
+    @pytest.mark.parametrize("dim,n,length", [(1, 16, 5.0), (3, 8, 6.0)])
+    def test_dump_holds_true_values(self, tmp_path, rng, dim, n, length):
+        # a field built from known values, and the transform of one, in both
+        # spaces: the payload is the true values, not the stored ones
+        g = GridSpec(dim, n, length)
+        vals = random_field(g, rng).values
+        dft = TestTransforms._dft_matrix(g)
+        vals_k = (vals.reshape(4, -1) @ dft.T).reshape(vals.shape)
+        path = tmp_path / "field.rspn"
+        for field, want, exact in [(SpinorField(g, vals), vals, True),
+                                   (SpinorField(g, vals_k, "momentum"), vals_k, True),
+                                   (SpinorField(g, vals).to_momentum(), vals_k, False),
+                                   (SpinorField(g, vals_k, "momentum").to_position(), vals, False),
+                                   (SpinorField(g, vals).to_momentum().to_position(), vals, False)]:
+            save_field(field, path)
+            got = self._payload(path, g)
+            if exact:
+                assert np.array_equal(got, want)
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_load_gives_the_payload(self, tmp_path, rng):
+        g = GridSpec(1, 16, 5.0)
+        vals = random_field(g, rng).values
+        path = tmp_path / "field.rspn"
+        with open(path, "wb") as fh:
+            fh.write(b"RSPN" + bytes([1, ord("<"), 1, 0]))
+            np.array([16], dtype="<u4").tofile(fh)
+            np.array([5.0], dtype="<f8").tofile(fh)
+            vals.astype("<c16").tofile(fh)
+        loaded = load_field(path)
+        assert loaded.space == "position"
+        assert np.array_equal(loaded.values, vals)
+        dft = TestTransforms._dft_matrix(g)
+        want = vals @ dft.T
+        got = loaded.to_momentum().values
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.rspn"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
