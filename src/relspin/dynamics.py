@@ -432,15 +432,19 @@ def _verify_cell(si, axis, s_i, h_total, terms, psi, h_psi, t, guard, gains):
     lhs = (s_h - h_s) * (-1j)
     scale = s_h.norm() + h_s.norm()
     del s_h, h_s  # the term fields kept below take their place
-    # one apply per printed term: its norm is recorded and the term folded
-    # into the running right-hand side before the next one
-    rhs_field = psi * 0.0
+    # one apply per printed term: its norm is recorded and the term added in
+    # place to the running right-hand side, the first term's field (a copy
+    # when kept), before the next one
+    rhs_field = None if terms else psi * 0.0
     term_norms = {}
     kept = []
     for name, triple in terms:
         term = apply_expr(triple[axis], psi, t, guard)
         term_norms[name] = term.norm()
-        rhs_field = rhs_field + term
+        if rhs_field is None:
+            rhs_field = term if gains is None else term.copy()
+        else:
+            rhs_field.data += rhs_field.data_of(term)
         if gains is not None:
             kept.append((name, term))
     diff = lhs - rhs_field

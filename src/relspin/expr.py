@@ -149,7 +149,7 @@ class _DiagLeaf(OperatorExpr):
         if not self._constant:
             field = field.in_space(self.space, consume=own)
             if self.singular_origin:
-                self._guard(field, guard)
+                self._guard(zero_mode_weight(field), guard)
         psi = field.data
         out = np.empty_like(psi)
         fresh = [True] * 4  # rows not yet written
@@ -168,9 +168,8 @@ class _DiagLeaf(OperatorExpr):
                 out[a] = 0.0
         return field.with_data(out)
 
-    def _guard(self, field, guard):
-        """Refuse a state whose k = 0 weight exceeds the guard."""
-        w0 = zero_mode_weight(field)
+    def _guard(self, w0, guard):
+        """Refuse a state whose k = 0 weight w0 exceeds the guard."""
         if w0 > guard:
             raise SingularMomentumError(
                 f"operator {self.name or self.__class__.__name__} is singular at "
@@ -293,74 +292,105 @@ def expectation(expr: OperatorExpr, field: SpinorField, t: float = 0.0,
     return field.inner(_evaluate(expr, field, t, guard).in_space(field.space, consume=True))
 
 
+def _scaled_leaves(expr, factor=1.0):
+    """``expr`` as [(factor, leaf)] when it is a sum of scaled time-independent
+    leaves, else None."""
+    if isinstance(expr, _DiagLeaf):
+        return None if expr.time_dependent else [(factor, expr)]
+    if isinstance(expr, Scale):
+        return _scaled_leaves(expr.child, factor * expr.factor)
+    parts = [_scaled_leaves(c, factor) for c in expr.children] if isinstance(expr, Add) else [None]
+    return None if None in parts else sum(parts, [])
+
+
 class LeafStack:
-    """<psi | L | psi> of several static diagonal leaves at once, without
+    """<psi | E | psi> of several static diagonal expressions at once, without
     applying any.
 
-    With rho_ab = conj(psi_a) psi_b, a leaf sum_j f_j M_j has the expectation
-    dx^d sum_j sum_ab M_j[a, b] sum_x f_j(x) rho_ab(x).  The rows of F are a
-    row of ones, for every constant term, and each non-constant term scalar;
-    F contracts with rho in one matrix product per block of at most
-    ``BLOCK_POINTS`` points along the leading grid axis (one block in 1D, so
-    a 3D block needs memory of the order of the state's), and each leaf sums
-    its matrices against its rows.  Singular leaves keep the zero-mode guard
-    of an apply.  The rows are gathered once per grid from the leaves'
-    cached scalars, and F is stacked then too when the grid is one block;
-    several blocks are stacked per call, since holding all of them would
-    cost more memory than the state.
+    An entry is a sum of scaled time-independent leaves.  With rho_ab =
+    conj(psi_a) psi_b, a leaf sum_j f_j M_j has the expectation dx^d sum_j
+    sum_ab M_j[a, b] sum_x f_j(x) rho_ab(x).  The rows of F are a row of ones,
+    for every constant term, and each non-constant term scalar, so the entry
+    f 1 is the trace of rho against a fixed row f (a norm, a mask's weight).
+    F contracts with the rho_ab some matrix reads in one matrix product per
+    block of at most ``BLOCK_POINTS`` points along the leading grid axis (one
+    block in 1D, so a 3D block needs memory of the order of the state's).
+    The rows are gathered once per grid from the leaves' cached scalars, and
+    F is stacked then too when the grid is one block; several blocks are
+    stacked per call, since holding all of them would cost more memory than
+    the state.  Singular leaves keep the zero-mode guard of an apply: the
+    stack also contracts rho's trace and its k = 0 trace, whose ratio is the
+    zero-mode weight.
     """
 
     BLOCK_POINTS = 4096
 
-    def __init__(self, leaves):
-        self.leaves = list(leaves)
-        if any(leaf.time_dependent for leaf in self.leaves):
-            raise PreconditionError("a LeafStack needs time-independent leaves")
+    def __init__(self, entries):
+        self.entries = [_scaled_leaves(e) for e in entries]
+        if None in self.entries:
+            raise PreconditionError("a LeafStack needs sums of scaled time-independent leaves")
+        self._shown = len(self.entries)
+        if any(leaf.singular_origin for pairs in self.entries for _, leaf in pairs):
+            self.entries += [[(1.0, ConstMatrix(np.eye(4)))],
+                             [(1.0, MomentumDiag([(lambda g, t: g.k2 == 0, np.eye(4))]))]]
         self._grid = self._plan = None
 
+    @staticmethod
+    def admits(expr: OperatorExpr, space: str, grid: GridSpec) -> bool:
+        """Whether ``expr`` can be an entry of a stack in ``space``: each of its
+        leaves is diagonal there or constant on ``grid``."""
+        pairs = _scaled_leaves(expr)
+        return pairs is not None and all(leaf.space == space or all(
+            a.size == 1 for a in leaf._scalars(grid, 0.0)) for _, leaf in pairs)
+
     def _gather(self, grid):
-        n = len(self.leaves)
+        n = len(self.entries)
         rows, mats, live = [np.broadcast_to(1.0, grid.shape)], [np.zeros((n, 16), complex)], []
-        for li, leaf in enumerate(self.leaves):
-            for (_, m), a in zip(leaf.terms, leaf._scalars(grid, 0.0)):
-                if a.size == 1:
-                    mats[0][li] += complex(a.reshape(())) * m.ravel()
-                    continue
-                live.append(leaf)
-                rows.append(np.broadcast_to(a, grid.shape))
-                mats.append(np.zeros((n, 16), complex))
-                mats[-1][li] = m.ravel()
+        for li, pairs in enumerate(self.entries):
+            for factor, leaf in pairs:
+                for (_, m), a in zip(leaf.terms, leaf._scalars(grid, 0.0)):
+                    if a.size == 1:
+                        mats[0][li] += factor * complex(a.reshape(())) * m.ravel()
+                        continue
+                    live.append(leaf)
+                    rows.append(np.broadcast_to(a, grid.shape))
+                    mats.append(np.zeros((n, 16), complex))
+                    mats[-1][li] = factor * m.ravel()
         spaces = {leaf.space for leaf in live}
         if len(spaces) > 1:
             raise PreconditionError("a LeafStack needs leaves of one space")
+        mats = np.stack(mats, axis=1)
+        used = np.flatnonzero(mats.any(axis=(0, 1)))  # the rho_ab some matrix reads
         step = max(1, self.BLOCK_POINTS * grid.shape[0] // grid.npoints)
         blocks = [slice(i0, i0 + step) for i0 in range(0, grid.shape[0], step)]
         return (spaces.pop() if spaces else None,
                 next((leaf for leaf in live if leaf.singular_origin), None),
-                np.stack(mats, axis=1).reshape(n, -1), rows, blocks,
+                np.divmod(used, 4), mats[:, :, used].reshape(n, -1), rows, blocks,
                 np.stack(rows).reshape(len(rows), -1) if len(blocks) == 1 else None)
 
     def expectations(self, field: SpinorField,
                      guard: float = DEFAULT_ZERO_MODE_GUARD) -> np.ndarray:
-        """The complex expectation of every leaf, in the order given."""
+        """The complex expectation of every entry, in the order given."""
         if self._grid != field.grid:
             self._grid, self._plan = field.grid, self._gather(field.grid)
-        space, singular, mats, rows, blocks, f_whole = self._plan
+        space, singular, (a, b), mats, rows, blocks, f_whole = self._plan
         if space is not None:
             field = field.in_space(space)
-        if singular is not None:
-            singular._guard(field, guard)
-        dens = np.zeros((len(rows), 16), dtype=complex)
+        dens = np.zeros((len(rows), len(a)), dtype=complex)
         for sl in blocks:
+            psi = field.data[:, sl].reshape(4, -1)
+            rho = psi[a]  # a copy, conjugated and multiplied in place
+            rho = np.multiply(np.conjugate(rho, out=rho), psi[b], out=rho).T.copy()
             f = (f_whole if f_whole is not None
-                 else np.stack([a[sl] for a in rows]).reshape(len(rows), -1))
-            psi = field.data[:, sl].reshape(4, -1).T
-            rho = np.multiply(psi.conj()[:, :, None], psi[:, None, :],
-                              order="C").reshape(-1, 16)
+                 else np.stack([r[sl] for r in rows]).reshape(len(rows), -1))
             dens += f @ rho if np.iscomplexobj(f) else (f @ rho.view(float)).view(complex)
         # not a BLAS gemv: with OpenBLAS's default threads, one here made the
         # Krylov steps' expm, and so the default Larmor sweep, several times slower
-        return np.einsum("lk,k->l", mats, dens.ravel()) * field.grid.weight
+        out = np.einsum("lk,k->l", mats, dens.ravel()) * field.grid.weight
+        if singular is not None:
+            total, w0 = out[self._shown:].real
+            singular._guard(w0 / total if total > 0 else 0.0, guard)
+        return out[:self._shown]
 
 
 # -- static block-structure analysis -----------------------------------------

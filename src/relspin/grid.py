@@ -261,21 +261,14 @@ class SpinorField:
             raise PreconditionError("cannot normalize the zero field")
         return self * (1.0 / n)
 
-    def boundary_flux(self) -> float:
-        """Fraction of the squared norm sitting in the boundary margin shell."""
-        dens = np.sum(np.abs(self.to_position().data) ** 2, axis=0)
-        total = float(np.sum(dens))
-        if total == 0:
-            return 0.0
-        return float(np.sum(dens[self.grid.boundary_shell_mask]) / total)
-
 
 def zero_mode_weight(field: SpinorField) -> float:
     """|psihat(k=0)|^2 fraction of the total squared norm."""
     mom = field.to_momentum()
     idx = (slice(None), *mom.grid.origin_index)
     w0 = float(np.sum(np.abs(mom.data[idx]) ** 2))
-    total = float(np.sum(np.abs(mom.data) ** 2))
+    v = mom.data.reshape(-1).view(float)
+    total = float(np.einsum("i,i->", v, v))  # no |x|^2 temporary, and no BLAS call
     return w0 / total if total > 0 else 0.0
 
 
@@ -357,12 +350,22 @@ def apply_matrix(mat, values):
     return (mat @ values.reshape(4, -1)).reshape(values.shape)
 
 
+# (column, entry) of every row of beta and of each alpha_j: one nonzero per row
+_BETA_ROWS, *_ALPHA_ROWS = ([(b, m[a, b].real if m[a, b].imag == 0 else m[a, b])
+                             for a, b in enumerate(np.argmax(m != 0, axis=1))]
+                            for m in (BETA, *ALPHA))
+
+
 def free_dirac_values(values, grid: GridSpec, params: PhysParams):
-    """(c alpha.k + beta m0 c^2) applied to momentum-space spinor values."""
-    out = params.rest_energy * apply_matrix(BETA, values)
-    for kmesh, a_mat in zip(grid.k, ALPHA):
-        if not np.isscalar(kmesh):
-            out += params.c * kmesh * apply_matrix(a_mat, values)
+    """(c alpha.k + beta m0 c^2) applied to momentum-space spinor values, row
+    by row from those entries (no 4x4 matrix product)."""
+    terms = [(params.c * k, rows) for k, rows in zip(grid.k, _ALPHA_ROWS) if not np.isscalar(k)]
+    out, tmp = np.empty_like(values), np.empty(values.shape[1:], dtype=complex)
+    for a, (b, m) in enumerate(_BETA_ROWS):
+        np.multiply(params.rest_energy * m, values[b], out=out[a])
+        for ck, rows in terms:
+            b, m = rows[a]
+            np.add(out[a], np.multiply(ck * m, values[b], out=tmp), out=out[a])
     return out
 
 

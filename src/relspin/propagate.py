@@ -24,9 +24,11 @@ since the last row as one of n dt, as exp(-i n dt H) = exp(-i dt H)^n.
 Trajectories record the three spin expectations, norm, energy, <r>, <p> and a
 boundary-flux diagnostic at a configurable stride; the run aborts when flux
 into the margin shell exceeds the documented limit.  A row costs one
-transform of the state plus what the energy's Hamiltonian apply needs; the
-spins, r and p are contracted from it without applying a leaf
-(``expr.LeafStack``).  CSV column order is frozen (see ``Trajectory.CSV_COLUMNS``).
+transform of the state, and each space's columns, the norm, the flux and
+the Pryce zero-mode guard are one contraction of its density
+(``expr.LeafStack``); so is the energy where H is a sum of static leaves,
+each momentum-diagonal or constant, and any other H is applied.  CSV
+column order is frozen (see ``Trajectory.CSV_COLUMNS``).
 """
 
 from __future__ import annotations
@@ -38,9 +40,11 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BoundaryFluxError, KrylovConvergenceError, PreconditionError
-from .expr import Add, Adjoint, LeafStack, Scale, apply_expr, constant_matrix, expectation
+from .algebra import ID4
+from .expr import (Add, Adjoint, ConstMatrix, LeafStack, PositionDiag, Scale, apply_expr,
+                   constant_matrix, expectation)
 from .fields import FieldModel
-from .grid import GridSpec, SpinorField, apply_matrix, free_dirac_values
+from .grid import MOMENTUM, GridSpec, SpinorField, apply_matrix, free_dirac_values
 from .hamiltonians import P, R, NamedHamiltonian, hermitian_part, triple
 from .operators import ALPHA, PhysParams, SpinKind, energy_k2
 from .dynamics import spin_expr
@@ -281,24 +285,37 @@ class _Observables:
     def __init__(self, grid, params):
         self.spin = {k: spin_expr(k, params) for k in SpinKind}
         self.r, self.p = triple(R), triple(P)
-        # every observable but the energy is one diagonal leaf
+        # every column but the energy is one diagonal leaf; "norm" and "flux"
+        # first hold the squared norm and the weight in the boundary shell
         labels = {SpinKind.DIRAC: "S_D", SpinKind.FW: "S_FW", SpinKind.PRYCE: "S_Py"}
         mom = [(f"{labels[k]}_{ax}", s) for k in SpinKind for ax, s in zip("xyz", self.spin[k])]
         mom += [(f"p_{ax}", p) for ax, p in zip("xyz", self.p)]
-        pos = [(f"r_{ax}", r) for ax, r in zip("xyz", self.r)]
+        pos = [(f"r_{ax}", r) for ax, r in zip("xyz", self.r)] + [
+            ("norm", ConstMatrix(ID4)),
+            ("flux", PositionDiag([(lambda g, t: g.boundary_shell_mask, ID4)]))]
+        self._mom = [leaf for _, leaf in mom]
         self.stacks = [([n for n, _ in obs], LeafStack(leaf for _, leaf in obs))
                        for obs in (mom, pos)]
+        self._energy = (None, None, None)  # H, grid and the momentum stack with H
 
     def measure(self, hamiltonian, psi, t):
-        """One row; r and the flux read the position copy of psi, every other
-        observable the momentum copy.  The energy applies the Hamiltonian;
-        the other columns are one ``LeafStack`` contraction per space."""
+        """One row: one density contraction per space (``LeafStack``), the
+        position copy of psi for r, the norm and the flux, the momentum copy
+        for the rest, the energy too where H admits it, else an apply of H."""
         pos, mom = psi.to_position(), psi.to_momentum()
-        out = {"t": t, "norm": psi.norm(), "flux": pos.boundary_flux(),
-               "energy": float(np.real(expectation(hamiltonian.total, mom, t,
-                                                   guard=OBSERVABLE_GUARD)))}
-        for (names, stack), copy in zip(self.stacks, (mom, pos)):
-            out.update(zip(names, stack.expectations(copy, OBSERVABLE_GUARD).real.tolist()))
+        (names, stack), (pos_names, pos_stack) = self.stacks
+        if self._energy[0] is not hamiltonian or self._energy[1] != psi.grid:
+            joins = LeafStack.admits(hamiltonian.total, MOMENTUM, psi.grid)
+            self._energy = (hamiltonian, psi.grid,
+                            LeafStack(self._mom + [hamiltonian.total]) if joins else None)
+        values = (self._energy[2] or stack).expectations(mom, OBSERVABLE_GUARD).real.tolist()
+        out = dict(zip(names + ["energy"], values), t=t)
+        if self._energy[2] is None:
+            out["energy"] = float(np.real(expectation(hamiltonian.total, mom, t,
+                                                      guard=OBSERVABLE_GUARD)))
+        out.update(zip(pos_names, pos_stack.expectations(pos).real.tolist()))
+        total = out["norm"]
+        out.update(norm=np.sqrt(total), flux=out["flux"] / total if total > 0 else 0.0)
         return out
 
 

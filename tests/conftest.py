@@ -49,6 +49,20 @@ def hermiticity_residual():
     return residual
 
 
+@pytest.fixture(scope="session")
+def boundary_flux():
+    """``boundary_flux(field)``: the fraction of the squared norm sitting in
+    the boundary margin shell, summed directly; the reference for the
+    trajectory's flux column."""
+    def flux(field):
+        dens = np.sum(np.abs(field.to_position().data) ** 2, axis=0)
+        total = float(np.sum(dens))
+        if total == 0:
+            return 0.0
+        return float(np.sum(dens[field.grid.boundary_shell_mask]) / total)
+    return flux
+
+
 @pytest.fixture
 def fft_count(monkeypatch):
     """Counts scipy.fft.fftn/ifftn calls; read ``fft_count[0]``."""

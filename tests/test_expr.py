@@ -474,6 +474,40 @@ class TestLeafStack:
             scale = psi.norm() * apply_expr(leaf, psi).norm()
             assert abs(value - expectation(leaf, psi)) <= 1e-13 * scale
 
+    @pytest.mark.parametrize("stack_type", [LeafStack, _SmallBlocks])
+    def test_sums_of_scaled_leaves(self, rng, stack_type):
+        # an entry may be a sum of scaled leaves, constants of either space
+        # included; a plain leaf and a trace row (f times the identity) too
+        grid = _KERNEL_GRIDS[1]
+        leaves = [MomentumDiag([(_kernel_producer(pk, grid, rng), _kernel_matrix(mk, rng))
+                                for mk, pk in (("named", "mesh"), ("dense", "full"))])
+                  for _ in range(2)]
+        const = PositionDiag([(_kernel_producer("scalar", grid, rng),
+                               _kernel_matrix("dense", rng))])
+        entries = [Add([Scale(0.5 - 0.2j, leaves[0]), const, Scale(2.0, Add([leaves[1], const]))]),
+                   Scale(-1.5, Add([leaves[1]])), leaves[0],
+                   MomentumDiag([(lambda g, t: g.k2 == 0, ID4)])]
+        for space in (POSITION, MOMENTUM):
+            psi = random_field(grid, rng).in_space(space)
+            got = stack_type(entries).expectations(psi)
+            assert len(got) == len(entries)
+            for expr, value in zip(entries, got):
+                scale = psi.norm() * apply_expr(expr, psi).norm()
+                assert abs(value - expectation(expr, psi)) <= 1e-13 * scale
+
+    def test_admits(self, grid):
+        mom = MomentumDiag([(lambda g, t: g.k[0], BETA)])
+        uniform = PositionDiag([(lambda g, t: np.asarray(0.3), SIGMA[2])])
+        sawtooth = PositionDiag([(lambda g, t: g.r[0], ID4)])
+        pulsed = MomentumDiag([(lambda g, t: t * g.k[0], ID4)], time_dependent=True)
+        assert LeafStack.admits(Add([Scale(0.5, mom), Scale(2.0, uniform)]), MOMENTUM, grid)
+        assert LeafStack.admits(Add([uniform, sawtooth]), POSITION, grid)
+        assert not LeafStack.admits(Add([mom, sawtooth]), MOMENTUM, grid)
+        assert not LeafStack.admits(Mul(mom, uniform), MOMENTUM, grid)
+        assert not LeafStack.admits(Add([mom, pulsed]), MOMENTUM, grid)
+        with pytest.raises(PreconditionError, match="sums of scaled"):
+            LeafStack([Mul(mom, uniform)])
+
     def test_leaves_of_two_spaces_are_refused(self, grid, rng):
         stack = LeafStack([triple(P)[0], triple(R)[0]])
         with pytest.raises(PreconditionError):

@@ -228,6 +228,23 @@ def test_free_particle_run(fft_count, monkeypatch):
     assert sizes == [sc.stride * sc.dt] * 100
 
 
+def test_shipped_cli_runs_transform_once_per_row(fft_count, tmp_path, capsys):
+    from relspin.cli import main
+    scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+    assert main(["simulate", "--scenario", str(scenarios / "free_particle.json"),
+                 "--output", str(tmp_path / "free.csv")]) == 0
+    # the packet (2), the first step into momentum space (1), then one
+    # transform per recorded row (101): the energy, norm and flux are read
+    # from the row's two stacks
+    assert fft_count[0] == 104
+    fft_count[0] = 0
+    assert main(["sweep", "--scenario", str(scenarios / "larmor_sweep.json"),
+                 "--field-grid", "0.5,1,2,4", "--output", str(tmp_path / "sweep.csv")]) == 0
+    # the packet once (2), then per field strength one transform per row
+    # (121): the constant steps transform nothing
+    assert fft_count[0] == 2 + 4 * 121
+
+
 # A builder makes one ModelVector per model vector, which calls its mesh
 # once per (grid, t) and serves every leaf built on it: the gauge leaf or
 # the three A_i of (p - eA); zeeman, kinetic-zeeman-cross and b-squared on

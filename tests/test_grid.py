@@ -222,6 +222,20 @@ class TestZeroMode:
         oracle = float(np.sum(np.abs(coeff) ** 2) / np.sum(np.abs(vals) ** 2))
         assert zero_mode_weight(psi) == pytest.approx(oracle, rel=1e-10)
 
+    @pytest.mark.parametrize("grid", [GridSpec(1, 64, 16.0), GridSpec(3, 16, 12.0)])
+    def test_matches_abs_squared_sums(self, grid, rng):
+        # the reference: |x|^2 summed over the k = 0 bin and the whole field
+        def reference(field):
+            mom = field.to_momentum()
+            w0 = np.sum(np.abs(mom.values[(slice(None), *grid.origin_index)]) ** 2)
+            return float(w0 / np.sum(np.abs(mom.values) ** 2))
+        for _ in range(4):
+            psi = random_field(grid, rng)
+            for field in (psi, psi.to_momentum(), psi.to_momentum().to_position(),
+                          SpinorField(grid, psi.values, "momentum")):
+                assert zero_mode_weight(field) == pytest.approx(reference(field), rel=1e-14,
+                                                                abs=0.0)
+
     def test_suppress_zero_mode(self, grid_1d):
         psi = gaussian_packet(grid_1d, 10.0, 16.0, 0.0, [1, 0, 0, 0])
         clean = suppress_zero_mode(psi)
@@ -334,11 +348,11 @@ class TestBinaryDump:
 
 
 class TestBoundaryFlux:
-    def test_centered_packet_negligible(self, grid_1d):
+    def test_centered_packet_negligible(self, grid_1d, boundary_flux):
         psi = gaussian_packet(grid_1d, 0.0, 8.0, 1.0, [1, 0, 0, 0])
-        assert psi.boundary_flux() <= 1e-12
+        assert boundary_flux(psi) <= 1e-12
 
-    def test_edge_packet_flagged(self):
+    def test_edge_packet_flagged(self, boundary_flux):
         g = GridSpec(1, 256, 256.0)
         psi = gaussian_packet(g, 60.0, 16.0, 1.0, [1, 0, 0, 0])
-        assert psi.boundary_flux() > 1e-6
+        assert boundary_flux(psi) > 1e-6

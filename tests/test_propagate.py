@@ -448,7 +448,7 @@ class TestMeasure:
 
     @pytest.mark.parametrize("space", ["position", "momentum"])
     @pytest.mark.parametrize("family", ["free", "dirac-em", "fw-direct"])
-    def test_row_matches_reference(self, params, pulse_1d, family, space):
+    def test_row_matches_reference(self, params, pulse_1d, boundary_flux, family, space):
         g = GridSpec(1, 256, 256.0)
         model = _PULSED_B if family == "fw-direct" else pulse_1d
         ham = build_hamiltonian(family, model, params, g)
@@ -471,7 +471,7 @@ class TestMeasure:
             scale = psi.norm() * apply_expr(expr, psi, t, OBSERVABLE_GUARD).norm()
             assert abs(row[name] - ref) <= 1e-13 * scale, name
         assert row["norm"] == pytest.approx(psi.norm(), rel=1e-13)
-        assert row["flux"] == pytest.approx(psi.boundary_flux(), rel=1e-13, abs=1e-300)
+        assert row["flux"] == pytest.approx(boundary_flux(psi), rel=1e-13, abs=1e-300)
         assert row["t"] == t
 
     @pytest.mark.parametrize("space", ["position", "momentum"])
@@ -531,6 +531,64 @@ class TestMeasure:
         energy, calls[0] = calls[0], 0
         _Observables(g, params).measure(ham, psi, 0.3)
         assert calls[0] == energy > 0
+
+    @pytest.mark.parametrize("hermitize", [False, True])
+    @pytest.mark.parametrize("family", ["free", "zeeman"])
+    def test_static_energy_applies_nothing(self, params, monkeypatch, family, hermitize):
+        # free is one momentum leaf and the Zeeman-only fw-direct one constant
+        # leaf under a static uniform B: the energy is a stack entry
+        g = GridSpec(1, 256, 256.0)
+        ham = (build_free_dirac(params, g) if family == "free" else
+               build_fw_direct(_UNIFORM_B, params, g, hermitize=hermitize).subset(["zeeman"]))
+        psi = gaussian_packet(g, 10.0, 12.0, 1.0, [1, 1, 0, 0], params=params,
+                              energy_projection=True)
+        obs = _Observables(g, params)
+        calls = [0]
+        apply = _DiagLeaf._apply
+
+        def counted(self, *args):
+            calls[0] += 1
+            return apply(self, *args)
+
+        monkeypatch.setattr(_DiagLeaf, "_apply", counted)
+        for space in ("position", "momentum"):
+            row = obs.measure(ham, psi.in_space(space), 0.3)
+            assert calls[0] == 0
+        ref = float(np.real(expectation(ham.total, psi, 0.3)))
+        scale = psi.norm() * apply_expr(ham.total, psi, 0.3).norm()
+        assert abs(row["energy"] - ref) <= 1e-13 * scale
+
+    def test_norm_and_flux_of_an_unnormalized_state(self, params, boundary_flux):
+        # the flux is the shell's share of the squared norm, whatever the norm
+        g = GridSpec(1, 256, 256.0)
+        psi = 3.0 * gaussian_packet(g, 60.0, 16.0, 1.0, [1, 0, 0, 0])
+        row = _Observables(g, params).measure(build_free_dirac(params, g), psi, 0.0)
+        assert row["norm"] == pytest.approx(3.0, rel=1e-13, abs=0.0)
+        assert row["flux"] == pytest.approx(boundary_flux(psi), rel=1e-13, abs=0.0)
+        assert row["flux"] > 1e-6
+
+    @pytest.mark.parametrize("offset", [-1e-12, 1e-12])
+    def test_guard_decision_matches_zero_mode_weight(self, params, offset):
+        # the row reads the weight from the density's k = 0 trace; placed
+        # this close to the guard, it decides as zero_mode_weight does
+        g = GridSpec(1, 256, 256.0)
+        ham = build_free_dirac(params, g)
+        vals = gaussian_packet(g, 0.0, 12.0, 1.0, [1, 0, 0, 0], params=params,
+                               energy_projection=True).to_momentum().values.copy()
+        vals[(slice(None), *g.origin_index)] = 0.0
+        weight = OBSERVABLE_GUARD * (1.0 + offset)
+        rest = np.vdot(vals, vals).real
+        vals[(0, *g.origin_index)] = np.sqrt(weight * rest / (1.0 - weight))
+        obs = _Observables(g, params)
+        for psi in (SpinorField(g, vals, "momentum"),
+                    SpinorField(g, vals, "momentum").to_position()):
+            refused = zero_mode_weight(psi) > OBSERVABLE_GUARD
+            assert refused == (offset > 0)
+            if refused:
+                with pytest.raises(SingularMomentumError, match="S_Py_x is singular at k=0"):
+                    obs.measure(ham, psi, 0.0)
+            else:
+                assert np.isfinite(obs.measure(ham, psi, 0.0)["S_Py_x"])
 
     def test_3d_memory(self, params):
         g = GridSpec(3, 32, 48.0)
