@@ -21,28 +21,42 @@ caller finishes with one t before the next, in the dtype their producer
 returns (a real mesh such as k^2 is held once, not as a complex copy).  A
 leaf built ``time_dependent=False`` keys its cache on the grid alone, so it
 fills once per grid.  An all-zero array is held as a 0-d zero.  A leaf whose
-scalars all have size 1 is a constant: the same operator in both spaces,
+live scalars all have size 1 is a constant: the same operator in both spaces,
 which acts in the state's own space without a transform.  Uniform fields,
 axes a 1D grid does not carry and switched-off envelopes all give constant
 leaves, and :func:`ConstMatrix` is one too.
 
+Where a leaf's result lands: a constant leaf's, and that of a leaf applied
+to a state already in its space, is in the state's space.  Otherwise the
+leaf reads the grid axes its live scalars vary on from their broadcast
+shapes (at the fill).  A leaf that reads every axis, or is
+``singular_origin``, transforms the state to its own space, where the
+result stays.  One that reads fewer (r_j, or A = B x r / 2 of a uniform B
+along an axis) commutes with the transforms along the others, so it
+transforms just its axes, there and back (``SpinorField.diag_along``), and
+its result is in the state's space.  A 1D grid has one axis, so there every
+non-constant leaf reads all of them.
+
 Exact zeros are decided here once.  When a leaf's cache fills, it also
 records its live terms (the pairs with a nonzero matrix and a scalar that is
-not a 0-d zero) and whether it is a constant; its ``_vanishes`` and
-``_apply`` read those records until the next fill, so an apply loops over
-the live terms only.  A leaf vanishes when no term is live, a Scale when its
-factor is 0 or its child vanishes, a Mul when either factor does and an Add
-when all its children do.  A vanishing subtree is never applied: an Add
-skips it (adding its result into an accumulator held in the other space
-would cost a transform) and ``apply_expr`` returns zeros for it.
+not a 0-d zero) and the axes they vary on (none for a constant); its
+``_vanishes`` and ``_apply`` read those records until the next fill, so an
+apply loops over the live terms only.  A leaf vanishes when no term is live,
+a Scale when its factor is 0 or its child vanishes, a Mul when either factor
+does and an Add when all its children do.  A vanishing subtree is never
+applied: an Add skips it (adding its result into an accumulator held in the
+other space would cost a transform) and ``apply_expr`` returns zeros for
+it.  An Add sums its children's results per space, and then makes one
+cross-space move: the sum in the other space joins the one in the input's
+space.
 
 Mul(a, b) applies b first (left factor last), matching left-to-right operator
 products as written in equations.
 
 Every ``_apply`` returns a fresh array, so a node writes into its children's
-results: Add accumulates into its first live child's, Scale scales its
-child's in place, and a transform of a node's own result (Add's move into the
-accumulator's space, Mul's hand-over from right to left, ``apply_expr``'s
+results: Add accumulates into the first live child's result in each space,
+Scale scales its child's in place, and a transform of a node's own result
+(Add's cross-space move, Mul's hand-over from right to left, ``apply_expr``'s
 move back to the input's space; ``own=True``) overwrites it.  The caller's
 state and the leaves' cached scalars are never written.
 
@@ -119,7 +133,7 @@ class _DiagLeaf(OperatorExpr):
         self.name = name
         self.time_dependent = bool(time_dependent)
         self.singular_origin = bool(singular_origin)
-        self._key = self._arrays = self._live = self._constant = self._adj = None
+        self._key = self._arrays = self._live = self._axes = self._adj = None
 
     def _fill(self, grid: GridSpec, t: float):
         """The producers' scalar arrays, an all-zero mesh held as a 0-d zero
@@ -134,7 +148,9 @@ class _DiagLeaf(OperatorExpr):
             # the records every apply reads until the next fill
             self._live = [(entries, a) for entries, a in zip(self._entries, self._arrays)
                           if entries and not _is_zero(a)]
-            self._constant = all(a.size == 1 for a in self._arrays)
+            # the array axes the live scalars vary on, from their broadcast shape
+            shape = np.broadcast_shapes((1,) * grid.dim, *(a.shape for _, a in self._live))
+            self._axes = tuple(j + 1 for j, n in enumerate(shape) if n > 1)
             self._key = key
         return self._arrays
 
@@ -143,17 +159,21 @@ class _DiagLeaf(OperatorExpr):
         return not self._live
 
     def _apply(self, field, t, guard, own=False):
-        grid = field.grid
-        self._scalars(grid, t)
-        # a constant leaf acts in the state's own space (see module docstring)
-        if not self._constant:
+        self._scalars(field.grid, t)
+        # where the result lands: see the module docstring
+        if self._axes and field.space != self.space:
+            if len(self._axes) < field.grid.dim and not self.singular_origin:
+                return field.diag_along(self.space, self._axes, self._kernel, consume=own)
             field = field.in_space(self.space, consume=own)
-            if self.singular_origin:
-                self._guard(zero_mode_weight(field), guard)
-        psi = field.data
+        if self._axes and self.singular_origin:
+            self._guard(zero_mode_weight(field), guard)
+        return field.with_data(self._kernel(field.data))
+
+    def _kernel(self, psi):
+        """sum_j M_j f_j psi over the live terms, as a new array."""
         out = np.empty_like(psi)
         fresh = [True] * 4  # rows not yet written
-        tmp = np.empty(grid.shape, dtype=complex)
+        tmp = np.empty(psi.shape[1:], dtype=complex)
         for entries, arr in self._live:
             for a, b, m in entries:
                 f = arr if m == 1 else m * arr
@@ -166,7 +186,7 @@ class _DiagLeaf(OperatorExpr):
         for a in range(4):
             if fresh[a]:
                 out[a] = 0.0
-        return field.with_data(out)
+        return out
 
     def _guard(self, w0, guard):
         """Refuse a state whose k = 0 weight w0 exceeds the guard."""
@@ -212,16 +232,22 @@ class Add(OperatorExpr):
         return all(c._vanishes(grid, t) for c in self.children)
 
     def _apply(self, field, t, guard, own=False):
-        acc = None
+        acc = {}  # space -> the sum of the results that landed there
         for child in self.children:
             if child._vanishes(field.grid, t):  # see the module docstring
                 continue
             out = child._apply(field, t, guard)
-            if acc is None:
-                acc = out
+            if out.space in acc:
+                np.add(acc[out.space].data, acc[out.space].data_of(out), out=acc[out.space].data)
             else:
-                np.add(acc.data, acc.data_of(out, consume=True), out=acc.data)
-        return _zero_like(field) if acc is None else acc
+                acc[out.space] = out
+        if not acc:
+            return _zero_like(field)
+        # one cross-space move, into the input's space
+        out = acc.pop(field.space) if field.space in acc else acc.popitem()[1]
+        for other in acc.values():
+            np.add(out.data, out.data_of(other, consume=True), out=out.data)
+        return out
 
     def _adjoint(self):
         return Add([c._adjoint() for c in self.children])
@@ -447,8 +473,9 @@ def constant_matrix(expr: OperatorExpr, grid: GridSpec, t: float):
     if expr._vanishes(grid, t):
         return np.zeros((4, 4), dtype=complex)
     if isinstance(expr, _DiagLeaf):
-        return (sum(m * a.reshape(()) for (_, m), a in zip(expr.terms, expr._arrays))
-                if expr._constant else None)
+        # a term of size > 1 that is not live has a zero matrix
+        return None if expr._axes else sum(m * a.reshape(()) for (_, m), a in
+                                           zip(expr.terms, expr._arrays) if a.size == 1)
     if isinstance(expr, Add):
         total = 0
         for child in expr.children:

@@ -167,12 +167,18 @@ class ZeroField(FieldModel):
         return {"type": "zero"}
 
 
+def _dot_mesh(coeffs, r):
+    """sum_j coeffs[j] r_j for broadcastable meshes r, over the nonzero
+    coefficients only: the mesh varies along no axis it does not read, so
+    its leaves transform no other axis (``expr``); 0.0 when all are zero."""
+    return sum((c * x for c, x in zip(coeffs, r) if c != 0), 0.0)
+
+
 def _cross_mesh(v, r):
     """(v x r) for numeric 3-vector v and broadcastable meshes r."""
-    rx, ry, rz = r
-    return [v[1] * rz - v[2] * ry,
-            v[2] * rx - v[0] * rz,
-            v[0] * ry - v[1] * rx]
+    return [_dot_mesh((0.0, -v[2], v[1]), r),
+            _dot_mesh((v[2], 0.0, -v[0]), r),
+            _dot_mesh((-v[1], v[0], 0.0), r)]
 
 
 @dataclass
@@ -250,8 +256,7 @@ class UniformE(FieldModel):
 
     def phi_mesh(self, r, t):
         g = self.envelope.derivatives(t)[0]
-        rx, ry, rz = r
-        return -(self.e0[0] * rx + self.e0[1] * ry + self.e0[2] * rz) * g
+        return -_dot_mesh(self.e0, r) * g
 
     def e_mesh(self, r, t):
         g = self.envelope.derivatives(t)[0]
@@ -324,9 +329,7 @@ class PlaneWavePulse(FieldModel):
         return FieldSample(a, 0.0, e, b, dbdt, d2bdt2, dedt, dive)
 
     def _u_mesh(self, r, t):
-        rx, ry, rz = r
-        k = self.wavevector
-        return k[0] * rx + k[1] * ry + k[2] * rz - self.omega * t
+        return _dot_mesh(self.wavevector, r) - self.omega * t
 
     def a_mesh(self, r, t):
         s = _pulse_shape(self._u_mesh(r, t), self.env_center, self.env_width)[0]

@@ -20,6 +20,12 @@ Conventions (frozen; binary dumps and golden data depend on them)
   components, so pointwise algebra, norms and inner products act on folded
   values as on true ones, to the sign of a zero; ``.values`` and
   :func:`save_field` give the true values.
+* P and the transform both factor per axis, so a transform along some axes
+  only is one bare FFT along them on folded storage too, and its result is
+  folded (toward the target space along those axes, in the field's own space
+  along the rest).  ``SpinorField.diag_along`` applies a multiplier that
+  varies along those axes only between such a transform and its inverse;
+  ``in_space`` is the all-axes transform.
 * Inner products carry the position-measure weight dx^d in both spaces
   (the index-lattice transform is unitary, so the weighted norm agrees).
 
@@ -175,6 +181,13 @@ MOMENTUM = "momentum"
 _spatial_axes = lambda dim: tuple(range(1, 1 + dim))
 
 
+def _bare_fft(data, space, axes):
+    """The transform toward ``space`` along ``axes`` of folded ``data``,
+    which it may overwrite, as folded data (see the module docstring)."""
+    fft = scipy.fft.fftn if space == MOMENTUM else scipy.fft.ifftn
+    return fft(data, axes=axes, norm="ortho", overwrite_x=True, workers=_FFT_WORKERS)
+
+
 class SpinorField:
     """Four-component complex field on a grid, stored in either space.
 
@@ -183,8 +196,8 @@ class SpinorField:
     true values, and a result keeps its (left) operand's storage.
 
     Value semantics: operations return new fields and write into no field's
-    ``data``, except a transform with ``consume=True``, which may overwrite
-    it (for a field its caller made and drops).  The inner product is
+    ``data``, except a transform or ``diag_along`` with ``consume=True``,
+    which may overwrite it (for a field its caller made and drops).  The inner product is
     ``sum(conj(a) * b) * dx^d`` evaluated in a common space.
     """
 
@@ -213,16 +226,31 @@ class SpinorField:
         return self.in_space(POSITION)
 
     def in_space(self, space: str, consume: bool = False) -> "SpinorField":
-        """The field in ``space``.  The FFT runs on a buffer it may overwrite,
-        which pocketfft does faster than filling a new array."""
+        """The field in ``space``: its transform along every axis."""
         if self.space == space:
             return self
+        return SpinorField(self.grid, self._transformed(space, _spatial_axes(self.grid.dim),
+                                                        consume), space, folded=True)
+
+    def diag_along(self, space: str, axes, kernel, consume: bool = False) -> "SpinorField":
+        """``kernel``, a multiplier diagonal in ``space`` that is constant
+        along every spatial axis but ``axes`` (array axes, a spatial axis j
+        being j + 1), applied to this field; the result is in this field's
+        space, folded.  Such a multiplier commutes with the transforms along
+        the other axes, so only ``axes`` are transformed, there and back.
+        ``kernel`` maps the folded data in between to a new array."""
+        out = kernel(self._transformed(space, axes, consume))
+        return SpinorField(self.grid, _bare_fft(out, self.space, axes), self.space, folded=True)
+
+    def _transformed(self, space, axes, consume):
+        """The folded data transformed toward ``space`` along ``axes`` only:
+        one bare FFT on a buffer it may overwrite, which pocketfft does faster
+        than filling a new array.  P and the transform factor per axis, so
+        along the other axes the result stays in the field's own space, and it
+        is folded there too."""
         work = (self.data if consume else self.data.copy()) if self.folded else \
             self.data * self.grid._phase
-        fft = scipy.fft.fftn if space == MOMENTUM else scipy.fft.ifftn
-        out = fft(work, axes=_spatial_axes(self.grid.dim), norm="ortho",
-                  overwrite_x=True, workers=_FFT_WORKERS)
-        return SpinorField(self.grid, out, space, folded=True)
+        return _bare_fft(work, space, axes)
 
     def data_of(self, other: "SpinorField", consume: bool = False) -> np.ndarray:
         """``other``'s data in this field's space and storage (``consume``:

@@ -44,9 +44,9 @@ from .algebra import ID4
 from .expr import (Add, Adjoint, ConstMatrix, LeafStack, PositionDiag, Scale, apply_expr,
                    constant_matrix, expectation)
 from .fields import FieldModel
-from .grid import MOMENTUM, GridSpec, SpinorField, apply_matrix, free_dirac_values
+from .grid import _ALPHA_ROWS, MOMENTUM, GridSpec, SpinorField, apply_matrix, free_dirac_values
 from .hamiltonians import P, R, NamedHamiltonian, hermitian_part, triple
-from .operators import ALPHA, PhysParams, SpinKind, energy_k2
+from .operators import PhysParams, SpinKind, energy_k2
 from .dynamics import spin_expr
 
 __all__ = [
@@ -58,26 +58,34 @@ __all__ = [
 def _position_half_step(model: FieldModel, params: PhysParams, grid: GridSpec,
                         tau: float, t: float):
     """exp(-i tau (-ec alpha.A(r,t) + e phi(r,t))), as a function that applies
-    it pointwise to a field; both half steps of a Strang step use one."""
-    u = [np.broadcast_to(np.asarray(-params.e * params.c * a, dtype=float), grid.shape)
-         for a in model.a_mesh(grid.r, t)]
-    mag = np.sqrt(u[0]**2 + u[1]**2 + u[2]**2)
+    it pointwise to a field; both half steps of a Strang step use one.  With
+    u = -ec A, it is cos(tau |u|) - i sin(tau |u|)/|u| alpha.u, applied row by
+    row from the monomial rows of each live alpha_j, with every factor kept
+    at its mesh's broadcast shape."""
+    u = [np.asarray(-params.e * params.c * a, dtype=float) for a in model.a_mesh(grid.r, t)]
+    live = [(ui, rows) for ui, rows in zip(u, _ALPHA_ROWS) if np.any(ui)]
+    mag = np.sqrt(sum(ui**2 for ui, _ in live))
     small = mag < 1e-14
     cosf = np.cos(tau * mag)
     sinf = np.where(small, tau, np.sin(tau * mag) / np.where(small, 1.0, mag))
+    # row a of -i sin/|u| alpha.u: (column b, factor) per live alpha_j
+    rows = [[(jrows[a][0], -1j * jrows[a][1] * sinf * ui) for ui, jrows in live]
+            for a in range(4)]
     phase = None
     if model.has_scalar_potential:
-        phase = np.exp(-1j * tau * params.e *
-                       np.broadcast_to(model.phi_mesh(grid.r, t), grid.shape))
+        phase = np.exp(-1j * tau * params.e * np.asarray(model.phi_mesh(grid.r, t)))
 
     def half_step(field: SpinorField) -> SpinorField:
         pos = field.to_position()
-        alpha_u = np.zeros_like(pos.data)
-        for ui, a_mat in zip(u, ALPHA):
-            if np.any(ui):
-                alpha_u += ui * apply_matrix(a_mat, pos.data)
-        out = cosf * pos.data - 1j * sinf * alpha_u
-        return pos.with_data(out if phase is None else out * phase)
+        psi = pos.data
+        out, tmp = np.empty_like(psi), np.empty(grid.shape, dtype=complex)
+        for a in range(4):
+            np.multiply(cosf, psi[a], out=out[a])
+            for b, f in rows[a]:
+                np.add(out[a], np.multiply(f, psi[b], out=tmp), out=out[a])
+        if phase is not None:
+            out *= phase
+        return pos.with_data(out)
     return half_step
 
 

@@ -63,16 +63,31 @@ def boundary_flux():
     return flux
 
 
+class FFTCount:
+    """Transforms since the last ``reset``: ``calls`` of scipy.fft.fftn/ifftn
+    and axis ``passes``, the sum of len(axes) over the calls (one 1D
+    transform along one axis of the field is one pass)."""
+
+    def __init__(self):
+        self.reset()
+
+    def reset(self):
+        self.calls = self.passes = 0
+
+
 @pytest.fixture
 def fft_count(monkeypatch):
-    """Counts scipy.fft.fftn/ifftn calls; read ``fft_count[0]``."""
+    """Counts scipy.fft.fftn/ifftn calls and axis passes; read
+    ``fft_count.calls`` and ``fft_count.passes``."""
     import scipy.fft
-    count = [0]
+    count = FFTCount()
 
     def counted(fn):
-        def wrapper(*args, **kwargs):
-            count[0] += 1
-            return fn(*args, **kwargs)
+        def wrapper(x, *args, **kwargs):
+            axes = kwargs.get("axes", args[1] if len(args) > 1 else None)
+            count.calls += 1
+            count.passes += np.ndim(x) if axes is None else len(axes)
+            return fn(x, *args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(scipy.fft, "fftn", counted(scipy.fft.fftn))

@@ -1,9 +1,13 @@
 """Exact transform, field-mesh and Arnoldi-step counts of fixed operations.
 
 Transforms dominate large-grid applies, so a change that adds one shows up
-here as a failure instead of only as a slower run.  Field meshes are
-evaluated when a leaf's cache fills, so their counts show how often a leaf
-refills.  Arnoldi steps are what a run pays where no exact step applies.
+here as a failure instead of only as a slower run.  A 3D count is in axis
+passes, one 1D transform along one axis of the field: a transform of every
+axis is 3, and a leaf that reads only some axes transforms just those, there
+and back, so it costs 2 per axis read.  A 1D count is in calls, which there
+equal passes.  Field meshes are evaluated when a leaf's cache fills, so their
+counts show how often a leaf refills.  Arnoldi steps are what a run pays
+where no exact step applies.
 """
 
 from pathlib import Path
@@ -34,7 +38,7 @@ def _position_state(grid):
 def test_round_trip(fft_count):
     psi = _position_state(GridSpec(3, 16, 24.0))
     psi.to_momentum().to_position()
-    assert fft_count[0] == 2
+    assert (fft_count.calls, fft_count.passes) == (2, 6)
 
 
 def test_dirac_spin_expectation(params, fft_count):
@@ -42,110 +46,117 @@ def test_dirac_spin_expectation(params, fft_count):
     psi = _position_state(GridSpec(3, 16, 24.0))
     for comp in spin_expr(SpinKind.DIRAC, params):
         expectation(comp, psi)
-    assert fft_count[0] == 0
+    assert fft_count.passes == 0
 
 
 def test_dirac_em_apply(params, fft_count):
     grid = GridSpec(3, 16, 24.0)
     psi = _position_state(grid)
     ham = build_hamiltonian("dirac-em", _MODEL, params, grid)
-    fft_count[0] = 0
+    fft_count.reset()
     apply_expr(ham.total, psi)
-    # kinetic c alpha.p acts in momentum (1); the gauge and mass terms act
-    # in position and their results join the momentum accumulator (1 each);
-    # the absent scalar potential is a zero constant and is skipped; the sum
-    # returns to position (1)
-    assert fft_count[0] == 4
+    # kinetic c alpha.p reads all three k_j: to momentum (3); the gauge and
+    # mass terms act in position (0) and are summed there; the absent scalar
+    # potential is a zero constant and is skipped; the kinetic result joins
+    # that position sum (3), the one cross-space move
+    assert (fft_count.calls, fft_count.passes) == (2, 6)
 
 
 def test_dirac_em_apply_momentum_state(params, fft_count):
     grid = GridSpec(3, 16, 24.0)
     psi = _position_state(grid).to_momentum()
     ham = build_hamiltonian("dirac-em", _MODEL, params, grid)
-    fft_count[0] = 0
+    fft_count.reset()
     apply_expr(ham.total, psi)
-    # kinetic and mass act in momentum (0); the gauge term goes to position
-    # and its result back into the momentum accumulator (2)
-    assert fft_count[0] == 2
+    # kinetic and mass act in momentum (0); the gauge term reads A_x (along
+    # y) and A_y (along x), so it transforms those two axes there and back
+    # (4) and its result stays in momentum
+    assert fft_count.passes == 4
 
 
 # Under _MODEL's constant envelope, E, dE/dt, dB/dt and d2B/dt2 vanish, and
-# A_z = (b0 x r)_z / 2 is an all-zero mesh: every term built on them is
-# skipped.  Under _PULSED at t = 0.7 only A_z and E_z, dE/dt_z vanish.  B,
-# dB/dt and d2B/dt2 are constant leaves, which act in the state's own space,
-# and each sum accumulates in the space of its first live child.  From a
-# momentum state a kinetic component (p - eA)_i costs 2 (its A_i to position
-# and the result back) for i = x, y and 0 for i = z, so (p - eA)^2 costs 8;
-# from a position state it costs 9 (p_z adds one), and returns in momentum.
-@pytest.mark.parametrize("family, model, space, count", [
+# A_z = (b0 x r)_z / 2 is the scalar 0: every term built on them is skipped.
+# Under _PULSED at t = 0.7 only A_z and E_z, dE/dt_z vanish.  B, dB/dt and
+# d2B/dt2 are constant leaves, which act in the state's own space.  A_x and
+# E_x vary along y only, A_y and E_y along x only, and p_i along i only, so
+# every field or momentum component leaf transforms its one axis (2), and
+# every result stays in the state's space: a kinetic component (p - eA)_i
+# costs 2 from either space, except (p - eA)_z = p_z from momentum (0).  So
+# (p - eA)^2 costs 8 from momentum and 12 from position.
+#
+# A case id ends in the case's count in transform calls from before counts
+# were pinned in passes, which keeps the ids stable.
+_FW_APPLY = [
     # kinetic 8, zeeman 0
-    ("fw-direct", _MODEL, "momentum", 8),
-    # kinetic 9, zeeman's position result into the momentum sum 1, back 1
-    ("fw-direct", _MODEL, "position", 11),
-    # the above 8 plus field-derivative-soc 10: E x (p - eA) without its E_z
-    # pairs, E_y p_z and E_x p_z 1 each, E_x (p - eA)_y and E_y (p - eA)_x 3
-    # each, the dB/dt piece's momentum result into that position sum 1, and
-    # the soc result into the total 1
-    ("fw-direct", _PULSED, "momentum", 18),
-    # kinetic 9, zeeman 1, soc 2 + 2 + 3 + 3 (+1 into the total), nutation 1,
-    # back 1
-    ("fw-direct", _PULSED, "position", 23),
+    ("fw-direct-constant-momentum-8", "fw-direct", _MODEL, "momentum", 8),
+    # kinetic 12, zeeman 0
+    ("fw-direct-constant-position-11", "fw-direct", _MODEL, "position", 12),
+    # the above 8 plus field-derivative-soc 12: E x (p - eA) without its E_z
+    # pairs, E_y p_z and E_x p_z 2 each, E_x (p - eA)_y and E_y (p - eA)_x
+    # 4 each; the dB/dt piece and nutation are constants
+    ("fw-direct-gaussian-momentum-18", "fw-direct", _PULSED, "momentum", 20),
+    # kinetic 12, soc 2 each (the E_j act in position)
+    ("fw-direct-gaussian-position-23", "fw-direct", _PULSED, "position", 20),
     # kinetic 8, mass-correction (sq sq) 16, kinetic-zeeman-cross 16
-    ("fw-full", _MODEL, "momentum", 40),
-    # kinetic 9, zeeman 1, mass-correction 9 + 8, kinetic-zeeman-cross
-    # 9 + 9, b-squared 1, back 1
-    ("fw-full", _MODEL, "position", 47),
-    # the above 40 plus spin-orbit and de-dt 19 each: (p - eA) x X without
-    # its X_z pairs 2 + 2 + 3 + 3, X x (p - eA) 8 as in fw-direct, and that
-    # position sum into the momentum one 1
-    ("fw-full", _PULSED, "momentum", 78),
-    # the above 46 plus spin-orbit and de-dt 17 each (1 + 1 + 2 + 2, 10, 1),
-    # back 1
-    ("fw-full", _PULSED, "position", 81),
-], ids=lambda v: v.envelope.shape if isinstance(v, UniformB) else str(v))
+    ("fw-full-constant-momentum-40", "fw-full", _MODEL, "momentum", 40),
+    # kinetic 12, mass-correction 24, kinetic-zeeman-cross 24
+    ("fw-full-constant-position-47", "fw-full", _MODEL, "position", 60),
+    # the above 40 plus spin-orbit and de-dt 24 each: X x (p - eA) 12 as in
+    # fw-direct, and (p - eA) x X without its X_z pairs 2 + 2 + 4 + 4
+    ("fw-full-gaussian-momentum-78", "fw-full", _PULSED, "momentum", 88),
+    # the above 60 plus spin-orbit and de-dt 16 each (2 per pair)
+    ("fw-full-gaussian-position-81", "fw-full", _PULSED, "position", 92),
+]
+
+
+@pytest.mark.parametrize("family, model, space, count", [c[1:] for c in _FW_APPLY],
+                         ids=[c[0] for c in _FW_APPLY])
 def test_fw_apply(params, fft_count, family, model, space, count):
     grid = GridSpec(3, 16, 24.0)
     psi = _position_state(grid).in_space(space)
     ham = build_hamiltonian(family, model, params, grid)
-    fft_count[0] = 0
+    fft_count.reset()
     apply_expr(ham.total, psi, 0.7)
-    assert fft_count[0] == count
+    assert fft_count.passes == count
 
 
 def test_standard_battery_3d(params, grid_3d, fft_count):
     states = standard_battery(grid_3d, params)
-    # each packet is built in position space and moved to momentum once,
+    # each packet is built in position space and moved to momentum once (3),
     # where it is projected and its k = 0 bin stripped
     assert len(states) == 2
-    assert fft_count[0] == 2
+    assert fft_count.passes == 6
 
 
 def test_pryce_dirac_em_verify(params, battery_3d, fft_count):
     ham = build_hamiltonian("dirac-em", _MODEL, params, battery_3d[0].grid)
-    fft_count[0] = 0
+    fft_count.reset()
     verify(SpinKind.PRYCE, ham, battery_3d)
     # the battery is in momentum space, where verify works; per state:
-    # H psi (2: the gauge leaf goes to position and back), then per axis
+    # H psi (4: the gauge leaf transforms x and y, there and back), then per
+    # axis
     #   S (H psi) and S psi, momentum-diagonal:      0 + 0
-    #   H (S psi):                                   2
+    #   H (S psi):                                   4
     #   printed terms, each applied once:
     #     sigma-cross-b-alpha-p  alpha.p and constants in momentum  0
-    #     alpha-r-gradient       alpha.r in position, back          2
-    #     r-p-alpha-b            three r_j p_j products to
-    #                            position, 1/p^2 back               4
-    # so 2 + 3 * (0 + 2 + 6) = 26 per state, 52 for the two-packet battery
+    #     alpha-r-gradient       alpha.r reads every axis: to
+    #                            position, 1/p^2 back               6
+    #     r-p-alpha-b            three r_j p_j products, each r_j
+    #                            transforming its axis j            6
+    # so 4 + 3 * (0 + 4 + 12) = 52 per state, 104 for the two-packet battery
     assert len(battery_3d) == 2
-    assert fft_count[0] == 52
+    assert fft_count.passes == 104
 
 
 def test_pryce_dirac_em_verify_position_states(params, battery_3d, fft_count):
     ham = build_hamiltonian("dirac-em", _MODEL, params, battery_3d[0].grid)
     want = verify(SpinKind.PRYCE, ham, battery_3d)
     states = [psi.to_position() for psi in battery_3d]
-    fft_count[0] = 0
+    fft_count.reset()
     got = verify(SpinKind.PRYCE, ham, states)
-    # one transform per state into momentum space, then the 52 above
-    assert fft_count[0] == 54
+    # one transform per state into momentum space (3 each), then the 104
+    # above
+    assert fft_count.passes == 110
     assert len(got.cells) == len(want.cells)
     for a, b in zip(got.cells, want.cells):
         assert (a.state, a.axis) == (b.state, b.axis)
@@ -156,45 +167,52 @@ def test_pryce_dirac_em_verify_position_states(params, battery_3d, fft_count):
             assert abs(x - y) <= 1e-12 * abs(y)
 
 
-@pytest.mark.parametrize("kind, family, count", [
+# (kind, family, axis passes), each id ending in its count in transform calls
+# as in _FW_APPLY
+_VERIFY = [
     # per state H psi 8 and, per axis, H (S psi) 8: under the constant
     # envelope only the zeeman terms are printed non-zero, and they are
     # momentum-diagonal, so 8 + 3 * 8 = 32
-    (SpinKind.PRYCE, "fw-direct", 64),
-    # as above, plus 3 per axis for kinetic-coupling's B.(r x p): B_z is the
-    # only live component, so r_x p_y and r_y p_x go to position (1 each)
-    # and their sum joins p^2 in momentum (1); 8 + 3 * (8 + 3) = 41
-    (SpinKind.FW, "fw-direct", 82),
-    # per state H psi 2, then per axis H (S psi) 2, alpha-r-gradient 2,
-    # alpha-b-gradient 4 and the three cross terms with (p - eA), which cost
-    # 2 on the x and y axes (one live A_i) and 4 on z (A_x and A_y):
-    # 2 + 2 * (2 + 3 * 2 + 6) + (2 + 3 * 4 + 6) = 50
-    (SpinKind.FW, "dirac-em", 100),
-])
+    ("SpinKind.PRYCE-fw-direct-64", SpinKind.PRYCE, "fw-direct", 64),
+    # as above, plus 4 per axis for kinetic-coupling's B.(r x p): B_z is the
+    # only live component, so r_x p_y and r_y p_x each transform one axis
+    # (2), and their sum joins p^2 in momentum; 8 + 3 * (8 + 4) = 44
+    ("SpinKind.FW-fw-direct-82", SpinKind.FW, "fw-direct", 88),
+    # per state H psi 4, then per axis H (S psi) 4, alpha-r-gradient 6 (as in
+    # the pryce check), alpha-b-gradient 6 (its r.p as in the pryce check's
+    # r-p-alpha-b) and the three cross terms with (p - eA), which cost 2 on
+    # the x and y axes (one live A_i) and 4 on z (A_x and A_y):
+    # 4 + 2 * (4 + 6 + 6 + 3 * 2) + (4 + 6 + 6 + 3 * 4) = 76
+    ("SpinKind.FW-dirac-em-100", SpinKind.FW, "dirac-em", 152),
+]
+
+
+@pytest.mark.parametrize("kind, family, count", [c[1:] for c in _VERIFY],
+                         ids=[c[0] for c in _VERIFY])
 def test_verify(params, battery_3d, fft_count, kind, family, count):
     ham = build_hamiltonian(family, _MODEL, params, battery_3d[0].grid)
-    fft_count[0] = 0
+    fft_count.reset()
     verify(kind, ham, battery_3d)
-    assert fft_count[0] == count
+    assert fft_count.passes == count
 
 
 @pytest.mark.parametrize("space, count", [("momentum", 0), ("position", 1)])
 def test_potential_free_strang_step(params, fft_count, space, count):
     psi = _position_state(GridSpec(3, 16, 24.0)).in_space(space)
-    fft_count[0] = 0
+    fft_count.reset()
     out = strang_step_dirac(psi, ZeroField(), params, 0.0, 0.01)
     # the position factor is the identity: one kinetic step in momentum space,
-    # which is where the result stays
+    # which is where the result stays; a transform of every axis per call
     assert out.space == "momentum"
-    assert fft_count[0] == count
+    assert (fft_count.calls, fft_count.passes) == (count, 3 * count)
 
 
 def test_uniform_b_strang_step(params, fft_count):
     psi = _position_state(GridSpec(3, 16, 24.0))
-    fft_count[0] = 0
+    fft_count.reset()
     strang_step_dirac(psi, _MODEL, params, 0.0, 0.01)
-    # position half-step, to momentum (1), kinetic step, back (1), half-step
-    assert fft_count[0] == 2
+    # position half-step, to momentum (3), kinetic step, back (3), half-step
+    assert fft_count.passes == 6
 
 
 @pytest.mark.parametrize("space", ["position", "momentum"])
@@ -203,11 +221,11 @@ def test_measure_free(params, fft_count, space):
     psi = _position_state(grid).in_space(space)
     ham = build_hamiltonian("free", ZeroField(), params, grid)
     obs = _Observables(grid, params)
-    fft_count[0] = 0
+    fft_count.reset()
     obs.measure(ham, psi, 0.0)
-    # psi is transformed once; r and the flux read the position copy, every
-    # other observable (the free H included) the momentum copy
-    assert fft_count[0] == 1
+    # psi is transformed once (3); r and the flux read the position copy,
+    # every other observable (the free H included) the momentum copy
+    assert fft_count.passes == 3
 
 
 def test_free_particle_run(fft_count, monkeypatch):
@@ -218,11 +236,11 @@ def test_free_particle_run(fft_count, monkeypatch):
     sc = load_scenario(Path(__file__).resolve().parents[1] / "scenarios"
                        / "free_particle.json")
     ham = sc.make_hamiltonian()
-    fft_count[0] = 0
+    fft_count.reset()
     run(ham, sc.make_state(), sc.dt, sc.steps, stride=sc.stride)
     # the packet (2), the first step into momentum space (1), then one
     # transform per recorded row (101); the steps between rows need none
-    assert fft_count[0] <= 110
+    assert fft_count.calls <= 110
     # a potential-free Strang step is the exact free propagator, so the 25
     # steps between two rows are one step of 25 dt: 2500 / 25 = 100 calls
     assert sizes == [sc.stride * sc.dt] * 100
@@ -236,13 +254,13 @@ def test_shipped_cli_runs_transform_once_per_row(fft_count, tmp_path, capsys):
     # the packet (2), the first step into momentum space (1), then one
     # transform per recorded row (101): the energy, norm and flux are read
     # from the row's two stacks
-    assert fft_count[0] == 104
-    fft_count[0] = 0
+    assert fft_count.calls == 104
+    fft_count.reset()
     assert main(["sweep", "--scenario", str(scenarios / "larmor_sweep.json"),
                  "--field-grid", "0.5,1,2,4", "--output", str(tmp_path / "sweep.csv")]) == 0
     # the packet once (2), then per field strength one transform per row
     # (121): the constant steps transform nothing
-    assert fft_count[0] == 2 + 4 * 121
+    assert fft_count.calls == 2 + 4 * 121
 
 
 # A builder makes one ModelVector per model vector, which calls its mesh

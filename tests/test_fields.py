@@ -187,6 +187,43 @@ class TestPlaneWavePulse:
 
 _MESHES = ("a_mesh", "phi_mesh", "e_mesh", "b_mesh", "dedt_mesh", "dbdt_mesh",
            "d2bdt2_mesh", "dive_mesh")
+_SAMPLED = dict(zip(_MESHES, ("A", "phi", "E", "B", "dEdt", "dBdt", "d2Bdt2", "divE")))
+
+
+class TestMeshShapes:
+    """A mesh varies only along the axes its formula reads (an operator leaf
+    built on it transforms no other axis), with the values of ``sample``."""
+
+    _R = (np.array([-1.0, 0.2, 1.3]).reshape(3, 1, 1),
+          np.array([-0.7, -0.1, 0.4, 0.9]).reshape(1, 4, 1),
+          np.array([-1.1, -0.6, 0.0, 0.5, 0.8]).reshape(1, 1, 5))
+    _ENV = Envelope(shape="gaussian", amplitude=1.0, center=0.3, width=2.0)
+
+    @pytest.mark.parametrize("axis", range(3))
+    @pytest.mark.parametrize("kind, tol", [("uniform_b", 1e-14), ("uniform_e", 1e-14),
+                                           ("plane_wave", 1e-13)])
+    def test_axis_aligned_vectors(self, kind, tol, axis):
+        along = 0.6 * np.eye(3)[axis]
+        model = {"uniform_b": lambda: UniformB(along, self._ENV),
+                 "uniform_e": lambda: UniformE(along, self._ENV),
+                 "plane_wave": lambda: PlaneWavePulse(0.5 * np.eye(3)[(axis + 1) % 3], along,
+                                                      omega=0.8, env_width=6.0)}[kind]()
+        t = 0.4
+        points = np.stack(np.broadcast_arrays(*self._R), axis=-1)
+        samples = [[[model.sample(r, t) for r in row] for row in plane] for plane in points]
+        for name, attr in _SAMPLED.items():
+            got = getattr(model, name)(self._R, t)
+            want = np.array([[[getattr(s, attr) for s in row] for row in plane]
+                             for plane in samples])
+            for comp, mesh in enumerate(got if isinstance(got, list) else [got]):
+                ref = want[..., comp] if want.ndim == 4 else want
+                # an all-zero mesh (a plane wave's component along no e0 or
+                # k x e0) is held by the leaves as a 0-d zero
+                shape = np.broadcast_shapes(np.shape(mesh) if np.any(mesh) else (), (1, 1, 1))
+                for k in range(3):
+                    reads = bool(np.any(np.diff(ref, axis=k) != 0))
+                    assert (shape[k] > 1) == reads, (name, comp, k)
+                assert np.max(np.abs(np.broadcast_to(mesh, ref.shape) - ref)) <= tol
 _ENVELOPES = [
     Envelope(value=0.8),
     Envelope(shape="poly", coeffs=(0.3, -1.2, 0.4)),
