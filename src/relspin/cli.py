@@ -107,10 +107,11 @@ def cmd_check_operators(args):
 
 
 def _refinement_grids(grid, levels):
-    """Coarse-to-fine ladder around the scenario grid (same box)."""
-    n0, cap = grid.n[0], (2048 if grid.dim == 1 else 64)
-    return [GridSpec(grid.dim, n, grid.lengths[0])
-            for n in [n0 // 2, n0] + [n0 * 2**i for i in range(1, levels + 1)] if 8 <= n <= cap]
+    """Coarse-to-fine ladder around the scenario grid: the same box, every
+    axis refined alike, and a rung only where every axis has 8 to cap points."""
+    cap = 2048 if grid.dim == 1 else 64
+    ladder = [[int(n * s) for n in grid.n] for s in [0.5, 1] + [2**i for i in range(1, levels + 1)]]
+    return [GridSpec(grid.dim, n, grid.lengths) for n in ladder if 8 <= min(n) and max(n) <= cap]
 
 
 def cmd_verify_dynamics(args):
@@ -209,8 +210,8 @@ def cmd_sweep(args):
         values = [float(v) for v in args.field_grid.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError("--field-grid", f"expected comma-separated numbers: {exc}")
-    if not values:
-        raise ConfigError("--field-grid", "needs at least one field strength")
+    if not values or not np.all(np.isfinite(values)):
+        raise ConfigError("--field-grid", f"needs one or more finite field strengths, got {values}")
 
     state = sc.make_state()
     lines = ["B0,t,d_Py,d_FW"]
@@ -232,14 +233,22 @@ def cmd_sweep(args):
     return EXIT_OK
 
 
+def _threads(text):
+    """A --threads value: an integer >= 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1 (also as RELSPIN_THREADS), got {text!r}")
+    return int(text)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="relspin",
         description="Verification lab and spectral simulator for relativistic "
                     "electron-spin dynamics")
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("RELSPIN_THREADS", "1")),
+    # a string default goes through ``type`` too, so a bad RELSPIN_THREADS is a usage error
+    parser.add_argument("--threads", type=_threads, default=os.environ.get("RELSPIN_THREADS", "1"),
                         help="FFT worker threads (env: RELSPIN_THREADS)")
     sub = parser.add_subparsers(dest="command", required=True)
 

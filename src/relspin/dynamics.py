@@ -594,26 +594,15 @@ def standard_battery(grid: GridSpec, params: PhysParams, seed: int = 1234,
     if grid.dim == 1:
         mags = [max(0.5 * mc, 6.5 / sigma), 1.0 * mc, 2.0 * mc]
         dirs = [np.array([1.0, 0.0, 0.0])] * 3
-        if count is None:
-            count = 6
     else:
         mags = [max(1.0 * mc, 6.5 / sigma), 1.25 * mc]
         dirs = [np.array([1.0, 0.0, 0.0]),
                 np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)]
-        if count is None:
-            count = 2
     kmax = min(np.pi / dx for dx in grid.dx)
-    combos = []
     pols = [_POL_UP_Z, _POL_UP_X]
-    i = 0
-    while len(combos) < count:
-        pol = pols[i % 2]
-        mag = mags[i % len(mags)]
-        direction = dirs[i % len(dirs)]
-        combos.append((pol, mag * direction))
-        i += 1
     states = []
-    for pol, k0 in combos:
+    for i in range(count if count is not None else 6 if grid.dim == 1 else 2):
+        pol, k0 = pols[i % 2], mags[i % len(mags)] * dirs[i % len(dirs)]
         if np.linalg.norm(k0) + 6.0 / (2 * sigma) > 0.85 * kmax:
             raise PreconditionError(
                 "battery momentum too close to the lattice Nyquist bound; "

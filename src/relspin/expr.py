@@ -6,15 +6,9 @@ a sum of (scalar lattice function) x (constant 4x4 matrix) pairs -- every
 operator appearing in the spin-dynamics equations has this shape -- so
 applying a leaf never materializes per-point 4x4 matrices:
 
-    (L psi)_a(x) = sum_j sum_b M_j[a, b] f_j(x) psi_b(x).
+    (L psi)_a(x) = sum_j sum_b M_j[a, b] f_j(x) psi_b(x),
 
-The kernel is sparse: each matrix's nonzero (row, col, entry) triples are
-found once when the leaf is built, and an apply accumulates
-(M_j[a, b] f_j) psi_b into row a for those triples only, with f_j kept at
-its broadcast shape (a sparse mesh stays a sparse mesh).  Every alpha / beta /
-Sigma product is monomial, one nonzero per row, so a term costs four
-pointwise products; general patterns such as Sigma.alpha or (1 - beta) Sigma
-take one product per nonzero.
+by ``grid.pointwise`` over the matrices' entries, found once per leaf.
 
 A leaf caches its scalar arrays for one (grid, t) at a time, since every
 caller finishes with one t before the next, in the dtype their producer
@@ -71,7 +65,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PreconditionError, SingularMomentumError
-from .grid import MOMENTUM, POSITION, GridSpec, SpinorField, zero_mode_weight
+from .grid import (MOMENTUM, POSITION, GridSpec, SpinorField, matrix_entries, pointwise,
+                   zero_mode_weight)
 
 __all__ = [
     "OperatorExpr", "PositionDiag", "MomentumDiag", "ConstMatrix",
@@ -126,10 +121,7 @@ class _DiagLeaf(OperatorExpr):
         for _, m in self.terms:
             if m.shape != (4, 4):
                 raise PreconditionError("leaf matrices must be 4x4")
-        # nonzero (row, col, entry) triples of every matrix; a real entry is a
-        # float, so a real scalar array times it makes no complex temporary
-        self._entries = [[(int(a), int(b), m[a, b].real if m[a, b].imag == 0 else m[a, b])
-                          for a, b in zip(*np.nonzero(m))] for _, m in self.terms]
+        self._entries = [matrix_entries(m) for _, m in self.terms]
         self.name = name
         self.time_dependent = bool(time_dependent)
         self.singular_origin = bool(singular_origin)
@@ -171,22 +163,7 @@ class _DiagLeaf(OperatorExpr):
 
     def _kernel(self, psi):
         """sum_j M_j f_j psi over the live terms, as a new array."""
-        out = np.empty_like(psi)
-        fresh = [True] * 4  # rows not yet written
-        tmp = np.empty(psi.shape[1:], dtype=complex)
-        for entries, arr in self._live:
-            for a, b, m in entries:
-                f = arr if m == 1 else m * arr
-                if fresh[a]:
-                    np.multiply(f, psi[b], out=out[a])
-                    fresh[a] = False
-                else:
-                    np.multiply(f, psi[b], out=tmp)
-                    np.add(out[a], tmp, out=out[a])
-        for a in range(4):
-            if fresh[a]:
-                out[a] = 0.0
-        return out
+        return pointwise(psi, self._live)
 
     def _guard(self, w0, guard):
         """Refuse a state whose k = 0 weight w0 exceeds the guard."""
@@ -477,13 +454,8 @@ def constant_matrix(expr: OperatorExpr, grid: GridSpec, t: float):
         return None if expr._axes else sum(m * a.reshape(()) for (_, m), a in
                                            zip(expr.terms, expr._arrays) if a.size == 1)
     if isinstance(expr, Add):
-        total = 0
-        for child in expr.children:
-            part = constant_matrix(child, grid, t)
-            if part is None:
-                return None
-            total = total + part
-        return total
+        parts = [constant_matrix(child, grid, t) for child in expr.children]
+        return None if any(part is None for part in parts) else sum(parts)
     if isinstance(expr, Mul):
         right = constant_matrix(expr.right, grid, t)
         left = None if right is None else constant_matrix(expr.left, grid, t)

@@ -31,13 +31,21 @@ Conventions (frozen; binary dumps and golden data depend on them)
 
 1D grids keep three-vector algebra alive by pinning k_y = k_z = 0 and
 r_y = r_z = 0; operators along the missing axes act trivially.
+
+``pointwise`` is the one per-point 4x4 kernel (operator leaves, both Strang
+factors, the positive-energy projection, the constant-matrix step): for
+sum_j M_j f_j psi it accumulates (M_j[a, b] f_j) psi_b into row a over the
+nonzero (row, col, entry) triples of each M_j only (``matrix_entries``), each
+f_j at its broadcast shape (a sparse mesh stays sparse).  A monomial M_j, as
+every alpha / beta / Sigma product is, costs four products; a general one
+such as Sigma.alpha one per nonzero.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.fft
@@ -47,7 +55,7 @@ from .operators import ALPHA, BETA, PhysParams, energy_k2
 
 __all__ = [
     "GridSpec", "SpinorField", "gaussian_packet", "zero_mode_weight",
-    "apply_matrix", "free_dirac_values", "positive_energy_part",
+    "matrix_entries", "pointwise", "free_dirac_terms", "positive_energy_part",
     "save_field", "load_field", "set_fft_workers",
 ]
 
@@ -373,28 +381,46 @@ def gaussian_packet(grid: GridSpec, center, sigma: float, k0,
     return field
 
 
-def apply_matrix(mat, values):
-    """A constant 4x4 matrix applied pointwise to spinor values (4, *shape)."""
-    return (mat @ values.reshape(4, -1)).reshape(values.shape)
+def matrix_entries(m):
+    """The nonzero (row, col, entry) triples of a 4x4 matrix, a real entry as a
+    float (so a real scalar array times it makes no complex temporary)."""
+    return [(int(a), int(b), m[a, b].real if m[a, b].imag == 0 else m[a, b])
+            for a, b in zip(*np.nonzero(m))]
 
 
-# (column, entry) of every row of beta and of each alpha_j: one nonzero per row
-_BETA_ROWS, *_ALPHA_ROWS = ([(b, m[a, b].real if m[a, b].imag == 0 else m[a, b])
-                             for a, b in enumerate(np.argmax(m != 0, axis=1))]
-                            for m in (BETA, *ALPHA))
-
-
-def free_dirac_values(values, grid: GridSpec, params: PhysParams):
-    """(c alpha.k + beta m0 c^2) applied to momentum-space spinor values, row
-    by row from those entries (no 4x4 matrix product)."""
-    terms = [(params.c * k, rows) for k, rows in zip(grid.k, _ALPHA_ROWS) if not np.isscalar(k)]
-    out, tmp = np.empty_like(values), np.empty(values.shape[1:], dtype=complex)
-    for a, (b, m) in enumerate(_BETA_ROWS):
-        np.multiply(params.rest_energy * m, values[b], out=out[a])
-        for ck, rows in terms:
-            b, m = rows[a]
-            np.add(out[a], np.multiply(ck * m, values[b], out=tmp), out=out[a])
+def pointwise(psi, terms):
+    """sum_j M_j f_j psi at every point as a new array, ``terms`` the pairs of
+    M_j's ``matrix_entries`` and f_j, a number or an array broadcastable to psi[0]."""
+    out = np.empty_like(psi)
+    fresh = [True] * 4  # rows not yet written
+    tmp = None  # made once a row takes a second product
+    for entries, arr in terms:
+        for a, b, m in entries:
+            f = arr if m == 1 else m * arr
+            if fresh[a]:
+                np.multiply(f, psi[b], out=out[a])
+                fresh[a] = False
+            else:
+                if tmp is None:
+                    tmp = np.empty(psi.shape[1:], dtype=complex)
+                np.multiply(f, psi[b], out=tmp)
+                np.add(out[a], tmp, out=out[a])
+    for a in range(4):
+        if fresh[a]:
+            out[a] = 0.0
     return out
+
+
+_ID_ENTRIES, _BETA_ENTRIES, *_ALPHA_ENTRIES = map(matrix_entries, (np.eye(4), BETA, *ALPHA))
+
+
+@lru_cache(maxsize=4)
+def free_dirac_terms(grid: GridSpec, params: PhysParams):
+    """c alpha.k + beta m0 c^2 as ``pointwise`` terms, each k_j at its mesh's
+    shape (the axes a 1D grid pins to k = 0 dropped); shared, so read only."""
+    return [(_BETA_ENTRIES, params.rest_energy)] + [
+        (entries, params.c * k) for entries, k in zip(_ALPHA_ENTRIES, grid.k)
+        if not np.isscalar(k)]
 
 
 def positive_energy_part(field: SpinorField, params: PhysParams) -> SpinorField:
@@ -402,9 +428,11 @@ def positive_energy_part(field: SpinorField, params: PhysParams) -> SpinorField:
     subspace of the free Dirac matrix at that k, (1 + H_free(k)/E_k)/2, and
     renormalize.  The result is in momentum space."""
     grid, mom = field.grid, field.to_momentum()
-    hv = free_dirac_values(mom.data, grid, params)
-    e_k = energy_k2(grid.k2, params)
-    return mom.with_data(0.5 * (mom.data + hv / e_k)).normalized()
+    out = pointwise(mom.data, free_dirac_terms(grid, params))
+    out /= energy_k2(grid.k2, params)
+    out += mom.data
+    out *= 0.5
+    return mom.with_data(out).normalized()
 
 
 # -- binary dump -------------------------------------------------------------

@@ -83,7 +83,6 @@ class NamedHamiltonian:
     params: PhysParams
     model: FieldModel
     grid: GridSpec
-    hermitized: bool = False
     #: the Krylov step symmetrizes its projected matrix when this is set
     assume_hermitian: bool = True
 
@@ -109,7 +108,7 @@ class NamedHamiltonian:
             raise PreconditionError(f"unknown term names {sorted(unknown)}")
         kept = [(n, e) for n, e in self.terms if n in names]
         return NamedHamiltonian(self.family, kept, self.params, self.model,
-                                self.grid, self.hermitized, self.assume_hermitian)
+                                self.grid, self.assume_hermitian)
 
 
 # -- the vector vocabulary -----------------------------------------------------
@@ -308,8 +307,7 @@ def build_fw_full(model: FieldModel, params: PhysParams, grid: GridSpec,
     ordered = [(n, terms[n]) for n in FW_FULL_TERMS if n in selected]
     if hermitize:
         ordered = [(n, hermitian_part(x)) for n, x in ordered]
-    return NamedHamiltonian("fw-full", ordered, params, model, grid,
-                            hermitized=hermitize, assume_hermitian=hermitize)
+    return NamedHamiltonian("fw-full", ordered, params, model, grid, assume_hermitian=hermitize)
 
 
 def build_fw_direct(model: FieldModel, params: PhysParams, grid: GridSpec,
@@ -341,5 +339,4 @@ def build_fw_direct(model: FieldModel, params: PhysParams, grid: GridSpec,
                ("field-derivative-soc", soc), ("nutation", nutation)]
     if hermitize:
         ordered = [(n, hermitian_part(x)) for n, x in ordered]
-    return NamedHamiltonian("fw-direct", ordered, params, model, grid,
-                            hermitized=hermitize, assume_hermitian=hermitize)
+    return NamedHamiltonian("fw-direct", ordered, params, model, grid, assume_hermitian=hermitize)

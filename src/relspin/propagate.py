@@ -3,9 +3,10 @@
 Three steps:
 
 * ``strang_step_dirac`` -- exact-factor Strang splitting for the minimally
-  coupled Dirac Hamiltonian.  Both factors have closed-form exponentials:
-  the position-diagonal part -ec alpha.A + e phi satisfies (alpha.n)^2 = 1,
-  the momentum-diagonal part satisfies (c alpha.k + beta m0 c^2)^2 = E_k^2.
+  coupled Dirac Hamiltonian.  Each factor is exp(-i tau X) for an X with
+  X^2 = s^2 at every point, so one closed form, cos(tau s) - i sin(tau s)/s X
+  as ``grid.pointwise`` terms, serves both: X = c alpha.k + beta m0 c^2 with
+  s = E_k, and X = -ec alpha.A with s = |ec A| (times the phase of e phi).
   Each step is a product of unitaries; global observable error is O(dt^2).
   Without potentials a step is the kinetic factor alone, in momentum space.
 * ``krylov_step`` -- Arnoldi projection of exp(-i H dt) for Hamiltonians
@@ -15,7 +16,8 @@ Three steps:
   needed, and the step is one product of the projected solution with it.
 * the exact step of a constant Hamiltonian -- when H at the midpoint is one
   4x4 matrix M (``expr.constant_matrix``), exp(-i dt M) applied pointwise in
-  the state's own space: no transform, and no Krylov space of at most 4 rows.
+  the state's own space, over its nonzero entries (four for a diagonal one):
+  no transform, and no Krylov space of at most 4 rows.
 
 A run makes one stepper call per row after the first.  An exact step (Strang
 without potentials, the constant step under a static model) takes the n steps
@@ -44,7 +46,8 @@ from .algebra import ID4
 from .expr import (Add, Adjoint, ConstMatrix, LeafStack, PositionDiag, Scale, apply_expr,
                    constant_matrix, expectation)
 from .fields import FieldModel
-from .grid import _ALPHA_ROWS, MOMENTUM, GridSpec, SpinorField, apply_matrix, free_dirac_values
+from .grid import (_ALPHA_ENTRIES, _ID_ENTRIES, MOMENTUM, GridSpec, SpinorField,
+                   free_dirac_terms, matrix_entries, pointwise)
 from .hamiltonians import P, R, NamedHamiltonian, hermitian_part, triple
 from .operators import PhysParams, SpinKind, energy_k2
 from .dynamics import spin_expr
@@ -55,46 +58,42 @@ __all__ = [
 ]
 
 
+def _exp_factors(tau, s):
+    """cos(tau s) and sin(tau s)/s, the latter tau where s -> 0."""
+    small = s < 1e-14
+    return np.cos(tau * s), np.where(small, tau, np.sin(tau * s) / np.where(small, 1.0, s))
+
+
+def _exp_terms(cos, sinc, x_terms):
+    """exp(-i tau X) = cos(tau s) - i sin(tau s)/s X as ``pointwise`` terms, for
+    X = sum_j M_j f_j (the terms ``x_terms``) with X^2 = s^2 at every point,
+    from cos(tau s) and sin(tau s)/s (``_exp_factors``)."""
+    return [(_ID_ENTRIES, cos)] + [(entries, -1j * f * sinc) for entries, f in x_terms]
+
+
 def _position_half_step(model: FieldModel, params: PhysParams, grid: GridSpec,
                         tau: float, t: float):
     """exp(-i tau (-ec alpha.A(r,t) + e phi(r,t))), as a function that applies
     it pointwise to a field; both half steps of a Strang step use one.  With
-    u = -ec A, it is cos(tau |u|) - i sin(tau |u|)/|u| alpha.u, applied row by
-    row from the monomial rows of each live alpha_j, with every factor kept
-    at its mesh's broadcast shape."""
+    u = -ec A it is exp(-i tau alpha.u) (X = alpha.u, s = |u|) times the phase
+    exp(-i tau e phi), every factor kept at its mesh's broadcast shape."""
     u = [np.asarray(-params.e * params.c * a, dtype=float) for a in model.a_mesh(grid.r, t)]
-    live = [(ui, rows) for ui, rows in zip(u, _ALPHA_ROWS) if np.any(ui)]
-    mag = np.sqrt(sum(ui**2 for ui, _ in live))
-    small = mag < 1e-14
-    cosf = np.cos(tau * mag)
-    sinf = np.where(small, tau, np.sin(tau * mag) / np.where(small, 1.0, mag))
-    # row a of -i sin/|u| alpha.u: (column b, factor) per live alpha_j
-    rows = [[(jrows[a][0], -1j * jrows[a][1] * sinf * ui) for ui, jrows in live]
-            for a in range(4)]
-    phase = None
+    live = [(entries, ui) for entries, ui in zip(_ALPHA_ENTRIES, u) if np.any(ui)]
+    terms = _exp_terms(*_exp_factors(tau, np.sqrt(sum(ui**2 for _, ui in live))), live)
     if model.has_scalar_potential:
         phase = np.exp(-1j * tau * params.e * np.asarray(model.phi_mesh(grid.r, t)))
+        terms = [(entries, f * phase) for entries, f in terms]
 
     def half_step(field: SpinorField) -> SpinorField:
         pos = field.to_position()
-        psi = pos.data
-        out, tmp = np.empty_like(psi), np.empty(grid.shape, dtype=complex)
-        for a in range(4):
-            np.multiply(cosf, psi[a], out=out[a])
-            for b, f in rows[a]:
-                np.add(out[a], np.multiply(f, psi[b], out=tmp), out=out[a])
-        if phase is not None:
-            out *= phase
-        return pos.with_data(out)
+        return pos.with_data(pointwise(pos.data, terms))
     return half_step
 
 
 @functools.lru_cache(maxsize=4)
 def _kinetic_factors(grid: GridSpec, params: PhysParams, dt: float):
-    """cos(dt E_k) and sin(dt E_k)/E_k: exp(-i dt (c alpha.k + beta m0 c^2))
-    per momentum mode is cos - i sin/E_k (c alpha.k + beta m0 c^2)."""
-    e_k = energy_k2(grid.k2, params)
-    return np.cos(dt * e_k), np.sin(dt * e_k) / e_k
+    """The kinetic factor's ``_exp_factors``, s = E_k: two real arrays."""
+    return _exp_factors(dt, energy_k2(grid.k2, params))
 
 
 def strang_step_dirac(field: SpinorField, model: FieldModel, params: PhysParams,
@@ -113,11 +112,11 @@ def strang_step_dirac(field: SpinorField, model: FieldModel, params: PhysParams,
         half_step = _position_half_step(model, params, field.grid, dt / 2.0, tm)
         field = half_step(field)
     grid, mom = field.grid, field.to_momentum()
-    cosf, sinf = _kinetic_factors(grid, params, dt)
-    out = mom.with_data(cosf * mom.data - 1j * sinf * free_dirac_values(mom.data, grid, params))
+    out = mom.with_data(pointwise(mom.data, _exp_terms(*_kinetic_factors(grid, params, dt),
+                                                       free_dirac_terms(grid, params))))
     if potentials:
         out = half_step(out)
-    if not np.all(np.isfinite(out.data)):
+    if not np.isfinite(out.data).all():
         raise FloatingPointError("Strang step produced non-finite values")
     return out
 
@@ -195,7 +194,7 @@ def krylov_step(hamiltonian: NamedHamiltonian, field: SpinorField, t: float,
 
     out = beta0 * (y @ basis[:used])
     result = field.with_data(out.reshape(4, *grid.shape))
-    if not np.all(np.isfinite(result.data)):
+    if not np.isfinite(result.data).all():
         raise FloatingPointError("Krylov step produced non-finite values")
     return result
 
@@ -224,7 +223,8 @@ def _stepper(hamiltonian, propagator, krylov_m, krylov_tol):
         key = (grid, dt, t + dt / 2.0 if model.time_dependent else None)
         if slot[0] != key:
             m = constant_matrix(hamiltonian.total, grid, t + dt / 2.0)
-            slot[:] = key, m if m is None else _exp_minus_idt(m, dt, hamiltonian.assume_hermitian)
+            slot[:] = key, m if m is None else matrix_entries(
+                _exp_minus_idt(m, dt, hamiltonian.assume_hermitian))
         return slot[1]
 
     def one(psi, t, dt):
@@ -232,8 +232,8 @@ def _stepper(hamiltonian, propagator, krylov_m, krylov_tol):
             return strang_step_dirac(psi, model, hamiltonian.params, t, dt)
         if propagator == "krylov" or exp_constant(psi.grid, t, dt) is None:
             return krylov_step(hamiltonian, psi, t, dt, m=krylov_m, tol=krylov_tol)
-        out = psi.with_data(apply_matrix(slot[1], psi.data))
-        if not np.all(np.isfinite(out.data)):
+        out = psi.with_data(pointwise(psi.data, [(slot[1], 1.0)]))
+        if not np.isfinite(out.data).all():
             raise FloatingPointError("constant-Hamiltonian step produced non-finite values")
         return out
 

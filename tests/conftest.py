@@ -63,6 +63,14 @@ def boundary_flux():
     return flux
 
 
+@pytest.fixture(scope="session")
+def apply_matrix():
+    """``apply_matrix(mat, values)``: a constant 4x4 matrix applied at every
+    point of spinor values (4, *shape), densely; the reference for the
+    per-entry kernel ``grid.pointwise``."""
+    return lambda mat, values: np.einsum("ab,b...->a...", mat, values)
+
+
 class FFTCount:
     """Transforms since the last ``reset``: ``calls`` of scipy.fft.fftn/ifftn
     and axis ``passes``, the sum of len(axes) over the calls (one 1D

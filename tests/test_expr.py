@@ -10,8 +10,7 @@ from relspin.errors import PreconditionError
 from relspin.expr import (Add, Adjoint, ConstMatrix, LeafStack, MomentumDiag, Mul,
                           PositionDiag, Scale, apply_expr, block_parity,
                           constant_matrix, expectation)
-from relspin.grid import (MOMENTUM, POSITION, GridSpec, SpinorField, apply_matrix,
-                          gaussian_packet)
+from relspin.grid import MOMENTUM, POSITION, GridSpec, SpinorField, gaussian_packet
 from relspin.hamiltonians import P, R, triple
 from relspin.operators import ALPHA, BETA, SIGMA
 from relspin.dynamics import spin_expr
@@ -197,7 +196,7 @@ class TestConstantLeaf:
 
     @pytest.mark.parametrize("leaf_type, state_space", [
         (PositionDiag, MOMENTUM), (MomentumDiag, POSITION)])
-    def test_acts_in_state_space(self, rng, fft_count, leaf_type, state_space):
+    def test_acts_in_state_space(self, rng, fft_count, apply_matrix, leaf_type, state_space):
         grid = _KERNEL_GRIDS[1]
         psi = random_field(grid, rng).in_space(state_space)
         leaf = leaf_type([(lambda g, t: 0.3, SIGMA[2]),

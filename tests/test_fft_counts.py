@@ -18,7 +18,7 @@ import pytest
 from relspin.dynamics import build_hamiltonian, rhs, spin_expr, standard_battery, verify
 from relspin.expr import _DiagLeaf, apply_expr, expectation
 from relspin.fields import Envelope, UniformB, ZeroField
-from relspin.grid import GridSpec, SpinorField, apply_matrix, gaussian_packet
+from relspin.grid import GridSpec, SpinorField, gaussian_packet, pointwise
 from relspin.hamiltonians import build_dirac_em, build_fw_direct
 from relspin.operators import SpinKind
 from relspin.propagate import _Observables, run, strang_step_dirac
@@ -388,17 +388,19 @@ def test_pulsed_arnoldi_run_fills_per_t(params, mesh_count, krylov_count):
 def test_shipped_sweep_scenario_takes_no_arnoldi_step(krylov_count, monkeypatch):
     # its zeeman-only Hamiltonian under a uniform B is one constant matrix,
     # and under a static field its exact step crosses the 5 steps between
-    # two rows at once: 600 / 5 = 120 constant steps, each one apply_matrix
+    # two rows at once: 600 / 5 = 120 constant steps, each one pointwise
+    # product with U; a B along z makes U diagonal, 4 entries
     from relspin import propagate
     calls = []
-    monkeypatch.setattr(propagate, "apply_matrix",
-                        lambda *args: calls.append(args) or apply_matrix(*args))
+    monkeypatch.setattr(propagate, "pointwise",
+                        lambda *args: calls.append(args) or pointwise(*args))
     sc = load_scenario(Path(__file__).resolve().parents[1] / "scenarios"
                        / "larmor_sweep.json")
     traj = run(sc.make_hamiltonian(), sc.make_state(), sc.dt, sc.steps, stride=sc.stride)
     assert len(traj.rows) == sc.steps // sc.stride + 1
     assert krylov_count[0] == 0
     assert len(calls) == 120
+    assert {len(entries) for _, [(entries, _)] in calls} == {4}
 
 
 @pytest.mark.parametrize("terms, propagator", [

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relspin.errors import GridResolutionError, PreconditionError
-from relspin.grid import (GridSpec, SpinorField, free_dirac_values, gaussian_packet,
-                          load_field, positive_energy_part, save_field,
-                          suppress_zero_mode, zero_mode_weight)
+from relspin.grid import (GridSpec, SpinorField, free_dirac_terms, gaussian_packet,
+                          load_field, matrix_entries, pointwise, positive_energy_part,
+                          save_field, suppress_zero_mode, zero_mode_weight)
 from relspin.operators import ALPHA, BETA, PhysParams, free_dirac_matrix
 
 
@@ -50,13 +52,69 @@ class TestGridSpec:
 
     @pytest.mark.parametrize("grid", [GridSpec(1, 16, 12.0),
                                       GridSpec(3, 8, [8.0, 10.0, 12.0])])
-    def test_free_dirac_values_matches_matrix(self, grid, rng):
+    def test_free_dirac_terms_matches_matrix(self, grid, rng):
         params = PhysParams(m0=0.8, c=1.7)
         v = random_field(grid, rng).values
-        got = free_dirac_values(v, grid, params)
+        got = pointwise(v, free_dirac_terms(grid, params))
         kvec = np.stack([np.broadcast_to(k, grid.shape) for k in grid.k], axis=-1)
         want = np.einsum("...ab,b...->a...", free_dirac_matrix(kvec, params), v)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+class TestPointwise:
+    """The per-entry kernel against a dense einsum of the per-point matrix
+    sum_j f_j M_j."""
+
+    _GRIDS = [GridSpec(1, 16, 12.0), GridSpec(3, (8, 16, 8), (8.0, 10.0, 12.0))]
+
+    @staticmethod
+    def _matrix(kind, rng):
+        if kind == "zero":
+            return np.zeros((4, 4))
+        if kind == "monomial":  # entries +-1 and +-i, as in alpha, beta, Sigma
+            m = np.zeros((4, 4), dtype=complex)
+            m[np.arange(4), rng.permutation(4)] = rng.choice([1, -1, 1j, -1j], size=4)
+            return m
+        m = rng.normal(size=(4, 4)) + (1j * rng.normal(size=(4, 4)) if kind == "complex" else 0)
+        if kind == "empty-row":
+            m[rng.choice(4, size=rng.integers(1, 4), replace=False)] = 0.0
+        return m
+
+    @staticmethod
+    def _scalar(kind, real, grid, rng):
+        z = lambda *shape: rng.normal(size=shape) + (0 if real else 1j * rng.normal(size=shape))
+        if kind == "0-d":
+            return z()
+        if kind == "mesh":
+            shape = [1] * grid.dim
+            axis = rng.integers(grid.dim)
+            shape[axis] = grid.n[axis]
+            return z(*shape)
+        return z(*grid.shape)
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([0, 1]),
+           st.lists(st.tuples(
+               st.sampled_from(["monomial", "dense", "complex", "zero", "empty-row"]),
+               st.sampled_from(["0-d", "mesh", "full"]), st.booleans()),
+               max_size=4))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_dense_einsum(self, seed, grid_index, kinds):
+        rng = np.random.default_rng(seed)
+        grid = self._GRIDS[grid_index]
+        pairs = [(self._matrix(mk, rng), self._scalar(sk, real, grid, rng))
+                 for mk, sk, real in kinds]
+        psi = random_field(grid, rng).values
+        got = pointwise(psi, [(matrix_entries(m), f) for m, f in pairs])
+        per_point = sum((np.multiply.outer(np.broadcast_to(f, grid.shape), m) for m, f in pairs),
+                        np.zeros((*grid.shape, 4, 4)))
+        want = np.einsum("...ab,b...->a...", per_point, psi)
+        assert got.shape == psi.shape and not np.shares_memory(got, psi)
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+    def test_real_entries_are_floats(self):
+        entries = matrix_entries(np.diag([1.0, -2.0, 0.0, 3j]))
+        assert entries == [(0, 0, 1.0), (1, 1, -2.0), (3, 3, 3j)]
+        assert [type(m) for _, _, m in entries[:2]] == [np.float64, np.float64]
 
 
 class TestTransforms:

@@ -208,7 +208,6 @@ class TestFwDirect:
         model = UniformB(np.array([0.0, 0.0, 0.2]), env)
         printed = build_fw_direct(model, params, g, hermitize=False)
         sym = build_fw_direct(model, params, g, hermitize=True)
-        assert not printed.hermitized and sym.hermitized
         assert not printed.assume_hermitian and sym.assume_hermitian
         psi = battery_3d[0]
         t = 2.0

@@ -9,7 +9,7 @@ from relspin.errors import (BoundaryFluxError, KrylovConvergenceError, Precondit
                             SingularMomentumError)
 from relspin.expr import _DiagLeaf, apply_expr, expectation
 from relspin.fields import Envelope, PlaneWavePulse, UniformB, UniformE, ZeroField
-from relspin.grid import GridSpec, SpinorField, apply_matrix, gaussian_packet, zero_mode_weight
+from relspin.grid import GridSpec, SpinorField, gaussian_packet, zero_mode_weight
 from relspin.hamiltonians import (build_dirac_em, build_free_dirac,
                                   build_fw_direct)
 from relspin.operators import ALPHA, BETA, SIGMA, SpinKind, free_dirac_matrix
@@ -121,8 +121,9 @@ class TestStrang:
         UniformB(np.array([0.03, -0.02, 0.05])),
         UniformE(np.array([0.01, 0.0, 0.02])),
     ], ids=["uniform-b", "pulsed-b", "oblique-b", "uniform-e"])
-    def test_position_factor_matches_dense_alpha_form(self, params, monkeypatch, model):
-        # the row-by-row half step against exp(-i tau V) written with dense
+    def test_position_factor_matches_dense_alpha_form(self, params, monkeypatch, apply_matrix,
+                                                      model):
+        # the per-entry half step against exp(-i tau V) written with dense
         # alpha_j products over full-grid factors
         from relspin import propagate
 
@@ -287,7 +288,9 @@ class TestConstantStep:
         fft_count.reset()
         got = _stepper(ham, None, 40, 1e-10)(psi, 0.2, 0.05)
         assert fft_count.calls == 0 and got.space == space
-        want = np.einsum("ab,b...->a...", scipy.linalg.expm(-0.05j * dense), psi.values)
+        u = scipy.linalg.expm(-0.05j * dense)
+        assert np.count_nonzero(u) == 8  # an oblique B: both 2x2 blocks of U are full
+        want = np.einsum("ab,b...->a...", u, psi.values)
         assert np.linalg.norm(got.values - want) <= 1e-14 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("hermitize", [False, True])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from relspin import grid as grid_module
-from relspin.cli import main
+from relspin.cli import _refinement_grids, main
 from relspin.dynamics import build_hamiltonian
 from relspin.errors import ConfigError
 from relspin.expr import apply_expr
@@ -322,6 +322,23 @@ class TestVerifyDynamics:
         assert main(["verify-dynamics", "--scenario", str(path)]) == 2
 
 
+class TestRefinementLadder:
+    def test_cubic_ladders(self):
+        assert [g.n for g in _refinement_grids(GridSpec(1, 512, 256.0), 1)] == [
+            (256,), (512,), (1024,)]
+        assert [g.n for g in _refinement_grids(GridSpec(3, 32, 48.0), 1)] == [
+            (16,) * 3, (32,) * 3, (64,) * 3]
+
+    def test_non_cubic_ladder_holds_the_scenario_grid_and_box(self):
+        grid = GridSpec(3, [16, 16, 32], [48.0, 48.0, 60.0])
+        rungs = _refinement_grids(grid, 1)
+        assert [g.n for g in rungs] == [(8, 8, 16), (16, 16, 32), (32, 32, 64)]
+        assert grid in rungs and {g.lengths for g in rungs} == {grid.lengths}
+        # a rung with any axis beyond the cap is dropped
+        assert [g.n for g in _refinement_grids(GridSpec(3, [16, 16, 64], 48.0), 1)] == [
+            (8, 8, 32), (16, 16, 64)]
+
+
 class TestSimulate:
     def test_free_run_constant_proper_spins(self, tmp_path):
         out = tmp_path / "traj.csv"
@@ -388,6 +405,13 @@ class TestSweep:
         path = write_scenario(tmp_path, self.sweep_scenario())
         assert main(["sweep", "--scenario", path, "--field-grid", "a,b"]) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_field_grid(self, tmp_path, capsys, value):
+        path = write_scenario(tmp_path, self.sweep_scenario())
+        assert main(["sweep", "--scenario", path, "--field-grid", f"0.1,{value}"]) == 2
+        err = capsys.readouterr().err
+        assert "--field-grid" in err and "finite" in err and "Traceback" not in err
+
 
 class TestUsage:
     def test_no_command(self):
@@ -418,6 +442,16 @@ class TestUsage:
             set_fft_workers(n)
             applied.append(apply_expr(ham.total, psi).values)
         assert np.array_equal(applied[0], applied[1])
+
+    @pytest.mark.parametrize("argv, env", [
+        (["--threads", "0"], None), (["--threads", "-4"], None), ([], "abc")],
+        ids=["flag-0", "flag-negative", "env-not-an-integer"])
+    def test_bad_thread_count(self, capsys, monkeypatch, argv, env):
+        if env is not None:
+            monkeypatch.setenv("RELSPIN_THREADS", env)
+        assert main(argv + ["check-operators", "--samples", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "--threads" in err and "RELSPIN_THREADS" in err and "Traceback" not in err
 
     def test_threads_knob(self):
         assert main(["--threads", "2", "check-operators", "--samples", "5"]) == 0
