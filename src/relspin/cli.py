@@ -119,7 +119,7 @@ def cmd_verify_dynamics(args):
     if not sc.checks:
         raise ConfigError("verification.checks", "no checks requested")
     if sc.battery == "standard":
-        states = standard_battery(sc.grid, sc.params, seed=sc.seed)
+        states = standard_battery(sc.grid, sc.params)
     else:
         states = [sc.make_state()]
 
@@ -138,7 +138,7 @@ def cmd_verify_dynamics(args):
                 if sc.battery != "standard":
                     continue  # the single state is tied to the scenario grid
                 try:
-                    st = standard_battery(g, sc.params, seed=sc.seed)
+                    st = standard_battery(g, sc.params)
                 except PreconditionError:
                     continue  # rung too coarse to host the battery
                 h = sc.make_hamiltonian(family=family, grid=g)

@@ -37,17 +37,15 @@ from .expr import (Add, ConstMatrix, MomentumDiag, Mul, Scale, _one, apply_expr,
                    block_parity)
 from .fields import FieldModel
 from .grid import GridSpec, gaussian_packet, positive_energy_part, suppress_zero_mode
-from .hamiltonians import (P, R, ModelVector, NamedHamiltonian, add, build_dirac_em,
-                           build_free_dirac, build_fw_direct, build_fw_full, const_triple,
-                           cross, dot, dot_p, kinetic_triple, prefix, scale, triple,
-                           vec_leaf)
+from .hamiltonians import (P, R, ModelVector, NamedHamiltonian, add, const_triple, cross, dot,
+                           dot_p, kinetic_triple, prefix, scale, triple, vec_leaf)
 from .operators import (ALPHA, BETA, SIGMA, PhysParams, SpinKind, energy_k2,
                         position_terms, spin_terms)
 
 __all__ = [
     "spin_expr", "position_correction_expr", "rhs", "verify",
     "total_j_identity", "standard_battery",
-    "ResidualReport", "classify_residual_series", "build_hamiltonian",
+    "ResidualReport", "classify_residual_series",
     "HOLD_TOL", "VERIFY_GUARD",
 ]
 
@@ -334,19 +332,6 @@ def _rhs_direct(kind, model, params):
 # verification driver
 # ---------------------------------------------------------------------------
 
-def build_hamiltonian(family: str, model: FieldModel, params: PhysParams,
-                      grid: GridSpec, **kwargs) -> NamedHamiltonian:
-    if family == "free":
-        return build_free_dirac(params, grid)
-    if family == "dirac-em":
-        return build_dirac_em(model, params, grid)
-    if family == "fw-full":
-        return build_fw_full(model, params, grid, **kwargs)
-    if family == "fw-direct":
-        return build_fw_direct(model, params, grid, **kwargs)
-    raise PreconditionError(f"unknown Hamiltonian family {family!r}")
-
-
 @dataclass
 class VerifyCell:
     state: int
@@ -570,8 +555,7 @@ _POL_UP_Z = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
 _POL_UP_X = np.array([1.0, 1.0, 0.0, 0.0], dtype=complex) / np.sqrt(2.0)
 
 
-def standard_battery(grid: GridSpec, params: PhysParams, seed: int = 1234,
-                     count: int | None = None):
+def standard_battery(grid: GridSpec, params: PhysParams, count: int | None = None):
     """Deterministic battery of energy-projected Gaussian packets:
     two polarizations times three mean momenta (one near m0 c).
 
@@ -579,8 +563,7 @@ def standard_battery(grid: GridSpec, params: PhysParams, seed: int = 1234,
     margins, L/8 in 3D where resolution is scarcer), so every rung of a
     refinement ladder sees the same physical states.  Packets get their k = 0
     bin stripped so operators with a momentum-origin singularity apply
-    without guard violations; ``seed`` is accepted for interface stability
-    (the battery is fully deterministic).
+    without guard violations.  The battery is fully deterministic.
 
     The states are returned in momentum space, where the stripping happens,
     with the k = 0 bin exactly zero.

@@ -37,17 +37,19 @@ fold Sigma_i into a field leaf's matrix (``_cross_dot_sigma``) where the
 printed right-hand sides write ConstMatrix(Sigma_i) @ leaf; the two are
 equal up to roundoff, and each keeps its own transform count.
 
-With ``hermitize=True`` every term is replaced by its Hermitian part
-(T + T^H)/2.  Note that for field models satisfying Faraday's law the
-printed ``field-derivative-soc`` term is already Hermitian: the anti-Hermitian
-part of Sigma.(E x (p-eA)) is (i/2) Sigma.dB/dt and cancels the explicit
--i dB/dt piece exactly, so hermitization is a numerical no-op here.
+``FAMILIES`` holds each family's terms, its builder, which builds them all,
+and whether a Strang step splits it exactly.  ``build_hamiltonian`` keeps the
+default terms or a chosen subset and, with ``hermitize``, replaces each term
+by (T + T^H)/2: a numerical no-op for field models that obey Faraday's law,
+where the anti-Hermitian part of Sigma.(E x (p-eA)), (i/2) Sigma.dB/dt,
+cancels the explicit -i dB/dt piece of ``field-derivative-soc`` exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, reduce
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -60,16 +62,39 @@ from .grid import MOMENTUM, POSITION, GridSpec
 from .operators import ALPHA, BETA, SIGMA, PhysParams
 
 __all__ = [
-    "NamedHamiltonian", "build_free_dirac", "build_dirac_em",
+    "FAMILIES", "build_hamiltonian", "NamedHamiltonian", "build_free_dirac", "build_dirac_em",
     "build_fw_full", "build_fw_direct",
     "P", "R", "ModelVector", "vec_leaf", "triple", "dot_p", "const_triple",
     "kinetic_triple", "cross", "dot", "prefix", "scale", "add", "hermitian_part",
 ]
 
-FW_FULL_TERMS = ("rest-mass", "kinetic", "zeeman", "mass-correction",
-                 "kinetic-zeeman-cross", "b-squared", "darwin",
-                 "spin-orbit", "de-dt")
-FW_DIRECT_TERMS = ("kinetic", "zeeman", "field-derivative-soc", "nutation")
+
+class Family(NamedTuple):
+    """A family's terms in order, ``build(model, params, grid)`` of them all,
+    whether a Strang step splits it exactly, and the terms left off by default."""
+
+    terms: tuple
+    build: Callable
+    split: bool = False
+    off: tuple = ()
+
+    @property
+    def default(self) -> tuple:
+        return tuple(n for n in self.terms if n not in self.off)
+
+
+# a builder is called by its module-level name, so a wrapper bound there sees every build
+FAMILIES = {
+    "free": Family(("free-dirac",), lambda model, params, grid: build_free_dirac(params, grid),
+                   split=True),
+    "dirac-em": Family(("kinetic-free", "gauge-coupling", "mass", "scalar"),
+                       lambda *args: build_dirac_em(*args), split=True),
+    "fw-full": Family(("rest-mass", "kinetic", "zeeman", "mass-correction",
+                       "kinetic-zeeman-cross", "b-squared", "darwin", "spin-orbit", "de-dt"),
+                      lambda *args: build_fw_full(*args), off=("rest-mass",)),
+    "fw-direct": Family(("kinetic", "zeeman", "field-derivative-soc", "nutation"),
+                        lambda *args: build_fw_direct(*args)),
+}
 
 _BETA_SIGMA = [BETA @ s for s in SIGMA]
 
@@ -104,8 +129,9 @@ class NamedHamiltonian:
         """A new Hamiltonian keeping only the named terms (order preserved)."""
         names = list(names)
         unknown = set(names) - set(self.term_names())
-        if unknown:
-            raise PreconditionError(f"unknown term names {sorted(unknown)}")
+        if unknown or not names:
+            raise PreconditionError(f"{self.family} takes a non-empty subset of "
+                                    f"{self.term_names()}, got {names}")
         kept = [(n, e) for n, e in self.terms if n in names]
         return NamedHamiltonian(self.family, kept, self.params, self.model,
                                 self.grid, self.assume_hermitian)
@@ -255,10 +281,8 @@ def build_dirac_em(model: FieldModel, params: PhysParams,
     return NamedHamiltonian("dirac-em", terms, params, model, grid)
 
 
-def build_fw_full(model: FieldModel, params: PhysParams, grid: GridSpec,
-                  term_mask=None, hermitize: bool = False) -> NamedHamiltonian:
-    """The expanded even Hamiltonian; ``term_mask`` selects a subset of
-    FW_FULL_TERMS (default: everything except ``rest-mass``)."""
+def build_fw_full(model: FieldModel, params: PhysParams, grid: GridSpec) -> NamedHamiltonian:
+    """The expanded even Hamiltonian, ``rest-mass`` included."""
     m0, c, e = params.m0, params.c, params.e
     b, e_vec = ModelVector(model.b_mesh, "B"), ModelVector(model.e_mesh, "E")
     dedt_vec = ModelVector(model.dedt_mesh, "dE/dt")
@@ -297,27 +321,16 @@ def build_fw_full(model: FieldModel, params: PhysParams, grid: GridSpec,
     ])
     terms["de-dt"] = Scale(-1j * e / (16 * m0**3 * c**4), Mul(beta_c, dedt))
 
-    if term_mask is None:
-        selected = [n for n in FW_FULL_TERMS if n != "rest-mass"]
-    else:
-        selected = list(term_mask)
-        unknown = set(selected) - set(FW_FULL_TERMS)
-        if unknown:
-            raise PreconditionError(f"unknown fw-full terms {sorted(unknown)}")
-    ordered = [(n, terms[n]) for n in FW_FULL_TERMS if n in selected]
-    if hermitize:
-        ordered = [(n, hermitian_part(x)) for n, x in ordered]
-    return NamedHamiltonian("fw-full", ordered, params, model, grid, assume_hermitian=hermitize)
+    ordered = [(n, terms[n]) for n in FAMILIES["fw-full"].terms]
+    return NamedHamiltonian("fw-full", ordered, params, model, grid, assume_hermitian=False)
 
 
-def build_fw_direct(model: FieldModel, params: PhysParams, grid: GridSpec,
-                    hermitize: bool = False) -> NamedHamiltonian:
+def build_fw_direct(model: FieldModel, params: PhysParams, grid: GridSpec) -> NamedHamiltonian:
     """The direct spin-field Hamiltonian, exactly as printed.
 
     The -i dB/dt piece rides inside ``field-derivative-soc``; see the module
     docstring for why the printed form is Hermitian for internally consistent
-    field models.  With ``hermitize`` every term is replaced by (T + T^H)/2
-    and propagators are told to trust Hermiticity.
+    field models.
     """
     m0, c, e = params.m0, params.c, params.e
     beta_c = ConstMatrix(BETA, name="beta")
@@ -337,6 +350,24 @@ def build_fw_direct(model: FieldModel, params: PhysParams, grid: GridSpec,
 
     ordered = [("kinetic", kinetic), ("zeeman", zeeman),
                ("field-derivative-soc", soc), ("nutation", nutation)]
+    return NamedHamiltonian("fw-direct", ordered, params, model, grid, assume_hermitian=False)
+
+
+def build_hamiltonian(family: str, model: FieldModel, params: PhysParams, grid: GridSpec,
+                      terms=None, hermitize: bool = False) -> NamedHamiltonian:
+    """The family's Hamiltonian: its default terms, or the non-empty subset
+    ``terms`` of its terms, each replaced by (T + T^H)/2 with ``hermitize``,
+    which also lets propagators trust Hermiticity.  A split family takes
+    neither: its Strang step reads the field model, not the terms."""
+    if family not in FAMILIES:
+        raise PreconditionError(f"unknown Hamiltonian family {family!r}; "
+                                f"expected one of {list(FAMILIES)}")
+    spec = FAMILIES[family]
+    if spec.split and (terms is not None or hermitize):
+        raise PreconditionError(f"{family} takes no terms or hermitize: its Strang step "
+                                "reads the field model, not the terms")
+    ham = spec.build(model, params, grid)
     if hermitize:
-        ordered = [(n, hermitian_part(x)) for n, x in ordered]
-    return NamedHamiltonian("fw-direct", ordered, params, model, grid, assume_hermitian=hermitize)
+        ham = replace(ham, terms=[(n, hermitian_part(x)) for n, x in ham.terms],
+                      assume_hermitian=True)
+    return ham.subset(spec.default if terms is None else terms)

@@ -19,6 +19,10 @@ Three steps:
   the state's own space, over its nonzero entries (four for a diagonal one):
   no transform, and no Krylov space of at most 4 rows.
 
+By default a split family (``hamiltonians.FAMILIES``) takes Strang steps and
+any other the constant step where it applies, a Krylov step else;
+``propagator="krylov"`` forces Krylov steps, and no other value is accepted.
+
 A run makes one stepper call per row after the first.  An exact step (Strang
 without potentials, the constant step under a static model) takes the n steps
 since the last row as one of n dt, as exp(-i n dt H) = exp(-i dt H)^n.
@@ -43,12 +47,11 @@ import scipy.linalg
 
 from .errors import BoundaryFluxError, KrylovConvergenceError, PreconditionError
 from .algebra import ID4
-from .expr import (Add, Adjoint, ConstMatrix, LeafStack, PositionDiag, Scale, apply_expr,
-                   constant_matrix, expectation)
+from .expr import ConstMatrix, LeafStack, PositionDiag, apply_expr, constant_matrix, expectation
 from .fields import FieldModel
 from .grid import (_ALPHA_ENTRIES, _ID_ENTRIES, MOMENTUM, GridSpec, SpinorField,
                    free_dirac_terms, matrix_entries, pointwise)
-from .hamiltonians import P, R, NamedHamiltonian, hermitian_part, triple
+from .hamiltonians import FAMILIES, P, R, NamedHamiltonian, triple
 from .operators import PhysParams, SpinKind, energy_k2
 from .dynamics import spin_expr
 
@@ -200,23 +203,26 @@ def krylov_step(hamiltonian: NamedHamiltonian, field: SpinorField, t: float,
 
 
 def choose_propagator(hamiltonian: NamedHamiltonian) -> str:
-    """Strang for Hamiltonians with an exact two-factor split, Krylov else."""
-    return "strang" if hamiltonian.family in ("free", "dirac-em") else "krylov"
+    """Strang for a family that it splits exactly, Krylov else."""
+    return "strang" if FAMILIES[hamiltonian.family].split else "krylov"
 
 
-def _stepper(hamiltonian, propagator, krylov_m, krylov_tol):
+def _stepper(hamiltonian, propagator, krylov_tol):
     """``step(psi, t0, dt, steps=range(1))``: psi advanced over the steps
-    numbered ``steps`` (a nonempty range), step s from t0 + s dt, with the
-    named propagator or the default one; an exact step takes the whole range
-    as one step of n dt (see the module docstring), any other runs n times.
+    numbered ``steps`` (a nonempty range), step s from t0 + s dt, by Krylov
+    steps where ``propagator`` is "krylov", by the default ones where it is
+    None; an exact step takes the whole range as one step of n dt (see the
+    module docstring), any other runs n times.
 
-    Where Strang is neither named nor chosen and Krylov is not named, a step
-    whose Hamiltonian at the midpoint is one constant matrix is its exact
-    step, any other a Krylov step; U, or the finding that there is none, is
-    kept per (grid, step size), and per midpoint under a time-dependent model.
+    By default a split family takes Strang steps, and any other takes the
+    exact step where its Hamiltonian at the midpoint is one constant matrix,
+    a Krylov step else; U, or the finding that there is none, is kept per
+    (grid, step size), and per midpoint under a time-dependent model.
     """
+    if propagator not in (None, "krylov"):
+        raise PreconditionError(f"propagator must be None or 'krylov', got {propagator!r}")
     model = hamiltonian.model
-    strang = (propagator or choose_propagator(hamiltonian)) == "strang"
+    strang = propagator is None and choose_propagator(hamiltonian) == "strang"
     slot = [None, None]  # the key and value of the one kept U
 
     def exp_constant(grid, t, dt):
@@ -231,7 +237,7 @@ def _stepper(hamiltonian, propagator, krylov_m, krylov_tol):
         if strang:
             return strang_step_dirac(psi, model, hamiltonian.params, t, dt)
         if propagator == "krylov" or exp_constant(psi.grid, t, dt) is None:
-            return krylov_step(hamiltonian, psi, t, dt, m=krylov_m, tol=krylov_tol)
+            return krylov_step(hamiltonian, psi, t, dt, tol=krylov_tol)
         out = psi.with_data(pointwise(psi.data, [(slot[1], 1.0)]))
         if not np.isfinite(out.data).all():
             raise FloatingPointError("constant-Hamiltonian step produced non-finite values")
@@ -329,8 +335,8 @@ class _Observables:
 
 def run(hamiltonian: NamedHamiltonian, state: SpinorField, dt: float,
         steps: int, stride: int = 1, t0: float = 0.0,
-        propagator: str | None = None, krylov_m: int = 40,
-        krylov_tol: float = 1e-10, flux_abort: float = 1e-6) -> Trajectory:
+        propagator: str | None = None, krylov_tol: float = 1e-10,
+        flux_abort: float = 1e-6) -> Trajectory:
     """Propagate and record observables every ``stride`` steps, and after
     the last; the steps between two rows are one call to the stepper.
 
@@ -339,7 +345,7 @@ def run(hamiltonian: NamedHamiltonian, state: SpinorField, dt: float,
     """
     if steps < 0 or stride < 1:
         raise PreconditionError("steps must be >= 0 and stride >= 1")
-    step_fn = _stepper(hamiltonian, propagator, krylov_m, krylov_tol)
+    step_fn = _stepper(hamiltonian, propagator, krylov_tol)
     obs = _Observables(hamiltonian.grid, hamiltonian.params)
     traj = Trajectory()
     psi = state
@@ -360,44 +366,25 @@ def run(hamiltonian: NamedHamiltonian, state: SpinorField, dt: float,
 def ehrenfest_residual(kind: SpinKind, hamiltonian: NamedHamiltonian,
                        state: SpinorField, dt: float, steps: int,
                        t0: float = 0.0, propagator: str | None = None,
-                       krylov_m: int = 40, krylov_tol: float = 1e-12):
-    """|centered-difference d<S>/dt - <(1/i)[S, H_H]> + i <{S, H_A}>| per
-    component, sampled at every interior step.
+                       krylov_tol: float = 1e-12):
+    """|centered-difference d<S>/dt - <(1/i)[S, H]>| per component, sampled
+    at every interior step.
 
-    For trusted-Hermitian Hamiltonians the anti-Hermitian extension is
-    skipped; otherwise H is split as H_H + H_A via the expression adjoint so
-    the identity closes for the printed non-Hermitian forms too.
+    <(1/i)[S, H]> is read as 2 Im <S psi, H psi>: for a Hermitian S this is
+    d<S>/dt under i dpsi/dt = H psi whether H is Hermitian or not, so the
+    identity closes for the printed non-Hermitian forms too.
     """
-    step_fn = _stepper(hamiltonian, propagator, krylov_m, krylov_tol)
+    step_fn = _stepper(hamiltonian, propagator, krylov_tol)
     s_triple = spin_expr(kind, hamiltonian.params)
-    if hamiltonian.assume_hermitian:
-        h_herm, h_anti = hamiltonian.total, None
-    else:
-        h_herm = hermitian_part(hamiltonian.total)
-        h_anti = Scale(0.5, Add([hamiltonian.total, Scale(-1.0, Adjoint(hamiltonian.total))]))
-
-    guard = OBSERVABLE_GUARD
     times, svals, gvals = [], [], []
     psi = state
     t = t0
     for step in range(steps + 1):
-        srow, grow = [], []
-        hh_psi = apply_expr(h_herm, psi, t, guard)
-        ha_psi = apply_expr(h_anti, psi, t, guard) if h_anti is not None else None
-        for i in range(3):
-            s_psi = apply_expr(s_triple[i], psi, t, guard)
-            srow.append(float(np.real(psi.inner(s_psi))))
-            comm = -1j * (psi.inner(apply_expr(s_triple[i], hh_psi, t, guard))
-                          - psi.inner(apply_expr(h_herm, s_psi, t, guard)))
-            g = comm
-            if ha_psi is not None:
-                anti = (psi.inner(apply_expr(s_triple[i], ha_psi, t, guard))
-                        + psi.inner(apply_expr(h_anti, s_psi, t, guard)))
-                g = g - 1j * anti
-            grow.append(float(np.real(g)))
+        h_psi = apply_expr(hamiltonian.total, psi, t, OBSERVABLE_GUARD)
+        s_psi = [apply_expr(s, psi, t, OBSERVABLE_GUARD) for s in s_triple]
+        svals.append([float(np.real(psi.inner(sp))) for sp in s_psi])
+        gvals.append([2.0 * float(np.imag(sp.inner(h_psi))) for sp in s_psi])
         times.append(t)
-        svals.append(srow)
-        gvals.append(grow)
         if step == steps:
             break
         psi = step_fn(psi, t, dt)

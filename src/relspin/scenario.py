@@ -5,7 +5,7 @@ Top-level shape (see README for the full field reference)::
     {
       "schema": "relspin-scenario/1",
       "units": "natural",                  # or "si"
-      "seed": 1,
+      "seed": 1,                           # optional int, read by nothing
       "params": {"m0": 1.0, "c": 1.0, "e": -1.0},
       "grid": {"dim": 1, "n": 512, "lengths": 256.0},
       "field": {"type": "zero"},
@@ -35,8 +35,7 @@ import numpy as np
 from .errors import ConfigError
 from .fields import Envelope, FieldModel, PlaneWavePulse, UniformB, UniformE, ZeroField
 from .grid import GridSpec, SpinorField, gaussian_packet
-from .hamiltonians import FW_DIRECT_TERMS, FW_FULL_TERMS, NamedHamiltonian
-from .dynamics import build_hamiltonian
+from .hamiltonians import FAMILIES, NamedHamiltonian, build_hamiltonian
 from .operators import PhysParams, SpinKind
 
 __all__ = ["Scenario", "load_scenario", "parse_scenario", "SCHEMA_ID"]
@@ -51,9 +50,6 @@ _POLARIZATIONS = {
     "down_x": np.array([1, -1, 0, 0], dtype=complex) / np.sqrt(2),
 }
 
-_FAMILIES = ("free", "dirac-em", "fw-full", "fw-direct")
-#: the families whose terms a scenario may select
-_TERMS = {"fw-full": FW_FULL_TERMS, "fw-direct": FW_DIRECT_TERMS}
 _KINDS = {"dirac": SpinKind.DIRAC, "fw": SpinKind.FW, "pryce": SpinKind.PRYCE}
 
 
@@ -113,7 +109,6 @@ def _vec3(doc, path, key, default=_SENTINEL):
 class Scenario:
     """Validated, unit-converted scenario ready to build runtime objects."""
 
-    seed: int
     params: PhysParams
     grid: GridSpec
     model: FieldModel
@@ -131,22 +126,14 @@ class Scenario:
 
     def make_hamiltonian(self, family=None, model=None,
                          grid=None) -> NamedHamiltonian:
-        """The scenario's own Hamiltonian, restricted to its ``terms``, when
-        no family is given (what ``simulate`` and ``sweep`` propagate); the
-        named family's full Hamiltonian otherwise (a verification check or
-        a refinement rung)."""
-        mask = self.term_mask if family is None else None
-        family = family or self.family
-        kwargs = {}
-        if family == "fw-full":
-            kwargs = {"term_mask": mask, "hermitize": self.hermitize}
-        elif family == "fw-direct":
-            kwargs = {"hermitize": self.hermitize}
-        ham = build_hamiltonian(family, model or self.model, self.params,
-                                grid or self.grid, **kwargs)
-        if family == "fw-direct" and mask:
-            ham = ham.subset(mask)
-        return ham
+        """The scenario's own Hamiltonian, shaped by its ``terms`` and
+        ``hermitize``, when no family is given (what ``simulate`` and
+        ``sweep`` propagate); the named family's printed Hamiltonian
+        otherwise (a verification check or a refinement rung)."""
+        own = family is None
+        return build_hamiltonian(family or self.family, model or self.model, self.params,
+                                 grid or self.grid, self.term_mask if own else None,
+                                 own and self.hermitize)
 
     def make_state(self) -> SpinorField:
         if self.state_spec is None:
@@ -214,7 +201,7 @@ def parse_scenario(doc: dict) -> Scenario:
     units = _get(doc, "", "units", str, "natural")
     if units not in ("natural", "si"):
         raise ConfigError("units", "must be 'natural' or 'si'")
-    seed = int(_get(doc, "", "seed", int, 0))
+    _get(doc, "", "seed", int, 0)  # kept for older documents; nothing reads it
 
     pdoc = _get(doc, "", "params", dict, {})
     m0 = float(_get(pdoc, "params", "m0", (int, float), 1.0))
@@ -235,15 +222,19 @@ def parse_scenario(doc: dict) -> Scenario:
 
     hdoc = _get(doc, "", "hamiltonian", dict, {"family": "free"})
     family = _get(hdoc, "hamiltonian", "family", str)
-    if family not in _FAMILIES:
+    if family not in FAMILIES:
         raise ConfigError("hamiltonian.family",
-                          f"unknown family {family!r}; expected one of {_FAMILIES}")
+                          f"unknown family {family!r}; expected one of {list(FAMILIES)}")
     term_mask = _get(hdoc, "hamiltonian", "terms", list, None, items=str)
-    choices = _TERMS.get(family, ())
+    hermitize = _get(hdoc, "hamiltonian", "hermitize", bool, False)
+    if FAMILIES[family].split and (term_mask is not None or hermitize):
+        key = "terms" if term_mask is not None else "hermitize"
+        raise ConfigError(f"hamiltonian.{key}", f"{family} takes no {key}: its Strang step "
+                                                "reads the field model, not the terms")
+    choices = FAMILIES[family].terms
     if term_mask is not None and not (term_mask and set(term_mask) <= set(choices)):
         raise ConfigError("hamiltonian.terms", f"{family} takes a non-empty subset "
                                                f"of {list(choices)}, got {term_mask}")
-    hermitize = bool(_get(hdoc, "hamiltonian", "hermitize", bool, False))
 
     sdoc = _get(doc, "", "state", dict, None)
     if sdoc is not None:
@@ -297,7 +288,7 @@ def parse_scenario(doc: dict) -> Scenario:
                               f"unknown spin kind {kind!r}; expected one of "
                               f"{sorted(_KINDS)}")
         cfam = _get(cdoc, path, "family", str)
-        if cfam not in _FAMILIES:
+        if cfam not in FAMILIES:
             raise ConfigError(f"{path}.family", f"unknown family {cfam!r}")
         checks.append((_KINDS[kind], cfam))
     battery = _get(vdoc, "verification", "battery", str, "standard")
@@ -307,9 +298,13 @@ def parse_scenario(doc: dict) -> Scenario:
         raise ConfigError("verification.battery",
                           "battery 'state' needs a state section")
     refine_levels = int(_get(vdoc, "verification", "refine_levels", int, 1))
+    if refine_levels < 0:
+        raise ConfigError("verification.refine_levels", "must be >= 0")
 
-    output = _get(doc, "", "output", dict, {})
-    return Scenario(seed, params, grid, model, family, term_mask,
+    odoc = _get(doc, "", "output", dict, {})
+    output = {key: _get(odoc, "output", key, str) for key in ("trajectory", "report", "sweep")
+              if key in odoc}
+    return Scenario(params, grid, model, family, term_mask,
                     hermitize, state_spec, dt, steps, stride, checks, battery,
                     refine_levels, output)
 

@@ -10,8 +10,9 @@ from relspin.expr import (ConstMatrix, MomentumDiag, Mul, OperatorExpr, Scale,
                           _DiagLeaf, apply_expr, block_parity)
 from relspin.fields import Envelope, PlaneWavePulse, UniformB, ZeroField
 from relspin.grid import GridSpec, SpinorField, gaussian_packet
-from relspin.hamiltonians import build_dirac_em, build_fw_direct, build_free_dirac
-from relspin.dynamics import (HOLD_TOL, build_hamiltonian, classify_residual_series,
+from relspin.hamiltonians import (build_dirac_em, build_free_dirac, build_fw_direct,
+                                  build_hamiltonian)
+from relspin.dynamics import (HOLD_TOL, classify_residual_series,
                               position_correction_expr, rhs,
                               spin_expr, standard_battery, total_j_identity,
                               verify)

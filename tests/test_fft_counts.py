@@ -15,11 +15,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relspin.dynamics import build_hamiltonian, rhs, spin_expr, standard_battery, verify
+from relspin.dynamics import rhs, spin_expr, standard_battery, verify
 from relspin.expr import _DiagLeaf, apply_expr, expectation
 from relspin.fields import Envelope, UniformB, ZeroField
 from relspin.grid import GridSpec, SpinorField, gaussian_packet, pointwise
-from relspin.hamiltonians import build_dirac_em, build_fw_direct
+from relspin.hamiltonians import build_dirac_em, build_fw_direct, build_hamiltonian
 from relspin.operators import SpinKind
 from relspin.propagate import _Observables, run, strang_step_dirac
 from relspin.scenario import load_scenario

@@ -7,10 +7,10 @@ from relspin.expr import (Add, Adjoint, ConstMatrix, Mul, Scale, apply_expr,
                           expectation)
 from relspin.fields import Envelope, PlaneWavePulse, UniformB, ZeroField
 from relspin.grid import GridSpec, SpinorField, gaussian_packet, suppress_zero_mode
-from relspin.hamiltonians import (FW_DIRECT_TERMS, FW_FULL_TERMS, ModelVector, P,
-                                  _cross_dot_sigma, build_dirac_em, build_free_dirac,
-                                  build_fw_direct, build_fw_full, const_triple, cross,
-                                  dot, kinetic_triple, triple)
+from relspin.hamiltonians import (FAMILIES, ModelVector, P, _cross_dot_sigma, build_dirac_em,
+                                  build_free_dirac, build_fw_direct, build_fw_full,
+                                  build_hamiltonian, const_triple, cross, dot,
+                                  kinetic_triple, triple)
 from relspin.operators import ALPHA, BETA, SIGMA, PhysParams
 
 
@@ -86,17 +86,17 @@ class TestDiracEM:
 
 class TestFwFull:
     def test_vocabulary_and_default_mask(self, grid_1d, params, uniform_b):
-        ham = build_fw_full(uniform_b, params, grid_1d)
-        assert tuple(ham.term_names()) == tuple(n for n in FW_FULL_TERMS
+        ham = build_hamiltonian("fw-full", uniform_b, params, grid_1d)
+        assert tuple(ham.term_names()) == tuple(n for n in FAMILIES["fw-full"].terms
                                                 if n != "rest-mass")
-        full = build_fw_full(uniform_b, params, grid_1d,
-                             term_mask=list(FW_FULL_TERMS))
+        full = build_hamiltonian("fw-full", uniform_b, params, grid_1d,
+                                 terms=list(FAMILIES["fw-full"].terms))
         assert "rest-mass" in full.term_names()
         with pytest.raises(PreconditionError):
-            build_fw_full(uniform_b, params, grid_1d, term_mask=["bogus"])
+            build_hamiltonian("fw-full", uniform_b, params, grid_1d, terms=["bogus"])
 
     def test_kinetic_only_expectation_oracle(self, grid_1d, params):
-        ham = build_fw_full(ZeroField(), params, grid_1d, term_mask=["kinetic"])
+        ham = build_hamiltonian("fw-full", ZeroField(), params, grid_1d, terms=["kinetic"])
         psi = gaussian_packet(grid_1d, 0.0, 16.0, 1.0, [1, 0, 0, 0])  # pure upper
         val = expectation(ham.total, psi)
         mom = psi.to_momentum()
@@ -105,7 +105,7 @@ class TestFwFull:
         assert abs(val.real - oracle) <= 1e-8
 
     def test_zeeman_on_upper_polarized(self, grid_1d, params, uniform_b):
-        ham = build_fw_full(uniform_b, params, grid_1d, term_mask=["zeeman"])
+        ham = build_hamiltonian("fw-full", uniform_b, params, grid_1d, terms=["zeeman"])
         psi = gaussian_packet(grid_1d, 0.0, 16.0, 1.0, [1, 0, 0, 0])
         val = expectation(ham.total, psi)
         # upper z-polarized: <beta Sigma_z> = +1
@@ -164,7 +164,7 @@ class TestFwFull:
 class TestFwDirect:
     def test_vocabulary(self, grid_1d, params, uniform_b):
         ham = build_fw_direct(uniform_b, params, grid_1d)
-        assert tuple(ham.term_names()) == FW_DIRECT_TERMS
+        assert tuple(ham.term_names()) == FAMILIES["fw-direct"].terms
 
     def test_zero_model_is_kinetic_only(self, grid_1d, params, rng):
         ham = build_fw_direct(ZeroField(), params, grid_1d)
@@ -206,8 +206,8 @@ class TestFwDirect:
         g = battery_3d[0].grid
         env = Envelope(shape="gaussian", amplitude=1.0, center=0.0, width=5.0)
         model = UniformB(np.array([0.0, 0.0, 0.2]), env)
-        printed = build_fw_direct(model, params, g, hermitize=False)
-        sym = build_fw_direct(model, params, g, hermitize=True)
+        printed = build_hamiltonian("fw-direct", model, params, g, hermitize=False)
+        sym = build_hamiltonian("fw-direct", model, params, g, hermitize=True)
         assert not printed.assume_hermitian and sym.assume_hermitian
         psi = battery_3d[0]
         t = 2.0

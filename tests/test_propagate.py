@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from relspin.dynamics import build_hamiltonian
 from relspin.errors import (BoundaryFluxError, KrylovConvergenceError, PreconditionError,
                             SingularMomentumError)
 from relspin.expr import _DiagLeaf, apply_expr, expectation
 from relspin.fields import Envelope, PlaneWavePulse, UniformB, UniformE, ZeroField
 from relspin.grid import GridSpec, SpinorField, gaussian_packet, zero_mode_weight
-from relspin.hamiltonians import (build_dirac_em, build_free_dirac,
-                                  build_fw_direct)
+from relspin.hamiltonians import (build_dirac_em, build_free_dirac, build_fw_direct,
+                                  build_hamiltonian)
 from relspin.operators import ALPHA, BETA, SIGMA, SpinKind, free_dirac_matrix
 from relspin.propagate import (OBSERVABLE_GUARD, Trajectory, _exp_minus_idt, _Observables,
                                _stepper, choose_propagator, ehrenfest_residual, krylov_step,
@@ -199,7 +198,7 @@ class TestKrylov:
     def test_time_reversal(self, params):
         g = GridSpec(1, 128, 128.0)
         model = UniformB(np.array([0.0, 0.0, 0.2]))
-        ham = build_fw_direct(model, params, g, hermitize=True)
+        ham = build_hamiltonian("fw-direct", model, params, g, hermitize=True)
         psi = gaussian_packet(g, 0.0, 8.0, 1.0, [1, 0, 0, 0],
                               params=params, energy_projection=True)
         fwd = krylov_step(ham, psi, 0.0, 0.05, tol=1e-13)
@@ -210,7 +209,7 @@ class TestKrylov:
     def test_matches_dense_expm(self, params, hermitize):
         # H(t + dt/2) as an explicit 4N x 4N matrix, one apply per unit column
         g = GridSpec(1, 32, 32.0)
-        ham = build_fw_direct(_PULSED_B, params, g, hermitize=hermitize)
+        ham = build_hamiltonian("fw-direct", _PULSED_B, params, g, hermitize=hermitize)
         psi = gaussian_packet(g, 0.0, 4.0, 0.5, [1, 1, 0, 0], params=params,
                               energy_projection=True)
         t, dt = 0.1, 0.05
@@ -281,12 +280,13 @@ class TestConstantStep:
     def test_one_step_is_dense_expm_per_point(self, params, fft_count, space, hermitize):
         g = GridSpec(1, 64, 64.0)
         b = np.array([0.03, -0.02, 0.04])  # Sigma_y makes M Hermitian, not symmetric
-        ham = build_fw_direct(UniformB(b), params, g, hermitize=hermitize).subset(["zeeman"])
+        ham = build_hamiltonian("fw-direct", UniformB(b), params, g, terms=["zeeman"],
+                                hermitize=hermitize)
         dense = -params.e / (2 * params.m0) * sum(bj * BETA @ s for bj, s in zip(b, SIGMA))
         psi = gaussian_packet(g, 0.0, 6.0, 0.5, [1, 1, 0, 0], params=params,
                               energy_projection=True).in_space(space)
         fft_count.reset()
-        got = _stepper(ham, None, 40, 1e-10)(psi, 0.2, 0.05)
+        got = _stepper(ham, None, 1e-10)(psi, 0.2, 0.05)
         assert fft_count.calls == 0 and got.space == space
         u = scipy.linalg.expm(-0.05j * dense)
         assert np.count_nonzero(u) == 8  # an oblique B: both 2x2 blocks of U are full
@@ -300,7 +300,8 @@ class TestConstantStep:
         # column is compared relative to its scale, at least 1, since energy
         # and S_z of this transverse precession are zero up to roundoff
         g = GridSpec(1, 128, 128.0)
-        ham = build_fw_direct(model, params, g, hermitize=hermitize).subset(["zeeman"])
+        ham = build_hamiltonian("fw-direct", model, params, g, terms=["zeeman"],
+                                hermitize=hermitize)
         psi = gaussian_packet(g, 0.0, 8.0, 0.5, [1, 1, 0, 0], params=params,
                               energy_projection=True)
         got = np.array(run(ham, psi, 0.05, 600, stride=100).rows)
@@ -404,7 +405,7 @@ def _stepwise_rows(ham, psi, dt, steps, stride, propagator=None, t0=0.0):
     """The rows of ``run`` with every step taken on its own, step s from
     t0 + s dt: the reference a run that crosses a stride in one step must
     equal."""
-    step = _stepper(ham, propagator, 40, 1e-10)
+    step = _stepper(ham, propagator, 1e-10)
     obs = _Observables(ham.grid, ham.params)
     rows = [obs.measure(ham, psi, t0)]
     for s in range(1, steps + 1):
@@ -416,9 +417,7 @@ def _stepwise_rows(ham, psi, dt, steps, stride, propagator=None, t0=0.0):
 
 def _leap_case(params, family, model=_UNIFORM_B, hermitize=False, terms=None):
     g = GridSpec(1, 128, 128.0)
-    ham = build_hamiltonian(family, model, params, g, hermitize=hermitize)
-    if terms is not None:
-        ham = ham.subset(terms)
+    ham = build_hamiltonian(family, model, params, g, terms=terms, hermitize=hermitize)
     return ham, gaussian_packet(g, 0.0, 8.0, 0.5, [1, 1, 0, 0], params=params,
                                 energy_projection=True)
 
@@ -578,7 +577,8 @@ class TestMeasure:
         # leaf under a static uniform B: the energy is a stack entry
         g = GridSpec(1, 256, 256.0)
         ham = (build_free_dirac(params, g) if family == "free" else
-               build_fw_direct(_UNIFORM_B, params, g, hermitize=hermitize).subset(["zeeman"]))
+               build_hamiltonian("fw-direct", _UNIFORM_B, params, g, terms=["zeeman"],
+                                 hermitize=hermitize))
         psi = gaussian_packet(g, 10.0, 12.0, 1.0, [1, 1, 0, 0], params=params,
                               energy_projection=True)
         obs = _Observables(g, params)
@@ -694,15 +694,15 @@ class TestEhrenfest:
         # A transverse time-varying uniform B on a 1D grid leaves the printed
         # direct Hamiltonian with a genuine anti-Hermitian part (the grid
         # carries only half of the induced field's curl), which makes it the
-        # cheapest honest exercise of the Arnoldi path plus the anti-Hermitian
-        # Ehrenfest extension.
+        # cheapest honest exercise of the Arnoldi path plus the Ehrenfest
+        # identity for a non-Hermitian H.
         from relspin.fields import Envelope
         g = GridSpec(1, 256, 256.0)
         psi = gaussian_packet(g, 0.0, 12.0, 1.0, [1, 1, 0, 0],
                               params=params, energy_projection=True)
         env = Envelope(shape="gaussian", amplitude=1.0, center=0.0, width=4.0)
         model = UniformB(np.array([0.0, 0.0, 0.2]), env)
-        ham = build_fw_direct(model, params, g, hermitize=False)
+        ham = build_hamiltonian("fw-direct", model, params, g, hermitize=False)
         assert not ham.assume_hermitian
         out = ehrenfest_residual(SpinKind.FW, ham, psi, 0.04, 6,
                                  krylov_tol=1e-11)

@@ -6,12 +6,13 @@ import pytest
 
 from relspin import grid as grid_module
 from relspin.cli import _refinement_grids, main
-from relspin.dynamics import build_hamiltonian
-from relspin.errors import ConfigError
+from relspin.errors import ConfigError, PreconditionError
 from relspin.expr import apply_expr
 from relspin.fields import UniformB
-from relspin.grid import GridSpec, SpinorField, set_fft_workers
+from relspin.grid import GridSpec, SpinorField, gaussian_packet, set_fft_workers
+from relspin.hamiltonians import FAMILIES, build_hamiltonian
 from relspin.operators import PhysParams
+from relspin.propagate import run
 from relspin.scenario import SCHEMA_ID, parse_scenario
 
 
@@ -124,6 +125,43 @@ class TestParsing:
         sc = parse_scenario(doc)
         pol = sc.state_spec["polarization"]
         assert pol[1] == 1j
+
+
+def test_families_table_is_what_the_code_does():
+    # FAMILIES is the one list of families and terms: every builder, the
+    # scenario parser and the propagator choice read it
+    params, grid, model = PhysParams(), GridSpec(1, 64, 64.0), UniformB([0.0, 0.0, 0.1])
+    assert set(FAMILIES) == {"free", "dirac-em", "fw-full", "fw-direct"}
+    for family, spec in FAMILIES.items():
+        assert build_hamiltonian(family, model, params, grid).term_names() == list(spec.default)
+        parse_scenario(base_scenario(hamiltonian={"family": family}, verification={
+            "checks": [{"kind": "fw", "family": family}]}))
+        if spec.split:
+            for key, value in (("terms", list(spec.terms)), ("hermitize", True)):
+                with pytest.raises(PreconditionError, match=family):
+                    build_hamiltonian(family, model, params, grid, **{key: value})
+                with pytest.raises(ConfigError, match=f"hamiltonian.{key}"):
+                    parse_scenario(base_scenario(hamiltonian={"family": family, key: value}))
+            continue
+        for term in spec.terms:
+            ham = build_hamiltonian(family, model, params, grid, terms=[term], hermitize=True)
+            assert ham.term_names() == [term] and ham.assume_hermitian
+            sc = parse_scenario(base_scenario(hamiltonian={"family": family, "terms": [term]}))
+            assert sc.make_hamiltonian().term_names() == [term]
+    for family in ("Free", "dirac", "fw", "pauli"):
+        with pytest.raises(ConfigError, match="hamiltonian.family"):
+            parse_scenario(base_scenario(hamiltonian={"family": family}))
+        with pytest.raises(ConfigError, match=r"verification.checks\[0\].family"):
+            parse_scenario(base_scenario(verification={
+                "checks": [{"kind": "fw", "family": family}]}))
+        with pytest.raises(PreconditionError, match="unknown Hamiltonian family"):
+            build_hamiltonian(family, model, params, grid)
+    ham = build_hamiltonian("fw-direct", model, params, grid, terms=["zeeman"])
+    psi = gaussian_packet(grid, 0.0, 4.0, 0.5, [1, 0, 0, 0], params=params,
+                          energy_projection=True)
+    for propagator in ("strang", "bogus", ""):
+        with pytest.raises(PreconditionError, match="propagator"):
+            run(ham, psi, 0.05, 2, propagator=propagator)
 
 
 class TestCheckOperators:
@@ -281,27 +319,32 @@ class TestVerifyDynamics:
                  "envelope": {"shape": "gaussian", "amplitude": 1.0,
                               "center": 0.3, "width": 2.0}}
 
-    @pytest.mark.parametrize("family, terms", [
+    @pytest.mark.parametrize("family, shape", [
         # fw-full names that fw-direct does not have
-        ("fw-full", ["kinetic", "darwin"]),
+        ("fw-full", {"terms": ["kinetic", "darwin"]}),
         # a subset of the checked family itself: the soc and nutation terms,
         # live under the pulse, stay in the checked Hamiltonian
-        ("fw-direct", ["kinetic", "zeeman"]),
-    ], ids=["fw-full-terms", "fw-direct-subset"])
-    def test_checks_ignore_the_term_mask(self, tmp_path, capsys, family, terms):
-        # hamiltonian.terms selects what simulate and sweep propagate; a
-        # check verifies its family's full Hamiltonian either way
+        ("fw-direct", {"terms": ["kinetic", "zeeman"]}),
+        # the checked family itself, hermitized
+        ("fw-direct", {"hermitize": True}),
+    ], ids=["fw-full-terms", "fw-direct-subset", "fw-direct-hermitize"])
+    def test_checks_ignore_the_term_mask(self, tmp_path, capsys, family, shape):
+        # hamiltonian.terms and hermitize shape what simulate and sweep
+        # propagate; a check verifies its family's printed Hamiltonian either way
         docs = {}
-        for name, hamiltonian in (("masked", {"family": family, "terms": terms}),
+        for name, hamiltonian in (("masked", dict(shape, family=family)),
                                   ("full", {"family": family})):
             docs[name] = base_scenario(
                 field=self._PULSED_B, hamiltonian=hamiltonian,
                 verification={"checks": [{"kind": "pryce", "family": "fw-direct"}],
                               "refine_levels": 0})
         sc = parse_scenario(docs["masked"])
-        assert sc.make_hamiltonian().term_names() == terms
-        assert sc.make_hamiltonian(family="fw-direct").term_names() == \
-            ["kinetic", "zeeman", "field-derivative-soc", "nutation"]
+        propagated = sc.make_hamiltonian()
+        assert propagated.term_names() == shape.get("terms", list(FAMILIES[family].default))
+        assert propagated.assume_hermitian == shape.get("hermitize", False)
+        checked = sc.make_hamiltonian(family="fw-direct")
+        assert checked.term_names() == ["kinetic", "zeeman", "field-derivative-soc", "nutation"]
+        assert not checked.assume_hermitian
         reports = {}
         for name, doc in docs.items():
             path = write_scenario(tmp_path, doc, name=f"{name}.json")
@@ -365,6 +408,21 @@ class TestSimulate:
         del doc["propagation"]
         path = write_scenario(tmp_path, doc)
         assert main(["simulate", "--scenario", path]) == 2
+
+    @pytest.mark.parametrize("command, key", [
+        ("simulate", "trajectory"), ("verify-dynamics", "report"), ("sweep", "sweep")])
+    @pytest.mark.parametrize("value", [2, True, []], ids=["fd", "true", "list"])
+    def test_non_string_output_is_config_error(self, tmp_path, capsys, monkeypatch, command,
+                                               key, value):
+        # a number once named a file descriptor (2 wrote the CSV to stderr,
+        # true to stdout) and a list ended in a traceback
+        monkeypatch.chdir(tmp_path)
+        path = write_scenario(tmp_path, base_scenario(output={key: value}))
+        extra = ["--field-grid", "0.1"] if command == "sweep" else []
+        assert main([command, "--scenario", path] + extra) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"output.{key}" in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "scenario.json"]
 
 
 class TestSweep:

@@ -90,8 +90,12 @@ _PLANE_WAVE = {"type": "plane_wave", "e0": [0.0, 0.1, 0.0], "wavevector": [0.5, 
     ("state", {"sigma": 16.0, "polarization": [[1], [0], [0], [0]]}, "state.polarization"),
     ("hamiltonian", {"family": "fw-direct", "terms": [{}]}, "hamiltonian.terms"),
     ("verification", {"checks": [None]}, r"verification.checks\[0\]"),
+    ("verification", {"refine_levels": -3}, "verification.refine_levels"),
+    ("output", {"trajectory": 2}, "output.trajectory"),
+    ("hamiltonian", {"family": "dirac-em", "hermitize": True}, "hamiltonian.hermitize"),
 ], ids=["omega-zero", "no-wavevector", "coeff-none", "n-none", "huge-length",
-        "huge-dt", "short-pair", "term-object", "check-none"])
+        "huge-dt", "short-pair", "term-object", "check-none", "negative-refine",
+        "output-fd", "split-hermitize"])
 def test_found_escapes_are_config_errors(section, value, path):
     # parse_scenario once let each of these out as another exception, or
     # (term-object) accepted it silently
