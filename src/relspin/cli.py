@@ -114,10 +114,20 @@ def _refinement_grids(grid, levels):
     return [GridSpec(grid.dim, n, grid.lengths) for n in ladder if 8 <= min(n) and max(n) <= cap]
 
 
+def _writable(path):
+    """``path``, refused before the run when it is a directory or its
+    directory does not exist (opened only after the run, it would end the run
+    in a traceback)."""
+    if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+        raise ConfigError(path, "not a file in an existing directory")
+    return path
+
+
 def cmd_verify_dynamics(args):
     sc = load_scenario(args.scenario)
     if not sc.checks:
         raise ConfigError("verification.checks", "no checks requested")
+    out = _writable(args.report or sc.output.get("report"))
     if sc.battery == "standard":
         states = standard_battery(sc.grid, sc.params)
     else:
@@ -169,7 +179,6 @@ def cmd_verify_dynamics(args):
     doc = {"schema": "relspin-verification/1",
            "reports": [r.to_dict() for r in reports],
            "total_j": tj}
-    out = args.report or sc.output.get("report")
     if out:
         with open(out, "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
@@ -181,10 +190,10 @@ def cmd_simulate(args):
     sc = load_scenario(args.scenario)
     if sc.steps < 1:
         raise ConfigError("propagation", "simulate needs a propagation section")
+    out = _writable(args.output or sc.output.get("trajectory", "trajectory.csv"))
     ham = sc.make_hamiltonian()
     state = sc.make_state()
     traj = run(ham, state, sc.dt, sc.steps, stride=sc.stride)
-    out = args.output or sc.output.get("trajectory", "trajectory.csv")
     traj.save(out)
     print(f"{len(traj.rows)} samples -> {out}")
     return EXIT_OK
@@ -212,6 +221,7 @@ def cmd_sweep(args):
         raise ConfigError("--field-grid", f"expected comma-separated numbers: {exc}")
     if not values or not np.all(np.isfinite(values)):
         raise ConfigError("--field-grid", f"needs one or more finite field strengths, got {values}")
+    out = _writable(args.output or sc.output.get("sweep", "sweep.csv"))
 
     state = sc.make_state()
     lines = ["B0,t,d_Py,d_FW"]
@@ -226,7 +236,6 @@ def cmd_sweep(args):
                            for ax in "xyz"))
         for i in range(len(t)):
             lines.append("%.17g,%.17g,%.17g,%.17g" % (value, t[i], d_py[i], d_fw[i]))
-    out = args.output or sc.output.get("sweep", "sweep.csv")
     with open(out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"sweep over {len(values)} field strengths -> {out}")

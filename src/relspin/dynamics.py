@@ -475,12 +475,7 @@ def verify(kind: SpinKind, hamiltonian: NamedHamiltonian, states,
     terms, _ = rhs(kind, hamiltonian.family, hamiltonian.model, params)
 
     gains = {} if removal_gains else None
-    term_struct = {}
-    for name, triple in terms:
-        parities = {block_parity(comp) for comp in triple}
-        parities.discard("zero")
-        term_struct[name] = parities.pop() if len(parities) == 1 else (
-            "zero" if not parities else "mixed")
+    term_struct = {name: block_parity(Add(list(triple))) for name, triple in terms}
 
     cells = []
     for si, psi in enumerate(states):

@@ -54,6 +54,10 @@ Scale scales its child's in place, and a transform of a node's own result
 move back to the input's space; ``own=True``) overwrites it.  The caller's
 state and the leaves' cached scalars are never written.
 
+One structural walk, ``_fold``, reads a tree's 4x4 form; ``constant_matrix``
+is its matrix over constant leaves, and ``block_parity`` reads the blocks of
+its form over the leaves' sum_j |M_j| (every factor 1, so nothing cancels).
+
 Leaves flagged ``singular_origin`` (the longitudinal 1/p^2 projector and
 friends) refuse to act on states whose k = 0 amplitude fraction exceeds the
 zero-mode guard, and their scalar producers must return 0 in that bin (so a
@@ -90,22 +94,6 @@ def _one(grid, t):
 
 class OperatorExpr:
     """Base class; use the concrete leaves and combinators below."""
-
-    def _vanishes(self, grid: GridSpec, t: float) -> bool:
-        """True when the operator is known to be exactly zero at t."""
-        return False
-
-    def __add__(self, other):
-        return Add([self, other])
-
-    def __sub__(self, other):
-        return Add([self, Scale(-1.0, other)])
-
-    def __matmul__(self, other):
-        return Mul(self, other)
-
-    def __rmul__(self, factor):
-        return Scale(factor, self)
 
 
 class _DiagLeaf(OperatorExpr):
@@ -218,8 +206,6 @@ class Add(OperatorExpr):
                 np.add(acc[out.space].data, acc[out.space].data_of(out), out=acc[out.space].data)
             else:
                 acc[out.space] = out
-        if not acc:
-            return _zero_like(field)
         # one cross-space move, into the input's space
         out = acc.pop(field.space) if field.space in acc else acc.popitem()[1]
         for other in acc.values():
@@ -269,13 +255,11 @@ def Adjoint(expr: OperatorExpr) -> OperatorExpr:
     return expr._adjoint()
 
 
-def _zero_like(field):
-    return field.with_data(np.zeros_like(field.data))
-
-
 def _evaluate(expr, field, t, guard):
     """E psi, or a zero field for an expression known to vanish."""
-    return _zero_like(field) if expr._vanishes(field.grid, t) else expr._apply(field, t, guard)
+    if expr._vanishes(field.grid, t):
+        return field.with_data(np.zeros_like(field.data))
+    return expr._apply(field, t, guard)
 
 
 def apply_expr(expr: OperatorExpr, field: SpinorField, t: float = 0.0,
@@ -396,71 +380,44 @@ class LeafStack:
         return out[:self._shown]
 
 
-# -- static block-structure analysis -----------------------------------------
+# -- static 4x4 forms ----------------------------------------------------------
 
-def _matrix_parity(m, tol=1e-12):
-    scale = max(np.max(np.abs(m)), 1e-300)
-    off = max(np.max(np.abs(m[:2, 2:])), np.max(np.abs(m[2:, :2])))
-    diag = max(np.max(np.abs(m[:2, :2])), np.max(np.abs(m[2:, 2:])))
-    if off <= tol * scale and diag <= tol * scale:
-        return "zero"
-    if off <= tol * scale:
-        return "diagonal"
-    if diag <= tol * scale:
-        return "offdiagonal"
-    return "mixed"
-
-
-def _combine_add(parities):
-    parities = {p for p in parities if p != "zero"}
-    if not parities:
-        return "zero"
-    if len(parities) == 1:
-        return parities.pop()
-    return "mixed"
-
-
-def _combine_mul(a, b):
-    if "zero" in (a, b):
-        return "zero"
-    if "mixed" in (a, b):
-        return "mixed"
-    return "diagonal" if a == b else "offdiagonal"
+def _fold(expr, leaf, factor, zero):
+    """The tree's 4x4 form: ``leaf`` maps a leaf to a matrix (or None), Add
+    sums, Mul gives left @ right, Scale multiplies by ``factor(f)``, and a
+    subtree where ``zero`` holds is 0.  None when a leaf it reaches is."""
+    if zero(expr):
+        return np.zeros((4, 4), dtype=complex)
+    if isinstance(expr, _DiagLeaf):
+        return leaf(expr)
+    if isinstance(expr, Add):
+        parts = [_fold(child, leaf, factor, zero) for child in expr.children]
+        return None if any(part is None for part in parts) else sum(parts)
+    if isinstance(expr, Mul):
+        right = _fold(expr.right, leaf, factor, zero)
+        left = None if right is None else _fold(expr.left, leaf, factor, zero)
+        return None if left is None else left @ right
+    child = _fold(expr.child, leaf, factor, zero)
+    return None if child is None else factor(expr.factor) * child
 
 
 def block_parity(expr: OperatorExpr) -> str:
     """Classify an expression's particle-antiparticle block structure as
-    'diagonal', 'offdiagonal', 'zero', or 'mixed', by propagating the parity
-    of every leaf matrix through the tree."""
-    if isinstance(expr, _DiagLeaf):
-        return _combine_add(_matrix_parity(m) for _, m in expr.terms)
-    if isinstance(expr, Add):
-        return _combine_add(block_parity(c) for c in expr.children)
-    if isinstance(expr, Mul):
-        return _combine_mul(block_parity(expr.left), block_parity(expr.right))
-    if isinstance(expr, Scale):
-        return block_parity(expr.child)
-    raise PreconditionError(f"unknown expression node {type(expr).__name__}")
+    'diagonal', 'offdiagonal', 'zero', or 'mixed': the blocks where the
+    tree's form over its leaves' |M_j| (every factor 1) is nonzero."""
+    form = _fold(expr, lambda leaf: sum((np.abs(m) for _, m in leaf.terms), np.zeros((4, 4))),
+                 lambda f: 1.0, lambda e: False)
+    tol = 1e-12 * form.max()
+    diag = max(form[:2, :2].max(), form[2:, 2:].max()) > tol
+    off = max(form[:2, 2:].max(), form[2:, :2].max()) > tol
+    return ("zero", "offdiagonal", "diagonal", "mixed")[2 * diag + off]
 
 
 def constant_matrix(expr: OperatorExpr, grid: GridSpec, t: float):
     """The 4x4 matrix of an expression whose live leaves are all constants at
     (grid, t), or None.  It reads the leaves' fill records and applies
-    nothing; a vanishing subtree is zero, and Mul gives left @ right."""
-    if expr._vanishes(grid, t):
-        return np.zeros((4, 4), dtype=complex)
-    if isinstance(expr, _DiagLeaf):
-        # a term of size > 1 that is not live has a zero matrix
-        return None if expr._axes else sum(m * a.reshape(()) for (_, m), a in
-                                           zip(expr.terms, expr._arrays) if a.size == 1)
-    if isinstance(expr, Add):
-        parts = [constant_matrix(child, grid, t) for child in expr.children]
-        return None if any(part is None for part in parts) else sum(parts)
-    if isinstance(expr, Mul):
-        right = constant_matrix(expr.right, grid, t)
-        left = None if right is None else constant_matrix(expr.left, grid, t)
-        return None if left is None else left @ right
-    if isinstance(expr, Scale):
-        child = constant_matrix(expr.child, grid, t)
-        return None if child is None else expr.factor * child
-    raise PreconditionError(f"unknown expression node {type(expr).__name__}")
+    nothing; a vanishing subtree is zero."""
+    def leaf(node):  # a term of size > 1 that is not live has a zero matrix
+        return None if node._axes else sum(m * a.reshape(()) for (_, m), a in
+                                           zip(node.terms, node._arrays) if a.size == 1)
+    return _fold(expr, leaf, lambda f: f, lambda e: e._vanishes(grid, t))

@@ -67,14 +67,19 @@ def _get(doc, path, key, expected=None, default=_SENTINEL, items=None):
             return default
         raise ConfigError(here, "missing required field")
     value = doc[key]
-    if expected is not None and not isinstance(value, expected):
+    if expected is not None and not _is(value, expected):
         raise ConfigError(
             here, f"expected {_names(expected)}, got {type(value).__name__}")
     if items is not None and isinstance(value, list) and not all(
-            isinstance(v, items) for v in value):
+            _is(v, items) for v in value):
         raise ConfigError(here, f"expected a list of {_names(items)}")
     _check_finite(value, here)
     return value
+
+
+def _is(value, types):
+    """isinstance, except that a JSON boolean is not a number."""
+    return isinstance(value, types) and (types is bool or not isinstance(value, bool))
 
 
 def _names(types):
@@ -100,7 +105,7 @@ def _check_finite(value, where):
 
 def _vec3(doc, path, key, default=_SENTINEL):
     v = _get(doc, path, key, list, default)
-    if len(v) != 3 or not all(isinstance(x, (int, float)) for x in v):
+    if len(v) != 3 or not all(_is(x, (int, float)) for x in v):
         raise ConfigError(f"{path}.{key}", "expected a 3-vector of numbers")
     return np.asarray(v, dtype=float)
 
@@ -247,7 +252,7 @@ def parse_scenario(doc: dict) -> Scenario:
             pol = _POLARIZATIONS[pol]
         else:
             if len(pol) != 4 or any(not isinstance(p, list) or len(p) != 2 or not all(
-                    isinstance(x, (int, float)) for x in p) for p in pol):
+                    _is(x, (int, float)) for x in p) for p in pol):
                 raise ConfigError("state.polarization", "expected 4 [re, im] pairs")
             pol = np.array([complex(p[0], p[1]) for p in pol])
         sigma = float(_get(sdoc, "state", "sigma", (int, float)))
@@ -304,6 +309,9 @@ def parse_scenario(doc: dict) -> Scenario:
     odoc = _get(doc, "", "output", dict, {})
     output = {key: _get(odoc, "output", key, str) for key in ("trajectory", "report", "sweep")
               if key in odoc}
+    for key, path in output.items():
+        if not path:
+            raise ConfigError(f"output.{key}", "expected a non-empty path")
     return Scenario(params, grid, model, family, term_mask,
                     hermitize, state_spec, dt, steps, stride, checks, battery,
                     refine_levels, output)

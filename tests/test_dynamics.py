@@ -8,7 +8,7 @@ from relspin.algebra import ID4, commutator, levi_civita
 from relspin.errors import PreconditionError
 from relspin.expr import (ConstMatrix, MomentumDiag, Mul, OperatorExpr, Scale,
                           _DiagLeaf, apply_expr, block_parity)
-from relspin.fields import Envelope, PlaneWavePulse, UniformB, ZeroField
+from relspin.fields import Envelope, PlaneWavePulse, UniformB, UniformE, ZeroField
 from relspin.grid import GridSpec, SpinorField, gaussian_packet
 from relspin.hamiltonians import (build_dirac_em, build_free_dirac, build_fw_direct,
                                   build_hamiltonian)
@@ -124,6 +124,8 @@ class TestRhsBuilders:
                 params)
         with pytest.raises(PreconditionError):
             rhs(SpinKind.FW, "fw-full", UniformB(), params)
+        with pytest.raises(PreconditionError, match="scalar potential"):
+            rhs(SpinKind.PRYCE, "dirac-em", UniformE(np.array([0.01, 0.0, 0.0])), params)
 
     def test_term_vocabulary(self, params):
         model = UniformB(np.array([0.0, 0.0, 0.1]))

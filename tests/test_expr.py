@@ -333,7 +333,7 @@ class TestExactZeros:
 
 
 def _comm(a, b):
-    return a @ b - b @ a
+    return Add([Mul(a, b), Scale(-1.0, Mul(b, a))])
 
 
 class TestCanonicalCommutator:

@@ -1,0 +1,114 @@
+"""A dense-matrix oracle: an operator tree on a small 1D grid as an explicit
+4N x 4N matrix on ``psi.values.ravel()``, built from its leaves' producers and
+matrices without ``apply_expr``.  A position leaf sum_j f_j(x) M_j is
+block-diagonal, and a momentum leaf is sum_j M_j (x) F^H diag(f_j) F, with F
+the unitary DFT F[m, n] = exp(-i k_m r_n) / sqrt(N) of the grid's
+conventions.  Random trees mixing both spaces check the evaluator,
+``constant_matrix``, ``block_parity`` and ``Adjoint`` against it."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from relspin.algebra import ID4
+from relspin.expr import (Add, Adjoint, Mul, MomentumDiag, PositionDiag, Scale, _DiagLeaf,
+                          apply_expr, block_parity, constant_matrix)
+from relspin.grid import MOMENTUM, POSITION, GridSpec, SpinorField
+from relspin.operators import ALPHA, BETA, SIGMA
+
+GRIDS = [GridSpec(1, 16, 12.0), GridSpec(1, 32, 20.0)]
+
+_MATRICES = [ID4, BETA, ALPHA[0], ALPHA[2], SIGMA[1], 1j * BETA @ ALPHA[1],
+             SIGMA[0] @ ALPHA[0], (ID4 - BETA) @ SIGMA[2], np.zeros((4, 4))]
+
+
+def _inf_norm(m):
+    return np.abs(m).sum(axis=1).max()
+
+
+def dense(expr, grid, t=0.0):
+    """``expr`` as a 4N x 4N matrix, and a bound on its infinity norm that
+    adds and multiplies its pieces' norms: the scale of an evaluator's
+    roundoff, also where a sum cancels."""
+    if isinstance(expr, _DiagLeaf):
+        k, r = grid.axis_momenta(0), grid.axis_positions(0)
+        f = np.exp(-1j * np.outer(k, r)) / np.sqrt(grid.n[0])
+        out = 0
+        for fn, m in expr.terms:
+            diag = np.diag(np.broadcast_to(fn(grid, t), grid.shape).astype(complex))
+            out = out + np.kron(m, diag if expr.space == POSITION else f.conj().T @ diag @ f)
+        return out, _inf_norm(out)
+    if isinstance(expr, Add):
+        parts = [dense(child, grid, t) for child in expr.children]
+        return sum(m for m, _ in parts), sum(b for _, b in parts)
+    if isinstance(expr, Mul):
+        (left, bl), (right, br) = dense(expr.left, grid, t), dense(expr.right, grid, t)
+        return left @ right, bl * br
+    child, b = dense(expr.child, grid, t)
+    return expr.factor * child, abs(expr.factor) * b
+
+
+def _producer(kind, seed):
+    if kind == "complex":
+        return lambda g, t: (np.random.default_rng(seed).normal(size=g.shape)
+                             + 1j * np.random.default_rng(seed + 1).normal(size=g.shape))
+    if kind == "real":
+        return lambda g, t: np.random.default_rng(seed).normal(size=g.shape)
+    if kind == "constant":
+        return lambda g, t: np.asarray(complex(seed % 7 - 3, 0.5))
+    return lambda g, t: np.zeros(g.shape)
+
+
+def _leaf(space, terms):
+    return space([(_producer(kind, seed), _MATRICES[j]) for kind, seed, j in terms])
+
+
+leaves = st.builds(_leaf, st.sampled_from([PositionDiag, MomentumDiag]), st.lists(st.tuples(
+    st.sampled_from(["complex", "real", "constant", "zero"]), st.integers(0, 2**16),
+    st.integers(0, len(_MATRICES) - 1)), min_size=1, max_size=3))
+
+trees = st.recursive(leaves, lambda inner: st.one_of(
+    st.lists(inner, min_size=1, max_size=3).map(Add),
+    st.builds(Mul, inner, inner),
+    st.builds(Scale, st.sampled_from([0.0, -1.0, 0.5 - 2j]), inner)), max_leaves=6)
+
+
+def _blocks(m, n):
+    """The largest |entry| of m's particle-particle/antiparticle-antiparticle
+    blocks and of its off-diagonal blocks."""
+    b = np.abs(m.reshape(4, n, 4, n))
+    return (max(b[:2, :, :2].max(), b[2:, :, 2:].max()),
+            max(b[:2, :, 2:].max(), b[2:, :, :2].max()))
+
+
+_ALLOWED = {"zero": (False, False), "diagonal": (True, False),
+            "offdiagonal": (False, True), "mixed": (True, True)}
+
+
+@given(trees, st.sampled_from(GRIDS), st.sampled_from([POSITION, MOMENTUM]),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_tree_is_its_dense_matrix(expr, grid, space, seed):
+    n = grid.n[0]
+    m, bound = dense(expr, grid)
+    rng = np.random.default_rng(seed)
+    vals = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
+    tol = 1e-13 * max(bound, 1.0)
+
+    # the evaluator, from either space, and its adjoint tree
+    adj, adj_bound = dense(Adjoint(expr), grid)
+    assert np.max(np.abs(adj - m.conj().T)) <= tol
+    for e, want_m, b in ((expr, m, bound), (Adjoint(expr), adj, adj_bound)):
+        want = (want_m @ vals.ravel()).reshape(4, n)
+        got = apply_expr(e, SpinorField(grid, vals).in_space(space)).in_space(POSITION).values
+        scale = max(np.abs(want).max(), b * np.abs(vals).max())
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    # a constant tree is the same 4x4 matrix at every point
+    const = constant_matrix(expr, grid, 0.0)
+    if const is not None:
+        assert np.max(np.abs(m - np.kron(const, np.eye(n)))) <= tol
+
+    # the measured block pattern lies within the claimed parity
+    diag, off = _blocks(m, n)
+    may_diag, may_off = _ALLOWED[block_parity(expr)]
+    assert (diag <= tol or may_diag) and (off <= tol or may_off)

@@ -4,14 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from relspin import cli
 from relspin import grid as grid_module
 from relspin.cli import _refinement_grids, main
+from relspin.dynamics import classify_residual_series, standard_battery, verify
 from relspin.errors import ConfigError, PreconditionError
 from relspin.expr import apply_expr
 from relspin.fields import UniformB
 from relspin.grid import GridSpec, SpinorField, gaussian_packet, set_fft_workers
 from relspin.hamiltonians import FAMILIES, build_hamiltonian
-from relspin.operators import PhysParams
+from relspin.operators import PhysParams, SpinKind
 from relspin.propagate import run
 from relspin.scenario import SCHEMA_ID, parse_scenario
 
@@ -354,6 +356,31 @@ class TestVerifyDynamics:
             reports[name] = report.read_bytes()
         assert reports["masked"] == reports["full"]
 
+    def test_refinement_rungs_each_report_their_residual(self, tmp_path):
+        # a 1D ladder of 128 to 1024 points: 128 cannot host the battery
+        # (Nyquist), 256 is the scenario's own check, 512 and 1024 are run
+        doc = base_scenario(
+            field={"type": "uniform_b", "b0": [0.0, 0.0, 0.05]},
+            hamiltonian={"family": "dirac-em"},
+            verification={"checks": [{"kind": "pryce", "family": "dirac-em"}],
+                          "refine_levels": 2})
+        report = tmp_path / "report.json"
+        path = write_scenario(tmp_path, doc)
+        assert main(["verify-dynamics", "--scenario", path, "--report", str(report)]) == 1
+        (rep,) = json.loads(report.read_text())["reports"]
+        sc = parse_scenario(doc)
+        want = []
+        for n in (256, 512, 1024):
+            g = GridSpec(1, n, 256.0)
+            ham = build_hamiltonian("dirac-em", sc.model, sc.params, g)
+            want.append(verify(SpinKind.PRYCE, ham, standard_battery(g, sc.params),
+                               removal_gains=False).residual)
+        assert [r["n"] for r in rep["refinement"]] == [256, 512, 1024]
+        assert [r["residual"] for r in rep["refinement"]] == pytest.approx(want, rel=1e-12)
+        assert rep["classification"] == classify_residual_series(
+            [r["residual"] for r in rep["refinement"]])
+        assert set(rep["term_classification"].values()) == {rep["classification"]}
+
     def test_missing_checks_rejected(self, tmp_path):
         doc = base_scenario(verification={"checks": []})
         path = write_scenario(tmp_path, doc)
@@ -424,6 +451,27 @@ class TestSimulate:
         assert out == "" and f"output.{key}" in err
         assert list(tmp_path.iterdir()) == [tmp_path / "scenario.json"]
 
+    @pytest.mark.parametrize("command, key", [
+        ("simulate", "trajectory"), ("verify-dynamics", "report"), ("sweep", "sweep")])
+    @pytest.mark.parametrize("value", ["nodir/out.csv", "adir", ""],
+                             ids=["no-dir", "is-dir", "empty"])
+    def test_bad_output_path_refused_before_the_run(self, tmp_path, capsys, monkeypatch,
+                                                    command, key, value):
+        # each once ran the whole job and then ended in a traceback at the open
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        calls = []
+        monkeypatch.setattr(cli, "run", lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setattr(cli, "verify", lambda *args, **kwargs: calls.append(args))
+        doc = base_scenario(field={"type": "uniform_b", "b0": [0.0, 0.0, 0.1]},
+                            output={key: value})
+        path = write_scenario(tmp_path, doc)
+        extra = ["--field-grid", "0.1"] if command == "sweep" else []
+        assert main([command, "--scenario", path] + extra) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and (value or f"output.{key}") in err and "Traceback" not in err
+        assert calls == []
+
 
 class TestSweep:
     def sweep_scenario(self):
@@ -458,6 +506,17 @@ class TestSweep:
         doc["field"]["b0"] = [0.0, 0.0, 0.0]
         path = write_scenario(tmp_path, doc)
         assert main(["sweep", "--scenario", path, "--field-grid", "0.1"]) == 2
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda d: d.pop("propagation"), "propagation"),
+        (lambda d: d.update(field={"type": "zero"}), "field.type"),
+    ], ids=["no-propagation", "zero-field"])
+    def test_scenario_refused(self, tmp_path, capsys, edit, named):
+        doc = self.sweep_scenario()
+        edit(doc)
+        path = write_scenario(tmp_path, doc)
+        assert main(["sweep", "--scenario", path, "--field-grid", "0.1"]) == 2
+        assert named in capsys.readouterr().err
 
     def test_bad_field_grid(self, tmp_path):
         path = write_scenario(tmp_path, self.sweep_scenario())

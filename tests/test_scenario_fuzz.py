@@ -93,12 +93,30 @@ _PLANE_WAVE = {"type": "plane_wave", "e0": [0.0, 0.1, 0.0], "wavevector": [0.5, 
     ("verification", {"refine_levels": -3}, "verification.refine_levels"),
     ("output", {"trajectory": 2}, "output.trajectory"),
     ("hamiltonian", {"family": "dirac-em", "hermitize": True}, "hamiltonian.hermitize"),
+    ("propagation", {"dt": 0.01, "steps": True}, "propagation.steps"),
+    ("propagation", {"dt": 0.01, "steps": 4, "stride": True}, "propagation.stride"),
+    ("verification", {"refine_levels": True}, "verification.refine_levels"),
+    ("grid", {"dim": True, "n": 256, "lengths": 256.0}, "grid.dim"),
+    ("params", {"m0": True}, "params.m0"),
+    ("output", {"report": ""}, "output.report"),
+    ("propagation", {"dt": 0.01, "steps": 0}, "propagation.steps"),
+    ("propagation", {"dt": 0.01, "steps": 4, "stride": 0}, "propagation.stride"),
+    ("verification", {"battery": "bogus"}, "verification.battery"),
+    ("field", {"type": "uniform_b", "b0": [0, 0, 1], "envelope": {"shape": "bogus"}},
+     "field.envelope.shape"),
+    ("field", {"type": "bogus"}, "field.type"),
+    ("field", {"type": "uniform_e", "e0": [0.1, 0, 0],
+               "envelope": {"shape": "poly", "coeffs": [1.0, 0.1, 0.0, 0.2]}},
+     "field.envelope.coeffs"),
 ], ids=["omega-zero", "no-wavevector", "coeff-none", "n-none", "huge-length",
         "huge-dt", "short-pair", "term-object", "check-none", "negative-refine",
-        "output-fd", "split-hermitize"])
+        "output-fd", "split-hermitize", "steps-true", "stride-true", "refine-true",
+        "dim-true", "m0-true", "output-empty", "steps-zero", "stride-zero",
+        "unknown-battery", "unknown-shape", "unknown-field", "cubic-poly"])
 def test_found_escapes_are_config_errors(section, value, path):
     # parse_scenario once let each of these out as another exception, or
-    # (term-object) accepted it silently
+    # (term-object, the booleans, output-empty) accepted it silently; the
+    # last six rows are refusals no other test reached
     with pytest.raises(ConfigError, match=path):
         parse_scenario(dict(VALID[0], **{section: value}))
 
