@@ -15,7 +15,7 @@ from .algebra import anticommutator, commutator, dirac_matrices, herm_eigs, is_h
 from .errors import (BoundaryFluxError, ConfigError, GridResolutionError,
                      KrylovConvergenceError, PreconditionError,
                      SingularMomentumError)
-from .fields import Envelope, PlaneWavePulse, UniformB, UniformE, ZeroField, maxwell_probe
+from .fields import Envelope, PlaneWavePulse, UniformB, UniformE, ZeroField
 from .grid import GridSpec, SpinorField, gaussian_packet, load_field, save_field, zero_mode_weight
 from .hamiltonians import (NamedHamiltonian, build_dirac_em, build_free_dirac,
                            build_fw_direct, build_fw_full)
@@ -31,7 +31,7 @@ __all__ = [
     "is_hermitian", "BoundaryFluxError", "ConfigError",
     "GridResolutionError", "KrylovConvergenceError", "PreconditionError",
     "SingularMomentumError", "Envelope", "PlaneWavePulse", "UniformB", "UniformE",
-    "ZeroField", "maxwell_probe", "GridSpec", "SpinorField", "gaussian_packet",
+    "ZeroField", "GridSpec", "SpinorField", "gaussian_packet",
     "load_field", "save_field", "zero_mode_weight", "NamedHamiltonian",
     "build_dirac_em", "build_free_dirac", "build_fw_direct", "build_fw_full",
     "PhysParams", "SpinKind", "condition_checks", "energy_ep", "free_dirac_matrix",

@@ -503,12 +503,12 @@ def verify(kind: SpinKind, hamiltonian: NamedHamiltonian, states,
     return report
 
 
-def classify_residual_series(residuals, hold_tol: float = HOLD_TOL) -> str:
+def classify_residual_series(residuals) -> str:
     """Classify a coarse-to-fine residual series."""
     if not residuals:
         return "non-converging"
     finest = residuals[-1]
-    if finest <= hold_tol:
+    if finest <= HOLD_TOL:
         return "holds"
     if len(residuals) >= 2 and finest <= 0.5 * residuals[0]:
         return "converging"

@@ -3,10 +3,12 @@
 Every model supplies the potentials (A, phi) together with E, B and the time
 derivatives dB/dt, d2B/dt2 (plus dE/dt and div E, which the fourth-order
 Hamiltonian terms need) as analytic closed forms -- derivatives are never
-finite-differenced in production code.  ``maxwell_probe`` is the independent
-stencil check that B = curl A and E = -dA/dt - grad phi actually hold for
-whatever a model returns.  Operators read only the vectorized ``*_mesh``
-methods; the point evaluation ``sample`` is the test reference.
+finite-differenced in production code.  Each quantity is transcribed once,
+in the model's vectorized ``*_mesh`` method, which every operator reads.
+The tests check the meshes against a closed form of the potentials alone:
+B = curl A, E = -dA/dt - grad phi, the time derivatives and div E follow
+from it and from the meshes by complex-step differentiation, so the meshes
+stay complex-safe (no ``float()`` of a coordinate or a time).
 
 A model's read-only ``time_dependent`` says whether its meshes can change
 with t.  It is derived from the model, never set: False for ``ZeroField``
@@ -44,9 +46,7 @@ import numpy as np
 from .errors import PreconditionError
 
 __all__ = [
-    "Envelope", "FieldSample", "FieldModel",
-    "ZeroField", "UniformB", "UniformE", "PlaneWavePulse",
-    "maxwell_probe",
+    "Envelope", "FieldModel", "ZeroField", "UniformB", "UniformE", "PlaneWavePulse",
 ]
 
 
@@ -99,29 +99,16 @@ class Envelope:
         return g, gp, gpp
 
 
-@dataclass
-class FieldSample:
-    """All field quantities at one spacetime point (r, t)."""
-
-    A: np.ndarray
-    phi: float
-    E: np.ndarray
-    B: np.ndarray
-    dBdt: np.ndarray
-    d2Bdt2: np.ndarray
-    dEdt: np.ndarray
-    divE: float
-
-
 class FieldModel:
-    """Base class; subclasses implement :meth:`sample` plus the vectorized
-    ``*_mesh`` evaluators, which every grid operator reads.  Mesh arguments
-    are broadcastable coordinate arrays (absent axes enter as the scalar 0.0)
-    and the returned components are arrays or scalars broadcastable against
-    them; a uniform quantity comes back as scalars, which the operator
-    leaves treat as constants.  ``sample`` is the scalar reference the tests
-    check the meshes against (and ``maxwell_probe`` differentiates); no
-    operator reads it."""
+    """Base class; subclasses implement the vectorized ``*_mesh`` evaluators,
+    the one transcription of each field quantity, which every grid operator
+    reads.  Mesh arguments are broadcastable coordinate arrays (absent axes
+    enter as the scalar 0.0) and the returned components are arrays or
+    scalars broadcastable against them; a uniform quantity comes back as
+    scalars, which the operator leaves treat as constants.  Three floats
+    give the values at one point.  A mesh must accept complex coordinates
+    and times (no ``float()`` of either): the tests differentiate the meshes
+    by complex steps."""
 
     #: B, dB/dt, d2B/dt2 do not depend on position (true for all but plane waves)
     uniform_b = True
@@ -135,9 +122,6 @@ class FieldModel:
         """Whether the meshes can change with t (True unless a model knows
         better)."""
         return True
-
-    def sample(self, r, t: float) -> FieldSample:
-        raise NotImplementedError
 
     def a_mesh(self, r, t):  # every vector mesh a subclass does not define
         return [0.0, 0.0, 0.0]
@@ -158,10 +142,6 @@ class ZeroField(FieldModel):
     @property
     def time_dependent(self):
         return False
-
-    def sample(self, r, t):
-        return FieldSample(np.zeros(3), 0.0, np.zeros(3), np.zeros(3),
-                           np.zeros(3), np.zeros(3), np.zeros(3), 0.0)
 
     def describe(self):
         return {"type": "zero"}
@@ -194,15 +174,6 @@ class UniformB(FieldModel):
     @property
     def time_dependent(self):
         return self.envelope.shape != "constant"
-
-    def sample(self, r, t):
-        r = np.asarray(r, dtype=float)
-        g, gp, gpp = self.envelope.derivatives(t)
-        b = self.b0 * g
-        a = 0.5 * np.cross(b, r)
-        e = -0.5 * np.cross(self.b0, r) * gp   # - dA/dt
-        dedt = -0.5 * np.cross(self.b0, r) * gpp
-        return FieldSample(a, 0.0, e, b, self.b0 * gp, self.b0 * gpp, dedt, 0.0)
 
     def a_mesh(self, r, t):
         g = self.envelope.derivatives(t)[0]
@@ -246,13 +217,6 @@ class UniformE(FieldModel):
     @property
     def time_dependent(self):
         return self.envelope.shape != "constant"
-
-    def sample(self, r, t):
-        r = np.asarray(r, dtype=float)
-        g, gp, _ = self.envelope.derivatives(t)
-        phi = -float(np.dot(self.e0, r)) * g
-        return FieldSample(np.zeros(3), phi, self.e0 * g, np.zeros(3),
-                           np.zeros(3), np.zeros(3), self.e0 * gp, 0.0)
 
     def phi_mesh(self, r, t):
         g = self.envelope.derivatives(t)[0]
@@ -309,99 +273,45 @@ class PlaneWavePulse(FieldModel):
     def __post_init__(self):
         self.e0 = np.asarray(self.e0, dtype=float)
         self.wavevector = np.asarray(self.wavevector, dtype=float)
+        self._kxe = np.cross(self.wavevector, self.e0)
         if self.omega == 0:
             raise PreconditionError("plane-wave pulse needs omega != 0")
         if not self.env_width > 0:
             raise PreconditionError("plane-wave pulse needs env_width > 0")
 
-    def sample(self, r, t):
-        r = np.asarray(r, dtype=float)
-        u = float(np.dot(self.wavevector, r)) - self.omega * t
-        s, s1, s2, s3 = _pulse_shape(u, self.env_center, self.env_width)
-        a = (self.e0 / self.omega) * s
-        e = self.e0 * s1
-        kxe = np.cross(self.wavevector, self.e0)
-        b = (kxe / self.omega) * s1
-        dbdt = -kxe * s2                   # du/dt = -omega cancels 1/omega
-        d2bdt2 = (kxe * self.omega) * s3
-        dedt = -self.e0 * self.omega * s2
-        dive = float(np.dot(self.wavevector, self.e0)) * s2
-        return FieldSample(a, 0.0, e, b, dbdt, d2bdt2, dedt, dive)
-
-    def _u_mesh(self, r, t):
-        return _dot_mesh(self.wavevector, r) - self.omega * t
+    def _shape(self, r, t):  # (s, s', s'', s''') at u = k.r - omega t on the mesh r
+        u = _dot_mesh(self.wavevector, r) - self.omega * t
+        return _pulse_shape(u, self.env_center, self.env_width)
 
     def a_mesh(self, r, t):
-        s = _pulse_shape(self._u_mesh(r, t), self.env_center, self.env_width)[0]
+        s = self._shape(r, t)[0]
         return [(c / self.omega) * s for c in self.e0]
 
     def e_mesh(self, r, t):
-        s1 = _pulse_shape(self._u_mesh(r, t), self.env_center, self.env_width)[1]
+        s1 = self._shape(r, t)[1]
         return [c * s1 for c in self.e0]
 
     def b_mesh(self, r, t):
-        s1 = _pulse_shape(self._u_mesh(r, t), self.env_center, self.env_width)[1]
-        kxe = np.cross(self.wavevector, self.e0)
-        return [(c / self.omega) * s1 for c in kxe]
+        s1 = self._shape(r, t)[1]
+        return [(c / self.omega) * s1 for c in self._kxe]
 
     def dedt_mesh(self, r, t):
-        s2 = _pulse_shape(self._u_mesh(r, t), self.env_center, self.env_width)[2]
+        s2 = self._shape(r, t)[2]
         return [-c * self.omega * s2 for c in self.e0]
 
     def dbdt_mesh(self, r, t):
-        s2 = _pulse_shape(self._u_mesh(r, t), self.env_center, self.env_width)[2]
-        kxe = np.cross(self.wavevector, self.e0)
-        return [-c * s2 for c in kxe]
+        s2 = self._shape(r, t)[2]
+        return [-c * s2 for c in self._kxe]
 
     def d2bdt2_mesh(self, r, t):
-        s3 = _pulse_shape(self._u_mesh(r, t), self.env_center, self.env_width)[3]
-        kxe = np.cross(self.wavevector, self.e0)
-        return [c * self.omega * s3 for c in kxe]
+        s3 = self._shape(r, t)[3]
+        return [c * self.omega * s3 for c in self._kxe]
 
     def dive_mesh(self, r, t):
-        s2 = _pulse_shape(self._u_mesh(r, t), self.env_center, self.env_width)[2]
+        s2 = self._shape(r, t)[2]
         return float(np.dot(self.wavevector, self.e0)) * s2
 
     def describe(self):
         return {"type": "plane_wave", "e0": self.e0.tolist(),
                 "wavevector": self.wavevector.tolist(), "omega": self.omega}
 
-
-def maxwell_probe(model: FieldModel, r, t: float, h: float = 1e-4) -> dict:
-    """Second-order stencil check of a model's internal consistency.
-
-    Compares central-difference curl A against the model's B, the numeric
-    -dA/dt - grad phi against E, and reports div A.  Residuals are O(h^2)
-    (exactly zero for potentials at most linear in the probed variable).
-    """
-    if not h > 0:
-        raise PreconditionError("maxwell_probe needs h > 0")
-    r = np.asarray(r, dtype=float)
-
-    def a_at(rr, tt):
-        return model.sample(rr, tt).A
-
-    def phi_at(rr):
-        return model.sample(rr, t).phi
-
-    jac = np.zeros((3, 3))  # jac[i, j] = dA_i / dr_j
-    grad_phi = np.zeros(3)
-    for j in range(3):
-        dr = np.zeros(3)
-        dr[j] = h
-        jac[:, j] = (a_at(r + dr, t) - a_at(r - dr, t)) / (2 * h)
-        grad_phi[j] = (phi_at(r + dr) - phi_at(r - dr)) / (2 * h)
-    curl = np.array([jac[2, 1] - jac[1, 2],
-                     jac[0, 2] - jac[2, 0],
-                     jac[1, 0] - jac[0, 1]])
-    div_a = jac[0, 0] + jac[1, 1] + jac[2, 2]
-    dadt = (a_at(r, t + h) - a_at(r, t - h)) / (2 * h)
-
-    sample = model.sample(r, t)
-    curl_residual = float(np.max(np.abs(curl - sample.B)))
-    e_residual = float(np.max(np.abs(-dadt - grad_phi - sample.E)))
-    return {
-        "curl_residual": curl_residual,
-        "e_residual": e_residual,
-        "div_a": float(abs(div_a)),
-    }

@@ -58,7 +58,7 @@ from .errors import PreconditionError
 from .expr import (Add, Adjoint, ConstMatrix, MomentumDiag, Mul, OperatorExpr, PositionDiag,
                    Scale, _one)
 from .fields import FieldModel, ZeroField
-from .grid import MOMENTUM, POSITION, GridSpec
+from .grid import MOMENTUM, POSITION
 from .operators import ALPHA, BETA, SIGMA, PhysParams
 
 __all__ = [
@@ -70,7 +70,7 @@ __all__ = [
 
 
 class Family(NamedTuple):
-    """A family's terms in order, ``build(model, params, grid)`` of them all,
+    """A family's terms in order, ``build(model, params)`` of them all,
     whether a Strang step splits it exactly, and the terms left off by default."""
 
     terms: tuple
@@ -85,8 +85,7 @@ class Family(NamedTuple):
 
 # a builder is called by its module-level name, so a wrapper bound there sees every build
 FAMILIES = {
-    "free": Family(("free-dirac",), lambda model, params, grid: build_free_dirac(params, grid),
-                   split=True),
+    "free": Family(("free-dirac",), lambda model, params: build_free_dirac(params), split=True),
     "dirac-em": Family(("kinetic-free", "gauge-coupling", "mass", "scalar"),
                        lambda *args: build_dirac_em(*args), split=True),
     "fw-full": Family(("rest-mass", "kinetic", "zeeman", "mass-correction",
@@ -107,7 +106,6 @@ class NamedHamiltonian:
     terms: list                     # [(name, OperatorExpr)]
     params: PhysParams
     model: FieldModel
-    grid: GridSpec
     #: the Krylov step symmetrizes its projected matrix when this is set
     assume_hermitian: bool = True
 
@@ -134,7 +132,7 @@ class NamedHamiltonian:
                                     f"{self.term_names()}, got {names}")
         kept = [(n, e) for n, e in self.terms if n in names]
         return NamedHamiltonian(self.family, kept, self.params, self.model,
-                                self.grid, self.assume_hermitian)
+                                self.assume_hermitian)
 
 
 # -- the vector vocabulary -----------------------------------------------------
@@ -259,15 +257,14 @@ def hermitian_part(expr):
 
 # -- builders ------------------------------------------------------------------
 
-def build_free_dirac(params: PhysParams, grid: GridSpec) -> NamedHamiltonian:
+def build_free_dirac(params: PhysParams) -> NamedHamiltonian:
     """Single momentum-diagonal leaf  k -> c alpha.k + beta m0 c^2."""
     leaf = vec_leaf(P, [(i, params.c * ALPHA[i]) for i in range(3)], name="free-dirac",
                     const=params.rest_energy * BETA)
-    return NamedHamiltonian("free", [("free-dirac", leaf)], params, ZeroField(), grid)
+    return NamedHamiltonian("free", [("free-dirac", leaf)], params, ZeroField())
 
 
-def build_dirac_em(model: FieldModel, params: PhysParams,
-                   grid: GridSpec) -> NamedHamiltonian:
+def build_dirac_em(model: FieldModel, params: PhysParams) -> NamedHamiltonian:
     """Minimal-coupling Dirac Hamiltonian c alpha.(p-eA) + beta m0 c^2 + e phi."""
     kin = vec_leaf(P, [(i, params.c * ALPHA[i]) for i in range(3)], name="kinetic-free")
     gauge = vec_leaf(ModelVector(model.a_mesh, "A"),
@@ -278,10 +275,10 @@ def build_dirac_em(model: FieldModel, params: PhysParams,
                           name="scalar", time_dependent=model.time_dependent)
     terms = [("kinetic-free", kin), ("gauge-coupling", gauge),
              ("mass", mass), ("scalar", scalar)]
-    return NamedHamiltonian("dirac-em", terms, params, model, grid)
+    return NamedHamiltonian("dirac-em", terms, params, model)
 
 
-def build_fw_full(model: FieldModel, params: PhysParams, grid: GridSpec) -> NamedHamiltonian:
+def build_fw_full(model: FieldModel, params: PhysParams) -> NamedHamiltonian:
     """The expanded even Hamiltonian, ``rest-mass`` included."""
     m0, c, e = params.m0, params.c, params.e
     b, e_vec = ModelVector(model.b_mesh, "B"), ModelVector(model.e_mesh, "E")
@@ -322,10 +319,10 @@ def build_fw_full(model: FieldModel, params: PhysParams, grid: GridSpec) -> Name
     terms["de-dt"] = Scale(-1j * e / (16 * m0**3 * c**4), Mul(beta_c, dedt))
 
     ordered = [(n, terms[n]) for n in FAMILIES["fw-full"].terms]
-    return NamedHamiltonian("fw-full", ordered, params, model, grid, assume_hermitian=False)
+    return NamedHamiltonian("fw-full", ordered, params, model, assume_hermitian=False)
 
 
-def build_fw_direct(model: FieldModel, params: PhysParams, grid: GridSpec) -> NamedHamiltonian:
+def build_fw_direct(model: FieldModel, params: PhysParams) -> NamedHamiltonian:
     """The direct spin-field Hamiltonian, exactly as printed.
 
     The -i dB/dt piece rides inside ``field-derivative-soc``; see the module
@@ -350,11 +347,11 @@ def build_fw_direct(model: FieldModel, params: PhysParams, grid: GridSpec) -> Na
 
     ordered = [("kinetic", kinetic), ("zeeman", zeeman),
                ("field-derivative-soc", soc), ("nutation", nutation)]
-    return NamedHamiltonian("fw-direct", ordered, params, model, grid, assume_hermitian=False)
+    return NamedHamiltonian("fw-direct", ordered, params, model, assume_hermitian=False)
 
 
-def build_hamiltonian(family: str, model: FieldModel, params: PhysParams, grid: GridSpec,
-                      terms=None, hermitize: bool = False) -> NamedHamiltonian:
+def build_hamiltonian(family: str, model: FieldModel, params: PhysParams, terms=None,
+                      hermitize: bool = False) -> NamedHamiltonian:
     """The family's Hamiltonian: its default terms, or the non-empty subset
     ``terms`` of its terms, each replaced by (T + T^H)/2 with ``hermitize``,
     which also lets propagators trust Hermiticity.  A split family takes
@@ -366,7 +363,7 @@ def build_hamiltonian(family: str, model: FieldModel, params: PhysParams, grid: 
     if spec.split and (terms is not None or hermitize):
         raise PreconditionError(f"{family} takes no terms or hermitize: its Strang step "
                                 "reads the field model, not the terms")
-    ham = spec.build(model, params, grid)
+    ham = spec.build(model, params)
     if hermitize:
         ham = replace(ham, terms=[(n, hermitian_part(x)) for n, x in ham.terms],
                       assume_hermitian=True)

@@ -45,11 +45,11 @@ from .errors import PreconditionError, SingularMomentumError
 __all__ = [
     "PhysParams", "SpinKind", "energy_k2", "energy_ep", "free_dirac_matrix",
     "spin_terms", "position_terms", "spin_operator", "position_correction",
-    "condition_checks",
-    "ConditionReport", "spin_rotation_matrix",
+    "condition_checks", "ConditionReport",
 ]
 
 ALPHA, BETA, SIGMA = dirac_matrices()
+P_FLOOR_SCALE = 1e-12  # |p| <= P_FLOOR_SCALE * m0 * c refuses Pryce (``PhysParams.p_floor``)
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,6 @@ class PhysParams:
     m0: float = 1.0
     c: float = 1.0
     e: float = -1.0
-    p_floor_scale: float = 1e-12  # |p| <= p_floor_scale * m0 * c refuses Pryce
 
     def __post_init__(self):
         for name, value in (("m0", self.m0), ("c", self.c), ("e", self.e)):
@@ -76,7 +75,7 @@ class PhysParams:
 
     @property
     def p_floor(self) -> float:
-        return self.p_floor_scale * self.m0 * self.c
+        return P_FLOOR_SCALE * self.m0 * self.c
 
 
 class SpinKind(enum.Enum):
@@ -262,9 +261,3 @@ def condition_checks(kind: SpinKind, p, params: PhysParams) -> ConditionReport:
     h = free_dirac_matrix(p, params)
     free = np.stack([np.linalg.norm(commutator(si, h), axis=(-2, -1)) for si in s], -1)
     return ConditionReport(kind, p, su2, spectrum, free.max(axis=-1), free)
-
-
-def spin_rotation_matrix(axis: int, angle: float) -> np.ndarray:
-    """Spinor-space rotation exp(-i angle Sigma_axis / 2)."""
-    s = SIGMA[axis]
-    return np.cos(angle / 2.0) * ID4 - 1j * np.sin(angle / 2.0) * s

@@ -293,10 +293,11 @@ class Trajectory:
 #: singular operators under the zeroed-bin convention up to this weight; the
 #: recorded Pryce expectations then carry an ambiguity bounded by that weight.
 OBSERVABLE_GUARD = 1e-3
+FLUX_ABORT = 1e-6  # ``run`` aborts where the margin-shell norm fraction exceeds this
 
 
 class _Observables:
-    def __init__(self, grid, params):
+    def __init__(self, params):
         self.spin = {k: spin_expr(k, params) for k in SpinKind}
         self.r, self.p = triple(R), triple(P)
         # every column but the energy is one diagonal leaf; "norm" and "flux"
@@ -335,18 +336,17 @@ class _Observables:
 
 def run(hamiltonian: NamedHamiltonian, state: SpinorField, dt: float,
         steps: int, stride: int = 1, t0: float = 0.0,
-        propagator: str | None = None, krylov_tol: float = 1e-10,
-        flux_abort: float = 1e-6) -> Trajectory:
+        propagator: str | None = None, krylov_tol: float = 1e-10) -> Trajectory:
     """Propagate and record observables every ``stride`` steps, and after
     the last; the steps between two rows are one call to the stepper.
 
     Aborts with :class:`BoundaryFluxError` when the margin-shell norm
-    fraction exceeds ``flux_abort``.
+    fraction exceeds ``FLUX_ABORT``.
     """
     if steps < 0 or stride < 1:
         raise PreconditionError("steps must be >= 0 and stride >= 1")
     step_fn = _stepper(hamiltonian, propagator, krylov_tol)
-    obs = _Observables(hamiltonian.grid, hamiltonian.params)
+    obs = _Observables(hamiltonian.params)
     traj = Trajectory()
     psi = state
     traj.append(**obs.measure(hamiltonian, psi, t0))
@@ -355,9 +355,9 @@ def run(hamiltonian: NamedHamiltonian, state: SpinorField, dt: float,
         psi = step_fn(psi, t0, dt, range(done, last))
         t = t0 + last * dt
         row = obs.measure(hamiltonian, psi, t)
-        if row["flux"] > flux_abort:
+        if row["flux"] > FLUX_ABORT:
             raise BoundaryFluxError(
-                f"boundary flux {row['flux']:.3e} exceeded {flux_abort:.1e} "
+                f"boundary flux {row['flux']:.3e} exceeded {FLUX_ABORT:.1e} "
                 f"at t={t:.6g}; enlarge the box or shorten the run")
         traj.append(**row)
     return traj

@@ -129,16 +129,14 @@ class Scenario:
     refine_levels: int
     output: dict = dc_field(default_factory=dict)
 
-    def make_hamiltonian(self, family=None, model=None,
-                         grid=None) -> NamedHamiltonian:
+    def make_hamiltonian(self, family=None, model=None) -> NamedHamiltonian:
         """The scenario's own Hamiltonian, shaped by its ``terms`` and
         ``hermitize``, when no family is given (what ``simulate`` and
         ``sweep`` propagate); the named family's printed Hamiltonian
-        otherwise (a verification check or a refinement rung)."""
+        otherwise (a verification check, on every refinement rung)."""
         own = family is None
         return build_hamiltonian(family or self.family, model or self.model, self.params,
-                                 grid or self.grid, self.term_mask if own else None,
-                                 own and self.hermitize)
+                                 self.term_mask if own else None, own and self.hermitize)
 
     def make_state(self) -> SpinorField:
         if self.state_spec is None:

@@ -124,8 +124,7 @@ def test_ac4_zeeman_subidentity():
 
 
 def test_ac5_free_dynamics_verification(battery_512):
-    grid = battery_512[0].grid
-    ham = build_free_dirac(PARAMS, grid)
+    ham = build_free_dirac(PARAMS)
     worst = {}
     for kind in SpinKind:
         report = verify(kind, ham, battery_512)
@@ -186,8 +185,7 @@ class TestAC6PrintedEquationReports:
                 f"remainder equals -(m0 c^2/E_p) c (alpha x p) within {worst:.2e}")
 
     def test_zero_field_remainder_fw_direct(self, battery_512):
-        grid = battery_512[0].grid
-        ham = build_fw_direct(ZeroField(), PARAMS, grid)
+        ham = build_fw_direct(ZeroField(), PARAMS)
         _, total = rhs(SpinKind.FW, "fw-direct", ZeroField(), PARAMS)
         s_triple = spin_expr(SpinKind.FW, PARAMS)
         worst = 0.0
@@ -209,24 +207,20 @@ class TestAC6PrintedEquationReports:
         (SpinKind.PRYCE, "fw-direct"),
         (SpinKind.FW, "fw-direct"),
     ])
-    def test_full_field_report(self, kind, family, em_grid, em_battery):
+    def test_full_field_report(self, kind, family, em_battery):
         model = UniformB(np.array([0.0, 0.0, 0.05]))
-
-        def build(grid):
-            if family == "dirac-em":
-                return build_dirac_em(model, PARAMS, grid)
-            return build_fw_direct(model, PARAMS, grid)
-
-        report = verify(kind, build(em_grid), em_battery)
+        # one Hamiltonian for every grid: its leaves fill per grid
+        ham = (build_dirac_em if family == "dirac-em" else build_fw_direct)(model, PARAMS)
+        report = verify(kind, ham, em_battery)
         series = []
         for n in (32, 64):
             g = GridSpec(3, n, 48.0)
             states = standard_battery(g, PARAMS, count=1)
-            series.append(verify(kind, build(g), states).residual)
+            series.append(verify(kind, ham, states).residual)
         report.refinement = [(n, r) for n, r in zip((32, 64), series)]
         report.classification = classify_residual_series(series)
         # reproducibility of the classification
-        repeat = verify(kind, build(em_grid), em_battery)
+        repeat = verify(kind, ham, em_battery)
         assert repeat.residual == report.residual
         assert report.term_names  # per-term residual report emitted
         assert all(c.term_norms.keys() == set(report.term_names) or
@@ -282,7 +276,7 @@ class TestAC8Propagation:
         drift = abs(state.norm() - 1.0)
         assert drift <= 1e-9
 
-        ham = build_dirac_em(pulse, PARAMS, g)
+        ham = build_dirac_em(pulse, PARAMS)
         a = b = psi
         dt = 5e-4
         for i in range(10):
@@ -299,7 +293,7 @@ class TestAC8Propagation:
         pulse = PlaneWavePulse(np.array([0.0, 0.15, 0.0]),
                                np.array([0.5, 0.0, 0.0]), omega=0.5,
                                env_width=20.0)
-        ham = build_dirac_em(pulse, PARAMS, g)
+        ham = build_dirac_em(pulse, PARAMS)
         psi = gaussian_packet(g, 0.0, 12.0, 1.0, [1, 0, 0, 0],
                               params=PARAMS, energy_projection=True)
 
@@ -316,8 +310,7 @@ class TestAC8Propagation:
     def test_larmor_period(self):
         g = GridSpec(1, 256, 256.0)
         b0 = 0.2
-        ham = build_fw_direct(UniformB(np.array([0.0, 0.0, b0])), PARAMS,
-                              g).subset(["zeeman"])
+        ham = build_fw_direct(UniformB(np.array([0.0, 0.0, b0])), PARAMS).subset(["zeeman"])
         pol = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2)
         psi = gaussian_packet(g, 0.0, 16.0, 0.9, pol)
         period_pred = 2 * np.pi * PARAMS.m0 / (abs(PARAMS.e) * b0)
@@ -337,7 +330,7 @@ class TestAC8Propagation:
         g = GridSpec(1, 512, 512.0)
         psi = gaussian_packet(g, -20.0, 24.0, 0.75, [1, 1, 0, 0],
                               params=PARAMS, energy_projection=True)
-        ham = build_free_dirac(PARAMS, g)
+        ham = build_free_dirac(PARAMS)
         traj = run(ham, psi, dt=0.05, steps=1000, stride=50)
         worst = max(np.max(np.abs(traj.column(f"{label}_{ax}")
                                   - traj.column(f"{label}_{ax}")[0]))
@@ -376,11 +369,10 @@ class TestAC8Propagation:
                                    params=PARAMS, energy_projection=True)
         mixed = mixed_energy_state(g, PARAMS, 0.75, 12.0)
         hams = {
-            "free": (build_free_dirac(PARAMS, g), mixed),
-            "dirac-em": (build_dirac_em(pulse, PARAMS, g), state_em),
-            "fw-direct": (build_fw_direct(
-                UniformB(np.array([0.0, 0.0, 0.2])), PARAMS,
-                g).subset(["kinetic", "zeeman"]), state_em),
+            "free": (build_free_dirac(PARAMS), mixed),
+            "dirac-em": (build_dirac_em(pulse, PARAMS), state_em),
+            "fw-direct": (build_fw_direct(UniformB(np.array([0.0, 0.0, 0.2])), PARAMS)
+                          .subset(["kinetic", "zeeman"]), state_em),
         }
         lines = []
         for family, (ham, state) in hams.items():
@@ -420,8 +412,7 @@ def test_ac9_sweep_demo(tmp_path):
     final_dfw = []
     ladder = (0.02, 0.1, 0.3)
     for b0 in ladder:
-        ham = build_fw_direct(UniformB(np.array([0.0, 0.0, b0])), PARAMS,
-                              g2).subset(["zeeman"])
+        ham = build_fw_direct(UniformB(np.array([0.0, 0.0, b0])), PARAMS).subset(["zeeman"])
         traj = run(ham, psi2, dt=0.05, steps=40, stride=10)
         d_fw = np.sqrt(sum((traj.column(f"S_FW_{ax}")
                             - traj.column(f"S_Py_{ax}"))**2 for ax in "xyz"))

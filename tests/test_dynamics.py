@@ -145,8 +145,8 @@ class TestRhsBuilders:
 
 class TestFreeVerification:
     @pytest.mark.parametrize("kind", list(SpinKind))
-    def test_residual_at_floor(self, kind, params, grid_1d, battery_1d):
-        ham = build_free_dirac(params, grid_1d)
+    def test_residual_at_floor(self, kind, params, battery_1d):
+        ham = build_free_dirac(params)
         report = verify(kind, ham, battery_1d)
         assert report.residual <= 1e-8
         assert report.classification == "holds"
@@ -181,7 +181,7 @@ class TestZeemanIdentities:
         # Dirac-spin commutator with a Zeeman-only direct Hamiltonian matches
         # the exact 4x4 value on the grid
         model = UniformB(np.array([0.0, 0.0, 0.4]))
-        ham = build_fw_direct(model, params, grid_1d).subset(["zeeman"])
+        ham = build_fw_direct(model, params).subset(["zeeman"])
         s_triple = spin_expr(SpinKind.DIRAC, params)
         e, m0 = params.e, params.m0
         for psi in battery_1d[:2]:
@@ -287,10 +287,10 @@ class TestFieldOffReduction:
                     continue
                 assert (a - b).norm() <= 1e-6 * b.norm()
 
-    def test_fw_direct_zero_field_sign_flip(self, params, grid_1d, battery_1d):
+    def test_fw_direct_zero_field_sign_flip(self, params, battery_1d):
         # at zero field the printed kinetic-coupling term equals MINUS the
         # commutator: LHS + RHS = 0 to machine precision on the grid
-        ham = build_fw_direct(ZeroField(), params, grid_1d)
+        ham = build_fw_direct(ZeroField(), params)
         _, total = rhs(SpinKind.FW, "fw-direct", ZeroField(), params)
         s_triple = spin_expr(SpinKind.FW, params)
         for psi in battery_1d[:2]:
@@ -363,8 +363,8 @@ class TestBlockStructure:
 
 
 class TestVerifyReporting:
-    def test_report_schema_and_determinism(self, params, grid_1d, battery_1d):
-        ham = build_free_dirac(params, grid_1d)
+    def test_report_schema_and_determinism(self, params, battery_1d):
+        ham = build_free_dirac(params)
         r1 = verify(SpinKind.FW, ham, battery_1d[:2])
         r2 = verify(SpinKind.FW, ham, battery_1d[:2])
         assert r1.to_json() == r2.to_json()
@@ -383,8 +383,7 @@ class TestVerifyReporting:
     def test_removal_gains_match_brute_force(self, params, battery_1d):
         # gain of T = ||LHS - (RHS - T)|| - ||LHS - RHS||, largest over the
         # axes of state 0, with the reduced right-hand side summed afresh
-        grid = battery_1d[0].grid
-        ham = build_dirac_em(UniformB(np.array([0.0, 0.0, 0.05])), params, grid)
+        ham = build_dirac_em(UniformB(np.array([0.0, 0.0, 0.05])), params)
         report = verify(SpinKind.FW, ham, battery_1d[:2])
         assert report.residual > HOLD_TOL
         assert "removal_gains" not in report.to_dict()
@@ -415,9 +414,8 @@ class TestVerifyReporting:
         assert alone.removal_gains == report.removal_gains
 
     def test_em_verification_classifies_reproducibly(self, params, battery_3d):
-        grid = battery_3d[0].grid
         model = UniformB(np.array([0.0, 0.0, 0.05]))
-        ham = build_dirac_em(model, params, grid)
+        ham = build_dirac_em(model, params)
         r1 = verify(SpinKind.PRYCE, ham, battery_3d[:1])
         r2 = verify(SpinKind.PRYCE, ham, battery_3d[:1])
         assert r1.residual == r2.residual
@@ -456,7 +454,7 @@ class TestZeroSkipEquivalence:
         field = self.MODELS[model]
 
         def build():
-            exprs = [build_hamiltonian(f, field, params, grid).total
+            exprs = [build_hamiltonian(f, field, params).total
                      for f in ("dirac-em", "fw-direct", "fw-full")]
             if field.uniform_b:  # the printed equations assume a uniform B
                 for kind in (SpinKind.FW, SpinKind.PRYCE):

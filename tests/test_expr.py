@@ -660,7 +660,7 @@ class TestConstantMatrix:
     def test_one_live_nonconstant_leaf_gives_none(self, grid, params):
         from relspin.fields import UniformB
         from relspin.hamiltonians import build_fw_direct
-        ham = build_fw_direct(UniformB([0.0, 0.0, 0.2]), params, grid)
+        ham = build_fw_direct(UniformB([0.0, 0.0, 0.2]), params)
         assert constant_matrix(ham.subset(["zeeman"]).total, grid, 0.0) is not None
         assert constant_matrix(ham.subset(["kinetic", "zeeman"]).total, grid, 0.0) is None
         assert constant_matrix(Mul(ConstMatrix(BETA), triple(P)[0]), grid, 0.0) is None

@@ -52,7 +52,7 @@ def test_dirac_spin_expectation(params, fft_count):
 def test_dirac_em_apply(params, fft_count):
     grid = GridSpec(3, 16, 24.0)
     psi = _position_state(grid)
-    ham = build_hamiltonian("dirac-em", _MODEL, params, grid)
+    ham = build_hamiltonian("dirac-em", _MODEL, params)
     fft_count.reset()
     apply_expr(ham.total, psi)
     # kinetic c alpha.p reads all three k_j: to momentum (3); the gauge and
@@ -65,7 +65,7 @@ def test_dirac_em_apply(params, fft_count):
 def test_dirac_em_apply_momentum_state(params, fft_count):
     grid = GridSpec(3, 16, 24.0)
     psi = _position_state(grid).to_momentum()
-    ham = build_hamiltonian("dirac-em", _MODEL, params, grid)
+    ham = build_hamiltonian("dirac-em", _MODEL, params)
     fft_count.reset()
     apply_expr(ham.total, psi)
     # kinetic and mass act in momentum (0); the gauge term reads A_x (along
@@ -114,7 +114,7 @@ _FW_APPLY = [
 def test_fw_apply(params, fft_count, family, model, space, count):
     grid = GridSpec(3, 16, 24.0)
     psi = _position_state(grid).in_space(space)
-    ham = build_hamiltonian(family, model, params, grid)
+    ham = build_hamiltonian(family, model, params)
     fft_count.reset()
     apply_expr(ham.total, psi, 0.7)
     assert fft_count.passes == count
@@ -129,7 +129,7 @@ def test_standard_battery_3d(params, grid_3d, fft_count):
 
 
 def test_pryce_dirac_em_verify(params, battery_3d, fft_count):
-    ham = build_hamiltonian("dirac-em", _MODEL, params, battery_3d[0].grid)
+    ham = build_hamiltonian("dirac-em", _MODEL, params)
     fft_count.reset()
     verify(SpinKind.PRYCE, ham, battery_3d)
     # the battery is in momentum space, where verify works; per state:
@@ -149,7 +149,7 @@ def test_pryce_dirac_em_verify(params, battery_3d, fft_count):
 
 
 def test_pryce_dirac_em_verify_position_states(params, battery_3d, fft_count):
-    ham = build_hamiltonian("dirac-em", _MODEL, params, battery_3d[0].grid)
+    ham = build_hamiltonian("dirac-em", _MODEL, params)
     want = verify(SpinKind.PRYCE, ham, battery_3d)
     states = [psi.to_position() for psi in battery_3d]
     fft_count.reset()
@@ -190,7 +190,7 @@ _VERIFY = [
 @pytest.mark.parametrize("kind, family, count", [c[1:] for c in _VERIFY],
                          ids=[c[0] for c in _VERIFY])
 def test_verify(params, battery_3d, fft_count, kind, family, count):
-    ham = build_hamiltonian(family, _MODEL, params, battery_3d[0].grid)
+    ham = build_hamiltonian(family, _MODEL, params)
     fft_count.reset()
     verify(kind, ham, battery_3d)
     assert fft_count.passes == count
@@ -219,8 +219,8 @@ def test_uniform_b_strang_step(params, fft_count):
 def test_measure_free(params, fft_count, space):
     grid = GridSpec(3, 16, 24.0)
     psi = _position_state(grid).in_space(space)
-    ham = build_hamiltonian("free", ZeroField(), params, grid)
-    obs = _Observables(grid, params)
+    ham = build_hamiltonian("free", ZeroField(), params)
+    obs = _Observables(params)
     fft_count.reset()
     obs.measure(ham, psi, 0.0)
     # psi is transformed once (3); r and the flux read the position copy,
@@ -284,7 +284,7 @@ _MESH_CALLS = {
 def test_mesh_calls_per_apply(params, mesh_count, family, counts, model):
     grid = GridSpec(3, 16, 24.0)
     psi = _position_state(grid)
-    ham = build_hamiltonian(family, model, params, grid)
+    ham = build_hamiltonian(family, model, params)
     apply_expr(ham.total, psi, 0.7)
     assert dict(mesh_count) == counts
     mesh_count.clear()
@@ -339,18 +339,18 @@ def test_mesh_calls_per_hermitized_apply(params, mesh_count, monkeypatch, family
     # cached scalars, so (T + T^H)/2 fills no mesh that T does not
     grid = GridSpec(3, 16, 24.0)
     psi = _position_state(grid)
-    got = apply_expr(build_hamiltonian(family, model, params, grid, hermitize=True).total,
+    got = apply_expr(build_hamiltonian(family, model, params, hermitize=True).total,
                      psi, 0.7)
     assert dict(mesh_count) == _MESH_CALLS[family]
     monkeypatch.setattr(_DiagLeaf, "_adjoint", _fresh_adjoint)
-    want = apply_expr(build_hamiltonian(family, model, params, grid, hermitize=True).total,
+    want = apply_expr(build_hamiltonian(family, model, params, hermitize=True).total,
                       psi, 0.7)
     assert np.array_equal(got.values, want.values)
 
 
 def _zeeman_run(params, model, steps, stride, terms=("zeeman",), propagator=None):
     grid = GridSpec(1, 128, 128.0)
-    ham = build_fw_direct(model, params, grid).subset(terms)
+    ham = build_fw_direct(model, params).subset(terms)
     psi = gaussian_packet(grid, 0.0, 8.0, 0.5, [1, 1, 0, 0], params=params,
                           energy_projection=True)
     return run(ham, psi, 0.05, steps, stride=stride, propagator=propagator)
@@ -436,7 +436,7 @@ def test_strang_step_builds_one_position_factor(params, mesh_count):
     # once per step, plus once for the energy's gauge leaf (its A model vector
     # under the static field)
     grid = GridSpec(1, 128, 128.0)
-    ham = build_dirac_em(_MODEL, params, grid)
+    ham = build_dirac_em(_MODEL, params)
     psi = gaussian_packet(grid, 0.0, 8.0, 0.5, [1, 1, 0, 0], params=params,
                           energy_projection=True)
     run(ham, psi, 0.05, 40, stride=10)

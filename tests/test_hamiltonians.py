@@ -31,7 +31,7 @@ class TestFreeDirac:
     def test_energy_expectation_oracle(self, grid_1d, params):
         psi = gaussian_packet(grid_1d, 0.0, 16.0, 1.0, [1, 0, 0, 0],
                               params=params, energy_projection=True)
-        ham = build_free_dirac(params, grid_1d)
+        ham = build_free_dirac(params)
         val = expectation(ham.total, psi)
         mom = psi.to_momentum()
         e_k = np.sqrt(grid_1d.k2 * params.c**2 + params.rest_energy**2)
@@ -40,7 +40,7 @@ class TestFreeDirac:
         assert abs(val.imag) <= 1e-10
 
     def test_hermiticity(self, grid_1d, params, rng, hermiticity_residual):
-        ham = build_free_dirac(params, grid_1d)
+        ham = build_free_dirac(params)
         assert hermiticity_residual(ham.total, random_states(grid_1d, rng)) <= 1e-10
 
     def test_zero_mode_acts_as_rest_mass(self, params):
@@ -49,15 +49,15 @@ class TestFreeDirac:
         vals[0] = 1.0
         vals[2] = 0.5
         psi = SpinorField(g, vals).normalized()   # pure k = 0 content
-        out = apply_expr(build_free_dirac(params, g).total, psi)
+        out = apply_expr(build_free_dirac(params).total, psi)
         expected = params.rest_energy * np.einsum("ab,b...->a...", BETA, psi.values)
         assert np.allclose(out.values, expected, atol=1e-13)
 
 
 class TestDiracEM:
     def test_zero_model_equals_free(self, grid_1d, params, rng):
-        free = build_free_dirac(params, grid_1d)
-        em = build_dirac_em(ZeroField(), params, grid_1d)
+        free = build_free_dirac(params)
+        em = build_dirac_em(ZeroField(), params)
         assert em.term_names() == ["kinetic-free", "gauge-coupling", "mass", "scalar"]
         for psi in random_states(grid_1d, rng):
             d = apply_expr(em.total, psi) - apply_expr(free.total, psi)
@@ -65,7 +65,7 @@ class TestDiracEM:
 
     def test_gauge_term_pointwise(self, params, uniform_b):
         g = GridSpec(3, 16, 16.0)
-        ham = build_dirac_em(uniform_b, params, g)
+        ham = build_dirac_em(uniform_b, params)
         rng = np.random.default_rng(5)
         psi = random_states(g, rng, 1)[0]
         out = apply_expr(ham.term("gauge-coupling"), psi)
@@ -75,8 +75,7 @@ class TestDiracEM:
         assert np.allclose(out.values[:, 9, 8, 8], expected, atol=1e-13)
 
     def test_hermiticity_uniform_b(self, params, uniform_b, battery_3d):
-        g = battery_3d[0].grid
-        ham = build_dirac_em(uniform_b, params, g)
+        ham = build_dirac_em(uniform_b, params)
         for phi in battery_3d:
             for psi in battery_3d:
                 lhs = phi.inner(apply_expr(ham.total, psi))
@@ -85,18 +84,18 @@ class TestDiracEM:
 
 
 class TestFwFull:
-    def test_vocabulary_and_default_mask(self, grid_1d, params, uniform_b):
-        ham = build_hamiltonian("fw-full", uniform_b, params, grid_1d)
+    def test_vocabulary_and_default_mask(self, params, uniform_b):
+        ham = build_hamiltonian("fw-full", uniform_b, params)
         assert tuple(ham.term_names()) == tuple(n for n in FAMILIES["fw-full"].terms
                                                 if n != "rest-mass")
-        full = build_hamiltonian("fw-full", uniform_b, params, grid_1d,
+        full = build_hamiltonian("fw-full", uniform_b, params,
                                  terms=list(FAMILIES["fw-full"].terms))
         assert "rest-mass" in full.term_names()
         with pytest.raises(PreconditionError):
-            build_hamiltonian("fw-full", uniform_b, params, grid_1d, terms=["bogus"])
+            build_hamiltonian("fw-full", uniform_b, params, terms=["bogus"])
 
     def test_kinetic_only_expectation_oracle(self, grid_1d, params):
-        ham = build_hamiltonian("fw-full", ZeroField(), params, grid_1d, terms=["kinetic"])
+        ham = build_hamiltonian("fw-full", ZeroField(), params, terms=["kinetic"])
         psi = gaussian_packet(grid_1d, 0.0, 16.0, 1.0, [1, 0, 0, 0])  # pure upper
         val = expectation(ham.total, psi)
         mom = psi.to_momentum()
@@ -105,7 +104,7 @@ class TestFwFull:
         assert abs(val.real - oracle) <= 1e-8
 
     def test_zeeman_on_upper_polarized(self, grid_1d, params, uniform_b):
-        ham = build_hamiltonian("fw-full", uniform_b, params, grid_1d, terms=["zeeman"])
+        ham = build_hamiltonian("fw-full", uniform_b, params, terms=["zeeman"])
         psi = gaussian_packet(grid_1d, 0.0, 16.0, 1.0, [1, 0, 0, 0])
         val = expectation(ham.total, psi)
         # upper z-polarized: <beta Sigma_z> = +1
@@ -113,9 +112,9 @@ class TestFwFull:
         assert abs(val.real - expected) <= 1e-12
 
     def test_total_is_sum_of_terms(self, grid_1d, params, uniform_b, rng):
-        for builder in (lambda: build_fw_full(uniform_b, params, grid_1d),
-                        lambda: build_fw_direct(uniform_b, params, grid_1d),
-                        lambda: build_dirac_em(uniform_b, params, grid_1d)):
+        for builder in (lambda: build_fw_full(uniform_b, params),
+                        lambda: build_fw_direct(uniform_b, params),
+                        lambda: build_dirac_em(uniform_b, params)):
             ham = builder()
             for psi in random_states(grid_1d, rng, 2):
                 total = apply_expr(ham.total, psi)
@@ -154,7 +153,7 @@ class TestFwFull:
         for term, power in expected.items():
             vals = []
             for c in (1.0, 2.0, 4.0):
-                ham = build_fw_full(model, PhysParams(c=c), grid_1d)
+                ham = build_fw_full(model, PhysParams(c=c))
                 vals.append(apply_expr(ham.term(term), psi, 0.5).norm())
             for lo, hi in zip(vals[1:], vals[:-1]):
                 measured = np.log2(hi / lo)
@@ -162,12 +161,12 @@ class TestFwFull:
 
 
 class TestFwDirect:
-    def test_vocabulary(self, grid_1d, params, uniform_b):
-        ham = build_fw_direct(uniform_b, params, grid_1d)
+    def test_vocabulary(self, params, uniform_b):
+        ham = build_fw_direct(uniform_b, params)
         assert tuple(ham.term_names()) == FAMILIES["fw-direct"].terms
 
     def test_zero_model_is_kinetic_only(self, grid_1d, params, rng):
-        ham = build_fw_direct(ZeroField(), params, grid_1d)
+        ham = build_fw_direct(ZeroField(), params)
         p2_over_2m = Scale(1.0 / (2 * params.m0), Mul(
             ConstMatrix(BETA),
             Add([Mul(p, p) for p in triple(P)])))
@@ -176,8 +175,7 @@ class TestFwDirect:
             assert d.norm() <= 1e-12
 
     def test_static_field_hermitian(self, params, uniform_b, battery_3d, hermiticity_residual):
-        g = battery_3d[0].grid
-        ham = build_fw_direct(uniform_b, params, g)
+        ham = build_fw_direct(uniform_b, params)
         assert hermiticity_residual(ham.total, battery_3d) <= 1e-10
 
     def test_time_varying_anti_part_cancels(self, params):
@@ -191,7 +189,7 @@ class TestFwDirect:
             params=params, energy_projection=True))
         env = Envelope(shape="gaussian", amplitude=1.0, center=0.0, width=5.0)
         model = UniformB(np.array([0.0, 0.0, 0.2]), env)
-        ham = build_fw_direct(model, params, g)
+        ham = build_fw_direct(model, params)
         t = 2.0
         anti = Scale(0.5, Add([ham.total, Scale(-1.0, Adjoint(ham.total))]))
         anti_norm = apply_expr(anti, psi, t).norm()
@@ -203,11 +201,10 @@ class TestFwDirect:
         assert anti_norm <= 1e-2 * piece_norm
 
     def test_hermitize_flag(self, params, battery_3d, hermiticity_residual):
-        g = battery_3d[0].grid
         env = Envelope(shape="gaussian", amplitude=1.0, center=0.0, width=5.0)
         model = UniformB(np.array([0.0, 0.0, 0.2]), env)
-        printed = build_hamiltonian("fw-direct", model, params, g, hermitize=False)
-        sym = build_hamiltonian("fw-direct", model, params, g, hermitize=True)
+        printed = build_hamiltonian("fw-direct", model, params, hermitize=False)
+        sym = build_hamiltonian("fw-direct", model, params, hermitize=True)
         assert not printed.assume_hermitian and sym.assume_hermitian
         psi = battery_3d[0]
         t = 2.0
@@ -217,8 +214,8 @@ class TestFwDirect:
         d = apply_expr(printed.total, psi, t) - apply_expr(sym.total, psi, t)
         assert d.norm() <= 1e-3
 
-    def test_subset(self, grid_1d, params, uniform_b):
-        ham = build_fw_direct(uniform_b, params, grid_1d)
+    def test_subset(self, params, uniform_b):
+        ham = build_fw_direct(uniform_b, params)
         sub = ham.subset(["zeeman"])
         assert sub.term_names() == ["zeeman"]
         with pytest.raises(PreconditionError):

@@ -7,10 +7,14 @@ from relspin.algebra import ID4, commutator, herm_eigs, levi_civita
 from relspin.errors import PreconditionError, SingularMomentumError
 from relspin.operators import (ALPHA, BETA, SIGMA, PhysParams, SpinKind,
                                condition_checks, energy_ep, free_dirac_matrix,
-                               position_correction, spin_operator,
-                               spin_rotation_matrix)
+                               position_correction, spin_operator)
 
 SQ2 = np.sqrt(2.0)
+
+
+def spin_rotation_matrix(axis: int, angle: float) -> np.ndarray:
+    """Spinor-space rotation exp(-i angle Sigma_axis / 2)."""
+    return np.cos(angle / 2.0) * ID4 - 1j * np.sin(angle / 2.0) * SIGMA[axis]
 
 
 def block_diag_transform(params, p):

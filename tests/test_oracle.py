@@ -4,16 +4,20 @@ matrices without ``apply_expr``.  A position leaf sum_j f_j(x) M_j is
 block-diagonal, and a momentum leaf is sum_j M_j (x) F^H diag(f_j) F, with F
 the unitary DFT F[m, n] = exp(-i k_m r_n) / sqrt(N) of the grid's
 conventions.  Random trees mixing both spaces check the evaluator,
-``constant_matrix``, ``block_parity`` and ``Adjoint`` against it."""
+``constant_matrix``, ``block_parity`` and ``Adjoint`` against it, and
+``verify``'s cells are checked against the dense commutator."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from relspin.algebra import ID4
+from relspin.dynamics import rhs, spin_expr, standard_battery, verify
 from relspin.expr import (Add, Adjoint, Mul, MomentumDiag, PositionDiag, Scale, _DiagLeaf,
                           apply_expr, block_parity, constant_matrix)
+from relspin.fields import UniformB
 from relspin.grid import MOMENTUM, POSITION, GridSpec, SpinorField
-from relspin.operators import ALPHA, BETA, SIGMA
+from relspin.hamiltonians import build_hamiltonian
+from relspin.operators import ALPHA, BETA, SIGMA, PhysParams, SpinKind
 
 GRIDS = [GridSpec(1, 16, 12.0), GridSpec(1, 32, 20.0)]
 
@@ -25,10 +29,19 @@ def _inf_norm(m):
     return np.abs(m).sum(axis=1).max()
 
 
-def dense(expr, grid, t=0.0):
+def dense(expr, grid, t=0.0, memo=None):
     """``expr`` as a 4N x 4N matrix, and a bound on its infinity norm that
     adds and multiplies its pieces' norms: the scale of an evaluator's
-    roundoff, also where a sum cancels."""
+    roundoff, also where a sum cancels.  ``memo`` holds each subtree's
+    result by identity, so a subtree shared within ``expr``, or with other
+    trees given the same ``memo``, is built once."""
+    memo = {} if memo is None else memo
+    if id(expr) not in memo:
+        memo[id(expr)] = _dense(expr, grid, t, memo)
+    return memo[id(expr)]
+
+
+def _dense(expr, grid, t, memo):
     if isinstance(expr, _DiagLeaf):
         k, r = grid.axis_momenta(0), grid.axis_positions(0)
         f = np.exp(-1j * np.outer(k, r)) / np.sqrt(grid.n[0])
@@ -38,12 +51,12 @@ def dense(expr, grid, t=0.0):
             out = out + np.kron(m, diag if expr.space == POSITION else f.conj().T @ diag @ f)
         return out, _inf_norm(out)
     if isinstance(expr, Add):
-        parts = [dense(child, grid, t) for child in expr.children]
+        parts = [dense(child, grid, t, memo) for child in expr.children]
         return sum(m for m, _ in parts), sum(b for _, b in parts)
     if isinstance(expr, Mul):
-        (left, bl), (right, br) = dense(expr.left, grid, t), dense(expr.right, grid, t)
+        (left, bl), (right, br) = dense(expr.left, grid, t, memo), dense(expr.right, grid, t, memo)
         return left @ right, bl * br
-    child, b = dense(expr.child, grid, t)
+    child, b = dense(expr.child, grid, t, memo)
     return expr.factor * child, abs(expr.factor) * b
 
 
@@ -112,3 +125,39 @@ def test_tree_is_its_dense_matrix(expr, grid, space, seed):
     diag, off = _blocks(m, n)
     may_diag, may_off = _ALLOWED[block_parity(expr)]
     assert (diag <= tol or may_diag) and (off <= tol or may_off)
+
+
+def test_verify_is_the_dense_commutator():
+    """Every cell of ``verify`` -- ||LHS||, ||RHS|| and the relative residual,
+    with LHS = -i (S_i H - H S_i) psi -- for (pryce, fw) x (dirac-em,
+    fw-direct) under a uniform B, from the dense S_i, H and printed terms,
+    each built once per axis."""
+    grid, params = GridSpec(1, 64, 48.0), PhysParams()
+    model = UniformB(np.array([0.0, 0.0, 0.05]))
+    states = standard_battery(grid, params, count=2)
+    vectors = [psi.to_position().values.ravel() for psi in states]
+    kinds = [SpinKind.PRYCE, SpinKind.FW]
+    spins = {kind: [dense(s, grid)[0] for s in spin_expr(kind, params)] for kind in kinds}
+
+    def norm(v):
+        return np.sqrt(np.sum(np.abs(v) ** 2) * grid.weight)
+
+    for family in ("dirac-em", "fw-direct"):
+        ham = build_hamiltonian(family, model, params)
+        h = dense(ham.total, grid)[0]
+        for kind in kinds:
+            cells = {(c.state, c.axis): c for c in verify(kind, ham, states).cells}
+            terms, _ = rhs(kind, family, model, params)
+            memo = {}  # the printed terms of the three axes share subtrees
+            for axis, s in enumerate(spins[kind]):
+                comm = -1j * (s @ h - h @ s)
+                printed = sum(dense(triple[axis], grid, memo=memo)[0] for _, triple in terms)
+                for si, v in enumerate(vectors):
+                    lhs, rhs_v = comm @ v, printed @ v
+                    scale, rhs_norm = norm(s @ (h @ v)) + norm(h @ (s @ v)), norm(rhs_v)
+                    residual = norm(lhs - rhs_v) / max(scale, rhs_norm, 1e-14 * norm(v))
+                    cell, where = cells[si, "xyz"[axis]], (kind, family, si, axis)
+                    # a z cell under B along z cancels to roundoff of the scale
+                    assert abs(cell.lhs_norm - norm(lhs)) <= 1e-13 * scale, where
+                    assert abs(cell.rhs_norm - rhs_norm) <= 1e-13 * max(scale, rhs_norm), where
+                    assert abs(cell.residual - residual) <= 1e-13, where

@@ -48,7 +48,7 @@ class TestStrang:
         g = GridSpec(1, 1024, 512.0)
         psi = gaussian_packet(g, 0.0, 40.0, 1.0, [1, 0, 0, 0],
                               params=params, energy_projection=True)
-        ham = build_free_dirac(params, g)
+        ham = build_free_dirac(params)
         traj = run(ham, psi, dt=0.05, steps=200, stride=25)
         t = traj.column("t")
         rx = traj.column("r_x")
@@ -77,7 +77,7 @@ class TestStrang:
 
     def test_richardson_second_order(self, params, pulse_1d):
         g = GridSpec(1, 512, 256.0)
-        ham = build_dirac_em(pulse_1d, params, g)
+        ham = build_dirac_em(pulse_1d, params)
         psi = gaussian_packet(g, 0.0, 12.0, 1.0, [1, 0, 0, 0],
                               params=params, energy_projection=True)
 
@@ -162,13 +162,13 @@ class TestKrylov:
     def test_zero_time_identity(self, params):
         g = GridSpec(1, 256, 256.0)
         psi = gaussian_packet(g, 0.0, 12.0, 1.0, [1, 0, 0, 0])
-        ham = build_free_dirac(params, g)
+        ham = build_free_dirac(params)
         out = krylov_step(ham, psi, 0.0, 0.0)
         assert (out - psi).norm() <= 1e-12
 
     def test_cross_agreement_with_strang(self, params, pulse_1d):
         g = GridSpec(1, 512, 256.0)
-        ham = build_dirac_em(pulse_1d, params, g)
+        ham = build_dirac_em(pulse_1d, params)
         psi = gaussian_packet(g, 0.0, 12.0, 1.0, [1, 0, 0, 0],
                               params=params, energy_projection=True)
         dt = 5e-4
@@ -186,7 +186,7 @@ class TestKrylov:
         g = GridSpec(1, 128, 128.0)
         model = UniformB(np.array([0.2, 0.0, 0.0]))
         # soc and nutation terms are identically zero for a static field
-        ham = build_fw_direct(model, params, g).subset(["kinetic", "zeeman"])
+        ham = build_fw_direct(model, params).subset(["kinetic", "zeeman"])
         ham.assume_hermitian = True
         psi = gaussian_packet(g, 0.0, 8.0, 1.0, [1, 0, 0, 0],
                               params=params, energy_projection=True)
@@ -198,7 +198,7 @@ class TestKrylov:
     def test_time_reversal(self, params):
         g = GridSpec(1, 128, 128.0)
         model = UniformB(np.array([0.0, 0.0, 0.2]))
-        ham = build_hamiltonian("fw-direct", model, params, g, hermitize=True)
+        ham = build_hamiltonian("fw-direct", model, params, hermitize=True)
         psi = gaussian_packet(g, 0.0, 8.0, 1.0, [1, 0, 0, 0],
                               params=params, energy_projection=True)
         fwd = krylov_step(ham, psi, 0.0, 0.05, tol=1e-13)
@@ -209,7 +209,7 @@ class TestKrylov:
     def test_matches_dense_expm(self, params, hermitize):
         # H(t + dt/2) as an explicit 4N x 4N matrix, one apply per unit column
         g = GridSpec(1, 32, 32.0)
-        ham = build_hamiltonian("fw-direct", _PULSED_B, params, g, hermitize=hermitize)
+        ham = build_hamiltonian("fw-direct", _PULSED_B, params, hermitize=hermitize)
         psi = gaussian_packet(g, 0.0, 4.0, 0.5, [1, 1, 0, 0], params=params,
                               energy_projection=True)
         t, dt = 0.1, 0.05
@@ -230,7 +230,7 @@ class TestKrylov:
         # stacked into a matrix at the end it peaked at 37 778 638 bytes
         # (18.0 states) in this test
         g = GridSpec(3, 32, 48.0)
-        ham = build_fw_direct(_UNIFORM_B, params, g)
+        ham = build_fw_direct(_UNIFORM_B, params)
         psi = _packet_3d(g, params).to_momentum()
         krylov_step(ham, psi, 0.0, 0.05)  # fills the leaf caches
         tracemalloc.start()
@@ -244,14 +244,14 @@ class TestKrylov:
     def test_small_subspace_rejected(self, params):
         g = GridSpec(1, 128, 128.0)
         psi = gaussian_packet(g, 0.0, 8.0, 1.0, [1, 0, 0, 0])
-        ham = build_free_dirac(params, g)
+        ham = build_free_dirac(params)
         with pytest.raises(PreconditionError):
             krylov_step(ham, psi, 0.0, 0.1, m=4)
 
     def test_nonconvergence_suggests_step(self, params):
         g = GridSpec(1, 128, 16.0)   # large k range -> wide spectrum
         psi = gaussian_packet(g, 0.0, 1.0, 1.0, [1, 0, 0, 0])
-        ham = build_free_dirac(params, g)
+        ham = build_free_dirac(params)
         with pytest.raises(KrylovConvergenceError) as err:
             krylov_step(ham, psi, 0.0, 50.0, m=8, tol=1e-12)
         assert err.value.suggested_dt == pytest.approx(25.0)
@@ -280,7 +280,7 @@ class TestConstantStep:
     def test_one_step_is_dense_expm_per_point(self, params, fft_count, space, hermitize):
         g = GridSpec(1, 64, 64.0)
         b = np.array([0.03, -0.02, 0.04])  # Sigma_y makes M Hermitian, not symmetric
-        ham = build_hamiltonian("fw-direct", UniformB(b), params, g, terms=["zeeman"],
+        ham = build_hamiltonian("fw-direct", UniformB(b), params, terms=["zeeman"],
                                 hermitize=hermitize)
         dense = -params.e / (2 * params.m0) * sum(bj * BETA @ s for bj, s in zip(b, SIGMA))
         psi = gaussian_packet(g, 0.0, 6.0, 0.5, [1, 1, 0, 0], params=params,
@@ -300,7 +300,7 @@ class TestConstantStep:
         # column is compared relative to its scale, at least 1, since energy
         # and S_z of this transverse precession are zero up to roundoff
         g = GridSpec(1, 128, 128.0)
-        ham = build_hamiltonian("fw-direct", model, params, g, terms=["zeeman"],
+        ham = build_hamiltonian("fw-direct", model, params, terms=["zeeman"],
                                 hermitize=hermitize)
         psi = gaussian_packet(g, 0.0, 8.0, 0.5, [1, 1, 0, 0], params=params,
                               energy_projection=True)
@@ -313,9 +313,9 @@ class TestConstantStep:
 
 
 class TestRun:
-    def test_dispatch(self, params, grid_1d):
-        free = build_free_dirac(params, grid_1d)
-        direct = build_fw_direct(ZeroField(), params, grid_1d)
+    def test_dispatch(self, params):
+        free = build_free_dirac(params)
+        direct = build_fw_direct(ZeroField(), params)
         assert choose_propagator(free) == "strang"
         assert choose_propagator(direct) == "krylov"
 
@@ -324,7 +324,7 @@ class TestRun:
         g = GridSpec(1, 512, 512.0)
         psi = gaussian_packet(g, -20.0, 24.0, 0.75, [1, 1, 0, 0],
                               params=params, energy_projection=True)
-        ham = build_free_dirac(params, g)
+        ham = build_free_dirac(params)
         traj = run(ham, psi, dt=0.05, steps=1000, stride=50)
         for label in ("S_FW", "S_Py"):
             for ax in "xyz":
@@ -338,7 +338,7 @@ class TestRun:
         g = GridSpec(1, 512, 512.0)
         k0 = 0.75
         mixed = mixed_energy_state(g, params, k0, 40.0)
-        ham = build_free_dirac(params, g)
+        ham = build_free_dirac(params)
         e0 = np.sqrt(k0**2 + 1.0)
         period = 2 * np.pi / (2 * e0)
         dt = period / 64
@@ -359,7 +359,7 @@ class TestRun:
         g = GridSpec(1, 256, 256.0)
         b0 = 0.2
         model = UniformB(np.array([0.0, 0.0, b0]))
-        ham = build_fw_direct(model, params, g).subset(["zeeman"])
+        ham = build_fw_direct(model, params).subset(["zeeman"])
         pol = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2)
         psi = gaussian_packet(g, 0.0, 16.0, 0.9, pol)   # pure upper spinor
         period_pred = 2 * np.pi * params.m0 / (abs(params.e) * b0)
@@ -380,7 +380,7 @@ class TestRun:
         g = GridSpec(1, 256, 128.0)
         psi = gaussian_packet(g, 0.0, 8.0, 2.0, [1, 0, 0, 0],
                               params=params, energy_projection=True)
-        ham = build_free_dirac(params, g)
+        ham = build_free_dirac(params)
         # fast packet reaches the margin shell well within 60 time units
         with pytest.raises(BoundaryFluxError):
             run(ham, psi, dt=0.05, steps=1200, stride=10)
@@ -389,7 +389,7 @@ class TestRun:
         g = GridSpec(1, 256, 256.0)
         psi = gaussian_packet(g, 0.0, 16.0, 1.0, [1, 0, 0, 0],
                               params=params, energy_projection=True)
-        ham = build_free_dirac(params, g)
+        ham = build_free_dirac(params)
         t1 = run(ham, psi, dt=0.01, steps=20, stride=5)
         t2 = run(ham, psi, dt=0.01, steps=20, stride=5)
         assert t1.to_csv() == t2.to_csv()
@@ -406,7 +406,7 @@ def _stepwise_rows(ham, psi, dt, steps, stride, propagator=None, t0=0.0):
     t0 + s dt: the reference a run that crosses a stride in one step must
     equal."""
     step = _stepper(ham, propagator, 1e-10)
-    obs = _Observables(ham.grid, ham.params)
+    obs = _Observables(ham.params)
     rows = [obs.measure(ham, psi, t0)]
     for s in range(1, steps + 1):
         psi = step(psi, t0 + (s - 1) * dt, dt)
@@ -417,7 +417,7 @@ def _stepwise_rows(ham, psi, dt, steps, stride, propagator=None, t0=0.0):
 
 def _leap_case(params, family, model=_UNIFORM_B, hermitize=False, terms=None):
     g = GridSpec(1, 128, 128.0)
-    ham = build_hamiltonian(family, model, params, g, terms=terms, hermitize=hermitize)
+    ham = build_hamiltonian(family, model, params, terms=terms, hermitize=hermitize)
     return ham, gaussian_packet(g, 0.0, 8.0, 0.5, [1, 1, 0, 0], params=params,
                                 energy_projection=True)
 
@@ -489,11 +489,11 @@ class TestMeasure:
     def test_row_matches_reference(self, params, pulse_1d, boundary_flux, family, space):
         g = GridSpec(1, 256, 256.0)
         model = _PULSED_B if family == "fw-direct" else pulse_1d
-        ham = build_hamiltonian(family, model, params, g)
+        ham = build_hamiltonian(family, model, params)
         psi = gaussian_packet(g, 10.0, 12.0, 1.0, [1, 1, 0, 0], params=params,
                               energy_projection=True).in_space(space)
         t = 0.3
-        obs = _Observables(g, params)
+        obs = _Observables(params)
         row = obs.measure(ham, psi, t)
         exprs = {"energy": ham.total}
         labels = {SpinKind.DIRAC: "S_D", SpinKind.FW: "S_FW", SpinKind.PRYCE: "S_Py"}
@@ -516,10 +516,10 @@ class TestMeasure:
     def test_row_matches_reference_3d(self, params, space):
         # 32^3 points are contracted in blocks of the leading axis
         g = GridSpec(3, 32, 48.0)
-        ham = build_hamiltonian("dirac-em", _UNIFORM_B, params, g)
+        ham = build_hamiltonian("dirac-em", _UNIFORM_B, params)
         psi = _packet_3d(g, params).in_space(space)
         t = 0.3
-        obs = _Observables(g, params)
+        obs = _Observables(params)
         row = obs.measure(ham, psi, t)
         exprs = {"energy": ham.total}
         labels = {SpinKind.DIRAC: "S_D", SpinKind.FW: "S_FW", SpinKind.PRYCE: "S_Py"}
@@ -535,7 +535,7 @@ class TestMeasure:
     @pytest.mark.parametrize("weight, refused", [(2e-3, True), (5e-4, False)])
     def test_zero_mode_guard(self, params, weight, refused):
         g = GridSpec(1, 256, 256.0)
-        ham = build_free_dirac(params, g)
+        ham = build_free_dirac(params)
         vals = gaussian_packet(g, 0.0, 12.0, 1.0, [1, 0, 0, 0], params=params,
                                energy_projection=True).to_momentum().values.copy()
         vals[(slice(None), *g.origin_index)] = 0.0
@@ -544,7 +544,7 @@ class TestMeasure:
         vals[(0, *g.origin_index)] = np.sqrt(weight * rest / (1.0 - weight))
         psi = SpinorField(g, vals, "momentum")
         assert zero_mode_weight(psi) == pytest.approx(weight, rel=1e-12)
-        obs = _Observables(g, params)
+        obs = _Observables(params)
         if refused:
             with pytest.raises(SingularMomentumError,
                                match="S_Py_x is singular at k=0 .* > guard 1.0e-03"):
@@ -554,7 +554,7 @@ class TestMeasure:
 
     def test_row_applies_only_the_energy(self, params, pulse_1d, monkeypatch):
         g = GridSpec(1, 256, 256.0)
-        ham = build_hamiltonian("dirac-em", pulse_1d, params, g)
+        ham = build_hamiltonian("dirac-em", pulse_1d, params)
         psi = gaussian_packet(g, 10.0, 12.0, 1.0, [1, 1, 0, 0], params=params,
                               energy_projection=True).to_momentum()
         calls = [0]
@@ -567,7 +567,7 @@ class TestMeasure:
         monkeypatch.setattr(_DiagLeaf, "_apply", counted)
         expectation(ham.total, psi, 0.3, guard=OBSERVABLE_GUARD)
         energy, calls[0] = calls[0], 0
-        _Observables(g, params).measure(ham, psi, 0.3)
+        _Observables(params).measure(ham, psi, 0.3)
         assert calls[0] == energy > 0
 
     @pytest.mark.parametrize("hermitize", [False, True])
@@ -576,12 +576,12 @@ class TestMeasure:
         # free is one momentum leaf and the Zeeman-only fw-direct one constant
         # leaf under a static uniform B: the energy is a stack entry
         g = GridSpec(1, 256, 256.0)
-        ham = (build_free_dirac(params, g) if family == "free" else
-               build_hamiltonian("fw-direct", _UNIFORM_B, params, g, terms=["zeeman"],
+        ham = (build_free_dirac(params) if family == "free" else
+               build_hamiltonian("fw-direct", _UNIFORM_B, params, terms=["zeeman"],
                                  hermitize=hermitize))
         psi = gaussian_packet(g, 10.0, 12.0, 1.0, [1, 1, 0, 0], params=params,
                               energy_projection=True)
-        obs = _Observables(g, params)
+        obs = _Observables(params)
         calls = [0]
         apply = _DiagLeaf._apply
 
@@ -601,7 +601,7 @@ class TestMeasure:
         # the flux is the shell's share of the squared norm, whatever the norm
         g = GridSpec(1, 256, 256.0)
         psi = 3.0 * gaussian_packet(g, 60.0, 16.0, 1.0, [1, 0, 0, 0])
-        row = _Observables(g, params).measure(build_free_dirac(params, g), psi, 0.0)
+        row = _Observables(params).measure(build_free_dirac(params), psi, 0.0)
         assert row["norm"] == pytest.approx(3.0, rel=1e-13, abs=0.0)
         assert row["flux"] == pytest.approx(boundary_flux(psi), rel=1e-13, abs=0.0)
         assert row["flux"] > 1e-6
@@ -611,14 +611,14 @@ class TestMeasure:
         # the row reads the weight from the density's k = 0 trace; placed
         # this close to the guard, it decides as zero_mode_weight does
         g = GridSpec(1, 256, 256.0)
-        ham = build_free_dirac(params, g)
+        ham = build_free_dirac(params)
         vals = gaussian_packet(g, 0.0, 12.0, 1.0, [1, 0, 0, 0], params=params,
                                energy_projection=True).to_momentum().values.copy()
         vals[(slice(None), *g.origin_index)] = 0.0
         weight = OBSERVABLE_GUARD * (1.0 + offset)
         rest = np.vdot(vals, vals).real
         vals[(0, *g.origin_index)] = np.sqrt(weight * rest / (1.0 - weight))
-        obs = _Observables(g, params)
+        obs = _Observables(params)
         for psi in (SpinorField(g, vals, "momentum"),
                     SpinorField(g, vals, "momentum").to_position()):
             refused = zero_mode_weight(psi) > OBSERVABLE_GUARD
@@ -631,9 +631,9 @@ class TestMeasure:
 
     def test_3d_memory(self, params):
         g = GridSpec(3, 32, 48.0)
-        ham = build_hamiltonian("dirac-em", _UNIFORM_B, params, g)
+        ham = build_hamiltonian("dirac-em", _UNIFORM_B, params)
         psi = _packet_3d(g, params)
-        obs = _Observables(g, params)
+        obs = _Observables(params)
         obs.measure(ham, psi, 0.3)  # fills the leaf caches
         mom = psi.to_momentum()
         tracemalloc.start()
@@ -653,15 +653,15 @@ class TestMeasure:
 
 
 class TestEhrenfest:
-    def test_fw_free_closure_at_floor(self, params, grid_1d, battery_1d):
-        ham = build_free_dirac(params, grid_1d)
+    def test_fw_free_closure_at_floor(self, params, battery_1d):
+        ham = build_free_dirac(params)
         out = ehrenfest_residual(SpinKind.FW, ham, battery_1d[0], 0.02, 8)
         assert np.max(out["residual"]) <= 1e-10
 
     def test_dirac_free_second_order(self, params):
         g = GridSpec(1, 512, 512.0)
         mixed = mixed_energy_state(g, params, 0.75, 40.0)
-        ham = build_free_dirac(params, g)
+        ham = build_free_dirac(params)
         e0 = np.sqrt(0.75**2 + 1.0)
         period = 2 * np.pi / (2 * e0)
         r1 = ehrenfest_residual(SpinKind.DIRAC, ham, mixed, period / 32, 32)
@@ -669,23 +669,23 @@ class TestEhrenfest:
         ratio = np.max(r1["residual"]) / np.max(r2["residual"])
         assert ratio == pytest.approx(4.0, abs=0.3)
 
-    def test_pryce_zeeman_direct(self, params, grid_1d, battery_1d):
+    def test_pryce_zeeman_direct(self, params, battery_1d):
         b0 = 0.2
         model = UniformB(np.array([0.0, 0.0, b0]))
-        ham = build_fw_direct(model, params, grid_1d).subset(["zeeman"])
+        ham = build_fw_direct(model, params).subset(["zeeman"])
         dt = 1e-3 * params.m0 / (abs(params.e) * b0)
         out = ehrenfest_residual(SpinKind.PRYCE, ham, battery_1d[1], dt, 10,
                                  krylov_tol=1e-13)
         assert np.max(out["residual"]) <= 1e-6
 
-    def test_steps_once_per_dt(self, params, grid_1d, battery_1d, monkeypatch):
+    def test_steps_once_per_dt(self, params, battery_1d, monkeypatch):
         # the centred difference reads <S> at every step, so even an exact
         # step is taken once per dt, never across several
         from relspin import propagate
         sizes = []
         monkeypatch.setattr(propagate, "strang_step_dirac",
                             lambda *args: sizes.append(args[-1]) or strang_step_dirac(*args))
-        out = ehrenfest_residual(SpinKind.FW, build_free_dirac(params, grid_1d),
+        out = ehrenfest_residual(SpinKind.FW, build_free_dirac(params),
                                  battery_1d[0], 0.02, 8)
         assert sizes == [0.02] * 8
         assert len(out["spin"]) == 9
@@ -702,7 +702,7 @@ class TestEhrenfest:
                               params=params, energy_projection=True)
         env = Envelope(shape="gaussian", amplitude=1.0, center=0.0, width=4.0)
         model = UniformB(np.array([0.0, 0.0, 0.2]), env)
-        ham = build_hamiltonian("fw-direct", model, params, g, hermitize=False)
+        ham = build_hamiltonian("fw-direct", model, params, hermitize=False)
         assert not ham.assume_hermitian
         out = ehrenfest_residual(SpinKind.FW, ham, psi, 0.04, 6,
                                  krylov_tol=1e-11)

@@ -135,18 +135,18 @@ def test_families_table_is_what_the_code_does():
     params, grid, model = PhysParams(), GridSpec(1, 64, 64.0), UniformB([0.0, 0.0, 0.1])
     assert set(FAMILIES) == {"free", "dirac-em", "fw-full", "fw-direct"}
     for family, spec in FAMILIES.items():
-        assert build_hamiltonian(family, model, params, grid).term_names() == list(spec.default)
+        assert build_hamiltonian(family, model, params).term_names() == list(spec.default)
         parse_scenario(base_scenario(hamiltonian={"family": family}, verification={
             "checks": [{"kind": "fw", "family": family}]}))
         if spec.split:
             for key, value in (("terms", list(spec.terms)), ("hermitize", True)):
                 with pytest.raises(PreconditionError, match=family):
-                    build_hamiltonian(family, model, params, grid, **{key: value})
+                    build_hamiltonian(family, model, params, **{key: value})
                 with pytest.raises(ConfigError, match=f"hamiltonian.{key}"):
                     parse_scenario(base_scenario(hamiltonian={"family": family, key: value}))
             continue
         for term in spec.terms:
-            ham = build_hamiltonian(family, model, params, grid, terms=[term], hermitize=True)
+            ham = build_hamiltonian(family, model, params, terms=[term], hermitize=True)
             assert ham.term_names() == [term] and ham.assume_hermitian
             sc = parse_scenario(base_scenario(hamiltonian={"family": family, "terms": [term]}))
             assert sc.make_hamiltonian().term_names() == [term]
@@ -157,8 +157,8 @@ def test_families_table_is_what_the_code_does():
             parse_scenario(base_scenario(verification={
                 "checks": [{"kind": "fw", "family": family}]}))
         with pytest.raises(PreconditionError, match="unknown Hamiltonian family"):
-            build_hamiltonian(family, model, params, grid)
-    ham = build_hamiltonian("fw-direct", model, params, grid, terms=["zeeman"])
+            build_hamiltonian(family, model, params)
+    ham = build_hamiltonian("fw-direct", model, params, terms=["zeeman"])
     psi = gaussian_packet(grid, 0.0, 4.0, 0.5, [1, 0, 0, 0], params=params,
                           energy_projection=True)
     for propagator in ("strang", "bogus", ""):
@@ -356,7 +356,7 @@ class TestVerifyDynamics:
             reports[name] = report.read_bytes()
         assert reports["masked"] == reports["full"]
 
-    def test_refinement_rungs_each_report_their_residual(self, tmp_path):
+    def test_refinement_rungs_each_report_their_residual(self, tmp_path, capsys):
         # a 1D ladder of 128 to 1024 points: 128 cannot host the battery
         # (Nyquist), 256 is the scenario's own check, 512 and 1024 are run
         doc = base_scenario(
@@ -367,12 +367,14 @@ class TestVerifyDynamics:
         report = tmp_path / "report.json"
         path = write_scenario(tmp_path, doc)
         assert main(["verify-dynamics", "--scenario", path, "--report", str(report)]) == 1
+        assert ("pryce/dirac-em: refinement rung N=128 skipped: battery momentum too close "
+                "to the lattice Nyquist bound") in capsys.readouterr().out
         (rep,) = json.loads(report.read_text())["reports"]
         sc = parse_scenario(doc)
         want = []
         for n in (256, 512, 1024):
             g = GridSpec(1, n, 256.0)
-            ham = build_hamiltonian("dirac-em", sc.model, sc.params, g)
+            ham = build_hamiltonian("dirac-em", sc.model, sc.params)
             want.append(verify(SpinKind.PRYCE, ham, standard_battery(g, sc.params),
                                removal_gains=False).residual)
         assert [r["n"] for r in rep["refinement"]] == [256, 512, 1024]
@@ -380,6 +382,22 @@ class TestVerifyDynamics:
         assert rep["classification"] == classify_residual_series(
             [r["residual"] for r in rep["refinement"]])
         assert set(rep["term_classification"].values()) == {rep["classification"]}
+
+    def test_single_state_ladder_names_each_skipped_rung(self, tmp_path, capsys):
+        # the single state is tied to the scenario grid: --refine runs the
+        # 256 rung alone and says so for 128 and 512
+        doc = base_scenario(verification={"checks": [{"kind": "fw", "family": "free"}],
+                                          "battery": "state", "refine_levels": 1})
+        report = tmp_path / "report.json"
+        path = write_scenario(tmp_path, doc)
+        argv = ["verify-dynamics", "--scenario", path, "--refine", "--report", str(report)]
+        assert main(argv) == 0
+        (rep,) = json.loads(report.read_text())["reports"]
+        assert [r["n"] for r in rep["refinement"]] == [256]
+        out = capsys.readouterr().out
+        for n in (128, 512):
+            assert (f"fw/free: refinement rung N={n} skipped: the single state is tied "
+                    "to the scenario grid") in out
 
     def test_missing_checks_rejected(self, tmp_path):
         doc = base_scenario(verification={"checks": []})
@@ -553,7 +571,7 @@ class TestUsage:
         rng = np.random.default_rng(5)
         psi = SpinorField(grid, rng.normal(size=(4, *grid.shape))
                           + 1j * rng.normal(size=(4, *grid.shape)))
-        ham = build_hamiltonian("dirac-em", UniformB([0.0, 0.0, 0.05]), params, grid)
+        ham = build_hamiltonian("dirac-em", UniformB([0.0, 0.0, 0.05]), params)
         applied = []
         for n in (1, 2):
             set_fft_workers(n)
