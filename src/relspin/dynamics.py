@@ -36,7 +36,8 @@ from .errors import PreconditionError
 from .expr import (Add, ConstMatrix, MomentumDiag, Mul, Scale, _one, apply_expr,
                    block_parity)
 from .fields import FieldModel
-from .grid import GridSpec, gaussian_packet, positive_energy_part, suppress_zero_mode
+from .grid import (POLARIZATIONS, GridSpec, gaussian_packet, positive_energy_part,
+                   suppress_zero_mode)
 from .hamiltonians import (P, R, ModelVector, NamedHamiltonian, add, const_triple, cross, dot,
                            dot_p, kinetic_triple, prefix, scale, triple, vec_leaf)
 from .operators import (ALPHA, BETA, SIGMA, PhysParams, SpinKind, energy_k2,
@@ -546,10 +547,6 @@ def total_j_identity(kind: SpinKind, states, params: PhysParams,
 # standard verification battery
 # ---------------------------------------------------------------------------
 
-_POL_UP_Z = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-_POL_UP_X = np.array([1.0, 1.0, 0.0, 0.0], dtype=complex) / np.sqrt(2.0)
-
-
 def standard_battery(grid: GridSpec, params: PhysParams, count: int | None = None):
     """Deterministic battery of energy-projected Gaussian packets:
     two polarizations times three mean momenta (one near m0 c).
@@ -577,7 +574,7 @@ def standard_battery(grid: GridSpec, params: PhysParams, count: int | None = Non
         dirs = [np.array([1.0, 0.0, 0.0]),
                 np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)]
     kmax = min(np.pi / dx for dx in grid.dx)
-    pols = [_POL_UP_Z, _POL_UP_X]
+    pols = [POLARIZATIONS["up_z"], POLARIZATIONS["up_x"]]
     states = []
     for i in range(count if count is not None else 6 if grid.dim == 1 else 2):
         pol, k0 = pols[i % 2], mags[i % len(mags)] * dirs[i % len(dirs)]

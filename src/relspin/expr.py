@@ -54,9 +54,12 @@ Scale scales its child's in place, and a transform of a node's own result
 move back to the input's space; ``own=True``) overwrites it.  The caller's
 state and the leaves' cached scalars are never written.
 
-One structural walk, ``_fold``, reads a tree's 4x4 form; ``constant_matrix``
-is its matrix over constant leaves, and ``block_parity`` reads the blocks of
-its form over the leaves' sum_j |M_j| (every factor 1, so nothing cancels).
+Two structural walks read a tree without applying it.  ``_scaled_leaves``
+flattens a sum of scaled leaves, its vanishing subtrees dropped when given a
+grid and t: ``LeafStack`` reads it for static trees, and the exact step of
+``propagate`` for a Hamiltonian at the step midpoint.  ``block_parity``
+reads the blocks of a tree's form over the leaves' sum_j |M_j| (every factor
+1, so nothing cancels).
 
 Leaves flagged ``singular_origin`` (the longitudinal 1/p^2 projector and
 friends) refuse to act on states whose k = 0 amplitude fraction exceeds the
@@ -76,7 +79,6 @@ __all__ = [
     "OperatorExpr", "PositionDiag", "MomentumDiag", "ConstMatrix",
     "Add", "Mul", "Scale", "Adjoint",
     "LeafStack", "apply_expr", "expectation", "block_parity",
-    "constant_matrix",
     "DEFAULT_ZERO_MODE_GUARD",
 ]
 
@@ -279,14 +281,17 @@ def expectation(expr: OperatorExpr, field: SpinorField, t: float = 0.0,
     return field.inner(_evaluate(expr, field, t, guard).in_space(field.space, consume=True))
 
 
-def _scaled_leaves(expr, factor=1.0):
-    """``expr`` as [(factor, leaf)] when it is a sum of scaled time-independent
-    leaves, else None."""
+def _scaled_leaves(expr, grid=None, t=0.0, factor=1.0):
+    """``expr`` as [(factor, leaf)] when it is a sum of scaled leaves, else
+    None; given a grid, a subtree that vanishes at (grid, t) is dropped."""
+    if grid is not None and expr._vanishes(grid, t):
+        return []
     if isinstance(expr, _DiagLeaf):
-        return None if expr.time_dependent else [(factor, expr)]
+        return [(factor, expr)]
     if isinstance(expr, Scale):
-        return _scaled_leaves(expr.child, factor * expr.factor)
-    parts = [_scaled_leaves(c, factor) for c in expr.children] if isinstance(expr, Add) else [None]
+        return _scaled_leaves(expr.child, grid, t, factor * expr.factor)
+    parts = ([_scaled_leaves(c, grid, t, factor) for c in expr.children]
+             if isinstance(expr, Add) else [None])
     return None if None in parts else sum(parts, [])
 
 
@@ -314,7 +319,8 @@ class LeafStack:
 
     def __init__(self, entries):
         self.entries = [_scaled_leaves(e) for e in entries]
-        if None in self.entries:
+        if None in self.entries or any(leaf.time_dependent for pairs in self.entries
+                                       for _, leaf in pairs):
             raise PreconditionError("a LeafStack needs sums of scaled time-independent leaves")
         self._shown = len(self.entries)
         if any(leaf.singular_origin for pairs in self.entries for _, leaf in pairs):
@@ -327,8 +333,8 @@ class LeafStack:
         """Whether ``expr`` can be an entry of a stack in ``space``: each of its
         leaves is diagonal there or constant on ``grid``."""
         pairs = _scaled_leaves(expr)
-        return pairs is not None and all(leaf.space == space or all(
-            a.size == 1 for a in leaf._scalars(grid, 0.0)) for _, leaf in pairs)
+        return pairs is not None and all(not leaf.time_dependent and (leaf.space == space or all(
+            a.size == 1 for a in leaf._scalars(grid, 0.0))) for _, leaf in pairs)
 
     def _gather(self, grid):
         n = len(self.entries)
@@ -380,44 +386,26 @@ class LeafStack:
         return out[:self._shown]
 
 
-# -- static 4x4 forms ----------------------------------------------------------
+# -- block parity ----------------------------------------------------------------
 
-def _fold(expr, leaf, factor, zero):
-    """The tree's 4x4 form: ``leaf`` maps a leaf to a matrix (or None), Add
-    sums, Mul gives left @ right, Scale multiplies by ``factor(f)``, and a
-    subtree where ``zero`` holds is 0.  None when a leaf it reaches is."""
-    if zero(expr):
-        return np.zeros((4, 4), dtype=complex)
+def _form(expr):
+    """The tree's 4x4 form over its leaves' sum_j |M_j|: Add sums, Mul gives
+    left @ right, and Scale is dropped (every factor 1, so nothing cancels)."""
     if isinstance(expr, _DiagLeaf):
-        return leaf(expr)
+        return sum((np.abs(m) for _, m in expr.terms), np.zeros((4, 4)))
     if isinstance(expr, Add):
-        parts = [_fold(child, leaf, factor, zero) for child in expr.children]
-        return None if any(part is None for part in parts) else sum(parts)
+        return sum(_form(child) for child in expr.children)
     if isinstance(expr, Mul):
-        right = _fold(expr.right, leaf, factor, zero)
-        left = None if right is None else _fold(expr.left, leaf, factor, zero)
-        return None if left is None else left @ right
-    child = _fold(expr.child, leaf, factor, zero)
-    return None if child is None else factor(expr.factor) * child
+        return _form(expr.left) @ _form(expr.right)
+    return _form(expr.child)
 
 
 def block_parity(expr: OperatorExpr) -> str:
     """Classify an expression's particle-antiparticle block structure as
     'diagonal', 'offdiagonal', 'zero', or 'mixed': the blocks where the
-    tree's form over its leaves' |M_j| (every factor 1) is nonzero."""
-    form = _fold(expr, lambda leaf: sum((np.abs(m) for _, m in leaf.terms), np.zeros((4, 4))),
-                 lambda f: 1.0, lambda e: False)
+    tree's ``_form`` is nonzero."""
+    form = _form(expr)
     tol = 1e-12 * form.max()
     diag = max(form[:2, :2].max(), form[2:, 2:].max()) > tol
     off = max(form[:2, 2:].max(), form[2:, :2].max()) > tol
     return ("zero", "offdiagonal", "diagonal", "mixed")[2 * diag + off]
-
-
-def constant_matrix(expr: OperatorExpr, grid: GridSpec, t: float):
-    """The 4x4 matrix of an expression whose live leaves are all constants at
-    (grid, t), or None.  It reads the leaves' fill records and applies
-    nothing; a vanishing subtree is zero."""
-    def leaf(node):  # a term of size > 1 that is not live has a zero matrix
-        return None if node._axes else sum(m * a.reshape(()) for (_, m), a in
-                                           zip(node.terms, node._arrays) if a.size == 1)
-    return _fold(expr, leaf, lambda f: f, lambda e: e._vanishes(grid, t))

@@ -112,8 +112,6 @@ class FieldModel:
 
     #: B, dB/dt, d2B/dt2 do not depend on position (true for all but plane waves)
     uniform_b = True
-    #: A is identically zero
-    has_vector_potential = False
     #: phi is identically zero
     has_scalar_potential = False
 
@@ -165,8 +163,6 @@ def _cross_mesh(v, r):
 class UniformB(FieldModel):
     b0: np.ndarray = dataclass_field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
     envelope: Envelope = dataclass_field(default_factory=Envelope)
-
-    has_vector_potential = True
 
     def __post_init__(self):
         self.b0 = np.asarray(self.b0, dtype=float)
@@ -268,7 +264,6 @@ class PlaneWavePulse(FieldModel):
     env_width: float = 5.0
 
     uniform_b = False
-    has_vector_potential = True
 
     def __post_init__(self):
         self.e0 = np.asarray(self.e0, dtype=float)

@@ -32,8 +32,8 @@ Conventions (frozen; binary dumps and golden data depend on them)
 1D grids keep three-vector algebra alive by pinning k_y = k_z = 0 and
 r_y = r_z = 0; operators along the missing axes act trivially.
 
-``pointwise`` is the one per-point 4x4 kernel (operator leaves, both Strang
-factors, the positive-energy projection, the constant-matrix step): for
+``pointwise`` is the one per-point 4x4 kernel (operator leaves, the factors
+of the exact step, the positive-energy projection): for
 sum_j M_j f_j psi it accumulates (M_j[a, b] f_j) psi_b into row a over the
 nonzero (row, col, entry) triples of each M_j only (``matrix_entries``), each
 f_j at its broadcast shape (a sparse mesh stays sparse).  A monomial M_j, as
@@ -54,7 +54,7 @@ from .errors import GridResolutionError, PreconditionError
 from .operators import ALPHA, BETA, PhysParams, energy_k2
 
 __all__ = [
-    "GridSpec", "SpinorField", "gaussian_packet", "zero_mode_weight",
+    "GridSpec", "SpinorField", "POLARIZATIONS", "gaussian_packet", "zero_mode_weight",
     "matrix_entries", "pointwise", "free_dirac_terms", "positive_energy_part",
     "save_field", "load_field", "set_fft_workers",
 ]
@@ -332,6 +332,15 @@ def _as_vec3(v, dim, name):
     if dim == 1 and (v[1] != 0.0 or v[2] != 0.0):
         raise PreconditionError(f"{name} must lie along x on a 1D grid")
     return v
+
+
+#: the named packet polarizations: spin up or down along z or x, upper components
+POLARIZATIONS = {
+    "up_z": np.array([1, 0, 0, 0], dtype=complex),
+    "down_z": np.array([0, 1, 0, 0], dtype=complex),
+    "up_x": np.array([1, 1, 0, 0], dtype=complex) / np.sqrt(2),
+    "down_x": np.array([1, -1, 0, 0], dtype=complex) / np.sqrt(2),
+}
 
 
 def gaussian_packet(grid: GridSpec, center, sigma: float, k0,

@@ -37,12 +37,14 @@ fold Sigma_i into a field leaf's matrix (``_cross_dot_sigma``) where the
 printed right-hand sides write ConstMatrix(Sigma_i) @ leaf; the two are
 equal up to roundoff, and each keeps its own transform count.
 
-``FAMILIES`` holds each family's terms, its builder, which builds them all,
-and whether a Strang step splits it exactly.  ``build_hamiltonian`` keeps the
-default terms or a chosen subset and, with ``hermitize``, replaces each term
-by (T + T^H)/2: a numerical no-op for field models that obey Faraday's law,
-where the anti-Hermitian part of Sigma.(E x (p-eA)), (i/2) Sigma.dB/dt,
-cancels the explicit -i dB/dt piece of ``field-derivative-soc`` exactly.
+``FAMILIES`` holds each family's terms and its builder, which builds them
+all.  These trees are the one transcription of each Hamiltonian: the
+propagators read them too, the exact step of ``propagate`` from their live
+leaves.  ``build_hamiltonian`` keeps the default terms or a chosen subset
+and, with ``hermitize``, replaces each term by (T + T^H)/2: a numerical
+no-op for field models that obey Faraday's law, where the anti-Hermitian
+part of Sigma.(E x (p-eA)), (i/2) Sigma.dB/dt, cancels the explicit -i dB/dt
+piece of ``field-derivative-soc`` exactly.
 """
 
 from __future__ import annotations
@@ -70,12 +72,11 @@ __all__ = [
 
 
 class Family(NamedTuple):
-    """A family's terms in order, ``build(model, params)`` of them all,
-    whether a Strang step splits it exactly, and the terms left off by default."""
+    """A family's terms in order, ``build(model, params)`` of them all, and
+    the terms left off by default."""
 
     terms: tuple
     build: Callable
-    split: bool = False
     off: tuple = ()
 
     @property
@@ -85,9 +86,9 @@ class Family(NamedTuple):
 
 # a builder is called by its module-level name, so a wrapper bound there sees every build
 FAMILIES = {
-    "free": Family(("free-dirac",), lambda model, params: build_free_dirac(params), split=True),
+    "free": Family(("free-dirac",), lambda model, params: build_free_dirac(params)),
     "dirac-em": Family(("kinetic-free", "gauge-coupling", "mass", "scalar"),
-                       lambda *args: build_dirac_em(*args), split=True),
+                       lambda *args: build_dirac_em(*args)),
     "fw-full": Family(("rest-mass", "kinetic", "zeeman", "mass-correction",
                        "kinetic-zeeman-cross", "b-squared", "darwin", "spin-orbit", "de-dt"),
                       lambda *args: build_fw_full(*args), off=("rest-mass",)),
@@ -354,15 +355,12 @@ def build_hamiltonian(family: str, model: FieldModel, params: PhysParams, terms=
                       hermitize: bool = False) -> NamedHamiltonian:
     """The family's Hamiltonian: its default terms, or the non-empty subset
     ``terms`` of its terms, each replaced by (T + T^H)/2 with ``hermitize``,
-    which also lets propagators trust Hermiticity.  A split family takes
-    neither: its Strang step reads the field model, not the terms."""
+    which also lets propagators trust Hermiticity.  Propagation reads only
+    the terms kept (``propagate``)."""
     if family not in FAMILIES:
         raise PreconditionError(f"unknown Hamiltonian family {family!r}; "
                                 f"expected one of {list(FAMILIES)}")
     spec = FAMILIES[family]
-    if spec.split and (terms is not None or hermitize):
-        raise PreconditionError(f"{family} takes no terms or hermitize: its Strang step "
-                                "reads the field model, not the terms")
     ham = spec.build(model, params)
     if hermitize:
         ham = replace(ham, terms=[(n, hermitian_part(x)) for n, x in ham.terms],

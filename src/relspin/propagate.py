@@ -1,31 +1,34 @@
 """Time evolution of spinor fields and trajectory observables.
 
-Three steps:
+Two steps:
 
-* ``strang_step_dirac`` -- exact-factor Strang splitting for the minimally
-  coupled Dirac Hamiltonian.  Each factor is exp(-i tau X) for an X with
-  X^2 = s^2 at every point, so one closed form, cos(tau s) - i sin(tau s)/s X
-  as ``grid.pointwise`` terms, serves both: X = c alpha.k + beta m0 c^2 with
-  s = E_k, and X = -ec alpha.A with s = |ec A| (times the phase of e phi).
-  Each step is a product of unitaries; global observable error is O(dt^2).
-  Without potentials a step is the kinetic factor alone, in momentum space.
-* ``krylov_step`` -- Arnoldi projection of exp(-i H dt) for Hamiltonians
-  that mix position and momentum factors and admit no exact split.
-  Time-dependent coefficients are sampled at the midpoint, keeping second
-  order.  The basis is kept as the rows of one array that grows as rows are
-  needed, and the step is one product of the projected solution with it.
-* the exact step of a constant Hamiltonian -- when H at the midpoint is one
-  4x4 matrix M (``expr.constant_matrix``), exp(-i dt M) applied pointwise in
-  the state's own space, over its nonzero entries (four for a diagonal one):
-  no transform, and no Krylov space of at most 4 rows.
+* ``strang_step_dirac`` -- the exact step, built from the Hamiltonian's own
+  live leaves at the step midpoint (for the Dirac Hamiltonian, the FFT
+  split step of Mocken & Keitel, Comput. Phys. Commun. 178, 868 (2008)).
+  ``expr._scaled_leaves`` flattens H into a momentum group (momentum leaves
+  and constant ones, such as beta m0 c^2) and a position group, and each
+  group X becomes one pointwise factor exp(-i tau X).  A constant X is the
+  expm of its 4x4 matrix, applied in the state's own space without a
+  transform.  Otherwise X = phi 1 + Y, and where Y's scalars are real and
+  its matrices anticommute pairwise and square to positive multiples of 1,
+  Y^2 = s^2 at every point and the factor is exp(-i tau phi) (cos(tau s) -
+  i sin(tau s)/s Y) in the group's space: c alpha.k + beta m0 c^2 with
+  s = E_k, or -ec alpha.A with s = |ec A| times the phase of e phi.  One
+  factor is an exact step; two make a Strang step V/2 K V/2 (V the position
+  group), second order with roundoff norm drift.  Where H is not a sum of
+  scaled leaves or a group has no closed form, the step is a Krylov step.
+  The factors are kept per (H, grid, dt), and per midpoint under a
+  time-dependent model.
+* ``krylov_step`` -- Arnoldi projection of exp(-i H dt), time-dependent
+  coefficients sampled at the midpoint, keeping second order.  The basis is
+  kept as the rows of one array that grows as rows are needed, and the step
+  is one product of the projected solution with it.
 
-By default a split family (``hamiltonians.FAMILIES``) takes Strang steps and
-any other the constant step where it applies, a Krylov step else;
-``propagator="krylov"`` forces Krylov steps, and no other value is accepted.
-
-A run makes one stepper call per row after the first.  An exact step (Strang
-without potentials, the constant step under a static model) takes the n steps
-since the last row as one of n dt, as exp(-i n dt H) = exp(-i dt H)^n.
+``propagator="krylov"`` forces Krylov steps, and no other value than None is
+accepted; a step size must be finite and nonzero.  A run makes one stepper
+call per row after the first: under a static model a one-factor exact step
+takes the n steps since the last row as one of n dt, as exp(-i n dt H) =
+exp(-i dt H)^n, and any other step is taken n times.
 
 Trajectories record the three spin expectations, norm, energy, <r>, <p> and a
 boundary-flux diagnostic at a configurable stride; the run aborts when flux
@@ -40,6 +43,7 @@ column order is frozen (see ``Trajectory.CSV_COLUMNS``).
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -47,81 +51,91 @@ import scipy.linalg
 
 from .errors import BoundaryFluxError, KrylovConvergenceError, PreconditionError
 from .algebra import ID4
-from .expr import ConstMatrix, LeafStack, PositionDiag, apply_expr, constant_matrix, expectation
-from .fields import FieldModel
-from .grid import (_ALPHA_ENTRIES, _ID_ENTRIES, MOMENTUM, GridSpec, SpinorField,
-                   free_dirac_terms, matrix_entries, pointwise)
-from .hamiltonians import FAMILIES, P, R, NamedHamiltonian, triple
-from .operators import PhysParams, SpinKind, energy_k2
+from .expr import (ConstMatrix, LeafStack, PositionDiag, _is_zero, _scaled_leaves, apply_expr,
+                   expectation)
+from .grid import _ID_ENTRIES, MOMENTUM, POSITION, SpinorField, matrix_entries, pointwise
+from .hamiltonians import NamedHamiltonian, P, R, triple
+from .operators import SpinKind
 from .dynamics import spin_expr
 
 __all__ = [
-    "strang_step_dirac", "krylov_step", "run", "ehrenfest_residual",
-    "Trajectory", "choose_propagator",
+    "strang_step_dirac", "krylov_step", "run", "ehrenfest_residual", "Trajectory",
 ]
 
 
-def _exp_factors(tau, s):
-    """cos(tau s) and sin(tau s)/s, the latter tau where s -> 0."""
-    small = s < 1e-14
-    return np.cos(tau * s), np.where(small, tau, np.sin(tau * s) / np.where(small, 1.0, s))
+def _factor(pairs, tau, hermitian):
+    """exp(-i tau X) of the group X = sum of the (factor, leaf) ``pairs`` as
+    the space it acts in (None: the state's own) and ``pointwise`` terms;
+    None where it has no closed form."""
+    terms = [(m, f * a) for f, leaf in pairs for (_, m), a in zip(leaf.terms, leaf._arrays)
+             if m.any() and not _is_zero(a)]
+    if not any(leaf._axes for _, leaf in pairs):
+        u = _exp_minus_idt(sum(m * y for m, y in terms), tau, hermitian)
+        return None, [(matrix_entries(u), 1.0)]
+    phase = [m[0, 0] * y for m, y in terms if np.array_equal(m, m[0, 0] * ID4)]
+    y_terms = [(m, y) for m, y in terms if not np.array_equal(m, m[0, 0] * ID4)]
+    squares = [(m @ m)[0, 0].real for m, _ in y_terms]
+    if (any(np.iscomplexobj(y) and np.any(y.imag) for _, y in y_terms)
+            or any(not (q > 0 and np.array_equal(m @ m, q * ID4))
+                   for q, (m, _) in zip(squares, y_terms))
+            or any(np.any(a @ b + b @ a) for (a, _), (b, _) in itertools.combinations(y_terms, 2))):
+        return None
+    y_terms = [(m, np.real(y)) for m, y in y_terms]
+    s = np.sqrt(sum(q * y**2 for q, (_, y) in zip(squares, y_terms)))
+    # number-valued terms (beta m0 c^2) first, summed as grid.free_dirac_terms sums them
+    y_terms.sort(key=lambda term: np.size(term[1]) > 1)
+    small = s < 1e-14  # sin(tau s)/s is tau there
+    sinc = np.where(small, tau, np.sin(tau * s) / np.where(small, 1.0, s))
+    out = [(_ID_ENTRIES, np.cos(tau * s))] + [(matrix_entries(m), -1j * y * sinc)
+                                              for m, y in y_terms]
+    if phase:
+        phase = np.exp(-1j * tau * sum(phase))
+        out = [(entries, f * phase) for entries, f in out]
+    return next(leaf.space for _, leaf in pairs if leaf._axes), out
 
 
-def _exp_terms(cos, sinc, x_terms):
-    """exp(-i tau X) = cos(tau s) - i sin(tau s)/s X as ``pointwise`` terms, for
-    X = sum_j M_j f_j (the terms ``x_terms``) with X^2 = s^2 at every point,
-    from cos(tau s) and sin(tau s)/s (``_exp_factors``)."""
-    return [(_ID_ENTRIES, cos)] + [(entries, -1j * f * sinc) for entries, f in x_terms]
+@functools.lru_cache(maxsize=2)
+def _factors(total, hermitian, grid, dt, tm):
+    """The factors of the exact step of H = ``total`` over dt with midpoint
+    ``tm`` (None for a static model, whose leaves do not change with t), in
+    the order they act: the position group V and the momentum group K as
+    V/2 K V/2, or the one there is; None where it is a Krylov step."""
+    pairs = _scaled_leaves(total, grid, 0.0 if tm is None else tm)
+    if pairs is None:
+        return None
+    pos = [(f, leaf) for f, leaf in pairs if leaf.space == POSITION and leaf._axes]
+    mom = [(f, leaf) for f, leaf in pairs if leaf.space == MOMENTUM or not leaf._axes]
+    if pos and mom:
+        half = _factor(pos, dt / 2.0, hermitian)
+        factors = [half, _factor(mom, dt, hermitian), half]
+    else:
+        factors = [_factor(group, dt, hermitian) for group in (pos, mom) if group]
+    return None if None in factors else factors
 
 
-def _position_half_step(model: FieldModel, params: PhysParams, grid: GridSpec,
-                        tau: float, t: float):
-    """exp(-i tau (-ec alpha.A(r,t) + e phi(r,t))), as a function that applies
-    it pointwise to a field; both half steps of a Strang step use one.  With
-    u = -ec A it is exp(-i tau alpha.u) (X = alpha.u, s = |u|) times the phase
-    exp(-i tau e phi), every factor kept at its mesh's broadcast shape."""
-    u = [np.asarray(-params.e * params.c * a, dtype=float) for a in model.a_mesh(grid.r, t)]
-    live = [(entries, ui) for entries, ui in zip(_ALPHA_ENTRIES, u) if np.any(ui)]
-    terms = _exp_terms(*_exp_factors(tau, np.sqrt(sum(ui**2 for _, ui in live))), live)
-    if model.has_scalar_potential:
-        phase = np.exp(-1j * tau * params.e * np.asarray(model.phi_mesh(grid.r, t)))
-        terms = [(entries, f * phase) for entries, f in terms]
-
-    def half_step(field: SpinorField) -> SpinorField:
-        pos = field.to_position()
-        return pos.with_data(pointwise(pos.data, terms))
-    return half_step
+def _plan(hamiltonian, grid, t, dt):
+    """``_factors`` of the step over [t, t + dt]: kept per (H, grid, dt),
+    and per midpoint under a time-dependent model."""
+    tm = t + dt / 2.0 if hamiltonian.model.time_dependent else None
+    return _factors(hamiltonian.total, hamiltonian.assume_hermitian, grid, dt, tm)
 
 
-@functools.lru_cache(maxsize=4)
-def _kinetic_factors(grid: GridSpec, params: PhysParams, dt: float):
-    """The kinetic factor's ``_exp_factors``, s = E_k: two real arrays."""
-    return _exp_factors(dt, energy_k2(grid.k2, params))
-
-
-def strang_step_dirac(field: SpinorField, model: FieldModel, params: PhysParams,
-                      t: float, dt: float) -> SpinorField:
-    """One second-order split step for c alpha.(p-eA) + beta m0 c^2 + e phi.
-
-    Potentials are sampled at the interval midpoint; every factor is an exact
-    unitary, so norm drift is pure roundoff.  Without potentials the identity
-    position factor is skipped, and the result stays in momentum space.
-    """
-    if not dt > 0 and not dt < 0:
-        raise PreconditionError("dt must be nonzero")
-    tm = t + dt / 2.0
-    potentials = model.has_vector_potential or model.has_scalar_potential
-    if potentials:
-        half_step = _position_half_step(model, params, field.grid, dt / 2.0, tm)
-        field = half_step(field)
-    grid, mom = field.grid, field.to_momentum()
-    out = mom.with_data(pointwise(mom.data, _exp_terms(*_kinetic_factors(grid, params, dt),
-                                                       free_dirac_terms(grid, params))))
-    if potentials:
-        out = half_step(out)
-    if not np.isfinite(out.data).all():
-        raise FloatingPointError("Strang step produced non-finite values")
-    return out
+def strang_step_dirac(hamiltonian: NamedHamiltonian, field: SpinorField, t: float,
+                      dt: float) -> SpinorField:
+    """One exact step of H over [t, t + dt] (see the module docstring): one
+    factor, or the Strang product of two.  Every factor is an exact unitary
+    for a Hermitian H, so norm drift is roundoff.  The result is in the space
+    of the last non-constant factor, else in the field's own."""
+    factors = _plan(hamiltonian, field.grid, t, dt)
+    if factors is None:
+        raise PreconditionError(f"{hamiltonian.family} has no exact step here; "
+                                "it takes Krylov steps")
+    for space, terms in factors:
+        field = field.in_space(space or field.space)
+        field = field.with_data(pointwise(field.data, terms))
+    if not np.isfinite(field.data).all():
+        raise FloatingPointError("exact step produced non-finite values")
+    return field
 
 
 def _norm(v):
@@ -202,58 +216,29 @@ def krylov_step(hamiltonian: NamedHamiltonian, field: SpinorField, t: float,
     return result
 
 
-def choose_propagator(hamiltonian: NamedHamiltonian) -> str:
-    """Strang for a family that it splits exactly, Krylov else."""
-    return "strang" if FAMILIES[hamiltonian.family].split else "krylov"
-
-
-def _stepper(hamiltonian, propagator, krylov_tol):
-    """``step(psi, t0, dt, steps=range(1))``: psi advanced over the steps
-    numbered ``steps`` (a nonempty range), step s from t0 + s dt, by Krylov
-    steps where ``propagator`` is "krylov", by the default ones where it is
-    None; an exact step takes the whole range as one step of n dt (see the
-    module docstring), any other runs n times.
-
-    By default a split family takes Strang steps, and any other takes the
-    exact step where its Hamiltonian at the midpoint is one constant matrix,
-    a Krylov step else; U, or the finding that there is none, is kept per
-    (grid, step size), and per midpoint under a time-dependent model.
-    """
+def _stepper(hamiltonian, dt, propagator=None, krylov_tol=1e-10):
+    """``step(psi, t0, steps=range(1))``: psi advanced over the steps numbered
+    ``steps`` (a nonempty range) of size ``dt``, step s from t0 + s dt, by
+    Krylov steps where ``propagator`` is "krylov", else by the exact step
+    where H has one (``_plan``) and a Krylov step where not.  Under a static
+    model a one-factor exact step takes the whole range as one step of n dt
+    (see the module docstring); any other step runs n times."""
     if propagator not in (None, "krylov"):
         raise PreconditionError(f"propagator must be None or 'krylov', got {propagator!r}")
-    model = hamiltonian.model
-    strang = propagator is None and choose_propagator(hamiltonian) == "strang"
-    slot = [None, None]  # the key and value of the one kept U
+    if not (np.isfinite(dt) and dt != 0):
+        raise PreconditionError(f"dt must be finite and nonzero, got {dt!r}")
+    exact = propagator is None
+    static = not hamiltonian.model.time_dependent
 
-    def exp_constant(grid, t, dt):
-        key = (grid, dt, t + dt / 2.0 if model.time_dependent else None)
-        if slot[0] != key:
-            m = constant_matrix(hamiltonian.total, grid, t + dt / 2.0)
-            slot[:] = key, m if m is None else matrix_entries(
-                _exp_minus_idt(m, dt, hamiltonian.assume_hermitian))
-        return slot[1]
-
-    def one(psi, t, dt):
-        if strang:
-            return strang_step_dirac(psi, model, hamiltonian.params, t, dt)
-        if propagator == "krylov" or exp_constant(psi.grid, t, dt) is None:
-            return krylov_step(hamiltonian, psi, t, dt, tol=krylov_tol)
-        out = psi.with_data(pointwise(psi.data, [(slot[1], 1.0)]))
-        if not np.isfinite(out.data).all():
-            raise FloatingPointError("constant-Hamiltonian step produced non-finite values")
-        return out
-
-    def exact(grid, t, dt):
-        if strang:
-            return not (model.has_vector_potential or model.has_scalar_potential)
-        return (propagator != "krylov" and not model.time_dependent
-                and exp_constant(grid, t, dt) is not None)
-
-    def step(psi, t0, dt, steps=range(1)):
-        if exact(psi.grid, t0 + steps[0] * dt, len(steps) * dt):
-            return one(psi, t0 + steps[0] * dt, len(steps) * dt)
-        for s in steps:
-            psi = one(psi, t0 + s * dt, dt)
+    def step(psi, t0, steps=range(1)):
+        t, whole = t0 + steps[0] * dt, len(steps) * dt
+        factors = _plan(hamiltonian, psi.grid, t, whole) if exact and static else None
+        if factors is not None and len(factors) <= 1:
+            return strang_step_dirac(hamiltonian, psi, t, whole)
+        for t in (t0 + s * dt for s in steps):
+            psi = (strang_step_dirac(hamiltonian, psi, t, dt)
+                   if exact and _plan(hamiltonian, psi.grid, t, dt) is not None
+                   else krylov_step(hamiltonian, psi, t, dt, tol=krylov_tol))
         return psi
     return step
 
@@ -345,14 +330,14 @@ def run(hamiltonian: NamedHamiltonian, state: SpinorField, dt: float,
     """
     if steps < 0 or stride < 1:
         raise PreconditionError("steps must be >= 0 and stride >= 1")
-    step_fn = _stepper(hamiltonian, propagator, krylov_tol)
+    step_fn = _stepper(hamiltonian, dt, propagator, krylov_tol)
     obs = _Observables(hamiltonian.params)
     traj = Trajectory()
     psi = state
     traj.append(**obs.measure(hamiltonian, psi, t0))
     for done in range(0, steps, stride):
         last = min(done + stride, steps)
-        psi = step_fn(psi, t0, dt, range(done, last))
+        psi = step_fn(psi, t0, range(done, last))
         t = t0 + last * dt
         row = obs.measure(hamiltonian, psi, t)
         if row["flux"] > FLUX_ABORT:
@@ -374,7 +359,7 @@ def ehrenfest_residual(kind: SpinKind, hamiltonian: NamedHamiltonian,
     d<S>/dt under i dpsi/dt = H psi whether H is Hermitian or not, so the
     identity closes for the printed non-Hermitian forms too.
     """
-    step_fn = _stepper(hamiltonian, propagator, krylov_tol)
+    step_fn = _stepper(hamiltonian, dt, propagator, krylov_tol)
     s_triple = spin_expr(kind, hamiltonian.params)
     times, svals, gvals = [], [], []
     psi = state
@@ -387,7 +372,7 @@ def ehrenfest_residual(kind: SpinKind, hamiltonian: NamedHamiltonian,
         times.append(t)
         if step == steps:
             break
-        psi = step_fn(psi, t, dt)
+        psi = step_fn(psi, t)
         t = t0 + (step + 1) * dt
 
     times = np.array(times)

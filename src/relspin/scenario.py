@@ -32,9 +32,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .dynamics import rhs
 from .errors import ConfigError
 from .fields import Envelope, FieldModel, PlaneWavePulse, UniformB, UniformE, ZeroField
-from .grid import GridSpec, SpinorField, gaussian_packet
+from .grid import POLARIZATIONS, GridSpec, SpinorField, gaussian_packet
 from .hamiltonians import FAMILIES, NamedHamiltonian, build_hamiltonian
 from .operators import PhysParams, SpinKind
 
@@ -42,13 +43,6 @@ __all__ = ["Scenario", "load_scenario", "parse_scenario", "SCHEMA_ID"]
 
 SCHEMA_ID = "relspin-scenario/1"
 HBAR_SI = 1.054571817e-34
-
-_POLARIZATIONS = {
-    "up_z": np.array([1, 0, 0, 0], dtype=complex),
-    "down_z": np.array([0, 1, 0, 0], dtype=complex),
-    "up_x": np.array([1, 1, 0, 0], dtype=complex) / np.sqrt(2),
-    "down_x": np.array([1, -1, 0, 0], dtype=complex) / np.sqrt(2),
-}
 
 _KINDS = {"dirac": SpinKind.DIRAC, "fw": SpinKind.FW, "pryce": SpinKind.PRYCE}
 
@@ -87,10 +81,11 @@ def _names(types):
 
 
 def _build(path, ctor, *args, **kwargs):
-    """``ctor(*args, **kwargs)`` with its ValueError reported at ``path``."""
+    """``ctor(*args, **kwargs)`` with its ValueError or arithmetic error (a
+    prefactor of extreme params) reported at ``path``."""
     try:
         return ctor(*args, **kwargs)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
@@ -230,10 +225,6 @@ def parse_scenario(doc: dict) -> Scenario:
                           f"unknown family {family!r}; expected one of {list(FAMILIES)}")
     term_mask = _get(hdoc, "hamiltonian", "terms", list, None, items=str)
     hermitize = _get(hdoc, "hamiltonian", "hermitize", bool, False)
-    if FAMILIES[family].split and (term_mask is not None or hermitize):
-        key = "terms" if term_mask is not None else "hermitize"
-        raise ConfigError(f"hamiltonian.{key}", f"{family} takes no {key}: its Strang step "
-                                                "reads the field model, not the terms")
     choices = FAMILIES[family].terms
     if term_mask is not None and not (term_mask and set(term_mask) <= set(choices)):
         raise ConfigError("hamiltonian.terms", f"{family} takes a non-empty subset "
@@ -243,11 +234,11 @@ def parse_scenario(doc: dict) -> Scenario:
     if sdoc is not None:
         pol = _get(sdoc, "state", "polarization", (str, list), "up_z")
         if isinstance(pol, str):
-            if pol not in _POLARIZATIONS:
+            if pol not in POLARIZATIONS:
                 raise ConfigError("state.polarization",
                                   f"unknown name {pol!r}; expected one of "
-                                  f"{sorted(_POLARIZATIONS)} or 4 [re, im] pairs")
-            pol = _POLARIZATIONS[pol]
+                                  f"{sorted(POLARIZATIONS)} or 4 [re, im] pairs")
+            pol = POLARIZATIONS[pol]
         else:
             if len(pol) != 4 or any(not isinstance(p, list) or len(p) != 2 or not all(
                     _is(x, (int, float)) for x in p) for p in pol):
@@ -293,6 +284,8 @@ def parse_scenario(doc: dict) -> Scenario:
         cfam = _get(cdoc, path, "family", str)
         if cfam not in FAMILIES:
             raise ConfigError(f"{path}.family", f"unknown family {cfam!r}")
+        # rhs is the one table of printed equations; it builds trees and applies nothing
+        _build(path, rhs, _KINDS[kind], cfam, model, params)
         checks.append((_KINDS[kind], cfam))
     battery = _get(vdoc, "verification", "battery", str, "standard")
     if battery not in ("standard", "state"):

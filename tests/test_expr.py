@@ -8,8 +8,7 @@ from relspin.algebra import ID4
 from relspin.errors import SingularMomentumError
 from relspin.errors import PreconditionError
 from relspin.expr import (Add, Adjoint, ConstMatrix, LeafStack, MomentumDiag, Mul,
-                          PositionDiag, Scale, apply_expr, block_parity,
-                          constant_matrix, expectation)
+                          PositionDiag, Scale, apply_expr, block_parity, expectation)
 from relspin.grid import MOMENTUM, POSITION, GridSpec, SpinorField, gaussian_packet
 from relspin.hamiltonians import P, R, triple
 from relspin.operators import ALPHA, BETA, SIGMA
@@ -646,28 +645,62 @@ class TestBlockParity:
         assert block_parity(_comm(d, o)) == "offdiagonal"
 
 
+def _as_hamiltonian(expr, params):
+    from relspin.fields import ZeroField
+    from relspin.hamiltonians import NamedHamiltonian
+    return NamedHamiltonian("tree", [("tree", expr)], params, ZeroField(), assume_hermitian=False)
+
+
 class TestConstantMatrix:
-    def test_constant_tree_is_its_dense_matrix(self, grid):
-        # a two-term leaf with uniform scalars, a sum, a scale and a product
-        # whose left factor acts last
+    """A tree whose live leaves are constants at (grid, t) steps by the expm
+    of its 4x4 matrix (``propagate``'s exact step), at every point in the
+    state's own space."""
+
+    def _step(self, expr, grid, params, dt=0.3):
+        from relspin.propagate import _stepper
+        psi = random_field(grid, np.random.default_rng(4))
+        return psi, _stepper(_as_hamiltonian(expr, params), dt)(psi, 0.0)
+
+    def test_constant_tree_is_its_dense_matrix(self, grid, params, apply_matrix):
+        # a two-term leaf with uniform scalars, a sum and a scale step exactly;
+        # with a product, whose left factor acts last, the tree is no sum of
+        # leaves, and its Krylov step lands on the same exponential
+        import scipy.linalg
         uniform = PositionDiag([(lambda g, t: np.asarray(0.3), SIGMA[2]),
                                 (lambda g, t: np.ones((1,)) * (1 - 2j), BETA)])
-        e = Add([uniform, Scale(-0.7j, Mul(ConstMatrix(ALPHA[0]), ConstMatrix(SIGMA[1])))])
-        want = 0.3 * SIGMA[2] + (1 - 2j) * BETA - 0.7j * ALPHA[0] @ SIGMA[1]
-        assert np.allclose(constant_matrix(e, grid, 0.0), want, rtol=0, atol=1e-15)
+        cases = [(Add([uniform, Scale(-0.7j, ConstMatrix(ALPHA[0]))]),
+                  0.3 * SIGMA[2] + (1 - 2j) * BETA - 0.7j * ALPHA[0], 1e-15),
+                 (Add([uniform, Scale(-0.7j, Mul(ConstMatrix(ALPHA[0]), ConstMatrix(SIGMA[1])))]),
+                  0.3 * SIGMA[2] + (1 - 2j) * BETA - 0.7j * ALPHA[0] @ SIGMA[1], 1e-10)]
+        for expr, want, tol in cases:
+            psi, got = self._step(expr, grid, params)
+            assert got.space == psi.space
+            want = apply_matrix(scipy.linalg.expm(-0.3j * want), psi.values)
+            assert np.max(np.abs(got.values - want)) <= tol * np.max(np.abs(want))
         assert not np.allclose(ALPHA[0] @ SIGMA[1], SIGMA[1] @ ALPHA[0])
 
     def test_one_live_nonconstant_leaf_gives_none(self, grid, params):
+        # no constant matrix: a closed-form factor in the leaf's space, or
+        # no exact step at all (a Krylov step)
         from relspin.fields import UniformB
         from relspin.hamiltonians import build_fw_direct
+        from relspin.propagate import _plan
         ham = build_fw_direct(UniformB([0.0, 0.0, 0.2]), params)
-        assert constant_matrix(ham.subset(["zeeman"]).total, grid, 0.0) is not None
-        assert constant_matrix(ham.subset(["kinetic", "zeeman"]).total, grid, 0.0) is None
-        assert constant_matrix(Mul(ConstMatrix(BETA), triple(P)[0]), grid, 0.0) is None
+        [(space, _)] = _plan(ham.subset(["zeeman"]), grid, 0.0, 0.3)
+        assert space is None
+        assert _plan(ham.subset(["kinetic", "zeeman"]), grid, 0.0, 0.3) is None
+        assert _plan(_as_hamiltonian(Mul(ConstMatrix(BETA), triple(P)[0]), params),
+                     grid, 0.0, 0.3) is None
+        [(space, _)] = _plan(_as_hamiltonian(Add([ConstMatrix(BETA), triple(P)[0]]), params),
+                             grid, 0.0, 0.3)
+        assert space == MOMENTUM
 
-    def test_vanishing_child_is_ignored(self, grid):
+    def test_vanishing_child_is_ignored(self, grid, params, apply_matrix):
+        import scipy.linalg
         zero_mesh = PositionDiag([(lambda g, t: np.zeros(g.shape), ALPHA[1])])
-        e = Add([ConstMatrix(BETA), zero_mesh, Mul(triple(P)[0], zero_mesh)])
-        assert np.array_equal(constant_matrix(e, grid, 0.0), BETA)
-        assert np.array_equal(constant_matrix(Scale(0.0, triple(P)[0]), grid, 0.0),
-                              np.zeros((4, 4)))
+        psi, got = self._step(Add([ConstMatrix(BETA), zero_mesh, Mul(triple(P)[0], zero_mesh)]),
+                              grid, params)
+        want = apply_matrix(scipy.linalg.expm(-0.3j * BETA), psi.values)
+        assert np.max(np.abs(got.values - want)) <= 1e-15 * np.max(np.abs(want))
+        psi, got = self._step(Scale(0.0, triple(P)[0]), grid, params)
+        assert np.array_equal(got.values, psi.values)

@@ -19,7 +19,8 @@ from relspin.dynamics import rhs, spin_expr, standard_battery, verify
 from relspin.expr import _DiagLeaf, apply_expr, expectation
 from relspin.fields import Envelope, UniformB, ZeroField
 from relspin.grid import GridSpec, SpinorField, gaussian_packet, pointwise
-from relspin.hamiltonians import build_dirac_em, build_fw_direct, build_hamiltonian
+from relspin.hamiltonians import (build_dirac_em, build_free_dirac, build_fw_direct,
+                                  build_hamiltonian)
 from relspin.operators import SpinKind
 from relspin.propagate import _Observables, run, strang_step_dirac
 from relspin.scenario import load_scenario
@@ -200,9 +201,9 @@ def test_verify(params, battery_3d, fft_count, kind, family, count):
 def test_potential_free_strang_step(params, fft_count, space, count):
     psi = _position_state(GridSpec(3, 16, 24.0)).in_space(space)
     fft_count.reset()
-    out = strang_step_dirac(psi, ZeroField(), params, 0.0, 0.01)
-    # the position factor is the identity: one kinetic step in momentum space,
-    # which is where the result stays; a transform of every axis per call
+    out = strang_step_dirac(build_free_dirac(params), psi, 0.0, 0.01)
+    # one factor, the momentum one: a step in momentum space, which is where
+    # the result stays; a transform of every axis per call
     assert out.space == "momentum"
     assert (fft_count.calls, fft_count.passes) == (count, 3 * count)
 
@@ -210,9 +211,25 @@ def test_potential_free_strang_step(params, fft_count, space, count):
 def test_uniform_b_strang_step(params, fft_count):
     psi = _position_state(GridSpec(3, 16, 24.0))
     fft_count.reset()
-    strang_step_dirac(psi, _MODEL, params, 0.0, 0.01)
+    strang_step_dirac(build_dirac_em(_MODEL, params), psi, 0.0, 0.01)
     # position half-step, to momentum (3), kinetic step, back (3), half-step
     assert fft_count.passes == 6
+
+
+def test_static_strang_builds_its_factors_once(params, mesh_count):
+    # under a static field the factors are kept per (H, grid, dt): the first
+    # step builds the position factor of dt/2 (used twice) and the momentum
+    # factor of dt, and the other 7 steps reuse them; the gauge and scalar
+    # leaves fill once, so each mesh is called once
+    from relspin.propagate import _factors
+    _factors.cache_clear()
+    grid = GridSpec(3, 16, 24.0)
+    ham = build_dirac_em(_MODEL, params)
+    psi = _position_state(grid)
+    for i in range(8):
+        psi = strang_step_dirac(ham, psi, i * 0.01, 0.01)
+    assert (_factors.cache_info().misses, _factors.cache_info().hits) == (1, 7)
+    assert dict(mesh_count) == {"a_mesh": 1, "phi_mesh": 1}
 
 
 @pytest.mark.parametrize("space", ["position", "momentum"])
@@ -231,8 +248,8 @@ def test_measure_free(params, fft_count, space):
 def test_free_particle_run(fft_count, monkeypatch):
     from relspin import propagate
     sizes = []
-    monkeypatch.setattr(propagate, "strang_step_dirac",
-                        lambda *args: sizes.append(args[-1]) or strang_step_dirac(*args))
+    monkeypatch.setattr(propagate, "strang_step_dirac", lambda ham, psi, t, dt: sizes.append(dt)
+                        or strang_step_dirac(ham, psi, t, dt))
     sc = load_scenario(Path(__file__).resolve().parents[1] / "scenarios"
                        / "free_particle.json")
     ham = sc.make_hamiltonian()
@@ -241,8 +258,8 @@ def test_free_particle_run(fft_count, monkeypatch):
     # the packet (2), the first step into momentum space (1), then one
     # transform per recorded row (101); the steps between rows need none
     assert fft_count.calls <= 110
-    # a potential-free Strang step is the exact free propagator, so the 25
-    # steps between two rows are one step of 25 dt: 2500 / 25 = 100 calls
+    # the free H is one exact factor under a static model, so the 25 steps
+    # between two rows are one step of 25 dt: 2500 / 25 = 100 calls
     assert sizes == [sc.stride * sc.dt] * 100
 
 
@@ -432,12 +449,12 @@ def test_constant_step_exponentials_per_run(params, monkeypatch, model, steps, s
 
 
 def test_strang_step_builds_one_position_factor(params, mesh_count):
-    # both half steps of a step apply one position factor, so a_mesh is called
-    # once per step, plus once for the energy's gauge leaf (its A model vector
-    # under the static field)
+    # both half steps of a step apply one position factor, built from the
+    # gauge leaf's cached scalars; under the static field that leaf (its A
+    # model vector) fills once per grid, for the steps and the energy alike
     grid = GridSpec(1, 128, 128.0)
     ham = build_dirac_em(_MODEL, params)
     psi = gaussian_packet(grid, 0.0, 8.0, 0.5, [1, 1, 0, 0], params=params,
                           energy_projection=True)
     run(ham, psi, 0.05, 40, stride=10)
-    assert mesh_count["a_mesh"] == 40 + 1
+    assert mesh_count["a_mesh"] == 1

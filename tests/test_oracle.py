@@ -4,20 +4,24 @@ matrices without ``apply_expr``.  A position leaf sum_j f_j(x) M_j is
 block-diagonal, and a momentum leaf is sum_j M_j (x) F^H diag(f_j) F, with F
 the unitary DFT F[m, n] = exp(-i k_m r_n) / sqrt(N) of the grid's
 conventions.  Random trees mixing both spaces check the evaluator,
-``constant_matrix``, ``block_parity`` and ``Adjoint`` against it, and
-``verify``'s cells are checked against the dense commutator."""
+``block_parity``, ``Adjoint`` and the exact step against it, ``verify``'s
+cells are checked against the dense commutator, and the propagators' steps
+against ``scipy.linalg.expm`` of the dense Hamiltonian."""
 
 import numpy as np
+import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from relspin.algebra import ID4
 from relspin.dynamics import rhs, spin_expr, standard_battery, verify
 from relspin.expr import (Add, Adjoint, Mul, MomentumDiag, PositionDiag, Scale, _DiagLeaf,
-                          apply_expr, block_parity, constant_matrix)
-from relspin.fields import UniformB
+                          _scaled_leaves, apply_expr, block_parity)
+from relspin.fields import Envelope, UniformB, UniformE, ZeroField
 from relspin.grid import MOMENTUM, POSITION, GridSpec, SpinorField
-from relspin.hamiltonians import build_hamiltonian
+from relspin.hamiltonians import NamedHamiltonian, build_hamiltonian
 from relspin.operators import ALPHA, BETA, SIGMA, PhysParams, SpinKind
+from relspin.propagate import _plan, krylov_step, strang_step_dirac
 
 GRIDS = [GridSpec(1, 16, 12.0), GridSpec(1, 32, 20.0)]
 
@@ -116,10 +120,23 @@ def test_tree_is_its_dense_matrix(expr, grid, space, seed):
         scale = max(np.abs(want).max(), b * np.abs(vals).max())
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
-    # a constant tree is the same 4x4 matrix at every point
-    const = constant_matrix(expr, grid, 0.0)
-    if const is not None:
-        assert np.max(np.abs(m - np.kron(const, np.eye(n)))) <= tol
+    # where the tree has an exact step, it is exp(-i dt V/2) exp(-i dt K)
+    # exp(-i dt V/2) of its live position leaves that vary, V, and the rest,
+    # K, or the exponential of the one there is (a constant K the same 4x4
+    # exponential at every point); dt is kept small, as a non-Hermitian
+    # exponential may grow
+    ham, dt = NamedHamiltonian("tree", [("tree", expr)], PhysParams(), ZeroField(), False), 0.05
+    if _plan(ham, grid, 0.0, dt) is not None:
+        pairs = _scaled_leaves(expr, grid, dt / 2)
+        v = [Scale(f, leaf) for f, leaf in pairs if leaf.space == POSITION and leaf._axes]
+        k = [Scale(f, leaf) for f, leaf in pairs if leaf.space == MOMENTUM or not leaf._axes]
+        want = vals.ravel()
+        for group, share in ([(v, 0.5), (k, 1.0), (v, 0.5)] if v and k
+                             else [(g, 1.0) for g in (v, k) if g]):
+            want = scipy.linalg.expm(-1j * share * dt * dense(Add(group), grid)[0]) @ want
+        got = strang_step_dirac(ham, SpinorField(grid, vals).in_space(space), 0.0, dt)
+        scale = max(np.abs(want).max(), np.abs(vals).max())
+        assert np.max(np.abs(got.in_space(POSITION).values.ravel() - want)) <= 1e-12 * scale
 
     # the measured block pattern lies within the claimed parity
     diag, off = _blocks(m, n)
@@ -161,3 +178,68 @@ def test_verify_is_the_dense_commutator():
                     assert abs(cell.lhs_norm - norm(lhs)) <= 1e-13 * scale, where
                     assert abs(cell.rhs_norm - rhs_norm) <= 1e-13 * max(scale, rhs_norm), where
                     assert abs(cell.residual - residual) <= 1e-13, where
+
+
+_PULSED_B = UniformB(np.array([0.0, 0.0, 0.2]),
+                     Envelope(shape="gaussian", amplitude=1.0, center=0.3, width=2.0))
+_OBLIQUE_B = UniformB(np.array([0.03, -0.02, 0.04]))  # Sigma_y: a complex Zeeman matrix
+
+
+def _state(grid, seed=9):
+    rng = np.random.default_rng(seed)
+    return SpinorField(grid, rng.normal(size=(4, *grid.shape))
+                       + 1j * rng.normal(size=(4, *grid.shape))).normalized()
+
+
+def _relative(got, want):
+    return np.linalg.norm(got.in_space(POSITION).values.ravel() - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=["n16", "n32"])
+@pytest.mark.parametrize("family, model, terms, hermitize", [
+    ("free", ZeroField(), None, False),                # one momentum factor
+    ("dirac-em", ZeroField(), None, False),            # its potentials vanish
+    ("fw-direct", _OBLIQUE_B, ["zeeman"], False),      # one constant factor
+    ("fw-direct", _OBLIQUE_B, ["zeeman"], True),
+    ("fw-direct", _PULSED_B, ["zeeman"], False),
+], ids=["free", "dirac-em-zero", "zeeman", "zeeman-hermitized", "zeeman-pulsed"])
+def test_one_factor_step_is_the_dense_exponential(grid, family, model, terms, hermitize):
+    params, t, dt = PhysParams(), 0.1, 0.3
+    ham = build_hamiltonian(family, model, params, terms=terms, hermitize=hermitize)
+    assert len(_plan(ham, grid, t, dt)) == 1
+    psi = _state(grid)
+    want = scipy.linalg.expm(-1j * dt * dense(ham.total, grid, t + dt / 2)[0]) @ psi.values.ravel()
+    assert _relative(strang_step_dirac(ham, psi, t, dt), want) <= 1e-12
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=["n16", "n32"])
+@pytest.mark.parametrize("model", [
+    UniformB(np.array([0.0, 0.0, 0.2])), _PULSED_B, UniformE(np.array([0.05, 0.0, 0.0])),
+], ids=["uniform-b", "pulsed-b", "uniform-e"])
+def test_two_factor_step_is_the_dense_strang_product(grid, model):
+    # expm(-i dt V/2) expm(-i dt K) expm(-i dt V/2) with V = -ec alpha.A + e phi
+    # and K = c alpha.p + beta m0 c^2, each dense at the midpoint
+    params, t, dt = PhysParams(), 0.1, 0.3
+    ham = build_hamiltonian("dirac-em", model, params)
+    assert len(_plan(ham, grid, t, dt)) == 3
+    v, k = (dense(ham.subset(names).total, grid, t + dt / 2)[0]
+            for names in (["gauge-coupling", "scalar"], ["kinetic-free", "mass"]))
+    half = scipy.linalg.expm(-0.5j * dt * v)
+    psi = _state(grid)
+    want = half @ scipy.linalg.expm(-1j * dt * k) @ half @ psi.values.ravel()
+    assert _relative(strang_step_dirac(ham, psi, t, dt), want) <= 1e-12
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=["n16", "n32"])
+@pytest.mark.parametrize("family, model, terms, hermitize", [
+    ("fw-direct", UniformB(np.array([0.0, 0.0, 0.2])), None, False),
+    ("fw-direct", _PULSED_B, None, True),
+    ("free", ZeroField(), None, True),                 # T and T^H share matrices
+], ids=["fw-direct", "fw-direct-pulsed-hermitized", "free-hermitized"])
+def test_krylov_step_lands_within_its_tol(grid, family, model, terms, hermitize):
+    params, t, dt, tol = PhysParams(), 0.1, 0.05, 1e-10
+    ham = build_hamiltonian(family, model, params, terms=terms, hermitize=hermitize)
+    assert _plan(ham, grid, t, dt) is None
+    psi = _state(grid)
+    want = scipy.linalg.expm(-1j * dt * dense(ham.total, grid, t + dt / 2)[0]) @ psi.values.ravel()
+    assert _relative(krylov_step(ham, psi, t, dt, tol=tol), want) <= tol

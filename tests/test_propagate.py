@@ -13,8 +13,8 @@ from relspin.hamiltonians import (build_dirac_em, build_free_dirac, build_fw_dir
                                   build_hamiltonian)
 from relspin.operators import ALPHA, BETA, SIGMA, SpinKind, free_dirac_matrix
 from relspin.propagate import (OBSERVABLE_GUARD, Trajectory, _exp_minus_idt, _Observables,
-                               _stepper, choose_propagator, ehrenfest_residual, krylov_step,
-                               run, strang_step_dirac)
+                               _stepper, ehrenfest_residual, krylov_step, run,
+                               strang_step_dirac)
 
 
 _PULSED_B = UniformB(np.array([0.0, 0.0, 0.2]),
@@ -59,20 +59,22 @@ class TestStrang:
     def test_norm_drift_1000_steps_uniform_b(self, params):
         g = GridSpec(1, 256, 256.0)
         model = UniformB(np.array([0.0, 0.0, 0.2]))   # A_y = B0 x / 2 on the axis
+        ham = build_dirac_em(model, params)
         psi = gaussian_packet(g, 0.0, 12.0, 1.0, [1, 0, 0, 0],
                               params=params, energy_projection=True)
         state = psi
         for i in range(1000):
-            state = strang_step_dirac(state, model, params, i * 0.002, 0.002)
+            state = strang_step_dirac(ham, state, i * 0.002, 0.002)
         assert abs(state.norm() - 1.0) <= 1e-9
 
     def test_norm_drift_1000_steps_pulse(self, params, pulse_1d):
         g = GridSpec(1, 256, 256.0)
+        ham = build_dirac_em(pulse_1d, params)
         psi = gaussian_packet(g, 0.0, 12.0, 1.0, [1, 0, 0, 0],
                               params=params, energy_projection=True)
         state = psi
         for i in range(1000):
-            state = strang_step_dirac(state, pulse_1d, params, i * 0.002, 0.002)
+            state = strang_step_dirac(ham, state, i * 0.002, 0.002)
         assert abs(state.norm() - 1.0) <= 1e-9
 
     def test_richardson_second_order(self, params, pulse_1d):
@@ -93,9 +95,10 @@ class TestStrang:
 
     def test_time_reversal(self, params, pulse_1d):
         g = GridSpec(1, 256, 256.0)
+        ham = build_dirac_em(pulse_1d, params)
         psi = gaussian_packet(g, 0.0, 12.0, 1.0, [1, 0, 0, 0])
-        fwd = strang_step_dirac(psi, pulse_1d, params, 0.0, 0.01)
-        back = strang_step_dirac(fwd, pulse_1d, params, 0.01, -0.01)
+        fwd = strang_step_dirac(ham, psi, 0.0, 0.01)
+        back = strang_step_dirac(ham, fwd, 0.01, -0.01)
         assert (back - psi).norm() <= 1e-9
 
     @pytest.mark.parametrize("space", ["position", "momentum"])
@@ -107,7 +110,7 @@ class TestStrang:
         vals = rng.normal(size=(4, 32)) + 1j * rng.normal(size=(4, 32))
         psi = SpinorField(g, vals).normalized().in_space(space)
         dt = 0.37
-        got = strang_step_dirac(psi, ZeroField(), params, 0.0, dt)
+        got = strang_step_dirac(build_free_dirac(params), psi, 0.0, dt)
         assert got.space == "momentum"
         mom = psi.to_momentum().values
         for m, k in enumerate(g.axis_momenta(0)):
@@ -120,42 +123,51 @@ class TestStrang:
         UniformB(np.array([0.03, -0.02, 0.05])),
         UniformE(np.array([0.01, 0.0, 0.02])),
     ], ids=["uniform-b", "pulsed-b", "oblique-b", "uniform-e"])
-    def test_position_factor_matches_dense_alpha_form(self, params, monkeypatch, apply_matrix,
-                                                      model):
-        # the per-entry half step against exp(-i tau V) written with dense
-        # alpha_j products over full-grid factors
-        from relspin import propagate
-
-        def reference(model, params, grid, tau, t):
-            u = [np.broadcast_to(-params.e * params.c * np.asarray(a, dtype=float), grid.shape)
-                 for a in model.a_mesh(grid.r, t)]
-            mag = np.sqrt(u[0]**2 + u[1]**2 + u[2]**2)
-            small = mag < 1e-14
-            cosf = np.cos(tau * mag)
-            sinf = np.where(small, tau, np.sin(tau * mag) / np.where(small, 1.0, mag))
-            phase = np.exp(-1j * tau * params.e
-                           * np.broadcast_to(model.phi_mesh(grid.r, t), grid.shape))
-
-            def half_step(field):
-                pos = field.to_position()
-                alpha_u = sum(ui * apply_matrix(a_mat, pos.data) for ui, a_mat in zip(u, ALPHA))
-                return pos.with_data((cosf * pos.data - 1j * sinf * alpha_u) * phase)
-            return half_step
-
+    def test_position_factor_matches_dense_alpha_form(self, params, apply_matrix, model):
+        # the dirac-em exact step against V/2 K V/2 written with dense alpha_j
+        # and beta products over full-grid factors: V = -ec alpha.A + e phi,
+        # K = c alpha.k + beta m0 c^2, each exp(-i tau X) = cos(tau s) -
+        # i sin(tau s)/s X with X^2 = s^2
         g = GridSpec(3, 16, 24.0)
+        t, dt = 0.1, 0.3
+        tm = t + dt / 2
+
+        def exp_form(tau, x, s, mats, values):
+            small = s < 1e-14
+            sinc = np.where(small, tau, np.sin(tau * s) / np.where(small, 1.0, s))
+            return np.cos(tau * s) * values - 1j * sinc * sum(
+                xi * apply_matrix(m, values) for xi, m in zip(x, mats))
+
+        u = [np.broadcast_to(-params.e * params.c * np.asarray(a, dtype=float), g.shape)
+             for a in model.a_mesh(g.r, tm)]
+        phase = np.exp(-0.5j * dt * params.e * np.broadcast_to(model.phi_mesh(g.r, tm), g.shape))
+
+        def half_step(field):
+            pos = field.to_position()
+            mag = np.sqrt(u[0]**2 + u[1]**2 + u[2]**2)
+            return pos.with_data(exp_form(dt / 2, u, mag, ALPHA, pos.data) * phase)
+
+        def kinetic(field):
+            mom = field.to_momentum()
+            k = [np.broadcast_to(params.c * kj, g.shape) for kj in g.k]
+            e_k = np.sqrt(params.c**2 * g.k2 + params.rest_energy**2)
+            x = k + [np.full(g.shape, params.rest_energy)]
+            return mom.with_data(exp_form(dt, x, e_k, [*ALPHA, BETA], mom.data))
+
         rng = np.random.default_rng(11)
         vals = rng.normal(size=(4, *g.shape)) + 1j * rng.normal(size=(4, *g.shape))
         psi = SpinorField(g, vals).normalized()
-        got = strang_step_dirac(psi, model, params, 0.1, 0.3)
-        monkeypatch.setattr(propagate, "_position_half_step", reference)
-        want = strang_step_dirac(psi, model, params, 0.1, 0.3)
+        got = strang_step_dirac(build_dirac_em(model, params), psi, t, dt)
+        want = half_step(kinetic(half_step(psi)))
+        assert got.space == "position"
         assert np.max(np.abs(got.values - want.values)) <= 1e-14 * np.max(np.abs(want.values))
 
     def test_rejects_zero_step(self, params, pulse_1d):
+        # the guard is the stepper's: a run refuses dt = 0 before any row
         g = GridSpec(1, 256, 256.0)
         psi = gaussian_packet(g, 0.0, 12.0, 1.0, [1, 0, 0, 0])
-        with pytest.raises(PreconditionError):
-            strang_step_dirac(psi, pulse_1d, params, 0.0, 0.0)
+        with pytest.raises(PreconditionError, match="dt must be finite and nonzero"):
+            run(build_dirac_em(pulse_1d, params), psi, 0.0, 5)
 
 
 class TestKrylov:
@@ -174,7 +186,7 @@ class TestKrylov:
         dt = 5e-4
         a = b = psi
         for i in range(10):
-            a = strang_step_dirac(a, pulse_1d, params, i * dt, dt)
+            a = strang_step_dirac(ham, a, i * dt, dt)
             b = krylov_step(ham, b, i * dt, dt, m=60, tol=1e-13)
         assert (a - b).norm() <= 1e-8
 
@@ -286,7 +298,7 @@ class TestConstantStep:
         psi = gaussian_packet(g, 0.0, 6.0, 0.5, [1, 1, 0, 0], params=params,
                               energy_projection=True).in_space(space)
         fft_count.reset()
-        got = _stepper(ham, None, 1e-10)(psi, 0.2, 0.05)
+        got = _stepper(ham, 0.05)(psi, 0.2)
         assert fft_count.calls == 0 and got.space == space
         u = scipy.linalg.expm(-0.05j * dense)
         assert np.count_nonzero(u) == 8  # an oblique B: both 2x2 blocks of U are full
@@ -313,11 +325,79 @@ class TestConstantStep:
 
 
 class TestRun:
-    def test_dispatch(self, params):
-        free = build_free_dirac(params)
-        direct = build_fw_direct(ZeroField(), params)
-        assert choose_propagator(free) == "strang"
-        assert choose_propagator(direct) == "krylov"
+    def test_dispatch(self, params, monkeypatch):
+        # (family, terms, hermitize, model, propagator) -> the step kind and
+        # whether the 3 steps between two rows are one exact step of 3 dt
+        from relspin import propagate
+        b, along = UniformB([0.0, 0.0, 0.05]), UniformB([0.05, 0.0, 0.0])  # A = 0 on the line
+        oblique, wave = UniformB([0.03, -0.02, 0.04]), PlaneWavePulse(
+            [0.0, 0.15, 0.0], [0.5, 0.0, 0.0], omega=0.5, env_width=20.0)
+        table = [
+            ("free", None, False, ZeroField(), None, "exact", True),
+            ("free", None, True, ZeroField(), None, "krylov", False),  # T, T^H share matrices
+            ("free", None, False, ZeroField(), "krylov", "krylov", False),
+            ("dirac-em", None, False, ZeroField(), None, "exact", True),
+            ("dirac-em", None, False, b, None, "exact", False),        # V/2 K V/2
+            ("dirac-em", None, False, along, None, "exact", True),
+            ("dirac-em", None, False, _PULSED_B, None, "exact", False),
+            ("dirac-em", None, False, UniformE([0.01, 0.0, 0.0]), None, "exact", False),
+            ("dirac-em", None, False, wave, None, "exact", False),
+            ("dirac-em", ["kinetic-free", "mass"], False, b, None, "exact", True),
+            ("dirac-em", None, True, b, None, "krylov", False),
+            ("fw-direct", ["zeeman"], False, oblique, None, "exact", True),
+            ("fw-direct", ["zeeman"], True, oblique, None, "exact", True),
+            ("fw-direct", ["zeeman"], False, _PULSED_B, None, "exact", False),
+            ("fw-direct", ["zeeman"], False, wave, None, "exact", False),  # B varies along x
+            ("fw-direct", ["kinetic", "zeeman"], False, b, None, "krylov", False),
+            ("fw-direct", None, True, b, None, "krylov", False),
+            ("fw-full", None, False, b, None, "krylov", False),
+            ("fw-direct", ["zeeman"], False, b, "krylov", "krylov", False),
+        ]
+        seen = []
+        monkeypatch.setattr(propagate, "strang_step_dirac", lambda ham, psi, t, dt:
+                            seen.append(("exact", dt)) or strang_step_dirac(ham, psi, t, dt))
+        monkeypatch.setattr(propagate, "krylov_step", lambda ham, psi, t, dt, **kw:
+                            seen.append(("krylov", dt)) or krylov_step(ham, psi, t, dt, **kw))
+        g = GridSpec(1, 64, 96.0)
+        psi = gaussian_packet(g, 0.0, 6.0, 1.0, [1, 1, 0, 0], params=params,
+                              energy_projection=True)
+        for family, terms, hermitize, model, propagator, kind, leaped in table:
+            seen.clear()
+            ham = build_hamiltonian(family, model, params, terms=terms, hermitize=hermitize)
+            run(ham, psi, 0.02, 6, stride=3, propagator=propagator)
+            row = (family, terms, hermitize, model, propagator)
+            assert {k for k, _ in seen} == {kind}, row
+            assert {round(dt, 12) for _, dt in seen} == {0.06 if leaped else 0.02}, row
+
+    def test_dirac_em_kinetic_and_mass_is_free(self, params):
+        # the same leaves, so the same exact step, bit for bit
+        g = GridSpec(1, 256, 128.0)
+        psi = gaussian_packet(g, 0.0, 8.0, 1.0, [1, 1, 0, 0], params=params,
+                              energy_projection=True)
+        free = run(build_free_dirac(params), psi, 0.05, 40, stride=10)
+        em = run(build_hamiltonian("dirac-em", _UNIFORM_B, params, terms=["kinetic-free", "mass"]),
+                 psi, 0.05, 40, stride=10)
+        assert em.to_csv() == free.to_csv()
+
+    @pytest.mark.parametrize("dt", [0.0, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("family, terms, propagator", [
+        ("free", None, None),                         # one exact factor
+        ("dirac-em", None, None),                     # two exact factors
+        ("fw-direct", ["zeeman"], None),              # a constant factor
+        ("fw-direct", ["kinetic", "zeeman"], None),   # Krylov
+        ("fw-direct", ["zeeman"], "krylov"),          # named Krylov
+    ])
+    def test_step_size_guard(self, params, family, terms, propagator, dt):
+        # every step kind refuses a step size that is zero or not finite,
+        # before any row or step
+        g = GridSpec(1, 64, 96.0)
+        ham = build_hamiltonian(family, _UNIFORM_B, params, terms=terms)
+        psi = gaussian_packet(g, 0.0, 6.0, 1.0, [1, 1, 0, 0], params=params,
+                              energy_projection=True)
+        with pytest.raises(PreconditionError, match="dt must be finite and nonzero"):
+            run(ham, psi, dt, 2, propagator=propagator)
+        with pytest.raises(PreconditionError, match="dt must be finite and nonzero"):
+            ehrenfest_residual(SpinKind.FW, ham, psi, dt, 2, propagator=propagator)
 
     def test_free_spin_constancy_long_run(self, params):
         # t m0 c^2 in [0, 50]
@@ -405,11 +485,11 @@ def _stepwise_rows(ham, psi, dt, steps, stride, propagator=None, t0=0.0):
     """The rows of ``run`` with every step taken on its own, step s from
     t0 + s dt: the reference a run that crosses a stride in one step must
     equal."""
-    step = _stepper(ham, propagator, 1e-10)
+    step = _stepper(ham, dt, propagator, 1e-10)
     obs = _Observables(ham.params)
     rows = [obs.measure(ham, psi, t0)]
     for s in range(1, steps + 1):
-        psi = step(psi, t0 + (s - 1) * dt, dt)
+        psi = step(psi, t0 + (s - 1) * dt)
         if s % stride == 0 or s == steps:
             rows.append(obs.measure(ham, psi, t0 + s * dt))
     return np.array([[row[c] for c in Trajectory.CSV_COLUMNS] for row in rows])
@@ -437,8 +517,8 @@ class TestLeap:
     ])
     def test_exact_step_matches_stepwise(self, params, krylov_count, family, hermitize,
                                          steps, stride):
-        # the free packet steps by Strang (its family reads no field), the
-        # static zeeman term by its constant matrix; every column is compared
+        # the free packet steps by its one momentum factor, the static zeeman
+        # term by its constant matrix; every column is compared
         # relative to its scale, at least 1, since some columns are zero up
         # to roundoff
         terms = None if family == "free" else ["zeeman"]
@@ -452,7 +532,7 @@ class TestLeap:
         assert krylov_count[0] == 0
 
     @pytest.mark.parametrize("family, model, terms, propagator", [
-        ("dirac-em", _UNIFORM_B, None, None),             # Strang with a vector potential
+        ("dirac-em", _UNIFORM_B, None, None),             # two factors, V/2 K V/2
         ("fw-direct", _PULSED_B, ["zeeman"], None),       # constant steps, one per midpoint
         ("fw-direct", _UNIFORM_B, ["kinetic", "zeeman"], None),  # Krylov
         ("fw-direct", _UNIFORM_B, ["zeeman"], "krylov"),  # named Krylov
@@ -463,6 +543,14 @@ class TestLeap:
         ham, psi = _leap_case(params, family, model, terms=terms)
         got = np.array(run(ham, psi, 0.037, 23, stride=5, t0=0.1, propagator=propagator).rows)
         assert np.array_equal(got, _stepwise_rows(ham, psi, 0.037, 23, 5, propagator, t0=0.1))
+
+    def test_hermitized_free_steps_by_krylov_per_dt(self, params, krylov_count):
+        # T and T^H share their matrices, so the group has no closed form: a
+        # Krylov step, taken once per dt and never across a row's steps
+        ham, psi = _leap_case(params, "free", ZeroField(), hermitize=True)
+        got = np.array(run(ham, psi, 0.037, 23, stride=5, t0=0.1).rows)
+        assert krylov_count[0] == 23
+        assert np.array_equal(got, _stepwise_rows(ham, psi, 0.037, 23, 5, t0=0.1))
 
     def test_stepwise_steps_start_at_t0_plus_s_dt(self, params, monkeypatch):
         from relspin import propagate
@@ -683,8 +771,8 @@ class TestEhrenfest:
         # step is taken once per dt, never across several
         from relspin import propagate
         sizes = []
-        monkeypatch.setattr(propagate, "strang_step_dirac",
-                            lambda *args: sizes.append(args[-1]) or strang_step_dirac(*args))
+        monkeypatch.setattr(propagate, "strang_step_dirac", lambda ham, psi, t, dt: sizes.append(dt)
+                            or strang_step_dirac(ham, psi, t, dt))
         out = ehrenfest_residual(SpinKind.FW, build_free_dirac(params),
                                  battery_1d[0], 0.02, 8)
         assert sizes == [0.02] * 8

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from relspin import cli
 from relspin import grid as grid_module
 from relspin.cli import _refinement_grids, main
-from relspin.dynamics import classify_residual_series, standard_battery, verify
+from relspin.dynamics import classify_residual_series, rhs, standard_battery, verify
 from relspin.errors import ConfigError, PreconditionError
 from relspin.expr import apply_expr
 from relspin.fields import UniformB
@@ -97,7 +98,7 @@ class TestParsing:
 
     @pytest.mark.parametrize("hamiltonian", [
         {"family": "free", "terms": ["bogus"]},
-        {"family": "dirac-em", "terms": ["mass"]},
+        {"family": "dirac-em", "terms": ["kinetic"]},
         {"family": "fw-direct", "terms": []},
         {"family": "fw-full", "terms": []},
         {"family": "fw-direct", "terms": ["kinetic", "darwin"]},
@@ -105,9 +106,9 @@ class TestParsing:
     ], ids=["free", "dirac-em", "empty-fw-direct", "empty-fw-full",
             "fw-full-term-on-fw-direct", "fw-direct-term-on-fw-full"])
     def test_terms_refused_where_they_would_be_ignored(self, hamiltonian):
-        # free and dirac-em have no selectable terms, and an empty list or an
-        # unknown name selects nothing; each once ran the full Hamiltonian
-        # or failed later
+        # an empty list or a name the family does not have (an fw term on
+        # dirac-em included) selects nothing; each once ran the full
+        # Hamiltonian or failed later
         with pytest.raises(ConfigError, match="hamiltonian.terms"):
             parse_scenario(base_scenario(hamiltonian=hamiltonian))
 
@@ -130,25 +131,28 @@ class TestParsing:
 
 
 def test_families_table_is_what_the_code_does():
-    # FAMILIES is the one list of families and terms: every builder, the
-    # scenario parser and the propagator choice read it
+    # FAMILIES is the one list of families and terms: every builder and the
+    # scenario parser read it, and every family takes terms and hermitize;
+    # a check parses where dynamics.rhs has its printed equation
     params, grid, model = PhysParams(), GridSpec(1, 64, 64.0), UniformB([0.0, 0.0, 0.1])
     assert set(FAMILIES) == {"free", "dirac-em", "fw-full", "fw-direct"}
     for family, spec in FAMILIES.items():
         assert build_hamiltonian(family, model, params).term_names() == list(spec.default)
-        parse_scenario(base_scenario(hamiltonian={"family": family}, verification={
-            "checks": [{"kind": "fw", "family": family}]}))
-        if spec.split:
-            for key, value in (("terms", list(spec.terms)), ("hermitize", True)):
-                with pytest.raises(PreconditionError, match=family):
-                    build_hamiltonian(family, model, params, **{key: value})
-                with pytest.raises(ConfigError, match=f"hamiltonian.{key}"):
-                    parse_scenario(base_scenario(hamiltonian={"family": family, key: value}))
-            continue
+        for kind in SpinKind:
+            doc = base_scenario(hamiltonian={"family": family}, verification={
+                "checks": [{"kind": kind.value, "family": family}]})
+            try:
+                rhs(kind, family, model, params)
+            except PreconditionError:
+                with pytest.raises(ConfigError, match=r"verification.checks\[0\]"):
+                    parse_scenario(doc)
+            else:
+                parse_scenario(doc)
         for term in spec.terms:
             ham = build_hamiltonian(family, model, params, terms=[term], hermitize=True)
             assert ham.term_names() == [term] and ham.assume_hermitian
-            sc = parse_scenario(base_scenario(hamiltonian={"family": family, "terms": [term]}))
+            sc = parse_scenario(base_scenario(hamiltonian={"family": family, "terms": [term],
+                                                           "hermitize": True}))
             assert sc.make_hamiltonian().term_names() == [term]
     for family in ("Free", "dirac", "fw", "pauli"):
         with pytest.raises(ConfigError, match="hamiltonian.family"):
@@ -398,6 +402,32 @@ class TestVerifyDynamics:
         for n in (128, 512):
             assert (f"fw/free: refinement rung N={n} skipped: the single state is tied "
                     "to the scenario grid") in out
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["verification"]["checks"].append({"kind": "fw", "family": "fw-full"}),
+         "no printed dynamics equation"),
+        (lambda d: d.update(field={"type": "uniform_e", "e0": [0.01, 0.0, 0.0]}) or
+         d["verification"]["checks"].append({"kind": "pryce", "family": "dirac-em"}),
+         "vanishing scalar potential"),
+        (lambda d: d["verification"]["checks"].append({"kind": "dirac", "family": "dirac-em"}),
+         "no printed Dirac-spin"),
+        (lambda d: d.update(params={"m0": 1e-120}) or
+         d["verification"]["checks"].append({"kind": "pryce", "family": "fw-direct"}),
+         "division by zero"),
+    ], ids=["fw-full", "uniform-e", "dirac-dirac-em", "tiny-mass"])
+    def test_check_without_printed_equation_refused_at_parse(self, tmp_path, capsys, edit,
+                                                             message):
+        # dynamics.rhs, the one table of printed equations, is asked once per
+        # check when the scenario is parsed, so nothing runs before the refusal
+        doc = json.loads((Path(__file__).resolve().parents[1] / "scenarios"
+                          / "free_particle.json").read_text())
+        edit(doc)
+        path = write_scenario(tmp_path, doc)
+        code = main(["verify-dynamics", "--scenario", path, "--report", str(tmp_path / "r.json")])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert "verification.checks[3]" in err and message in err
+        assert out == "" and not (tmp_path / "r.json").exists()
 
     def test_missing_checks_rejected(self, tmp_path):
         doc = base_scenario(verification={"checks": []})

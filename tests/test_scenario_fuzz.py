@@ -92,7 +92,8 @@ _PLANE_WAVE = {"type": "plane_wave", "e0": [0.0, 0.1, 0.0], "wavevector": [0.5, 
     ("verification", {"checks": [None]}, r"verification.checks\[0\]"),
     ("verification", {"refine_levels": -3}, "verification.refine_levels"),
     ("output", {"trajectory": 2}, "output.trajectory"),
-    ("hamiltonian", {"family": "dirac-em", "hermitize": True}, "hamiltonian.hermitize"),
+    ("verification", {"checks": [{"kind": "fw", "family": "fw-full"}]},
+     r"verification.checks\[0\]"),
     ("propagation", {"dt": 0.01, "steps": True}, "propagation.steps"),
     ("propagation", {"dt": 0.01, "steps": 4, "stride": True}, "propagation.stride"),
     ("verification", {"refine_levels": True}, "verification.refine_levels"),
@@ -110,7 +111,7 @@ _PLANE_WAVE = {"type": "plane_wave", "e0": [0.0, 0.1, 0.0], "wavevector": [0.5, 
      "field.envelope.coeffs"),
 ], ids=["omega-zero", "no-wavevector", "coeff-none", "n-none", "huge-length",
         "huge-dt", "short-pair", "term-object", "check-none", "negative-refine",
-        "output-fd", "split-hermitize", "steps-true", "stride-true", "refine-true",
+        "output-fd", "unprinted-check", "steps-true", "stride-true", "refine-true",
         "dim-true", "m0-true", "output-empty", "steps-zero", "stride-zero",
         "unknown-battery", "unknown-shape", "unknown-field", "cubic-poly"])
 def test_found_escapes_are_config_errors(section, value, path):
