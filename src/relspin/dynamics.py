@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
@@ -367,28 +367,10 @@ class ResidualReport:
     removal_gains: dict = dc_field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "schema": "relspin-residual-report/1",
-            "kind": self.kind,
-            "family": self.family,
-            "grid": self.grid,
-            "params": self.params,
-            "model": self.model,
-            "time": self.time,
-            "residual": self.residual,
-            "classification": self.classification,
-            "offending_term": self.offending_term,
-            "term_names": self.term_names,
-            "term_classification": self.term_classification,
-            "block_structure": self.block_structure,
-            "refinement": [{"n": n, "residual": r} for n, r in self.refinement],
-            "cells": [
-                {"state": c.state, "axis": c.axis, "residual": c.residual,
-                 "lhs_norm": c.lhs_norm, "rhs_norm": c.rhs_norm,
-                 "scale": c.scale, "term_norms": c.term_norms}
-                for c in self.cells
-            ],
-        }
+        doc = asdict(self)
+        del doc["removal_gains"]
+        doc["refinement"] = [{"n": n, "residual": r} for n, r in self.refinement]
+        return dict(doc, schema="relspin-residual-report/1")
 
     def to_json(self, **kwargs):
         return json.dumps(self.to_dict(), indent=2, sort_keys=True, **kwargs)

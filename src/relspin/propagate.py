@@ -285,17 +285,12 @@ class _Observables:
     def __init__(self, params):
         self.spin = {k: spin_expr(k, params) for k in SpinKind}
         self.r, self.p = triple(R), triple(P)
-        # every column but the energy is one diagonal leaf; "norm" and "flux"
-        # first hold the squared norm and the weight in the boundary shell
-        labels = {SpinKind.DIRAC: "S_D", SpinKind.FW: "S_FW", SpinKind.PRYCE: "S_Py"}
-        mom = [(f"{labels[k]}_{ax}", s) for k in SpinKind for ax, s in zip("xyz", self.spin[k])]
-        mom += [(f"p_{ax}", p) for ax, p in zip("xyz", self.p)]
-        pos = [(f"r_{ax}", r) for ax, r in zip("xyz", self.r)] + [
-            ("norm", ConstMatrix(ID4)),
-            ("flux", PositionDiag([(lambda g, t: g.boundary_shell_mask, ID4)]))]
-        self._mom = [leaf for _, leaf in mom]
-        self.stacks = [([n for n, _ in obs], LeafStack(leaf for _, leaf in obs))
-                       for obs in (mom, pos)]
+        # every column but the energy is one diagonal leaf named by its column;
+        # "norm" and "flux" first hold the squared norm and the boundary-shell weight
+        self._mom = [s for k in SpinKind for s in self.spin[k]] + self.p
+        pos = self.r + [ConstMatrix(ID4, name="norm"), PositionDiag(
+            [(lambda g, t: g.boundary_shell_mask, ID4)], name="flux")]
+        self.stacks = [([leaf.name for leaf in obs], LeafStack(obs)) for obs in (self._mom, pos)]
         self._energy = (None, None, None)  # H, grid and the momentum stack with H
 
     def measure(self, hamiltonian, psi, t):

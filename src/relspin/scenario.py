@@ -20,8 +20,14 @@ Top-level shape (see README for the full field reference)::
 
 With ``units: "si"`` the rest mass and charge are divided by hbar
 (1.054571817e-34 J s) on load, after which every internal formula is the
-hbar = 1 one; lengths/times/fields stay in SI units.  All validation errors
-carry the JSON path of the offending field and surface as exit code 2.
+hbar = 1 one; lengths/times/fields stay in SI units.
+
+One ``_Reader`` per JSON object checks each key where it is read and
+refuses a key that no read takes; a field ``type`` or envelope ``shape``
+names a row of ``_FIELDS`` or ``_ENVELOPES``.  The propagated Hamiltonian
+and each check's printed equation are built on load, so a mass or model
+they cannot take is refused before any run.  All validation errors carry
+the JSON path of the offending field and surface as exit code 2.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 import numpy as np
 
@@ -44,31 +51,69 @@ __all__ = ["Scenario", "load_scenario", "parse_scenario", "SCHEMA_ID"]
 SCHEMA_ID = "relspin-scenario/1"
 HBAR_SI = 1.054571817e-34
 
-_KINDS = {"dirac": SpinKind.DIRAC, "fw": SpinKind.FW, "pryce": SpinKind.PRYCE}
+_REQUIRED = object()
+_NUMBER = (int, float)
 
 
-_SENTINEL = object()
+class _Reader:
+    """One JSON object of a scenario, at ``path``: ``get`` reads and checks
+    one key, and ``done`` refuses any key that no ``get`` read."""
 
+    def __init__(self, doc, path):
+        if not isinstance(doc, dict):
+            raise ConfigError(path, f"expected an object, got {type(doc).__name__}")
+        self.doc, self.path, self.read = doc, path, []
 
-def _get(doc, path, key, expected=None, default=_SENTINEL, items=None):
-    """doc[key] checked against ``expected`` types (and, for a list, every
-    element against ``items``), or ``default`` when absent."""
-    if not isinstance(doc, dict):
-        raise ConfigError(path, f"expected an object, got {type(doc).__name__}")
-    here = f"{path}.{key}" if path else key
-    if key not in doc:
-        if default is not _SENTINEL:
+    def at(self, key):
+        """The JSON path of ``key``, an index when it is an int."""
+        if isinstance(key, int):
+            return f"{self.path}[{key}]"
+        return f"{self.path}.{key}" if self.path else key
+
+    def get(self, key, types, default=_REQUIRED, *, items=None, size=None, choices=None,
+            above=None):
+        """doc[key], or ``default`` when absent, checked to be of ``types``
+        (a JSON boolean is no number), finite, a string in ``choices`` (for
+        a list, every string item) and greater than ``above`` (for a string
+        or a list, its length); a list must also have every item of
+        ``items`` and a length in the range ``size``."""
+        here = self.at(key)
+        self.read.append(key)
+        if key not in self.doc:
+            if default is _REQUIRED:
+                raise ConfigError(here, "missing required field")
             return default
-        raise ConfigError(here, "missing required field")
-    value = doc[key]
-    if expected is not None and not _is(value, expected):
-        raise ConfigError(
-            here, f"expected {_names(expected)}, got {type(value).__name__}")
-    if items is not None and isinstance(value, list) and not all(
-            _is(v, items) for v in value):
-        raise ConfigError(here, f"expected a list of {_names(items)}")
-    _check_finite(value, here)
-    return value
+        value = self.doc[key]
+        if not _is(value, types):
+            raise ConfigError(here, f"expected {_names(types)}, got {type(value).__name__}")
+        listed = value if isinstance(value, list) else [value]
+        if listed is value and items is not None and not all(_is(v, items) for v in value):
+            raise ConfigError(here, f"expected a list of {_names(items)}")
+        if listed is value and size is not None and len(value) not in size:
+            raise ConfigError(here, f"expected {size[0]}" + (
+                f" to {size[-1]}" if len(size) > 1 else "") + f" items, got {len(value)}")
+        for i, v in enumerate(listed):
+            # no number may be NaN, infinite or beyond the float range
+            if _is(v, _NUMBER) and not abs(v) <= sys.float_info.max:
+                where = f"{here}[{i}]" if listed is value else here
+                raise ConfigError(where, f"expected a finite number, got {v!r:.24}")
+            if choices is not None and isinstance(v, str) and v not in choices:
+                raise ConfigError(here, f"unknown {v!r}; expected one of {list(choices)}")
+        sized = isinstance(value, (str, list))
+        if above is not None and not (len(value) if sized else value) > above:
+            raise ConfigError(here, "must not be empty" if sized else f"must be > {above}")
+        return value
+
+    def object(self, key, default=_REQUIRED):
+        """The reader of the object at ``key`` (None for an absent one)."""
+        doc = self.get(key, dict, default)
+        return None if doc is None else _Reader(doc, self.at(key))
+
+    def done(self):
+        for key in self.doc:
+            if key not in self.read:
+                raise ConfigError(self.at(key), f"unknown key; {self.path or 'a scenario'} "
+                                                f"takes {', '.join(self.read)}")
 
 
 def _is(value, types):
@@ -89,20 +134,48 @@ def _build(path, ctor, *args, **kwargs):
         raise ConfigError(path, str(exc)) from exc
 
 
-def _check_finite(value, where):
-    """No scenario number may be NaN, infinite or beyond the float range."""
-    if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
-        raise ConfigError(where, f"expected a finite number, got {value!r:.24}")
-    if isinstance(value, (list, tuple)):
-        for i, v in enumerate(value):
-            _check_finite(v, f"{where}[{i}]")
+def _number(default=_REQUIRED):
+    return lambda r, key: float(r.get(key, _NUMBER, default))
 
 
-def _vec3(doc, path, key, default=_SENTINEL):
-    v = _get(doc, path, key, list, default)
-    if len(v) != 3 or not all(_is(x, (int, float)) for x in v):
-        raise ConfigError(f"{path}.{key}", "expected a 3-vector of numbers")
-    return np.asarray(v, dtype=float)
+def _vector(r, key, default=_REQUIRED):
+    return np.asarray(r.get(key, list, default, items=_NUMBER, size=range(3, 4)), dtype=float)
+
+
+def _coeffs(r, key):
+    """Up to three polynomial coefficients, the missing ones zero."""
+    coeffs = [float(c) for c in r.get(key, list, [], items=_NUMBER, size=range(4))]
+    return tuple(coeffs) + (0.0,) * (3 - len(coeffs))
+
+
+def _tagged(r, tag, table, default=_REQUIRED):
+    """The object of reader ``r`` built by the row of ``table`` that its
+    ``tag`` names: a constructor and the reader of each keyword argument."""
+    ctor, readers = table[r.get(tag, str, default, choices=table)]
+    kwargs = {key: read(r, key) for key, read in readers.items()}
+    r.done()
+    return _build(r.path, ctor, **kwargs)
+
+
+_ENVELOPES = {shape: (partial(Envelope, shape=shape), readers) for shape, readers in {
+    "constant": {"value": _number(1.0)},
+    "poly": {"coeffs": _coeffs},
+    "gaussian": {"amplitude": _number(1.0), "center": _number(0.0), "width": _number()},
+    "sinusoid": {"amplitude": _number(1.0), "omega": _number(), "phase": _number(0.0)},
+}.items()}
+
+
+def _envelope(r, key):
+    return _tagged(r.object(key, {}), "shape", _ENVELOPES, "constant")
+
+
+_FIELDS = {
+    "zero": (ZeroField, {}),
+    "uniform_b": (UniformB, {"b0": _vector, "envelope": _envelope}),
+    "uniform_e": (UniformE, {"e0": _vector, "envelope": _envelope}),
+    "plane_wave": (PlaneWavePulse, {"e0": _vector, "wavevector": _vector, "omega": _number(),
+                                    "env_center": _number(0.0), "env_width": _number(5.0)}),
+}
 
 
 @dataclass
@@ -136,176 +209,88 @@ class Scenario:
     def make_state(self) -> SpinorField:
         if self.state_spec is None:
             raise ConfigError("state", "this scenario has no state section")
-        spec = self.state_spec
-        return gaussian_packet(
-            self.grid, spec["center"], spec["sigma"], spec["k0"],
-            spec["polarization"], params=self.params,
-            energy_projection=spec["energy_projection"])
-
-
-def _parse_envelope(doc, path):
-    if doc is None:
-        return Envelope()
-    shape = _get(doc, path, "shape", str, "constant")
-    number = (int, float)
-    if shape == "constant":
-        return Envelope(shape="constant", value=float(_get(doc, path, "value", number, 1.0)))
-    if shape == "poly":
-        coeffs = _get(doc, path, "coeffs", list, [0.0, 0.0, 0.0], items=number)
-        if len(coeffs) > 3:
-            raise ConfigError(f"{path}.coeffs", "polynomial envelopes support degree <= 2")
-        coeffs = tuple(float(c) for c in coeffs) + (0.0,) * (3 - len(coeffs))
-        return Envelope(shape="poly", coeffs=coeffs)
-    if shape == "gaussian":
-        return _build(path, Envelope, shape="gaussian",
-                      amplitude=float(_get(doc, path, "amplitude", number, 1.0)),
-                      center=float(_get(doc, path, "center", number, 0.0)),
-                      width=float(_get(doc, path, "width", number)))
-    if shape == "sinusoid":
-        return Envelope(shape="sinusoid",
-                        amplitude=float(_get(doc, path, "amplitude", number, 1.0)),
-                        omega=float(_get(doc, path, "omega", number)),
-                        phase=float(_get(doc, path, "phase", number, 0.0)))
-    raise ConfigError(f"{path}.shape", f"unknown envelope shape {shape!r}")
-
-
-def _parse_field(doc, path, field_scale):
-    kind = _get(doc, path, "type", str)
-    if kind == "zero":
-        return ZeroField()
-    if kind == "uniform_b":
-        return UniformB(field_scale * _vec3(doc, path, "b0"),
-                        _parse_envelope(doc.get("envelope"), f"{path}.envelope"))
-    if kind == "uniform_e":
-        return UniformE(field_scale * _vec3(doc, path, "e0"),
-                        _parse_envelope(doc.get("envelope"), f"{path}.envelope"))
-    if kind == "plane_wave":
-        return _build(
-            path, PlaneWavePulse, field_scale * _vec3(doc, path, "e0"),
-            _vec3(doc, path, "wavevector"),
-            float(_get(doc, path, "omega", (int, float))),
-            float(_get(doc, path, "env_center", (int, float), 0.0)),
-            float(_get(doc, path, "env_width", (int, float), 5.0)))
-    raise ConfigError(f"{path}.type", f"unknown field model {kind!r}")
+        s = self.state_spec
+        return gaussian_packet(self.grid, s["center"], s["sigma"], s["k0"], s["polarization"],
+                               params=self.params, energy_projection=s["energy_projection"])
 
 
 def parse_scenario(doc: dict) -> Scenario:
-    if not isinstance(doc, dict):
-        raise ConfigError("", "scenario must be a JSON object")
-    schema = _get(doc, "", "schema", str)
-    if schema != SCHEMA_ID:
-        raise ConfigError("schema", f"unsupported schema {schema!r}; "
-                                    f"expected {SCHEMA_ID!r}")
-    units = _get(doc, "", "units", str, "natural")
-    if units not in ("natural", "si"):
-        raise ConfigError("units", "must be 'natural' or 'si'")
-    _get(doc, "", "seed", int, 0)  # kept for older documents; nothing reads it
+    top = _Reader(doc, "")
+    top.get("schema", str, choices=(SCHEMA_ID,))
+    units = top.get("units", str, "natural", choices=("natural", "si"))
+    top.get("seed", int, 0)  # kept for older documents; nothing reads it
 
-    pdoc = _get(doc, "", "params", dict, {})
-    m0 = float(_get(pdoc, "params", "m0", (int, float), 1.0))
-    c = float(_get(pdoc, "params", "c", (int, float), 1.0))
-    e = float(_get(pdoc, "params", "e", (int, float), -1.0))
+    r = top.object("params", {})
+    m0, c, e = (float(r.get(k, _NUMBER, v)) for k, v in (("m0", 1.0), ("c", 1.0), ("e", -1.0)))
+    r.done()
     if units == "si":
-        m0 = m0 / HBAR_SI
-        e = e / HBAR_SI
+        m0, e = m0 / HBAR_SI, e / HBAR_SI
     params = _build("params", PhysParams, m0=m0, c=c, e=e)
 
-    gdoc = _get(doc, "", "grid", dict)
-    grid = _build("grid", GridSpec, int(_get(gdoc, "grid", "dim", int)),
-                  _get(gdoc, "grid", "n", (int, list), items=int),
-                  _get(gdoc, "grid", "lengths", (int, float, list), items=(int, float)))
+    r = top.object("grid")
+    grid = _build("grid", GridSpec, r.get("dim", int), r.get("n", (int, list), items=int),
+                  r.get("lengths", (int, float, list), items=_NUMBER))
+    r.done()
 
-    model = _parse_field(_get(doc, "", "field", dict, {"type": "zero"}),
-                         "field", 1.0)
+    model = _tagged(top.object("field", {"type": "zero"}), "type", _FIELDS)
 
-    hdoc = _get(doc, "", "hamiltonian", dict, {"family": "free"})
-    family = _get(hdoc, "hamiltonian", "family", str)
-    if family not in FAMILIES:
-        raise ConfigError("hamiltonian.family",
-                          f"unknown family {family!r}; expected one of {list(FAMILIES)}")
-    term_mask = _get(hdoc, "hamiltonian", "terms", list, None, items=str)
-    hermitize = _get(hdoc, "hamiltonian", "hermitize", bool, False)
-    choices = FAMILIES[family].terms
-    if term_mask is not None and not (term_mask and set(term_mask) <= set(choices)):
-        raise ConfigError("hamiltonian.terms", f"{family} takes a non-empty subset "
-                                               f"of {list(choices)}, got {term_mask}")
+    r = top.object("hamiltonian", {"family": "free"})
+    family = r.get("family", str, choices=FAMILIES)
+    term_mask = r.get("terms", list, None, items=str, choices=FAMILIES[family].terms, above=0)
+    hermitize = r.get("hermitize", bool, False)
+    r.done()
+    # the propagated Hamiltonian: building it takes trees only, no grid work
+    _build("hamiltonian", build_hamiltonian, family, model, params, term_mask, hermitize)
 
-    sdoc = _get(doc, "", "state", dict, None)
-    if sdoc is not None:
-        pol = _get(sdoc, "state", "polarization", (str, list), "up_z")
+    r = top.object("state", None)
+    state_spec = None
+    if r is not None:
+        pol = r.get("polarization", (str, list), "up_z", choices=POLARIZATIONS, items=list,
+                    size=range(4, 5))
         if isinstance(pol, str):
-            if pol not in POLARIZATIONS:
-                raise ConfigError("state.polarization",
-                                  f"unknown name {pol!r}; expected one of "
-                                  f"{sorted(POLARIZATIONS)} or 4 [re, im] pairs")
             pol = POLARIZATIONS[pol]
         else:
-            if len(pol) != 4 or any(not isinstance(p, list) or len(p) != 2 or not all(
-                    _is(x, (int, float)) for x in p) for p in pol):
-                raise ConfigError("state.polarization", "expected 4 [re, im] pairs")
-            pol = np.array([complex(p[0], p[1]) for p in pol])
-        sigma = float(_get(sdoc, "state", "sigma", (int, float)))
-        if sigma <= 0:
-            raise ConfigError("state.sigma", "must be positive")
-        state_spec = {
-            "center": _vec3(sdoc, "state", "center", default=[0.0, 0.0, 0.0]),
-            "sigma": sigma,
-            "k0": _vec3(sdoc, "state", "k0", default=[0.0, 0.0, 0.0]),
-            "polarization": pol,
-            "energy_projection": bool(_get(sdoc, "state", "energy_projection",
-                                           bool, True)),
-        }
-    else:
-        state_spec = None
+            pairs = _Reader(dict(enumerate(pol)), r.at("polarization"))
+            pol = np.array([complex(*pairs.get(i, list, items=_NUMBER, size=range(2, 3)))
+                            for i in range(4)])
+        state_spec = dict(center=_vector(r, "center", [0.0] * 3),
+                          sigma=float(r.get("sigma", _NUMBER, above=0)),
+                          k0=_vector(r, "k0", [0.0] * 3), polarization=pol,
+                          energy_projection=r.get("energy_projection", bool, True))
+        r.done()
 
-    prop = _get(doc, "", "propagation", dict, None)
-    if prop is not None:
-        dt = float(_get(prop, "propagation", "dt", (int, float)))
-        steps = int(_get(prop, "propagation", "steps", int))
-        stride = int(_get(prop, "propagation", "stride", int, 1))
-        if dt <= 0:
-            raise ConfigError("propagation.dt", "must be positive")
-        if steps < 1:
-            raise ConfigError("propagation.steps", "must be >= 1")
-        if stride < 1:
-            raise ConfigError("propagation.stride", "must be >= 1")
-    else:
-        dt, steps, stride = 0.0, 0, 1
+    r = top.object("propagation", None)
+    dt, steps, stride = 0.0, 0, 1
+    if r is not None:
+        dt = float(r.get("dt", _NUMBER, above=0))
+        steps = r.get("steps", int, above=0)
+        stride = r.get("stride", int, 1, above=0)
+        r.done()
 
-    vdoc = _get(doc, "", "verification", dict, {})
-    checks = []
-    for i, cdoc in enumerate(_get(vdoc, "verification", "checks", list, [])):
-        path = f"verification.checks[{i}]"
-        kind = _get(cdoc, path, "kind", str)
-        if kind not in _KINDS:
-            raise ConfigError(f"{path}.kind",
-                              f"unknown spin kind {kind!r}; expected one of "
-                              f"{sorted(_KINDS)}")
-        cfam = _get(cdoc, path, "family", str)
-        if cfam not in FAMILIES:
-            raise ConfigError(f"{path}.family", f"unknown family {cfam!r}")
+    r = top.object("verification", {})
+    listed = r.get("checks", list, [])
+    checks, listing = [], _Reader(dict(enumerate(listed)), r.at("checks"))
+    for i in range(len(listed)):
+        check = listing.object(i)
+        kind = SpinKind(check.get("kind", str, choices=[k.value for k in SpinKind]))
+        family_i = check.get("family", str, choices=FAMILIES)
+        check.done()
         # rhs is the one table of printed equations; it builds trees and applies nothing
-        _build(path, rhs, _KINDS[kind], cfam, model, params)
-        checks.append((_KINDS[kind], cfam))
-    battery = _get(vdoc, "verification", "battery", str, "standard")
-    if battery not in ("standard", "state"):
-        raise ConfigError("verification.battery", "must be 'standard' or 'state'")
+        _build(check.path, rhs, kind, family_i, model, params)
+        checks.append((kind, family_i))
+    battery = r.get("battery", str, "standard", choices=("standard", "state"))
     if battery == "state" and state_spec is None:
-        raise ConfigError("verification.battery",
-                          "battery 'state' needs a state section")
-    refine_levels = int(_get(vdoc, "verification", "refine_levels", int, 1))
-    if refine_levels < 0:
-        raise ConfigError("verification.refine_levels", "must be >= 0")
+        raise ConfigError("verification.battery", "battery 'state' needs a state section")
+    refine_levels = r.get("refine_levels", int, 1, above=-1)
+    r.done()
 
-    odoc = _get(doc, "", "output", dict, {})
-    output = {key: _get(odoc, "output", key, str) for key in ("trajectory", "report", "sweep")
-              if key in odoc}
-    for key, path in output.items():
-        if not path:
-            raise ConfigError(f"output.{key}", "expected a non-empty path")
+    r = top.object("output", {})
+    output = {key: r.get(key, str, None, above=0) for key in ("trajectory", "report", "sweep")}
+    r.done()
+    top.done()
     return Scenario(params, grid, model, family, term_mask,
                     hermitize, state_spec, dt, steps, stride, checks, battery,
-                    refine_levels, output)
+                    refine_levels, {k: v for k, v in output.items() if v is not None})
 
 
 def load_scenario(path) -> Scenario:

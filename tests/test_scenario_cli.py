@@ -170,6 +170,25 @@ def test_families_table_is_what_the_code_does():
             run(ham, psi, 0.05, 2, propagator=propagator)
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("family", ["fw-direct", "fw-full"])
+def test_propagated_hamiltonian_built_at_parse(tmp_path, capsys, command, family):
+    # the fw prefactors divide by powers of m0; with a finite but tiny mass
+    # the Hamiltonian's build once ended the run in a ZeroDivisionError
+    doc = json.loads((Path(__file__).resolve().parents[1] / "scenarios"
+                      / "larmor_sweep.json").read_text())
+    doc["params"]["m0"] = 1e-120
+    doc["hamiltonian"]["family"] = family
+    out = tmp_path / "out.csv"
+    extra = ["--field-grid", "0.5,1"] if command == "sweep" else []
+    code = main([command, "--scenario", write_scenario(tmp_path, doc),
+                 "--output", str(out)] + extra)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "hamiltonian" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 class TestCheckOperators:
     def test_default_passes(self, capsys):
         code = main(["check-operators", "--samples", "150"])

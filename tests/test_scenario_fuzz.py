@@ -2,7 +2,9 @@
 ``ConfigError`` and never with another exception."""
 
 import copy
+import functools
 import json
+import operator
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from relspin.errors import ConfigError
 from relspin.scenario import Scenario, parse_scenario
 
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = ROOT / "scenarios"
 
 FUZZ = settings(max_examples=400, deadline=None, derandomize=True, database=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -62,6 +65,11 @@ def _paths(node, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
+def _at(doc, path):
+    """The node of ``doc`` at a key and index path."""
+    return functools.reduce(operator.getitem, path, doc)
+
+
 def _parse(doc):
     try:
         assert isinstance(parse_scenario(doc), Scenario)
@@ -109,17 +117,49 @@ _PLANE_WAVE = {"type": "plane_wave", "e0": [0.0, 0.1, 0.0], "wavevector": [0.5, 
     ("field", {"type": "uniform_e", "e0": [0.1, 0, 0],
                "envelope": {"shape": "poly", "coeffs": [1.0, 0.1, 0.0, 0.2]}},
      "field.envelope.coeffs"),
+    ("propagaton", {"dt": 0.01, "steps": 4}, "propagaton"),
+    ("state", {"sigma": 16.0, "k0": [0.75, 0, 0], "polarisation": "down_z"},
+     "state.polarisation"),
+    ("field", {"type": "uniform_b", "b0": [0, 0, 1],
+               "envelop": {"shape": "gaussian", "width": 2.0}}, "field.envelop"),
+    ("field", {"type": "zero", "b0": [0, 0, 1]}, "field.b0"),
+    ("verification", {"checks": [{"kind": "fw", "family": "free", "famly": "fw-direct"}]},
+     r"verification.checks\[0\].famly"),
 ], ids=["omega-zero", "no-wavevector", "coeff-none", "n-none", "huge-length",
         "huge-dt", "short-pair", "term-object", "check-none", "negative-refine",
         "output-fd", "unprinted-check", "steps-true", "stride-true", "refine-true",
         "dim-true", "m0-true", "output-empty", "steps-zero", "stride-zero",
-        "unknown-battery", "unknown-shape", "unknown-field", "cubic-poly"])
+        "unknown-battery", "unknown-shape", "unknown-field", "cubic-poly",
+        "typo-propagation", "typo-polarization", "typo-envelope", "b0-on-zero",
+        "typo-family"])
 def test_found_escapes_are_config_errors(section, value, path):
     # parse_scenario once let each of these out as another exception, or
     # (term-object, the booleans, output-empty) accepted it silently; the
-    # last six rows are refusals no other test reached
+    # six rows from steps-zero are refusals no other test reached, and the
+    # last five are misspelt or stray keys that were once ignored (a
+    # Gaussian pulse ran as a constant field, a down_z packet as up_z)
     with pytest.raises(ConfigError, match=path):
         parse_scenario(dict(VALID[0], **{section: value}))
+
+
+def test_unknown_keys_refused_at_their_path():
+    # every object of every valid document, the root included, refuses a key
+    # that no reader takes, at that key's own path
+    for doc in VALID:
+        for path in [()] + [p for p in _paths(doc) if isinstance(_at(doc, p), dict)]:
+            bad = copy.deepcopy(doc)
+            _at(bad, path)["bogus"] = 1.0
+            where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                            for k in path + ("bogus",))
+            with pytest.raises(ConfigError) as info:
+                parse_scenario(bad)
+            assert info.value.path == where.lstrip(".")
+
+
+def test_readme_example_parses():
+    readme = (ROOT / "README.md").read_text()
+    example = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    assert isinstance(parse_scenario(json.loads(example)), Scenario)
 
 
 @FUZZ
@@ -143,9 +183,7 @@ def test_mutated_valid_documents(data):
         if not paths:
             break
         path = data.draw(st.sampled_from(paths))
-        parent = doc
-        for key in path[:-1]:
-            parent = parent[key]
+        parent = _at(doc, path[:-1])
         if isinstance(parent, dict) and data.draw(st.booleans()):
             del parent[path[-1]]
         else:
