@@ -15,6 +15,7 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import os
@@ -300,7 +301,32 @@ def build_parser():
     return parser
 
 
+#: glibc's mallopt parameters M_TRIM_THRESHOLD and M_MMAP_THRESHOLD
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_BYTES = 256 << 20
+
+
+def _keep_freed_memory() -> bool:
+    """Serve blocks of up to 256 MB from the heap and keep up to 256 MB of
+    freed heap: a run frees and makes the same large fields over and over
+    (16 MB each at 64^3), and with glibc's defaults each is mapped afresh
+    and faulted in page by page.  Both are set: a trim threshold alone turns
+    off glibc's dynamic mmap threshold, and then every large block is
+    mapped.  Returns whether mallopt accepted both; without glibc it does
+    nothing and returns False."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no glibc
+        return False
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return all([mallopt(param, _HEAP_BYTES) == 1
+                for param in (_M_MMAP_THRESHOLD, _M_TRIM_THRESHOLD)])
+
+
 def main(argv=None):
+    """Run one subcommand and return its exit code.  Glibc's allocator is
+    tuned first (``_keep_freed_memory``), once per call."""
+    _keep_freed_memory()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

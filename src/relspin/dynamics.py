@@ -397,31 +397,42 @@ def _verify_cell(si, axis, s_i, h_total, terms, psi, h_psi, t, guard, gains):
     next cell forms its own."""
     s_h = apply_expr(s_i, h_psi, t, guard)
     h_s = apply_expr(h_total, apply_expr(s_i, psi, t, guard), t, guard)
-    lhs = (s_h - h_s) * (-1j)
     scale = s_h.norm() + h_s.norm()
-    del s_h, h_s  # the term fields kept below take their place
-    # one apply per printed term: its norm is recorded and the term added in
-    # place to the running right-hand side, the first term's field (a copy
-    # when kept), before the next one
+    # lhs = (1/i)(s_h - h_s) is formed in s_h's field, diff = lhs - rhs
+    # later in the same field, and each diff + term in the term's own
+    lhs = s_h
+    np.subtract(lhs.data, lhs.data_of(h_s), out=lhs.data)
+    lhs.data *= -1j
+    del h_s  # the term fields kept below take its place
+    # one apply per printed term, its norm recorded.  The right-hand side is
+    # their sum, formed in place in the first term's field before the next
+    # apply; terms kept for the removal gains are summed after the last
+    # apply, into a copy of the first, so that no sum is held during one
     rhs_field = None if terms else psi * 0.0
     term_norms = {}
     kept = []
     for name, triple in terms:
         term = apply_expr(triple[axis], psi, t, guard)
         term_norms[name] = term.norm()
-        if rhs_field is None:
-            rhs_field = term if gains is None else term.copy()
-        else:
-            rhs_field.data += rhs_field.data_of(term)
         if gains is not None:
             kept.append((name, term))
-    diff = lhs - rhs_field
+        elif rhs_field is None:
+            rhs_field = term
+        else:
+            rhs_field.data += rhs_field.data_of(term)
+    if kept:
+        rhs_field = kept[0][1].copy()
+        for _, term in kept[1:]:
+            rhs_field.data += rhs_field.data_of(term)
+    lhs_norm, rhs_norm = lhs.norm(), rhs_field.norm()
+    diff = lhs
+    np.subtract(diff.data, diff.data_of(rhs_field), out=diff.data)
     base = diff.norm()
     for name, term in kept:
-        gains[name] = max(gains.get(name, -np.inf), (diff + term).norm() - base)
-    denom = max(scale, rhs_field.norm(), _EPS_FLOOR * psi.norm())
-    return VerifyCell(si, _AXES[axis], base / denom, lhs.norm(), rhs_field.norm(),
-                      scale, term_norms)
+        np.add(term.data, term.data_of(diff), out=term.data)  # diff + term
+        gains[name] = max(gains.get(name, -np.inf), term.norm() - base)
+    denom = max(scale, rhs_norm, _EPS_FLOOR * psi.norm())
+    return VerifyCell(si, _AXES[axis], base / denom, lhs_norm, rhs_norm, scale, term_norms)
 
 
 def verify(kind: SpinKind, hamiltonian: NamedHamiltonian, states,

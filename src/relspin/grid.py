@@ -38,11 +38,13 @@ sum_j M_j f_j psi it accumulates (M_j[a, b] f_j) psi_b into row a over the
 nonzero (row, col, entry) triples of each M_j only (``matrix_entries``), each
 f_j at its broadcast shape (a sparse mesh stays sparse).  A monomial M_j, as
 every alpha / beta / Sigma product is, costs four products; a general one
-such as Sigma.alpha one per nonzero.
+such as Sigma.alpha one per nonzero.  It allocates its output and at most
+one accumulation row, and no grid-size temporary per entry.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -106,9 +108,9 @@ class GridSpec:
         """Quadrature weight dx^d of the discrete inner product."""
         return float(np.prod(self.dx))
 
-    @property
+    @cached_property
     def npoints(self) -> int:
-        return int(np.prod(self.n))
+        return math.prod(self.n)
 
     def axis_positions(self, axis: int) -> np.ndarray:
         nn, length = self.n[axis], self.lengths[axis]
@@ -399,21 +401,29 @@ def matrix_entries(m):
 
 def pointwise(psi, terms):
     """sum_j M_j f_j psi at every point as a new array, ``terms`` the pairs of
-    M_j's ``matrix_entries`` and f_j, a number or an array broadcastable to psi[0]."""
+    M_j's ``matrix_entries`` and f_j, a number or an array broadcastable to psi[0].
+    A full-grid f_j psi_b goes into its row (or the accumulation row), where
+    an entry m != 1 scales it in place, or subtracts it for m = -1, so no
+    entry makes a grid-size temporary; a smaller f_j takes m f_j."""
     out = np.empty_like(psi)
     fresh = [True] * 4  # rows not yet written
     tmp = None  # made once a row takes a second product
+    points = psi[0].size
     for entries, arr in terms:
+        full = getattr(arr, "size", 1) == points
         for a, b, m in entries:
-            f = arr if m == 1 else m * arr
-            if fresh[a]:
-                np.multiply(f, psi[b], out=out[a])
-                fresh[a] = False
-            else:
-                if tmp is None:
-                    tmp = np.empty(psi.shape[1:], dtype=complex)
-                np.multiply(f, psi[b], out=tmp)
-                np.add(out[a], tmp, out=out[a])
+            first, negate = fresh[a], full and m == -1
+            fresh[a] = False
+            if not first and tmp is None:
+                tmp = np.empty(psi.shape[1:], dtype=complex)
+            dst = out[a] if first else tmp
+            np.multiply(arr if m == 1 or full else m * arr, psi[b], out=dst)
+            if full and m != 1 and not negate:
+                dst *= m
+            if first and negate:
+                np.negative(dst, out=dst)
+            elif not first:
+                (np.subtract if negate else np.add)(out[a], tmp, out=out[a])
     for a in range(4):
         if fresh[a]:
             out[a] = 0.0

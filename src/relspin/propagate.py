@@ -7,17 +7,18 @@ Two steps:
   split step of Mocken & Keitel, Comput. Phys. Commun. 178, 868 (2008)).
   ``expr._scaled_leaves`` flattens H into a momentum group (momentum leaves
   and constant ones, such as beta m0 c^2) and a position group, and each
-  group X becomes one pointwise factor exp(-i tau X).  A constant X is the
-  expm of its 4x4 matrix, applied in the state's own space without a
-  transform.  Otherwise X = phi 1 + Y, and where Y's scalars are real and
-  its matrices anticommute pairwise and square to positive multiples of 1,
-  Y^2 = s^2 at every point and the factor is exp(-i tau phi) (cos(tau s) -
-  i sin(tau s)/s Y) in the group's space: c alpha.k + beta m0 c^2 with
-  s = E_k, or -ec alpha.A with s = |ec A| times the phase of e phi.  One
-  factor is an exact step; two make a Strang step V/2 K V/2 (V the position
-  group), second order with roundoff norm drift.  Where H is not a sum of
-  scaled leaves or a group has no closed form, the step is a Krylov step.
-  The factors are kept per (H, grid, dt), and per midpoint under a
+  group X becomes one pointwise factor exp(-i tau X), its terms of equal
+  matrix summed first (the T and T^H of a hermitized H make one term).  A
+  constant X is the expm of its 4x4 matrix, applied in the state's own
+  space without a transform.  Otherwise X = phi 1 + Y, and where Y's
+  scalars are real and its matrices anticommute pairwise and square to
+  positive multiples of 1, Y^2 = s^2 at every point and the factor is
+  exp(-i tau phi) (cos(tau s) - i sin(tau s)/s Y) in the group's space:
+  c alpha.k + beta m0 c^2 with s = E_k, or -ec alpha.A with s = |ec A|
+  times the phase of e phi.  One factor is an exact step; two make a
+  Strang step V/2 K V/2 (V the position group), second order with roundoff
+  norm drift.  Where H is not a sum of scaled leaves or a group has no
+  closed form, the step is a Krylov step.  The factors are kept per (H, grid, dt), and per midpoint under a
   time-dependent model.
 * ``krylov_step`` -- Arnoldi projection of exp(-i H dt), time-dependent
   coefficients sampled at the midpoint, keeping second order.  The basis is
@@ -67,8 +68,14 @@ def _factor(pairs, tau, hermitian):
     """exp(-i tau X) of the group X = sum of the (factor, leaf) ``pairs`` as
     the space it acts in (None: the state's own) and ``pointwise`` terms;
     None where it has no closed form."""
-    terms = [(m, f * a) for f, leaf in pairs for (_, m), a in zip(leaf.terms, leaf._arrays)
-             if m.any() and not _is_zero(a)]
+    terms = []  # terms of equal matrix summed: T and T^H of a hermitized H share theirs
+    for m, y in ((m, f * a) for f, leaf in pairs for (_, m), a in zip(leaf.terms, leaf._arrays)
+                 if m.any() and not _is_zero(a)):
+        same = next((i for i, (n, _) in enumerate(terms) if np.array_equal(m, n)), None)
+        if same is None:
+            terms.append((m, y))
+        else:
+            terms[same] = (terms[same][0], terms[same][1] + y)
     if not any(leaf._axes for _, leaf in pairs):
         u = _exp_minus_idt(sum(m * y for m, y in terms), tau, hermitian)
         return None, [(matrix_entries(u), 1.0)]

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -476,3 +477,60 @@ class TestZeroSkipEquivalence:
         for e, w in zip(build(), want):
             got = apply_expr(e, psi, 0.7, guard=1.0).values
             assert np.max(np.abs(got - w)) <= 1e-13 * max(np.max(np.abs(w)), 1e-300)
+
+
+def _peak_bytes(fn):
+    """The most memory ``fn()`` held at once beyond what was held before,
+    by numpy's and Python's allocations (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """What the apply path holds at once, on a 16^3 grid: a field is 256 KiB
+    and a row (one component) 64 KiB."""
+
+    GRID = GridSpec(3, 16, 24.0)
+
+    def _state(self):
+        # a folded momentum state, as verify's, with no k = 0 weight
+        rng = np.random.default_rng(17)
+        vals = rng.normal(size=(4, *self.GRID.shape)) + 1j * rng.normal(size=(4, *self.GRID.shape))
+        psi = SpinorField(self.GRID, vals).to_momentum()
+        psi.data[(slice(None), *self.GRID.origin_index)] = 0.0
+        return psi
+
+    def test_kernel_holds_its_output_and_one_row(self, params):
+        # S_Py_x has full-grid real scalars and entries other than 1: each
+        # product goes into its row or the one accumulation row and is scaled
+        # there, with no grid-size m * f temporary per entry (with one per
+        # entry the peak was the output and four rows).  A real scalar times
+        # the complex state also passes through numpy's cast buffer of
+        # min(bufsize, points) complex values, a row at 16^3.
+        leaf = spin_expr(SpinKind.PRYCE, params)[0]
+        psi = self._state().data
+        leaf._scalars(self.GRID, 0.0)
+        row = psi[0].nbytes
+        cast = 16 * min(np.getbufsize(), self.GRID.npoints)
+        assert _peak_bytes(lambda: leaf._kernel(psi)) <= psi.nbytes + row + cast + 8192
+
+    def test_verify_cell_peak(self, params):
+        # one state-0 cell (with removal gains) of pryce / dirac-em under a
+        # uniform B: 8.27 fields (2.17 MB) measured, most of it inside the
+        # apply of the r-p-alpha-b term; a running sum held beside the kept
+        # terms during that apply made it 9.27 fields
+        from relspin.dynamics import _verify_cell
+        psi = self._state()
+        field = psi.data.nbytes
+        ham = build_hamiltonian("dirac-em", UniformB([0.0, 0.0, 0.05]), params)
+        terms, _ = rhs(SpinKind.PRYCE, "dirac-em", ham.model, params)
+        s_x = spin_expr(SpinKind.PRYCE, params)[0]
+        h_psi = apply_expr(ham.total, psi, 0.0, 1.0)
+        cell = lambda: _verify_cell(0, 0, s_x, ham.total, terms, psi, h_psi, 0.0, 1.0, {})
+        cell()  # the leaves' caches fill
+        assert _peak_bytes(cell) <= 8.5 * field

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,6 +53,25 @@ class TestLeaves:
         bad = MomentumDiag([(lambda g, t: np.full(g.shape, np.inf), ID4)])
         with pytest.raises(FloatingPointError):
             apply_expr(bad, psi)
+
+    @given(st.sampled_from([[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]]),
+           st.lists(st.tuples(st.integers(0, 3), st.integers(0, 255), st.integers(0, 1)),
+                    min_size=2, max_size=2, unique=True),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_nan_guard_finds_every_planted_value(self, grid, planted, spots, seed):
+        # the guard reads one sum of the result's real and imaginary parts: a
+        # NaN or an Inf in any component, point and part, or a +Inf/-Inf pair
+        # (whose sum is NaN), makes it non-finite
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(4, *grid.shape)) + 1j * rng.normal(size=(4, *grid.shape))
+        parts = values.view(float).reshape(4, *grid.shape, 2)
+        for value, (component, point, part) in zip(planted, spots):
+            parts[component, point, part] = value
+        result = SpinorField(grid, values)
+        with mock.patch.object(relspin.expr, "_evaluate", lambda *args: result.copy()):
+            with pytest.raises(FloatingPointError):
+                apply_expr(ConstMatrix(ID4), result)
 
 
 _KERNEL_GRIDS = [GridSpec(1, 16, 12.0), GridSpec(3, 8, 10.0)]

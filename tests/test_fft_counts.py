@@ -1,4 +1,5 @@
-"""Exact transform, field-mesh and Arnoldi-step counts of fixed operations.
+"""Exact transform, field-mesh, Arnoldi-step and kernel-product counts of
+fixed operations.
 
 Transforms dominate large-grid applies, so a change that adds one shows up
 here as a failure instead of only as a slower run.  A 3D count is in axis
@@ -7,7 +8,8 @@ axis is 3, and a leaf that reads only some axes transforms just those, there
 and back, so it costs 2 per axis read.  A 1D count is in calls, which there
 equal passes.  Field meshes are evaluated when a leaf's cache fills, so their
 counts show how often a leaf refills.  Arnoldi steps are what a run pays
-where no exact step applies.
+where no exact step applies.  Kernel products, the entries ``grid.pointwise``
+multiplies, are a large-grid apply's other cost.
 """
 
 from pathlib import Path
@@ -458,3 +460,50 @@ def test_strang_step_builds_one_position_factor(params, mesh_count):
                           energy_projection=True)
     run(ham, psi, 0.05, 40, stride=10)
     assert mesh_count["a_mesh"] == 1
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """Entries the leaf applies multiply since the fixture was made: the sum
+    of len(entries) over the terms of every ``grid.pointwise`` call of
+    ``expr``."""
+    import relspin.expr
+    count = [0]
+
+    def counted(psi, terms):
+        count[0] += sum(len(entries) for entries, _ in terms)
+        return pointwise(psi, terms)
+    monkeypatch.setattr(relspin.expr, "pointwise", counted)
+    return count
+
+
+_PRODUCTS = [("kinetic-free", 8, 4), ("gauge-coupling", 4, 4), ("mass", 4, 0),
+             ("dirac-em", 16, 8)] + [(f"S_Py_{c}", 10, 0) for c in "xyz"]
+
+
+@pytest.mark.parametrize("name, count, merged", _PRODUCTS)
+def test_products_per_apply(params, products, name, count, merged):
+    # a 16^3 apply under a uniform B along z.  The fill sums the entries
+    # that two or more terms put on one (row, col) into one coefficient
+    # where their scalars broadcast to fewer points than the grid: c alpha.k
+    # puts 12 entries on 8 (row, col), 4 of them shared by k_x and k_y (12
+    # products before), -ec alpha.A with A = B x r / 2 in the xy-plane 8 on
+    # 4 (8 before), and the mass's 4 entries share none; dirac-em is their
+    # sum, 16 (24 before).  The Pryce spin's one sparse scalar is the
+    # constant of Sigma_i / 2, so nothing sums and it takes 10 as before.
+    from relspin.expr import _scaled_leaves
+    grid = GridSpec(3, 16, 24.0)
+    rng = np.random.default_rng(9)
+    vals = rng.normal(size=(4, *grid.shape)) + 1j * rng.normal(size=(4, *grid.shape))
+    vals[(slice(None), *grid.origin_index)] = 0.0  # no k = 0 weight for the Pryce guard
+    ham = build_hamiltonian("dirac-em", _MODEL, params)
+    pryce = {leaf.name: leaf for leaf in spin_expr(SpinKind.PRYCE, params)}
+    expr = ham.total if name == "dirac-em" else pryce.get(name) or ham.term(name)
+    apply_expr(expr, SpinorField(grid, vals, "momentum"))
+    assert products[0] == count
+    # a merged coefficient is an array the producers did not return, and is
+    # never as large as the grid
+    coefs = [a for _, leaf in _scaled_leaves(expr) for _, a in leaf._live
+             if not any(a is b for b in leaf._arrays)]
+    assert len(coefs) == merged
+    assert all(np.size(a) < grid.npoints for a in coefs)

@@ -202,7 +202,9 @@ def _relative(got, want):
     ("fw-direct", _OBLIQUE_B, ["zeeman"], False),      # one constant factor
     ("fw-direct", _OBLIQUE_B, ["zeeman"], True),
     ("fw-direct", _PULSED_B, ["zeeman"], False),
-], ids=["free", "dirac-em-zero", "zeeman", "zeeman-hermitized", "zeeman-pulsed"])
+    ("free", ZeroField(), None, True),                 # T and T^H summed into one term
+], ids=["free", "dirac-em-zero", "zeeman", "zeeman-hermitized", "zeeman-pulsed",
+        "free-hermitized"])
 def test_one_factor_step_is_the_dense_exponential(grid, family, model, terms, hermitize):
     params, t, dt = PhysParams(), 0.1, 0.3
     ham = build_hamiltonian(family, model, params, terms=terms, hermitize=hermitize)
@@ -217,10 +219,20 @@ def test_one_factor_step_is_the_dense_exponential(grid, family, model, terms, he
     UniformB(np.array([0.0, 0.0, 0.2])), _PULSED_B, UniformE(np.array([0.05, 0.0, 0.0])),
 ], ids=["uniform-b", "pulsed-b", "uniform-e"])
 def test_two_factor_step_is_the_dense_strang_product(grid, model):
+    _check_strang_step(grid, model, hermitize=False)
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=["n16", "n32"])
+def test_hermitized_two_factor_step_is_the_dense_strang_product(grid):
+    # T and T^H of each term are summed into one before the closed-form test
+    _check_strang_step(grid, UniformB(np.array([0.0, 0.0, 0.2])), hermitize=True)
+
+
+def _check_strang_step(grid, model, hermitize):
     # expm(-i dt V/2) expm(-i dt K) expm(-i dt V/2) with V = -ec alpha.A + e phi
     # and K = c alpha.p + beta m0 c^2, each dense at the midpoint
     params, t, dt = PhysParams(), 0.1, 0.3
-    ham = build_hamiltonian("dirac-em", model, params)
+    ham = build_hamiltonian("dirac-em", model, params, hermitize=hermitize)
     assert len(_plan(ham, grid, t, dt)) == 3
     v, k = (dense(ham.subset(names).total, grid, t + dt / 2)[0]
             for names in (["gauge-coupling", "scalar"], ["kinetic-free", "mass"]))
@@ -234,8 +246,7 @@ def test_two_factor_step_is_the_dense_strang_product(grid, model):
 @pytest.mark.parametrize("family, model, terms, hermitize", [
     ("fw-direct", UniformB(np.array([0.0, 0.0, 0.2])), None, False),
     ("fw-direct", _PULSED_B, None, True),
-    ("free", ZeroField(), None, True),                 # T and T^H share matrices
-], ids=["fw-direct", "fw-direct-pulsed-hermitized", "free-hermitized"])
+], ids=["fw-direct", "fw-direct-pulsed-hermitized"])
 def test_krylov_step_lands_within_its_tol(grid, family, model, terms, hermitize):
     params, t, dt, tol = PhysParams(), 0.1, 0.05, 1e-10
     ham = build_hamiltonian(family, model, params, terms=terms, hermitize=hermitize)

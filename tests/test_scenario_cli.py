@@ -1,4 +1,5 @@
 import json
+import platform
 import tracemalloc
 from pathlib import Path
 
@@ -187,6 +188,24 @@ def test_propagated_hamiltonian_built_at_parse(tmp_path, capsys, command, family
     assert code == 2
     assert "hamiltonian" in err and "Traceback" not in err
     assert not out.exists()
+
+
+class TestAllocator:
+    """``main`` tunes glibc's allocator once per call, so that a freed field's
+    pages are reused from the heap (``cli._keep_freed_memory``)."""
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+    def test_main_applies_it_and_runs_twice(self, monkeypatch, capsys):
+        applied, keep = [], cli._keep_freed_memory
+        monkeypatch.setattr(cli, "_keep_freed_memory", lambda: applied.append(keep()))
+        for _ in range(2):
+            assert main(["check-operators", "--samples", "5"]) == 0
+        assert applied == [True, True]
+
+    def test_skipped_where_libc_has_no_mallopt(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+        assert cli._keep_freed_memory() is False
+        assert main(["check-operators", "--samples", "5"]) == 0
 
 
 class TestCheckOperators:
