@@ -387,16 +387,24 @@ class ResidualReport:
         return "\n".join(lines)
 
 
+#: The zero-mode guard of ``verify`` and ``total_j_identity``, looser than the
+#: packet-level default on purpose: position factors (the sawtooth r) put
+#: O(1e-6) of genuinely physical weight into the k = 0 bin of intermediate
+#: fields, which the printed equations then route through their own
+#: longitudinal 1/p^2 prefactors.  The zeroed-bin convention drops that
+#: content consistently on every term, so the paired gradient terms still
+#: cancel; the guard only needs to catch states whose zero-mode weight is
+#: structural rather than leakage.
 VERIFY_GUARD = 1e-4
 
 
-def _verify_cell(si, axis, s_i, h_total, terms, psi, h_psi, t, guard, gains):
+def _verify_cell(si, axis, s_i, h_total, terms, psi, h_psi, gains):
     """One (state, axis) cell of ``verify``.  When ``gains`` is a dict, every
     term's removal gain is folded into it, keeping the largest per term.
     A function of its own so that the cell's fields are freed before the
     next cell forms its own."""
-    s_h = apply_expr(s_i, h_psi, t, guard)
-    h_s = apply_expr(h_total, apply_expr(s_i, psi, t, guard), t, guard)
+    s_h = apply_expr(s_i, h_psi, guard=VERIFY_GUARD)
+    h_s = apply_expr(h_total, apply_expr(s_i, psi, guard=VERIFY_GUARD), guard=VERIFY_GUARD)
     scale = s_h.norm() + h_s.norm()
     # lhs = (1/i)(s_h - h_s) is formed in s_h's field, diff = lhs - rhs
     # later in the same field, and each diff + term in the term's own
@@ -412,7 +420,7 @@ def _verify_cell(si, axis, s_i, h_total, terms, psi, h_psi, t, guard, gains):
     term_norms = {}
     kept = []
     for name, triple in terms:
-        term = apply_expr(triple[axis], psi, t, guard)
+        term = apply_expr(triple[axis], psi, guard=VERIFY_GUARD)
         term_norms[name] = term.norm()
         if gains is not None:
             kept.append((name, term))
@@ -436,20 +444,12 @@ def _verify_cell(si, axis, s_i, h_total, terms, psi, h_psi, t, guard, gains):
 
 
 def verify(kind: SpinKind, hamiltonian: NamedHamiltonian, states,
-           t: float = 0.0, guard: float = VERIFY_GUARD,
            removal_gains: bool = True) -> ResidualReport:
-    """Measure ||(1/i)[S_i, H] psi - RHS_i psi|| per component and state.
+    """Measure ||(1/i)[S_i, H] psi - RHS_i psi|| per component and state, at
+    t = 0 and under ``VERIFY_GUARD``.
 
     The residual is relative: ||LHS - RHS|| / max(scale, ||RHS||, eps) with
     scale = ||S(H psi)|| + ||H(S psi)|| and eps = 1e-14 ||psi||.
-
-    ``guard`` is looser than the packet-level default on purpose: position
-    factors (the sawtooth r) put O(1e-6) of genuinely physical weight into
-    the k = 0 bin of intermediate fields, which the printed equations then
-    route through their own longitudinal 1/p^2 prefactors.  The zeroed-bin
-    convention drops that content consistently on every term, so the paired
-    gradient terms still cancel; the guard only needs to catch states whose
-    zero-mode weight is structural rather than leakage.
 
     For state 0 each printed term T is also ranked by its removal gain
     ||diff + T|| - ||diff|| (diff = LHS - RHS), the largest over the axes, in
@@ -474,11 +474,10 @@ def verify(kind: SpinKind, hamiltonian: NamedHamiltonian, states,
     cells = []
     for si, psi in enumerate(states):
         psi = psi.to_momentum()
-        h_psi = apply_expr(hamiltonian.total, psi, t, guard)
+        h_psi = apply_expr(hamiltonian.total, psi, guard=VERIFY_GUARD)
         for axis in range(3):
             cells.append(_verify_cell(si, axis, s_triple[axis], hamiltonian.total,
-                                      terms, psi, h_psi, t, guard,
-                                      gains if si == 0 else None))
+                                      terms, psi, h_psi, gains if si == 0 else None))
     worst = max(c.residual for c in cells)
 
     grid = states[0].grid
@@ -487,7 +486,7 @@ def verify(kind: SpinKind, hamiltonian: NamedHamiltonian, states,
         grid={"dim": grid.dim, "n": list(grid.n), "lengths": list(grid.lengths)},
         params={"m0": params.m0, "c": params.c, "e": params.e},
         model=hamiltonian.model.describe(),
-        time=t, cells=cells, residual=worst,
+        time=0.0, cells=cells, residual=worst,
         term_names=[n for n, _ in terms],
         block_structure=term_struct, removal_gains=gains or {},
     )
@@ -509,11 +508,11 @@ def classify_residual_series(residuals) -> str:
     return "non-converging"
 
 
-def total_j_identity(kind: SpinKind, states, params: PhysParams,
-                     t: float = 0.0):
+def total_j_identity(kind: SpinKind, states, params: PhysParams):
     """Per-component residual of (r_kind x p + S_kind) psi = (r x p + Sigma/2) psi,
-    normalized by ||psi||, maximized over the given states.  The zero-mode
-    guard is ``verify``'s, so any state ``verify`` accepts is accepted here.
+    normalized by ||psi||, maximized over the given states, at t = 0.  The
+    zero-mode guard is ``verify``'s, so any state ``verify`` accepts is
+    accepted here.
 
     As in ``verify``, the states are evaluated in momentum space, where the
     momentum-diagonal leaves act without a transform; the residuals are norms
@@ -530,7 +529,8 @@ def total_j_identity(kind: SpinKind, states, params: PhysParams,
     for i in range(3):
         worst = 0.0
         for psi in states:
-            d = apply_expr(lhs[i], psi, t, VERIFY_GUARD) - apply_expr(rhs_[i], psi, t, VERIFY_GUARD)
+            d = (apply_expr(lhs[i], psi, guard=VERIFY_GUARD)
+                 - apply_expr(rhs_[i], psi, guard=VERIFY_GUARD))
             worst = max(worst, d.norm() / psi.norm())
         out.append(worst)
     return out

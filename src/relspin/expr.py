@@ -343,9 +343,8 @@ class LeafStack:
     The rows are gathered once per grid from the leaves' cached scalars, and
     F is stacked then too when the grid is one block; several blocks are
     stacked per call, since holding all of them would cost more memory than
-    the state.  Singular leaves keep the zero-mode guard of an apply: the
-    stack also contracts rho's trace and its k = 0 trace, whose ratio is the
-    zero-mode weight.
+    the state.  Singular leaves keep the zero-mode guard of an apply, read
+    as every apply reads it, by ``zero_mode_weight``.
     """
 
     BLOCK_POINTS = 4096
@@ -355,10 +354,6 @@ class LeafStack:
         if None in self.entries or any(leaf.time_dependent for pairs in self.entries
                                        for _, leaf in pairs):
             raise PreconditionError("a LeafStack needs sums of scaled time-independent leaves")
-        self._shown = len(self.entries)
-        if any(leaf.singular_origin for pairs in self.entries for _, leaf in pairs):
-            self.entries += [[(1.0, ConstMatrix(np.eye(4)))],
-                             [(1.0, MomentumDiag([(lambda g, t: g.k2 == 0, np.eye(4))]))]]
         self._grid = self._plan = None
 
     @staticmethod
@@ -402,6 +397,8 @@ class LeafStack:
         space, singular, (a, b), mats, rows, blocks, f_whole = self._plan
         if space is not None:
             field = field.in_space(space)
+        if singular is not None:
+            singular._guard(zero_mode_weight(field), guard)
         dens = np.zeros((len(rows), len(a)), dtype=complex)
         for sl in blocks:
             psi = field.data[:, sl].reshape(4, -1)
@@ -412,11 +409,7 @@ class LeafStack:
             dens += f @ rho if np.iscomplexobj(f) else (f @ rho.view(float)).view(complex)
         # not a BLAS gemv: with OpenBLAS's default threads, one here made the
         # Krylov steps' expm, and so the default Larmor sweep, several times slower
-        out = np.einsum("lk,k->l", mats, dens.ravel()) * field.grid.weight
-        if singular is not None:
-            total, w0 = out[self._shown:].real
-            singular._guard(w0 / total if total > 0 else 0.0, guard)
-        return out[:self._shown]
+        return np.einsum("lk,k->l", mats, dens.ravel()) * field.grid.weight
 
 
 # -- block parity ----------------------------------------------------------------

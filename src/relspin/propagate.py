@@ -18,26 +18,28 @@ Two steps:
   times the phase of e phi.  One factor is an exact step; two make a
   Strang step V/2 K V/2 (V the position group), second order with roundoff
   norm drift.  Where H is not a sum of scaled leaves or a group has no
-  closed form, the step is a Krylov step.  The factors are kept per (H, grid, dt), and per midpoint under a
-  time-dependent model.
+  closed form, the step is a Krylov step.  The factors are kept per
+  (H, grid, dt), and per midpoint under a time-dependent model.
 * ``krylov_step`` -- Arnoldi projection of exp(-i H dt), time-dependent
   coefficients sampled at the midpoint, keeping second order.  The basis is
   kept as the rows of one array that grows as rows are needed, and the step
   is one product of the projected solution with it.
 
 ``propagator="krylov"`` forces Krylov steps, and no other value than None is
-accepted; a step size must be finite and nonzero.  A run makes one stepper
-call per row after the first: under a static model a one-factor exact step
-takes the n steps since the last row as one of n dt, as exp(-i n dt H) =
-exp(-i dt H)^n, and any other step is taken n times.
+accepted; a step size must be finite and nonzero.  One time loop,
+``_evolve``, yields the state at t0, every ``stride`` steps and after the
+last: ``run`` records a row at each, and ``ehrenfest_residual`` reads it at
+stride 1.  Under a static model a one-factor exact step takes the n steps
+between two yields as one of n dt, as exp(-i n dt H) = exp(-i dt H)^n, and
+any other step is taken n times.
 
 Trajectories record the three spin expectations, norm, energy, <r>, <p> and a
 boundary-flux diagnostic at a configurable stride; the run aborts when flux
 into the margin shell exceeds the documented limit.  A row costs one
-transform of the state, and each space's columns, the norm, the flux and
-the Pryce zero-mode guard are one contraction of its density
-(``expr.LeafStack``); so is the energy where H is a sum of static leaves,
-each momentum-diagonal or constant, and any other H is applied.  CSV
+transform of the state, and each space's columns, the norm and the flux are
+one contraction of its density (``expr.LeafStack``); so is the energy where
+H is a sum of static leaves, each momentum-diagonal or constant, and any
+other H is applied.  A run decides which once, at its start.  CSV
 column order is frozen (see ``Trajectory.CSV_COLUMNS``).
 """
 
@@ -223,31 +225,33 @@ def krylov_step(hamiltonian: NamedHamiltonian, field: SpinorField, t: float,
     return result
 
 
-def _stepper(hamiltonian, dt, propagator=None, krylov_tol=1e-10):
-    """``step(psi, t0, steps=range(1))``: psi advanced over the steps numbered
-    ``steps`` (a nonempty range) of size ``dt``, step s from t0 + s dt, by
-    Krylov steps where ``propagator`` is "krylov", else by the exact step
-    where H has one (``_plan``) and a Krylov step where not.  Under a static
-    model a one-factor exact step takes the whole range as one step of n dt
-    (see the module docstring); any other step runs n times."""
+def _evolve(hamiltonian, state, dt, steps, stride=1, t0=0.0, propagator=None,
+            krylov_tol=1e-10):
+    """The one time loop (see the module docstring): (t, psi) at t0, every
+    ``stride`` steps and after the last.  Step s starts at t0 + s dt; it is a
+    Krylov step where ``propagator`` is "krylov" or H has no exact step."""
+    if steps < 0 or stride < 1:
+        raise PreconditionError("steps must be >= 0 and stride >= 1")
     if propagator not in (None, "krylov"):
         raise PreconditionError(f"propagator must be None or 'krylov', got {propagator!r}")
     if not (np.isfinite(dt) and dt != 0):
         raise PreconditionError(f"dt must be finite and nonzero, got {dt!r}")
     exact = propagator is None
     static = not hamiltonian.model.time_dependent
-
-    def step(psi, t0, steps=range(1)):
-        t, whole = t0 + steps[0] * dt, len(steps) * dt
+    psi = state
+    yield t0, psi
+    for done in range(0, steps, stride):
+        last = min(done + stride, steps)
+        t, whole = t0 + done * dt, (last - done) * dt
         factors = _plan(hamiltonian, psi.grid, t, whole) if exact and static else None
         if factors is not None and len(factors) <= 1:
-            return strang_step_dirac(hamiltonian, psi, t, whole)
-        for t in (t0 + s * dt for s in steps):
-            psi = (strang_step_dirac(hamiltonian, psi, t, dt)
-                   if exact and _plan(hamiltonian, psi.grid, t, dt) is not None
-                   else krylov_step(hamiltonian, psi, t, dt, tol=krylov_tol))
-        return psi
-    return step
+            psi = strang_step_dirac(hamiltonian, psi, t, whole)
+        else:
+            for t in (t0 + s * dt for s in range(done, last)):
+                psi = (strang_step_dirac(hamiltonian, psi, t, dt)
+                       if exact and _plan(hamiltonian, psi.grid, t, dt) is not None
+                       else krylov_step(hamiltonian, psi, t, dt, tol=krylov_tol))
+        yield t0 + last * dt, psi
 
 
 @dataclass
@@ -289,32 +293,30 @@ FLUX_ABORT = 1e-6  # ``run`` aborts where the margin-shell norm fraction exceeds
 
 
 class _Observables:
-    def __init__(self, params):
-        self.spin = {k: spin_expr(k, params) for k in SpinKind}
+    def __init__(self, hamiltonian, grid):
+        self.spin = {k: spin_expr(k, hamiltonian.params) for k in SpinKind}
         self.r, self.p = triple(R), triple(P)
         # every column but the energy is one diagonal leaf named by its column;
         # "norm" and "flux" first hold the squared norm and the boundary-shell weight
-        self._mom = [s for k in SpinKind for s in self.spin[k]] + self.p
+        mom = [s for k in SpinKind for s in self.spin[k]] + self.p
+        names = [leaf.name for leaf in mom]
+        # the energy: a stack entry where H admits it, else H is applied per row
+        self.energy = hamiltonian.total
+        if LeafStack.admits(self.energy, MOMENTUM, grid):
+            mom, names, self.energy = mom + [self.energy], names + ["energy"], None
         pos = self.r + [ConstMatrix(ID4, name="norm"), PositionDiag(
             [(lambda g, t: g.boundary_shell_mask, ID4)], name="flux")]
-        self.stacks = [([leaf.name for leaf in obs], LeafStack(obs)) for obs in (self._mom, pos)]
-        self._energy = (None, None, None)  # H, grid and the momentum stack with H
+        self.stacks = [(names, LeafStack(mom)), ([leaf.name for leaf in pos], LeafStack(pos))]
 
-    def measure(self, hamiltonian, psi, t):
+    def measure(self, psi, t):
         """One row: one density contraction per space (``LeafStack``), the
         position copy of psi for r, the norm and the flux, the momentum copy
-        for the rest, the energy too where H admits it, else an apply of H."""
+        for the rest, and an apply of H for an energy that is no entry."""
         pos, mom = psi.to_position(), psi.to_momentum()
         (names, stack), (pos_names, pos_stack) = self.stacks
-        if self._energy[0] is not hamiltonian or self._energy[1] != psi.grid:
-            joins = LeafStack.admits(hamiltonian.total, MOMENTUM, psi.grid)
-            self._energy = (hamiltonian, psi.grid,
-                            LeafStack(self._mom + [hamiltonian.total]) if joins else None)
-        values = (self._energy[2] or stack).expectations(mom, OBSERVABLE_GUARD).real.tolist()
-        out = dict(zip(names + ["energy"], values), t=t)
-        if self._energy[2] is None:
-            out["energy"] = float(np.real(expectation(hamiltonian.total, mom, t,
-                                                      guard=OBSERVABLE_GUARD)))
+        out = dict(zip(names, stack.expectations(mom, OBSERVABLE_GUARD).real.tolist()), t=t)
+        if self.energy is not None:
+            out["energy"] = float(np.real(expectation(self.energy, mom, t, guard=OBSERVABLE_GUARD)))
         out.update(zip(pos_names, pos_stack.expectations(pos).real.tolist()))
         total = out["norm"]
         out.update(norm=np.sqrt(total), flux=out["flux"] / total if total > 0 else 0.0)
@@ -324,25 +326,17 @@ class _Observables:
 def run(hamiltonian: NamedHamiltonian, state: SpinorField, dt: float,
         steps: int, stride: int = 1, t0: float = 0.0,
         propagator: str | None = None, krylov_tol: float = 1e-10) -> Trajectory:
-    """Propagate and record observables every ``stride`` steps, and after
-    the last; the steps between two rows are one call to the stepper.
+    """Propagate and record observables at t0, every ``stride`` steps and
+    after the last: one row per state that ``_evolve`` yields.
 
     Aborts with :class:`BoundaryFluxError` when the margin-shell norm
-    fraction exceeds ``FLUX_ABORT``.
+    fraction of a row after the first exceeds ``FLUX_ABORT``.
     """
-    if steps < 0 or stride < 1:
-        raise PreconditionError("steps must be >= 0 and stride >= 1")
-    step_fn = _stepper(hamiltonian, dt, propagator, krylov_tol)
-    obs = _Observables(hamiltonian.params)
+    obs = _Observables(hamiltonian, state.grid)
     traj = Trajectory()
-    psi = state
-    traj.append(**obs.measure(hamiltonian, psi, t0))
-    for done in range(0, steps, stride):
-        last = min(done + stride, steps)
-        psi = step_fn(psi, t0, range(done, last))
-        t = t0 + last * dt
-        row = obs.measure(hamiltonian, psi, t)
-        if row["flux"] > FLUX_ABORT:
+    for t, psi in _evolve(hamiltonian, state, dt, steps, stride, t0, propagator, krylov_tol):
+        row = obs.measure(psi, t)
+        if traj.rows and row["flux"] > FLUX_ABORT:
             raise BoundaryFluxError(
                 f"boundary flux {row['flux']:.3e} exceeded {FLUX_ABORT:.1e} "
                 f"at t={t:.6g}; enlarge the box or shorten the run")
@@ -355,27 +349,20 @@ def ehrenfest_residual(kind: SpinKind, hamiltonian: NamedHamiltonian,
                        t0: float = 0.0, propagator: str | None = None,
                        krylov_tol: float = 1e-12):
     """|centered-difference d<S>/dt - <(1/i)[S, H]>| per component, sampled
-    at every interior step.
+    at every interior step of ``run``'s time loop at stride 1 (``_evolve``).
 
     <(1/i)[S, H]> is read as 2 Im <S psi, H psi>: for a Hermitian S this is
     d<S>/dt under i dpsi/dt = H psi whether H is Hermitian or not, so the
     identity closes for the printed non-Hermitian forms too.
     """
-    step_fn = _stepper(hamiltonian, dt, propagator, krylov_tol)
     s_triple = spin_expr(kind, hamiltonian.params)
     times, svals, gvals = [], [], []
-    psi = state
-    t = t0
-    for step in range(steps + 1):
+    for t, psi in _evolve(hamiltonian, state, dt, steps, 1, t0, propagator, krylov_tol):
         h_psi = apply_expr(hamiltonian.total, psi, t, OBSERVABLE_GUARD)
         s_psi = [apply_expr(s, psi, t, OBSERVABLE_GUARD) for s in s_triple]
         svals.append([float(np.real(psi.inner(sp))) for sp in s_psi])
         gvals.append([2.0 * float(np.imag(sp.inner(h_psi))) for sp in s_psi])
         times.append(t)
-        if step == steps:
-            break
-        psi = step_fn(psi, t)
-        t = t0 + (step + 1) * dt
 
     times = np.array(times)
     svals = np.array(svals)

@@ -531,6 +531,6 @@ class TestPeakMemory:
         terms, _ = rhs(SpinKind.PRYCE, "dirac-em", ham.model, params)
         s_x = spin_expr(SpinKind.PRYCE, params)[0]
         h_psi = apply_expr(ham.total, psi, 0.0, 1.0)
-        cell = lambda: _verify_cell(0, 0, s_x, ham.total, terms, psi, h_psi, 0.0, 1.0, {})
+        cell = lambda: _verify_cell(0, 0, s_x, ham.total, terms, psi, h_psi, {})
         cell()  # the leaves' caches fill
         assert _peak_bytes(cell) <= 8.5 * field

@@ -1,8 +1,11 @@
 """Every exported name resolves, so a deletion cannot leave a dangling
-``__all__`` entry behind (``from relspin.x import *`` would fail on it)."""
+``__all__`` entry behind (``from relspin.x import *`` would fail on it), and
+every function the benchmark tracer wraps by name still exists."""
 
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -21,3 +24,16 @@ def test_all_names_resolve(module):
 
 def test_package_exports_declared():
     assert relspin.__all__
+
+
+def test_traced_names_exist():
+    # a renamed run, strang_step_dirac, krylov_step, Trajectory.to_csv or
+    # expectation would otherwise leave its per-layer metric silently absent
+    import relspin.cli  # noqa: F401  (the tracer wraps what the CLI imports)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    tracer = tracer_module.Tracer().install()
+    tracer.uninstall()
+    assert tracer.absent == {}

@@ -678,9 +678,10 @@ class TestConstantMatrix:
     state's own space."""
 
     def _step(self, expr, grid, params, dt=0.3):
-        from relspin.propagate import _stepper
+        from relspin.propagate import _evolve
         psi = random_field(grid, np.random.default_rng(4))
-        return psi, _stepper(_as_hamiltonian(expr, params), dt)(psi, 0.0)
+        _, (_, got) = _evolve(_as_hamiltonian(expr, params), psi, dt, 1)
+        return psi, got
 
     def test_constant_tree_is_its_dense_matrix(self, grid, params, apply_matrix):
         # a two-term leaf with uniform scalars, a sum and a scale step exactly;

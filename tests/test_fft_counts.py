@@ -239,9 +239,9 @@ def test_measure_free(params, fft_count, space):
     grid = GridSpec(3, 16, 24.0)
     psi = _position_state(grid).in_space(space)
     ham = build_hamiltonian("free", ZeroField(), params)
-    obs = _Observables(params)
+    obs = _Observables(ham, grid)
     fft_count.reset()
-    obs.measure(ham, psi, 0.0)
+    obs.measure(psi, 0.0)
     # psi is transformed once (3); r and the flux read the position copy,
     # every other observable (the free H included) the momentum copy
     assert fft_count.passes == 3

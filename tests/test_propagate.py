@@ -13,7 +13,7 @@ from relspin.hamiltonians import (build_dirac_em, build_free_dirac, build_fw_dir
                                   build_hamiltonian)
 from relspin.operators import ALPHA, BETA, SIGMA, SpinKind, free_dirac_matrix
 from relspin.propagate import (OBSERVABLE_GUARD, Trajectory, _exp_minus_idt, _Observables,
-                               _stepper, ehrenfest_residual, krylov_step, run,
+                               _evolve, ehrenfest_residual, krylov_step, run,
                                strang_step_dirac)
 
 
@@ -163,7 +163,7 @@ class TestStrang:
         assert np.max(np.abs(got.values - want.values)) <= 1e-14 * np.max(np.abs(want.values))
 
     def test_rejects_zero_step(self, params, pulse_1d):
-        # the guard is the stepper's: a run refuses dt = 0 before any row
+        # the guard is the time loop's: a run refuses dt = 0 before any row
         g = GridSpec(1, 256, 256.0)
         psi = gaussian_packet(g, 0.0, 12.0, 1.0, [1, 0, 0, 0])
         with pytest.raises(PreconditionError, match="dt must be finite and nonzero"):
@@ -298,7 +298,7 @@ class TestConstantStep:
         psi = gaussian_packet(g, 0.0, 6.0, 0.5, [1, 1, 0, 0], params=params,
                               energy_projection=True).in_space(space)
         fft_count.reset()
-        got = _stepper(ham, 0.05)(psi, 0.2)
+        _, (_, got) = _evolve(ham, psi, 0.05, 1, t0=0.2)
         assert fft_count.calls == 0 and got.space == space
         u = scipy.linalg.expm(-0.05j * dense)
         assert np.count_nonzero(u) == 8  # an oblique B: both 2x2 blocks of U are full
@@ -482,16 +482,13 @@ class TestRun:
 
 
 def _stepwise_rows(ham, psi, dt, steps, stride, propagator=None, t0=0.0):
-    """The rows of ``run`` with every step taken on its own, step s from
-    t0 + s dt: the reference a run that crosses a stride in one step must
-    equal."""
-    step = _stepper(ham, dt, propagator, 1e-10)
-    obs = _Observables(ham.params)
-    rows = [obs.measure(ham, psi, t0)]
-    for s in range(1, steps + 1):
-        psi = step(psi, t0 + (s - 1) * dt)
-        if s % stride == 0 or s == steps:
-            rows.append(obs.measure(ham, psi, t0 + s * dt))
+    """The rows of ``run`` with every step taken on its own (the time loop at
+    stride 1), step s from t0 + s dt: the reference a run that crosses a
+    stride in one step must equal."""
+    obs = _Observables(ham, psi.grid)
+    rows = [obs.measure(state, t) for s, (t, state)
+            in enumerate(_evolve(ham, psi, dt, steps, 1, t0, propagator, 1e-10))
+            if s % stride == 0 or s == steps]
     return np.array([[row[c] for c in Trajectory.CSV_COLUMNS] for row in rows])
 
 
@@ -503,7 +500,7 @@ def _leap_case(params, family, model=_UNIFORM_B, hermitize=False, terms=None):
 
 
 class TestLeap:
-    """A run crosses the steps between two rows in one call to its stepper;
+    """A run crosses the steps between two rows in one pass of its time loop;
     an exact step takes them as one step of n dt, any other one by one."""
 
     @pytest.mark.parametrize("family, hermitize, steps, stride", [
@@ -587,8 +584,8 @@ class TestMeasure:
         psi = gaussian_packet(g, 10.0, 12.0, 1.0, [1, 1, 0, 0], params=params,
                               energy_projection=True).in_space(space)
         t = 0.3
-        obs = _Observables(params)
-        row = obs.measure(ham, psi, t)
+        obs = _Observables(ham, g)
+        row = obs.measure(psi, t)
         exprs = {"energy": ham.total}
         labels = {SpinKind.DIRAC: "S_D", SpinKind.FW: "S_FW", SpinKind.PRYCE: "S_Py"}
         for kind, label in labels.items():
@@ -613,8 +610,8 @@ class TestMeasure:
         ham = build_hamiltonian("dirac-em", _UNIFORM_B, params)
         psi = _packet_3d(g, params).in_space(space)
         t = 0.3
-        obs = _Observables(params)
-        row = obs.measure(ham, psi, t)
+        obs = _Observables(ham, g)
+        row = obs.measure(psi, t)
         exprs = {"energy": ham.total}
         labels = {SpinKind.DIRAC: "S_D", SpinKind.FW: "S_FW", SpinKind.PRYCE: "S_Py"}
         for kind, label in labels.items():
@@ -638,13 +635,13 @@ class TestMeasure:
         vals[(0, *g.origin_index)] = np.sqrt(weight * rest / (1.0 - weight))
         psi = SpinorField(g, vals, "momentum")
         assert zero_mode_weight(psi) == pytest.approx(weight, rel=1e-12)
-        obs = _Observables(params)
+        obs = _Observables(ham, g)
         if refused:
             with pytest.raises(SingularMomentumError,
                                match="S_Py_x is singular at k=0 .* > guard 1.0e-03"):
-                obs.measure(ham, psi, 0.0)
+                obs.measure(psi, 0.0)
         else:
-            assert np.isfinite(obs.measure(ham, psi, 0.0)["S_Py_x"])
+            assert np.isfinite(obs.measure(psi, 0.0)["S_Py_x"])
 
     def test_row_applies_only_the_energy(self, params, pulse_1d, monkeypatch):
         g = GridSpec(1, 256, 256.0)
@@ -661,7 +658,7 @@ class TestMeasure:
         monkeypatch.setattr(_DiagLeaf, "_apply", counted)
         expectation(ham.total, psi, 0.3, guard=OBSERVABLE_GUARD)
         energy, calls[0] = calls[0], 0
-        _Observables(params).measure(ham, psi, 0.3)
+        _Observables(ham, g).measure(psi, 0.3)
         assert calls[0] == energy > 0
 
     @pytest.mark.parametrize("hermitize", [False, True])
@@ -675,7 +672,7 @@ class TestMeasure:
                                  hermitize=hermitize))
         psi = gaussian_packet(g, 10.0, 12.0, 1.0, [1, 1, 0, 0], params=params,
                               energy_projection=True)
-        obs = _Observables(params)
+        obs = _Observables(ham, g)
         calls = [0]
         apply = _DiagLeaf._apply
 
@@ -685,7 +682,7 @@ class TestMeasure:
 
         monkeypatch.setattr(_DiagLeaf, "_apply", counted)
         for space in ("position", "momentum"):
-            row = obs.measure(ham, psi.in_space(space), 0.3)
+            row = obs.measure(psi.in_space(space), 0.3)
             assert calls[0] == 0
         ref = float(np.real(expectation(ham.total, psi, 0.3)))
         scale = psi.norm() * apply_expr(ham.total, psi, 0.3).norm()
@@ -695,15 +692,15 @@ class TestMeasure:
         # the flux is the shell's share of the squared norm, whatever the norm
         g = GridSpec(1, 256, 256.0)
         psi = 3.0 * gaussian_packet(g, 60.0, 16.0, 1.0, [1, 0, 0, 0])
-        row = _Observables(params).measure(build_free_dirac(params), psi, 0.0)
+        row = _Observables(build_free_dirac(params), g).measure(psi, 0.0)
         assert row["norm"] == pytest.approx(3.0, rel=1e-13, abs=0.0)
         assert row["flux"] == pytest.approx(boundary_flux(psi), rel=1e-13, abs=0.0)
         assert row["flux"] > 1e-6
 
     @pytest.mark.parametrize("offset", [-1e-12, 1e-12])
     def test_guard_decision_matches_zero_mode_weight(self, params, offset):
-        # the row reads the weight from the density's k = 0 trace; placed
-        # this close to the guard, it decides as zero_mode_weight does
+        # the row's stack reads the weight with zero_mode_weight, as an apply
+        # does; placed this close to the guard, it decides from either space
         g = GridSpec(1, 256, 256.0)
         ham = build_free_dirac(params)
         vals = gaussian_packet(g, 0.0, 12.0, 1.0, [1, 0, 0, 0], params=params,
@@ -712,27 +709,27 @@ class TestMeasure:
         weight = OBSERVABLE_GUARD * (1.0 + offset)
         rest = np.vdot(vals, vals).real
         vals[(0, *g.origin_index)] = np.sqrt(weight * rest / (1.0 - weight))
-        obs = _Observables(params)
+        obs = _Observables(ham, g)
         for psi in (SpinorField(g, vals, "momentum"),
                     SpinorField(g, vals, "momentum").to_position()):
             refused = zero_mode_weight(psi) > OBSERVABLE_GUARD
             assert refused == (offset > 0)
             if refused:
                 with pytest.raises(SingularMomentumError, match="S_Py_x is singular at k=0"):
-                    obs.measure(ham, psi, 0.0)
+                    obs.measure(psi, 0.0)
             else:
-                assert np.isfinite(obs.measure(ham, psi, 0.0)["S_Py_x"])
+                assert np.isfinite(obs.measure(psi, 0.0)["S_Py_x"])
 
     def test_3d_memory(self, params):
         g = GridSpec(3, 32, 48.0)
         ham = build_hamiltonian("dirac-em", _UNIFORM_B, params)
         psi = _packet_3d(g, params)
-        obs = _Observables(params)
-        obs.measure(ham, psi, 0.3)  # fills the leaf caches
+        obs = _Observables(ham, g)
+        obs.measure(psi, 0.3)  # fills the leaf caches
         mom = psi.to_momentum()
         tracemalloc.start()
         try:
-            obs.measure(ham, psi, 0.3)
+            obs.measure(psi, 0.3)
             row_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             obs.stacks[0][1].expectations(mom, guard=OBSERVABLE_GUARD)
@@ -783,6 +780,29 @@ class TestEhrenfest:
                                  battery_1d[0], 0.02, 8)
         assert sizes == [0.02] * 8
         assert len(out["spin"]) == 9
+
+    def test_negative_steps_refused(self, params, battery_1d):
+        # the time loop refuses what run refuses, rather than sampling nothing
+        with pytest.raises(PreconditionError, match="steps must be >= 0"):
+            ehrenfest_residual(SpinKind.FW, build_free_dirac(params), battery_1d[0], 0.02, -1)
+
+    @pytest.mark.parametrize("family, model, krylov", [
+        ("free", ZeroField(), False),       # one exact factor
+        ("dirac-em", _UNIFORM_B, False),    # two exact factors
+        ("fw-direct", _PULSED_B, True),     # Krylov steps under a pulsed B
+    ], ids=["free", "dirac-em", "pulsed-fw-direct"])
+    def test_spin_is_runs_at_stride_one(self, params, krylov_count, family, model, krylov):
+        # both read one time loop, so the sampled <S> are run's S columns
+        ham, psi = _leap_case(params, family, model)
+        traj = run(ham, psi, 0.037, 12, t0=0.1, krylov_tol=1e-12)
+        assert (krylov_count[0] > 0) == krylov
+        labels = {SpinKind.DIRAC: "S_D", SpinKind.FW: "S_FW", SpinKind.PRYCE: "S_Py"}
+        for kind, label in labels.items():
+            out = ehrenfest_residual(kind, ham, psi, 0.037, 12, t0=0.1)
+            want = np.stack([traj.column(f"{label}_{ax}") for ax in "xyz"], axis=1)
+            assert out["spin"].shape == want.shape == (13, 3)
+            assert np.max(np.abs(out["spin"] - want)) <= 1e-14
+            assert np.array_equal(out["t"], traj.column("t")[1:-1])
 
     def test_non_hermitian_extension_closes(self, params):
         # A transverse time-varying uniform B on a 1D grid leaves the printed

@@ -257,6 +257,44 @@ class TestCheckOperators:
         assert [results[k]["pass"] for k in ("fw", "pryce", "dirac")] == \
             [False, True, True]
 
+    @pytest.mark.parametrize("flag, value", [("--c", "137.035999"), ("--m0", "1000")])
+    def test_passes_outside_natural_units(self, tmp_path, capsys, flag, value):
+        # the free-commutation roundoff grows with ||H_free(p)||_F = 2 E_p, to
+        # 9.5e-11 absolute in atomic units, and is judged relative to it
+        path = tmp_path / "ops.json"
+        assert main(["check-operators", flag, value, "--json", str(path)]) == 0
+        results = json.loads(path.read_text())["results"]
+        assert [results[k]["pass"] for k in ("fw", "pryce", "dirac")] == [True] * 3
+
+    def test_relative_free_residual_fails(self, tmp_path, capsys, monkeypatch):
+        from relspin.operators import condition_checks, free_dirac_matrix
+
+        def loose(kind, p, params):
+            rep = condition_checks(kind, p, params)
+            if kind is SpinKind.FW:
+                h = np.linalg.norm(free_dirac_matrix(p, params), axis=(-2, -1))
+                rep.free_commutation_residual = 1e-10 * h
+            return rep
+
+        monkeypatch.setattr(cli, "condition_checks", loose)
+        path = tmp_path / "ops.json"
+        assert main(["check-operators", "--samples", "20", "--json", str(path)]) == 1
+        assert "FAIL" in capsys.readouterr().out
+        results = json.loads(path.read_text())["results"]
+        assert [results[k]["pass"] for k in ("fw", "pryce", "dirac")] == [False, True, True]
+
+    def test_negative_seed_usage_error(self, capsys):
+        assert main(["check-operators", "--samples", "5", "--seed", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--seed" in err
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_json_refused_before_the_checks(self, tmp_path, capsys, where):
+        path = tmp_path / "missing" / "ops.json" if where == "missing-dir" else tmp_path
+        assert main(["check-operators", "--samples", "5", "--json", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and str(path) in err
+
     def test_chunked_report_equals_one_batch(self, tmp_path, monkeypatch, capsys):
         # 2500 samples are three chunks of at most 1000
         import relspin.cli
