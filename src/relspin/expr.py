@@ -81,7 +81,7 @@ import numpy as np
 
 from .errors import PreconditionError, SingularMomentumError
 from .grid import (MOMENTUM, POSITION, GridSpec, SpinorField, matrix_entries, pointwise,
-                   zero_mode_weight)
+                   zero_mode_weight, zero_mode_weights)
 
 __all__ = [
     "OperatorExpr", "PositionDiag", "MomentumDiag", "ConstMatrix",
@@ -177,17 +177,20 @@ class _DiagLeaf(OperatorExpr):
                 return field.diag_along(self.space, self._axes, self._kernel, consume=own)
             field = field.in_space(self.space, consume=own)
         if self._axes and self.singular_origin:
-            self._guard(zero_mode_weight(field), guard)
+            refusal = self._refusal(zero_mode_weight(field), guard)
+            if refusal is not None:
+                raise refusal
         return field.with_data(self._kernel(field.data))
 
     def _kernel(self, psi):
         """sum_j M_j f_j psi over the live terms, as a new array."""
         return pointwise(psi, self._live)
 
-    def _guard(self, w0, guard):
-        """Refuse a state whose k = 0 weight w0 exceeds the guard."""
+    def _refusal(self, w0, guard):
+        """The error refusing a state whose k = 0 weight w0 exceeds the
+        guard, or None."""
         if w0 > guard:
-            raise SingularMomentumError(
+            return SingularMomentumError(
                 f"operator {self.name or self.__class__.__name__} is singular at "
                 f"k=0 but the state has zero-mode weight {w0:.3e} > guard {guard:.1e}")
 
@@ -329,22 +332,30 @@ def _scaled_leaves(expr, grid=None, t=0.0, factor=1.0):
 
 
 class LeafStack:
-    """<psi | E | psi> of several static diagonal expressions at once, without
-    applying any.
+    """<psi | E | psi> of several static diagonal expressions at once, for
+    every state of a block, without applying any.
 
     An entry is a sum of scaled time-independent leaves.  With rho_ab =
     conj(psi_a) psi_b, a leaf sum_j f_j M_j has the expectation dx^d sum_j
-    sum_ab M_j[a, b] sum_x f_j(x) rho_ab(x).  The rows of F are a row of ones,
-    for every constant term, and each non-constant term scalar, so the entry
+    sum_ab M_j[a, b] sum_x f_j(x) rho_ab(x).  The rows of F are real and
+    distinct: a row of ones, for every constant term, and each non-constant
+    term scalar once by value, the matrices of equal rows summed.  A complex
+    scalar f + i g is the row f with M and the row g with i M, so the entry
     f 1 is the trace of rho against a fixed row f (a norm, a mask's weight).
-    F contracts with the rho_ab some matrix reads in one matrix product per
-    block of at most ``BLOCK_POINTS`` points along the leading grid axis (one
-    block in 1D, so a 3D block needs memory of the order of the state's).
+    Real rows give X_ba = conj(X_ab) for X_ab = sum_x f(x) rho_ab(x), so only
+    the a <= b densities are read:
+
+        sum_ab M_ab X_ab = sum_{a<=b} (M_ab X_ab + [a < b] M_ba conj X_ab),
+
+    exact, and complex where M is not Hermitian.  F contracts the rho_ab of
+    every state of the block that some matrix reads in one matrix product
+    per slab of at most ``BLOCK_POINTS`` points along the leading grid axis
+    (one slab in 1D, so a 3D slab needs memory of the order of the state's).
     The rows are gathered once per grid from the leaves' cached scalars, and
-    F is stacked then too when the grid is one block; several blocks are
+    F is stacked then too when the grid is one slab; several slabs are
     stacked per call, since holding all of them would cost more memory than
     the state.  Singular leaves keep the zero-mode guard of an apply, read
-    as every apply reads it, by ``zero_mode_weight``.
+    per state as every apply reads it (``zero_mode_weights``).
     """
 
     BLOCK_POINTS = 4096
@@ -366,50 +377,90 @@ class LeafStack:
 
     def _gather(self, grid):
         n = len(self.entries)
-        rows, mats, live = [np.broadcast_to(1.0, grid.shape)], [np.zeros((n, 16), complex)], []
+        rows, mats, index, live = [np.ones(())], [np.zeros((n, 4, 4), complex)], {}, []
         for li, pairs in enumerate(self.entries):
             for factor, leaf in pairs:
-                for (_, m), a in zip(leaf.terms, leaf._scalars(grid, 0.0)):
-                    if a.size == 1:
-                        mats[0][li] += factor * complex(a.reshape(())) * m.ravel()
+                for (_, m), scalar in zip(leaf.terms, leaf._scalars(grid, 0.0)):
+                    if scalar.size == 1:
+                        mats[0][li] += factor * complex(scalar.reshape(())) * m
                         continue
                     live.append(leaf)
-                    rows.append(np.broadcast_to(a, grid.shape))
-                    mats.append(np.zeros((n, 16), complex))
-                    mats[-1][li] = factor * m.ravel()
+                    for part, unit in ((np.real(scalar), 1.0), (np.imag(scalar), 1j)):
+                        part = np.asarray(part, dtype=float)
+                        if not part.any():
+                            continue
+                        row = index.setdefault((part.shape, part.tobytes()), len(rows))
+                        if row == len(rows):
+                            rows.append(part)
+                            mats.append(np.zeros((n, 4, 4), complex))
+                        mats[row][li] += factor * unit * m
         spaces = {leaf.space for leaf in live}
         if len(spaces) > 1:
             raise PreconditionError("a LeafStack needs leaves of one space")
-        mats = np.stack(mats, axis=1)
-        used = np.flatnonzero(mats.any(axis=(0, 1)))  # the rho_ab some matrix reads
+        mats = np.stack(mats, axis=1) * grid.weight
+        a, b = np.triu_indices(4)
+        m_ab, m_ba = mats[..., a, b], mats[..., b, a]
+        # the factors of Re X_ab and Im X_ab, a <= b
+        coef = np.stack([np.where(a == b, m_ab, m_ab + m_ba),
+                         1j * np.where(a == b, m_ab, m_ab - m_ba)], axis=-1)
+        used = np.flatnonzero(coef.any(axis=(0, 1, 3)))  # the rho_ab some matrix reads,
+        used = used[np.argsort(b[used], kind="stable")]  # those of one b side by side
+        b_slices = [(j, np.searchsorted(b[used], j), np.searchsorted(b[used], j, "right"))
+                    for j in np.unique(b[used])]
+        kept = coef.any(axis=(0, 2, 3))
+        kept[0] = True  # the row of ones, so F has a row
+        rows = [np.broadcast_to(r, grid.shape) for r, k in zip(rows, kept) if k]
+        # real factors, (entry, Re | Im) by (pair, row, Re | Im of X)
+        coef = coef[:, kept][:, :, used].transpose(0, 2, 1, 3)
+        coef = np.stack([coef.real, coef.imag], axis=1).reshape(2 * n, -1)
         step = max(1, self.BLOCK_POINTS * grid.shape[0] // grid.npoints)
-        blocks = [slice(i0, i0 + step) for i0 in range(0, grid.shape[0], step)]
+        slabs = [slice(i0, i0 + step) for i0 in range(0, grid.shape[0], step)]
         return (spaces.pop() if spaces else None,
                 next((leaf for leaf in live if leaf.singular_origin), None),
-                np.divmod(used, 4), mats[:, :, used].reshape(n, -1), rows, blocks,
-                np.stack(rows).reshape(len(rows), -1) if len(blocks) == 1 else None)
+                a[used], b_slices, coef, rows, slabs,
+                np.stack(rows).reshape(len(rows), -1) if len(slabs) == 1 else None)
+
+    def _planned(self, grid):
+        if self._grid != grid:
+            self._grid, self._plan = grid, self._gather(grid)
+        return self._plan
+
+    def contract(self, data, grid: GridSpec, guard: float = DEFAULT_ZERO_MODE_GUARD):
+        """The complex expectation of every entry (columns) in every state
+        (rows) of ``data``, (states, 4, *grid) in the stack's space, folded or
+        not; and per state the error of its zero-mode guard, None where it
+        passes."""
+        _, singular, a, b_slices, coef, rows, slabs, f_whole = self._planned(grid)
+        n, dens = len(data), 0.0
+        for sl in slabs:
+            # (4, points, states), so that rho_ab is a contiguous (points, states) matrix
+            psi = np.ascontiguousarray(data[:, :, sl].reshape(n, 4, -1).transpose(1, 2, 0))
+            rho = psi[a]  # a copy, conjugated and multiplied in place
+            np.conjugate(rho, out=rho)
+            for b, lo, hi in b_slices:
+                rho[lo:hi] *= psi[b]
+            f = (f_whole if f_whole is not None
+                 else np.stack([r[sl] for r in rows]).reshape(len(rows), -1))
+            dens = dens + np.matmul(f, rho.view(float))  # (pairs, rows, states x Re | Im)
+        dens = dens.reshape(len(a), len(rows), n, 2).transpose(2, 0, 1, 3).reshape(n, -1)
+        # the last sum is no BLAS call: with OpenBLAS's default threads, a gemv
+        # here made the Krylov steps' expm, and so the default Larmor sweep,
+        # several times slower
+        values = np.einsum("lq,sq->sl", coef, dens, order="C").view(complex)
+        if singular is None:
+            return values, [None] * n
+        return values, [singular._refusal(w, guard) for w in zero_mode_weights(data, grid)]
 
     def expectations(self, field: SpinorField,
                      guard: float = DEFAULT_ZERO_MODE_GUARD) -> np.ndarray:
-        """The complex expectation of every entry, in the order given."""
-        if self._grid != field.grid:
-            self._grid, self._plan = field.grid, self._gather(field.grid)
-        space, singular, (a, b), mats, rows, blocks, f_whole = self._plan
-        if space is not None:
-            field = field.in_space(space)
-        if singular is not None:
-            singular._guard(zero_mode_weight(field), guard)
-        dens = np.zeros((len(rows), len(a)), dtype=complex)
-        for sl in blocks:
-            psi = field.data[:, sl].reshape(4, -1)
-            rho = psi[a]  # a copy, conjugated and multiplied in place
-            rho = np.multiply(np.conjugate(rho, out=rho), psi[b], out=rho).T.copy()
-            f = (f_whole if f_whole is not None
-                 else np.stack([r[sl] for r in rows]).reshape(len(rows), -1))
-            dens += f @ rho if np.iscomplexobj(f) else (f @ rho.view(float)).view(complex)
-        # not a BLAS gemv: with OpenBLAS's default threads, one here made the
-        # Krylov steps' expm, and so the default Larmor sweep, several times slower
-        return np.einsum("lk,k->l", mats, dens.ravel()) * field.grid.weight
+        """The complex expectation of every entry, in the order given: the
+        ``contract`` of a block of one."""
+        space = self._planned(field.grid)[0]
+        field = field.in_space(space or field.space)
+        (values,), (refusal,) = self.contract(field.data[None], field.grid, guard)
+        if refusal is not None:
+            raise refusal
+        return values
 
 
 # -- block parity ----------------------------------------------------------------

@@ -57,6 +57,7 @@ from .operators import ALPHA, BETA, PhysParams, energy_k2
 
 __all__ = [
     "GridSpec", "SpinorField", "POLARIZATIONS", "gaussian_packet", "zero_mode_weight",
+    "zero_mode_weights",
     "matrix_entries", "pointwise", "free_dirac_terms", "positive_energy_part",
     "save_field", "load_field", "set_fft_workers",
 ]
@@ -302,12 +303,16 @@ class SpinorField:
 
 def zero_mode_weight(field: SpinorField) -> float:
     """|psihat(k=0)|^2 fraction of the total squared norm."""
-    mom = field.to_momentum()
-    idx = (slice(None), *mom.grid.origin_index)
-    w0 = float(np.sum(np.abs(mom.data[idx]) ** 2))
-    v = mom.data.reshape(-1).view(float)
-    total = float(np.einsum("i,i->", v, v))  # no |x|^2 temporary, and no BLAS call
-    return w0 / total if total > 0 else 0.0
+    return float(zero_mode_weights(field.to_momentum().data[None], field.grid)[0])
+
+
+def zero_mode_weights(data, grid: GridSpec) -> np.ndarray:
+    """``zero_mode_weight`` of each state of ``data``, (states, 4, *grid)
+    in momentum space, folded or not."""
+    w0 = np.sum(np.abs(data[(slice(None), slice(None), *grid.origin_index)]) ** 2, axis=1)
+    v = data.reshape(len(data), -1).view(float)
+    total = np.einsum("si,si->s", v, v)  # no |x|^2 temporary, and no BLAS call
+    return np.divide(w0, total, out=np.zeros_like(w0), where=total > 0)
 
 
 def suppress_zero_mode(field: SpinorField) -> SpinorField:

@@ -35,12 +35,17 @@ any other step is taken n times.
 
 Trajectories record the three spin expectations, norm, energy, <r>, <p> and a
 boundary-flux diagnostic at a configurable stride; the run aborts when flux
-into the margin shell exceeds the documented limit.  A row costs one
-transform of the state, and each space's columns, the norm and the flux are
-one contraction of its density (``expr.LeafStack``); so is the energy where
-H is a sum of static leaves, each momentum-diagonal or constant, and any
-other H is applied.  A run decides which once, at its start.  CSV
-column order is frozen (see ``Trajectory.CSV_COLUMNS``).
+into the margin shell exceeds the documented limit.  ``run`` measures its
+rows in blocks of at most ``LeafStack.BLOCK_POINTS`` row-points, in time
+order (``_Observables``).  A block is written in the space of its newest
+row (a row in the other space is transformed once), moves to the other
+space in one transform, and each space's columns, the norm and the flux of
+all its rows are one contraction of their densities (``expr.LeafStack``);
+so is the energy where H is a sum of static leaves, each momentum-diagonal
+or constant, and any other H is applied per row.  A run decides which once,
+at its start.  A row's guard refusal, a flux abort and a step's error are
+raised in the order the rows and steps were made.  CSV column order is
+frozen (see ``Trajectory.CSV_COLUMNS``).
 """
 
 from __future__ import annotations
@@ -56,7 +61,8 @@ from .errors import BoundaryFluxError, KrylovConvergenceError, PreconditionError
 from .algebra import ID4
 from .expr import (ConstMatrix, LeafStack, PositionDiag, _is_zero, _scaled_leaves, apply_expr,
                    expectation)
-from .grid import _ID_ENTRIES, MOMENTUM, POSITION, SpinorField, matrix_entries, pointwise
+from .grid import (_ID_ENTRIES, MOMENTUM, POSITION, SpinorField, _bare_fft, _spatial_axes,
+                   matrix_entries, pointwise)
 from .hamiltonians import NamedHamiltonian, P, R, triple
 from .operators import SpinKind
 from .dynamics import spin_expr
@@ -64,6 +70,10 @@ from .dynamics import spin_expr
 __all__ = [
     "strang_step_dirac", "krylov_step", "run", "ehrenfest_residual", "Trajectory",
 ]
+
+
+#: the Krylov residual tolerance of ``run``, ``ehrenfest_residual`` and ``krylov_step``
+KRYLOV_TOL = 1e-10
 
 
 def _factor(pairs, tau, hermitian):
@@ -159,7 +169,7 @@ def _exp_minus_idt(h: np.ndarray, dt: float, hermitian: bool) -> np.ndarray:
 
 
 def krylov_step(hamiltonian: NamedHamiltonian, field: SpinorField, t: float,
-                dt: float, m: int = 40, tol: float = 1e-10) -> SpinorField:
+                dt: float, m: int = 40, tol: float = KRYLOV_TOL) -> SpinorField:
     """Approximate exp(-i H(t + dt/2) dt) psi in an m-dimensional Krylov space.
 
     Builds the basis by the Arnoldi recursion; for a trusted-Hermitian
@@ -226,7 +236,7 @@ def krylov_step(hamiltonian: NamedHamiltonian, field: SpinorField, t: float,
 
 
 def _evolve(hamiltonian, state, dt, steps, stride=1, t0=0.0, propagator=None,
-            krylov_tol=1e-10):
+            krylov_tol=KRYLOV_TOL):
     """The one time loop (see the module docstring): (t, psi) at t0, every
     ``stride`` steps and after the last.  Step s starts at t0 + s dt; it is a
     Krylov step where ``propagator`` is "krylov" or H has no exact step."""
@@ -293,7 +303,20 @@ FLUX_ABORT = 1e-6  # ``run`` aborts where the margin-shell norm fraction exceeds
 
 
 class _Observables:
+    """The rows of a run, measured in blocks of at most
+    ``LeafStack.BLOCK_POINTS`` row-points (one row per block where a state
+    has more).  ``add`` writes each state into one block buffer, folded, in
+    its own space.  ``rows`` transforms each row in the other space to the
+    newest row's, contracts the block with that space's stack, moves the
+    whole block to the other space in one transform and contracts it with
+    the other stack.  The momentum copy gives the spins, p and the energy,
+    the position copy r, the norm and the flux.  An energy that is no stack
+    entry is an apply of H to each row's momentum copy (no Hamiltonian has
+    a singular leaf, so that apply refuses no row).  A row's guard refusal
+    is raised when ``rows`` reaches that row, after the rows before it."""
+
     def __init__(self, hamiltonian, grid):
+        self.grid = grid
         self.spin = {k: spin_expr(k, hamiltonian.params) for k in SpinKind}
         self.r, self.p = triple(R), triple(P)
         # every column but the energy is one diagonal leaf named by its column;
@@ -307,47 +330,96 @@ class _Observables:
         pos = self.r + [ConstMatrix(ID4, name="norm"), PositionDiag(
             [(lambda g, t: g.boundary_shell_mask, ID4)], name="flux")]
         self.stacks = [(names, LeafStack(mom)), ([leaf.name for leaf in pos], LeafStack(pos))]
+        self.block = np.empty((max(1, LeafStack.BLOCK_POINTS // grid.npoints), 4, *grid.shape),
+                              dtype=complex)
+        self.pending = []  # (t, space) of each row written into the block
+
+    def add(self, t, psi):
+        """Write the row of ``psi`` at ``t`` into the block; True when it is full."""
+        row = self.block[len(self.pending)]
+        if psi.folded:
+            row[...] = psi.data
+        else:
+            np.multiply(psi.data, self.grid._phase, out=row)
+        self.pending.append((t, psi.space))
+        return len(self.pending) == len(self.block)
+
+    def rows(self):
+        """The rows of the block as dicts, in time order; the block is
+        emptied when the first is taken."""
+        pending, self.pending = self.pending, []
+        if not pending:
+            return
+        times, axes = [t for t, _ in pending], _spatial_axes(self.grid.dim)
+        block, space = self.block[:len(pending)], pending[-1][1]
+        for row, (_, own) in zip(block, pending):
+            if own != space:
+                row[...] = _bare_fft(row, space, axes)
+        found = {}
+        for here in (space, POSITION if space == MOMENTUM else MOMENTUM):
+            if here != space:  # the whole block to the other space
+                block = _bare_fft(block, here, tuple(a + 1 for a in axes))
+            names, stack = self.stacks[here == POSITION]
+            values, refusals = stack.contract(block, self.grid, OBSERVABLE_GUARD)
+            found[here] = names, values.real.tolist(), refusals
+            if here == MOMENTUM and self.energy is not None:
+                energies = [float(np.real(expectation(
+                    self.energy, SpinorField(self.grid, data, MOMENTUM, folded=True), t,
+                    guard=OBSERVABLE_GUARD))) for data, t in zip(block, times)]
+        (names, mom, refusals), (pos_names, pos, _) = found[MOMENTUM], found[POSITION]
+        for i, t in enumerate(times):
+            if refusals[i] is not None:
+                raise refusals[i]
+            row = dict(zip(names, mom[i]), t=t)
+            if self.energy is not None:
+                row["energy"] = energies[i]
+            row.update(zip(pos_names, pos[i]))
+            total = row["norm"]
+            row.update(norm=np.sqrt(total), flux=row["flux"] / total if total > 0 else 0.0)
+            yield row
 
     def measure(self, psi, t):
-        """One row: one density contraction per space (``LeafStack``), the
-        position copy of psi for r, the norm and the flux, the momentum copy
-        for the rest, and an apply of H for an energy that is no entry."""
-        pos, mom = psi.to_position(), psi.to_momentum()
-        (names, stack), (pos_names, pos_stack) = self.stacks
-        out = dict(zip(names, stack.expectations(mom, OBSERVABLE_GUARD).real.tolist()), t=t)
-        if self.energy is not None:
-            out["energy"] = float(np.real(expectation(self.energy, mom, t, guard=OBSERVABLE_GUARD)))
-        out.update(zip(pos_names, pos_stack.expectations(pos).real.tolist()))
-        total = out["norm"]
-        out.update(norm=np.sqrt(total), flux=out["flux"] / total if total > 0 else 0.0)
-        return out
+        """The row of ``psi`` at ``t``: a block of one."""
+        self.add(t, psi)
+        return next(self.rows())
 
 
 def run(hamiltonian: NamedHamiltonian, state: SpinorField, dt: float,
         steps: int, stride: int = 1, t0: float = 0.0,
-        propagator: str | None = None, krylov_tol: float = 1e-10) -> Trajectory:
+        propagator: str | None = None, krylov_tol: float = KRYLOV_TOL) -> Trajectory:
     """Propagate and record observables at t0, every ``stride`` steps and
-    after the last: one row per state that ``_evolve`` yields.
+    after the last: one row per state that ``_evolve`` yields, measured in
+    blocks (``_Observables``) and recorded in time order.
 
     Aborts with :class:`BoundaryFluxError` when the margin-shell norm
-    fraction of a row after the first exceeds ``FLUX_ABORT``.
+    fraction of a row after the first exceeds ``FLUX_ABORT``.  Where a
+    step raises, the rows before it are recorded first, so a flux abort
+    among them is what the run reports.
     """
     obs = _Observables(hamiltonian, state.grid)
     traj = Trajectory()
-    for t, psi in _evolve(hamiltonian, state, dt, steps, stride, t0, propagator, krylov_tol):
-        row = obs.measure(psi, t)
-        if traj.rows and row["flux"] > FLUX_ABORT:
-            raise BoundaryFluxError(
-                f"boundary flux {row['flux']:.3e} exceeded {FLUX_ABORT:.1e} "
-                f"at t={t:.6g}; enlarge the box or shorten the run")
-        traj.append(**row)
+
+    def record():
+        for row in obs.rows():
+            if traj.rows and row["flux"] > FLUX_ABORT:
+                raise BoundaryFluxError(
+                    f"boundary flux {row['flux']:.3e} exceeded {FLUX_ABORT:.1e} "
+                    f"at t={row['t']:.6g}; enlarge the box or shorten the run")
+            traj.append(**row)
+
+    try:
+        for t, psi in _evolve(hamiltonian, state, dt, steps, stride, t0, propagator, krylov_tol):
+            if obs.add(t, psi):
+                record()
+    finally:
+        record()
     return traj
 
 
 def ehrenfest_residual(kind: SpinKind, hamiltonian: NamedHamiltonian,
                        state: SpinorField, dt: float, steps: int,
                        t0: float = 0.0, propagator: str | None = None,
-                       krylov_tol: float = 1e-12):
+                       krylov_tol: float = KRYLOV_TOL):
     """|centered-difference d<S>/dt - <(1/i)[S, H]>| per component, sampled
     at every interior step of ``run``'s time loop at stride 1 (``_evolve``).
 

@@ -561,6 +561,74 @@ class TestLeafStack:
             scale = psi.norm() * apply_expr(leaf, psi).norm()
             assert abs(value - expectation(leaf, psi)) <= 1e-13 * scale
 
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from(range(len(_KERNEL_GRIDS))),
+           st.sampled_from([PositionDiag, MomentumDiag]),
+           st.sampled_from([LeafStack, _SmallBlocks]),
+           st.booleans(),
+           st.integers(min_value=1, max_value=5),
+           st.lists(st.lists(st.tuples(
+               st.sampled_from(["named", "monomial", "dense", "zero-rows"]),
+               st.sampled_from(["scalar", "mesh", "full", "repeat"])),
+               min_size=1, max_size=3), min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_block_matches_expectation(self, seed, grid_index, leaf_type, stack_type, real,
+                                       states, leaf_kinds):
+        # a block of states, folded or not, against ``expectation`` per state
+        # and leaf; "repeat" reuses an earlier scalar, so equal rows merge,
+        # and the dense matrices are not Hermitian
+        rng = np.random.default_rng(seed)
+        grid = _KERNEL_GRIDS[grid_index]
+        made = []
+
+        def producer(kind):
+            if kind == "repeat" and made:
+                return made[rng.integers(len(made))]
+            fn = _kernel_producer("full" if kind == "repeat" else kind, grid, rng)
+            made.append((lambda g, t: fn(g, t).real) if real else fn)
+            return made[-1]
+
+        leaves = [leaf_type([(producer(pk), _kernel_matrix(mk, rng)) for mk, pk in kinds])
+                  for kinds in leaf_kinds]
+        other = POSITION if leaf_type.space == MOMENTUM else MOMENTUM
+        block = [random_field(grid, rng) for _ in range(states)]
+        block = [psi.in_space(other if rng.integers(2) else leaf_type.space).in_space(
+            leaf_type.space) for psi in block]
+        got, refusals = stack_type(leaves).contract(np.stack([psi.data for psi in block]), grid)
+        assert got.shape == (states, len(leaves)) and refusals == [None] * states
+        for psi, values in zip(block, got):
+            for leaf, value in zip(leaves, values):
+                scale = psi.norm() * apply_expr(leaf, psi).norm()
+                assert abs(value - expectation(leaf, psi)) <= 1e-13 * scale
+
+    def test_equal_rows_are_one_row(self):
+        # k_x is read by every p_x and by two leaves of its own, and a complex
+        # scalar is its real and imaginary rows: the ones row, k_x, and the
+        # real and imaginary parts of (1 + 2i) k_x^2
+        grid = _KERNEL_GRIDS[1]
+        kx = lambda g, t: g.k[0]
+        entries = [triple(P)[0], triple(P)[0], MomentumDiag([(kx, BETA), (kx, SIGMA[2])]),
+                   MomentumDiag([(lambda g, t: (1 + 2j) * g.k[0] ** 2, ID4)])]
+        stack = LeafStack(entries)
+        stack.expectations(random_field(grid, np.random.default_rng(3)))
+        _, _, _, _, _, rows, _, _ = stack._plan
+        assert len(rows) == 4
+
+    def test_block_guard_per_state(self):
+        # each state of a block has its own refusal, the middle one here
+        grid = _KERNEL_GRIDS[1]
+        rng = np.random.default_rng(4)
+        leaf = MomentumDiag([(lambda g, t: g.k2, (ID4 - BETA) @ SIGMA[2])],
+                            name="singular", singular_origin=True)
+        ok = random_field(grid, rng).to_momentum()
+        vals = ok.data.copy()
+        vals[(slice(None), *grid.origin_index)] = 10.0
+        block = np.stack([ok.data, vals, ok.data])
+        _, refusals = LeafStack([triple(P)[0], leaf]).contract(block, grid, guard=1e-3)
+        assert refusals[0] is None and refusals[2] is None
+        assert isinstance(refusals[1], SingularMomentumError)
+        assert "operator singular is singular" in str(refusals[1])
+
     @pytest.mark.parametrize("stack_type", [LeafStack, _SmallBlocks])
     def test_sums_of_scaled_leaves(self, rng, stack_type):
         # an entry may be a sum of scaled leaves, constants of either space

@@ -257,29 +257,48 @@ def test_free_particle_run(fft_count, monkeypatch):
     ham = sc.make_hamiltonian()
     fft_count.reset()
     run(ham, sc.make_state(), sc.dt, sc.steps, stride=sc.stride)
-    # the packet (2), the first step into momentum space (1), then one
-    # transform per recorded row (101); the steps between rows need none
+    # the packet (2), the first step into momentum space (1), then the rows'
+    # transforms (14 for 101 rows, see below); the steps between rows need none
     assert fft_count.calls <= 110
     # the free H is one exact factor under a static model, so the 25 steps
     # between two rows are one step of 25 dt: 2500 / 25 = 100 calls
     assert sizes == [sc.stride * sc.dt] * 100
 
 
-def test_shipped_cli_runs_transform_once_per_row(fft_count, tmp_path, capsys):
+def test_shipped_cli_runs_transform_once_per_row(fft_count, tmp_path, capsys, monkeypatch):
+    import scipy.fft
     from relspin.cli import main
+    from relspin.expr import LeafStack
+    # the leading shape of every transform: (4,) a state, (rows, 4) a block
+    shapes = []
+    for name in ("fftn", "ifftn"):
+        monkeypatch.setattr(scipy.fft, name, lambda x, *args, fn=getattr(scipy.fft, name),
+                            **kwargs: shapes.append(x.shape[:-1]) or fn(x, *args, **kwargs))
     scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+    assert LeafStack.BLOCK_POINTS == 4096
     assert main(["simulate", "--scenario", str(scenarios / "free_particle.json"),
                  "--output", str(tmp_path / "free.csv")]) == 0
-    # the packet (2), the first step into momentum space (1), then one
-    # transform per recorded row (101): the energy, norm and flux are read
-    # from the row's two stacks
-    assert fft_count.calls == 104
+    # the packet (2) and the first step into momentum space (1); then 101
+    # rows of 512 points in blocks of 4096 // 512 = 8 rows, 12 blocks of 8
+    # and one of 5, each moved to position space by one transform (13).  The
+    # first block is written in its newest row's momentum space, so its first
+    # row, the packet in position space, is transformed into it first (1).
+    # The energy, norm and flux are read from the block's two stacks.
+    assert fft_count.calls == 2 + 1 + 1 + 13
+    assert shapes == [(4,)] * 4 + [(8, 4)] * 12 + [(5, 4)]
+    # every row is transformed once by its block
+    assert sum(rows for rows, _ in shapes[4:]) == 101
     fft_count.reset()
+    shapes.clear()
     assert main(["sweep", "--scenario", str(scenarios / "larmor_sweep.json"),
                  "--field-grid", "0.5,1,2,4", "--output", str(tmp_path / "sweep.csv")]) == 0
-    # the packet once (2), then per field strength one transform per row
-    # (121): the constant steps transform nothing
-    assert fft_count.calls == 2 + 4 * 121
+    # the packet once (2); then per field strength 121 rows of 256 points in
+    # blocks of 16 rows, 7 of 16 and one of 9, each one transform to momentum
+    # space (8): the constant steps transform nothing, so every row is in
+    # position space
+    assert fft_count.calls == 2 + 4 * 8
+    assert shapes == [(4,)] * 2 + ([(16, 4)] * 7 + [(9, 4)]) * 4
+    assert sum(rows for rows, _ in shapes[2:]) == 4 * 121
 
 
 # A builder makes one ModelVector per model vector, which calls its mesh

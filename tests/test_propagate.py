@@ -483,12 +483,13 @@ class TestRun:
 
 def _stepwise_rows(ham, psi, dt, steps, stride, propagator=None, t0=0.0):
     """The rows of ``run`` with every step taken on its own (the time loop at
-    stride 1), step s from t0 + s dt: the reference a run that crosses a
-    stride in one step must equal."""
-    obs = _Observables(ham, psi.grid)
-    rows = [obs.measure(state, t) for s, (t, state)
-            in enumerate(_evolve(ham, psi, dt, steps, 1, t0, propagator, 1e-10))
-            if s % stride == 0 or s == steps]
+    stride 1), step s from t0 + s dt, measured in ``run``'s blocks: the
+    reference a run that crosses a stride in one step must equal."""
+    obs, rows = _Observables(ham, psi.grid), []
+    for s, (t, state) in enumerate(_evolve(ham, psi, dt, steps, 1, t0, propagator, 1e-10)):
+        if (s % stride == 0 or s == steps) and obs.add(t, state):
+            rows += obs.rows()
+    rows += obs.rows()
     return np.array([[row[c] for c in Trajectory.CSV_COLUMNS] for row in rows])
 
 
@@ -743,6 +744,122 @@ class TestMeasure:
         assert stack_peak <= 2.0 * state
 
 
+def _zero_mode_state(grid, params, weight):
+    """A packet whose k = 0 bin holds ``weight`` of the squared norm."""
+    vals = gaussian_packet(grid, 0.0, 12.0, 1.0, [1, 0, 0, 0], params=params,
+                           energy_projection=True).to_momentum().values.copy()
+    vals[(slice(None), *grid.origin_index)] = 0.0
+    rest = np.vdot(vals, vals).real
+    vals[(0, *grid.origin_index)] = np.sqrt(weight * rest / (1.0 - weight))
+    return SpinorField(grid, vals, "momentum")
+
+
+class TestBlocks:
+    """``run`` measures its rows in blocks and records them in time order: a
+    row's guard refusal, a flux abort and a step's error come out as they
+    would were every row measured when it is reached."""
+
+    _GRID = GridSpec(1, 256, 256.0)  # 16 rows per block
+
+    @pytest.fixture
+    def feed(self, monkeypatch):
+        """``feed(states, error)``: run's time loop yields the states at
+        t = 0.1 i, then raises ``error``."""
+        from relspin import propagate
+
+        def feed(states, error=None):
+            def evolve(*args):
+                for i, psi in enumerate(states):
+                    yield 0.1 * i, psi
+                if error is not None:
+                    raise error
+            monkeypatch.setattr(propagate, "_evolve", evolve)
+        return feed
+
+    @pytest.fixture
+    def states(self, params):
+        g = self._GRID
+        ok = gaussian_packet(g, 0.0, 12.0, 1.0, [1, 0, 0, 0], params=params,
+                             energy_projection=True)
+        leaking = gaussian_packet(g, 90.0, 8.0, 1.0, [1, 0, 0, 0])
+        return ok, leaking, _zero_mode_state(g, params, 2e-3), _zero_mode_state(g, params, 4e-3)
+
+    def _run(self, params):
+        # the states come from ``feed``; the one given sets the grid
+        return run(build_hamiltonian("dirac-em", _UNIFORM_B, params),
+                   SpinorField(self._GRID, np.zeros((4, 256))), 0.1, 1)
+
+    def test_rows_equal_blocks_of_one(self, params):
+        # 101 rows in 13 blocks of up to 8, the first in two spaces: each
+        # row equals its own block of one
+        g = GridSpec(1, 512, 256.0)
+        ham = build_free_dirac(params)
+        psi = gaussian_packet(g, 0.0, 16.0, 0.75, [1, 1, 0, 0], params=params,
+                              energy_projection=True)
+        got = np.array(run(ham, psi, 0.02, 2500, stride=25).rows)
+        obs = _Observables(ham, g)
+        rows = [obs.measure(state, t) for t, state in _evolve(ham, psi, 0.02, 2500, 25)]
+        want = np.array([[row[c] for c in Trajectory.CSV_COLUMNS] for row in rows])
+        assert got.shape == want.shape == (101, len(Trajectory.CSV_COLUMNS))
+        assert np.array_equal(got[:, 0], want[:, 0])
+        scale = np.maximum(np.max(np.abs(want), axis=0), 1.0)
+        assert np.all(np.max(np.abs(got - want), axis=0) <= 1e-13 * scale)
+
+    def test_guard_refusal_mid_block_names_its_row(self, params, feed, states):
+        ok, _, refused, worse = states
+        feed([ok] * 5 + [refused, ok, worse] + [ok] * 4)
+        with pytest.raises(SingularMomentumError,
+                           match=r"S_Py_x is singular at k=0 .* 2\.000e-03 > guard 1\.0e-03"):
+            self._run(params)
+
+    def test_flux_abort_mid_block(self, params, feed, states):
+        ok, leaking, refused, _ = states
+        flux = _Observables(build_free_dirac(params), self._GRID).measure(leaking, 0.3)["flux"]
+        assert flux > 1e-6
+        message = (f"boundary flux {flux:.3e} exceeded 1.0e-06 at t=0.3; "
+                   "enlarge the box or shorten the run")
+        # the flux abort at row 3 comes before the refusal of row 5, and a
+        # leaking first row is no abort
+        feed([leaking, ok, ok, leaking, ok, refused] + [ok] * 4)
+        with pytest.raises(BoundaryFluxError) as info:
+            self._run(params)
+        assert str(info.value) == message
+        feed([leaking] + [ok] * 20)
+        assert len(self._run(params).rows) == 21
+
+    def test_step_error_after_a_leaking_row(self, params, feed, states):
+        ok, leaking, _, _ = states
+        feed([ok, ok, ok, leaking, ok], KrylovConvergenceError("no", suggested_dt=0.05))
+        with pytest.raises(BoundaryFluxError, match="at t=0.3;"):
+            self._run(params)
+        feed([ok] * 5, KrylovConvergenceError("no", suggested_dt=0.05))
+        with pytest.raises(KrylovConvergenceError, match="no"):
+            self._run(params)
+
+    def test_1d_block_memory(self, params):
+        # a full block of 8 rows of 512 points (256 KB): a stack holds its
+        # transposed copy and the densities, 2.5 blocks for the ten a <= b
+        # densities of the momentum stack
+        g = GridSpec(1, 512, 256.0)
+        ham = build_free_dirac(params)
+        psi = gaussian_packet(g, 0.0, 16.0, 0.75, [1, 1, 0, 0], params=params,
+                              energy_projection=True).to_momentum()
+        obs = _Observables(ham, g)
+        obs.measure(psi, 0.0)  # fills the leaf caches and gathers the stacks
+        block = obs.block.nbytes
+        assert len(obs.block) == 8
+        tracemalloc.start()
+        try:
+            for i in range(8):
+                obs.add(0.1 * i, psi)
+            rows = list(obs.rows())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 8
+        assert peak <= 4.5 * block
+
+
 class TestEhrenfest:
     def test_fw_free_closure_at_floor(self, params, battery_1d):
         ham = build_free_dirac(params)
@@ -792,9 +909,10 @@ class TestEhrenfest:
         ("fw-direct", _PULSED_B, True),     # Krylov steps under a pulsed B
     ], ids=["free", "dirac-em", "pulsed-fw-direct"])
     def test_spin_is_runs_at_stride_one(self, params, krylov_count, family, model, krylov):
-        # both read one time loop, so the sampled <S> are run's S columns
+        # both read one time loop and one Krylov tolerance, so at their
+        # defaults the sampled <S> are run's S columns
         ham, psi = _leap_case(params, family, model)
-        traj = run(ham, psi, 0.037, 12, t0=0.1, krylov_tol=1e-12)
+        traj = run(ham, psi, 0.037, 12, t0=0.1)
         assert (krylov_count[0] > 0) == krylov
         labels = {SpinKind.DIRAC: "S_D", SpinKind.FW: "S_FW", SpinKind.PRYCE: "S_Py"}
         for kind, label in labels.items():
