@@ -428,6 +428,7 @@ def _verify_cell(si, axis, s_i, h_total, terms, psi, h_psi, gains):
             rhs_field = term
         else:
             rhs_field.data += rhs_field.data_of(term)
+        del term  # summed or kept: not held while the next term applies
     if kept:
         rhs_field = kept[0][1].copy()
         for _, term in kept[1:]:

@@ -53,12 +53,15 @@ space.
 Mul(a, b) applies b first (left factor last), matching left-to-right operator
 products as written in equations.
 
-Every ``_apply`` returns a fresh array, so a node writes into its children's
-results: Add accumulates into the first live child's result in each space,
-Scale scales its child's in place, and a transform of a node's own result
-(Add's cross-space move, Mul's hand-over from right to left, ``apply_expr``'s
-move back to the input's space; ``own=True``) overwrites it.  The caller's
-state and the leaves' cached scalars are never written.
+An ``_apply`` returns an array no one else holds (with ``own=True``, maybe
+its input's), so a node writes into its children's results: Add accumulates
+into the first live child's result in each space and drops the others once
+summed, Scale scales its child's in place, and a transform of a node's own
+result (Add's cross-space move, Mul's hand-over from right to left,
+``apply_expr``'s move back; ``own=True``) overwrites it.  So does a leaf
+whose rows each take one product, of their own component (``_own_rows``:
+r_j, p_j, 1/p^2, B.p), inside ``diag_along`` and on an owned input.  The
+caller's state and the leaves' cached scalars are never written.
 
 Two structural walks read a tree without applying it.  ``_scaled_leaves``
 flattens a sum of scaled leaves, its vanishing subtrees dropped when given a
@@ -143,7 +146,7 @@ class _DiagLeaf(OperatorExpr):
         self.name = name
         self.time_dependent = bool(time_dependent)
         self.singular_origin = bool(singular_origin)
-        self._key = self._arrays = self._live = self._axes = self._adj = None
+        self._key = self._arrays = self._live = self._axes = self._own_rows = self._adj = None
 
     def _fill(self, grid: GridSpec, t: float):
         """The producers' scalar arrays, an all-zero mesh held as a 0-d zero
@@ -162,6 +165,8 @@ class _DiagLeaf(OperatorExpr):
             shape = np.broadcast_shapes((1,) * grid.dim, *(a.shape for _, a in live))
             self._axes = tuple(j + 1 for j, n in enumerate(shape) if n > 1)
             self._live = _merged(live, grid.npoints)
+            rc = [(r, c) for entries, _ in self._live for r, c, _ in entries]  # see _kernel
+            self._own_rows = len({r for r, _ in rc}) == len(rc) and all(r == c for r, c in rc)
             self._key = key
         return self._arrays
 
@@ -175,16 +180,17 @@ class _DiagLeaf(OperatorExpr):
         if self._axes and field.space != self.space:
             if len(self._axes) < field.grid.dim and not self.singular_origin:
                 return field.diag_along(self.space, self._axes, self._kernel, consume=own)
-            field = field.in_space(self.space, consume=own)
+            field, own = field.in_space(self.space, consume=own), True  # a new array
         if self._axes and self.singular_origin:
             refusal = self._refusal(zero_mode_weight(field), guard)
             if refusal is not None:
                 raise refusal
-        return field.with_data(self._kernel(field.data))
+        return field.with_data(self._kernel(field.data, own))
 
-    def _kernel(self, psi):
-        """sum_j M_j f_j psi over the live terms, as a new array."""
-        return pointwise(psi, self._live)
+    def _kernel(self, psi, own=True):
+        """sum_j M_j f_j psi over the live terms: into psi if ``own`` gives it up
+        and each row takes at most one product, of its own; else a new array."""
+        return pointwise(psi, self._live, psi if own and self._own_rows else None)
 
     def _refusal(self, w0, guard):
         """The error refusing a state whose k = 0 weight w0 exceeds the
@@ -240,6 +246,7 @@ class Add(OperatorExpr):
                 np.add(acc[out.space].data, acc[out.space].data_of(out), out=acc[out.space].data)
             else:
                 acc[out.space] = out
+            del out  # summed: not held while the next child applies
         # one cross-space move, into the input's space
         out = acc.pop(field.space) if field.space in acc else acc.popitem()[1]
         for other in acc.values():

@@ -38,8 +38,9 @@ sum_j M_j f_j psi it accumulates (M_j[a, b] f_j) psi_b into row a over the
 nonzero (row, col, entry) triples of each M_j only (``matrix_entries``), each
 f_j at its broadcast shape (a sparse mesh stays sparse).  A monomial M_j, as
 every alpha / beta / Sigma product is, costs four products; a general one
-such as Sigma.alpha one per nonzero.  It allocates its output and at most
-one accumulation row, and no grid-size temporary per entry.
+such as Sigma.alpha one per nonzero.  It allocates its output (unless given
+one, such as the input), at most one accumulation row, and no grid-size
+temporary per entry.
 """
 
 from __future__ import annotations
@@ -208,7 +209,8 @@ class SpinorField:
 
     Value semantics: operations return new fields and write into no field's
     ``data``, except a transform or ``diag_along`` with ``consume=True``,
-    which may overwrite it (for a field its caller made and drops).  The inner product is
+    which may overwrite it (for a field its caller made and drops); the
+    result may then hold the same buffer.  The inner product is
     ``sum(conj(a) * b) * dx^d`` evaluated in a common space.
     """
 
@@ -249,7 +251,8 @@ class SpinorField:
         being j + 1), applied to this field; the result is in this field's
         space, folded.  Such a multiplier commutes with the transforms along
         the other axes, so only ``axes`` are transformed, there and back.
-        ``kernel`` maps the folded data in between to a new array."""
+        ``kernel`` maps the folded data in between, a buffer no one else holds
+        (a copy, or with ``consume`` this field's), to its result, maybe in it."""
         out = kernel(self._transformed(space, axes, consume))
         return SpinorField(self.grid, _bare_fft(out, self.space, axes), self.space, folded=True)
 
@@ -404,13 +407,15 @@ def matrix_entries(m):
             for a, b in zip(*np.nonzero(m))]
 
 
-def pointwise(psi, terms):
-    """sum_j M_j f_j psi at every point as a new array, ``terms`` the pairs of
-    M_j's ``matrix_entries`` and f_j, a number or an array broadcastable to psi[0].
-    A full-grid f_j psi_b goes into its row (or the accumulation row), where
-    an entry m != 1 scales it in place, or subtracts it for m = -1, so no
-    entry makes a grid-size temporary; a smaller f_j takes m f_j."""
-    out = np.empty_like(psi)
+def pointwise(psi, terms, out=None):
+    """sum_j M_j f_j psi at every point in ``out``, a new array by default or psi
+    itself where each row takes at most one product, of its own component;
+    ``terms`` the pairs of M_j's ``matrix_entries`` and f_j, a number or an
+    array broadcastable to psi[0].  A full-grid f_j psi_b goes into its row
+    (or the accumulation row), where an entry m != 1 scales it in place, or
+    subtracts it for m = -1, so no entry makes a grid-size temporary; a
+    smaller f_j takes m f_j."""
+    out = np.empty_like(psi) if out is None else out
     fresh = [True] * 4  # rows not yet written
     tmp = None  # made once a row takes a second product
     points = psi[0].size

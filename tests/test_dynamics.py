@@ -7,12 +7,12 @@ import pytest
 import relspin.expr
 from relspin.algebra import ID4, commutator, levi_civita
 from relspin.errors import PreconditionError
-from relspin.expr import (ConstMatrix, MomentumDiag, Mul, OperatorExpr, Scale,
+from relspin.expr import (Add, ConstMatrix, MomentumDiag, Mul, OperatorExpr, Scale,
                           _DiagLeaf, apply_expr, block_parity)
 from relspin.fields import Envelope, PlaneWavePulse, UniformB, UniformE, ZeroField
 from relspin.grid import GridSpec, SpinorField, gaussian_packet
-from relspin.hamiltonians import (build_dirac_em, build_free_dirac, build_fw_direct,
-                                  build_hamiltonian)
+from relspin.hamiltonians import (P, R, build_dirac_em, build_free_dirac, build_fw_direct,
+                                  build_hamiltonian, triple)
 from relspin.dynamics import (HOLD_TOL, classify_residual_series,
                               position_correction_expr, rhs,
                               spin_expr, standard_battery, total_j_identity,
@@ -519,18 +519,54 @@ class TestPeakMemory:
         cast = 16 * min(np.getbufsize(), self.GRID.npoints)
         assert _peak_bytes(lambda: leaf._kernel(psi)) <= psi.nbytes + row + cast + 8192
 
-    def test_verify_cell_peak(self, params):
-        # one state-0 cell (with removal gains) of pryce / dirac-em under a
-        # uniform B: 8.27 fields (2.17 MB) measured, most of it inside the
-        # apply of the r-p-alpha-b term; a running sum held beside the kept
-        # terms during that apply made it 9.27 fields
+    def _cell(self, params, gains):
+        # a state-0 x cell of pryce / dirac-em under a uniform B, with its
+        # leaves' caches filled
         from relspin.dynamics import _verify_cell
         psi = self._state()
-        field = psi.data.nbytes
         ham = build_hamiltonian("dirac-em", UniformB([0.0, 0.0, 0.05]), params)
         terms, _ = rhs(SpinKind.PRYCE, "dirac-em", ham.model, params)
         s_x = spin_expr(SpinKind.PRYCE, params)[0]
         h_psi = apply_expr(ham.total, psi, 0.0, 1.0)
-        cell = lambda: _verify_cell(0, 0, s_x, ham.total, terms, psi, h_psi, {})
-        cell()  # the leaves' caches fill
-        assert _peak_bytes(cell) <= 8.5 * field
+        cell = lambda: _verify_cell(0, 0, s_x, ham.total, terms, psi, h_psi, gains)
+        cell()
+        return cell, psi.data.nbytes
+
+    def test_verify_cell_peak(self, params):
+        # with removal gains: 6.27 fields (1.64 MB) measured, inside the apply
+        # of the r-p-alpha-b term.  It was 8.27 while a summed term, and the
+        # previous child's result inside r.p's sum, stayed bound during the
+        # next apply, and the diagonal leaves r_j, p_j, 1/p^2 and B.p each
+        # made a new field where they now multiply in place
+        cell, field = self._cell(params, {})
+        assert _peak_bytes(cell) <= 6.5 * field
+
+    def test_rung_cell_peak(self, params):
+        # a refinement rung's cell keeps no term for the gains: 5.27 fields
+        # measured (8.27 with the dead references and new diagonal outputs)
+        cell, field = self._cell(params, None)
+        assert _peak_bytes(cell) <= 5.5 * field
+
+    def test_sum_holds_its_accumulator_and_one_child(self):
+        # r.p = sum_j r_j p_j from a momentum state: p_j's result, multiplied
+        # in place by r_j between the transforms along axis j, and the
+        # accumulator, beyond numpy's cast buffer (a row at 16^3, see above).
+        # A child's result held while the next child applied, and r_j's new
+        # output, made it 4.26 fields
+        r, p = triple(R), triple(P)
+        r_dot_p = Add([Mul(r[j], p[j]) for j in range(3)])
+        psi = self._state()
+        apply_expr(r_dot_p, psi)  # the leaves' caches fill
+        cast = 16 * min(np.getbufsize(), self.GRID.npoints)
+        assert _peak_bytes(lambda: apply_expr(r_dot_p, psi)) <= 2 * psi.data.nbytes + cast + 8192
+
+    def test_rung_verify_peak(self, params):
+        # a whole 32^3 rung of the shipped scenario's pryce check: 7.27 fields
+        # (of 2 MB) measured beyond its two states, 10.27 with the dead
+        # references and new diagonal outputs
+        grid = GridSpec(3, 32, 48.0)
+        states = standard_battery(grid, params)
+        ham = build_hamiltonian("dirac-em", UniformB([0.0, 0.0, 0.05]), params)
+        run = lambda: verify(SpinKind.PRYCE, ham, states, removal_gains=False)
+        run()
+        assert _peak_bytes(run) <= 7.5 * states[0].data.nbytes

@@ -447,6 +447,13 @@ _MOM = MomentumDiag([(_bump_k, SIGMA[2] @ ALPHA[1]), (_bump_k, ID4)])
 _ZERO = PositionDiag([(lambda g, t: np.zeros(g.shape), ALPHA[2])])
 # on a 3D grid _POS and _MOM_X vary along one axis, and so transform only it
 _MOM_X = MomentumDiag([(lambda g, t: np.cos(0.3 * g.k[0]), SIGMA[1] @ ALPHA[0])])
+# leaves whose rows each take one product, of their own component, so that
+# an apply that owns its input multiplies in place: r_j and p_j (their
+# scalars the grid's own meshes), and a position and a momentum leaf on
+# diagonal matrices, the momentum one with zero rows
+_R, _P = triple(R), triple(P)
+_DIAG_POS = PositionDiag([(_bump_r, BETA)])
+_DIAG_MOM = MomentumDiag([(_bump_k, (ID4 - BETA) @ SIGMA[2])])
 
 
 def _alias_cases():
@@ -471,6 +478,12 @@ def _alias_cases():
         "adjoint": (Adjoint(Add([Mul(_POS, _MOM), Scale(0.5j, _MOM)])),
                     lambda psi: apply_expr(mom_h, apply_expr(pos_h, psi))
                     + apply_expr(mom_h, psi) * -0.5j),
+        "r-dot-p": (Add([Mul(_R[j], _P[j]) for j in range(3)]),
+                    lambda psi: sum((apply_expr(_R[j], apply_expr(_P[j], psi))
+                                     for j in (1, 2)), apply_expr(_R[0], apply_expr(_P[0], psi)))),
+        "diagonal-chain": (Mul(_DIAG_POS, Scale(-2.0, Mul(_DIAG_MOM, Mul(_R[0], _DIAG_POS)))),
+                           lambda psi: apply_expr(_DIAG_POS, apply_expr(_DIAG_MOM, apply_expr(
+                               _R[0], apply_expr(_DIAG_POS, psi)))) * -2.0),
     }
 
 
@@ -508,7 +521,8 @@ class TestNoAliasing:
         tree, separate = _alias_cases()[case]
         psi = self._state(grid, rng, how)
         data, values = psi.data.copy(), psi.values.copy()
-        leaves = [_POS, _MOM, _MOM_X, Adjoint(_POS), Adjoint(_MOM)]
+        leaves = [_POS, _MOM, _MOM_X, Adjoint(_POS), Adjoint(_MOM), *_R, *_P, _DIAG_POS,
+                  _DIAG_MOM]
         scalars = [[a.copy() for a in leaf._scalars(grid, 0.0)] for leaf in leaves]
         out = apply_expr(tree, psi)
         again = apply_expr(tree, psi)

@@ -489,9 +489,9 @@ def products(monkeypatch):
     import relspin.expr
     count = [0]
 
-    def counted(psi, terms):
+    def counted(psi, terms, out=None):
         count[0] += sum(len(entries) for entries, _ in terms)
-        return pointwise(psi, terms)
+        return pointwise(psi, terms, out)
     monkeypatch.setattr(relspin.expr, "pointwise", counted)
     return count
 

@@ -8,6 +8,8 @@ conventions.  Random trees mixing both spaces check the evaluator,
 cells are checked against the dense commutator, and the propagators' steps
 against ``scipy.linalg.expm`` of the dense Hamiltonian."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -19,7 +21,7 @@ from relspin.expr import (Add, Adjoint, Mul, MomentumDiag, PositionDiag, Scale, 
                           _scaled_leaves, apply_expr, block_parity)
 from relspin.fields import Envelope, UniformB, UniformE, ZeroField
 from relspin.grid import MOMENTUM, POSITION, GridSpec, SpinorField
-from relspin.hamiltonians import NamedHamiltonian, build_hamiltonian
+from relspin.hamiltonians import NamedHamiltonian, P, R, build_hamiltonian, triple
 from relspin.operators import ALPHA, BETA, SIGMA, PhysParams, SpinKind
 from relspin.propagate import _plan, krylov_step, strang_step_dirac
 
@@ -142,6 +144,52 @@ def test_tree_is_its_dense_matrix(expr, grid, space, seed):
     diag, off = _blocks(m, n)
     may_diag, may_off = _ALLOWED[block_parity(expr)]
     assert (diag <= tol or may_diag) and (off <= tol or may_off)
+
+
+# leaves whose rows each take one product, of their own component: under an
+# apply that owns its input (a Mul's left factor, or after a transform) they
+# multiply in place
+_OWN_ROW_MATRICES = [ID4, BETA, SIGMA[2], (ID4 - BETA) @ SIGMA[2]]
+own_row_leaves = st.builds(
+    lambda space, kind, seed, j: space([(_producer(kind, seed), _OWN_ROW_MATRICES[j])]),
+    st.sampled_from([PositionDiag, MomentumDiag]), st.sampled_from(["complex", "real", "constant"]),
+    st.integers(0, 2**16), st.integers(0, len(_OWN_ROW_MATRICES) - 1))
+_R, _P = triple(R), triple(P)  # their scalars are the grid's own meshes
+
+
+def _leaves(expr):
+    if isinstance(expr, _DiagLeaf):
+        return [expr]
+    if isinstance(expr, Add):
+        return [leaf for child in expr.children for leaf in _leaves(child)]
+    if isinstance(expr, Mul):
+        return _leaves(expr.left) + _leaves(expr.right)
+    return _leaves(expr.child)
+
+
+@given(st.one_of(trees,
+                 st.lists(own_row_leaves, min_size=2, max_size=4).map(lambda ls: reduce(Mul, ls)),
+                 st.builds(lambda a, b: Add([Mul(_R[0], _P[0]), Mul(a, Mul(_R[0], b))]),
+                           own_row_leaves, own_row_leaves)),
+       st.sampled_from(GRIDS), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_apply_writes_neither_its_input_nor_the_leaves(expr, grid, folded, seed):
+    # a state in momentum space, folded (after a transform) or true
+    rng = np.random.default_rng(seed)
+    vals = rng.normal(size=(4, grid.n[0])) + 1j * rng.normal(size=(4, grid.n[0]))
+    psi = SpinorField(grid, vals).to_momentum() if folded else SpinorField(grid, vals, MOMENTUM)
+
+    def cached():
+        return [[a.tobytes() for a in leaf._scalars(grid, 0.0)] for leaf in _leaves(expr)]
+
+    data, scalars = psi.data.tobytes(), cached()
+    got = apply_expr(expr, psi).in_space(POSITION).values
+    assert psi.data.tobytes() == data
+    assert cached() == scalars
+    m, bound = dense(expr, grid)
+    x = psi.in_space(POSITION).values
+    want = (m @ x.ravel()).reshape(4, -1)
+    assert np.max(np.abs(got - want)) <= 1e-13 * max(np.abs(want).max(), bound * np.abs(x).max())
 
 
 def test_verify_is_the_dense_commutator():
