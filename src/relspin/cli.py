@@ -134,6 +134,19 @@ def _writable(path):
     return path
 
 
+def _rung_residual(kind, ham, sc, grid):
+    """The residual of a refinement rung on its own standard battery, or why
+    the rung is skipped; the battery is dropped when this returns."""
+    if sc.battery != "standard":
+        return "the single state is tied to the scenario grid"
+    try:
+        states = standard_battery(grid, sc.params)
+    except PreconditionError as exc:
+        return str(exc)
+    # the operator leaves fill per grid, so the check's own H serves every rung
+    return verify(kind, ham, states, removal_gains=False).residual
+
+
 def cmd_verify_dynamics(args):
     sc = load_scenario(args.scenario)
     if not sc.checks:
@@ -156,18 +169,11 @@ def cmd_verify_dynamics(args):
                     # same states as the check just run
                     series.append((g.n[0], report.residual))
                     continue
-                skip = f"  {kind.value}/{family}: refinement rung N={g.n[0]} skipped:"
-                if sc.battery != "standard":
-                    print(skip, "the single state is tied to the scenario grid")
-                    continue
-                try:
-                    st = standard_battery(g, sc.params)
-                except PreconditionError as exc:
-                    print(skip, exc)
-                    continue
-                # the operator leaves fill per grid, so the check's own H serves every rung
-                r = verify(kind, ham, st, removal_gains=False)
-                series.append((g.n[0], r.residual))
+                r = _rung_residual(kind, ham, sc, g)
+                if isinstance(r, str):
+                    print(f"  {kind.value}/{family}: refinement rung N={g.n[0]} skipped:", r)
+                else:
+                    series.append((g.n[0], r))
             report.refinement = series
             report.classification = classify_residual_series(
                 [r for _, r in series] or [report.residual])

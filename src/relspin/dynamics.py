@@ -36,16 +36,16 @@ from .errors import PreconditionError
 from .expr import (Add, ConstMatrix, MomentumDiag, Mul, Scale, _one, apply_expr,
                    block_parity)
 from .fields import FieldModel
-from .grid import (POLARIZATIONS, GridSpec, gaussian_packet, positive_energy_part,
-                   suppress_zero_mode)
-from .hamiltonians import (P, R, ModelVector, NamedHamiltonian, add, const_triple, cross, dot,
-                           dot_p, kinetic_triple, prefix, scale, triple, vec_leaf)
+from .grid import POLARIZATIONS, GridSpec, SpinorField, gaussian_packet, suppress_zero_mode
+from .hamiltonians import (P, R, ModelVector, NamedHamiltonian, add, build_free_dirac,
+                           const_triple, cross, dot, dot_p, kinetic_triple, prefix, scale,
+                           triple, vec_leaf)
 from .operators import (ALPHA, BETA, SIGMA, PhysParams, SpinKind, energy_k2,
                         position_terms, spin_terms)
 
 __all__ = [
     "spin_expr", "position_correction_expr", "rhs", "verify",
-    "total_j_identity", "standard_battery",
+    "total_j_identity", "positive_energy_part", "standard_battery",
     "ResidualReport", "classify_residual_series",
     "HOLD_TOL", "VERIFY_GUARD",
 ]
@@ -515,31 +515,32 @@ def total_j_identity(kind: SpinKind, states, params: PhysParams):
     zero-mode guard is ``verify``'s, so any state ``verify`` accepts is
     accepted here.
 
-    As in ``verify``, the states are evaluated in momentum space, where the
-    momentum-diagonal leaves act without a transform; the residuals are norms
-    and so do not depend on the space the states arrive in beyond roundoff."""
-    s_triple = spin_expr(kind, params)
-    r_corr = position_correction_expr(kind, params)
-    p_t = triple(P)
-    r_t = triple(R)
-    r_kind = [Add([r_t[j], r_corr[j]]) for j in range(3)]
-    lhs = [Add([cross(r_kind, p_t)[i], s_triple[i]]) for i in range(3)]
-    rhs_ = [Add([cross(r_t, p_t)[i], ConstMatrix(0.5 * SIGMA[i])]) for i in range(3)]
+    With r_kind = r + R, r x p is on both sides: the residual is that of
+    (R x p + S_kind - Sigma/2) psi, whose leaves act on the states in momentum
+    space without a transform, and a norm, so the states' space matters only to roundoff."""
+    r_corr_x_p = cross(position_correction_expr(kind, params), triple(P))
+    defect = [Add([r_corr_x_p[i], s_i, ConstMatrix(-0.5 * SIGMA[i])])
+              for i, s_i in enumerate(spin_expr(kind, params))]
     states = [psi.to_momentum() for psi in states]
-    out = []
-    for i in range(3):
-        worst = 0.0
-        for psi in states:
-            d = (apply_expr(lhs[i], psi, guard=VERIFY_GUARD)
-                 - apply_expr(rhs_[i], psi, guard=VERIFY_GUARD))
-            worst = max(worst, d.norm() / psi.norm())
-        out.append(worst)
-    return out
+    return [max(apply_expr(d, psi, guard=VERIFY_GUARD).norm() / psi.norm() for psi in states)
+            for d in defect]
 
 
 # ---------------------------------------------------------------------------
 # standard verification battery
 # ---------------------------------------------------------------------------
+
+def positive_energy_part(field: SpinorField, params: PhysParams) -> SpinorField:
+    """(psi + H_free psi / E_k)/2 renormalized, in momentum space: the positive-energy
+    part of ``field`` (Foldy & Wouthuysen, Phys. Rev. 78, 29 (1950)), H_free being
+    the ``free`` family's leaf, which acts there without a transform."""
+    mom = field.to_momentum()
+    out = apply_expr(build_free_dirac(params).total, mom)
+    out.data /= energy_k2(mom.grid.k2, params)  # a temporary: no E_k mesh outlives the call
+    out.data += mom.data
+    out.data *= 0.5
+    return out.normalized()
+
 
 def standard_battery(grid: GridSpec, params: PhysParams, count: int | None = None):
     """Deterministic battery of energy-projected Gaussian packets:

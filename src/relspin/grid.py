@@ -32,8 +32,8 @@ Conventions (frozen; binary dumps and golden data depend on them)
 1D grids keep three-vector algebra alive by pinning k_y = k_z = 0 and
 r_y = r_z = 0; operators along the missing axes act trivially.
 
-``pointwise`` is the one per-point 4x4 kernel (operator leaves, the factors
-of the exact step, the positive-energy projection): for
+``pointwise`` is the one per-point 4x4 kernel (operator leaves and the
+factors of the exact step): for
 sum_j M_j f_j psi it accumulates (M_j[a, b] f_j) psi_b into row a over the
 nonzero (row, col, entry) triples of each M_j only (``matrix_entries``), each
 f_j at its broadcast shape (a sparse mesh stays sparse).  A monomial M_j, as
@@ -48,19 +48,17 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 import scipy.fft
 
 from .errors import GridResolutionError, PreconditionError
-from .operators import ALPHA, BETA, PhysParams, energy_k2
 
 __all__ = [
     "GridSpec", "SpinorField", "POLARIZATIONS", "gaussian_packet", "zero_mode_weight",
     "zero_mode_weights",
-    "matrix_entries", "pointwise", "free_dirac_terms", "positive_energy_part",
-    "save_field", "load_field", "set_fft_workers",
+    "matrix_entries", "pointwise", "save_field", "load_field", "set_fft_workers",
 ]
 
 _FFT_WORKERS = 1
@@ -353,16 +351,13 @@ POLARIZATIONS = {
 }
 
 
-def gaussian_packet(grid: GridSpec, center, sigma: float, k0,
-                    polarization, params: PhysParams | None = None,
-                    energy_projection: bool = False) -> SpinorField:
-    """Normalized Gaussian wavepacket  pol * exp(-(r-c)^2/(4 sigma^2)) e^{i k0.r}.
+def gaussian_packet(grid: GridSpec, center, sigma: float, k0, polarization) -> SpinorField:
+    """Normalized Gaussian wavepacket  pol * exp(-(r-c)^2/(4 sigma^2)) e^{i k0.r},
+    in position space.
 
     ``sigma`` is the position-space standard deviation of |psi|^2.  Requires
     sigma >= 4 dx on every axis and the center at least 4 sigma from every
-    boundary.  With ``energy_projection`` every momentum component is
-    projected onto the positive-energy subspace of the free Dirac matrix at
-    that k and the state renormalized (``params`` required).
+    boundary.
     """
     center = _as_vec3(center, grid.dim, "center")
     k0 = _as_vec3(k0, grid.dim, "k0")
@@ -391,13 +386,7 @@ def gaussian_packet(grid: GridSpec, center, sigma: float, k0,
     phase = np.exp(1j * (k0[0] * rx + k0[1] * ry + k0[2] * rz))
     scalar = np.broadcast_to(envelope * phase, grid.shape)
     values = pol.reshape((4,) + (1,) * grid.dim) * scalar
-    field = SpinorField(grid, values, POSITION).normalized()
-
-    if energy_projection:
-        if params is None:
-            raise PreconditionError("energy projection requires PhysParams")
-        field = positive_energy_part(field, params).to_position()
-    return field
+    return SpinorField(grid, values, POSITION).normalized()
 
 
 def matrix_entries(m):
@@ -438,30 +427,6 @@ def pointwise(psi, terms, out=None):
         if fresh[a]:
             out[a] = 0.0
     return out
-
-
-_ID_ENTRIES, _BETA_ENTRIES, *_ALPHA_ENTRIES = map(matrix_entries, (np.eye(4), BETA, *ALPHA))
-
-
-@lru_cache(maxsize=4)
-def free_dirac_terms(grid: GridSpec, params: PhysParams):
-    """c alpha.k + beta m0 c^2 as ``pointwise`` terms, each k_j at its mesh's
-    shape (the axes a 1D grid pins to k = 0 dropped); shared, so read only."""
-    return [(_BETA_ENTRIES, params.rest_energy)] + [
-        (entries, params.c * k) for entries, k in zip(_ALPHA_ENTRIES, grid.k)
-        if not np.isscalar(k)]
-
-
-def positive_energy_part(field: SpinorField, params: PhysParams) -> SpinorField:
-    """Project every momentum component of ``field`` onto the positive-energy
-    subspace of the free Dirac matrix at that k, (1 + H_free(k)/E_k)/2, and
-    renormalize.  The result is in momentum space."""
-    grid, mom = field.grid, field.to_momentum()
-    out = pointwise(mom.data, free_dirac_terms(grid, params))
-    out /= energy_k2(grid.k2, params)
-    out += mom.data
-    out *= 0.5
-    return mom.with_data(out).normalized()
 
 
 # -- binary dump -------------------------------------------------------------

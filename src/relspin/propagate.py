@@ -61,8 +61,8 @@ from .errors import BoundaryFluxError, KrylovConvergenceError, PreconditionError
 from .algebra import ID4
 from .expr import (ConstMatrix, LeafStack, PositionDiag, _is_zero, _scaled_leaves, apply_expr,
                    expectation)
-from .grid import (_ID_ENTRIES, MOMENTUM, POSITION, SpinorField, _bare_fft, _spatial_axes,
-                   matrix_entries, pointwise)
+from .grid import (MOMENTUM, POSITION, SpinorField, _bare_fft, _spatial_axes, matrix_entries,
+                   pointwise)
 from .hamiltonians import NamedHamiltonian, P, R, triple
 from .operators import SpinKind
 from .dynamics import spin_expr
@@ -101,12 +101,12 @@ def _factor(pairs, tau, hermitian):
         return None
     y_terms = [(m, np.real(y)) for m, y in y_terms]
     s = np.sqrt(sum(q * y**2 for q, (_, y) in zip(squares, y_terms)))
-    # number-valued terms (beta m0 c^2) first, summed as grid.free_dirac_terms sums them
+    # number-valued terms (beta m0 c^2) first: a summation order the step's bits depend on
     y_terms.sort(key=lambda term: np.size(term[1]) > 1)
     small = s < 1e-14  # sin(tau s)/s is tau there
     sinc = np.where(small, tau, np.sin(tau * s) / np.where(small, 1.0, s))
-    out = [(_ID_ENTRIES, np.cos(tau * s))] + [(matrix_entries(m), -1j * y * sinc)
-                                              for m, y in y_terms]
+    out = [(matrix_entries(ID4), np.cos(tau * s))] + [(matrix_entries(m), -1j * y * sinc)
+                                                      for m, y in y_terms]
     if phase:
         phase = np.exp(-1j * tau * sum(phase))
         out = [(entries, f * phase) for entries, f in out]

@@ -39,7 +39,7 @@ from functools import partial
 
 import numpy as np
 
-from .dynamics import rhs
+from .dynamics import positive_energy_part, rhs
 from .errors import ConfigError
 from .fields import Envelope, FieldModel, PlaneWavePulse, UniformB, UniformE, ZeroField
 from .grid import POLARIZATIONS, GridSpec, SpinorField, gaussian_packet
@@ -207,11 +207,12 @@ class Scenario:
                                  self.term_mask if own else None, own and self.hermitize)
 
     def make_state(self) -> SpinorField:
+        """The packet, or with ``energy_projection`` its positive-energy part."""
         if self.state_spec is None:
             raise ConfigError("state", "this scenario has no state section")
         s = self.state_spec
-        return gaussian_packet(self.grid, s["center"], s["sigma"], s["k0"], s["polarization"],
-                               params=self.params, energy_projection=s["energy_projection"])
+        packet = gaussian_packet(self.grid, s["center"], s["sigma"], s["k0"], s["polarization"])
+        return positive_energy_part(packet, self.params) if s["energy_projection"] else packet
 
 
 def parse_scenario(doc: dict) -> Scenario:

@@ -19,7 +19,7 @@ from relspin.fields import UniformB, ZeroField
 from relspin.grid import GridSpec, gaussian_packet
 from relspin.hamiltonians import (build_dirac_em, build_free_dirac,
                                   build_fw_direct)
-from relspin.dynamics import (classify_residual_series, rhs, spin_expr,
+from relspin.dynamics import (classify_residual_series, positive_energy_part, rhs, spin_expr,
                               standard_battery, total_j_identity, verify)
 from relspin.operators import (ALPHA, BETA, SIGMA, PhysParams, SpinKind,
                                condition_checks)
@@ -268,8 +268,7 @@ class TestAC8Propagation:
         pulse = PlaneWavePulse(np.array([0.0, 0.15, 0.0]),
                                np.array([0.5, 0.0, 0.0]), omega=0.5,
                                env_width=20.0)
-        psi = gaussian_packet(g, 0.0, 12.0, 1.0, [1, 0, 0, 0],
-                              params=PARAMS, energy_projection=True)
+        psi = positive_energy_part(gaussian_packet(g, 0.0, 12.0, 1.0, [1, 0, 0, 0]), PARAMS)
         ham = build_dirac_em(pulse, PARAMS)
         state = psi
         for i in range(1000):
@@ -294,8 +293,7 @@ class TestAC8Propagation:
                                np.array([0.5, 0.0, 0.0]), omega=0.5,
                                env_width=20.0)
         ham = build_dirac_em(pulse, PARAMS)
-        psi = gaussian_packet(g, 0.0, 12.0, 1.0, [1, 0, 0, 0],
-                              params=PARAMS, energy_projection=True)
+        psi = positive_energy_part(gaussian_packet(g, 0.0, 12.0, 1.0, [1, 0, 0, 0]), PARAMS)
 
         def observable(dt, steps):
             return run(ham, psi, dt=dt, steps=steps,
@@ -328,8 +326,7 @@ class TestAC8Propagation:
 
     def test_constancy_and_zitterbewegung(self):
         g = GridSpec(1, 512, 512.0)
-        psi = gaussian_packet(g, -20.0, 24.0, 0.75, [1, 1, 0, 0],
-                              params=PARAMS, energy_projection=True)
+        psi = positive_energy_part(gaussian_packet(g, -20.0, 24.0, 0.75, [1, 1, 0, 0]), PARAMS)
         ham = build_free_dirac(PARAMS)
         traj = run(ham, psi, dt=0.05, steps=1000, stride=50)
         worst = max(np.max(np.abs(traj.column(f"{label}_{ax}")
@@ -365,8 +362,7 @@ class TestAC8Propagation:
         pulse = PlaneWavePulse(np.array([0.0, 0.15, 0.0]),
                                np.array([0.5, 0.0, 0.0]), omega=0.5,
                                env_width=20.0)
-        state_em = gaussian_packet(g, 0.0, 12.0, 1.0, [1, 1, 0, 0],
-                                   params=PARAMS, energy_projection=True)
+        state_em = positive_energy_part(gaussian_packet(g, 0.0, 12.0, 1.0, [1, 1, 0, 0]), PARAMS)
         mixed = mixed_energy_state(g, PARAMS, 0.75, 12.0)
         hams = {
             "free": (build_free_dirac(PARAMS), mixed),
@@ -391,8 +387,7 @@ class TestAC8Propagation:
 def test_ac9_sweep_demo(tmp_path):
     # fine-tuned limit state: tiny mean momentum, generous margins
     g = GridSpec(1, 2048, 9.6e5)
-    psi = gaussian_packet(g, 0.0, 6.0e4, 1.0e-4, [1, 0, 0, 0],
-                          params=PARAMS, energy_projection=True)
+    psi = positive_energy_part(gaussian_packet(g, 0.0, 6.0e4, 1.0e-4, [1, 0, 0, 0]), PARAMS)
     spin = {k: spin_expr(k, PARAMS) for k in SpinKind}
 
     def spin_vec(kind):
@@ -407,8 +402,7 @@ def test_ac9_sweep_demo(tmp_path):
     # divergence metrics over a field ladder (Zeeman precession demo)
     g2 = GridSpec(1, 256, 256.0)
     pol = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2)
-    psi2 = gaussian_packet(g2, 0.0, 16.0, 0.9, pol, params=PARAMS,
-                           energy_projection=True)
+    psi2 = positive_energy_part(gaussian_packet(g2, 0.0, 16.0, 0.9, pol), PARAMS)
     final_dfw = []
     ladder = (0.02, 0.1, 0.3)
     for b0 in ladder:

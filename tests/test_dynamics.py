@@ -14,7 +14,7 @@ from relspin.grid import GridSpec, SpinorField, gaussian_packet
 from relspin.hamiltonians import (P, R, build_dirac_em, build_free_dirac, build_fw_direct,
                                   build_hamiltonian, triple)
 from relspin.dynamics import (HOLD_TOL, classify_residual_series,
-                              position_correction_expr, rhs,
+                              position_correction_expr, positive_energy_part, rhs,
                               spin_expr, standard_battery, total_j_identity,
                               verify)
 from relspin.operators import (ALPHA, BETA, SIGMA, PhysParams, SpinKind,
@@ -50,8 +50,7 @@ class TestSpinExpr:
     def test_polarized_packet_spin_half(self, grid_1d, params):
         # x-polarized positive-energy packet with k along x: <S_FW,x> = 1/2
         pol = np.array([1, 1, 0, 0], dtype=complex) / np.sqrt(2)
-        psi = gaussian_packet(grid_1d, 0.0, 16.0, 1.0, pol, params=params,
-                              energy_projection=True)
+        psi = positive_energy_part(gaussian_packet(grid_1d, 0.0, 16.0, 1.0, pol), params)
         triple = spin_expr(SpinKind.FW, params)
         val = psi.inner(apply_expr(triple[0], psi))
         assert abs(val.real - 0.5) <= 1e-8

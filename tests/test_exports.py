@@ -1,7 +1,9 @@
 """Every exported name resolves, so a deletion cannot leave a dangling
-``__all__`` entry behind (``from relspin.x import *`` would fail on it), and
-every function the benchmark tracer wraps by name still exists."""
+``__all__`` entry behind (``from relspin.x import *`` would fail on it),
+every function the benchmark tracer wraps by name still exists, and the
+lattice layer imports no physics."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -37,3 +39,21 @@ def test_traced_names_exist():
     tracer = tracer_module.Tracer().install()
     tracer.uninstall()
     assert tracer.absent == {}
+
+
+def test_grid_imports_no_physics():
+    # grids, fields and transforms know no Dirac physics: what acts on them
+    # (operators, Hamiltonians, projections) sits above, so grid.py may
+    # import relspin.errors and no other relspin module
+    tree = ast.parse(Path(relspin.__file__).with_name("grid.py").read_text())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = f"relspin.{node.module or ''}" if node.level else node.module
+            if base in ("relspin.", "relspin"):  # from . import x, from relspin import x
+                modules |= {f"relspin.{alias.name}" for alias in node.names}
+            else:
+                modules.add(base)
+    assert {m for m in modules if m.split(".")[0] == "relspin"} <= {"relspin.errors"}

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relspin.dynamics import rhs, spin_expr, standard_battery, verify
+from relspin.dynamics import positive_energy_part, rhs, spin_expr, standard_battery, verify
 from relspin.expr import _DiagLeaf, apply_expr, expectation
 from relspin.fields import Envelope, UniformB, ZeroField
 from relspin.grid import GridSpec, SpinorField, gaussian_packet, pointwise
@@ -257,8 +257,8 @@ def test_free_particle_run(fft_count, monkeypatch):
     ham = sc.make_hamiltonian()
     fft_count.reset()
     run(ham, sc.make_state(), sc.dt, sc.steps, stride=sc.stride)
-    # the packet (2), the first step into momentum space (1), then the rows'
-    # transforms (14 for 101 rows, see below); the steps between rows need none
+    # the packet's projection into momentum space (1), then the rows'
+    # transforms (13 for 101 rows, see below); the steps need none
     assert fft_count.calls <= 110
     # the free H is one exact factor under a static model, so the 25 steps
     # between two rows are one step of 25 dt: 2500 / 25 = 100 calls
@@ -278,27 +278,27 @@ def test_shipped_cli_runs_transform_once_per_row(fft_count, tmp_path, capsys, mo
     assert LeafStack.BLOCK_POINTS == 4096
     assert main(["simulate", "--scenario", str(scenarios / "free_particle.json"),
                  "--output", str(tmp_path / "free.csv")]) == 0
-    # the packet (2) and the first step into momentum space (1); then 101
-    # rows of 512 points in blocks of 4096 // 512 = 8 rows, 12 blocks of 8
-    # and one of 5, each moved to position space by one transform (13).  The
-    # first block is written in its newest row's momentum space, so its first
-    # row, the packet in position space, is transformed into it first (1).
-    # The energy, norm and flux are read from the block's two stacks.
-    assert fft_count.calls == 2 + 1 + 1 + 13
-    assert shapes == [(4,)] * 4 + [(8, 4)] * 12 + [(5, 4)]
+    # the packet's projection moves it to momentum space (1), where it stays,
+    # so the steps and the first block's first row need no transform; then
+    # 101 rows of 512 points in blocks of 4096 // 512 = 8 rows, 12 blocks of 8
+    # and one of 5, each written in momentum space and moved to position
+    # space by one transform (13).  The energy, norm and flux are read from
+    # the block's two stacks.
+    assert fft_count.calls == 1 + 13
+    assert shapes == [(4,)] + [(8, 4)] * 12 + [(5, 4)]
     # every row is transformed once by its block
-    assert sum(rows for rows, _ in shapes[4:]) == 101
+    assert sum(rows for rows, _ in shapes[1:]) == 101
     fft_count.reset()
     shapes.clear()
     assert main(["sweep", "--scenario", str(scenarios / "larmor_sweep.json"),
                  "--field-grid", "0.5,1,2,4", "--output", str(tmp_path / "sweep.csv")]) == 0
-    # the packet once (2); then per field strength 121 rows of 256 points in
-    # blocks of 16 rows, 7 of 16 and one of 9, each one transform to momentum
-    # space (8): the constant steps transform nothing, so every row is in
-    # position space
-    assert fft_count.calls == 2 + 4 * 8
-    assert shapes == [(4,)] * 2 + ([(16, 4)] * 7 + [(9, 4)]) * 4
-    assert sum(rows for rows, _ in shapes[2:]) == 4 * 121
+    # the packet's projection once (1), which leaves it in momentum space;
+    # then per field strength 121 rows of 256 points in blocks of 16 rows, 7
+    # of 16 and one of 9, each one transform to position space (8): the
+    # constant steps transform nothing, so every row is in momentum space
+    assert fft_count.calls == 1 + 4 * 8
+    assert shapes == [(4,)] + ([(16, 4)] * 7 + [(9, 4)]) * 4
+    assert sum(rows for rows, _ in shapes[1:]) == 4 * 121
 
 
 # A builder makes one ModelVector per model vector, which calls its mesh
@@ -389,8 +389,7 @@ def test_mesh_calls_per_hermitized_apply(params, mesh_count, monkeypatch, family
 def _zeeman_run(params, model, steps, stride, terms=("zeeman",), propagator=None):
     grid = GridSpec(1, 128, 128.0)
     ham = build_fw_direct(model, params).subset(terms)
-    psi = gaussian_packet(grid, 0.0, 8.0, 0.5, [1, 1, 0, 0], params=params,
-                          energy_projection=True)
+    psi = positive_energy_part(gaussian_packet(grid, 0.0, 8.0, 0.5, [1, 1, 0, 0]), params)
     return run(ham, psi, 0.05, steps, stride=stride, propagator=propagator)
 
 
@@ -475,8 +474,7 @@ def test_strang_step_builds_one_position_factor(params, mesh_count):
     # model vector) fills once per grid, for the steps and the energy alike
     grid = GridSpec(1, 128, 128.0)
     ham = build_dirac_em(_MODEL, params)
-    psi = gaussian_packet(grid, 0.0, 8.0, 0.5, [1, 1, 0, 0], params=params,
-                          energy_projection=True)
+    psi = positive_energy_part(gaussian_packet(grid, 0.0, 8.0, 0.5, [1, 1, 0, 0]), params)
     run(ham, psi, 0.05, 40, stride=10)
     assert mesh_count["a_mesh"] == 1
 

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relspin.dynamics import positive_energy_part
 from relspin.errors import GridResolutionError, PreconditionError
-from relspin.grid import (GridSpec, SpinorField, free_dirac_terms, gaussian_packet,
-                          load_field, matrix_entries, pointwise, positive_energy_part,
-                          save_field, suppress_zero_mode, zero_mode_weight)
+from relspin.grid import (GridSpec, SpinorField, gaussian_packet, load_field, matrix_entries,
+                          pointwise, save_field, suppress_zero_mode, zero_mode_weight)
 from relspin.operators import ALPHA, BETA, PhysParams, free_dirac_matrix
 
 
@@ -49,16 +49,6 @@ class TestGridSpec:
         off[g.origin_index] = False
         assert np.max(np.abs(inv[off] * g.k2[off] - 1.0)) <= 1e-15
         assert g.inv_k2 is inv  # built once per grid
-
-    @pytest.mark.parametrize("grid", [GridSpec(1, 16, 12.0),
-                                      GridSpec(3, 8, [8.0, 10.0, 12.0])])
-    def test_free_dirac_terms_matches_matrix(self, grid, rng):
-        params = PhysParams(m0=0.8, c=1.7)
-        v = random_field(grid, rng).values
-        got = pointwise(v, free_dirac_terms(grid, params))
-        kvec = np.stack([np.broadcast_to(k, grid.shape) for k in grid.k], axis=-1)
-        want = np.einsum("...ab,b...->a...", free_dirac_matrix(kvec, params), v)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestPointwise:
@@ -211,8 +201,7 @@ class TestSpinorField:
 
 class TestGaussianPacket:
     def test_normalized(self, grid_1d, params):
-        psi = gaussian_packet(grid_1d, 0.0, 16.0, 1.0, [1, 0, 0, 0],
-                              params=params, energy_projection=True)
+        psi = positive_energy_part(gaussian_packet(grid_1d, 0.0, 16.0, 1.0, [1, 0, 0, 0]), params)
         assert abs(psi.norm() - 1.0) <= 1e-12
 
     def test_resolution_guard(self, grid_1d):
@@ -234,8 +223,7 @@ class TestGaussianPacket:
         assert zero_mode_weight(psi) <= 1e-10
 
     def test_energy_projection_sign_operator(self, grid_1d, params):
-        psi = gaussian_packet(grid_1d, 0.0, 16.0, 1.0, [1, 0, 0, 0],
-                              params=params, energy_projection=True)
+        psi = positive_energy_part(gaussian_packet(grid_1d, 0.0, 16.0, 1.0, [1, 0, 0, 0]), params)
         mom = psi.to_momentum()
         e_k = np.sqrt(grid_1d.k2 * params.c**2 + params.rest_energy**2)
         hv = params.rest_energy * np.einsum("ab,b...->a...", BETA, mom.values)
@@ -243,13 +231,34 @@ class TestGaussianPacket:
         sign_exp = np.vdot(mom.values, hv / e_k) * grid_1d.weight
         assert abs(sign_exp - 1.0) <= 1e-10
 
-    def test_positive_energy_part_skips_the_round_trip(self, grid_3d, params):
-        # the projection the packet applies, left in momentum space, equals
-        # the projected packet transformed back there
-        args = (grid_3d, np.zeros(3), 6.0, [0.8, 0.4, 0.0], [1, 0, 0, 1])
-        got = positive_energy_part(gaussian_packet(*args), params)
-        want = gaussian_packet(*args, params=params, energy_projection=True).to_momentum()
+    @pytest.mark.parametrize("grid", [GridSpec(1, 64, 48.0),
+                                      GridSpec(3, 16, [8.0, 10.0, 12.0])])
+    def test_positive_energy_part_matches_dense_projector(self, grid, rng):
+        # (1 + H_free(k)/E_k)/2 as a dense 4x4 matrix at every lattice k,
+        # H_free from operators, E_k its positive eigenvalue
+        params = PhysParams(m0=0.8, c=1.7)
+        psi = random_field(grid, rng)
+        got = positive_energy_part(psi, params)
+        kvec = np.stack([np.broadcast_to(k, grid.shape) for k in grid.k], axis=-1)
+        e_k = np.sqrt(grid.k2 * params.c**2 + params.rest_energy**2)[..., None, None]
+        proj = 0.5 * (np.eye(4) + free_dirac_matrix(kvec, params) / e_k)
+        want = np.einsum("...ab,b...->a...", proj, psi.to_momentum().values)
+        want /= np.sqrt(np.vdot(want, want).real * grid.weight)
         assert got.space == "momentum"
+        assert np.max(np.abs(got.values - want)) <= 1e-14 * np.max(np.abs(want))
+        # a projector: projecting twice moves the state by roundoff only
+        assert (positive_energy_part(got, params) - got).norm() <= 1e-14
+
+    def test_positive_energy_part_skips_the_round_trip(self, grid_3d, params, fft_count):
+        # a position packet is moved to momentum space once (one call) and
+        # projected there, where the result stays; a momentum state takes none
+        packet = gaussian_packet(grid_3d, np.zeros(3), 6.0, [0.8, 0.4, 0.0], [1, 0, 0, 1])
+        mom = packet.to_momentum()
+        fft_count.reset()
+        got = positive_energy_part(packet, params)
+        want = positive_energy_part(mom, params)
+        assert fft_count.calls == 1
+        assert got.space == want.space == "momentum"
         assert np.max(np.abs(got.values - want.values)) <= 1e-13 * np.max(np.abs(want.values))
 
     def test_packet_momentum_mean(self, grid_1d):

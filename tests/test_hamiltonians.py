@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from relspin.algebra import ID4
+from relspin.dynamics import positive_energy_part
 from relspin.errors import PreconditionError
 from relspin.expr import (Add, Adjoint, ConstMatrix, Mul, Scale, apply_expr,
                           expectation)
@@ -29,8 +30,7 @@ def uniform_b():
 
 class TestFreeDirac:
     def test_energy_expectation_oracle(self, grid_1d, params):
-        psi = gaussian_packet(grid_1d, 0.0, 16.0, 1.0, [1, 0, 0, 0],
-                              params=params, energy_projection=True)
+        psi = positive_energy_part(gaussian_packet(grid_1d, 0.0, 16.0, 1.0, [1, 0, 0, 0]), params)
         ham = build_free_dirac(params)
         val = expectation(ham.total, psi)
         mom = psi.to_momentum()
@@ -184,9 +184,8 @@ class TestFwDirect:
         # boundary-margin discretization, orders of magnitude below the
         # dB/dt piece itself.
         g = GridSpec(3, 64, 48.0)
-        psi = suppress_zero_mode(gaussian_packet(
-            g, [0, 0, 0], 3.0, [1.2, 0, 0], [1, 0, 0, 0],
-            params=params, energy_projection=True))
+        psi = suppress_zero_mode(positive_energy_part(gaussian_packet(
+            g, [0, 0, 0], 3.0, [1.2, 0, 0], [1, 0, 0, 0]), params))
         env = Envelope(shape="gaussian", amplitude=1.0, center=0.0, width=5.0)
         model = UniformB(np.array([0.0, 0.0, 0.2]), env)
         ham = build_fw_direct(model, params)

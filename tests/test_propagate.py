@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from relspin.dynamics import positive_energy_part
 from relspin.errors import (BoundaryFluxError, KrylovConvergenceError, PreconditionError,
                             SingularMomentumError)
 from relspin.expr import _DiagLeaf, apply_expr, expectation
@@ -46,8 +47,7 @@ def pulse_1d():
 class TestStrang:
     def test_free_group_velocity(self, params):
         g = GridSpec(1, 1024, 512.0)
-        psi = gaussian_packet(g, 0.0, 40.0, 1.0, [1, 0, 0, 0],
-                              params=params, energy_projection=True)
+        psi = positive_energy_part(gaussian_packet(g, 0.0, 40.0, 1.0, [1, 0, 0, 0]), params)
         ham = build_free_dirac(params)
         traj = run(ham, psi, dt=0.05, steps=200, stride=25)
         t = traj.column("t")
@@ -60,8 +60,7 @@ class TestStrang:
         g = GridSpec(1, 256, 256.0)
         model = UniformB(np.array([0.0, 0.0, 0.2]))   # A_y = B0 x / 2 on the axis
         ham = build_dirac_em(model, params)
-        psi = gaussian_packet(g, 0.0, 12.0, 1.0, [1, 0, 0, 0],
-                              params=params, energy_projection=True)
+        psi = positive_energy_part(gaussian_packet(g, 0.0, 12.0, 1.0, [1, 0, 0, 0]), params)
         state = psi
         for i in range(1000):
             state = strang_step_dirac(ham, state, i * 0.002, 0.002)
@@ -70,8 +69,7 @@ class TestStrang:
     def test_norm_drift_1000_steps_pulse(self, params, pulse_1d):
         g = GridSpec(1, 256, 256.0)
         ham = build_dirac_em(pulse_1d, params)
-        psi = gaussian_packet(g, 0.0, 12.0, 1.0, [1, 0, 0, 0],
-                              params=params, energy_projection=True)
+        psi = positive_energy_part(gaussian_packet(g, 0.0, 12.0, 1.0, [1, 0, 0, 0]), params)
         state = psi
         for i in range(1000):
             state = strang_step_dirac(ham, state, i * 0.002, 0.002)
@@ -80,8 +78,7 @@ class TestStrang:
     def test_richardson_second_order(self, params, pulse_1d):
         g = GridSpec(1, 512, 256.0)
         ham = build_dirac_em(pulse_1d, params)
-        psi = gaussian_packet(g, 0.0, 12.0, 1.0, [1, 0, 0, 0],
-                              params=params, energy_projection=True)
+        psi = positive_energy_part(gaussian_packet(g, 0.0, 12.0, 1.0, [1, 0, 0, 0]), params)
 
         def observable(dt, steps):
             traj = run(ham, psi, dt=dt, steps=steps, stride=steps)
@@ -181,8 +178,7 @@ class TestKrylov:
     def test_cross_agreement_with_strang(self, params, pulse_1d):
         g = GridSpec(1, 512, 256.0)
         ham = build_dirac_em(pulse_1d, params)
-        psi = gaussian_packet(g, 0.0, 12.0, 1.0, [1, 0, 0, 0],
-                              params=params, energy_projection=True)
+        psi = positive_energy_part(gaussian_packet(g, 0.0, 12.0, 1.0, [1, 0, 0, 0]), params)
         dt = 5e-4
         a = b = psi
         for i in range(10):
@@ -200,8 +196,7 @@ class TestKrylov:
         # soc and nutation terms are identically zero for a static field
         ham = build_fw_direct(model, params).subset(["kinetic", "zeeman"])
         ham.assume_hermitian = True
-        psi = gaussian_packet(g, 0.0, 8.0, 1.0, [1, 0, 0, 0],
-                              params=params, energy_projection=True)
+        psi = positive_energy_part(gaussian_packet(g, 0.0, 8.0, 1.0, [1, 0, 0, 0]), params)
         state = psi
         for i in range(1000):
             state = krylov_step(ham, state, i * 0.01, 0.01, tol=1e-12)
@@ -211,8 +206,7 @@ class TestKrylov:
         g = GridSpec(1, 128, 128.0)
         model = UniformB(np.array([0.0, 0.0, 0.2]))
         ham = build_hamiltonian("fw-direct", model, params, hermitize=True)
-        psi = gaussian_packet(g, 0.0, 8.0, 1.0, [1, 0, 0, 0],
-                              params=params, energy_projection=True)
+        psi = positive_energy_part(gaussian_packet(g, 0.0, 8.0, 1.0, [1, 0, 0, 0]), params)
         fwd = krylov_step(ham, psi, 0.0, 0.05, tol=1e-13)
         back = krylov_step(ham, fwd, 0.05, -0.05, tol=1e-13)
         assert (back - psi).norm() <= 1e-9
@@ -222,8 +216,8 @@ class TestKrylov:
         # H(t + dt/2) as an explicit 4N x 4N matrix, one apply per unit column
         g = GridSpec(1, 32, 32.0)
         ham = build_hamiltonian("fw-direct", _PULSED_B, params, hermitize=hermitize)
-        psi = gaussian_packet(g, 0.0, 4.0, 0.5, [1, 1, 0, 0], params=params,
-                              energy_projection=True)
+        psi = positive_energy_part(gaussian_packet(g, 0.0, 4.0, 0.5, [1, 1, 0, 0]),
+                                   params).to_position()  # the dense columns' space
         t, dt = 0.1, 0.05
         dense = np.stack([apply_expr(ham.total, SpinorField(g, col.reshape(4, *g.shape)),
                                      t + dt / 2).values.ravel()
@@ -295,8 +289,8 @@ class TestConstantStep:
         ham = build_hamiltonian("fw-direct", UniformB(b), params, terms=["zeeman"],
                                 hermitize=hermitize)
         dense = -params.e / (2 * params.m0) * sum(bj * BETA @ s for bj, s in zip(b, SIGMA))
-        psi = gaussian_packet(g, 0.0, 6.0, 0.5, [1, 1, 0, 0], params=params,
-                              energy_projection=True).in_space(space)
+        psi = positive_energy_part(gaussian_packet(g, 0.0, 6.0, 0.5, [1, 1, 0, 0]),
+                                   params).in_space(space)
         fft_count.reset()
         _, (_, got) = _evolve(ham, psi, 0.05, 1, t0=0.2)
         assert fft_count.calls == 0 and got.space == space
@@ -314,8 +308,7 @@ class TestConstantStep:
         g = GridSpec(1, 128, 128.0)
         ham = build_hamiltonian("fw-direct", model, params, terms=["zeeman"],
                                 hermitize=hermitize)
-        psi = gaussian_packet(g, 0.0, 8.0, 0.5, [1, 1, 0, 0], params=params,
-                              energy_projection=True)
+        psi = positive_energy_part(gaussian_packet(g, 0.0, 8.0, 0.5, [1, 1, 0, 0]), params)
         got = np.array(run(ham, psi, 0.05, 600, stride=100).rows)
         assert krylov_count[0] == 0
         want = np.array(run(ham, psi, 0.05, 600, stride=100, propagator="krylov").rows)
@@ -359,8 +352,7 @@ class TestRun:
         monkeypatch.setattr(propagate, "krylov_step", lambda ham, psi, t, dt, **kw:
                             seen.append(("krylov", dt)) or krylov_step(ham, psi, t, dt, **kw))
         g = GridSpec(1, 64, 96.0)
-        psi = gaussian_packet(g, 0.0, 6.0, 1.0, [1, 1, 0, 0], params=params,
-                              energy_projection=True)
+        psi = positive_energy_part(gaussian_packet(g, 0.0, 6.0, 1.0, [1, 1, 0, 0]), params)
         for family, terms, hermitize, model, propagator, kind, leaped in table:
             seen.clear()
             ham = build_hamiltonian(family, model, params, terms=terms, hermitize=hermitize)
@@ -372,8 +364,7 @@ class TestRun:
     def test_dirac_em_kinetic_and_mass_is_free(self, params):
         # the same leaves, so the same exact step, bit for bit
         g = GridSpec(1, 256, 128.0)
-        psi = gaussian_packet(g, 0.0, 8.0, 1.0, [1, 1, 0, 0], params=params,
-                              energy_projection=True)
+        psi = positive_energy_part(gaussian_packet(g, 0.0, 8.0, 1.0, [1, 1, 0, 0]), params)
         free = run(build_free_dirac(params), psi, 0.05, 40, stride=10)
         em = run(build_hamiltonian("dirac-em", _UNIFORM_B, params, terms=["kinetic-free", "mass"]),
                  psi, 0.05, 40, stride=10)
@@ -392,8 +383,7 @@ class TestRun:
         # before any row or step
         g = GridSpec(1, 64, 96.0)
         ham = build_hamiltonian(family, _UNIFORM_B, params, terms=terms)
-        psi = gaussian_packet(g, 0.0, 6.0, 1.0, [1, 1, 0, 0], params=params,
-                              energy_projection=True)
+        psi = positive_energy_part(gaussian_packet(g, 0.0, 6.0, 1.0, [1, 1, 0, 0]), params)
         with pytest.raises(PreconditionError, match="dt must be finite and nonzero"):
             run(ham, psi, dt, 2, propagator=propagator)
         with pytest.raises(PreconditionError, match="dt must be finite and nonzero"):
@@ -402,8 +392,7 @@ class TestRun:
     def test_free_spin_constancy_long_run(self, params):
         # t m0 c^2 in [0, 50]
         g = GridSpec(1, 512, 512.0)
-        psi = gaussian_packet(g, -20.0, 24.0, 0.75, [1, 1, 0, 0],
-                              params=params, energy_projection=True)
+        psi = positive_energy_part(gaussian_packet(g, -20.0, 24.0, 0.75, [1, 1, 0, 0]), params)
         ham = build_free_dirac(params)
         traj = run(ham, psi, dt=0.05, steps=1000, stride=50)
         for label in ("S_FW", "S_Py"):
@@ -458,8 +447,7 @@ class TestRun:
 
     def test_boundary_flux_abort(self, params):
         g = GridSpec(1, 256, 128.0)
-        psi = gaussian_packet(g, 0.0, 8.0, 2.0, [1, 0, 0, 0],
-                              params=params, energy_projection=True)
+        psi = positive_energy_part(gaussian_packet(g, 0.0, 8.0, 2.0, [1, 0, 0, 0]), params)
         ham = build_free_dirac(params)
         # fast packet reaches the margin shell well within 60 time units
         with pytest.raises(BoundaryFluxError):
@@ -467,8 +455,7 @@ class TestRun:
 
     def test_csv_contract_and_determinism(self, params, tmp_path):
         g = GridSpec(1, 256, 256.0)
-        psi = gaussian_packet(g, 0.0, 16.0, 1.0, [1, 0, 0, 0],
-                              params=params, energy_projection=True)
+        psi = positive_energy_part(gaussian_packet(g, 0.0, 16.0, 1.0, [1, 0, 0, 0]), params)
         ham = build_free_dirac(params)
         t1 = run(ham, psi, dt=0.01, steps=20, stride=5)
         t2 = run(ham, psi, dt=0.01, steps=20, stride=5)
@@ -496,8 +483,7 @@ def _stepwise_rows(ham, psi, dt, steps, stride, propagator=None, t0=0.0):
 def _leap_case(params, family, model=_UNIFORM_B, hermitize=False, terms=None):
     g = GridSpec(1, 128, 128.0)
     ham = build_hamiltonian(family, model, params, terms=terms, hermitize=hermitize)
-    return ham, gaussian_packet(g, 0.0, 8.0, 0.5, [1, 1, 0, 0], params=params,
-                                energy_projection=True)
+    return ham, positive_energy_part(gaussian_packet(g, 0.0, 8.0, 0.5, [1, 1, 0, 0]), params)
 
 
 class TestLeap:
@@ -568,8 +554,8 @@ class TestLeap:
 
 
 def _packet_3d(grid, params):
-    return gaussian_packet(grid, [0.0, 0.0, 0.0], 6.0, [1.0, 0.5, 0.0], [1, 1, 0, 0],
-                           params=params, energy_projection=True)
+    return positive_energy_part(
+        gaussian_packet(grid, [0.0, 0.0, 0.0], 6.0, [1.0, 0.5, 0.0], [1, 1, 0, 0]), params)
 
 
 class TestMeasure:
@@ -582,8 +568,8 @@ class TestMeasure:
         g = GridSpec(1, 256, 256.0)
         model = _PULSED_B if family == "fw-direct" else pulse_1d
         ham = build_hamiltonian(family, model, params)
-        psi = gaussian_packet(g, 10.0, 12.0, 1.0, [1, 1, 0, 0], params=params,
-                              energy_projection=True).in_space(space)
+        psi = positive_energy_part(gaussian_packet(g, 10.0, 12.0, 1.0, [1, 1, 0, 0]),
+                                   params).in_space(space)
         t = 0.3
         obs = _Observables(ham, g)
         row = obs.measure(psi, t)
@@ -628,8 +614,8 @@ class TestMeasure:
     def test_zero_mode_guard(self, params, weight, refused):
         g = GridSpec(1, 256, 256.0)
         ham = build_free_dirac(params)
-        vals = gaussian_packet(g, 0.0, 12.0, 1.0, [1, 0, 0, 0], params=params,
-                               energy_projection=True).to_momentum().values.copy()
+        vals = positive_energy_part(gaussian_packet(g, 0.0, 12.0, 1.0, [1, 0, 0, 0]),
+                                    params).values.copy()
         vals[(slice(None), *g.origin_index)] = 0.0
         # put the given share of the squared norm into the k = 0 bin
         rest = np.vdot(vals, vals).real
@@ -647,8 +633,7 @@ class TestMeasure:
     def test_row_applies_only_the_energy(self, params, pulse_1d, monkeypatch):
         g = GridSpec(1, 256, 256.0)
         ham = build_hamiltonian("dirac-em", pulse_1d, params)
-        psi = gaussian_packet(g, 10.0, 12.0, 1.0, [1, 1, 0, 0], params=params,
-                              energy_projection=True).to_momentum()
+        psi = positive_energy_part(gaussian_packet(g, 10.0, 12.0, 1.0, [1, 1, 0, 0]), params)
         calls = [0]
         apply = _DiagLeaf._apply
 
@@ -671,8 +656,7 @@ class TestMeasure:
         ham = (build_free_dirac(params) if family == "free" else
                build_hamiltonian("fw-direct", _UNIFORM_B, params, terms=["zeeman"],
                                  hermitize=hermitize))
-        psi = gaussian_packet(g, 10.0, 12.0, 1.0, [1, 1, 0, 0], params=params,
-                              energy_projection=True)
+        psi = positive_energy_part(gaussian_packet(g, 10.0, 12.0, 1.0, [1, 1, 0, 0]), params)
         obs = _Observables(ham, g)
         calls = [0]
         apply = _DiagLeaf._apply
@@ -704,8 +688,8 @@ class TestMeasure:
         # does; placed this close to the guard, it decides from either space
         g = GridSpec(1, 256, 256.0)
         ham = build_free_dirac(params)
-        vals = gaussian_packet(g, 0.0, 12.0, 1.0, [1, 0, 0, 0], params=params,
-                               energy_projection=True).to_momentum().values.copy()
+        vals = positive_energy_part(gaussian_packet(g, 0.0, 12.0, 1.0, [1, 0, 0, 0]),
+                                    params).values.copy()
         vals[(slice(None), *g.origin_index)] = 0.0
         weight = OBSERVABLE_GUARD * (1.0 + offset)
         rest = np.vdot(vals, vals).real
@@ -746,8 +730,8 @@ class TestMeasure:
 
 def _zero_mode_state(grid, params, weight):
     """A packet whose k = 0 bin holds ``weight`` of the squared norm."""
-    vals = gaussian_packet(grid, 0.0, 12.0, 1.0, [1, 0, 0, 0], params=params,
-                           energy_projection=True).to_momentum().values.copy()
+    vals = positive_energy_part(gaussian_packet(grid, 0.0, 12.0, 1.0, [1, 0, 0, 0]),
+                                params).values.copy()
     vals[(slice(None), *grid.origin_index)] = 0.0
     rest = np.vdot(vals, vals).real
     vals[(0, *grid.origin_index)] = np.sqrt(weight * rest / (1.0 - weight))
@@ -779,8 +763,7 @@ class TestBlocks:
     @pytest.fixture
     def states(self, params):
         g = self._GRID
-        ok = gaussian_packet(g, 0.0, 12.0, 1.0, [1, 0, 0, 0], params=params,
-                             energy_projection=True)
+        ok = positive_energy_part(gaussian_packet(g, 0.0, 12.0, 1.0, [1, 0, 0, 0]), params)
         leaking = gaussian_packet(g, 90.0, 8.0, 1.0, [1, 0, 0, 0])
         return ok, leaking, _zero_mode_state(g, params, 2e-3), _zero_mode_state(g, params, 4e-3)
 
@@ -794,8 +777,7 @@ class TestBlocks:
         # row equals its own block of one
         g = GridSpec(1, 512, 256.0)
         ham = build_free_dirac(params)
-        psi = gaussian_packet(g, 0.0, 16.0, 0.75, [1, 1, 0, 0], params=params,
-                              energy_projection=True)
+        psi = positive_energy_part(gaussian_packet(g, 0.0, 16.0, 0.75, [1, 1, 0, 0]), params)
         got = np.array(run(ham, psi, 0.02, 2500, stride=25).rows)
         obs = _Observables(ham, g)
         rows = [obs.measure(state, t) for t, state in _evolve(ham, psi, 0.02, 2500, 25)]
@@ -842,8 +824,7 @@ class TestBlocks:
         # densities of the momentum stack
         g = GridSpec(1, 512, 256.0)
         ham = build_free_dirac(params)
-        psi = gaussian_packet(g, 0.0, 16.0, 0.75, [1, 1, 0, 0], params=params,
-                              energy_projection=True).to_momentum()
+        psi = positive_energy_part(gaussian_packet(g, 0.0, 16.0, 0.75, [1, 1, 0, 0]), params)
         obs = _Observables(ham, g)
         obs.measure(psi, 0.0)  # fills the leaf caches and gathers the stacks
         block = obs.block.nbytes
@@ -930,8 +911,7 @@ class TestEhrenfest:
         # identity for a non-Hermitian H.
         from relspin.fields import Envelope
         g = GridSpec(1, 256, 256.0)
-        psi = gaussian_packet(g, 0.0, 12.0, 1.0, [1, 1, 0, 0],
-                              params=params, energy_projection=True)
+        psi = positive_energy_part(gaussian_packet(g, 0.0, 12.0, 1.0, [1, 1, 0, 0]), params)
         env = Envelope(shape="gaussian", amplitude=1.0, center=0.0, width=4.0)
         model = UniformB(np.array([0.0, 0.0, 0.2]), env)
         ham = build_hamiltonian("fw-direct", model, params, hermitize=False)

@@ -1,6 +1,7 @@
 import json
 import platform
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 from relspin import cli
 from relspin import grid as grid_module
 from relspin.cli import _refinement_grids, main
-from relspin.dynamics import classify_residual_series, rhs, standard_battery, verify
+from relspin.dynamics import (classify_residual_series, positive_energy_part, rhs,
+                              standard_battery, verify)
 from relspin.errors import ConfigError, PreconditionError
 from relspin.expr import apply_expr
 from relspin.fields import UniformB
@@ -164,8 +166,7 @@ def test_families_table_is_what_the_code_does():
         with pytest.raises(PreconditionError, match="unknown Hamiltonian family"):
             build_hamiltonian(family, model, params)
     ham = build_hamiltonian("fw-direct", model, params, terms=["zeeman"])
-    psi = gaussian_packet(grid, 0.0, 4.0, 0.5, [1, 0, 0, 0], params=params,
-                          energy_projection=True)
+    psi = positive_energy_part(gaussian_packet(grid, 0.0, 4.0, 0.5, [1, 0, 0, 0]), params)
     for propagator in ("strang", "bogus", ""):
         with pytest.raises(PreconditionError, match="propagator"):
             run(ham, psi, 0.05, 2, propagator=propagator)
@@ -463,6 +464,39 @@ class TestVerifyDynamics:
             [r["residual"] for r in rep["refinement"]])
         assert set(rep["term_classification"].values()) == {rep["classification"]}
 
+    def test_no_rung_battery_outlives_its_rung(self, tmp_path, capsys, monkeypatch):
+        # the pryce check's ladder runs a 512 rung on its own battery; that
+        # battery is dropped with its verify, before the fw check starts on
+        # the scenario grid
+        doc = base_scenario(
+            field={"type": "uniform_b", "b0": [0.0, 0.0, 0.05]},
+            hamiltonian={"family": "dirac-em"},
+            verification={"checks": [{"kind": "pryce", "family": "dirac-em"},
+                                     {"kind": "fw", "family": "dirac-em"}],
+                          "refine_levels": 1})
+        scenario_grid = parse_scenario(doc).grid
+        rung_states, alive_at_check = [], []
+
+        def battery(grid, params):
+            states = standard_battery(grid, params)
+            if grid != scenario_grid:
+                rung_states.extend(weakref.ref(psi.data) for psi in states)
+            return states
+
+        def first_verify_of_a_check(kind, ham, states, removal_gains=True):
+            if removal_gains:  # a rung's verify asks for none
+                alive_at_check.append([ref() is not None for ref in rung_states])
+            return verify(kind, ham, states, removal_gains)
+        monkeypatch.setattr(cli, "standard_battery", battery)
+        monkeypatch.setattr(cli, "verify", first_verify_of_a_check)
+        path = write_scenario(tmp_path, doc)
+        assert main(["verify-dynamics", "--scenario", path, "--refine"]) in (0, 1)
+        capsys.readouterr()
+        # per ladder the 128 rung is skipped (Nyquist) and the 512 rung's
+        # battery is six packets
+        assert len(rung_states) == 2 * 6
+        assert alive_at_check == [[], [False] * 6]
+
     def test_single_state_ladder_names_each_skipped_rung(self, tmp_path, capsys):
         # the single state is tied to the scenario grid: --refine runs the
         # 256 rung alone and says so for 128 and 512
@@ -534,6 +568,20 @@ class TestRefinementLadder:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("projected", [True, False])
+    def test_state_is_projected_where_the_scenario_asks(self, projected):
+        # the projected packet stays in momentum space, where it was made
+        doc = base_scenario()
+        doc["state"]["energy_projection"] = projected
+        sc = parse_scenario(doc)
+        spec = sc.state_spec
+        packet = gaussian_packet(sc.grid, spec["center"], spec["sigma"], spec["k0"],
+                                 spec["polarization"])
+        want = positive_energy_part(packet, sc.params) if projected else packet
+        got = sc.make_state()
+        assert got.space == ("momentum" if projected else "position") == want.space
+        assert np.array_equal(got.values, want.values)
+
     def test_free_run_constant_proper_spins(self, tmp_path):
         out = tmp_path / "traj.csv"
         path = write_scenario(tmp_path, base_scenario())
