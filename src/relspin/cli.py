@@ -27,6 +27,7 @@ from . import __version__
 from .dynamics import classify_residual_series, standard_battery, total_j_identity, verify
 from .errors import (BoundaryFluxError, ConfigError, KrylovConvergenceError,
                      PreconditionError, SingularMomentumError)
+from .expr import release_pool
 from .fields import UniformB, UniformE, PlaneWavePulse
 from .grid import GridSpec, set_fft_workers
 from .operators import PhysParams, SpinKind, condition_checks, energy_k2
@@ -136,7 +137,7 @@ def _writable(path):
 
 def _rung_residual(kind, ham, sc, grid):
     """The residual of a refinement rung on its own standard battery, or why
-    the rung is skipped; the battery is dropped when this returns."""
+    the rung is skipped; the battery and the pool are dropped at its end."""
     if sc.battery != "standard":
         return "the single state is tied to the scenario grid"
     try:
@@ -144,7 +145,9 @@ def _rung_residual(kind, ham, sc, grid):
     except PreconditionError as exc:
         return str(exc)
     # the operator leaves fill per grid, so the check's own H serves every rung
-    return verify(kind, ham, states, removal_gains=False).residual
+    residual = verify(kind, ham, states, removal_gains=False).residual
+    release_pool()
+    return residual
 
 
 def cmd_verify_dynamics(args):
@@ -278,7 +281,7 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     # a string default goes through ``type`` too, so a bad RELSPIN_THREADS is a usage error
     parser.add_argument("--threads", type=_threads, default=os.environ.get("RELSPIN_THREADS", "1"),
-                        help="FFT worker threads (env: RELSPIN_THREADS)")
+                        help="FFT workers (env: RELSPIN_THREADS); BLAS reads OPENBLAS_NUM_THREADS")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check-operators",

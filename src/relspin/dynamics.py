@@ -6,10 +6,10 @@ right-hand side -- so a failed comparison indicts the printed equation, not
 the harness.  The right-hand sides are transcribed term-for-term with
 operator products ordered exactly as written (no symmetrization, no repair),
 in the vector vocabulary of ``hamiltonians`` (``triple``, ``cross``, ``dot``,
-``prefix``, ``vec_leaf`` ...): each right-hand side builds one model vector
-per field it reads, so it calls each mesh method once per (grid, t), and
-this module builds no leaf of its own beyond the S and R tables and its
-momentum scalars (1/E, 1/EW, 1/p^2, p^2).
+``prefix``, ``vec_leaf`` ...), and this module builds no leaf of its own
+beyond the S and R tables and its momentum scalars (1/E, 1/EW, 1/p^2, p^2).
+E_k, each distinct S and R coefficient and each model mesh are pooled
+(``expr.pooled``): every leaf that reads one holds one array.
 
 Checks classify as:
 
@@ -25,7 +25,6 @@ make every exactly-zero identity read as O(1) roundoff noise.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import asdict, dataclass, field as dc_field
 
@@ -34,13 +33,13 @@ import numpy as np
 from .algebra import ID4, levi_civita_pairs
 from .errors import PreconditionError
 from .expr import (Add, ConstMatrix, MomentumDiag, Mul, Scale, _one, apply_expr,
-                   block_parity)
+                   block_parity, pooled)
 from .fields import FieldModel
 from .grid import POLARIZATIONS, GridSpec, SpinorField, gaussian_packet, suppress_zero_mode
 from .hamiltonians import (P, R, ModelVector, NamedHamiltonian, add, build_free_dirac,
                            const_triple, cross, dot, dot_p, kinetic_triple, prefix, scale,
                            triple, vec_leaf)
-from .operators import (ALPHA, BETA, SIGMA, PhysParams, SpinKind, energy_k2,
+from .operators import (ALPHA, BETA, SIGMA, PhysParams, SpinKind, _inv_ew, energy_k2,
                         position_terms, spin_terms)
 
 __all__ = [
@@ -61,17 +60,9 @@ _AXES = "xyz"
 # momentum-space scalar producers
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=1)
-def _energy_mesh(grid, params):  # E_k, once for every FW leaf of one (grid, params)
-    return energy_k2(grid.k2, params)
-
-
-def _inv_ek(params, with_w=False, numerator=1.0):
-    """numerator / E_k or numerator / (E_k (E_k + m0 c^2))."""
-    def fn(g, t):
-        e = _energy_mesh(g, params)
-        return numerator / (e * (e + params.rest_energy) if with_w else e)
-    return fn
+def _energy(grid, params):
+    """E_k, pooled: one mesh for every FW leaf of one (grid, params)."""
+    return pooled("E_k", grid, params, lambda: energy_k2(grid.k2, params))
 
 
 def _mom_scalar(fn, name=None, singular=False):
@@ -88,14 +79,15 @@ _LABELS = {SpinKind.DIRAC: "D", SpinKind.FW: "FW", SpinKind.PRYCE: "Py"}
 def _grid_leaves(table, kind, params, label):
     """Wrap an ``operators`` S or R table in grid leaves.  A component whose
     pairs are all constant is a constant leaf, which acts without a
-    transform in either space."""
+    transform in either space.  Each coefficient is pooled under itself (one
+    object per distinct coefficient of a table), so it is one array."""
     singular = kind is SpinKind.PRYCE
     # the kind's derived scalar (see operators); Dirac reads none
-    x = (lambda g: g.inv_k2) if singular else (lambda g: _energy_mesh(g, params))
+    x = (lambda g: g.inv_k2) if singular else (lambda g: _energy(g, params))
     out = []
     for axis, pairs in zip(_AXES, table):
-        leaf = [(_one if coeff is None else (lambda g, t, f=coeff: f(g.k, g.k2, x(g))), m)
-                for coeff, m in pairs]
+        leaf = [(_one if coeff is None else (lambda g, t, f=coeff: pooled(
+            f, g, None, lambda: f(g.k, g.k2, x(g)))), m) for coeff, m in pairs]
         out.append(MomentumDiag(leaf, name=f"{label}_{axis}", singular_origin=singular))
     return out
 
@@ -172,16 +164,15 @@ def _rhs_em(kind, model, params):
 
     if kind is SpinKind.FW:
         pi_t = kinetic_triple(ModelVector(model.a_mesh, "A"), e)
-        inv_ew = _mom_scalar(_inv_ek(params, with_w=True), name="1/EW")
-        p2_over_ew = _mom_scalar(
-            lambda g, t, f=_inv_ek(params, with_w=True): g.k2 * f(g, t),
-            name="p^2/EW")
+        inv_ew = _mom_scalar(lambda g, t: _inv_ew(_energy(g, params), params), name="1/EW")
+        p2_over_ew = _mom_scalar(lambda g, t: g.k2 * _inv_ew(_energy(g, params), params),
+                                 name="p^2/EW")
         terms = []
         terms.append(("alpha-cross-kinetic",
                       scale(-c, cross(alpha_t, pi_t))))
         terms.append(("beta-p-cross-kinetic",
                       prefix([ConstMatrix(BETA), _mom_scalar(
-                          _inv_ek(params, numerator=c), name="c/E")],
+                          lambda g, t: c / _energy(g, params), name="c/E")],
                           cross(p_t, pi_t))))
         terms.append(("longitudinal-alpha-cross",
                       scale(c, prefix([p2_over_ew], cross(alpha_t, pi_t)))))
@@ -239,8 +230,8 @@ def _rhs_direct(kind, model, params):
     pref_nut = e / (16 * m0**3 * c**4)
 
     if kind is SpinKind.FW:
-        inv_e = _mom_scalar(_inv_ek(params), name="1/E")
-        inv_ew = _mom_scalar(_inv_ek(params, with_w=True), name="1/EW")
+        inv_e = _mom_scalar(lambda g, t: 1.0 / _energy(g, params), name="1/E")
+        inv_ew = _mom_scalar(lambda g, t: _inv_ew(_energy(g, params), params), name="1/EW")
         sigma_dot_alpha = ConstMatrix(sum(SIGMA[j] @ ALPHA[j] for j in range(3)),
                                       name="Sigma.alpha")
         pxalpha_t = cross(p_t, alpha_t)

@@ -16,11 +16,13 @@ products instead of 12, and -ec alpha.A of a uniform B along an axis 4
 instead of 8.  A (row, col) that a full-grid scalar reaches keeps its
 entries, so a coefficient never costs a grid field.
 
-A leaf caches its scalar arrays for one (grid, t) at a time, since every
+A leaf keeps its scalar arrays for one (grid, t) at a time, since every
 caller finishes with one t before the next, in the dtype their producer
 returns (a real mesh such as k^2 is held once, not as a complex copy).  A
-leaf built ``time_dependent=False`` keys its cache on the grid alone, so it
-fills once per grid.  An all-zero array is held as a 0-d zero.  A leaf whose
+leaf built ``time_dependent=False`` keys them on the grid alone, so it
+fills once per grid.  An all-zero array is held as a 0-d zero.  Scalars
+that several leaves read (a model's mesh, E_k, a spin coefficient) are
+made once, in ``pooled``, so those leaves hold one array.  A leaf whose
 live scalars all have size 1 is a constant: the same operator in both spaces,
 which acts in the state's own space without a transform.  Uniform fields,
 axes a 1D grid does not carry and switched-off envelopes all give constant
@@ -90,10 +92,26 @@ __all__ = [
     "OperatorExpr", "PositionDiag", "MomentumDiag", "ConstMatrix",
     "Add", "Mul", "Scale", "Adjoint",
     "LeafStack", "apply_expr", "expectation", "block_parity",
-    "DEFAULT_ZERO_MODE_GUARD",
+    "pooled", "release_pool", "DEFAULT_ZERO_MODE_GUARD",
 ]
 
 DEFAULT_ZERO_MODE_GUARD = 1e-10
+
+_POOL = {}  # the grid last asked about -> {key: (stamp, value)} on it
+release_pool = _POOL.clear  # drops every pooled value, such as a refinement rung's
+
+
+def pooled(key, grid, stamp, make):
+    """The shared value ``make()`` of ``key``, one per key on the grid last
+    asked about, made again when its stamp changes: a t, or the model, params
+    or Hamiltonian behind it (numbers, and objects equal only to themselves)."""
+    if grid not in _POOL:
+        _POOL.clear()
+    held = _POOL.setdefault(grid, {})
+    if key not in held or held[key][0] != stamp:
+        held.pop(key, None)  # the old value is not held while the new one is made
+        held[key] = (stamp, make())
+    return held[key][1]
 
 
 def _is_zero(arr):

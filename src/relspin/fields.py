@@ -13,11 +13,11 @@ stay complex-safe (no ``float()`` of a coordinate or a time).
 A model's read-only ``time_dependent`` says whether its meshes can change
 with t.  It is derived from the model, never set: False for ``ZeroField``
 and for ``UniformB``/``UniformE`` under a constant envelope, True otherwise.
-The operator builders read each mesh vector through one
-``hamiltonians.ModelVector``, which calls the mesh once per (grid, t), or
-once per grid when the model is static, and passes the flag to every leaf
-built on it, so the leaves of a static field fill once per grid instead of
-at every t.
+The operator builders read each mesh vector through
+``hamiltonians.ModelVector``, whose mesh is pooled (``expr.pooled``): it is
+called once per (grid, t), or once per grid when the model is static, and
+the flag goes to every leaf built on it, so the leaves of a static field
+fill once per grid instead of at every t.
 
 Models
 ------

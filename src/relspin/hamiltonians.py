@@ -25,17 +25,17 @@ Families and their term vocabularies (stable report strings):
 Operator products are ordered exactly as written (left factor applied last).
 
 Every vector operator here and in ``dynamics``' printed right-hand sides is
-built from one vocabulary: a triple is a list of three expressions; ``P``
-and ``R`` are the momentum and position vectors and a :class:`ModelVector`
-one of a model's mesh vectors (A, E, dE/dt, B, dB/dt, d2B/dt2);
-``vec_leaf`` is sum_j x_j M_j as one leaf, ``triple`` the three x_j, and
-``kinetic_triple`` the (p - eA)_i; ``cross``, ``dot``, ``prefix``, ``scale``,
-``add`` and ``const_triple`` combine triples.  A builder makes each model
-vector once, so each mesh method is called once per (grid, t), or once per
-grid for a static model, however many leaves read it.  The Hamiltonians
-fold Sigma_i into a field leaf's matrix (``_cross_dot_sigma``) where the
-printed right-hand sides write ConstMatrix(Sigma_i) @ leaf; the two are
-equal up to roundoff, and each keeps its own transform count.
+built from one vocabulary: a triple is a list of three expressions; a
+``Vector`` is ``P`` or ``R`` or, made by ``ModelVector``, a model's mesh
+vector (A, E, dE/dt, B, dB/dt, d2B/dt2); ``vec_leaf`` is sum_j x_j M_j as
+one leaf, ``triple`` the three x_j, and ``kinetic_triple`` the (p - eA)_i;
+``cross``, ``dot``, ``prefix``, ``scale``, ``add`` and ``const_triple``
+combine triples.  A model's mesh is pooled, so each mesh method is called
+once per (grid, t), or once per grid for a static model, however many
+leaves and trees read it.  The Hamiltonians fold Sigma_i into a field
+leaf's matrix (``_cross_dot_sigma``) where the printed right-hand sides
+write ConstMatrix(Sigma_i) @ leaf; the two are equal up to roundoff, and
+each keeps its own transform count.
 
 ``FAMILIES`` holds each family's terms and its builder, which builds them
 all.  These trees are the one transcription of each Hamiltonian: the
@@ -49,6 +49,7 @@ piece of ``field-derivative-soc`` exactly.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 from typing import Callable, NamedTuple
@@ -58,7 +59,7 @@ import numpy as np
 from .algebra import ID4, levi_civita_pairs
 from .errors import PreconditionError
 from .expr import (Add, Adjoint, ConstMatrix, MomentumDiag, Mul, OperatorExpr, PositionDiag,
-                   Scale, _one)
+                   Scale, _one, pooled)
 from .fields import FieldModel, ZeroField
 from .grid import MOMENTUM, POSITION
 from .operators import ALPHA, BETA, SIGMA, PhysParams
@@ -66,7 +67,7 @@ from .operators import ALPHA, BETA, SIGMA, PhysParams
 __all__ = [
     "FAMILIES", "build_hamiltonian", "NamedHamiltonian", "build_free_dirac", "build_dirac_em",
     "build_fw_full", "build_fw_direct",
-    "P", "R", "ModelVector", "vec_leaf", "triple", "dot_p", "const_triple",
+    "P", "R", "Vector", "ModelVector", "vec_leaf", "triple", "dot_p", "const_triple",
     "kinetic_triple", "cross", "dot", "prefix", "scale", "add", "hermitian_part",
 ]
 
@@ -137,42 +138,23 @@ class NamedHamiltonian:
 
 
 # -- the vector vocabulary -----------------------------------------------------
-# A triple is a list of three expressions, one per Cartesian component.
-
-class _GridVector:
-    """k (``P``) or r (``R``) of the grid; the same at every t."""
-
-    time_dependent = False
-
-    def __init__(self, name, space):
-        self.name, self.space = name, space
-
-    def __call__(self, grid, t):
-        return grid.k if self.space == MOMENTUM else grid.r
+# A triple is a list of three expressions, one per Cartesian component.  A
+# Vector is diagonal in its ``space``, and ``read(grid, t)`` gives its three
+# components: k (``P``) or r (``R``) of the grid, the same at every t, or a
+# model's mesh vector (``ModelVector``), which may be ``time_dependent``.
+Vector = namedtuple("Vector", "name space time_dependent read")
+P = Vector("p", MOMENTUM, False, lambda grid, t: grid.k)
+R = Vector("r", POSITION, False, lambda grid, t: grid.r)
 
 
-P = _GridVector("p", MOMENTUM)
-R = _GridVector("r", POSITION)
-
-
-class ModelVector:
-    """A model mesh vector X (A, E, dE/dt, B, dB/dt or d2B/dt2) for the
-    bound ``*_mesh`` method ``mesh_fn``.  ``X(grid, t)`` calls the mesh once
-    per (grid, t), or once per grid when the model is static, and every leaf
-    built on X reads that one result."""
-
-    space = POSITION
-
-    def __init__(self, mesh_fn, name):
-        self.mesh_fn, self.name = mesh_fn, name
-        self.time_dependent = mesh_fn.__self__.time_dependent
-        self._key = self._value = None
-
-    def __call__(self, grid, t):
-        key = (grid, t if self.time_dependent else None)
-        if self._key != key:
-            self._value, self._key = self.mesh_fn(grid.r, t), key
-        return self._value
+def ModelVector(mesh_fn, name) -> Vector:
+    """The model mesh vector (A, E, dE/dt, B, dB/dt or d2B/dt2) of the bound
+    ``*_mesh`` method ``mesh_fn``, pooled under the method's function and
+    stamped with the method and t (no t when static): every leaf on it, in
+    any tree, reads one mesh per (grid, t), and a new model's replaces it."""
+    dynamic = mesh_fn.__self__.time_dependent
+    return Vector(name, POSITION, dynamic, lambda grid, t: pooled(
+        mesh_fn.__func__, grid, (mesh_fn, t if dynamic else None), lambda: mesh_fn(grid.r, t)))
 
 
 def vec_leaf(x, pairs, prefactor=1.0, name=None, const=None):
@@ -182,8 +164,8 @@ def vec_leaf(x, pairs, prefactor=1.0, name=None, const=None):
     Sigma_i folded into its matrix.  A uniform x gives a constant leaf."""
     def component(j):
         if prefactor == 1:  # x_j itself, not a copy
-            return lambda g, t: x(g, t)[j]
-        return lambda g, t: prefactor * np.asarray(x(g, t)[j])
+            return lambda g, t: x.read(g, t)[j]
+        return lambda g, t: prefactor * np.asarray(x.read(g, t)[j])
     terms = [(component(j), m) for j, m in pairs]
     if const is not None:
         terms.append((_one, const))
@@ -198,7 +180,7 @@ def triple(x):
 
 def dot_p(x, name=None):
     """x.p as one momentum leaf, for a uniform model vector x."""
-    return MomentumDiag([(lambda g, t, j=j: x(g, t)[j] * g.k[j], ID4) for j in range(3)],
+    return MomentumDiag([(lambda g, t, j=j: x.read(g, t)[j] * g.k[j], ID4) for j in range(3)],
                         name=name, time_dependent=x.time_dependent)
 
 
@@ -300,7 +282,7 @@ def build_fw_full(model: FieldModel, params: PhysParams) -> NamedHamiltonian:
 
     terms["b-squared"] = PositionDiag(
         [(lambda g, t: -e**2 / (8 * m0**3 * c**2)
-          * sum(np.asarray(bj) ** 2 for bj in b(g, t)), BETA)],
+          * sum(np.asarray(bj) ** 2 for bj in b.read(g, t)), BETA)],
         name="b-squared", time_dependent=model.time_dependent)
 
     terms["darwin"] = PositionDiag(

@@ -117,6 +117,7 @@ def free_dirac_matrix(p, params: PhysParams) -> np.ndarray:
 # (dynamics.spin_expr, dynamics.position_correction_expr); the caller
 # evaluates x once for every pair.  ``None`` is the constant coefficient 1.
 # Each table is built once per (kind, params) and shared, so it is all tuples.
+# A coefficient several pairs read (k_i k_m and k_m k_i too) is one object.
 
 _I_BETA_ALPHA = tuple(1j * BETA @ a for a in ALPHA)
 _LOWER_SIGMA = tuple((ID4 - BETA) @ s for s in SIGMA)  # (1 - beta) Sigma
@@ -131,6 +132,13 @@ def _frozen(table):
     return tuple(tuple(pairs) for pairs in table)
 
 
+def _pairs(fn):
+    """fn(k, k2, x, i, m) per unordered pair {i, m}: (i, m) and (m, i) get one object."""
+    one = {(i, m): lambda k, k2, x, i=i, m=m: fn(k, k2, x, i, m)
+           for i in range(3) for m in range(i, 3)}
+    return {(i, m): one[min(i, m), max(i, m)] for i in range(3) for m in range(3)}
+
+
 @functools.cache
 def spin_terms(kind: SpinKind, params: PhysParams):
     """S_kind as three tuples of (coefficient, matrix) pairs (see above)."""
@@ -140,19 +148,18 @@ def spin_terms(kind: SpinKind, params: PhysParams):
     if kind is SpinKind.FW:
         # Sigma/2 + i c beta (p x alpha)/(2E) - c^2 p x (Sigma x p)/(2EW),
         # with p x (Sigma x p) = Sigma p^2 - p (Sigma.p)
+        k_e = [lambda k, k2, e_k, j=j: c * k[j] / (2.0 * e_k) for j in range(3)]
+        k2_ew = lambda k, k2, e_k: -0.5 * c**2 * k2 * _inv_ew(e_k, params)
+        kk_ew = _pairs(lambda k, k2, e_k, i, m: 0.5 * c**2 * (k[i] * k[m]) * _inv_ew(e_k, params))
         return _frozen(
             [(None, 0.5 * SIGMA[i])]
-            + [(lambda k, k2, e_k, j=j: c * k[j] / (2.0 * e_k),
-                e * _I_BETA_ALPHA[kk]) for j, kk, e in levi_civita_pairs(i)]
-            + [(lambda k, k2, e_k: -0.5 * c**2 * k2 * _inv_ew(e_k, params), SIGMA[i])]
-            + [(lambda k, k2, e_k, i=i, m=m: 0.5 * c**2 * (k[i] * k[m])
-                * _inv_ew(e_k, params), SIGMA[m]) for m in range(3)]
+            + [(k_e[j], e * _I_BETA_ALPHA[kk]) for j, kk, e in levi_civita_pairs(i)]
+            + [(k2_ew, SIGMA[i])] + [(kk_ew[i, m], SIGMA[m]) for m in range(3)]
             for i in range(3))
     if kind is SpinKind.PRYCE:
+        kk_p2 = _pairs(lambda k, k2, inv_k2, i, m: 0.5 * (k[i] * k[m]) * inv_k2)
         return _frozen(
-            [(None, 0.5 * BETA @ SIGMA[i])]
-            + [(lambda k, k2, inv_k2, i=i, m=m: 0.5 * (k[i] * k[m]) * inv_k2,
-                _LOWER_SIGMA[m]) for m in range(3)]
+            [(None, 0.5 * BETA @ SIGMA[i])] + [(kk_p2[i, m], _LOWER_SIGMA[m]) for m in range(3)]
             for i in range(3))
     raise PreconditionError(f"unknown spin kind {kind!r}")
 
@@ -166,20 +173,20 @@ def position_terms(kind: SpinKind, params: PhysParams):
     if kind is SpinKind.FW:
         # i c beta alpha/(2E) - i c^3 beta (alpha.p) p/(2E^2 W)
         # - c^2 (Sigma x p)/(2EW)
+        c_e = lambda k, k2, e_k: 0.5 * c / e_k
+        kk_e2w = _pairs(lambda k, k2, e_k, m, j: -0.5 * c**3 * (k[m] * k[j])
+                        * _inv_ew(e_k, params, power=2))
+        k_ew = [lambda k, k2, e_k, b=b: -0.5 * c**2 * k[b] * _inv_ew(e_k, params)
+                for b in range(3)]
         return _frozen(
-            [(lambda k, k2, e_k: 0.5 * c / e_k, _I_BETA_ALPHA[j])]
-            + [(lambda k, k2, e_k, j=j, m=m: -0.5 * c**3 * (k[m] * k[j])
-                * _inv_ew(e_k, params, power=2), _I_BETA_ALPHA[m])
-               for m in range(3)]
-            + [(lambda k, k2, e_k, b=b: -0.5 * c**2 * k[b] * _inv_ew(e_k, params),
-                e * SIGMA[a]) for a, b, e in levi_civita_pairs(j)]
+            [(c_e, _I_BETA_ALPHA[j])] + [(kk_e2w[m, j], _I_BETA_ALPHA[m]) for m in range(3)]
+            + [(k_ew[b], e * SIGMA[a]) for a, b, e in levi_civita_pairs(j)]
             for j in range(3))
     if kind is SpinKind.PRYCE:
         # -(1 - beta)(Sigma x p)/(2 p^2)
-        return _frozen(
-            [(lambda k, k2, inv_k2, b=b: -0.5 * k[b] * inv_k2, e * _LOWER_SIGMA[a])
-             for a, b, e in levi_civita_pairs(j)]
-            for j in range(3))
+        k_p2 = [lambda k, k2, inv_k2, b=b: -0.5 * k[b] * inv_k2 for b in range(3)]
+        return _frozen([(k_p2[b], e * _LOWER_SIGMA[a]) for a, b, e in levi_civita_pairs(j)]
+                       for j in range(3))
     raise PreconditionError(f"unknown spin kind {kind!r}")
 
 

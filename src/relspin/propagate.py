@@ -18,8 +18,8 @@ Two steps:
   times the phase of e phi.  One factor is an exact step; two make a
   Strang step V/2 K V/2 (V the position group), second order with roundoff
   norm drift.  Where H is not a sum of scaled leaves or a group has no
-  closed form, the step is a Krylov step.  The factors are kept per
-  (H, grid, dt), and per midpoint under a time-dependent model.
+  closed form, the step is a Krylov step.  The factors are pooled per
+  (grid, dt) for one H, and per midpoint under a time-dependent model.
 * ``krylov_step`` -- Arnoldi projection of exp(-i H dt), time-dependent
   coefficients sampled at the midpoint, keeping second order.  The basis is
   kept as the rows of one array that grows as rows are needed, and the step
@@ -50,7 +50,6 @@ frozen (see ``Trajectory.CSV_COLUMNS``).
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field as dc_field
 
@@ -60,7 +59,7 @@ import scipy.linalg
 from .errors import BoundaryFluxError, KrylovConvergenceError, PreconditionError
 from .algebra import ID4
 from .expr import (ConstMatrix, LeafStack, PositionDiag, _is_zero, _scaled_leaves, apply_expr,
-                   expectation)
+                   expectation, pooled)
 from .grid import (MOMENTUM, POSITION, SpinorField, _bare_fft, _spatial_axes, matrix_entries,
                    pointwise)
 from .hamiltonians import NamedHamiltonian, P, R, triple
@@ -113,8 +112,7 @@ def _factor(pairs, tau, hermitian):
     return next(leaf.space for _, leaf in pairs if leaf._axes), out
 
 
-@functools.lru_cache(maxsize=2)
-def _factors(total, hermitian, grid, dt, tm):
+def _factors(total, hermitian, tm, grid, dt):
     """The factors of the exact step of H = ``total`` over dt with midpoint
     ``tm`` (None for a static model, whose leaves do not change with t), in
     the order they act: the position group V and the momentum group K as
@@ -133,10 +131,11 @@ def _factors(total, hermitian, grid, dt, tm):
 
 
 def _plan(hamiltonian, grid, t, dt):
-    """``_factors`` of the step over [t, t + dt]: kept per (H, grid, dt),
-    and per midpoint under a time-dependent model."""
+    """``_factors`` of the step over [t, t + dt], pooled per dt and stamped
+    with H, its trusted Hermiticity and the midpoint (None when static)."""
     tm = t + dt / 2.0 if hamiltonian.model.time_dependent else None
-    return _factors(hamiltonian.total, hamiltonian.assume_hermitian, grid, dt, tm)
+    stamp = (hamiltonian.total, hamiltonian.assume_hermitian, tm)
+    return pooled(("exact step", dt), grid, stamp, lambda: _factors(*stamp, grid, dt))
 
 
 def strang_step_dirac(hamiltonian: NamedHamiltonian, field: SpinorField, t: float,

@@ -80,6 +80,34 @@ class TestSpinExpr:
         position_correction(SpinKind.FW, p, params)
         assert calls[0] == 3
 
+    @pytest.mark.parametrize("build, kind, held, distinct", [
+        (spin_expr, SpinKind.FW, 18, 10), (spin_expr, SpinKind.PRYCE, 9, 6),
+        (position_correction_expr, SpinKind.FW, 18, 10),
+        (position_correction_expr, SpinKind.PRYCE, 6, 3)],
+        ids=["S_FW", "S_Py", "R_FW", "R_Py"])
+    def test_equal_coefficients_are_one_array(self, params, monkeypatch, build, kind, held,
+                                              distinct):
+        # each distinct coefficient of a table is one pooled array, read by
+        # every component: c k_j/(2E), k^2/(EW) and k_i k_m/(EW) (the same
+        # for k_m k_i) of S_FW, k_i k_m/k^2 of S_Py, c/(2E), k_m k_j/(E^2 W)
+        # and k_b/(EW) of R_FW, k_b/k^2 of R_Py
+        import relspin.dynamics
+        grid = GridSpec(3, 16, 24.0)
+        leaves = build(kind, params)
+        arrays = [a for leaf in leaves for a in leaf._scalars(grid, 0.0) if a.size == grid.npoints]
+        assert (len(arrays), len({id(a) for a in arrays})) == (held, distinct)
+        rng = np.random.default_rng(4)
+        psi = SpinorField(grid, rng.normal(size=(4, *grid.shape))
+                          + 1j * rng.normal(size=(4, *grid.shape))).to_momentum()
+        # a guard of 1 lets the Pryce leaves act on this random state
+        shared = [apply_expr(leaf, psi, guard=1.0).data for leaf in leaves]
+        monkeypatch.setattr(relspin.dynamics, "pooled", lambda key, grid, stamp, make: make())
+        unshared = build(kind, params)
+        assert len({id(a) for leaf in unshared for a in leaf._scalars(grid, 0.0)
+                    if a.size == grid.npoints}) == held
+        for got, leaf in zip(shared, unshared):
+            assert np.array_equal(got, apply_expr(leaf, psi, guard=1.0).data)
+
     def test_dirac_fw_agree_at_small_momentum(self, params):
         g = GridSpec(1, 512, 400000.0)
         psi = gaussian_packet(g, 0.0, 5.0e4, 0.0, [1, 0, 0, 0])

@@ -218,19 +218,25 @@ def test_uniform_b_strang_step(params, fft_count):
     assert fft_count.passes == 6
 
 
-def test_static_strang_builds_its_factors_once(params, mesh_count):
-    # under a static field the factors are kept per (H, grid, dt): the first
-    # step builds the position factor of dt/2 (used twice) and the momentum
-    # factor of dt, and the other 7 steps reuse them; the gauge and scalar
-    # leaves fill once, so each mesh is called once
-    from relspin.propagate import _factors
-    _factors.cache_clear()
+def test_static_strang_builds_its_factors_once(params, mesh_count, monkeypatch):
+    # under a static field the factors are pooled per (grid, dt) for one H:
+    # the first step builds the position factor of dt/2 (used twice) and the
+    # momentum factor of dt, and the other 7 steps reuse them; the gauge and
+    # scalar leaves fill once, so each mesh is called once
+    from relspin import propagate
+    calls = {"_plan": 0, "_factors": 0}
+    for name in calls:
+        def counted(*args, fn=getattr(propagate, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(propagate, name, counted)
     grid = GridSpec(3, 16, 24.0)
     ham = build_dirac_em(_MODEL, params)
     psi = _position_state(grid)
     for i in range(8):
         psi = strang_step_dirac(ham, psi, i * 0.01, 0.01)
-    assert (_factors.cache_info().misses, _factors.cache_info().hits) == (1, 7)
+    builds = calls["_factors"]
+    assert (builds, calls["_plan"] - builds) == (1, 7)
     assert dict(mesh_count) == {"a_mesh": 1, "phi_mesh": 1}
 
 
@@ -301,13 +307,13 @@ def test_shipped_cli_runs_transform_once_per_row(fft_count, tmp_path, capsys, mo
     assert sum(rows for rows, _ in shapes[1:]) == 4 * 121
 
 
-# A builder makes one ModelVector per model vector, which calls its mesh
-# once per (grid, t) and serves every leaf built on it: the gauge leaf or
-# the three A_i of (p - eA); zeeman, kinetic-zeeman-cross and b-squared on
-# B; the six E_j leaves of fw-direct's E x (p - eA), or the twelve E_j and
-# twelve dE/dt_j of fw-full's spin-orbit and de-dt.  phi (the scalar leaf)
-# and div E (darwin) are read by one leaf each.  So every method is called
-# once per new t.
+# A model vector's mesh is pooled, so it is called once per (grid, t) and
+# serves every leaf built on it, in any tree: the gauge leaf or the three
+# A_i of (p - eA); zeeman, kinetic-zeeman-cross and b-squared on B; the six
+# E_j leaves of fw-direct's E x (p - eA), or the twelve E_j and twelve
+# dE/dt_j of fw-full's spin-orbit and de-dt.  phi (the scalar leaf) and
+# div E (darwin) are read by one leaf each.  So every method is called once
+# per new t.
 _MESH_CALLS = {
     "dirac-em": {"a_mesh": 1, "phi_mesh": 1},
     "fw-direct": {"a_mesh": 1, "b_mesh": 1, "e_mesh": 1, "dbdt_mesh": 1,
@@ -331,9 +337,9 @@ def test_mesh_calls_per_apply(params, mesh_count, family, counts, model):
     assert dict(mesh_count) == ({} if model is _MODEL else counts)
 
 
-# rhs builds one ModelVector per model vector it reads, so applying its
-# three components calls each of those mesh methods once per new t, and
-# once per grid under _MODEL; the free family reads no field
+# rhs reads each model vector through the pool, so applying its three
+# components calls each of those mesh methods once per new t, and once
+# per grid under _MODEL; the free family reads no field
 _RHS_MESH_CALLS = [
     (SpinKind.DIRAC, "free", {}),
     (SpinKind.FW, "free", {}),
@@ -420,6 +426,21 @@ def test_pulsed_arnoldi_run_fills_per_t(params, mesh_count, krylov_count):
     assert len(traj.rows) == 5
     assert krylov_count[0] == 20
     assert dict(mesh_count) == {"b_mesh": 25}
+
+
+@pytest.mark.parametrize("propagator", [None, "krylov"], ids=["exact", "arnoldi"])
+def test_pulsed_run_holds_one_pool_entry_per_key(params, propagator):
+    # each new t's B mesh, and each midpoint's exact-step factors, replace
+    # the last ones under the same key: 40 steps leave the entries 5 leave
+    from relspin.expr import _POOL, release_pool
+    keys = []
+    for steps in (5, 40):
+        release_pool()
+        _zeeman_run(params, _PULSED, steps, 5, propagator=propagator)
+        (held,) = _POOL.values()
+        keys.append(set(held))
+    assert keys[0] == keys[1]
+    assert (("exact step", 0.05) in keys[1]) == (propagator is None)
 
 
 def test_shipped_sweep_scenario_takes_no_arnoldi_step(krylov_count, monkeypatch):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relspin import cli
+from relspin import cli, expr
 from relspin import grid as grid_module
 from relspin.cli import _refinement_grids, main
 from relspin.dynamics import (classify_residual_series, positive_energy_part, rhs,
@@ -46,6 +46,23 @@ def write_scenario(tmp_path, doc, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def pool_entries():
+    """The (key, value) pairs the pool of ``expr.pooled`` holds."""
+    return [(key, value) for held in expr._POOL.values() for key, (_, value) in held.items()]
+
+
+def pooled_arrays():
+    """Every array the pool holds, inside lists and tuples too."""
+    found, todo = [], [value for _, value in pool_entries()]
+    while todo:
+        value = todo.pop()
+        if isinstance(value, np.ndarray):
+            found.append(value)
+        elif isinstance(value, (list, tuple)):
+            todo.extend(value)
+    return found
 
 
 class TestParsing:
@@ -497,6 +514,33 @@ class TestVerifyDynamics:
         assert len(rung_states) == 2 * 6
         assert alive_at_check == [[], [False] * 6]
 
+    def test_no_rung_pool_outlives_its_rung(self, tmp_path, capsys, monkeypatch):
+        # what the pool holds when the pryce check's 512 rung has verified
+        # (E_k is not among it: no pryce leaf reads it) is dropped with the
+        # rung, before the fw check starts on the scenario grid
+        doc = base_scenario(
+            field={"type": "uniform_b", "b0": [0.0, 0.0, 0.05]},
+            hamiltonian={"family": "dirac-em"},
+            verification={"checks": [{"kind": "pryce", "family": "dirac-em"},
+                                     {"kind": "fw", "family": "dirac-em"}],
+                          "refine_levels": 1})
+        rung_arrays, alive_at_check = [], []
+
+        def watched_verify(kind, ham, states, removal_gains=True):
+            if removal_gains:  # a check's first verify; a rung's asks for none
+                alive_at_check.append([ref() is not None for ref in rung_arrays])
+            report = verify(kind, ham, states, removal_gains)
+            if not removal_gains and kind is SpinKind.PRYCE:
+                rung_arrays.extend(weakref.ref(a) for a in pooled_arrays())
+            return report
+        monkeypatch.setattr(cli, "verify", watched_verify)
+        path = write_scenario(tmp_path, doc)
+        assert main(["verify-dynamics", "--scenario", path, "--refine"]) in (0, 1)
+        capsys.readouterr()
+        # the six k_i k_m/k^2 of S_Py, and A_y = B x/2 of the gauge leaf
+        assert len(rung_arrays) == 7
+        assert alive_at_check == [[], [False] * 7]
+
     def test_single_state_ladder_names_each_skipped_rung(self, tmp_path, capsys):
         # the single state is tied to the scenario grid: --refine runs the
         # 256 rung alone and says so for 128 and 512
@@ -673,6 +717,19 @@ class TestSweep:
         assert final_dfw[0.02] <= final_dfw[0.1] + 1e-12
         assert final_dfw[0.1] <= final_dfw[0.3] + 1e-12
 
+    def test_pool_does_not_grow_with_the_field_strengths(self, tmp_path):
+        # every field strength's model mesh, Hamiltonian and exact-step
+        # factors replace the last one's under the same keys, so a sweep
+        # over 1, 4 or 8 field strengths leaves as many pool entries
+        path = write_scenario(tmp_path, self.sweep_scenario())
+        expr.release_pool()
+        entries = []
+        for fields in ("1", "1,2,3,4", "1,2,3,4,5,6,7,8"):
+            assert main(["sweep", "--scenario", path, "--field-grid", fields,
+                         "--output", str(tmp_path / "sweep.csv")]) == 0
+            entries.append(len(pool_entries()))
+        assert entries[0] == entries[1] == entries[2]
+
     def test_zero_base_field_rejected(self, tmp_path):
         doc = self.sweep_scenario()
         doc["field"]["b0"] = [0.0, 0.0, 0.0]
@@ -700,6 +757,36 @@ class TestSweep:
         assert main(["sweep", "--scenario", path, "--field-grid", f"0.1,{value}"]) == 2
         err = capsys.readouterr().err
         assert "--field-grid" in err and "finite" in err and "Traceback" not in err
+
+
+def _packet_at_the_boundary(doc):
+    doc["state"]["center"] = [60, 0, 0]
+    doc["propagation"] = {"dt": 0.5, "steps": 100, "stride": 10}
+
+
+def _field_across_the_line(doc):
+    # A_y = B x/2 of a B along y carries weight into k = 0
+    doc["hamiltonian"]["terms"] = ["kinetic", "zeeman"]
+    doc["field"]["b0"] = [0.0, 1.0, 0.0]
+    doc["propagation"]["steps"] = 4
+
+
+class TestAbortedRun:
+    # a run stopped by a flux abort or by a Krylov step that does not
+    # converge is cli.main's exit 1 "aborted", one line on stderr
+    @pytest.mark.parametrize("scenario, edit, message", [
+        ("free_particle.json", _packet_at_the_boundary, "aborted: boundary flux"),
+        ("larmor_sweep.json", _field_across_the_line, "aborted: Krylov propagation did not"),
+    ], ids=["boundary-flux", "krylov"])
+    def test_exit_1_with_one_aborted_line(self, tmp_path, capsys, scenario, edit, message):
+        scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+        doc = json.loads((scenarios / scenario).read_text())
+        edit(doc)
+        path = write_scenario(tmp_path, doc)
+        assert main(["simulate", "--scenario", path, "--output", str(tmp_path / "t.csv")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(message)
+        assert "Traceback" not in err
 
 
 class TestUsage:
