@@ -24,7 +24,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .dynamics import classify_residual_series, standard_battery, total_j_identity, verify
+from .dynamics import (battery_states, classify_residual_series, standard_battery,
+                       total_j_identity, verify)
 from .errors import (BoundaryFluxError, ConfigError, KrylovConvergenceError,
                      PreconditionError, SingularMomentumError)
 from .expr import release_pool
@@ -137,67 +138,68 @@ def _writable(path):
 
 def _rung_residual(kind, ham, sc, grid):
     """The residual of a refinement rung on its own standard battery, or why
-    the rung is skipped; the battery and the pool are dropped at its end."""
+    the rung is skipped; ``verify`` holds one state at a time, and the pool
+    is dropped at the rung's end."""
     if sc.battery != "standard":
         return "the single state is tied to the scenario grid"
     try:
-        states = standard_battery(grid, sc.params)
+        states = battery_states(grid, sc.params)
     except PreconditionError as exc:
         return str(exc)
-    # the operator leaves fill per grid, so the check's own H serves every rung
     residual = verify(kind, ham, states, removal_gains=False).residual
     release_pool()
     return residual
 
 
+def _ladder(kind, family, sc, report):
+    """The refinement series of a check verified in ``report``, printing why a
+    rung is skipped.  One Hamiltonian, its leaves filled per grid, serves
+    every rung; it and the rung grids die with the call."""
+    ham = sc.make_hamiltonian(family=family)
+    series = []
+    for g in _refinement_grids(sc.grid, sc.refine_levels):
+        # the scenario grid's residual is the check's own
+        r = report.residual if g == sc.grid else _rung_residual(kind, ham, sc, g)
+        if isinstance(r, str):
+            print(f"  {kind.value}/{family}: refinement rung N={g.n[0]} skipped:", r)
+        else:
+            series.append((g.n[0], r))
+    return series
+
+
 def cmd_verify_dynamics(args):
+    """Verify every check on the scenario grid and the total-J identity, drop
+    the scenario states, then run each check's refinement ladder and print
+    its table: no scenario state is held while a rung runs."""
     sc = load_scenario(args.scenario)
     if not sc.checks:
         raise ConfigError("verification.checks", "no checks requested")
     out = _writable(args.report or sc.output.get("report"))
-    if sc.battery == "standard":
-        states = standard_battery(sc.grid, sc.params)
-    else:
-        states = [sc.make_state()]
+    states = standard_battery(sc.grid, sc.params) if sc.battery == "standard" else [
+        sc.make_state()]
+    reports = [verify(kind, sc.make_hamiltonian(family=family), states)
+               for kind, family in sc.checks]
+    tj = {kind.value: total_j_identity(kind, states, sc.params)
+          for kind in (SpinKind.FW, SpinKind.PRYCE)}
+    del states
 
-    reports = []
     all_ok = True
-    for kind, family in sc.checks:
-        ham = sc.make_hamiltonian(family=family)
-        report = verify(kind, ham, states)
+    for (kind, family), report in zip(sc.checks, reports):
         if report.classification != "holds" or args.refine:
-            series = []
-            for g in _refinement_grids(sc.grid, sc.refine_levels):
-                if g == sc.grid:
-                    # same states as the check just run
-                    series.append((g.n[0], report.residual))
-                    continue
-                r = _rung_residual(kind, ham, sc, g)
-                if isinstance(r, str):
-                    print(f"  {kind.value}/{family}: refinement rung N={g.n[0]} skipped:", r)
-                else:
-                    series.append((g.n[0], r))
-            report.refinement = series
+            report.refinement = _ladder(kind, family, sc, report)
             report.classification = classify_residual_series(
-                [r for _, r in series] or [report.residual])
-            report.term_classification = {
-                n: report.classification for n in report.term_names}
+                [r for _, r in report.refinement] or [report.residual])
+            report.term_classification = dict.fromkeys(report.term_names, report.classification)
             if report.classification == "non-converging":
                 # the term whose removal shrinks state 0's defect the most
                 gains = report.removal_gains
                 report.offending_term = max(gains, key=gains.get) if gains else None
-        reports.append(report)
         print(report.table())
         if report.classification == "non-converging":
             all_ok = False
-            print(f"  non-converging mismatch; offending printed term: "
-                  f"{report.offending_term}")
-
-    tj = {}
-    for kind in (SpinKind.FW, SpinKind.PRYCE):
-        tj[kind.value] = total_j_identity(kind, states, sc.params)
-        print(f"total-J identity [{kind.value}]: " +
-              " ".join(f"{v:.3e}" for v in tj[kind.value]))
+            print(f"  non-converging mismatch; offending printed term: {report.offending_term}")
+    for kind, residuals in tj.items():
+        print(f"total-J identity [{kind}]: " + " ".join(f"{v:.3e}" for v in residuals))
 
     doc = {"schema": "relspin-verification/1",
            "reports": [r.to_dict() for r in reports],

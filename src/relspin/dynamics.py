@@ -32,7 +32,7 @@ import numpy as np
 
 from .algebra import ID4, levi_civita_pairs
 from .errors import PreconditionError
-from .expr import (Add, ConstMatrix, MomentumDiag, Mul, Scale, _one, apply_expr,
+from .expr import (Add, ConstMatrix, MomentumDiag, Mul, Scale, _one, _reduced, apply_expr,
                    block_parity, pooled)
 from .fields import FieldModel
 from .grid import POLARIZATIONS, GridSpec, SpinorField, gaussian_packet, suppress_zero_mode
@@ -44,7 +44,7 @@ from .operators import (ALPHA, BETA, SIGMA, PhysParams, SpinKind, _inv_ew, energ
 
 __all__ = [
     "spin_expr", "position_correction_expr", "rhs", "verify",
-    "total_j_identity", "positive_energy_part", "standard_battery",
+    "total_j_identity", "positive_energy_part", "standard_battery", "battery_states",
     "ResidualReport", "classify_residual_series",
     "HOLD_TOL", "VERIFY_GUARD",
 ]
@@ -80,14 +80,15 @@ def _grid_leaves(table, kind, params, label):
     """Wrap an ``operators`` S or R table in grid leaves.  A component whose
     pairs are all constant is a constant leaf, which acts without a
     transform in either space.  Each coefficient is pooled under itself (one
-    object per distinct coefficient of a table), so it is one array."""
+    object per distinct coefficient of a table), so it is one array, an
+    all-zero one (a k_y or k_z coefficient on a 1D grid) a 0-d zero."""
     singular = kind is SpinKind.PRYCE
     # the kind's derived scalar (see operators); Dirac reads none
     x = (lambda g: g.inv_k2) if singular else (lambda g: _energy(g, params))
     out = []
     for axis, pairs in zip(_AXES, table):
         leaf = [(_one if coeff is None else (lambda g, t, f=coeff: pooled(
-            f, g, None, lambda: f(g.k, g.k2, x(g)))), m) for coeff, m in pairs]
+            f, g, None, lambda: _reduced(f(g.k, g.k2, x(g))))), m) for coeff, m in pairs]
         out.append(MomentumDiag(leaf, name=f"{label}_{axis}", singular_origin=singular))
     return out
 
@@ -167,9 +168,7 @@ def _rhs_em(kind, model, params):
         inv_ew = _mom_scalar(lambda g, t: _inv_ew(_energy(g, params), params), name="1/EW")
         p2_over_ew = _mom_scalar(lambda g, t: g.k2 * _inv_ew(_energy(g, params), params),
                                  name="p^2/EW")
-        terms = []
-        terms.append(("alpha-cross-kinetic",
-                      scale(-c, cross(alpha_t, pi_t))))
+        terms = [("alpha-cross-kinetic", scale(-c, cross(alpha_t, pi_t)))]
         terms.append(("beta-p-cross-kinetic",
                       prefix([ConstMatrix(BETA), _mom_scalar(
                           lambda g, t: c / _energy(g, params), name="c/E")],
@@ -236,9 +235,7 @@ def _rhs_direct(kind, model, params):
                                       name="Sigma.alpha")
         pxalpha_t = cross(p_t, alpha_t)
         exp_t = cross(e_t, p_t)
-        terms = []
-        terms.append(("zeeman-precession", scale(
-            e / (2 * m0), prefix([beta_c], cross(sigma_t, b_t)))))
+        terms = [("zeeman-precession", scale(e / (2 * m0), prefix([beta_c], cross(sigma_t, b_t))))]
 
         p2_leaf = _mom_scalar(lambda g, t: np.array(g.k2, dtype=float), name="p^2")
         kin_scalar = Add([p2_leaf, Scale(-e, dot(b_t, l_t))])
@@ -284,9 +281,7 @@ def _rhs_direct(kind, model, params):
     sxbddot_t = cross(sigma_t, bddot_t)
     sigma_dot_p = vec_leaf(P, enumerate(SIGMA), name="Sigma.p")
 
-    terms = []
-    terms.append(("zeeman-precession", scale(
-        e / (2 * m0), cross(sigma_t, b_t))))
+    terms = [("zeeman-precession", scale(e / (2 * m0), cross(sigma_t, b_t)))]
     terms.append(("zeeman-projection", scale(
         e / (4 * m0), prefix([beta_lower, inv_p2],
                              cross(sigma_t, cross(p_t, cross(b_t, p_t)))))))
@@ -455,6 +450,9 @@ def verify(kind: SpinKind, hamiltonian: NamedHamiltonian, states,
     value is a norm of a field or of a difference of fields, and the
     transform is unitary with the dx^d weight in both spaces, so the report
     does not depend on the space the states arrive in beyond roundoff.
+
+    ``states`` may be any iterable (such as ``battery_states``): they are read
+    once, in order, and the report's grid is that of the states.
     """
     params = hamiltonian.params
     s_triple = spin_expr(kind, params)
@@ -466,13 +464,12 @@ def verify(kind: SpinKind, hamiltonian: NamedHamiltonian, states,
     cells = []
     for si, psi in enumerate(states):
         psi = psi.to_momentum()
+        grid = psi.grid
         h_psi = apply_expr(hamiltonian.total, psi, guard=VERIFY_GUARD)
         for axis in range(3):
             cells.append(_verify_cell(si, axis, s_triple[axis], hamiltonian.total,
                                       terms, psi, h_psi, gains if si == 0 else None))
     worst = max(c.residual for c in cells)
-
-    grid = states[0].grid
     report = ResidualReport(
         kind=kind.value, family=hamiltonian.family,
         grid={"dim": grid.dim, "n": list(grid.n), "lengths": list(grid.lengths)},
@@ -533,19 +530,22 @@ def positive_energy_part(field: SpinorField, params: PhysParams) -> SpinorField:
     return out.normalized()
 
 
-def standard_battery(grid: GridSpec, params: PhysParams, count: int | None = None):
-    """Deterministic battery of energy-projected Gaussian packets:
-    two polarizations times three mean momenta (one near m0 c).
+class _Battery:
+    """Battery states made from their specs as they are read: a sequence (so
+    a caller may index it, as perfbench's tracer does) that holds none."""
 
-    The width is tied to the box, not the lattice (L/16 in 1D with its large
-    margins, L/8 in 3D where resolution is scarcer), so every rung of a
-    refinement ladder sees the same physical states.  Packets get their k = 0
-    bin stripped so operators with a momentum-origin singularity apply
-    without guard violations.  The battery is fully deterministic.
+    def __init__(self, specs):
+        self.specs = specs
 
-    The states are returned in momentum space, where the stripping happens,
-    with the k = 0 bin exactly zero.
-    """
+    def __getitem__(self, i):  # the packet dies with the call
+        grid, params, sigma, k0, pol = self.specs[i]
+        packet = gaussian_packet(grid, np.zeros(3), sigma, k0, pol)
+        return suppress_zero_mode(positive_energy_part(packet, params))
+
+
+def battery_states(grid: GridSpec, params: PhysParams, count: int | None = None):
+    """``standard_battery``'s states as a ``_Battery``, every check run before
+    any state is made: sigma >= 4 dx and each state's Nyquist bound."""
     mc = params.m0 * params.c
     sigma = grid.lengths[0] / (16.0 if grid.dim == 1 else 8.0)
     if sigma < 4.0 * max(grid.dx):
@@ -561,13 +561,29 @@ def standard_battery(grid: GridSpec, params: PhysParams, count: int | None = Non
                 np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)]
     kmax = min(np.pi / dx for dx in grid.dx)
     pols = [POLARIZATIONS["up_z"], POLARIZATIONS["up_x"]]
-    states = []
+    specs = []
     for i in range(count if count is not None else 6 if grid.dim == 1 else 2):
         pol, k0 = pols[i % 2], mags[i % len(mags)] * dirs[i % len(dirs)]
         if np.linalg.norm(k0) + 6.0 / (2 * sigma) > 0.85 * kmax:
             raise PreconditionError(
                 "battery momentum too close to the lattice Nyquist bound; "
                 "increase the grid resolution")
-        packet = gaussian_packet(grid, np.zeros(3), sigma, k0, pol)
-        states.append(suppress_zero_mode(positive_energy_part(packet, params)))
-    return states
+        specs.append((grid, params, sigma, k0, pol))
+    return _Battery(specs)
+
+
+def standard_battery(grid: GridSpec, params: PhysParams, count: int | None = None):
+    """Deterministic battery of energy-projected Gaussian packets, as a list
+    (``battery_states`` makes them one at a time): two polarizations times
+    three mean momenta (one near m0 c).
+
+    The width is tied to the box, not the lattice (L/16 in 1D with its large
+    margins, L/8 in 3D where resolution is scarcer), so every rung of a
+    refinement ladder sees the same physical states.  Packets get their k = 0
+    bin stripped so operators with a momentum-origin singularity apply
+    without guard violations.  The battery is fully deterministic.
+
+    The states are returned in momentum space, where the stripping happens,
+    with the k = 0 bin exactly zero.
+    """
+    return list(battery_states(grid, params, count))

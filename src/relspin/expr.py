@@ -118,6 +118,12 @@ def _is_zero(arr):
     return arr.size == 1 and complex(arr.reshape(())) == 0
 
 
+def _reduced(arr):
+    """``arr`` as an array, an all-zero mesh as a 0-d zero: its term vanishes."""
+    arr = np.asarray(arr)
+    return np.zeros(()) if arr.size > 1 and not arr.any() else arr
+
+
 def _one(grid, t):
     """The scalar producer of a constant pair."""
     return np.ones(())
@@ -167,10 +173,8 @@ class _DiagLeaf(OperatorExpr):
         self._key = self._arrays = self._live = self._axes = self._own_rows = self._adj = None
 
     def _fill(self, grid: GridSpec, t: float):
-        """The producers' scalar arrays, an all-zero mesh held as a 0-d zero
-        (so its term is known to vanish; a constant's fill does no reduction)."""
-        arrays = [np.asarray(fn(grid, t)) for fn, _ in self.terms]
-        return tuple(np.zeros(()) if a.size > 1 and not a.any() else a for a in arrays)
+        """The producers' scalar arrays, ``_reduced``."""
+        return tuple(_reduced(fn(grid, t)) for fn, _ in self.terms)
 
     def _scalars(self, grid: GridSpec, t: float):
         key = (grid, t if self.time_dependent else None)

@@ -122,15 +122,8 @@ class GridSpec:
 
     def _mesh(self, vectors):
         """Broadcastable (sparse) meshes; missing axes are the scalar 0.0."""
-        out = []
-        for axis in range(3):
-            if axis < self.dim:
-                shape = [1] * self.dim
-                shape[axis] = self.n[axis]
-                out.append(vectors[axis].reshape(shape))
-            else:
-                out.append(0.0)
-        return tuple(out)
+        return tuple(vectors[axis].reshape([n if a == axis else 1 for a, n in enumerate(self.n)])
+                     if axis < self.dim else 0.0 for axis in range(3))
 
     @cached_property
     def r(self):

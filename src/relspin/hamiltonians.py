@@ -222,15 +222,9 @@ def _cross_dot_sigma(pi, x, reverse: bool = False):
     """Sigma.[x x (p-eA)] (reverse=False) or Sigma.[(p-eA) x x] (reverse=True)
     for a model vector x, with Sigma_i folded into the matrix of x's leaf and
     products ordered exactly as written (the right factor acts first)."""
-    out = []
-    for i in range(3):
-        for j, k, e in levi_civita_pairs(i):
-            if reverse:
-                left, right = pi[j], vec_leaf(x, [(k, e * SIGMA[i])])
-            else:
-                left, right = vec_leaf(x, [(j, e * SIGMA[i])]), pi[k]
-            out.append(Mul(left, right))
-    return Add(out)
+    pairs = [(i, j, k, e) for i in range(3) for j, k, e in levi_civita_pairs(i)]
+    return Add([Mul(pi[j], vec_leaf(x, [(k, e * SIGMA[i])])) if reverse
+                else Mul(vec_leaf(x, [(j, e * SIGMA[i])]), pi[k]) for i, j, k, e in pairs])
 
 
 def hermitian_part(expr):

@@ -1,5 +1,6 @@
 import json
 import platform
+import re
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relspin import cli, expr
+from relspin import cli, dynamics, expr
 from relspin import grid as grid_module
 from relspin.cli import _refinement_grids, main
 from relspin.dynamics import (classify_residual_series, positive_energy_part, rhs,
@@ -481,65 +482,163 @@ class TestVerifyDynamics:
             [r["residual"] for r in rep["refinement"]])
         assert set(rep["term_classification"].values()) == {rep["classification"]}
 
-    def test_no_rung_battery_outlives_its_rung(self, tmp_path, capsys, monkeypatch):
-        # the pryce check's ladder runs a 512 rung on its own battery; that
-        # battery is dropped with its verify, before the fw check starts on
-        # the scenario grid
-        doc = base_scenario(
+    def _two_ladders(self, **verification):
+        # a pryce and an fw check on the 1D grid of 256 points, each with a
+        # ladder of 128 (skipped: Nyquist), 256 (the check's own) and 512
+        return base_scenario(
             field={"type": "uniform_b", "b0": [0.0, 0.0, 0.05]},
             hamiltonian={"family": "dirac-em"},
-            verification={"checks": [{"kind": "pryce", "family": "dirac-em"},
-                                     {"kind": "fw", "family": "dirac-em"}],
-                          "refine_levels": 1})
+            verification=dict({"checks": [{"kind": "pryce", "family": "dirac-em"},
+                                          {"kind": "fw", "family": "dirac-em"}],
+                               "refine_levels": 1}, **verification))
+
+    def test_no_rung_battery_outlives_its_rung(self, tmp_path, capsys, monkeypatch):
+        # each of the 512 and 1024 rungs makes its six states as its verify
+        # reads them; none is alive when the next rung starts
+        doc = self._two_ladders(refine_levels=2)
         scenario_grid = parse_scenario(doc).grid
-        rung_states, alive_at_check = [], []
+        rung_states, alive_at_rung = [], []
 
-        def battery(grid, params):
-            states = standard_battery(grid, params)
-            if grid != scenario_grid:
-                rung_states.extend(weakref.ref(psi.data) for psi in states)
-            return states
+        def state(battery, i):
+            psi = made(battery, i)
+            if psi.grid != scenario_grid:
+                rung_states.append(weakref.ref(psi.data))
+            return psi
 
-        def first_verify_of_a_check(kind, ham, states, removal_gains=True):
-            if removal_gains:  # a rung's verify asks for none
-                alive_at_check.append([ref() is not None for ref in rung_states])
-            return verify(kind, ham, states, removal_gains)
-        monkeypatch.setattr(cli, "standard_battery", battery)
-        monkeypatch.setattr(cli, "verify", first_verify_of_a_check)
+        def rung(kind, *args):
+            alive_at_rung.append((kind, [ref() is not None for ref in rung_states]))
+            return rung_residual(kind, *args)
+        made, rung_residual = dynamics._Battery.__getitem__, cli._rung_residual
+        monkeypatch.setattr(dynamics._Battery, "__getitem__", state)
+        monkeypatch.setattr(cli, "_rung_residual", rung)
         path = write_scenario(tmp_path, doc)
         assert main(["verify-dynamics", "--scenario", path, "--refine"]) in (0, 1)
         capsys.readouterr()
-        # per ladder the 128 rung is skipped (Nyquist) and the 512 rung's
-        # battery is six packets
-        assert len(rung_states) == 2 * 6
-        assert alive_at_check == [[], [False] * 6]
+        # per ladder the 128 rung is skipped, and the 512 and 1024 rungs make
+        # six states each
+        assert len(rung_states) == 2 * 12
+        assert alive_at_rung == [
+            (SpinKind.PRYCE, []), (SpinKind.PRYCE, []), (SpinKind.PRYCE, [False] * 6),
+            (SpinKind.FW, [False] * 12), (SpinKind.FW, [False] * 12), (SpinKind.FW, [False] * 18)]
 
     def test_no_rung_pool_outlives_its_rung(self, tmp_path, capsys, monkeypatch):
         # what the pool holds when the pryce check's 512 rung has verified
         # (E_k is not among it: no pryce leaf reads it) is dropped with the
-        # rung, before the fw check starts on the scenario grid
-        doc = base_scenario(
-            field={"type": "uniform_b", "b0": [0.0, 0.0, 0.05]},
-            hamiltonian={"family": "dirac-em"},
-            verification={"checks": [{"kind": "pryce", "family": "dirac-em"},
-                                     {"kind": "fw", "family": "dirac-em"}],
-                          "refine_levels": 1})
-        rung_arrays, alive_at_check = [], []
+        # rung: none of it is alive when the fw check's 512 rung, on an equal
+        # grid, starts its verify
+        rung_arrays, alive_at_rung = [], []
 
         def watched_verify(kind, ham, states, removal_gains=True):
-            if removal_gains:  # a check's first verify; a rung's asks for none
-                alive_at_check.append([ref() is not None for ref in rung_arrays])
+            if not removal_gains and kind is SpinKind.FW:  # a rung's verify
+                alive_at_rung.append([ref() is not None for ref in rung_arrays])
             report = verify(kind, ham, states, removal_gains)
             if not removal_gains and kind is SpinKind.PRYCE:
                 rung_arrays.extend(weakref.ref(a) for a in pooled_arrays())
             return report
         monkeypatch.setattr(cli, "verify", watched_verify)
-        path = write_scenario(tmp_path, doc)
+        path = write_scenario(tmp_path, self._two_ladders())
         assert main(["verify-dynamics", "--scenario", path, "--refine"]) in (0, 1)
         capsys.readouterr()
         # the six k_i k_m/k^2 of S_Py, and A_y = B x/2 of the gauge leaf
         assert len(rung_arrays) == 7
-        assert alive_at_check == [[], [False] * 7]
+        assert alive_at_rung == [[False] * 7]
+
+    def test_no_scenario_state_alive_during_a_rung(self, tmp_path, capsys, monkeypatch):
+        # the checks and the total-J identity read the scenario states first;
+        # they are dropped before any ladder runs
+        scenario_states, alive_at_rung = [], []
+
+        def watched_verify(kind, ham, states, removal_gains=True):
+            if removal_gains:  # a check's verify on the scenario grid
+                scenario_states.extend(weakref.ref(psi.data) for psi in states)
+            else:
+                alive_at_rung.append([ref() is not None for ref in scenario_states])
+            return verify(kind, ham, states, removal_gains)
+        monkeypatch.setattr(cli, "verify", watched_verify)
+        path = write_scenario(tmp_path, self._two_ladders())
+        assert main(["verify-dynamics", "--scenario", path, "--refine"]) in (0, 1)
+        capsys.readouterr()
+        # both checks verified the six states; one 512 rung per ladder
+        assert len(scenario_states) == 2 * 6
+        assert alive_at_rung == [[False] * 12] * 2
+
+    def test_no_rung_grid_outlives_its_ladder(self, tmp_path, capsys, monkeypatch):
+        # the pryce ladder's rung grids (the last one 512, with its cached k2
+        # and 1/k2) live through that ladder and are dead when the fw ladder
+        # asks for its rungs and at each of its rungs
+        rung_grids, alive = [], []
+
+        def grids(grid, levels):
+            alive.append([ref() is not None for ref in rung_grids])
+            return refinement_grids(grid, levels)
+
+        def rung(kind, ham, sc, grid):
+            alive.append([ref() is not None for ref in rung_grids])
+            if kind is SpinKind.PRYCE:
+                rung_grids.append(weakref.ref(grid))
+            return rung_residual(kind, ham, sc, grid)
+        refinement_grids, rung_residual = cli._refinement_grids, cli._rung_residual
+        monkeypatch.setattr(cli, "_refinement_grids", grids)
+        monkeypatch.setattr(cli, "_rung_residual", rung)
+        path = write_scenario(tmp_path, self._two_ladders())
+        assert main(["verify-dynamics", "--scenario", path, "--refine"]) in (0, 1)
+        capsys.readouterr()
+        # the pryce ladder, its 128 and 512 rungs, then the fw ladder and its rungs
+        assert alive == [[], [], [True]] + [[False, False]] * 3
+
+    def test_later_state_over_nyquist_skips_the_rung_before_any_state(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        # on the 128 rung the first two states fit under the Nyquist bound
+        # and the third (k0 = 2 m0 c) does not: the rung is skipped with its
+        # line before any state is made or any verify starts
+        grid = GridSpec(1, 128, 256.0)
+        params = PhysParams()
+        with pytest.raises(PreconditionError, match="Nyquist"):
+            standard_battery(grid, params)
+        assert len(standard_battery(grid, params, count=2)) == 2
+        made, verified = [], []
+
+        def state(battery, i):
+            psi = make(battery, i)
+            made.append(psi.grid.n[0])
+            return psi
+
+        def watched_verify(*args, **kwargs):
+            report = verify(*args, **kwargs)
+            verified.append(report.grid["n"][0])
+            return report
+        make = dynamics._Battery.__getitem__
+        monkeypatch.setattr(dynamics._Battery, "__getitem__", state)
+        monkeypatch.setattr(cli, "verify", watched_verify)
+        doc = self._two_ladders(checks=[{"kind": "pryce", "family": "dirac-em"}])
+        path = write_scenario(tmp_path, doc)
+        assert main(["verify-dynamics", "--scenario", path, "--refine"]) == 1
+        assert ("pryce/dirac-em: refinement rung N=128 skipped: battery momentum too close "
+                "to the lattice Nyquist bound") in capsys.readouterr().out
+        assert 128 not in made and 128 not in verified
+        assert verified == [256, 512]
+
+    def test_shipped_scenario_prints_in_order(self, tmp_path, capsys):
+        # each check's skipped rung, table and finding, in the order of the
+        # checks, then the total-J identities and the report path; the
+        # numbers are masked
+        path = Path(__file__).resolve().parents[1] / "scenarios" / "uniform_b_verification.json"
+        report = tmp_path / "report.json"
+        assert main(["verify-dynamics", "--scenario", str(path), "--report", str(report)]) == 1
+        number = re.compile(r"-?\d\.\d{3}e[-+]\d\d")
+        lines = [number.sub("#", line) for line in capsys.readouterr().out.splitlines()]
+        cells = [f"  state {i} {ax}: residual=# lhs=# rhs=#" for i in (0, 1) for ax in "xyz"]
+        skip = ("  {}/dirac-em: refinement rung N=16 skipped: grid too coarse for the "
+                "standard battery: sigma=6.0 needs >= 4 dx = 12.0")
+        want = []
+        for kind, term in (("pryce", "r-p-alpha-b"), ("fw", "longitudinal-alpha-cross")):
+            want += [skip.format(kind),
+                     f"check kind={kind} H=dirac-em  residual=#  classification=non-converging",
+                     *cells, "  refinement: N=32: #, N=64: #",
+                     f"  non-converging mismatch; offending printed term: {term}"]
+        want += ["total-J identity [fw]: # # #", "total-J identity [pryce]: # # #",
+                 f"report written to {report}"]
+        assert lines == want
 
     def test_single_state_ladder_names_each_skipped_rung(self, tmp_path, capsys):
         # the single state is tied to the scenario grid: --refine runs the
@@ -729,6 +828,17 @@ class TestSweep:
                          "--output", str(tmp_path / "sweep.csv")]) == 0
             entries.append(len(pool_entries()))
         assert entries[0] == entries[1] == entries[2]
+
+    def test_pool_holds_no_all_zero_mesh(self, tmp_path):
+        # on the 1D grid the spin coefficients that read k_y or k_z vanish
+        # everywhere; the pool holds each as the 0-d zero the leaves read
+        path = Path(__file__).resolve().parents[1] / "scenarios" / "larmor_sweep.json"
+        expr.release_pool()
+        assert main(["sweep", "--scenario", str(path), "--field-grid", "0.5,1,2,4",
+                     "--output", str(tmp_path / "sweep.csv")]) == 0
+        full = [a for a in pooled_arrays() if a.size > 1]
+        assert full and not [a for a in full if not a.any()]
+        assert [a for a in pooled_arrays() if a.ndim == 0 and not a.any()]
 
     def test_zero_base_field_rejected(self, tmp_path):
         doc = self.sweep_scenario()
