@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (battery_states, classify_residual_series, standard_battery,
-                       total_j_identity, verify)
+                       total_j_identity, verify, verify_residual)
 from .errors import (BoundaryFluxError, ConfigError, KrylovConvergenceError,
                      PreconditionError, SingularMomentumError)
 from .expr import release_pool
@@ -138,15 +138,15 @@ def _writable(path):
 
 def _rung_residual(kind, ham, sc, grid):
     """The residual of a refinement rung on its own standard battery, or why
-    the rung is skipped; ``verify`` holds one state at a time, and the pool
-    is dropped at the rung's end."""
+    the rung is skipped; ``verify_residual`` holds one state at a time, and
+    the pool is dropped at the rung's end."""
     if sc.battery != "standard":
         return "the single state is tied to the scenario grid"
     try:
         states = battery_states(grid, sc.params)
     except PreconditionError as exc:
         return str(exc)
-    residual = verify(kind, ham, states, removal_gains=False).residual
+    residual = verify_residual(kind, ham, states)
     release_pool()
     return residual
 

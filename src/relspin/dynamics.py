@@ -33,7 +33,7 @@ import numpy as np
 from .algebra import ID4, levi_civita_pairs
 from .errors import PreconditionError
 from .expr import (Add, ConstMatrix, MomentumDiag, Mul, Scale, _one, _reduced, apply_expr,
-                   block_parity, pooled)
+                   block_parity, compiled, pooled)
 from .fields import FieldModel
 from .grid import POLARIZATIONS, GridSpec, SpinorField, gaussian_packet, suppress_zero_mode
 from .hamiltonians import (P, R, ModelVector, NamedHamiltonian, add, build_free_dirac,
@@ -43,7 +43,7 @@ from .operators import (ALPHA, BETA, SIGMA, PhysParams, SpinKind, _inv_ew, energ
                         position_terms, spin_terms)
 
 __all__ = [
-    "spin_expr", "position_correction_expr", "rhs", "verify",
+    "spin_expr", "position_correction_expr", "rhs", "verify", "verify_residual",
     "total_j_identity", "positive_energy_part", "standard_battery", "battery_states",
     "ResidualReport", "classify_residual_series",
     "HOLD_TOL", "VERIFY_GUARD",
@@ -384,27 +384,38 @@ class ResidualReport:
 VERIFY_GUARD = 1e-4
 
 
+def _lhs(s_i, h_total, psi, h_psi):
+    """A cell's LHS (1/i)[S_i, H] psi, in S(H psi)'s field, and its scale
+    ||S H psi|| + ||H S psi||; S psi dies before S H psi is made."""
+    h_s = apply_expr(h_total, apply_expr(s_i, psi, guard=VERIFY_GUARD), guard=VERIFY_GUARD)
+    s_h = apply_expr(s_i, h_psi, guard=VERIFY_GUARD)
+    scale = s_h.norm() + h_s.norm()
+    np.subtract(s_h.data, s_h.data_of(h_s), out=s_h.data)
+    s_h.data *= -1j
+    return s_h, scale
+
+
+def _residual(lhs, scale, rhs_field, psi):
+    """(||LHS - RHS|| / max(scale, ||RHS||, eps ||psi||), ||RHS||, ||LHS - RHS||),
+    the difference formed in the LHS's field."""
+    rhs_norm = rhs_field.norm()
+    np.subtract(lhs.data, lhs.data_of(rhs_field), out=lhs.data)
+    base = lhs.norm()
+    return base / max(scale, rhs_norm, _EPS_FLOOR * psi.norm()), rhs_norm, base
+
+
 def _verify_cell(si, axis, s_i, h_total, terms, psi, h_psi, gains):
     """One (state, axis) cell of ``verify``.  When ``gains`` is a dict, every
     term's removal gain is folded into it, keeping the largest per term.
     A function of its own so that the cell's fields are freed before the
     next cell forms its own."""
-    s_h = apply_expr(s_i, h_psi, guard=VERIFY_GUARD)
-    h_s = apply_expr(h_total, apply_expr(s_i, psi, guard=VERIFY_GUARD), guard=VERIFY_GUARD)
-    scale = s_h.norm() + h_s.norm()
-    # lhs = (1/i)(s_h - h_s) is formed in s_h's field, diff = lhs - rhs
-    # later in the same field, and each diff + term in the term's own
-    lhs = s_h
-    np.subtract(lhs.data, lhs.data_of(h_s), out=lhs.data)
-    lhs.data *= -1j
-    del h_s  # the term fields kept below take its place
+    lhs, scale = _lhs(s_i, h_total, psi, h_psi)
     # one apply per printed term, its norm recorded.  The right-hand side is
     # their sum, formed in place in the first term's field before the next
     # apply; terms kept for the removal gains are summed after the last
     # apply, into a copy of the first, so that no sum is held during one
     rhs_field = None if terms else psi * 0.0
-    term_norms = {}
-    kept = []
+    term_norms, kept = {}, []
     for name, triple in terms:
         term = apply_expr(triple[axis], psi, guard=VERIFY_GUARD)
         term_norms[name] = term.norm()
@@ -419,21 +430,17 @@ def _verify_cell(si, axis, s_i, h_total, terms, psi, h_psi, gains):
         rhs_field = kept[0][1].copy()
         for _, term in kept[1:]:
             rhs_field.data += rhs_field.data_of(term)
-    lhs_norm, rhs_norm = lhs.norm(), rhs_field.norm()
-    diff = lhs
-    np.subtract(diff.data, diff.data_of(rhs_field), out=diff.data)
-    base = diff.norm()
+    lhs_norm = lhs.norm()
+    residual, rhs_norm, base = _residual(lhs, scale, rhs_field, psi)
     for name, term in kept:
-        np.add(term.data, term.data_of(diff), out=term.data)  # diff + term
+        np.add(term.data, term.data_of(lhs), out=term.data)  # diff + term
         gains[name] = max(gains.get(name, -np.inf), term.norm() - base)
-    denom = max(scale, rhs_norm, _EPS_FLOOR * psi.norm())
-    return VerifyCell(si, _AXES[axis], base / denom, lhs_norm, rhs_norm, scale, term_norms)
+    return VerifyCell(si, _AXES[axis], residual, lhs_norm, rhs_norm, scale, term_norms)
 
 
-def verify(kind: SpinKind, hamiltonian: NamedHamiltonian, states,
-           removal_gains: bool = True) -> ResidualReport:
+def verify(kind: SpinKind, hamiltonian: NamedHamiltonian, states) -> ResidualReport:
     """Measure ||(1/i)[S_i, H] psi - RHS_i psi|| per component and state, at
-    t = 0 and under ``VERIFY_GUARD``.
+    t = 0 and under ``VERIFY_GUARD``, each printed term applied on its own.
 
     The residual is relative: ||LHS - RHS|| / max(scale, ||RHS||, eps) with
     scale = ||S(H psi)|| + ||H(S psi)|| and eps = 1e-14 ||psi||.
@@ -441,8 +448,8 @@ def verify(kind: SpinKind, hamiltonian: NamedHamiltonian, states,
     For state 0 each printed term T is also ranked by its removal gain
     ||diff + T|| - ||diff|| (diff = LHS - RHS), the largest over the axes, in
     ``removal_gains``: the term whose removal shrinks the defect the most
-    has the largest gain.  ``removal_gains=False`` skips the ranking (a
-    refinement rung needs only the residual), leaving the field empty.
+    has the largest gain.  A refinement rung needs only the residual, which
+    ``verify_residual`` gives.
 
     Each state is moved to momentum space once, before any apply, so the
     momentum-diagonal leaves (S, p_i, alpha.p, B.p, 1/p^2) act without a
@@ -458,7 +465,7 @@ def verify(kind: SpinKind, hamiltonian: NamedHamiltonian, states,
     s_triple = spin_expr(kind, params)
     terms, _ = rhs(kind, hamiltonian.family, hamiltonian.model, params)
 
-    gains = {} if removal_gains else None
+    gains = {}
     term_struct = {name: block_parity(Add(list(triple))) for name, triple in terms}
 
     cells = []
@@ -477,12 +484,31 @@ def verify(kind: SpinKind, hamiltonian: NamedHamiltonian, states,
         model=hamiltonian.model.describe(),
         time=0.0, cells=cells, residual=worst,
         term_names=[n for n, _ in terms],
-        block_structure=term_struct, removal_gains=gains or {},
+        block_structure=term_struct, removal_gains=gains,
     )
     if worst <= HOLD_TOL:
         report.classification = "holds"
         report.term_classification = {n: "holds" for n, _ in terms}
     return report
+
+
+def verify_residual(kind: SpinKind, hamiltonian: NamedHamiltonian, states) -> float:
+    """``verify``'s residual, by its LHS and residual code, for a refinement
+    rung: per cell one apply of the printed total, ``expr.compiled`` on the
+    states' grid (its 1/p^2 guards the sum of the terms' shares), and none
+    of the norms only the report reads (each term's, the LHS's)."""
+    s_triple, worst, rhs_t = spin_expr(kind, hamiltonian.params), 0.0, None
+    for psi in states:
+        psi = psi.to_momentum()
+        if rhs_t is None:  # on the states' grid; the printed tree dies here
+            rhs_t = [compiled(r_i, psi.grid) for r_i in rhs(
+                kind, hamiltonian.family, hamiltonian.model, hamiltonian.params)[1]]
+        h_psi = apply_expr(hamiltonian.total, psi, guard=VERIFY_GUARD)
+        # a cell's fields die with its _residual call
+        worst = max([worst] + [_residual(*_lhs(s_i, hamiltonian.total, psi, h_psi),
+                                         apply_expr(r_i, psi, guard=VERIFY_GUARD), psi)[0]
+                               for s_i, r_i in zip(s_triple, rhs_t)])
+    return worst
 
 
 def classify_residual_series(residuals) -> str:

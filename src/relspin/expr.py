@@ -65,12 +65,18 @@ whose rows each take one product, of their own component (``_own_rows``:
 r_j, p_j, 1/p^2, B.p), inside ``diag_along`` and on an owned input.  The
 caller's state and the leaves' cached scalars are never written.
 
-Two structural walks read a tree without applying it.  ``_scaled_leaves``
+Three structural walks read a tree without applying it.  ``_scaled_leaves``
 flattens a sum of scaled leaves, its vanishing subtrees dropped when given a
 grid and t: ``LeafStack`` reads it for static trees, and the exact step of
 ``propagate`` for a Hamiltonian at the step midpoint.  ``block_parity``
 reads the blocks of a tree's form over the leaves' sum_j |M_j| (every factor
-1, so nothing cancels).
+1, so nothing cancels).  ``compiled`` rewrites a tree for one (grid, t)
+into an equal tree of the same nodes: monomials (the ordered product of the
+terms' 4x4 matrices, which commute with every scalar, times a chain of
+scalars), adjacent scalars of one space multiplied where that stays smaller
+than the grid, and those whose chains end in one array share its leaf, from
+the end that costs fewer passes (``_trie``).  So a Pryce total applies 1/p^2
+once, and guards the sum of its terms' shares, not each share.
 
 Leaves flagged ``singular_origin`` (the longitudinal 1/p^2 projector and
 friends) refuse to act on states whose k = 0 amplitude fraction exceeds the
@@ -92,7 +98,7 @@ __all__ = [
     "OperatorExpr", "PositionDiag", "MomentumDiag", "ConstMatrix",
     "Add", "Mul", "Scale", "Adjoint",
     "LeafStack", "apply_expr", "expectation", "block_parity",
-    "pooled", "release_pool", "DEFAULT_ZERO_MODE_GUARD",
+    "compiled", "pooled", "release_pool", "DEFAULT_ZERO_MODE_GUARD",
 ]
 
 DEFAULT_ZERO_MODE_GUARD = 1e-10
@@ -344,6 +350,96 @@ def expectation(expr: OperatorExpr, field: SpinorField, t: float = 0.0,
                 guard: float = DEFAULT_ZERO_MODE_GUARD) -> complex:
     """<psi | E | psi> with the dx^d-weighted inner product."""
     return field.inner(_evaluate(expr, field, t, guard).in_space(field.space, consume=True))
+
+
+def _monomials(expr, grid, t):
+    """``expr`` at (grid, t) as [(C, chain)]: C the product of the terms'
+    matrices, numbers and size-1 scalars folded in, and chain the other
+    scalars, first applied first, as (id, space, singular, array, name)."""
+    if expr._vanishes(grid, t):
+        return []
+    if isinstance(expr, _DiagLeaf):
+        return [(m * complex(a.reshape(())), ()) if a.size == 1 else
+                (m, ((id(a), expr.space, expr.singular_origin, a, expr.name),))
+                for (_, m), a in zip(expr.terms, expr._scalars(grid, t)) if not _is_zero(a)]
+    if isinstance(expr, Scale):
+        return [(expr.factor * c, chain) for c, chain in _monomials(expr.child, grid, t)]
+    if isinstance(expr, Add):
+        return [m for child in expr.children for m in _monomials(child, grid, t)]
+    return [(cl @ cr, right + left) for cr, right in _monomials(expr.right, grid, t)
+            for cl, left in _monomials(expr.left, grid, t)]
+
+
+def _fused(chain, npoints, memo):
+    """``chain``, adjacent factors of one space multiplied where the product is
+    smaller than the grid and neither is singular, one array per pair."""
+    out = []
+    for f in chain:
+        p = out[-1] if out else None
+        if (p and p[1] == f[1] and not (p[2] or f[2])
+                and math.prod(np.broadcast_shapes(p[3].shape, f[3].shape)) < npoints):
+            out.pop()  # the memo holds the operands, so that their ids stay theirs
+            prod = memo.setdefault((p[0], f[0]), (p[3] * f[3], p, f))[0]
+            f = (id(prod), f[1], False, prod, None)
+        out.append(f)
+    return tuple(out)
+
+
+def _leaf(grid, pairs):
+    """The leaf of (factor, matrix) pairs of one space, filled on ``grid``."""
+    f = pairs[0][0]
+    leaf = ConstMatrix(pairs[0][1]) if f is None else (
+        MomentumDiag if f[1] == MOMENTUM else PositionDiag)(
+        [(lambda g, t, a=x[3]: a, m) for x, m in pairs], name=f[4], singular_origin=f[2])
+    leaf._scalars(grid, 0.0)
+    return leaf
+
+
+def _cost(expr):
+    """(axis passes, kernel products) of an apply to a momentum state."""
+    if isinstance(expr, _DiagLeaf):
+        return 2 * len(expr._axes) * (expr.space == POSITION), sum(len(e) for e, _ in expr._live)
+    kids = expr.children if isinstance(expr, Add) else (expr.left, expr.right)
+    return tuple(map(sum, zip(*map(_cost, kids))))
+
+
+def _trie(monos, grid, side=None):
+    """Monomials of distinct chains as a tree, the cheaper (``_cost``) of two:
+    those sharing their last-applied (side -1) or first-applied (0) factor
+    share its leaf; one no other shares joins those of its space and rest."""
+    if side is None:
+        return min((_trie(monos, grid, side) for side in (-1, 0)), key=_cost)
+    rest = lambda chain: chain[:-1] if side else chain[1:]
+    join = lambda f, e: Mul(f, e) if side else Mul(e, f)
+    groups, lone, nodes = {}, {}, []
+    for c, chain in monos:
+        groups.setdefault(chain[side][:3] if chain else None, []).append((c, chain))
+    for key, group in groups.items():
+        if key is None or len(group) == 1:
+            (c, chain), = group
+            lone.setdefault(key and (key[1:], tuple(f[:3] for f in rest(chain))), []).append(
+                (chain[side] if chain else None, c, rest(chain)))
+        else:
+            nodes.append(join(_leaf(grid, [(group[0][1][side], np.eye(4))]),
+                              _trie([(c, rest(chain)) for c, chain in group], grid)))
+    for group in lone.values():
+        tree = _leaf(grid, [(f, c) for f, c, _ in group])
+        for f in group[0][2][::side or 1]:
+            tree = join(tree, _leaf(grid, [(f, np.eye(4))]))
+        nodes.append(tree)
+    return nodes[0] if len(nodes) == 1 else Add(nodes)
+
+
+def compiled(expr: OperatorExpr, grid: GridSpec, t: float = 0.0) -> OperatorExpr:
+    """A tree equal to ``expr`` at (grid, t) that applies each shared factor
+    once (see the module docstring)."""
+    memo, monos = {}, {}
+    for c, chain in _monomials(expr, grid, t):
+        chain = _fused(chain, grid.npoints, memo)
+        key = tuple(f[:3] for f in chain)
+        monos[key] = (monos[key][0] + c if key in monos else c, chain)
+    monos = [m for m in monos.values() if m[0].any()]
+    return _trie(monos, grid) if monos else ConstMatrix(np.zeros((4, 4)))
 
 
 def _scaled_leaves(expr, grid=None, t=0.0, factor=1.0):

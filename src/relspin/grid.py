@@ -371,15 +371,13 @@ def gaussian_packet(grid: GridSpec, center, sigma: float, k0, polarization) -> S
             raise GridResolutionError(
                 f"center must sit >= 4 sigma from the boundary on axis {axis}")
 
-    rx, ry, rz = grid.r
-    arg = (rx - center[0]) ** 2
-    if grid.dim == 3:
-        arg = arg + (ry - center[1]) ** 2 + (rz - center[2]) ** 2
-    envelope = np.exp(-arg / (4.0 * sigma**2))
-    phase = np.exp(1j * (k0[0] * rx + k0[1] * ry + k0[2] * rz))
-    scalar = np.broadcast_to(envelope * phase, grid.shape)
-    values = pol.reshape((4,) + (1,) * grid.dim) * scalar
-    return SpinorField(grid, values, POSITION).normalized()
+    values = pol  # the envelope and the plane wave factor per axis
+    for axis, r in enumerate(map(grid.axis_positions, range(grid.dim))):
+        values = np.multiply.outer(values, np.exp(-(r - center[axis]) ** 2 / (4.0 * sigma**2))
+                                   * np.exp(1j * k0[axis] * r))
+    field = SpinorField(grid, values, POSITION)
+    field.data *= 1.0 / field.norm()  # one grid-size product, scaled in place
+    return field
 
 
 def matrix_entries(m):

@@ -8,17 +8,17 @@ import pytest
 import relspin.dynamics
 import relspin.expr
 from relspin.algebra import ID4, commutator, levi_civita
-from relspin.errors import PreconditionError
+from relspin.errors import PreconditionError, SingularMomentumError
 from relspin.expr import (Add, ConstMatrix, MomentumDiag, Mul, OperatorExpr, Scale,
-                          _DiagLeaf, apply_expr, block_parity)
+                          _DiagLeaf, apply_expr, block_parity, compiled)
 from relspin.fields import Envelope, PlaneWavePulse, UniformB, UniformE, ZeroField
 from relspin.grid import GridSpec, SpinorField, gaussian_packet
 from relspin.hamiltonians import (P, R, build_dirac_em, build_free_dirac, build_fw_direct,
                                   build_hamiltonian, triple)
-from relspin.dynamics import (HOLD_TOL, battery_states, classify_residual_series,
+from relspin.dynamics import (HOLD_TOL, VERIFY_GUARD, battery_states, classify_residual_series,
                               position_correction_expr, positive_energy_part, rhs,
                               spin_expr, standard_battery, total_j_identity,
-                              verify)
+                              verify, verify_residual)
 from relspin.operators import (ALPHA, BETA, SIGMA, PhysParams, SpinKind,
                                position_correction, spin_operator)
 
@@ -357,6 +357,47 @@ class TestTotalJ:
             assert fine <= coarse * 1.5 or fine <= floor
 
 
+def _near_origin_state(grid):
+    """Upper-spinor weight on the momenta one step from k = 0 along x, none
+    at k = 0: the r_j of the Pryce gradient terms carry some of it there."""
+    vals = np.zeros((4, *grid.shape), dtype=complex)
+    for step in (-1, 1):
+        vals[(0, grid.origin_index[0] + step, *grid.origin_index[1:])] = 1.0
+    return SpinorField(grid, vals, "momentum")
+
+
+class TestCompiledRhs:
+    GRID = GridSpec(3, 16, 24.0)
+
+    @pytest.mark.parametrize("kind, family", [
+        (SpinKind.PRYCE, "dirac-em"), (SpinKind.FW, "dirac-em"),
+        (SpinKind.PRYCE, "fw-direct"), (SpinKind.FW, "fw-direct")])
+    @pytest.mark.parametrize("model, t", [
+        (UniformB([0.0, 0.0, 0.05]), 0.0),
+        (UniformB([0.0, 0.0, 0.05], Envelope(shape="gaussian", amplitude=1.0, center=0.3,
+                                             width=2.0)), 0.7)], ids=["constant", "gaussian"])
+    def test_printed_total_compiles_to_an_equal_tree(self, params, kind, family, model, t):
+        # per axis, from a momentum state with no k = 0 weight; the pulsed
+        # field at t = 0.7 makes E, dB/dt and d2B/dt2 live
+        psi = TestPeakMemory()._state()
+        for printed in rhs(kind, family, model, params)[1]:
+            want = apply_expr(printed, psi, t, VERIFY_GUARD)
+            got = apply_expr(compiled(printed, self.GRID, t), psi, t, VERIFY_GUARD)
+            assert (got - want).norm() <= 1e-13 * want.norm()
+
+    def test_compiled_inverse_momentum_guards_its_summed_input(self, params):
+        # the x total's 1/p^2 acts once, on the sum of the three terms'
+        # inputs, whose k = 0 weight (1.7e-2) exceeds the guard; the field
+        # is weak, so that S_Py (H psi) passes its guard
+        ham = build_dirac_em(UniformB([0.0, 0.0, 1e-4]), params)
+        psi = _near_origin_state(self.GRID)
+        total = rhs(SpinKind.PRYCE, "dirac-em", ham.model, params)[1]
+        with pytest.raises(SingularMomentumError, match=r"operator 1/p\^2 is singular"):
+            apply_expr(compiled(total[0], self.GRID), psi, guard=VERIFY_GUARD)
+        with pytest.raises(SingularMomentumError, match=r"operator 1/p\^2 is singular"):
+            verify_residual(SpinKind.PRYCE, ham, [psi])
+
+
 class TestBlockStructure:
     def test_pryce_em_offdiagonal(self, params):
         model = UniformB(np.array([0.0, 0.0, 0.05]))
@@ -560,14 +601,20 @@ class TestPeakMemory:
 
     def _cell(self, params, gains):
         # a state-0 x cell of pryce / dirac-em under a uniform B, with its
-        # leaves' caches filled
-        from relspin.dynamics import _verify_cell
+        # leaves' caches filled: verify's with ``gains`` a dict, else a
+        # refinement rung's, whose printed total is compiled
+        from relspin.dynamics import _lhs, _residual, _verify_cell
         psi = self._state()
         ham = build_hamiltonian("dirac-em", UniformB([0.0, 0.0, 0.05]), params)
-        terms, _ = rhs(SpinKind.PRYCE, "dirac-em", ham.model, params)
+        terms, total = rhs(SpinKind.PRYCE, "dirac-em", ham.model, params)
         s_x = spin_expr(SpinKind.PRYCE, params)[0]
         h_psi = apply_expr(ham.total, psi, 0.0, 1.0)
-        cell = lambda: _verify_cell(0, 0, s_x, ham.total, terms, psi, h_psi, gains)
+        if gains is None:
+            rhs_x = compiled(total[0], self.GRID)
+            cell = lambda: _residual(*_lhs(s_x, ham.total, psi, h_psi),  # as verify_residual's
+                                     apply_expr(rhs_x, psi, guard=VERIFY_GUARD), psi)
+        else:
+            cell = lambda: _verify_cell(0, 0, s_x, ham.total, terms, psi, h_psi, gains)
         cell()
         return cell, psi.data.nbytes
 
@@ -581,10 +628,13 @@ class TestPeakMemory:
         assert _peak_bytes(cell) <= 6.5 * field
 
     def test_rung_cell_peak(self, params):
-        # a refinement rung's cell keeps no term for the gains: 5.27 fields
-        # measured (8.27 with the dead references and new diagonal outputs)
+        # a refinement rung's cell keeps no term for the gains, applies the
+        # compiled total (2.52 fields at its peak, 4.26 with the terms applied
+        # one by one), and forms H (S psi) before S (H psi), so that S psi is
+        # not held with S (H psi): 4.26 fields measured, in H (S psi) (5.27
+        # before, 8.27 with the dead references and new diagonal outputs)
         cell, field = self._cell(params, None)
-        assert _peak_bytes(cell) <= 5.5 * field
+        assert _peak_bytes(cell) <= 4.5 * field
 
     def test_sum_holds_its_accumulator_and_one_child(self):
         # r.p = sum_j r_j p_j from a momentum state: p_j's result, multiplied
@@ -600,42 +650,46 @@ class TestPeakMemory:
         assert _peak_bytes(lambda: apply_expr(r_dot_p, psi)) <= 2 * psi.data.nbytes + cast + 8192
 
     def test_rung_verify_peak(self, params):
-        # a whole 32^3 rung of the shipped scenario's pryce check: 7.27 fields
-        # (of 2 MB) measured beyond its two states, 10.27 with the dead
-        # references and new diagonal outputs
+        # a whole 32^3 rung of the shipped scenario's pryce check: h_psi and
+        # the rung cell, 5.23 fields (of 2 MB) measured beyond its two states
+        # (7.27 with the printed terms applied one by one and S (H psi)
+        # formed first, 10.27 with the dead references and new diagonal
+        # outputs)
         grid = GridSpec(3, 32, 48.0)
         states = standard_battery(grid, params)
         ham = build_hamiltonian("dirac-em", UniformB([0.0, 0.0, 0.05]), params)
-        run = lambda: verify(SpinKind.PRYCE, ham, states, removal_gains=False)
+        run = lambda: verify_residual(SpinKind.PRYCE, ham, states)
         run()
-        assert _peak_bytes(run) <= 7.5 * states[0].data.nbytes
+        assert _peak_bytes(run) <= 5.5 * states[0].data.nbytes
 
     def _lazy_rung(self, params):
-        # a rung's verify of pryce / dirac-em on two 16^3 states, each made
-        # as verify reads it
+        # a rung's residual of pryce / dirac-em on two 16^3 states, each made
+        # as it is read
         ham = build_hamiltonian("dirac-em", UniformB([0.0, 0.0, 0.05]), params)
-        return lambda: verify(SpinKind.PRYCE, ham, (self._state(seed) for seed in (17, 18)),
-                              removal_gains=False)
+        return lambda: verify_residual(SpinKind.PRYCE, ham,
+                                       (self._state(seed) for seed in (17, 18)))
 
     def test_rung_state_dead_at_the_next_states_first_cell(self, params, monkeypatch):
-        cell, refs, alive = relspin.dynamics._verify_cell, {}, []
+        lhs, refs, alive = relspin.dynamics._lhs, [], []
 
-        def watched(si, axis, s_i, h_total, terms, psi, *args):
-            if axis == 0:
-                refs[si] = weakref.ref(psi.data)
-                alive.append([ref() is not None for s, ref in refs.items() if s < si])
-            return cell(si, axis, s_i, h_total, terms, psi, *args)
-        monkeypatch.setattr(relspin.dynamics, "_verify_cell", watched)
+        def watched(s_i, h_total, psi, h_psi):
+            if not refs or refs[-1]() is not psi.data:  # a state's first cell
+                alive.append([ref() is not None for ref in refs])
+                refs.append(weakref.ref(psi.data))
+            return lhs(s_i, h_total, psi, h_psi)
+        monkeypatch.setattr(relspin.dynamics, "_lhs", watched)
         self._lazy_rung(params)()
         assert alive == [[], [False]]
 
     def test_lazy_rung_verify_peak(self, params):
-        # one state, its h_psi and the rung cell's 5.27 fields make 7.27
-        # fields, and the leaf caches of verify's own S and RHS trees, which
-        # a warmed cell does not count, 0.27 more (their (16, 16, 1) merged
-        # coefficients and Python objects, about 60 KB): 7.54 measured.  The
-        # two states held at once, as a list, give 8.54
+        # one state, its h_psi and the rung cell's 4.26 fields make 6.26
+        # fields, and the leaf caches of the rung's own S and compiled RHS
+        # trees, which a warmed cell does not count, 0.58 more (mostly the
+        # (16, 16, 1) merged coefficients of each axis's k_j (Sigma x B)_i
+        # alpha_j leaf, and the trees' Python objects): 6.84 measured (7.54
+        # with the printed terms applied one by one).  The two states held at
+        # once, as a list, give 7.84
         run = self._lazy_rung(params)
         run()
         field = self._state().data.nbytes
-        assert _peak_bytes(run) <= 7.75 * field
+        assert _peak_bytes(run) <= 7.0 * field

@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relspin.dynamics import positive_energy_part, rhs, spin_expr, standard_battery, verify
+from relspin.dynamics import (positive_energy_part, rhs, spin_expr, standard_battery, verify,
+                              verify_residual)
 from relspin.expr import _DiagLeaf, apply_expr, expectation
 from relspin.fields import Envelope, UniformB, ZeroField
 from relspin.grid import GridSpec, SpinorField, gaussian_packet, pointwise
@@ -197,6 +198,49 @@ def test_verify(params, battery_3d, fft_count, kind, family, count):
     fft_count.reset()
     verify(kind, ham, battery_3d)
     assert fft_count.passes == count
+
+
+# (kind, family, axis passes) of a refinement rung's ``verify_residual`` on
+# the same battery: the same LHS, and per axis one apply of the printed total
+# as ``expr.compiled`` makes it
+_RUNG = [
+    # per state H psi 4, then per axis H (S psi) 4 and the compiled
+    #   1/p^2 (sum_j k_j (Sigma x B)_i alpha_j
+    #          + sum_j r_j [e c B k_z k_i alpha_j - e c B k_j k_i alpha_z] / 2):
+    # 1/p^2 applies once, in momentum (0), and each r_j once, along its
+    # axis there and back (2), so 4 + 3 * (4 + 6) = 34 per state, against
+    # 52 with the three r_j of r-p-alpha-b and the alpha.r of
+    # alpha-r-gradient each applied on their own
+    (SpinKind.PRYCE, "dirac-em", 68),
+    # every printed term is momentum-diagonal: 8 + 3 * 8, as verify's
+    (SpinKind.PRYCE, "fw-direct", 64),
+    # r_x p_y and r_y p_x of kinetic-coupling apply once each, under 1/E,
+    # as in verify: 8 + 3 * (8 + 4)
+    (SpinKind.FW, "fw-direct", 88),
+    # per state H psi 4, then per axis H (S psi) 4 and the compiled total:
+    # on x and y the r_j of alpha-r-gradient and alpha-b-gradient once each
+    # under 1/EW (6) and the one live A_i once under each of c/E and p^2/EW
+    # and once bare (6); on z alpha.r once whole (6), under 1/EW, r_x, r_y
+    # and r_z once each (6), and A_x and A_y (4): 4 + 2 * (4 + 12) + (4 + 16)
+    # = 56, against 76 in verify
+    (SpinKind.FW, "dirac-em", 112),
+]
+
+
+@pytest.mark.parametrize("kind, family, count", _RUNG)
+def test_rung_residual(params, battery_3d, fft_count, products, kind, family, count):
+    # no more passes and no more kernel products than the reporting verify
+    ham = build_hamiltonian(family, _MODEL, params)
+    verify_residual(kind, ham, battery_3d)  # the leaves fill
+    fft_count.reset()
+    products[0] = 0
+    verify_residual(kind, ham, battery_3d)
+    passes, rung_products = fft_count.passes, products[0]
+    fft_count.reset()
+    products[0] = 0
+    verify(kind, ham, battery_3d)
+    assert passes == count
+    assert passes <= fft_count.passes and rung_products < products[0]
 
 
 @pytest.mark.parametrize("space, count", [("momentum", 0), ("position", 1)])

@@ -204,6 +204,21 @@ class TestGaussianPacket:
         psi = positive_energy_part(gaussian_packet(grid_1d, 0.0, 16.0, 1.0, [1, 0, 0, 0]), params)
         assert abs(psi.norm() - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("grid, sigma, center, k0", [
+        (GridSpec(1, 512, 256.0), 16.0, [3.0, 0.0, 0.0], [-0.7, 0.0, 0.0]),
+        (GridSpec(3, [32, 32, 64], [48.0, 48.0, 96.0]), 6.0, [0.0, 0.0, 5.0], [1.25, 0.8, -0.3]),
+    ], ids=["1d", "3d"])
+    def test_separable_packet_is_the_full_grid_formula(self, grid, sigma, center, k0):
+        # the envelope and the plane wave evaluated at every point, normalized
+        pol = np.array([1.0, 1.0j, 0.5, 0.0])
+        arg = sum((r - c) ** 2 for r, c in zip(grid.r, center))
+        phase = sum(k * r for k, r in zip(k0, grid.r))
+        scalar = np.broadcast_to(np.exp(-arg / (4 * sigma**2)) * np.exp(1j * phase), grid.shape)
+        want = SpinorField(grid, pol.reshape(4, *[1] * grid.dim) * scalar).normalized()
+        got = gaussian_packet(grid, center, sigma, k0, pol)
+        assert (got.space, got.folded) == ("position", False)
+        assert np.linalg.norm(got.data - want.data) <= 1e-15 * np.linalg.norm(want.data)
+
     def test_resolution_guard(self, grid_1d):
         with pytest.raises(GridResolutionError):
             gaussian_packet(grid_1d, 0.0, 1.0, 1.0, [1, 0, 0, 0])

@@ -13,12 +13,12 @@ from functools import reduce
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from relspin.algebra import ID4
 from relspin.dynamics import rhs, spin_expr, standard_battery, verify
 from relspin.expr import (Add, Adjoint, Mul, MomentumDiag, PositionDiag, Scale, _DiagLeaf,
-                          _scaled_leaves, apply_expr, block_parity)
+                          _scaled_leaves, apply_expr, block_parity, compiled)
 from relspin.fields import Envelope, UniformB, UniformE, ZeroField
 from relspin.grid import MOMENTUM, POSITION, GridSpec, SpinorField
 from relspin.hamiltonians import NamedHamiltonian, P, R, build_hamiltonian, triple
@@ -190,6 +190,41 @@ def test_apply_writes_neither_its_input_nor_the_leaves(expr, grid, folded, seed)
     x = psi.in_space(POSITION).values
     want = (m @ x.ravel()).reshape(4, -1)
     assert np.max(np.abs(got - want)) <= 1e-13 * max(np.abs(want).max(), bound * np.abs(x).max())
+
+
+# the singular 1/p^2 leaf, and leaves whose arrays are the grid's own meshes,
+# which subtrees of one tree then share
+_INV_P2 = MomentumDiag([(lambda g, t: g.inv_k2, ID4)], name="1/p^2", singular_origin=True)
+compiled_trees = st.recursive(
+    st.one_of(leaves, st.sampled_from([_R[0], _P[0], _INV_P2, Mul(_R[0], _P[0])])),
+    lambda inner: st.one_of(
+        st.lists(inner, min_size=1, max_size=3).map(Add),
+        st.builds(Mul, inner, inner),
+        st.builds(Scale, st.sampled_from([0.0, -1.0, 0.5 - 2j]), inner)), max_leaves=8)
+
+
+# non-commuting matrices on a shared r, a constant, a Scale and 1/p^2
+_BETA_R = PositionDiag([(lambda g, t: g.r[0], BETA)])
+_ALPHA_P = MomentumDiag([(lambda g, t: g.k[0], ALPHA[0]), (lambda g, t: np.asarray(0.5), SIGMA[1])])
+
+
+@given(compiled_trees, st.sampled_from(GRIDS), st.sampled_from([POSITION, MOMENTUM]),
+       st.integers(0, 2**32 - 1))
+@example(Mul(_INV_P2, Add([Mul(_BETA_R, _ALPHA_P), Scale(0.5 - 2j, Mul(_ALPHA_P, _R[0])),
+                           Mul(_P[0], _BETA_R)])), GRIDS[0], MOMENTUM, 3)
+@settings(max_examples=60, deadline=None)
+def test_compiled_tree_is_its_dense_matrix(expr, grid, space, seed):
+    # as a matrix and applied from either space, with the guard off (a
+    # compiled 1/p^2 guards the sum it acts on, not each share of it)
+    m, bound = dense(expr, grid)
+    tree = compiled(expr, grid)
+    assert np.max(np.abs(dense(tree, grid)[0] - m)) <= 1e-13 * max(bound, 1.0)
+    rng = np.random.default_rng(seed)
+    vals = rng.normal(size=(4, grid.n[0])) + 1j * rng.normal(size=(4, grid.n[0]))
+    want = (m @ vals.ravel()).reshape(4, -1)
+    got = apply_expr(tree, SpinorField(grid, vals).in_space(space), guard=1.0)
+    scale = max(np.abs(want).max(), bound * np.abs(vals).max())
+    assert np.max(np.abs(got.in_space(POSITION).values - want)) <= 1e-13 * scale
 
 
 def test_verify_is_the_dense_commutator():

@@ -12,7 +12,7 @@ from relspin import cli, dynamics, expr
 from relspin import grid as grid_module
 from relspin.cli import _refinement_grids, main
 from relspin.dynamics import (classify_residual_series, positive_energy_part, rhs,
-                              standard_battery, verify)
+                              standard_battery, verify, verify_residual)
 from relspin.errors import ConfigError, PreconditionError
 from relspin.expr import apply_expr
 from relspin.fields import UniformB
@@ -469,13 +469,14 @@ class TestVerifyDynamics:
         assert ("pryce/dirac-em: refinement rung N=128 skipped: battery momentum too close "
                 "to the lattice Nyquist bound") in capsys.readouterr().out
         (rep,) = json.loads(report.read_text())["reports"]
+        # each rung's residual is the reporting verify's, whose printed terms
+        # apply one by one, not compiled into one total
         sc = parse_scenario(doc)
         want = []
         for n in (256, 512, 1024):
             g = GridSpec(1, n, 256.0)
             ham = build_hamiltonian("dirac-em", sc.model, sc.params)
-            want.append(verify(SpinKind.PRYCE, ham, standard_battery(g, sc.params),
-                               removal_gains=False).residual)
+            want.append(verify(SpinKind.PRYCE, ham, standard_battery(g, sc.params)).residual)
         assert [r["n"] for r in rep["refinement"]] == [256, 512, 1024]
         assert [r["residual"] for r in rep["refinement"]] == pytest.approx(want, rel=1e-12)
         assert rep["classification"] == classify_residual_series(
@@ -528,14 +529,14 @@ class TestVerifyDynamics:
         # grid, starts its verify
         rung_arrays, alive_at_rung = [], []
 
-        def watched_verify(kind, ham, states, removal_gains=True):
-            if not removal_gains and kind is SpinKind.FW:  # a rung's verify
+        def watched_rung(kind, ham, states):
+            if kind is SpinKind.FW:
                 alive_at_rung.append([ref() is not None for ref in rung_arrays])
-            report = verify(kind, ham, states, removal_gains)
-            if not removal_gains and kind is SpinKind.PRYCE:
+            residual = verify_residual(kind, ham, states)
+            if kind is SpinKind.PRYCE:
                 rung_arrays.extend(weakref.ref(a) for a in pooled_arrays())
-            return report
-        monkeypatch.setattr(cli, "verify", watched_verify)
+            return residual
+        monkeypatch.setattr(cli, "verify_residual", watched_rung)
         path = write_scenario(tmp_path, self._two_ladders())
         assert main(["verify-dynamics", "--scenario", path, "--refine"]) in (0, 1)
         capsys.readouterr()
@@ -548,13 +549,15 @@ class TestVerifyDynamics:
         # they are dropped before any ladder runs
         scenario_states, alive_at_rung = [], []
 
-        def watched_verify(kind, ham, states, removal_gains=True):
-            if removal_gains:  # a check's verify on the scenario grid
-                scenario_states.extend(weakref.ref(psi.data) for psi in states)
-            else:
-                alive_at_rung.append([ref() is not None for ref in scenario_states])
-            return verify(kind, ham, states, removal_gains)
+        def watched_verify(kind, ham, states):  # a check's verify on the scenario grid
+            scenario_states.extend(weakref.ref(psi.data) for psi in states)
+            return verify(kind, ham, states)
+
+        def watched_rung(kind, ham, states):
+            alive_at_rung.append([ref() is not None for ref in scenario_states])
+            return verify_residual(kind, ham, states)
         monkeypatch.setattr(cli, "verify", watched_verify)
+        monkeypatch.setattr(cli, "verify_residual", watched_rung)
         path = write_scenario(tmp_path, self._two_ladders())
         assert main(["verify-dynamics", "--scenario", path, "--refine"]) in (0, 1)
         capsys.readouterr()
@@ -603,13 +606,18 @@ class TestVerifyDynamics:
             made.append(psi.grid.n[0])
             return psi
 
-        def watched_verify(*args, **kwargs):
-            report = verify(*args, **kwargs)
+        def watched_verify(*args):
+            report = verify(*args)
             verified.append(report.grid["n"][0])
             return report
+
+        def watched_rung(kind, ham, states):
+            verified.append(states[0].grid.n[0])
+            return verify_residual(kind, ham, states)
         make = dynamics._Battery.__getitem__
         monkeypatch.setattr(dynamics._Battery, "__getitem__", state)
         monkeypatch.setattr(cli, "verify", watched_verify)
+        monkeypatch.setattr(cli, "verify_residual", watched_rung)
         doc = self._two_ladders(checks=[{"kind": "pryce", "family": "dirac-em"}])
         path = write_scenario(tmp_path, doc)
         assert main(["verify-dynamics", "--scenario", path, "--refine"]) == 1
@@ -617,6 +625,31 @@ class TestVerifyDynamics:
                 "to the lattice Nyquist bound") in capsys.readouterr().out
         assert 128 not in made and 128 not in verified
         assert verified == [256, 512]
+
+    def test_rung_refusal_exits_2_with_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # the first rung (16^3) verifies a state with weight one step from
+        # k = 0 along x: the compiled 1/p^2 of the x total refuses the sum
+        # it acts on (tests/test_dynamics.py::TestCompiledRhs), and the run
+        # ends with exit code 2 and one error line naming it
+        def near_origin(grid, params):
+            vals = np.zeros((4, *grid.shape), dtype=complex)
+            for step in (-1, 1):
+                vals[(0, grid.origin_index[0] + step, *grid.origin_index[1:])] = 1.0
+            return [SpinorField(grid, vals, "momentum")]
+        monkeypatch.setattr(cli, "battery_states", near_origin)
+        doc = base_scenario(
+            grid={"dim": 3, "n": 32, "lengths": 48.0},
+            state={"center": [0, 0, 0], "sigma": 4.0, "k0": [1.0, 0, 0],
+                   "polarization": "up_z", "energy_projection": True},
+            field={"type": "uniform_b", "b0": [0.0, 0.0, 1e-4]},
+            hamiltonian={"family": "dirac-em"},
+            verification={"checks": [{"kind": "pryce", "family": "dirac-em"}],
+                          "refine_levels": 1})
+        path = write_scenario(tmp_path, doc)
+        assert main(["verify-dynamics", "--scenario", path, "--refine"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: operator 1/p^2 is singular at k=0")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_shipped_scenario_prints_in_order(self, tmp_path, capsys):
         # each check's skipped rung, table and finding, in the order of the
