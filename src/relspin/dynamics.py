@@ -496,7 +496,9 @@ def verify_residual(kind: SpinKind, hamiltonian: NamedHamiltonian, states) -> fl
     """``verify``'s residual, by its LHS and residual code, for a refinement
     rung: per cell one apply of the printed total, ``expr.compiled`` on the
     states' grid (its 1/p^2 guards the sum of the terms' shares), and none
-    of the norms only the report reads (each term's, the LHS's)."""
+    of the norms only the report reads (each term's, the LHS's).  A state and
+    its H psi die before the next state is read, so a rung whose ``states``
+    make each state as it is read (``battery_states``) holds one at a time."""
     s_triple, worst, rhs_t = spin_expr(kind, hamiltonian.params), 0.0, None
     for psi in states:
         psi = psi.to_momentum()
@@ -508,6 +510,7 @@ def verify_residual(kind: SpinKind, hamiltonian: NamedHamiltonian, states) -> fl
         worst = max([worst] + [_residual(*_lhs(s_i, hamiltonian.total, psi, h_psi),
                                          apply_expr(r_i, psi, guard=VERIFY_GUARD), psi)[0]
                                for s_i, r_i in zip(s_triple, rhs_t)])
+        del psi, h_psi  # dead before the next state is made
     return worst
 
 

@@ -48,9 +48,11 @@ a Scale when its factor is 0 or its child vanishes, a Mul when either factor
 does and an Add when all its children do.  A vanishing subtree is never
 applied: an Add skips it (adding its result into an accumulator held in the
 other space would cost a transform) and ``apply_expr`` returns zeros for
-it.  An Add sums its children's results per space, and then makes one
-cross-space move: the sum in the other space joins the one in the input's
-space.
+it.  An Add applies first the live leaves that transform its input (those
+with axes, of the other space), so that their scratch is gone before any sum
+exists, then the rest in their order.  It sums the results per space, and
+then makes one cross-space move: the sum in the other space joins the one in
+the input's space.
 
 Mul(a, b) applies b first (left factor last), matching left-to-right operator
 products as written in equations.
@@ -266,9 +268,11 @@ class Add(OperatorExpr):
 
     def _apply(self, field, t, guard, own=False):
         acc = {}  # space -> the sum of the results that landed there
-        for child in self.children:
-            if child._vanishes(field.grid, t):  # see the module docstring
-                continue
+        # the live children, a leaf that transforms the input first (see the
+        # module docstring)
+        live = [c for c in self.children if not c._vanishes(field.grid, t)]
+        for child in sorted(live, key=lambda c: not (isinstance(c, _DiagLeaf) and c._axes
+                                                     and c.space != field.space)):
             out = child._apply(field, t, guard)
             if out.space in acc:
                 np.add(acc[out.space].data, acc[out.space].data_of(out), out=acc[out.space].data)

@@ -9,8 +9,8 @@ import relspin.dynamics
 import relspin.expr
 from relspin.algebra import ID4, commutator, levi_civita
 from relspin.errors import PreconditionError, SingularMomentumError
-from relspin.expr import (Add, ConstMatrix, MomentumDiag, Mul, OperatorExpr, Scale,
-                          _DiagLeaf, apply_expr, block_parity, compiled)
+from relspin.expr import (Add, ConstMatrix, MomentumDiag, Mul, OperatorExpr, PositionDiag,
+                          Scale, _DiagLeaf, apply_expr, block_parity, compiled)
 from relspin.fields import Envelope, PlaneWavePulse, UniformB, UniformE, ZeroField
 from relspin.grid import GridSpec, SpinorField, gaussian_packet
 from relspin.hamiltonians import (P, R, build_dirac_em, build_free_dirac, build_fw_direct,
@@ -628,13 +628,18 @@ class TestPeakMemory:
         assert _peak_bytes(cell) <= 6.5 * field
 
     def test_rung_cell_peak(self, params):
-        # a refinement rung's cell keeps no term for the gains, applies the
-        # compiled total (2.52 fields at its peak, 4.26 with the terms applied
-        # one by one), and forms H (S psi) before S (H psi), so that S psi is
-        # not held with S (H psi): 4.26 fields measured, in H (S psi) (5.27
-        # before, 8.27 with the dead references and new diagonal outputs)
+        # a refinement rung's cell keeps no term for the gains and forms
+        # H (S psi) before S (H psi), so that S psi is not held with S (H psi).
+        # Two stages tie at 3.52 fields measured.  In H (S psi): S psi, and
+        # the dirac-em apply's 2.5 (the gauge leaf, applied first, holds the
+        # copy diag_along transforms and its new output, with a row and numpy's
+        # cast buffer, a row at 16^3; then each other child adds one field
+        # into its result).  In the terms: the LHS, and the compiled total's
+        # apply, 2.52 at its peak.  It was 4.26 while the gauge leaf ran after
+        # the sum of the kinetic and mass terms existed (5.27 with S (H psi)
+        # formed first, 8.27 with the dead references and new diagonal outputs)
         cell, field = self._cell(params, None)
-        assert _peak_bytes(cell) <= 4.5 * field
+        assert _peak_bytes(cell) <= 3.75 * field
 
     def test_sum_holds_its_accumulator_and_one_child(self):
         # r.p = sum_j r_j p_j from a momentum state: p_j's result, multiplied
@@ -649,18 +654,42 @@ class TestPeakMemory:
         cast = 16 * min(np.getbufsize(), self.GRID.npoints)
         assert _peak_bytes(lambda: apply_expr(r_dot_p, psi)) <= 2 * psi.data.nbytes + cast + 8192
 
+    def test_sum_transforms_before_it_accumulates(self):
+        # p_x, beta and a position leaf on x and y (alpha_y x - alpha_x y, the
+        # shape of a uniform B's gauge coupling), listed in that order, from a
+        # momentum state.  The position leaf applies first, while no sum
+        # exists: the copy diag_along transforms along x and y and the leaf's
+        # new output, with a row and numpy's cast buffer; then p_x and beta
+        # each add one field into its result.  In the listed order it ran with
+        # the sum of p_x and beta held: 3 fields, a row and the buffer
+        gauge = PositionDiag([(lambda g, t: g.r[0], ALPHA[1]), (lambda g, t: -g.r[1], ALPHA[0])])
+        add = Add([triple(P)[0], ConstMatrix(BETA), gauge])
+        psi = self._state()
+        parts = [apply_expr(child, psi).data for child in add.children]  # the caches fill
+        got = apply_expr(add, psi).data
+        row, cast = psi.data[0].nbytes, 16 * min(np.getbufsize(), self.GRID.npoints)
+        assert _peak_bytes(lambda: apply_expr(add, psi)) <= 2 * psi.data.nbytes + row + cast + 8192
+        # the listed-order sum: each order is within two roundings (2 u) of the
+        # exact sum of each real component, u = eps / 2
+        want = parts[0] + parts[1] + parts[2]
+        bound = 2 * np.finfo(float).eps * sum(np.abs(p.view(float)) for p in parts)
+        assert np.all(np.abs(got.view(float) - want.view(float)) <= bound)
+
     def test_rung_verify_peak(self, params):
-        # a whole 32^3 rung of the shipped scenario's pryce check: h_psi and
-        # the rung cell, 5.23 fields (of 2 MB) measured beyond its two states
-        # (7.27 with the printed terms applied one by one and S (H psi)
-        # formed first, 10.27 with the dead references and new diagonal
-        # outputs)
+        # a whole 32^3 rung of the shipped scenario's pryce check: beyond its
+        # two states, h_psi, the trees' caches (0.17) and the rung cell's two
+        # tied stages, each 1 field and an apply's 2.31 (2 fields, a row and
+        # numpy's cast buffer, 1/16 of a field at 32^3): 4.48 fields (of 2 MB)
+        # measured.  It was 5.23 while the gauge leaf of H (S psi) ran after
+        # the sum of the others existed (7.27 with the printed terms applied
+        # one by one and S (H psi) formed first, 10.27 with the dead
+        # references and new diagonal outputs)
         grid = GridSpec(3, 32, 48.0)
         states = standard_battery(grid, params)
         ham = build_hamiltonian("dirac-em", UniformB([0.0, 0.0, 0.05]), params)
         run = lambda: verify_residual(SpinKind.PRYCE, ham, states)
         run()
-        assert _peak_bytes(run) <= 5.5 * states[0].data.nbytes
+        assert _peak_bytes(run) <= 4.75 * states[0].data.nbytes
 
     def _lazy_rung(self, params):
         # a rung's residual of pryce / dirac-em on two 16^3 states, each made
@@ -681,15 +710,38 @@ class TestPeakMemory:
         self._lazy_rung(params)()
         assert alive == [[], [False]]
 
+    def test_rung_state_and_its_h_psi_dead_when_the_battery_makes_the_next(self, params,
+                                                                          monkeypatch):
+        # the battery makes each state as it is read, and verify_residual
+        # drops a state and its H psi before it reads the next one
+        lhs, make = relspin.dynamics._lhs, relspin.dynamics._Battery.__getitem__
+        refs, alive = [], []
+
+        def watched_lhs(s_i, h_total, psi, h_psi):
+            refs[:] = [weakref.ref(psi.data), weakref.ref(h_psi.data)]
+            return lhs(s_i, h_total, psi, h_psi)
+
+        def watched_make(battery, i):
+            alive.append([ref() is not None for ref in refs])
+            return make(battery, i)
+        monkeypatch.setattr(relspin.dynamics, "_lhs", watched_lhs)
+        monkeypatch.setattr(relspin.dynamics._Battery, "__getitem__", watched_make)
+        ham = build_hamiltonian("dirac-em", UniformB([0.0, 0.0, 0.05]), params)
+        verify_residual(SpinKind.PRYCE, ham, battery_states(GridSpec(3, 32, 48.0), params))
+        # its two states, then the read past the end that ends the loop
+        assert alive == [[], [False, False], [False, False]]
+
     def test_lazy_rung_verify_peak(self, params):
-        # one state, its h_psi and the rung cell's 4.26 fields make 6.26
+        # one state, its h_psi and the rung cell's 3.52 fields make 5.52
         # fields, and the leaf caches of the rung's own S and compiled RHS
         # trees, which a warmed cell does not count, 0.58 more (mostly the
         # (16, 16, 1) merged coefficients of each axis's k_j (Sigma x B)_i
-        # alpha_j leaf, and the trees' Python objects): 6.84 measured (7.54
-        # with the printed terms applied one by one).  The two states held at
-        # once, as a list, give 7.84
+        # alpha_j leaf, and the trees' Python objects): 6.10 measured, in the
+        # compiled total's apply, with H (S psi) 0.02 below.  It was 6.84
+        # while the gauge leaf of H (S psi) ran after the sum of the others
+        # existed (7.54 with the printed terms applied one by one).  The two
+        # states held at once, as a list, give 7.10
         run = self._lazy_rung(params)
         run()
         field = self._state().data.nbytes
-        assert _peak_bytes(run) <= 7.0 * field
+        assert _peak_bytes(run) <= 6.25 * field

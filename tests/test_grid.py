@@ -217,7 +217,25 @@ class TestGaussianPacket:
         want = SpinorField(grid, pol.reshape(4, *[1] * grid.dim) * scalar).normalized()
         got = gaussian_packet(grid, center, sigma, k0, pol)
         assert (got.space, got.folded) == ("position", False)
-        assert np.linalg.norm(got.data - want.data) <= 1e-15 * np.linalg.norm(want.data)
+        # Both sides round the per-axis products k_j r_j and squares
+        # (r_j - c_j)^2 alike.  The full-grid formula then sums each over the
+        # axes: dim - 1 roundings of at most u = eps/2 times the sum of the
+        # magnitudes, K = sum_j |k_j r_j| for the phase and A = |r - c|^2 /
+        # (4 sigma^2) for the exponent, and exp turns an argument's error
+        # into the same relative error of its value: (dim - 1) u (K + A) at a
+        # point, 37.5 eps where K = 37.5 in 3D, and nothing in 1D, where both
+        # sides evaluate the same exps.  Beyond that they differ by the
+        # polarization's normalization, its product with the scalar and the
+        # scaling to unit norm, 10 u in all, and in 3D by the other axes'
+        # exps and the products that join the axes, 6 u per axis after the
+        # first.  Both are
+        # normalized, which to first order removes the mean of a point's
+        # relative change and so adds nothing.
+        u = np.finfo(float).eps / 2
+        cond = (grid.dim - 1) * (sum(np.abs(k * r) for k, r in zip(k0, grid.r))
+                                 + arg / (4 * sigma**2)) + 10 + 6 * (grid.dim - 1)
+        bound = u * np.linalg.norm(cond * want.data)
+        assert np.linalg.norm(got.data - want.data) <= bound
 
     def test_resolution_guard(self, grid_1d):
         with pytest.raises(GridResolutionError):
