@@ -37,7 +37,7 @@ from .expr import (Add, ConstMatrix, MomentumDiag, Mul, Scale, _one, _reduced, a
 from .fields import FieldModel
 from .grid import POLARIZATIONS, GridSpec, SpinorField, gaussian_packet, suppress_zero_mode
 from .hamiltonians import (P, R, ModelVector, NamedHamiltonian, add, build_free_dirac,
-                           const_triple, cross, dot, dot_p, kinetic_triple, prefix, scale,
+                           const_triple, cross, dot, kinetic_triple, prefix, scale,
                            triple, vec_leaf)
 from .operators import (ALPHA, BETA, SIGMA, PhysParams, SpinKind, _inv_ew, energy_k2,
                         position_terms, spin_terms)
@@ -159,7 +159,7 @@ def _rhs_em(kind, model, params):
 
     # factors of the two gradient terms both kinds print
     alpha_dot_r = vec_leaf(R, enumerate(ALPHA), name="alpha.r")
-    b_dot_p = dot_p(b, "B.p")
+    b_dot_p = dot(b_t, p_t)
     r_dot_p = dot(r_t, p_t)
     alpha_dot_b = vec_leaf(b, enumerate(ALPHA), name="alpha.B")
 
@@ -289,7 +289,7 @@ def _rhs_direct(kind, model, params):
         pref_soc, prefix([beta_c], cross(sigma_t, cross(e_t, p_t))))))
 
     sigma_dot_bdot = vec_leaf(bdot, enumerate(SIGMA), name="Sigma.dB/dt")
-    bdot_dot_p = dot_p(bdot, "dB/dt.p")
+    bdot_dot_p = dot(bdot_t, p_t)
 
     terms.append(("bdot-spin-spin", scale(
         pref_bdot, prefix([lower_c, inv_p2, sigma_dot_p, sigma_dot_bdot], p_t))))
@@ -395,64 +395,64 @@ def _lhs(s_i, h_total, psi, h_psi):
     return s_h, scale
 
 
-def _residual(lhs, scale, rhs_field, psi):
-    """(||LHS - RHS|| / max(scale, ||RHS||, eps ||psi||), ||RHS||, ||LHS - RHS||),
-    the difference formed in the LHS's field."""
-    rhs_norm = rhs_field.norm()
-    np.subtract(lhs.data, lhs.data_of(rhs_field), out=lhs.data)
-    base = lhs.norm()
-    return base / max(scale, rhs_norm, _EPS_FLOOR * psi.norm()), rhs_norm, base
-
-
-def _verify_cell(si, axis, s_i, h_total, terms, psi, h_psi, gains):
-    """One (state, axis) cell of ``verify``.  When ``gains`` is a dict, every
-    term's removal gain is folded into it, keeping the largest per term.
-    A function of its own so that the cell's fields are freed before the
-    next cell forms its own."""
+def _verify_cell(si, axis, s_i, h_total, rhs_i, psi, h_psi, terms, gains):
+    """The (state ``si``, ``axis``) cell against ``rhs_i``, the compiled
+    printed total, then each printed (name, triple) of ``terms`` applied once
+    for its norm and, into a dict ``gains``, its largest removal gain.  A
+    function of its own so that its fields die before the next cell's."""
     lhs, scale = _lhs(s_i, h_total, psi, h_psi)
-    # one apply per printed term, its norm recorded.  The right-hand side is
-    # their sum, formed in place in the first term's field before the next
-    # apply; terms kept for the removal gains are summed after the last
-    # apply, into a copy of the first, so that no sum is held during one
-    rhs_field = None if terms else psi * 0.0
-    term_norms, kept = {}, []
+    lhs_norm = lhs.norm()
+    rhs_field = apply_expr(rhs_i, psi, guard=VERIFY_GUARD)
+    rhs_norm = rhs_field.norm()
+    np.subtract(lhs.data, lhs.data_of(rhs_field, consume=True), out=lhs.data)  # diff, in place
+    del rhs_field
+    base, term_norms = lhs.norm(), {}
     for name, triple in terms:
         term = apply_expr(triple[axis], psi, guard=VERIFY_GUARD)
         term_norms[name] = term.norm()
         if gains is not None:
-            kept.append((name, term))
-        elif rhs_field is None:
-            rhs_field = term
-        else:
-            rhs_field.data += rhs_field.data_of(term)
-        del term  # summed or kept: not held while the next term applies
-    if kept:
-        rhs_field = kept[0][1].copy()
-        for _, term in kept[1:]:
-            rhs_field.data += rhs_field.data_of(term)
-    lhs_norm = lhs.norm()
-    residual, rhs_norm, base = _residual(lhs, scale, rhs_field, psi)
-    for name, term in kept:
-        np.add(term.data, term.data_of(lhs), out=term.data)  # diff + term
-        gains[name] = max(gains.get(name, -np.inf), term.norm() - base)
+            np.add(term.data, term.data_of(lhs), out=term.data)  # diff + term
+            gains[name] = max(gains.get(name, -np.inf), term.norm() - base)
+        del term  # not held while the next term applies
+    residual = base / max(scale, rhs_norm, _EPS_FLOOR * psi.norm())
     return VerifyCell(si, _AXES[axis], residual, lhs_norm, rhs_norm, scale, term_norms)
+
+
+def _cells(kind, hamiltonian, states, total, terms=(), gains=None):
+    """(grid, ``_verify_cell``) of every state and axis, the states read once
+    and in order: ``total``, the printed triple, is compiled on the first
+    state's grid, where the printed tree dies, and ``gains`` are state 0's.
+    A state and its H psi die before the next is read, so ``battery_states``
+    are held one at a time."""
+    s_triple, si = spin_expr(kind, hamiltonian.params), 0
+    for psi in states:  # no enumerate: its result tuple holds a state while the next is made
+        psi = psi.to_momentum()
+        if si == 0:
+            total = [compiled(r_i, psi.grid) for r_i in total]
+        h_psi = apply_expr(hamiltonian.total, psi, guard=VERIFY_GUARD)
+        for axis in range(3):
+            yield psi.grid, _verify_cell(si, axis, s_triple[axis], hamiltonian.total, total[axis],
+                                         psi, h_psi, terms, gains if si == 0 else None)
+        del psi, h_psi
+        si += 1
 
 
 def verify(kind: SpinKind, hamiltonian: NamedHamiltonian, states) -> ResidualReport:
     """Measure ||(1/i)[S_i, H] psi - RHS_i psi|| per component and state, at
-    t = 0 and under ``VERIFY_GUARD``, each printed term applied on its own.
+    t = 0 and under ``VERIFY_GUARD``, RHS_i the printed total compiled on the
+    states' grid (``expr.compiled``: its 1/p^2 guards the terms' sum).
 
     The residual is relative: ||LHS - RHS|| / max(scale, ||RHS||, eps) with
     scale = ||S(H psi)|| + ||H(S psi)|| and eps = 1e-14 ||psi||.
 
-    For state 0 each printed term T is also ranked by its removal gain
-    ||diff + T|| - ||diff|| (diff = LHS - RHS), the largest over the axes, in
-    ``removal_gains``: the term whose removal shrinks the defect the most
-    has the largest gain.  A refinement rung needs only the residual, which
-    ``verify_residual`` gives.
+    Each printed term T is then applied once per cell for its norm, and for
+    state 0 ranked by its removal gain ||diff + T|| - ||diff|| (diff = LHS -
+    RHS), the largest over the axes, in ``removal_gains``: the term whose
+    removal shrinks the defect the most has the largest gain.  A refinement
+    rung needs only the residual, which ``verify_residual`` gives.
 
     Each state is moved to momentum space once, before any apply, so the
-    momentum-diagonal leaves (S, p_i, alpha.p, B.p, 1/p^2) act without a
+    momentum-diagonal leaves (S, p_i, alpha.p, 1/p^2) act without a
     transform and only the position leaves pay for one.  Every reported
     value is a norm of a field or of a difference of fields, and the
     transform is unitary with the dx^d weight in both spaces, so the report
@@ -462,20 +462,10 @@ def verify(kind: SpinKind, hamiltonian: NamedHamiltonian, states) -> ResidualRep
     once, in order, and the report's grid is that of the states.
     """
     params = hamiltonian.params
-    s_triple = spin_expr(kind, params)
-    terms, _ = rhs(kind, hamiltonian.family, hamiltonian.model, params)
-
-    gains = {}
-    term_struct = {name: block_parity(Add(list(triple))) for name, triple in terms}
-
-    cells = []
-    for si, psi in enumerate(states):
-        psi = psi.to_momentum()
-        grid = psi.grid
-        h_psi = apply_expr(hamiltonian.total, psi, guard=VERIFY_GUARD)
-        for axis in range(3):
-            cells.append(_verify_cell(si, axis, s_triple[axis], hamiltonian.total,
-                                      terms, psi, h_psi, gains if si == 0 else None))
+    terms, total = rhs(kind, hamiltonian.family, hamiltonian.model, params)
+    gains, cells = {}, []
+    for grid, cell in _cells(kind, hamiltonian, states, total, terms, gains):
+        cells.append(cell)
     worst = max(c.residual for c in cells)
     report = ResidualReport(
         kind=kind.value, family=hamiltonian.family,
@@ -484,7 +474,8 @@ def verify(kind: SpinKind, hamiltonian: NamedHamiltonian, states) -> ResidualRep
         model=hamiltonian.model.describe(),
         time=0.0, cells=cells, residual=worst,
         term_names=[n for n, _ in terms],
-        block_structure=term_struct, removal_gains=gains,
+        block_structure={name: block_parity(Add(list(triple))) for name, triple in terms},
+        removal_gains=gains,
     )
     if worst <= HOLD_TOL:
         report.classification = "holds"
@@ -493,25 +484,10 @@ def verify(kind: SpinKind, hamiltonian: NamedHamiltonian, states) -> ResidualRep
 
 
 def verify_residual(kind: SpinKind, hamiltonian: NamedHamiltonian, states) -> float:
-    """``verify``'s residual, by its LHS and residual code, for a refinement
-    rung: per cell one apply of the printed total, ``expr.compiled`` on the
-    states' grid (its 1/p^2 guards the sum of the terms' shares), and none
-    of the norms only the report reads (each term's, the LHS's).  A state and
-    its H psi die before the next state is read, so a rung whose ``states``
-    make each state as it is read (``battery_states``) holds one at a time."""
-    s_triple, worst, rhs_t = spin_expr(kind, hamiltonian.params), 0.0, None
-    for psi in states:
-        psi = psi.to_momentum()
-        if rhs_t is None:  # on the states' grid; the printed tree dies here
-            rhs_t = [compiled(r_i, psi.grid) for r_i in rhs(
-                kind, hamiltonian.family, hamiltonian.model, hamiltonian.params)[1]]
-        h_psi = apply_expr(hamiltonian.total, psi, guard=VERIFY_GUARD)
-        # a cell's fields die with its _residual call
-        worst = max([worst] + [_residual(*_lhs(s_i, hamiltonian.total, psi, h_psi),
-                                         apply_expr(r_i, psi, guard=VERIFY_GUARD), psi)[0]
-                               for s_i, r_i in zip(s_triple, rhs_t)])
-        del psi, h_psi  # dead before the next state is made
-    return worst
+    """``verify``'s residual, for a refinement rung: the largest residual of
+    the same cells, with no printed term applied on its own."""
+    return max(cell.residual for _, cell in _cells(kind, hamiltonian, states, rhs(
+        kind, hamiltonian.family, hamiltonian.model, hamiltonian.params)[1]))
 
 
 def classify_residual_series(residuals) -> str:

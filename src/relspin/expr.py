@@ -64,21 +64,22 @@ summed, Scale scales its child's in place, and a transform of a node's own
 result (Add's cross-space move, Mul's hand-over from right to left,
 ``apply_expr``'s move back; ``own=True``) overwrites it.  So does a leaf
 whose rows each take one product, of their own component (``_own_rows``:
-r_j, p_j, 1/p^2, B.p), inside ``diag_along`` and on an owned input.  The
+r_j, p_j, 1/p^2), inside ``diag_along`` and on an owned input.  The
 caller's state and the leaves' cached scalars are never written.
 
-Three structural walks read a tree without applying it.  ``_scaled_leaves``
-flattens a sum of scaled leaves, its vanishing subtrees dropped when given a
-grid and t: ``LeafStack`` reads it for static trees, and the exact step of
-``propagate`` for a Hamiltonian at the step midpoint.  ``block_parity``
-reads the blocks of a tree's form over the leaves' sum_j |M_j| (every factor
-1, so nothing cancels).  ``compiled`` rewrites a tree for one (grid, t)
-into an equal tree of the same nodes: monomials (the ordered product of the
-terms' 4x4 matrices, which commute with every scalar, times a chain of
-scalars), adjacent scalars of one space multiplied where that stays smaller
-than the grid, and those whose chains end in one array share its leaf, from
-the end that costs fewer passes (``_trie``).  So a Pryce total applies 1/p^2
-once, and guards the sum of its terms' shares, not each share.
+Two structural walks read a tree without applying it.  ``_monomials``
+flattens a tree at (grid, t) into monomials, its vanishing subtrees dropped:
+the ordered product of the terms' 4x4 matrices, which commute with every
+scalar, times a chain of scalars.  Read as static (t None), a time-dependent
+leaf raises.  It is the one flattening: ``LeafStack`` reads it for static
+trees, the exact step of ``propagate`` for a Hamiltonian at the step
+midpoint, and ``compiled`` rewrites a tree for one (grid, t) into an equal
+tree of the same nodes from it: adjacent scalars of one space multiplied
+where that stays smaller than the grid, and those whose chains end in one
+array share its leaf, from the end that costs fewer passes (``_trie``).  So
+a Pryce total applies 1/p^2 once, and guards the sum of its terms' shares,
+not each share.  ``block_parity`` reads the blocks of a tree's form over the
+leaves' sum_j |M_j| (every factor 1, so nothing cancels).
 
 Leaves flagged ``singular_origin`` (the longitudinal 1/p^2 projector and
 friends) refuse to act on states whose k = 0 amplitude fraction exceeds the
@@ -130,6 +131,15 @@ def _reduced(arr):
     """``arr`` as an array, an all-zero mesh as a 0-d zero: its term vanishes."""
     arr = np.asarray(arr)
     return np.zeros(()) if arr.size > 1 and not arr.any() else arr
+
+
+def _refusal(name, w0, guard):
+    """The error refusing a state whose k = 0 weight w0 exceeds the guard of
+    the singular operator ``name``, or None."""
+    if w0 > guard:
+        return SingularMomentumError(
+            f"operator {name} is singular at k=0 but the state has zero-mode weight "
+            f"{w0:.3e} > guard {guard:.1e}")
 
 
 def _one(grid, t):
@@ -184,9 +194,12 @@ class _DiagLeaf(OperatorExpr):
         """The producers' scalar arrays, ``_reduced``."""
         return tuple(_reduced(fn(grid, t)) for fn, _ in self.terms)
 
-    def _scalars(self, grid: GridSpec, t: float):
+    def _scalars(self, grid: GridSpec, t):
         key = (grid, t if self.time_dependent else None)
         if self._key != key:
+            if t is None and self.time_dependent:  # a static read (``_monomials``)
+                raise PreconditionError(f"{self.name or 'a leaf'} is time-dependent; a static "
+                                        "tree needs time-independent leaves")
             self._arrays = self._fill(grid, t)
             # the records every apply reads until the next fill
             live = [(entries, a) for entries, a in zip(self._entries, self._arrays)
@@ -212,7 +225,7 @@ class _DiagLeaf(OperatorExpr):
                 return field.diag_along(self.space, self._axes, self._kernel, consume=own)
             field, own = field.in_space(self.space, consume=own), True  # a new array
         if self._axes and self.singular_origin:
-            refusal = self._refusal(zero_mode_weight(field), guard)
+            refusal = _refusal(self.name or type(self).__name__, zero_mode_weight(field), guard)
             if refusal is not None:
                 raise refusal
         return field.with_data(self._kernel(field.data, own))
@@ -221,14 +234,6 @@ class _DiagLeaf(OperatorExpr):
         """sum_j M_j f_j psi over the live terms: into psi if ``own`` gives it up
         and each row takes at most one product, of its own; else a new array."""
         return pointwise(psi, self._live, psi if own and self._own_rows else None)
-
-    def _refusal(self, w0, guard):
-        """The error refusing a state whose k = 0 weight w0 exceeds the
-        guard, or None."""
-        if w0 > guard:
-            return SingularMomentumError(
-                f"operator {self.name or self.__class__.__name__} is singular at "
-                f"k=0 but the state has zero-mode weight {w0:.3e} > guard {guard:.1e}")
 
     def _adjoint(self):
         """The adjoint leaf, built once: its scalars are the conjugates of this
@@ -359,12 +364,14 @@ def expectation(expr: OperatorExpr, field: SpinorField, t: float = 0.0,
 def _monomials(expr, grid, t):
     """``expr`` at (grid, t) as [(C, chain)]: C the product of the terms'
     matrices, numbers and size-1 scalars folded in, and chain the other
-    scalars, first applied first, as (id, space, singular, array, name)."""
+    scalars, first applied first, as (id, space, singular, array, name).
+    With t None the tree is read as static: a time-dependent leaf raises."""
     if expr._vanishes(grid, t):
         return []
     if isinstance(expr, _DiagLeaf):
+        name = expr.name or type(expr).__name__
         return [(m * complex(a.reshape(())), ()) if a.size == 1 else
-                (m, ((id(a), expr.space, expr.singular_origin, a, expr.name),))
+                (m, ((id(a), expr.space, expr.singular_origin, a, name),))
                 for (_, m), a in zip(expr.terms, expr._scalars(grid, t)) if not _is_zero(a)]
     if isinstance(expr, Scale):
         return [(expr.factor * c, chain) for c, chain in _monomials(expr.child, grid, t)]
@@ -446,33 +453,20 @@ def compiled(expr: OperatorExpr, grid: GridSpec, t: float = 0.0) -> OperatorExpr
     return _trie(monos, grid) if monos else ConstMatrix(np.zeros((4, 4)))
 
 
-def _scaled_leaves(expr, grid=None, t=0.0, factor=1.0):
-    """``expr`` as [(factor, leaf)] when it is a sum of scaled leaves, else
-    None; given a grid, a subtree that vanishes at (grid, t) is dropped."""
-    if grid is not None and expr._vanishes(grid, t):
-        return []
-    if isinstance(expr, _DiagLeaf):
-        return [(factor, expr)]
-    if isinstance(expr, Scale):
-        return _scaled_leaves(expr.child, grid, t, factor * expr.factor)
-    parts = ([_scaled_leaves(c, grid, t, factor) for c in expr.children]
-             if isinstance(expr, Add) else [None])
-    return None if None in parts else sum(parts, [])
-
-
 class LeafStack:
-    """<psi | E | psi> of several static diagonal expressions at once, for
-    every state of a block, without applying any.
+    """<psi | E | psi> of several static expressions at once, for every state
+    of a block on one grid, without applying any.
 
-    An entry is a sum of scaled time-independent leaves.  With rho_ab =
-    conj(psi_a) psi_b, a leaf sum_j f_j M_j has the expectation dx^d sum_j
-    sum_ab M_j[a, b] sum_x f_j(x) rho_ab(x).  The rows of F are real and
-    distinct: a row of ones, for every constant term, and each non-constant
-    term scalar once by value, the matrices of equal rows summed.  A complex
-    scalar f + i g is the row f with M and the row g with i M, so the entry
-    f 1 is the trace of rho against a fixed row f (a norm, a mask's weight).
-    Real rows give X_ba = conj(X_ab) for X_ab = sum_x f(x) rho_ab(x), so only
-    the a <= b densities are read:
+    An entry is a static tree whose monomials (``_monomials``) each have at
+    most one scalar, every scalar of one space: a sum sum_j f_j M_j, constant
+    f_j included.  With rho_ab = conj(psi_a) psi_b it has the expectation
+    dx^d sum_j sum_ab M_j[a, b] sum_x f_j(x) rho_ab(x).  The rows of F are
+    real and distinct: a row of ones, for every constant, and each scalar
+    once by value, the matrices of equal rows summed.  A complex scalar
+    f + i g is the row f with M and the row g with i M, so the entry f 1 is
+    the trace of rho against a fixed row f (a norm, a mask's weight).  Real
+    rows give X_ba = conj(X_ab) for X_ab = sum_x f(x) rho_ab(x), so only the
+    a <= b densities are read:
 
         sum_ab M_ab X_ab = sum_{a<=b} (M_ab X_ab + [a < b] M_ba conj X_ab),
 
@@ -480,50 +474,37 @@ class LeafStack:
     every state of the block that some matrix reads in one matrix product
     per slab of at most ``BLOCK_POINTS`` points along the leading grid axis
     (one slab in 1D, so a 3D slab needs memory of the order of the state's).
-    The rows are gathered once per grid from the leaves' cached scalars, and
-    F is stacked then too when the grid is one slab; several slabs are
+    The rows are gathered at construction from the leaves' cached scalars,
+    and F is stacked then too when the grid is one slab; several slabs are
     stacked per call, since holding all of them would cost more memory than
-    the state.  Singular leaves keep the zero-mode guard of an apply, read
-    per state as every apply reads it (``zero_mode_weights``).
+    the state.  A singular scalar keeps the zero-mode guard of an apply,
+    read per state as every apply reads it (``zero_mode_weights``).
     """
 
     BLOCK_POINTS = 4096
 
-    def __init__(self, entries):
-        self.entries = [_scaled_leaves(e) for e in entries]
-        if None in self.entries or any(leaf.time_dependent for pairs in self.entries
-                                       for _, leaf in pairs):
-            raise PreconditionError("a LeafStack needs sums of scaled time-independent leaves")
-        self._grid = self._plan = None
-
-    @staticmethod
-    def admits(expr: OperatorExpr, space: str, grid: GridSpec) -> bool:
-        """Whether ``expr`` can be an entry of a stack in ``space``: each of its
-        leaves is diagonal there or constant on ``grid``."""
-        pairs = _scaled_leaves(expr)
-        return pairs is not None and all(not leaf.time_dependent and (leaf.space == space or all(
-            a.size == 1 for a in leaf._scalars(grid, 0.0))) for _, leaf in pairs)
-
-    def _gather(self, grid):
-        n = len(self.entries)
-        rows, mats, index, live = [np.ones(())], [np.zeros((n, 4, 4), complex)], {}, []
-        for li, pairs in enumerate(self.entries):
-            for factor, leaf in pairs:
-                for (_, m), scalar in zip(leaf.terms, leaf._scalars(grid, 0.0)):
-                    if scalar.size == 1:
-                        mats[0][li] += factor * complex(scalar.reshape(())) * m
+    def __init__(self, entries, grid: GridSpec):
+        self.grid, n = grid, len(entries)
+        rows, mats, index, scalars = [np.ones(())], [np.zeros((n, 4, 4), complex)], {}, []
+        for li, entry in enumerate(entries):
+            for m, chain in _monomials(entry, grid, None):
+                if not chain:
+                    mats[0][li] += m
+                    continue
+                if len(chain) > 1:
+                    raise PreconditionError("a LeafStack entry needs monomials of at most "
+                                            "one scalar")
+                scalars.append(chain[0])
+                for part, unit in ((np.real(chain[0][3]), 1.0), (np.imag(chain[0][3]), 1j)):
+                    part = np.asarray(part, dtype=float)
+                    if not part.any():
                         continue
-                    live.append(leaf)
-                    for part, unit in ((np.real(scalar), 1.0), (np.imag(scalar), 1j)):
-                        part = np.asarray(part, dtype=float)
-                        if not part.any():
-                            continue
-                        row = index.setdefault((part.shape, part.tobytes()), len(rows))
-                        if row == len(rows):
-                            rows.append(part)
-                            mats.append(np.zeros((n, 4, 4), complex))
-                        mats[row][li] += factor * unit * m
-        spaces = {leaf.space for leaf in live}
+                    row = index.setdefault((part.shape, part.tobytes()), len(rows))
+                    if row == len(rows):
+                        rows.append(part)
+                        mats.append(np.zeros((n, 4, 4), complex))
+                    mats[row][li] += unit * m
+        spaces = {f[1] for f in scalars}
         if len(spaces) > 1:
             raise PreconditionError("a LeafStack needs leaves of one space")
         mats = np.stack(mats, axis=1) * grid.weight
@@ -544,22 +525,29 @@ class LeafStack:
         coef = np.stack([coef.real, coef.imag], axis=1).reshape(2 * n, -1)
         step = max(1, self.BLOCK_POINTS * grid.shape[0] // grid.npoints)
         slabs = [slice(i0, i0 + step) for i0 in range(0, grid.shape[0], step)]
-        return (spaces.pop() if spaces else None,
-                next((leaf for leaf in live if leaf.singular_origin), None),
-                a[used], b_slices, coef, rows, slabs,
-                np.stack(rows).reshape(len(rows), -1) if len(slabs) == 1 else None)
+        self._plan = (spaces.pop() if spaces else None,
+                      next((f[4] for f in scalars if f[2]), None),
+                      a[used], b_slices, coef, rows, slabs,
+                      np.stack(rows).reshape(len(rows), -1) if len(slabs) == 1 else None)
 
-    def _planned(self, grid):
-        if self._grid != grid:
-            self._grid, self._plan = grid, self._gather(grid)
-        return self._plan
+    @staticmethod
+    def admits(expr: OperatorExpr, space: str, grid: GridSpec) -> bool:
+        """Whether ``expr`` can be an entry of a stack in ``space`` on ``grid``:
+        it is static, and each of its monomials has at most one scalar,
+        diagonal there."""
+        try:
+            monos = _monomials(expr, grid, None)
+        except PreconditionError:  # a time-dependent leaf
+            return False
+        return all(not chain or (len(chain) == 1 and chain[0][1] == space)
+                   for _, chain in monos)
 
-    def contract(self, data, grid: GridSpec, guard: float = DEFAULT_ZERO_MODE_GUARD):
+    def contract(self, data, guard: float = DEFAULT_ZERO_MODE_GUARD):
         """The complex expectation of every entry (columns) in every state
         (rows) of ``data``, (states, 4, *grid) in the stack's space, folded or
         not; and per state the error of its zero-mode guard, None where it
         passes."""
-        _, singular, a, b_slices, coef, rows, slabs, f_whole = self._planned(grid)
+        _, singular, a, b_slices, coef, rows, slabs, f_whole = self._plan
         n, dens = len(data), 0.0
         for sl in slabs:
             # (4, points, states), so that rho_ab is a contiguous (points, states) matrix
@@ -578,15 +566,14 @@ class LeafStack:
         values = np.einsum("lq,sq->sl", coef, dens, order="C").view(complex)
         if singular is None:
             return values, [None] * n
-        return values, [singular._refusal(w, guard) for w in zero_mode_weights(data, grid)]
+        return values, [_refusal(singular, w, guard) for w in zero_mode_weights(data, self.grid)]
 
     def expectations(self, field: SpinorField,
                      guard: float = DEFAULT_ZERO_MODE_GUARD) -> np.ndarray:
         """The complex expectation of every entry, in the order given: the
         ``contract`` of a block of one."""
-        space = self._planned(field.grid)[0]
-        field = field.in_space(space or field.space)
-        (values,), (refusal,) = self.contract(field.data[None], field.grid, guard)
+        field = field.in_space(self._plan[0] or field.space)
+        (values,), (refusal,) = self.contract(field.data[None], guard)
         if refusal is not None:
             raise refusal
         return values

@@ -67,7 +67,7 @@ from .operators import ALPHA, BETA, SIGMA, PhysParams
 __all__ = [
     "FAMILIES", "build_hamiltonian", "NamedHamiltonian", "build_free_dirac", "build_dirac_em",
     "build_fw_full", "build_fw_direct",
-    "P", "R", "Vector", "ModelVector", "vec_leaf", "triple", "dot_p", "const_triple",
+    "P", "R", "Vector", "ModelVector", "vec_leaf", "triple", "const_triple",
     "kinetic_triple", "cross", "dot", "prefix", "scale", "add", "hermitian_part",
 ]
 
@@ -176,12 +176,6 @@ def vec_leaf(x, pairs, prefactor=1.0, name=None, const=None):
 def triple(x):
     """The components x_x, x_y, x_z as three leaves."""
     return [vec_leaf(x, [(j, ID4)], name=f"{x.name}_{'xyz'[j]}") for j in range(3)]
-
-
-def dot_p(x, name=None):
-    """x.p as one momentum leaf, for a uniform model vector x."""
-    return MomentumDiag([(lambda g, t, j=j: x.read(g, t)[j] * g.k[j], ID4) for j in range(3)],
-                        name=name, time_dependent=x.time_dependent)
 
 
 def const_triple(mats, name=None):

@@ -2,13 +2,14 @@
 
 Two steps:
 
-* ``strang_step_dirac`` -- the exact step, built from the Hamiltonian's own
-  live leaves at the step midpoint (for the Dirac Hamiltonian, the FFT
-  split step of Mocken & Keitel, Comput. Phys. Commun. 178, 868 (2008)).
-  ``expr._scaled_leaves`` flattens H into a momentum group (momentum leaves
-  and constant ones, such as beta m0 c^2) and a position group, and each
-  group X becomes one pointwise factor exp(-i tau X), its terms of equal
-  matrix summed first (the T and T^H of a hermitized H make one term).  A
+* ``strang_step_dirac`` -- the exact step, built from the Hamiltonian's
+  monomials at the step midpoint (``expr._monomials``; for the Dirac
+  Hamiltonian, the FFT split step of Mocken & Keitel, Comput. Phys. Commun.
+  178, 868 (2008)).  Those of a position scalar are the position group, the
+  rest (momentum scalars and constants, such as beta m0 c^2) the momentum
+  group, and each group X becomes one pointwise factor exp(-i tau X), its
+  terms of equal matrix summed first (the T and T^H of a hermitized H make
+  one term).  A
   constant X is the expm of its 4x4 matrix, applied in the state's own
   space without a transform.  Otherwise X = phi 1 + Y, and where Y's
   scalars are real and its matrices anticommute pairwise and square to
@@ -17,8 +18,8 @@ Two steps:
   c alpha.k + beta m0 c^2 with s = E_k, or -ec alpha.A with s = |ec A|
   times the phase of e phi.  One factor is an exact step; two make a
   Strang step V/2 K V/2 (V the position group), second order with roundoff
-  norm drift.  Where H is not a sum of scaled leaves or a group has no
-  closed form, the step is a Krylov step.  The factors are pooled per
+  norm drift.  Where a monomial has two scalars or a group has no closed
+  form, the step is a Krylov step.  The factors are pooled per
   (grid, dt) for one H, and per midpoint under a time-dependent model.
 * ``krylov_step`` -- Arnoldi projection of exp(-i H dt), time-dependent
   coefficients sampled at the midpoint, keeping second order.  The basis is
@@ -58,8 +59,7 @@ import scipy.linalg
 
 from .errors import BoundaryFluxError, KrylovConvergenceError, PreconditionError
 from .algebra import ID4
-from .expr import (ConstMatrix, LeafStack, PositionDiag, _is_zero, _scaled_leaves, apply_expr,
-                   expectation, pooled)
+from .expr import ConstMatrix, LeafStack, PositionDiag, _monomials, apply_expr, expectation, pooled
 from .grid import (MOMENTUM, POSITION, SpinorField, _bare_fft, _spatial_axes, matrix_entries,
                    pointwise)
 from .hamiltonians import NamedHamiltonian, P, R, triple
@@ -75,19 +75,19 @@ __all__ = [
 KRYLOV_TOL = 1e-10
 
 
-def _factor(pairs, tau, hermitian):
-    """exp(-i tau X) of the group X = sum of the (factor, leaf) ``pairs`` as
-    the space it acts in (None: the state's own) and ``pointwise`` terms;
-    None where it has no closed form."""
+def _factor(monos, tau, hermitian):
+    """exp(-i tau X) of the group X = sum of the one-scalar monomials
+    ``monos`` as the space it acts in (None: the state's own) and
+    ``pointwise`` terms; None where it has no closed form."""
     terms = []  # terms of equal matrix summed: T and T^H of a hermitized H share theirs
-    for m, y in ((m, f * a) for f, leaf in pairs for (_, m), a in zip(leaf.terms, leaf._arrays)
-                 if m.any() and not _is_zero(a)):
+    for m, y in ((m, chain[0][3] if chain else 1.0) for m, chain in monos):
         same = next((i for i, (n, _) in enumerate(terms) if np.array_equal(m, n)), None)
         if same is None:
             terms.append((m, y))
         else:
             terms[same] = (terms[same][0], terms[same][1] + y)
-    if not any(leaf._axes for _, leaf in pairs):
+    spaces = [chain[0][1] for _, chain in monos if chain]
+    if not spaces:
         u = _exp_minus_idt(sum(m * y for m, y in terms), tau, hermitian)
         return None, [(matrix_entries(u), 1.0)]
     phase = [m[0, 0] * y for m, y in terms if np.array_equal(m, m[0, 0] * ID4)]
@@ -109,7 +109,7 @@ def _factor(pairs, tau, hermitian):
     if phase:
         phase = np.exp(-1j * tau * sum(phase))
         out = [(entries, f * phase) for entries, f in out]
-    return next(leaf.space for _, leaf in pairs if leaf._axes), out
+    return spaces[0], out
 
 
 def _factors(total, hermitian, tm, grid, dt):
@@ -117,11 +117,12 @@ def _factors(total, hermitian, tm, grid, dt):
     ``tm`` (None for a static model, whose leaves do not change with t), in
     the order they act: the position group V and the momentum group K as
     V/2 K V/2, or the one there is; None where it is a Krylov step."""
-    pairs = _scaled_leaves(total, grid, 0.0 if tm is None else tm)
-    if pairs is None:
+    monos = [(m, chain) for m, chain in _monomials(total, grid, 0.0 if tm is None else tm)
+             if m.any()]
+    if any(len(chain) > 1 for _, chain in monos):
         return None
-    pos = [(f, leaf) for f, leaf in pairs if leaf.space == POSITION and leaf._axes]
-    mom = [(f, leaf) for f, leaf in pairs if leaf.space == MOMENTUM or not leaf._axes]
+    pos = [(m, chain) for m, chain in monos if chain and chain[0][1] == POSITION]
+    mom = [(m, chain) for m, chain in monos if not chain or chain[0][1] == MOMENTUM]
     if pos and mom:
         half = _factor(pos, dt / 2.0, hermitian)
         factors = [half, _factor(mom, dt, hermitian), half]
@@ -328,7 +329,8 @@ class _Observables:
             mom, names, self.energy = mom + [self.energy], names + ["energy"], None
         pos = self.r + [ConstMatrix(ID4, name="norm"), PositionDiag(
             [(lambda g, t: g.boundary_shell_mask, ID4)], name="flux")]
-        self.stacks = [(names, LeafStack(mom)), ([leaf.name for leaf in pos], LeafStack(pos))]
+        self.stacks = [(names, LeafStack(mom, grid)),
+                       ([leaf.name for leaf in pos], LeafStack(pos, grid))]
         self.block = np.empty((max(1, LeafStack.BLOCK_POINTS // grid.npoints), 4, *grid.shape),
                               dtype=complex)
         self.pending = []  # (t, space) of each row written into the block
@@ -359,7 +361,7 @@ class _Observables:
             if here != space:  # the whole block to the other space
                 block = _bare_fft(block, here, tuple(a + 1 for a in axes))
             names, stack = self.stacks[here == POSITION]
-            values, refusals = stack.contract(block, self.grid, OBSERVABLE_GUARD)
+            values, refusals = stack.contract(block, OBSERVABLE_GUARD)
             found[here] = names, values.real.tolist(), refusals
             if here == MOMENTUM and self.energy is not None:
                 energies = [float(np.real(expectation(

@@ -600,32 +600,33 @@ class TestPeakMemory:
         assert _peak_bytes(lambda: leaf._kernel(psi)) <= psi.nbytes + row + cast + 8192
 
     def _cell(self, params, gains):
-        # a state-0 x cell of pryce / dirac-em under a uniform B, with its
-        # leaves' caches filled: verify's with ``gains`` a dict, else a
-        # refinement rung's, whose printed total is compiled
-        from relspin.dynamics import _lhs, _residual, _verify_cell
+        # a state-0 x cell of pryce / dirac-em under a uniform B against the
+        # compiled printed total, with its leaves' caches filled: verify's,
+        # each term applied for its norm and removal gain, with ``gains`` a
+        # dict, else a refinement rung's, which applies no term on its own
+        from relspin.dynamics import _verify_cell
         psi = self._state()
         ham = build_hamiltonian("dirac-em", UniformB([0.0, 0.0, 0.05]), params)
         terms, total = rhs(SpinKind.PRYCE, "dirac-em", ham.model, params)
         s_x = spin_expr(SpinKind.PRYCE, params)[0]
         h_psi = apply_expr(ham.total, psi, 0.0, 1.0)
-        if gains is None:
-            rhs_x = compiled(total[0], self.GRID)
-            cell = lambda: _residual(*_lhs(s_x, ham.total, psi, h_psi),  # as verify_residual's
-                                     apply_expr(rhs_x, psi, guard=VERIFY_GUARD), psi)
-        else:
-            cell = lambda: _verify_cell(0, 0, s_x, ham.total, terms, psi, h_psi, gains)
+        rhs_x = compiled(total[0], self.GRID)
+        cell = lambda: _verify_cell(0, 0, s_x, ham.total, rhs_x, psi, h_psi,
+                                    () if gains is None else terms, gains)
         cell()
         return cell, psi.data.nbytes
 
     def test_verify_cell_peak(self, params):
-        # with removal gains: 6.27 fields (1.64 MB) measured, inside the apply
-        # of the r-p-alpha-b term.  It was 8.27 while a summed term, and the
-        # previous child's result inside r.p's sum, stayed bound during the
-        # next apply, and the diagonal leaves r_j, p_j, 1/p^2 and B.p each
-        # made a new field where they now multiply in place
+        # with removal gains: 4.27 fields (1.12 MB) measured, inside the apply
+        # of the r-p-alpha-b term, which holds the difference already formed
+        # and that apply's 3.26.  Each term's gain is taken against that
+        # difference as the term is applied, so no term is kept.  It was 6.27
+        # while the terms were kept for the gains and summed into a copy of
+        # the first, and 8.27 while a summed term, and the previous child's
+        # result inside r.p's sum, stayed bound during the next apply, and the
+        # diagonal leaves r_j, p_j, 1/p^2 and B.p each made a new field
         cell, field = self._cell(params, {})
-        assert _peak_bytes(cell) <= 6.5 * field
+        assert _peak_bytes(cell) <= 4.5 * field
 
     def test_rung_cell_peak(self, params):
         # a refinement rung's cell keeps no term for the gains and forms
@@ -677,9 +678,9 @@ class TestPeakMemory:
 
     def test_rung_verify_peak(self, params):
         # a whole 32^3 rung of the shipped scenario's pryce check: beyond its
-        # two states, h_psi, the trees' caches (0.17) and the rung cell's two
+        # two states, h_psi, the trees' caches and the rung cell's two
         # tied stages, each 1 field and an apply's 2.31 (2 fields, a row and
-        # numpy's cast buffer, 1/16 of a field at 32^3): 4.48 fields (of 2 MB)
+        # numpy's cast buffer, 1/16 of a field at 32^3): 4.44 fields (of 2 MB)
         # measured.  It was 5.23 while the gauge leaf of H (S psi) ran after
         # the sum of the others existed (7.27 with the printed terms applied
         # one by one and S (H psi) formed first, 10.27 with the dead
@@ -734,10 +735,9 @@ class TestPeakMemory:
     def test_lazy_rung_verify_peak(self, params):
         # one state, its h_psi and the rung cell's 3.52 fields make 5.52
         # fields, and the leaf caches of the rung's own S and compiled RHS
-        # trees, which a warmed cell does not count, 0.58 more (mostly the
+        # trees, which a warmed cell does not count, 0.43 more (mostly the
         # (16, 16, 1) merged coefficients of each axis's k_j (Sigma x B)_i
-        # alpha_j leaf, and the trees' Python objects): 6.10 measured, in the
-        # compiled total's apply, with H (S psi) 0.02 below.  It was 6.84
+        # alpha_j leaf, and the trees' Python objects): 5.95 measured.  It was 6.84
         # while the gauge leaf of H (S psi) ran after the sum of the others
         # existed (7.54 with the printed terms applied one by one).  The two
         # states held at once, as a list, give 7.10

@@ -57,3 +57,18 @@ def test_grid_imports_no_physics():
             else:
                 modules.add(base)
     assert {m for m in modules if m.split(".")[0] == "relspin"} <= {"relspin.errors"}
+
+
+def test_only_expr_reads_leaf_fill_records():
+    # a leaf's fill records (its scalar arrays, live terms, axes, kernel rows
+    # and matrix entries) are expr's own: every other module reads a tree
+    # through _monomials or an apply, so a change to how a leaf fills stays
+    # in one module
+    records = {"_arrays", "_axes", "_live", "_scalars", "_own_rows", "_entries"}
+    found = []
+    for path in sorted(Path(relspin.__file__).parent.glob("*.py")):
+        if path.name != "expr.py":
+            found += [f"{path.name}:{node.lineno} .{node.attr}"
+                      for node in ast.walk(ast.parse(path.read_text()))
+                      if isinstance(node, ast.Attribute) and node.attr in records]
+    assert found == []

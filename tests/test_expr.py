@@ -569,7 +569,7 @@ class TestLeafStack:
         leaves = [leaf_type([(producer(pk), _kernel_matrix(mk, rng)) for mk, pk in kinds])
                   for kinds in leaf_kinds]
         psi = random_field(grid, rng).in_space(space)
-        got = stack_type(leaves).expectations(psi)
+        got = stack_type(leaves, grid).expectations(psi)
         for leaf, value in zip(leaves, got):
             # |<psi, L psi>| <= |psi| |L psi| is the scale of the roundoff
             scale = psi.norm() * apply_expr(leaf, psi).norm()
@@ -608,7 +608,7 @@ class TestLeafStack:
         block = [random_field(grid, rng) for _ in range(states)]
         block = [psi.in_space(other if rng.integers(2) else leaf_type.space).in_space(
             leaf_type.space) for psi in block]
-        got, refusals = stack_type(leaves).contract(np.stack([psi.data for psi in block]), grid)
+        got, refusals = stack_type(leaves, grid).contract(np.stack([psi.data for psi in block]))
         assert got.shape == (states, len(leaves)) and refusals == [None] * states
         for psi, values in zip(block, got):
             for leaf, value in zip(leaves, values):
@@ -623,7 +623,7 @@ class TestLeafStack:
         kx = lambda g, t: g.k[0]
         entries = [triple(P)[0], triple(P)[0], MomentumDiag([(kx, BETA), (kx, SIGMA[2])]),
                    MomentumDiag([(lambda g, t: (1 + 2j) * g.k[0] ** 2, ID4)])]
-        stack = LeafStack(entries)
+        stack = LeafStack(entries, grid)
         stack.expectations(random_field(grid, np.random.default_rng(3)))
         _, _, _, _, _, rows, _, _ = stack._plan
         assert len(rows) == 4
@@ -638,7 +638,7 @@ class TestLeafStack:
         vals = ok.data.copy()
         vals[(slice(None), *grid.origin_index)] = 10.0
         block = np.stack([ok.data, vals, ok.data])
-        _, refusals = LeafStack([triple(P)[0], leaf]).contract(block, grid, guard=1e-3)
+        _, refusals = LeafStack([triple(P)[0], leaf], grid).contract(block, guard=1e-3)
         assert refusals[0] is None and refusals[2] is None
         assert isinstance(refusals[1], SingularMomentumError)
         assert "operator singular is singular" in str(refusals[1])
@@ -646,7 +646,8 @@ class TestLeafStack:
     @pytest.mark.parametrize("stack_type", [LeafStack, _SmallBlocks])
     def test_sums_of_scaled_leaves(self, rng, stack_type):
         # an entry may be a sum of scaled leaves, constants of either space
-        # included; a plain leaf and a trace row (f times the identity) too
+        # included, or a product whose monomials each have one scalar; a
+        # plain leaf and a trace row (f times the identity) too
         grid = _KERNEL_GRIDS[1]
         leaves = [MomentumDiag([(_kernel_producer(pk, grid, rng), _kernel_matrix(mk, rng))
                                 for mk, pk in (("named", "mesh"), ("dense", "full"))])
@@ -655,10 +656,10 @@ class TestLeafStack:
                                _kernel_matrix("dense", rng))])
         entries = [Add([Scale(0.5 - 0.2j, leaves[0]), const, Scale(2.0, Add([leaves[1], const]))]),
                    Scale(-1.5, Add([leaves[1]])), leaves[0],
-                   MomentumDiag([(lambda g, t: g.k2 == 0, ID4)])]
+                   MomentumDiag([(lambda g, t: g.k2 == 0, ID4)]), Mul(leaves[1], const)]
         for space in (POSITION, MOMENTUM):
             psi = random_field(grid, rng).in_space(space)
-            got = stack_type(entries).expectations(psi)
+            got = stack_type(entries, grid).expectations(psi)
             assert len(got) == len(entries)
             for expr, value in zip(entries, got):
                 scale = psi.norm() * apply_expr(expr, psi).norm()
@@ -672,20 +673,22 @@ class TestLeafStack:
         assert LeafStack.admits(Add([Scale(0.5, mom), Scale(2.0, uniform)]), MOMENTUM, grid)
         assert LeafStack.admits(Add([uniform, sawtooth]), POSITION, grid)
         assert not LeafStack.admits(Add([mom, sawtooth]), MOMENTUM, grid)
-        assert not LeafStack.admits(Mul(mom, uniform), MOMENTUM, grid)
+        # one momentum scalar times a constant matrix: one scalar per monomial
+        assert LeafStack.admits(Mul(mom, uniform), MOMENTUM, grid)
+        # scalars of two spaces in one monomial
+        assert not LeafStack.admits(Mul(mom, sawtooth), MOMENTUM, grid)
         assert not LeafStack.admits(Add([mom, pulsed]), MOMENTUM, grid)
-        with pytest.raises(PreconditionError, match="sums of scaled"):
-            LeafStack([Mul(mom, uniform)])
+        with pytest.raises(PreconditionError, match="at most one scalar"):
+            LeafStack([Mul(mom, sawtooth)], grid)
 
-    def test_leaves_of_two_spaces_are_refused(self, grid, rng):
-        stack = LeafStack([triple(P)[0], triple(R)[0]])
+    def test_leaves_of_two_spaces_are_refused(self, grid):
         with pytest.raises(PreconditionError):
-            stack.expectations(random_field(grid, rng))
+            LeafStack([triple(P)[0], triple(R)[0]], grid)
 
-    def test_time_dependent_leaf_is_refused(self):
+    def test_time_dependent_leaf_is_refused(self, grid):
         leaf = PositionDiag([(lambda g, t: t * g.r[0], ID4)], time_dependent=True)
         with pytest.raises(PreconditionError, match="time-independent"):
-            LeafStack([triple(R)[0], leaf])
+            LeafStack([triple(R)[0], leaf], grid)
 
     def test_singular_leaf_refuses_zero_mode(self):
         grid = _KERNEL_GRIDS[1]
@@ -693,7 +696,7 @@ class TestLeafStack:
         leaf = MomentumDiag([(lambda g, t: g.k2, (ID4 - BETA) @ SIGMA[2])],
                             name="singular", singular_origin=True)
         with pytest.raises(SingularMomentumError, match="singular"):
-            LeafStack([triple(P)[0], leaf]).expectations(psi)
+            LeafStack([triple(P)[0], leaf], grid).expectations(psi)
 
 
 class TestExpectation:
@@ -784,8 +787,9 @@ class TestConstantMatrix:
         assert not np.allclose(ALPHA[0] @ SIGMA[1], SIGMA[1] @ ALPHA[0])
 
     def test_one_live_nonconstant_leaf_gives_none(self, grid, params):
-        # no constant matrix: a closed-form factor in the leaf's space, or
-        # no exact step at all (a Krylov step)
+        # no constant matrix: a closed-form factor in the scalar's space, or
+        # no exact step at all (a Krylov step) where a monomial has two scalars
+        import scipy.linalg
         from relspin.fields import UniformB
         from relspin.hamiltonians import build_fw_direct
         from relspin.propagate import _plan
@@ -793,11 +797,19 @@ class TestConstantMatrix:
         [(space, _)] = _plan(ham.subset(["zeeman"]), grid, 0.0, 0.3)
         assert space is None
         assert _plan(ham.subset(["kinetic", "zeeman"]), grid, 0.0, 0.3) is None
-        assert _plan(_as_hamiltonian(Mul(ConstMatrix(BETA), triple(P)[0]), params),
+        assert _plan(_as_hamiltonian(Mul(triple(P)[0], triple(R)[0]), params),
                      grid, 0.0, 0.3) is None
         [(space, _)] = _plan(_as_hamiltonian(Add([ConstMatrix(BETA), triple(P)[0]]), params),
                              grid, 0.0, 0.3)
         assert space == MOMENTUM
+        # beta p_x is one monomial, k_x times beta: at each k the dense expm
+        beta_p = Mul(ConstMatrix(BETA), triple(P)[0])
+        [(space, _)] = _plan(_as_hamiltonian(beta_p, params), grid, 0.0, 0.3)
+        assert space == MOMENTUM
+        psi, got = self._step(beta_p, grid, params)
+        u = np.stack([scipy.linalg.expm(-0.3j * k * BETA) for k in grid.k[0]])
+        want = np.einsum("kab,bk->ak", u, psi.to_momentum().values)
+        assert np.max(np.abs(got.to_momentum().values - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_vanishing_child_is_ignored(self, grid, params, apply_matrix):
         import scipy.linalg

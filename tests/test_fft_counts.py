@@ -141,15 +141,17 @@ def test_pryce_dirac_em_verify(params, battery_3d, fft_count):
     # axis
     #   S (H psi) and S psi, momentum-diagonal:      0 + 0
     #   H (S psi):                                   4
-    #   printed terms, each applied once:
+    #   the compiled printed total, as a rung's:     4
+    #   printed terms, each applied once for its norm:
     #     sigma-cross-b-alpha-p  alpha.p and constants in momentum  0
     #     alpha-r-gradient       alpha.r reads every axis: to
     #                            position, 1/p^2 back               6
     #     r-p-alpha-b            three r_j p_j products, each r_j
     #                            transforming its axis j            6
-    # so 4 + 3 * (0 + 4 + 12) = 52 per state, 104 for the two-packet battery
+    # so 4 + 3 * (0 + 4 + 4 + 12) = 64 per state, 128 for the two-packet
+    # battery
     assert len(battery_3d) == 2
-    assert fft_count.passes == 104
+    assert fft_count.passes == 128
 
 
 def test_pryce_dirac_em_verify_position_states(params, battery_3d, fft_count):
@@ -158,9 +160,9 @@ def test_pryce_dirac_em_verify_position_states(params, battery_3d, fft_count):
     states = [psi.to_position() for psi in battery_3d]
     fft_count.reset()
     got = verify(SpinKind.PRYCE, ham, states)
-    # one transform per state into momentum space (3 each), then the 104
+    # one transform per state into momentum space (3 each), then the 128
     # above
-    assert fft_count.passes == 110
+    assert fft_count.passes == 134
     assert len(got.cells) == len(want.cells)
     for a, b in zip(got.cells, want.cells):
         assert (a.state, a.axis) == (b.state, b.axis)
@@ -175,19 +177,21 @@ def test_pryce_dirac_em_verify_position_states(params, battery_3d, fft_count):
 # as in _FW_APPLY
 _VERIFY = [
     # per state H psi 8 and, per axis, H (S psi) 8: under the constant
-    # envelope only the zeeman terms are printed non-zero, and they are
-    # momentum-diagonal, so 8 + 3 * 8 = 32
+    # envelope only the zeeman terms are printed non-zero, and they and the
+    # compiled total are momentum-diagonal, so 8 + 3 * 8 = 32
     ("SpinKind.PRYCE-fw-direct-64", SpinKind.PRYCE, "fw-direct", 64),
-    # as above, plus 4 per axis for kinetic-coupling's B.(r x p): B_z is the
-    # only live component, so r_x p_y and r_y p_x each transform one axis
-    # (2), and their sum joins p^2 in momentum; 8 + 3 * (8 + 4) = 44
-    ("SpinKind.FW-fw-direct-82", SpinKind.FW, "fw-direct", 88),
-    # per state H psi 4, then per axis H (S psi) 4, alpha-r-gradient 6 (as in
-    # the pryce check), alpha-b-gradient 6 (its r.p as in the pryce check's
-    # r-p-alpha-b) and the three cross terms with (p - eA), which cost 2 on
-    # the x and y axes (one live A_i) and 4 on z (A_x and A_y):
-    # 4 + 2 * (4 + 6 + 6 + 3 * 2) + (4 + 6 + 6 + 3 * 4) = 76
-    ("SpinKind.FW-dirac-em-100", SpinKind.FW, "dirac-em", 152),
+    # as above, plus 4 per axis for kinetic-coupling's B.(r x p) in the
+    # compiled total (as a rung's) and 4 in the term: B_z is the only live
+    # component, so r_x p_y and r_y p_x each transform one axis (2), and
+    # their sum joins p^2 in momentum; 8 + 3 * (8 + 4 + 4) = 56
+    ("SpinKind.FW-fw-direct-82", SpinKind.FW, "fw-direct", 112),
+    # per state H psi 4, then per axis H (S psi) 4, the compiled total
+    # (10 on x and y, 12 on z, as a rung's), and the terms: alpha-r-gradient
+    # 6 (as in the pryce check), alpha-b-gradient 6 (its r.p as in the pryce
+    # check's r-p-alpha-b) and the three cross terms with (p - eA), which
+    # cost 2 on the x and y axes (one live A_i) and 4 on z (A_x and A_y):
+    # 4 + 2 * (4 + 10 + 6 + 6 + 3 * 2) + (4 + 12 + 6 + 6 + 3 * 4) = 108
+    ("SpinKind.FW-dirac-em-100", SpinKind.FW, "dirac-em", 216),
 ]
 
 
@@ -201,29 +205,32 @@ def test_verify(params, battery_3d, fft_count, kind, family, count):
 
 
 # (kind, family, axis passes) of a refinement rung's ``verify_residual`` on
-# the same battery: the same LHS, and per axis one apply of the printed total
-# as ``expr.compiled`` makes it
+# the same battery: verify's cells, the same LHS and per axis one apply of
+# the printed total as ``expr.compiled`` makes it, with no term applied on
+# its own
 _RUNG = [
     # per state H psi 4, then per axis H (S psi) 4 and the compiled
     #   1/p^2 (sum_j k_j (Sigma x B)_i alpha_j
     #          + sum_j r_j [e c B k_z k_i alpha_j - e c B k_j k_i alpha_z] / 2):
-    # 1/p^2 applies once, in momentum (0), and each r_j once, along its
-    # axis there and back (2), so 4 + 3 * (4 + 6) = 34 per state, against
-    # 52 with the three r_j of r-p-alpha-b and the alpha.r of
-    # alpha-r-gradient each applied on their own
-    (SpinKind.PRYCE, "dirac-em", 68),
+    # 1/p^2 applies once, in momentum (0), and r_x and r_y once each, along
+    # their axis there and back (2).  The j = z monomials of alpha-r-gradient
+    # and r-p-alpha-b both end in k_z with B_z in their matrix, so they merge
+    # and cancel, and r_z is not applied.  So 4 + 3 * (4 + 4) = 28 per state,
+    # against 64 in verify
+    (SpinKind.PRYCE, "dirac-em", 56),
     # every printed term is momentum-diagonal: 8 + 3 * 8, as verify's
     (SpinKind.PRYCE, "fw-direct", 64),
     # r_x p_y and r_y p_x of kinetic-coupling apply once each, under 1/E,
-    # as in verify: 8 + 3 * (8 + 4)
+    # as in verify's compiled total: 8 + 3 * (8 + 4), against 112 in verify
     (SpinKind.FW, "fw-direct", 88),
-    # per state H psi 4, then per axis H (S psi) 4 and the compiled total:
-    # on x and y the r_j of alpha-r-gradient and alpha-b-gradient once each
-    # under 1/EW (6) and the one live A_i once under each of c/E and p^2/EW
-    # and once bare (6); on z alpha.r once whole (6), under 1/EW, r_x, r_y
-    # and r_z once each (6), and A_x and A_y (4): 4 + 2 * (4 + 12) + (4 + 16)
-    # = 56, against 76 in verify
-    (SpinKind.FW, "dirac-em", 112),
+    # per state H psi 4, then per axis H (S psi) 4 and the compiled total,
+    # its j = z monomials of r and B_z k_z cancelled as in the pryce check:
+    # on x and y the r_x and r_y of alpha-r-gradient and alpha-b-gradient
+    # once each under 1/EW (4) and the one live A_i once under each of c/E
+    # and p^2/EW and once bare (6); on z alpha.r once whole, now along x and
+    # y (4), under 1/EW r_x and r_y once each (4), and A_x and A_y (4):
+    # 4 + 2 * (4 + 10) + (4 + 12) = 48, against 108 in verify
+    (SpinKind.FW, "dirac-em", 96),
 ]
 
 
@@ -573,7 +580,6 @@ def test_products_per_apply(params, products, name, count, merged):
     # 4 (8 before), and the mass's 4 entries share none; dirac-em is their
     # sum, 16 (24 before).  The Pryce spin's one sparse scalar is the
     # constant of Sigma_i / 2, so nothing sums and it takes 10 as before.
-    from relspin.expr import _scaled_leaves
     grid = GridSpec(3, 16, 24.0)
     rng = np.random.default_rng(9)
     vals = rng.normal(size=(4, *grid.shape)) + 1j * rng.normal(size=(4, *grid.shape))
@@ -585,7 +591,7 @@ def test_products_per_apply(params, products, name, count, merged):
     assert products[0] == count
     # a merged coefficient is an array the producers did not return, and is
     # never as large as the grid
-    coefs = [a for _, leaf in _scaled_leaves(expr) for _, a in leaf._live
-             if not any(a is b for b in leaf._arrays)]
+    leaves = expr.children if name == "dirac-em" else [expr]
+    coefs = [a for leaf in leaves for _, a in leaf._live if not any(a is b for b in leaf._arrays)]
     assert len(coefs) == merged
     assert all(np.size(a) < grid.npoints for a in coefs)

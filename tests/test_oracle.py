@@ -18,7 +18,8 @@ from hypothesis import example, given, settings, strategies as st
 from relspin.algebra import ID4
 from relspin.dynamics import rhs, spin_expr, standard_battery, verify
 from relspin.expr import (Add, Adjoint, Mul, MomentumDiag, PositionDiag, Scale, _DiagLeaf,
-                          _scaled_leaves, apply_expr, block_parity, compiled)
+                          _leaf as _monomial_leaf, _monomials, apply_expr, block_parity,
+                          compiled)
 from relspin.fields import Envelope, UniformB, UniformE, ZeroField
 from relspin.grid import MOMENTUM, POSITION, GridSpec, SpinorField
 from relspin.hamiltonians import NamedHamiltonian, P, R, build_hamiltonian, triple
@@ -123,15 +124,16 @@ def test_tree_is_its_dense_matrix(expr, grid, space, seed):
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
     # where the tree has an exact step, it is exp(-i dt V/2) exp(-i dt K)
-    # exp(-i dt V/2) of its live position leaves that vary, V, and the rest,
+    # exp(-i dt V/2) of its monomials of a position scalar, V, and the rest,
     # K, or the exponential of the one there is (a constant K the same 4x4
     # exponential at every point); dt is kept small, as a non-Hermitian
     # exponential may grow
     ham, dt = NamedHamiltonian("tree", [("tree", expr)], PhysParams(), ZeroField(), False), 0.05
     if _plan(ham, grid, 0.0, dt) is not None:
-        pairs = _scaled_leaves(expr, grid, dt / 2)
-        v = [Scale(f, leaf) for f, leaf in pairs if leaf.space == POSITION and leaf._axes]
-        k = [Scale(f, leaf) for f, leaf in pairs if leaf.space == MOMENTUM or not leaf._axes]
+        v, k = [], []
+        for c, chain in _monomials(expr, grid, dt / 2):
+            (v if chain and chain[0][1] == POSITION else k).append(
+                _monomial_leaf(grid, [(chain[0] if chain else None, c)]))
         want = vals.ravel()
         for group, share in ([(v, 0.5), (k, 1.0), (v, 0.5)] if v and k
                              else [(g, 1.0) for g in (v, k) if g]):
