@@ -51,8 +51,8 @@ def _sample_momenta(n, pmax, params, seed):
     return mags[:, None] * dirs
 
 
-#: momenta per ``condition_checks`` call, so that the peak memory of
-#: check-operators does not grow with --samples
+#: momenta per ``condition_checks`` call, which bounds its (n, 4, 4) stacks; the
+#: peak still grows with --samples, as ``_sample_momenta`` draws them all at once
 _CHUNK = 1000
 
 
@@ -123,6 +123,7 @@ def _refinement_grids(grid, levels):
     """Coarse-to-fine ladder around the scenario grid: the same box, every
     axis refined alike, and a rung only where every axis has 8 to cap points."""
     cap = 2048 if grid.dim == 1 else 64
+    levels = min(levels, cap.bit_length())  # past it, 2**i alone exceeds the cap
     ladder = [[int(n * s) for n in grid.n] for s in [0.5, 1] + [2**i for i in range(1, levels + 1)]]
     return [GridSpec(grid.dim, n, grid.lengths) for n in ladder if 8 <= min(n) and max(n) <= cap]
 

@@ -134,7 +134,7 @@ def rhs(kind: SpinKind, family: str, model: FieldModel, params: PhysParams):
             terms = [("alpha-cross-momentum", out)]
             return terms, out
         # FW and Pryce spin operators are constants of the free motion
-        return [], const_triple([_ZERO44] * 3, name="zero")
+        return [], const_triple([_ZERO44] * 3)
 
     _require_uniform_gauge(model)
     if kind is SpinKind.DIRAC:
@@ -152,8 +152,8 @@ def _rhs_em(kind, model, params):
     c, e = params.c, params.e
     p_t = triple(P)
     r_t = triple(R)
-    alpha_t = const_triple(ALPHA, name="alpha")
-    sigma_t = const_triple(SIGMA, name="Sigma")
+    alpha_t = const_triple(ALPHA)
+    sigma_t = const_triple(SIGMA)
     b = ModelVector(model.b_mesh, "B")
     b_t = triple(b)
 
@@ -182,14 +182,12 @@ def _rhs_em(kind, model, params):
 
         quarter = 0.25 * c * e
         b_cross_p = cross(b_t, p_t)
-        sigma_dot_alpha = ConstMatrix(sum(SIGMA[j] @ ALPHA[j] for j in range(3)),
-                                      name="Sigma.alpha")
+        sigma_dot_alpha = ConstMatrix(sum(SIGMA[j] @ ALPHA[j] for j in range(3)))
         alpha_dot_bxp = dot(alpha_t, b_cross_p)
         sigma_dot_pxalpha = dot(sigma_t, cross(p_t, alpha_t))
         sigma_dot_b = vec_leaf(b, enumerate(SIGMA), name="Sigma.B")
         terms.append(("sigma-alpha-field-cross", scale(
-            quarter, prefix([inv_ew], [Mul(ConstMatrix(SIGMA[i]), alpha_dot_bxp)
-                                       for i in range(3)]))))
+            quarter, prefix([inv_ew], [Mul(s, alpha_dot_bxp) for s in sigma_t]))))
         terms.append(("sigma-dot-alpha-cross", scale(
             quarter, prefix([inv_ew, sigma_dot_alpha], b_cross_p))))
         terms.append(("sigma-p-alpha-b", scale(
@@ -216,9 +214,9 @@ def _rhs_direct(kind, model, params):
     c, e, m0 = params.c, params.e, params.m0
     p_t = triple(P)
     l_t = cross(triple(R), p_t)
-    alpha_t = const_triple(ALPHA, name="alpha")
-    sigma_t = const_triple(SIGMA, name="Sigma")
-    beta_c = ConstMatrix(BETA, name="beta")
+    alpha_t = const_triple(ALPHA)
+    sigma_t = const_triple(SIGMA)
+    beta_c = ConstMatrix(BETA)
     bdot = ModelVector(model.dbdt_mesh, "dB/dt")
     b_t, bdot_t = triple(ModelVector(model.b_mesh, "B")), triple(bdot)
     bddot_t = triple(ModelVector(model.d2bdt2_mesh, "d2B/dt2"))
@@ -231,8 +229,7 @@ def _rhs_direct(kind, model, params):
     if kind is SpinKind.FW:
         inv_e = _mom_scalar(lambda g, t: 1.0 / _energy(g, params), name="1/E")
         inv_ew = _mom_scalar(lambda g, t: _inv_ew(_energy(g, params), params), name="1/EW")
-        sigma_dot_alpha = ConstMatrix(sum(SIGMA[j] @ ALPHA[j] for j in range(3)),
-                                      name="Sigma.alpha")
+        sigma_dot_alpha = ConstMatrix(sum(SIGMA[j] @ ALPHA[j] for j in range(3)))
         pxalpha_t = cross(p_t, alpha_t)
         exp_t = cross(e_t, p_t)
         terms = [("zeeman-precession", scale(e / (2 * m0), prefix([beta_c], cross(sigma_t, b_t))))]
@@ -274,8 +271,8 @@ def _rhs_direct(kind, model, params):
 
     # Pryce with the direct spin-field Hamiltonian
     lower = ID4 - BETA
-    beta_lower = ConstMatrix(BETA @ lower, name="beta(1-beta)")
-    lower_c = ConstMatrix(lower, name="(1-beta)")
+    beta_lower = ConstMatrix(BETA @ lower)
+    lower_c = ConstMatrix(lower)
     inv_p2 = _mom_scalar(lambda g, t: g.inv_k2, name="1/p^2", singular=True)
     sxbdot_t = cross(sigma_t, bdot_t)
     sxbddot_t = cross(sigma_t, bddot_t)
@@ -295,8 +292,7 @@ def _rhs_direct(kind, model, params):
         pref_bdot, prefix([lower_c, inv_p2, sigma_dot_p, sigma_dot_bdot], p_t))))
     terms.append(("bdot-spin-orbital", scale(
         -pref_bdot, prefix([lower_c, inv_p2, sigma_dot_p, dot(bdot_t, l_t)], p_t))))
-    sym = [Scale(0.5, Add([Scale(3.0, p_t[i]), Mul(sigma_dot_p, ConstMatrix(SIGMA[i]))]))
-           for i in range(3)]
+    sym = [Scale(0.5, Add([Scale(3.0, p), Mul(sigma_dot_p, s)])) for p, s in zip(p_t, sigma_t)]
     terms.append(("bdot-symmetrized", scale(
         -pref_bdot, prefix([lower_c, inv_p2], [Mul(sym[i], bdot_dot_p)
                                                for i in range(3)]))))

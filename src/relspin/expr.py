@@ -1,7 +1,7 @@
 """Composition language for grid operators.
 
 An :class:`OperatorExpr` is a finite tree whose leaves are diagonal in either
-position or momentum space and whose nodes are Add / Mul / Scale.  A leaf is
+position or momentum space and whose nodes are Add and Mul.  A leaf is
 a sum of (scalar lattice function) x (constant 4x4 matrix) pairs -- every
 operator appearing in the spin-dynamics equations has this shape -- so
 applying a leaf never materializes per-point 4x4 matrices:
@@ -26,7 +26,11 @@ made once, in ``pooled``, so those leaves hold one array.  A leaf whose
 live scalars all have size 1 is a constant: the same operator in both spaces,
 which acts in the state's own space without a transform.  Uniform fields,
 axes a 1D grid does not carry and switched-off envelopes all give constant
-leaves, and :func:`ConstMatrix` is one too.
+leaves, and :func:`ConstMatrix` is one too.  A constant factor, a leaf of
+``_one`` terms only (a ``ConstMatrix``, or a number f, as ``Scale(f, x)``
+is ``Mul(ConstMatrix(f 1), x)``), is never applied on its own: ``Mul``
+folds it into the matrices of the other factor's leaves on its side, down
+that spine and over every Add (``_folded``).
 
 Where a leaf's result lands: a constant leaf's, and that of a leaf applied
 to a state already in its space, is in the state's space.  Otherwise the
@@ -39,33 +43,32 @@ transforms just its axes, there and back (``SpinorField.diag_along``), and
 its result is in the state's space.  A 1D grid has one axis, so there every
 non-constant leaf reads all of them.
 
-Exact zeros are decided here once.  When a leaf's cache fills, it also
-records its live terms (the pairs with a nonzero matrix and a scalar that is
-not a 0-d zero) and the axes they vary on (none for a constant); its
-``_vanishes`` and ``_apply`` read those records until the next fill, so an
-apply loops over the live terms only.  A leaf vanishes when no term is live,
-a Scale when its factor is 0 or its child vanishes, a Mul when either factor
-does and an Add when all its children do.  A vanishing subtree is never
-applied: an Add skips it (adding its result into an accumulator held in the
-other space would cost a transform) and ``apply_expr`` returns zeros for
-it.  An Add applies first the live leaves that transform its input (those
-with axes, of the other space), so that their scratch is gone before any sum
-exists, then the rest in their order.  It sums the results per space, and
-then makes one cross-space move: the sum in the other space joins the one in
-the input's space.
+Exact zeros are decided here once.  When a leaf's cache fills, it also records
+its live terms (the pairs with a nonzero matrix and a scalar that is not a 0-d
+zero) and the axes they vary on (none for a constant); its ``_vanishes`` and
+``_apply`` read those records until the next fill, so an apply loops over the
+live terms only.  A leaf vanishes when no term is live (a folded 0 leaves
+none), a Mul when either factor does and an Add when all its children do.  A
+vanishing subtree is never applied: an Add skips it (adding its result into an
+accumulator held in the other space would cost a transform) and ``apply_expr``
+returns zeros for it.  An Add applies first the live leaves that transform its
+input (those with axes, of the other space), so that their scratch is gone
+before any sum exists, then the rest in their order.  It sums the results per
+space, and then makes one cross-space move: the sum in the other space joins
+the one in the input's space.
 
 Mul(a, b) applies b first (left factor last), matching left-to-right operator
 products as written in equations.
 
-An ``_apply`` returns an array no one else holds (with ``own=True``, maybe
-its input's), so a node writes into its children's results: Add accumulates
-into the first live child's result in each space and drops the others once
-summed, Scale scales its child's in place, and a transform of a node's own
-result (Add's cross-space move, Mul's hand-over from right to left,
-``apply_expr``'s move back; ``own=True``) overwrites it.  So does a leaf
-whose rows each take one product, of their own component (``_own_rows``:
-r_j, p_j, 1/p^2), inside ``diag_along`` and on an owned input.  The
-caller's state and the leaves' cached scalars are never written.
+An ``_apply`` returns an array no one else holds (with ``own=True``, maybe its
+input's), so a node writes into its children's results: Add accumulates into
+the first live child's result in each space and drops the others once summed,
+and a transform of a node's own result (Add's cross-space move, Mul's
+hand-over from right to left, ``apply_expr``'s move back; ``own=True``)
+overwrites it.  So does a leaf whose rows each take one product, of their own
+component (``_own_rows``: r_j, p_j, 1/p^2), inside ``diag_along`` and on an
+owned input.  The caller's state and the leaves' cached scalars are never
+written.
 
 Two structural walks read a tree without applying it.  ``_monomials``
 flattens a tree at (grid, t) into monomials, its vanishing subtrees dropped:
@@ -79,7 +82,7 @@ where that stays smaller than the grid, and those whose chains end in one
 array share its leaf, from the end that costs fewer passes (``_trie``).  So
 a Pryce total applies 1/p^2 once, and guards the sum of its terms' shares,
 not each share.  ``block_parity`` reads the blocks of a tree's form over the
-leaves' sum_j |M_j| (every factor 1, so nothing cancels).
+nonzero patterns of the leaves' matrices (``_form``).
 
 Leaves flagged ``singular_origin`` (the longitudinal 1/p^2 projector and
 friends) refuse to act on states whose k = 0 amplitude fraction exceeds the
@@ -184,11 +187,11 @@ class _DiagLeaf(OperatorExpr):
         for _, m in self.terms:
             if m.shape != (4, 4):
                 raise PreconditionError("leaf matrices must be 4x4")
-        self._entries = [matrix_entries(m) for _, m in self.terms]
         self.name = name
         self.time_dependent = bool(time_dependent)
         self.singular_origin = bool(singular_origin)
         self._key = self._arrays = self._live = self._axes = self._own_rows = self._adj = None
+        self._entries = self._src = None  # entries at the first fill, _src by a fold
 
     def _fill(self, grid: GridSpec, t: float):
         """The producers' scalar arrays, ``_reduced``."""
@@ -201,6 +204,7 @@ class _DiagLeaf(OperatorExpr):
                 raise PreconditionError(f"{self.name or 'a leaf'} is time-dependent; a static "
                                         "tree needs time-independent leaves")
             self._arrays = self._fill(grid, t)
+            self._entries = self._entries or [matrix_entries(m) for _, m in self.terms]
             # the records every apply reads until the next fill
             live = [(entries, a) for entries, a in zip(self._entries, self._arrays)
                     if entries and not _is_zero(a)]
@@ -235,15 +239,21 @@ class _DiagLeaf(OperatorExpr):
         and each row takes at most one product, of its own; else a new array."""
         return pointwise(psi, self._live, psi if own and self._own_rows else None)
 
+    def _derived(self, matrices, name, conj=False):
+        """A leaf of ``matrices`` on the cached scalars (conjugated, with ``conj``)
+        of this leaf, or of the leaf it is a fold of; a ``_one`` pair stays one."""
+        src, read = (self, np.conj) if conj else (self._src or self, np.asarray)
+        terms = [(fn if fn is _one else (lambda grid, t, j=j: read(src._scalars(grid, t)[j])), m)
+                 for j, ((fn, _), m) in enumerate(zip(self.terms, matrices))]
+        leaf = type(self)(terms, name, self.time_dependent, self.singular_origin)
+        leaf._src = None if conj else src
+        return leaf
+
     def _adjoint(self):
-        """The adjoint leaf, built once: its scalars are the conjugates of this
-        leaf's cached ones, so a tree and its adjoint share every fill."""
+        """The adjoint leaf, built once."""
         if self._adj is None:
-            terms = [(lambda grid, t, j=j: np.conj(self._scalars(grid, t)[j]), m.conj().T)
-                     for j, (_, m) in enumerate(self.terms)]
-            self._adj = type(self)(terms, name=None if self.name is None else self.name + "^H",
-                                   time_dependent=self.time_dependent,
-                                   singular_origin=self.singular_origin)
+            self._adj = self._derived([m.conj().T for _, m in self.terms], conj=True,
+                                      name=None if self.name is None else self.name + "^H")
             self._adj._adj = self
         return self._adj
 
@@ -294,12 +304,29 @@ class Add(OperatorExpr):
         return Add([c._adjoint() for c in self.children])
 
 
-class Mul(OperatorExpr):
-    """Operator composition; the left factor is applied last."""
+def _folded(expr, c, side):
+    """``expr`` times the matrix c on its left (side 0) or right (1): c in the
+    matrices of the leaves at that end of every product, over every Add."""
+    if isinstance(expr, Add):
+        return Add([_folded(child, c, side) for child in expr.children])
+    if isinstance(expr, Mul):
+        return (Mul(_folded(expr.left, c, side), expr.right) if side == 0
+                else Mul(expr.left, _folded(expr.right, c, side)))
+    return expr._derived([c @ m if side == 0 else m @ c for _, m in expr.terms], expr.name)
 
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
+
+class Mul(OperatorExpr):
+    """Operator composition; the left factor is applied last.  A constant factor
+    (a leaf of ``_one`` terms only, not one of none) is folded into the other;
+    no ``__init__``, which Python would rerun on a Mul that the fold returns."""
+
+    def __new__(cls, left, right):
+        for c, other, side in ((left, right, 0), (right, left, 1)):
+            if isinstance(c, _DiagLeaf) and c.terms and all(fn is _one for fn, _ in c.terms):
+                return _folded(other, sum(m for _, m in c.terms), side)
+        self = super().__new__(cls)
+        self.left, self.right = left, right
+        return self
 
     def _vanishes(self, grid, t):
         return self.right._vanishes(grid, t) or self.left._vanishes(grid, t)
@@ -311,21 +338,9 @@ class Mul(OperatorExpr):
         return Mul(self.right._adjoint(), self.left._adjoint())
 
 
-class Scale(OperatorExpr):
-    def __init__(self, factor, child):
-        self.factor = complex(factor)
-        self.child = child
-
-    def _vanishes(self, grid, t):
-        return self.factor == 0 or self.child._vanishes(grid, t)
-
-    def _apply(self, field, t, guard, own=False):
-        out = self.child._apply(field, t, guard, own)
-        out.data *= self.factor
-        return out
-
-    def _adjoint(self):
-        return Scale(np.conj(self.factor), self.child._adjoint())
+def Scale(factor, expr: OperatorExpr) -> OperatorExpr:
+    """factor * expr, the number folded into ``expr``'s leaves (``Mul``)."""
+    return Mul(ConstMatrix(complex(factor) * np.eye(4)), expr)
 
 
 def Adjoint(expr: OperatorExpr) -> OperatorExpr:
@@ -373,8 +388,6 @@ def _monomials(expr, grid, t):
         return [(m * complex(a.reshape(())), ()) if a.size == 1 else
                 (m, ((id(a), expr.space, expr.singular_origin, a, name),))
                 for (_, m), a in zip(expr.terms, expr._scalars(grid, t)) if not _is_zero(a)]
-    if isinstance(expr, Scale):
-        return [(expr.factor * c, chain) for c, chain in _monomials(expr.child, grid, t)]
     if isinstance(expr, Add):
         return [m for child in expr.children for m in _monomials(child, grid, t)]
     return [(cl @ cr, right + left) for cr, right in _monomials(expr.right, grid, t)
@@ -582,15 +595,14 @@ class LeafStack:
 # -- block parity ----------------------------------------------------------------
 
 def _form(expr):
-    """The tree's 4x4 form over its leaves' sum_j |M_j|: Add sums, Mul gives
-    left @ right, and Scale is dropped (every factor 1, so nothing cancels)."""
+    """The tree's 4x4 form over its leaves' nonzero patterns: Add sums and Mul
+    gives left @ right (every entry 1, so nothing cancels, and a number
+    folded into a leaf cannot change it)."""
     if isinstance(expr, _DiagLeaf):
-        return sum((np.abs(m) for _, m in expr.terms), np.zeros((4, 4)))
+        return sum((1.0 * (m != 0) for _, m in expr.terms), np.zeros((4, 4)))
     if isinstance(expr, Add):
         return sum(_form(child) for child in expr.children)
-    if isinstance(expr, Mul):
-        return _form(expr.left) @ _form(expr.right)
-    return _form(expr.child)
+    return _form(expr.left) @ _form(expr.right)
 
 
 def block_parity(expr: OperatorExpr) -> str:

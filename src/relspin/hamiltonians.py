@@ -32,10 +32,9 @@ one leaf, ``triple`` the three x_j, and ``kinetic_triple`` the (p - eA)_i;
 ``cross``, ``dot``, ``prefix``, ``scale``, ``add`` and ``const_triple``
 combine triples.  A model's mesh is pooled, so each mesh method is called
 once per (grid, t), or once per grid for a static model, however many
-leaves and trees read it.  The Hamiltonians fold Sigma_i into a field
-leaf's matrix (``_cross_dot_sigma``) where the printed right-hand sides
-write ConstMatrix(Sigma_i) @ leaf; the two are equal up to roundoff, and
-each keeps its own transform count.
+leaves and trees read it.  A number (``Scale``) or constant matrix that
+multiplies a tree is folded into its leaves (``expr.Mul``), so Sigma_i of
+Sigma.(E x pi) acts inside the leaves of (E x pi)_i.
 
 ``FAMILIES`` holds each family's terms and its builder, which builds them
 all.  These trees are the one transcription of each Hamiltonian: the
@@ -97,8 +96,6 @@ FAMILIES = {
                         lambda *args: build_fw_direct(*args)),
 }
 
-_BETA_SIGMA = [BETA @ s for s in SIGMA]
-
 
 @dataclass
 class NamedHamiltonian:
@@ -157,18 +154,11 @@ def ModelVector(mesh_fn, name) -> Vector:
         mesh_fn.__func__, grid, (mesh_fn, t if dynamic else None), lambda: mesh_fn(grid.r, t)))
 
 
-def vec_leaf(x, pairs, prefactor=1.0, name=None, const=None):
-    """sum prefactor x_j M over the (j, M) in ``pairs``, plus the constant
-    matrix ``const`` if given, as one leaf diagonal in x's space: c alpha.p,
-    -ec alpha.A, alpha.r, Sigma.B, beta Sigma.B, or one component with
-    Sigma_i folded into its matrix.  A uniform x gives a constant leaf."""
-    def component(j):
-        if prefactor == 1:  # x_j itself, not a copy
-            return lambda g, t: x.read(g, t)[j]
-        return lambda g, t: prefactor * np.asarray(x.read(g, t)[j])
-    terms = [(component(j), m) for j, m in pairs]
-    if const is not None:
-        terms.append((_one, const))
+def vec_leaf(x, pairs, name=None):
+    """sum x_j M over the (j, M) in ``pairs``, M alone where j is None, as one
+    leaf diagonal in x's space: c alpha.p + beta m0 c^2, -ec alpha.A,
+    alpha.r, Sigma.B.  A uniform x gives a constant leaf."""
+    terms = [(_one if j is None else (lambda g, t, j=j: x.read(g, t)[j]), m) for j, m in pairs]
     leaf = MomentumDiag if x.space == MOMENTUM else PositionDiag
     return leaf(terms, name=name, time_dependent=x.time_dependent)
 
@@ -178,8 +168,8 @@ def triple(x):
     return [vec_leaf(x, [(j, ID4)], name=f"{x.name}_{'xyz'[j]}") for j in range(3)]
 
 
-def const_triple(mats, name=None):
-    return [ConstMatrix(m, name=name) for m in mats]
+def const_triple(mats):
+    return [ConstMatrix(m) for m in mats]
 
 
 def kinetic_triple(a, e):
@@ -212,15 +202,6 @@ def add(triples):
     return [Add([tr[i] for tr in triples]) for i in range(3)]
 
 
-def _cross_dot_sigma(pi, x, reverse: bool = False):
-    """Sigma.[x x (p-eA)] (reverse=False) or Sigma.[(p-eA) x x] (reverse=True)
-    for a model vector x, with Sigma_i folded into the matrix of x's leaf and
-    products ordered exactly as written (the right factor acts first)."""
-    pairs = [(i, j, k, e) for i in range(3) for j, k, e in levi_civita_pairs(i)]
-    return Add([Mul(pi[j], vec_leaf(x, [(k, e * SIGMA[i])])) if reverse
-                else Mul(vec_leaf(x, [(j, e * SIGMA[i])]), pi[k]) for i, j, k, e in pairs])
-
-
 def hermitian_part(expr):
     """(T + T^H)/2."""
     return Scale(0.5, Add([expr, Adjoint(expr)]))
@@ -230,8 +211,8 @@ def hermitian_part(expr):
 
 def build_free_dirac(params: PhysParams) -> NamedHamiltonian:
     """Single momentum-diagonal leaf  k -> c alpha.k + beta m0 c^2."""
-    leaf = vec_leaf(P, [(i, params.c * ALPHA[i]) for i in range(3)], name="free-dirac",
-                    const=params.rest_energy * BETA)
+    leaf = vec_leaf(P, [(i, params.c * ALPHA[i]) for i in range(3)]
+                    + [(None, params.rest_energy * BETA)], name="free-dirac")
     return NamedHamiltonian("free", [("free-dirac", leaf)], params, ZeroField())
 
 
@@ -252,19 +233,19 @@ def build_dirac_em(model: FieldModel, params: PhysParams) -> NamedHamiltonian:
 def build_fw_full(model: FieldModel, params: PhysParams) -> NamedHamiltonian:
     """The expanded even Hamiltonian, ``rest-mass`` included."""
     m0, c, e = params.m0, params.c, params.e
-    b, e_vec = ModelVector(model.b_mesh, "B"), ModelVector(model.e_mesh, "E")
-    dedt_vec = ModelVector(model.dedt_mesh, "dE/dt")
+    b, e_t = ModelVector(model.b_mesh, "B"), triple(ModelVector(model.e_mesh, "E"))
+    dedt_t = triple(ModelVector(model.dedt_mesh, "dE/dt"))
+    sigma_t = const_triple(SIGMA)
     pi = kinetic_triple(ModelVector(model.a_mesh, "A"), e)
     sq = dot(pi, pi)
-    beta_c = ConstMatrix(BETA, name="beta")
+    beta_c = ConstMatrix(BETA)
 
     terms = {}
     terms["rest-mass"] = ConstMatrix(params.rest_energy * BETA, name="rest-mass")
     terms["kinetic"] = Scale(1.0 / (2 * m0), Mul(beta_c, sq))
-    terms["zeeman"] = vec_leaf(b, enumerate(_BETA_SIGMA), -e / (2 * m0))
-    terms["mass-correction"] = Scale(-1.0 / (8 * m0**3 * c**2),
-                                     Mul(beta_c, Mul(sq, sq)))
-    szb = vec_leaf(b, enumerate(_BETA_SIGMA))
+    szb = Mul(beta_c, vec_leaf(b, enumerate(SIGMA)))
+    terms["zeeman"] = Scale(-e / (2 * m0), szb)
+    terms["mass-correction"] = Scale(-1.0 / (8 * m0**3 * c**2), Mul(beta_c, Mul(sq, sq)))
     terms["kinetic-zeeman-cross"] = Scale(
         e / (8 * m0**3 * c**2), Add([Mul(sq, szb), Mul(szb, sq)]))
 
@@ -277,16 +258,10 @@ def build_fw_full(model: FieldModel, params: PhysParams) -> NamedHamiltonian:
         [(lambda g, t: -e / (8 * m0**2 * c**2) * np.asarray(model.dive_mesh(g.r, t)),
           ID4)], name="darwin", time_dependent=model.time_dependent)
 
-    so = Add([
-        _cross_dot_sigma(pi, e_vec, reverse=True),
-        Scale(-1.0, _cross_dot_sigma(pi, e_vec, reverse=False)),
-    ])
+    so = Add([dot(sigma_t, cross(pi, e_t)), Scale(-1.0, dot(sigma_t, cross(e_t, pi)))])
     terms["spin-orbit"] = Scale(e / (8 * m0**2 * c**2), so)
 
-    dedt = Add([
-        _cross_dot_sigma(pi, dedt_vec, reverse=True),
-        _cross_dot_sigma(pi, dedt_vec, reverse=False),
-    ])
+    dedt = Add([dot(sigma_t, cross(pi, dedt_t)), dot(sigma_t, cross(dedt_t, pi))])
     terms["de-dt"] = Scale(-1j * e / (16 * m0**3 * c**4), Mul(beta_c, dedt))
 
     ordered = [(n, terms[n]) for n in FAMILIES["fw-full"].terms]
@@ -301,20 +276,21 @@ def build_fw_direct(model: FieldModel, params: PhysParams) -> NamedHamiltonian:
     field models.
     """
     m0, c, e = params.m0, params.c, params.e
-    beta_c = ConstMatrix(BETA, name="beta")
+    beta_c = ConstMatrix(BETA)
     pi = kinetic_triple(ModelVector(model.a_mesh, "A"), e)
     sq = dot(pi, pi)
 
     kinetic = Scale(1.0 / (2 * m0), Mul(beta_c, sq))
-    zeeman = vec_leaf(ModelVector(model.b_mesh, "B"), enumerate(_BETA_SIGMA), -e / (2 * m0))
+    zeeman = Scale(-e / (2 * m0),
+                   Mul(beta_c, vec_leaf(ModelVector(model.b_mesh, "B"), enumerate(SIGMA))))
 
-    exp_cross = _cross_dot_sigma(pi, ModelVector(model.e_mesh, "E"), reverse=False)
+    exp_cross = dot(const_triple(SIGMA), cross(triple(ModelVector(model.e_mesh, "E")), pi))
     dbdt_piece = vec_leaf(ModelVector(model.dbdt_mesh, "dB/dt"), enumerate(SIGMA))
     soc = Scale(-e / (8 * m0**2 * c**2),
                 Add([Scale(2.0, exp_cross), Scale(-1j, dbdt_piece)]))
 
-    nutation = vec_leaf(ModelVector(model.d2bdt2_mesh, "d2B/dt2"), enumerate(_BETA_SIGMA),
-                        e / (16 * m0**3 * c**4))
+    nutation = Scale(e / (16 * m0**3 * c**4), Mul(
+        beta_c, vec_leaf(ModelVector(model.d2bdt2_mesh, "d2B/dt2"), enumerate(SIGMA))))
 
     ordered = [("kinetic", kinetic), ("zeeman", zeeman),
                ("field-derivative-soc", soc), ("nutation", nutation)]

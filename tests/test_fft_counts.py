@@ -173,30 +173,30 @@ def test_pryce_dirac_em_verify_position_states(params, battery_3d, fft_count):
             assert abs(x - y) <= 1e-12 * abs(y)
 
 
-# (kind, family, axis passes), each id ending in its count in transform calls
-# as in _FW_APPLY
+# (kind, family, axis passes) on the two-state battery, named by the pair
 _VERIFY = [
     # per state H psi 8 and, per axis, H (S psi) 8: under the constant
     # envelope only the zeeman terms are printed non-zero, and they and the
-    # compiled total are momentum-diagonal, so 8 + 3 * 8 = 32
-    ("SpinKind.PRYCE-fw-direct-64", SpinKind.PRYCE, "fw-direct", 64),
+    # compiled total are momentum-diagonal, so 8 + 3 * 8 = 32, 2 * 32 = 64
+    (SpinKind.PRYCE, "fw-direct", 64),
     # as above, plus 4 per axis for kinetic-coupling's B.(r x p) in the
     # compiled total (as a rung's) and 4 in the term: B_z is the only live
     # component, so r_x p_y and r_y p_x each transform one axis (2), and
-    # their sum joins p^2 in momentum; 8 + 3 * (8 + 4 + 4) = 56
-    ("SpinKind.FW-fw-direct-82", SpinKind.FW, "fw-direct", 112),
+    # their sum joins p^2 in momentum; 8 + 3 * (8 + 4 + 4) = 56, 2 * 56 = 112
+    (SpinKind.FW, "fw-direct", 112),
     # per state H psi 4, then per axis H (S psi) 4, the compiled total
     # (10 on x and y, 12 on z, as a rung's), and the terms: alpha-r-gradient
     # 6 (as in the pryce check), alpha-b-gradient 6 (its r.p as in the pryce
     # check's r-p-alpha-b) and the three cross terms with (p - eA), which
     # cost 2 on the x and y axes (one live A_i) and 4 on z (A_x and A_y):
-    # 4 + 2 * (4 + 10 + 6 + 6 + 3 * 2) + (4 + 12 + 6 + 6 + 3 * 4) = 108
-    ("SpinKind.FW-dirac-em-100", SpinKind.FW, "dirac-em", 216),
+    # 4 + 2 * (4 + 10 + 6 + 6 + 3 * 2) + (4 + 12 + 6 + 6 + 3 * 4) = 108,
+    # 2 * 108 = 216
+    (SpinKind.FW, "dirac-em", 216),
 ]
 
 
-@pytest.mark.parametrize("kind, family, count", [c[1:] for c in _VERIFY],
-                         ids=[c[0] for c in _VERIFY])
+@pytest.mark.parametrize("kind, family, count", _VERIFY,
+                         ids=[f"{kind}-{family}" for kind, family, _ in _VERIFY])
 def test_verify(params, battery_3d, fft_count, kind, family, count):
     ham = build_hamiltonian(family, _MODEL, params)
     fft_count.reset()

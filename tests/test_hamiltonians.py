@@ -8,7 +8,7 @@ from relspin.expr import (Add, Adjoint, ConstMatrix, Mul, Scale, apply_expr,
                           expectation)
 from relspin.fields import Envelope, PlaneWavePulse, UniformB, ZeroField
 from relspin.grid import GridSpec, SpinorField, gaussian_packet, suppress_zero_mode
-from relspin.hamiltonians import (FAMILIES, ModelVector, P, _cross_dot_sigma, build_dirac_em,
+from relspin.hamiltonians import (FAMILIES, ModelVector, P, build_dirac_em,
                                   build_free_dirac, build_fw_direct, build_fw_full,
                                   build_hamiltonian, const_triple, cross, dot,
                                   kinetic_triple, triple)
@@ -227,20 +227,22 @@ class TestVectorVocabulary:
     @pytest.mark.parametrize("mesh", ["e_mesh", "dedt_mesh"])
     @pytest.mark.parametrize("reverse", [False, True], ids=["x-cross-pi", "pi-cross-x"])
     @pytest.mark.parametrize("space", ["position", "momentum"])
-    def test_folded_cross_equals_generic_algebra(self, params, mesh, reverse, space):
-        # the Hamiltonians fold Sigma_i into the field leaf's matrix
-        # (spin-orbit, de-dt, field-derivative-soc); the generic algebra
-        # writes Sigma.(X x pi) with Sigma_i a constant leaf of its own
+    def test_folded_cross_equals_generic_algebra(self, params, mesh, reverse, space,
+                                                 apply_matrix):
+        # dot(Sigma, X x pi) of the Hamiltonians (spin-orbit, de-dt,
+        # field-derivative-soc) folds Sigma_i into the leaves at the left end
+        # of (X x pi)_i; applied on its own, Sigma_i multiplies that component
         g = GridSpec(3, 16, 24.0)
         model = UniformB(np.array([0.0, 0.0, 0.05]),
                          Envelope(shape="gaussian", amplitude=1.0, center=0.3, width=2.0))
         pi = kinetic_triple(ModelVector(model.a_mesh, "A"), params.e)
-        x = ModelVector(getattr(model, mesh), "X")
-        folded = _cross_dot_sigma(pi, x, reverse)
-        generic = dot(const_triple(SIGMA), cross(pi, triple(x)) if reverse
-                      else cross(triple(x), pi))
+        x = triple(ModelVector(getattr(model, mesh), "X"))
+        comps = cross(pi, x) if reverse else cross(x, pi)
+        folded = dot(const_triple(SIGMA), comps)
         psi = random_states(g, np.random.default_rng(11), 1)[0].in_space(space)
-        want = apply_expr(generic, psi, 0.7)
+        want = sum(apply_matrix(SIGMA[i], apply_expr(comps[i], psi, 0.7).to_position().values)
+                   for i in range(3))
+        want = SpinorField(g, want).in_space(space)
         got = apply_expr(folded, psi, 0.7)
         assert want.norm() > 1e-3
         assert (got - want).norm() <= 1e-13 * want.norm()

@@ -16,13 +16,14 @@ import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 from relspin.algebra import ID4
-from relspin.dynamics import rhs, spin_expr, standard_battery, verify
-from relspin.expr import (Add, Adjoint, Mul, MomentumDiag, PositionDiag, Scale, _DiagLeaf,
-                          _leaf as _monomial_leaf, _monomials, apply_expr, block_parity,
-                          compiled)
+from relspin.dynamics import position_correction_expr, rhs, spin_expr, standard_battery, verify
+from relspin.errors import PreconditionError
+from relspin.expr import (Add, Adjoint, ConstMatrix, Mul, MomentumDiag, PositionDiag, Scale,
+                          _DiagLeaf, _leaf as _monomial_leaf, _one, _monomials, apply_expr,
+                          block_parity, compiled)
 from relspin.fields import Envelope, UniformB, UniformE, ZeroField
 from relspin.grid import MOMENTUM, POSITION, GridSpec, SpinorField
-from relspin.hamiltonians import NamedHamiltonian, P, R, build_hamiltonian, triple
+from relspin.hamiltonians import FAMILIES, NamedHamiltonian, P, R, build_hamiltonian, triple
 from relspin.operators import ALPHA, BETA, SIGMA, PhysParams, SpinKind
 from relspin.propagate import _plan, krylov_step, strang_step_dirac
 
@@ -60,11 +61,24 @@ def _dense(expr, grid, t, memo):
     if isinstance(expr, Add):
         parts = [dense(child, grid, t, memo) for child in expr.children]
         return sum(m for m, _ in parts), sum(b for _, b in parts)
-    if isinstance(expr, Mul):
-        (left, bl), (right, br) = dense(expr.left, grid, t, memo), dense(expr.right, grid, t, memo)
-        return left @ right, bl * br
-    child, b = dense(expr.child, grid, t, memo)
-    return expr.factor * child, abs(expr.factor) * b
+    (left, bl), (right, br) = dense(expr.left, grid, t, memo), dense(expr.right, grid, t, memo)
+    return left @ right, bl * br
+
+
+def _holds_constant(expr):
+    """Whether ``expr`` is a product with a constant factor, a leaf of
+    ``_one`` terms only."""
+    return isinstance(expr, Mul) and any(
+        isinstance(x, _DiagLeaf) and x.terms and all(fn is _one for fn, _ in x.terms)
+        for x in (expr.left, expr.right))
+
+
+def _nodes(expr):
+    """Every node of the tree, depth first (a shared subtree once per use)."""
+    yield expr
+    if not isinstance(expr, _DiagLeaf):
+        for child in expr.children if isinstance(expr, Add) else (expr.left, expr.right):
+            yield from _nodes(child)
 
 
 def _producer(kind, seed):
@@ -90,6 +104,10 @@ trees = st.recursive(leaves, lambda inner: st.one_of(
     st.lists(inner, min_size=1, max_size=3).map(Add),
     st.builds(Mul, inner, inner),
     st.builds(Scale, st.sampled_from([0.0, -1.0, 0.5 - 2j]), inner)), max_leaves=6)
+# trees with no constant factor, whose dense matrix does not pass through a fold
+unfolded_trees = st.recursive(leaves, lambda inner: st.one_of(
+    st.lists(inner, min_size=1, max_size=3).map(Add), st.builds(Mul, inner, inner)),
+    max_leaves=6)
 
 
 def _blocks(m, n):
@@ -148,6 +166,50 @@ def test_tree_is_its_dense_matrix(expr, grid, space, seed):
     assert (diag <= tol or may_diag) and (off <= tol or may_off)
 
 
+@given(unfolded_trees, st.sampled_from(GRIDS), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_constant_factor_folds_into_its_product(expr, grid, seed):
+    # Mul folds a constant matrix c or a number f into the other factor's
+    # leaves; the reference is the dense matrix of the unfolded tree
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    f = complex(*rng.normal(size=2))
+    m, bound = dense(expr, grid)
+    lifted = np.kron(c, np.eye(grid.n[0]))
+    vals = rng.normal(size=(4, grid.n[0])) + 1j * rng.normal(size=(4, grid.n[0]))
+    for folded, want in ((Mul(ConstMatrix(c), expr), lifted @ m),
+                         (Mul(expr, ConstMatrix(c)), m @ lifted), (Scale(f, expr), f * m)):
+        assert not any(map(_holds_constant, _nodes(folded)))
+        scale = max(bound, 1.0) * max(_inf_norm(c), abs(f), 1.0)
+        assert np.max(np.abs(dense(folded, grid)[0] - want)) <= 1e-13 * scale
+        got = apply_expr(folded, SpinorField(grid, vals)).values.ravel()
+        assert np.max(np.abs(got - want @ vals.ravel())) <= 1e-13 * scale * np.abs(vals).max()
+
+
+def _package_trees():
+    """Every tree the package builds: each family's total, all its terms
+    kept, with and without hermitize, every printed right-hand side, term by
+    term and summed, and the spin and position-correction triples."""
+    params, model = PhysParams(), UniformB(np.array([0.0, 0.0, 0.05]))
+    for family, spec in FAMILIES.items():
+        for hermitize in (False, True):
+            yield family, [build_hamiltonian(family, model, params, spec.terms, hermitize).total]
+    for kind in SpinKind:
+        yield kind, spin_expr(kind, params) + position_correction_expr(kind, params)
+        for family in ("free", "dirac-em", "fw-direct"):
+            try:
+                terms, total = rhs(kind, family, model, params)
+            except PreconditionError:  # no printed equation for the pair
+                continue
+            yield (kind, family), total + [x for _, triple in terms for x in triple]
+
+
+def test_no_product_holds_a_constant_factor():
+    for where, trees in _package_trees():
+        for tree in trees:
+            assert not any(map(_holds_constant, _nodes(tree))), where
+
+
 # leaves whose rows each take one product, of their own component: under an
 # apply that owns its input (a Mul's left factor, or after a transform) they
 # multiply in place
@@ -159,14 +221,6 @@ own_row_leaves = st.builds(
 _R, _P = triple(R), triple(P)  # their scalars are the grid's own meshes
 
 
-def _leaves(expr):
-    if isinstance(expr, _DiagLeaf):
-        return [expr]
-    if isinstance(expr, Add):
-        return [leaf for child in expr.children for leaf in _leaves(child)]
-    if isinstance(expr, Mul):
-        return _leaves(expr.left) + _leaves(expr.right)
-    return _leaves(expr.child)
 
 
 @given(st.one_of(trees,
@@ -182,7 +236,7 @@ def test_apply_writes_neither_its_input_nor_the_leaves(expr, grid, folded, seed)
     psi = SpinorField(grid, vals).to_momentum() if folded else SpinorField(grid, vals, MOMENTUM)
 
     def cached():
-        return [[a.tobytes() for a in leaf._scalars(grid, 0.0)] for leaf in _leaves(expr)]
+        return [[a.tobytes() for a in leaf._scalars(grid, 0.0)] for leaf in _nodes(expr) if isinstance(leaf, _DiagLeaf)]
 
     data, scalars = psi.data.tobytes(), cached()
     got = apply_expr(expr, psi).in_space(POSITION).values

@@ -1,6 +1,7 @@
 import json
 import platform
 import re
+import time
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -741,6 +742,35 @@ class TestRefinementLadder:
         # a rung with any axis beyond the cap is dropped
         assert [g.n for g in _refinement_grids(GridSpec(3, [16, 16, 64], 48.0), 1)] == [
             (8, 8, 32), (16, 16, 64)]
+
+    GRIDS = [GridSpec(1, n, 256.0) for n in (8, 512, 2048, 4096)] + [
+        GridSpec(3, n, 48.0) for n in (8, 32, 64, 128, [16, 16, 32], [8, 8, 128])]
+
+    @staticmethod
+    def _every_level(grid, levels):
+        """The ladder with a rung built for every level, those above the cap
+        dropped afterwards: the reference for small level counts."""
+        cap = 2048 if grid.dim == 1 else 64
+        ladder = [[int(n * s) for n in grid.n]
+                  for s in [0.5, 1] + [2**i for i in range(1, levels + 1)]]
+        return [(tuple(n), grid.lengths) for n in ladder if 8 <= min(n) and max(n) <= cap]
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: "x".join(map(str, g.n)))
+    def test_small_level_counts_give_every_level_ladder(self, grid):
+        for levels in range(13):
+            assert [(g.n, g.lengths) for g in _refinement_grids(grid, levels)] == (
+                self._every_level(grid, levels)), levels
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: "x".join(map(str, g.n)))
+    def test_huge_level_count_stops_at_the_cap(self, grid):
+        # the ladder of 10**9 levels is that of the fewest levels whose last
+        # rung is above the cap; building every level would never finish
+        cap = 2048 if grid.dim == 1 else 64
+        reaching = next(i for i in range(1, 13) if max(grid.n) * 2**i > cap)
+        start = time.perf_counter()
+        rungs = _refinement_grids(grid, 10**9)
+        assert time.perf_counter() - start < 0.1
+        assert [(g.n, g.lengths) for g in rungs] == self._every_level(grid, reaching)
 
 
 class TestSimulate:
