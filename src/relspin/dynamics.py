@@ -431,6 +431,8 @@ def _cells(kind, hamiltonian, states, total, terms=(), gains=None):
                                          psi, h_psi, terms, gains if si == 0 else None)
         del psi, h_psi
         si += 1
+    if si == 0:
+        raise PreconditionError("no states to verify: the battery is empty")
 
 
 def verify(kind: SpinKind, hamiltonian: NamedHamiltonian, states) -> ResidualReport:
@@ -454,8 +456,8 @@ def verify(kind: SpinKind, hamiltonian: NamedHamiltonian, states) -> ResidualRep
     transform is unitary with the dx^d weight in both spaces, so the report
     does not depend on the space the states arrive in beyond roundoff.
 
-    ``states`` may be any iterable (such as ``battery_states``): they are read
-    once, in order, and the report's grid is that of the states.
+    ``states`` may be any nonempty iterable (such as ``battery_states``):
+    they are read once, in order, and the report's grid is that of the states.
     """
     params = hamiltonian.params
     terms, total = rhs(kind, hamiltonian.family, hamiltonian.model, params)
@@ -511,6 +513,8 @@ def total_j_identity(kind: SpinKind, states, params: PhysParams):
     defect = [Add([r_corr_x_p[i], s_i, ConstMatrix(-0.5 * SIGMA[i])])
               for i, s_i in enumerate(spin_expr(kind, params))]
     states = [psi.to_momentum() for psi in states]
+    if not states:
+        raise PreconditionError("no states to check: the battery is empty")
     return [max(apply_expr(d, psi, guard=VERIFY_GUARD).norm() / psi.norm() for psi in states)
             for d in defect]
 
@@ -547,6 +551,8 @@ class _Battery:
 def battery_states(grid: GridSpec, params: PhysParams, count: int | None = None):
     """``standard_battery``'s states as a ``_Battery``, every check run before
     any state is made: sigma >= 4 dx and each state's Nyquist bound."""
+    if count is not None and count < 1:
+        raise PreconditionError(f"a battery needs at least one state, got count={count}")
     mc = params.m0 * params.c
     sigma = grid.lengths[0] / (16.0 if grid.dim == 1 else 8.0)
     if sigma < 4.0 * max(grid.dx):

@@ -557,8 +557,8 @@ class LeafStack:
 
     def contract(self, data, guard: float = DEFAULT_ZERO_MODE_GUARD):
         """The complex expectation of every entry (columns) in every state
-        (rows) of ``data``, (states, 4, *grid) in the stack's space, folded or
-        not; and per state the error of its zero-mode guard, None where it
+        (rows) of ``data``, (states, 4, *grid) fields' data in the stack's
+        space; and per state the error of its zero-mode guard, None where it
         passes."""
         _, singular, a, b_slices, coef, rows, slabs, f_whole = self._plan
         n, dens = len(data), 0.0

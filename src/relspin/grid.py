@@ -13,13 +13,13 @@ Conventions (frozen; binary dumps and golden data depend on them)
   checkerboard phase P = (-1)^(n_1 + ... + n_d).  The inverse is
   P * IFFT(P * psihat) * sqrt(N).  Both scale factors are scipy's
   ``norm="ortho"``.
-* Storage is phase-folded: a transform's result holds P psihat (or P psi), so
-  transforming it again is one bare ``fftn``/``ifftn`` (P (P FFT(P psi)) =
-  FFT(P psi)).  A field built from true values (a packet, a loaded dump)
-  keeps them until its first transform.  P is +-1 per point for all four
-  components, so pointwise algebra, norms and inner products act on folded
-  values as on true ones, to the sign of a zero; ``.values`` and
-  :func:`save_field` give the true values.
+* Storage is phase-folded from birth: a field holds P psi (or P psihat), so
+  its transform is one bare ``fftn``/``ifftn`` (P (P FFT(P psi)) =
+  FFT(P psi)) and the result is folded too.  The ``SpinorField`` constructor
+  folds the true values it is given; a packet is built folded, one factor
+  per axis.  P is +-1 per point for all four components, so pointwise
+  algebra, norms and inner products act on folded values as on true ones,
+  to the sign of a zero; only ``.values`` and :func:`save_field` unfold.
 * P and the transform both factor per axis, so a transform along some axes
   only is one bare FFT along them on folded storage too, and its result is
   folded (toward the target space along those axes, in the field's own space
@@ -89,8 +89,8 @@ class GridSpec:
             if v < 8 or (v & (v - 1)) != 0:
                 raise PreconditionError(f"points per axis must be a power of two >= 8, got {v}")
         for length in lengths:
-            if not length > 0:
-                raise PreconditionError(f"box length must be positive, got {length}")
+            if not 0 < length < math.inf:
+                raise PreconditionError(f"box length must be positive and finite, got {length}")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "lengths", lengths)
@@ -192,11 +192,10 @@ def _bare_fft(data, space, axes):
 
 
 class SpinorField:
-    """Four-component complex field on a grid, stored in either space.
-
-    ``data`` holds the true values, or with ``folded`` the phase-folded ones
-    of a transform's result (see the module docstring); ``.values`` gives the
-    true values, and a result keeps its (left) operand's storage.
+    """Four-component complex field on a grid, in either space, stored
+    phase-folded: ``data`` is P times the true values, which ``.values``
+    gives (see the module docstring).  The constructor folds ``values`` into
+    a new array; with ``folded`` it holds them as the data, as they are.
 
     Value semantics: operations return new fields and write into no field's
     ``data``, except a transform or ``diag_along`` with ``consume=True``,
@@ -205,7 +204,7 @@ class SpinorField:
     ``sum(conj(a) * b) * dx^d`` evaluated in a common space.
     """
 
-    __slots__ = ("grid", "data", "space", "folded")
+    __slots__ = ("grid", "data", "space")
 
     def __init__(self, grid: GridSpec, values: np.ndarray, space: str = POSITION,
                  folded: bool = False):
@@ -215,12 +214,12 @@ class SpinorField:
                 f"spinor field values must have shape {(4, *grid.shape)}, got {values.shape}")
         if space not in (POSITION, MOMENTUM):
             raise PreconditionError(f"unknown space {space!r}")
-        self.grid, self.data, self.space, self.folded = grid, values, space, folded
+        self.grid, self.space, self.data = grid, space, values if folded else values * grid._phase
 
     @property
     def values(self) -> np.ndarray:
-        """The true values psi (or psihat); a new array when folded."""
-        return self.data * self.grid._phase if self.folded else self.data
+        """The true values psi (or psihat), a new array."""
+        return self.data * self.grid._phase
 
     # -- transforms ------------------------------------------------------
     def to_momentum(self) -> "SpinorField":
@@ -230,42 +229,34 @@ class SpinorField:
         return self.in_space(POSITION)
 
     def in_space(self, space: str, consume: bool = False) -> "SpinorField":
-        """The field in ``space``: its transform along every axis."""
+        """The field in ``space``: one bare FFT along every axis, in place on a
+        copy of the data (or with ``consume`` the data), which is fastest."""
         if self.space == space:
             return self
-        return SpinorField(self.grid, self._transformed(space, _spatial_axes(self.grid.dim),
-                                                        consume), space, folded=True)
+        work = self.data if consume else self.data.copy()
+        return SpinorField(self.grid, _bare_fft(work, space, _spatial_axes(self.grid.dim)),
+                           space, folded=True)
 
     def diag_along(self, space: str, axes, kernel, consume: bool = False) -> "SpinorField":
         """``kernel``, a multiplier diagonal in ``space`` that is constant
         along every spatial axis but ``axes`` (array axes, a spatial axis j
         being j + 1), applied to this field; the result is in this field's
-        space, folded.  Such a multiplier commutes with the transforms along
-        the other axes, so only ``axes`` are transformed, there and back.
-        ``kernel`` maps the folded data in between, a buffer no one else holds
-        (a copy, or with ``consume`` this field's), to its result, maybe in it."""
-        out = kernel(self._transformed(space, axes, consume))
-        return SpinorField(self.grid, _bare_fft(out, self.space, axes), self.space, folded=True)
-
-    def _transformed(self, space, axes, consume):
-        """The folded data transformed toward ``space`` along ``axes`` only:
-        one bare FFT on a buffer it may overwrite, which pocketfft does faster
-        than filling a new array.  P and the transform factor per axis, so
-        along the other axes the result stays in the field's own space, and it
-        is folded there too."""
-        work = (self.data if consume else self.data.copy()) if self.folded else \
-            self.data * self.grid._phase
-        return _bare_fft(work, space, axes)
+        space.  Such a multiplier commutes with the transforms along the
+        other axes, so only ``axes`` are transformed, there and back.
+        ``kernel`` maps the folded data in between (see the module docstring),
+        a buffer no one else holds (a copy, or with ``consume`` this field's),
+        to its result, maybe in it."""
+        work = self.data if consume else self.data.copy()
+        return self.with_data(_bare_fft(kernel(_bare_fft(work, space, axes)), self.space, axes))
 
     def data_of(self, other: "SpinorField", consume: bool = False) -> np.ndarray:
-        """``other``'s data in this field's space and storage (``consume``:
-        ``other`` is the caller's to drop, and a transform may overwrite it)."""
-        other = other.in_space(self.space, consume)
-        return other.data if other.folded == self.folded else other.data * self.grid._phase
+        """``other``'s data in this field's space (``consume``: ``other`` is
+        the caller's to drop, and a transform may overwrite it)."""
+        return other.in_space(self.space, consume).data
 
     def with_data(self, data) -> "SpinorField":
-        """A field holding ``data`` in this field's space and storage."""
-        return SpinorField(self.grid, data, self.space, self.folded)
+        """A field holding ``data``, folded, in this field's space."""
+        return SpinorField(self.grid, data, self.space, folded=True)
 
     # -- algebra ---------------------------------------------------------
     def copy(self) -> "SpinorField":
@@ -302,7 +293,7 @@ def zero_mode_weight(field: SpinorField) -> float:
 
 def zero_mode_weights(data, grid: GridSpec) -> np.ndarray:
     """``zero_mode_weight`` of each state of ``data``, (states, 4, *grid)
-    in momentum space, folded or not."""
+    in momentum space."""
     w0 = np.sum(np.abs(data[(slice(None), slice(None), *grid.origin_index)]) ** 2, axis=1)
     v = data.reshape(len(data), -1).view(float)
     total = np.einsum("si,si->s", v, v)  # no |x|^2 temporary, and no BLAS call
@@ -330,6 +321,8 @@ def _as_vec3(v, dim, name):
         v = np.array([float(v[0]), 0.0, 0.0])
     if v.shape != (3,):
         raise PreconditionError(f"{name} must be a 3-vector")
+    if not np.isfinite(v).all():
+        raise PreconditionError(f"{name} must be finite, got {v.tolist()}")
     if dim == 1 and (v[1] != 0.0 or v[2] != 0.0):
         raise PreconditionError(f"{name} must lie along x on a 1D grid")
     return v
@@ -357,9 +350,11 @@ def gaussian_packet(grid: GridSpec, center, sigma: float, k0, polarization) -> S
     pol = np.asarray(polarization, dtype=complex)
     if pol.shape != (4,):
         raise PreconditionError("polarization must be a 4-spinor")
-    if np.linalg.norm(pol) == 0:
-        raise PreconditionError("polarization must be nonzero")
+    if not np.isfinite(pol).all() or np.linalg.norm(pol) == 0:
+        raise PreconditionError(f"polarization must be finite and nonzero, got {pol.tolist()}")
     pol = pol / np.linalg.norm(pol)
+    if not math.isfinite(sigma):
+        raise GridResolutionError(f"sigma must be finite, got {sigma}")
 
     for axis in range(grid.dim):
         dx = grid.dx[axis]
@@ -371,11 +366,11 @@ def gaussian_packet(grid: GridSpec, center, sigma: float, k0, polarization) -> S
             raise GridResolutionError(
                 f"center must sit >= 4 sigma from the boundary on axis {axis}")
 
-    values = pol  # the envelope and the plane wave factor per axis
+    values = pol  # the envelope and the plane wave factor per axis, each folded by (-1)^n
     for axis, r in enumerate(map(grid.axis_positions, range(grid.dim))):
         values = np.multiply.outer(values, np.exp(-(r - center[axis]) ** 2 / (4.0 * sigma**2))
-                                   * np.exp(1j * k0[axis] * r))
-    field = SpinorField(grid, values, POSITION)
+                                   * np.exp(1j * k0[axis] * r) * (-1.0) ** np.arange(len(r)))
+    field = SpinorField(grid, values, POSITION, folded=True)
     field.data *= 1.0 / field.norm()  # one grid-size product, scaled in place
     return field
 

@@ -158,7 +158,7 @@ def strang_step_dirac(hamiltonian: NamedHamiltonian, field: SpinorField, t: floa
 
 
 def _norm(v):
-    return np.sqrt(np.vdot(v, v).real)
+    return np.sqrt(np.einsum("i,i->", v.view(float), v.view(float)))
 
 
 def _exp_minus_idt(h: np.ndarray, dt: float, hermitian: bool) -> np.ndarray:
@@ -178,6 +178,8 @@ def krylov_step(hamiltonian: NamedHamiltonian, field: SpinorField, t: float,
     (Sidje, ACM TOMS 24, 1998).  It doubles its rows when full, so a step
     that converges early never holds the m rows a capped one may need, and
     the result is one product of the projected solution with those rows.
+    Its products and norms are einsums, which call no BLAS: under a BLAS's
+    default thread count they made the step several times slower.
     Raises :class:`KrylovConvergenceError` with a suggested smaller step
     when the subspace cap is hit before the residual estimate reaches
     ``tol``.
@@ -204,16 +206,14 @@ def krylov_step(hamiltonian: NamedHamiltonian, field: SpinorField, t: float,
     for j in range(m):
         w = matvec(basis[j])
         for i in range(j + 1):
-            h = hess[i, j] = np.vdot(basis[i], w)
+            h = hess[i, j] = np.einsum("i,i->", basis[i].conj(), w)
             w -= h * basis[i]
         nrm = _norm(w)
         hess[j + 1, j] = nrm
         used = j + 1
         happy = nrm <= 1e-14 * beta0
         if happy or used >= 8 or used == m:
-            e1 = np.zeros(used, dtype=complex)
-            e1[0] = 1.0
-            y = _exp_minus_idt(hess[:used, :used], dt, hamiltonian.assume_hermitian) @ e1
+            y = _exp_minus_idt(hess[:used, :used], dt, hamiltonian.assume_hermitian)[:, 0]
             est = 0.0 if happy else abs(dt) * nrm * abs(y[-1])
             if happy or est <= tol:
                 break
@@ -228,7 +228,7 @@ def krylov_step(hamiltonian: NamedHamiltonian, field: SpinorField, t: float,
             basis = grown
         np.divide(w, nrm, out=basis[used])
 
-    out = beta0 * (y @ basis[:used])
+    out = beta0 * np.einsum("j,ji->i", y, basis[:used])
     result = field.with_data(out.reshape(4, *grid.shape))
     if not np.isfinite(result.data).all():
         raise FloatingPointError("Krylov step produced non-finite values")
@@ -305,7 +305,7 @@ FLUX_ABORT = 1e-6  # ``run`` aborts where the margin-shell norm fraction exceeds
 class _Observables:
     """The rows of a run, measured in blocks of at most
     ``LeafStack.BLOCK_POINTS`` row-points (one row per block where a state
-    has more).  ``add`` writes each state into one block buffer, folded, in
+    has more).  ``add`` writes each state's data into one block buffer, in
     its own space.  ``rows`` transforms each row in the other space to the
     newest row's, contracts the block with that space's stack, moves the
     whole block to the other space in one transform and contracts it with
@@ -337,11 +337,7 @@ class _Observables:
 
     def add(self, t, psi):
         """Write the row of ``psi`` at ``t`` into the block; True when it is full."""
-        row = self.block[len(self.pending)]
-        if psi.folded:
-            row[...] = psi.data
-        else:
-            np.multiply(psi.data, self.grid._phase, out=row)
+        self.block[len(self.pending)] = psi.data
         self.pending.append((t, psi.space))
         return len(self.pending) == len(self.block)
 

@@ -455,6 +455,22 @@ class TestVerifyReporting:
             assert got.to_dict() == want.to_dict()
             assert got.removal_gains == want.removal_gains
 
+    @pytest.mark.parametrize("run", [
+        lambda ham, params: verify(SpinKind.PRYCE, ham, []),
+        lambda ham, params: verify(SpinKind.PRYCE, ham, iter(())),
+        lambda ham, params: verify_residual(SpinKind.PRYCE, ham, []),
+        lambda ham, params: total_j_identity(SpinKind.PRYCE, [], params),
+    ], ids=["verify", "verify-generator", "verify_residual", "total_j_identity"])
+    def test_empty_battery_refused(self, params, run):
+        with pytest.raises(PreconditionError, match="no states"):
+            run(build_free_dirac(params), params)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_battery_needs_a_state(self, params, grid_1d, count):
+        for make in (battery_states, standard_battery):
+            with pytest.raises(PreconditionError, match="at least one state"):
+                make(grid_1d, params, count=count)
+
     def test_classification_rules(self):
         assert classify_residual_series([1e-9]) == "holds"
         assert classify_residual_series([1e-3, 4e-4, 1e-4]) == "converging"

@@ -72,3 +72,17 @@ def test_only_expr_reads_leaf_fill_records():
                       for node in ast.walk(ast.parse(path.read_text()))
                       if isinstance(node, ast.Attribute) and node.attr in records]
     assert found == []
+
+
+def test_only_grid_reads_field_storage():
+    # a field's storage is grid's own: data is always phase-folded, and only
+    # grid.py folds or unfolds it (with its checkerboard ``_phase``), so no
+    # other module needs to know which storage a field holds
+    records = {"_phase", "folded"}
+    found = []
+    for path in sorted(Path(relspin.__file__).parent.glob("*.py")):
+        if path.name != "grid.py":
+            found += [f"{path.name}:{node.lineno} .{node.attr}"
+                      for node in ast.walk(ast.parse(path.read_text()))
+                      if isinstance(node, ast.Attribute) and node.attr in records]
+    assert found == []

@@ -68,7 +68,7 @@ class TestLeaves:
         parts = values.view(float).reshape(4, *grid.shape, 2)
         for value, (component, point, part) in zip(planted, spots):
             parts[component, point, part] = value
-        result = SpinorField(grid, values)
+        result = SpinorField(grid, values, folded=True)  # planted in the data the guard reads
         with mock.patch.object(relspin.expr, "_evaluate", lambda *args: result.copy()):
             with pytest.raises(FloatingPointError):
                 apply_expr(ConstMatrix(ID4), result)
@@ -588,7 +588,7 @@ class TestLeafStack:
     @settings(max_examples=60, deadline=None)
     def test_block_matches_expectation(self, seed, grid_index, leaf_type, stack_type, real,
                                        states, leaf_kinds):
-        # a block of states, folded or not, against ``expectation`` per state
+        # a block of states' data against ``expectation`` per state
         # and leaf; "repeat" reuses an earlier scalar, so equal rows merge,
         # and the dense matrices are not Hermitian
         rng = np.random.default_rng(seed)

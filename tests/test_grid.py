@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relspin.dynamics import positive_energy_part
+from relspin.dynamics import battery_states, positive_energy_part
 from relspin.errors import GridResolutionError, PreconditionError
 from relspin.grid import (GridSpec, SpinorField, gaussian_packet, load_field, matrix_entries,
                           pointwise, save_field, suppress_zero_mode, zero_mode_weight)
@@ -25,6 +25,12 @@ class TestGridSpec:
             GridSpec(1, 4, 10.0)    # too small
         with pytest.raises(PreconditionError):
             GridSpec(1, 64, -1.0)
+
+    @pytest.mark.parametrize("length", [float("inf"), float("nan")])
+    def test_non_finite_length_refused(self, length):
+        # an infinite box would give NaN positions
+        with pytest.raises(PreconditionError, match="box length"):
+            GridSpec(3, 16, [8.0, length, 8.0])
 
     def test_lattices(self):
         g = GridSpec(1, 8, 8.0)
@@ -193,6 +199,17 @@ class TestSpinorField:
         mixed = a.inner(b.to_momentum())
         assert abs(direct - mixed) <= 1e-12 * abs(direct)
 
+    def test_constructor_folds_a_copy(self, rng):
+        # true values are folded into a new array, which .values unfolds
+        # exactly; folded data is held as it is
+        g = GridSpec(3, 8, 8.0)
+        vals = rng.normal(size=(4, *g.shape)) + 1j * rng.normal(size=(4, *g.shape))
+        field = SpinorField(g, vals)
+        assert not np.shares_memory(field.data, vals)
+        assert np.array_equal(field.data, vals * g._phase)
+        assert np.array_equal(field.values, vals)
+        assert SpinorField(g, field.data, folded=True).data is field.data
+
     def test_shape_check(self):
         g = GridSpec(1, 64, 32.0)
         with pytest.raises(PreconditionError):
@@ -216,7 +233,7 @@ class TestGaussianPacket:
         scalar = np.broadcast_to(np.exp(-arg / (4 * sigma**2)) * np.exp(1j * phase), grid.shape)
         want = SpinorField(grid, pol.reshape(4, *[1] * grid.dim) * scalar).normalized()
         got = gaussian_packet(grid, center, sigma, k0, pol)
-        assert (got.space, got.folded) == ("position", False)
+        assert got.space == "position"
         # Both sides round the per-axis products k_j r_j and squares
         # (r_j - c_j)^2 alike.  The full-grid formula then sums each over the
         # axes: dim - 1 roundings of at most u = eps/2 times the sum of the
@@ -234,12 +251,35 @@ class TestGaussianPacket:
         u = np.finfo(float).eps / 2
         cond = (grid.dim - 1) * (sum(np.abs(k * r) for k, r in zip(k0, grid.r))
                                  + arg / (4 * sigma**2)) + 10 + 6 * (grid.dim - 1)
-        bound = u * np.linalg.norm(cond * want.data)
-        assert np.linalg.norm(got.data - want.data) <= bound
+        bound = u * np.linalg.norm(cond * want.values)
+        assert np.linalg.norm(got.values - want.values) <= bound
 
     def test_resolution_guard(self, grid_1d):
         with pytest.raises(GridResolutionError):
             gaussian_packet(grid_1d, 0.0, 1.0, 1.0, [1, 0, 0, 0])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("arg, error", [("sigma", GridResolutionError),
+                                            ("center", PreconditionError),
+                                            ("k0", PreconditionError),
+                                            ("polarization", PreconditionError)])
+    def test_non_finite_argument_refused(self, grid_3d, arg, error, bad):
+        # a NaN once gave an all-NaN field and no error
+        kwargs = dict(center=[0.0, 0.0, 0.0], sigma=6.0, k0=[1.0, 0.0, 0.0],
+                      polarization=[1.0, 0.0, 0.0, 0.0])
+        kwargs[arg] = bad if arg == "sigma" else [0.0, bad, 0.0, 0.0][:len(kwargs[arg])]
+        with pytest.raises(error, match=f"{arg} must be finite"):
+            gaussian_packet(grid_3d, **kwargs)
+
+    def test_born_folded_without_a_phase_array(self, params):
+        # a packet is folded per axis as it is built, so neither it, its
+        # round trip through momentum space nor a battery state makes the
+        # grid's full-size checkerboard
+        grid = GridSpec(3, 32, 48.0)  # a new grid, whose cached properties are its own
+        packet = gaussian_packet(grid, np.zeros(3), 6.0, [0.5, 0.0, 0.0], [1, 0, 0, 0])
+        packet.to_momentum().to_position()
+        battery_states(grid, params)[0]
+        assert "_phase" not in grid.__dict__
 
     def test_margin_guard(self, grid_1d):
         with pytest.raises(GridResolutionError):
@@ -405,11 +445,9 @@ class TestBinaryDump:
             load_field(path)
 
     @staticmethod
-    def _dump(tmp_path, rng, values=None):
-        g = GridSpec(1, 8, 4.0)
-        f = random_field(g, rng) if values is None else SpinorField(g, values)
+    def _dump(tmp_path, rng):
         path = tmp_path / "field.rspn"
-        save_field(f, path)
+        save_field(random_field(GridSpec(1, 8, 4.0), rng), path)
         return path, path.read_bytes()
 
     @pytest.mark.parametrize("cut,what", [(6, "8-byte header"),
@@ -440,9 +478,13 @@ class TestBinaryDump:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_payload(self, tmp_path, rng, bad):
-        values = np.ones((4, 8), dtype=complex)
-        values[2, 5] = bad
-        path, _ = self._dump(tmp_path, rng, values)
+        # planted in the dump itself: a field folds (and save_field unfolds)
+        # by multiplying with the complex P = +-1 + 0j, which would put a NaN
+        # beside an Inf
+        path, data = self._dump(tmp_path, rng)
+        payload = self._payload(path, GridSpec(1, 8, 4.0))
+        payload[2, 5] = bad
+        path.write_bytes(data[:8 + 12] + payload.tobytes())
         with pytest.raises(PreconditionError, match="NaN or Inf"):
             load_field(path)
 

@@ -230,7 +230,7 @@ _R, _P = triple(R), triple(P)  # their scalars are the grid's own meshes
        st.sampled_from(GRIDS), st.booleans(), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_apply_writes_neither_its_input_nor_the_leaves(expr, grid, folded, seed):
-    # a state in momentum space, folded (after a transform) or true
+    # a state in momentum space, after a transform or built from its values
     rng = np.random.default_rng(seed)
     vals = rng.normal(size=(4, grid.n[0])) + 1j * rng.normal(size=(4, grid.n[0]))
     psi = SpinorField(grid, vals).to_momentum() if folded else SpinorField(grid, vals, MOMENTUM)
