@@ -1,4 +1,4 @@
-"""Dense complex 4x4 matrix kernel: Dirac matrices, commutators, eigensolver.
+"""Dense complex 4x4 matrix kernel: Dirac matrices, commutators, eigensolvers.
 
 Everything downstream (spin operators, Hamiltonians, per-mode propagators)
 reduces to exact arithmetic on 4x4 complex matrices.  The representation is
@@ -11,10 +11,11 @@ fixed to the standard one with beta diagonal,
 so that "diagonal / off-diagonal in particle-antiparticle space" is literal
 2x2 block structure.
 
-The Hermitian eigensolver is numpy's ``eigh`` behind a Hermiticity check.
+The Hermitian eigensolvers are numpy's ``eigh`` (``herm_eigs``) and its
+eigenvalue-only ``eigvalsh`` (``herm_eigvals``), behind one Hermiticity check.
 Eigenvalues come out ascending and each eigenvector's phase is fixed by making
 its first nonzero component real and positive.  The commutators,
-``is_hermitian`` and ``herm_eigs`` act per matrix on ``(..., n, n)`` stacks.
+``is_hermitian`` and both solves act per matrix on ``(..., n, n)`` stacks.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import PreconditionError
 __all__ = [
     "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "ID4",
     "dirac_matrices", "commutator", "anticommutator",
-    "is_hermitian", "herm_eigs",
+    "is_hermitian", "herm_eigs", "herm_eigvals",
     "levi_civita", "levi_civita_pairs",
 ]
 
@@ -92,6 +93,15 @@ def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
     return bool(np.all(diff <= tol * scale))
 
 
+def _hermitian_part(a, tol, name):
+    """0.5 (a + a^H), which only symmetrizes roundoff: refused unless every
+    matrix of ``a`` is Hermitian within ``tol``."""
+    a = np.asarray(a, dtype=complex)
+    if not is_hermitian(a, tol):
+        raise PreconditionError(f"{name} requires a Hermitian matrix")
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
+
+
 def herm_eigs(a: np.ndarray, tol: float = 1e-10):
     """Eigendecomposition of a Hermitian 4x4 (or nxn) complex matrix, or of
     each matrix of a ``(..., n, n)`` stack.
@@ -100,14 +110,14 @@ def herm_eigs(a: np.ndarray, tol: float = 1e-10):
     eigenvector columns ``v``.  Raises :class:`PreconditionError` when any
     input matrix is not Hermitian within ``tol``.
     """
-    a = np.asarray(a, dtype=complex)
-    if not is_hermitian(a, tol):
-        raise PreconditionError("herm_eigs requires a Hermitian matrix")
-    # symmetrize roundoff (exact for Hermitian input); eigh sorts ascending
-    w, v = np.linalg.eigh(0.5 * (a + a.conj().swapaxes(-1, -2)))
+    w, v = np.linalg.eigh(_hermitian_part(a, tol, "herm_eigs"))
     # phase convention: first component with non-negligible modulus of each
     # eigenvector made real positive, so degenerate pairs come out reproducibly
     first = np.argmax(np.abs(v) > 1e-12, axis=-2)[..., None, :]
     lead = np.take_along_axis(v, first, axis=-2)
     return w, v / (lead / np.abs(lead))
 
+
+def herm_eigvals(a: np.ndarray, tol: float = 1e-10):
+    """The ascending eigenvalues of :func:`herm_eigs`, with no eigenvector formed."""
+    return np.linalg.eigvalsh(_hermitian_part(a, tol, "herm_eigvals"))

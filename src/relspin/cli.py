@@ -43,17 +43,23 @@ _CONDITION_TOL = 1e-12
 _DIRAC_ANALYTIC_TOL = 1e-10
 
 
-def _sample_momenta(n, pmax, params, seed):
-    rng = np.random.default_rng(seed)
-    mags = params.m0 * params.c * 10.0 ** rng.uniform(-3.0, np.log10(pmax), n)
-    dirs = rng.normal(size=(n, 3))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    return mags[:, None] * dirs
-
-
-#: momenta per ``condition_checks`` call, which bounds its (n, 4, 4) stacks; the
-#: peak still grows with --samples, as ``_sample_momenta`` draws them all at once
+#: momenta per ``condition_checks`` call, which bounds its (n, 4, 4) stacks and,
+#: with ``_sample_momenta`` drawing directions per chunk, the peak memory
 _CHUNK = 1000
+
+
+def _sample_momenta(n, pmax, params, seed):
+    """The n sampled momenta, ``_CHUNK`` at a time: the n magnitudes are drawn
+    first, then each chunk's direction normals as it is read, which are the
+    normals one draw of all n would give."""
+    rng = np.random.default_rng(seed)
+    mags = np.power(10.0, rng.uniform(-3.0, np.log10(pmax), n))
+    mags *= params.m0 * params.c
+    for i in range(0, n, _CHUNK):
+        m = mags[i:i + _CHUNK]
+        dirs = rng.normal(size=(len(m), 3))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        yield m[:, None] * dirs
 
 
 def _worst_residuals(kind, p, params):
@@ -87,12 +93,13 @@ def cmd_check_operators(args):
         print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
         return EXIT_USAGE
     out = _writable(args.json)
-    momenta = _sample_momenta(args.samples, args.pmax, params, args.seed)
-    chunks = [momenta[i:i + _CHUNK] for i in range(0, len(momenta), _CHUNK)]
+    per_kind = {kind: [] for kind in (SpinKind.FW, SpinKind.PRYCE, SpinKind.DIRAC)}
+    for p in _sample_momenta(args.samples, args.pmax, params, args.seed):
+        for kind, per_chunk in per_kind.items():
+            per_chunk.append(_worst_residuals(kind, p, params))
 
     summary = {}
-    for kind in (SpinKind.FW, SpinKind.PRYCE, SpinKind.DIRAC):
-        per_chunk = [_worst_residuals(kind, p, params) for p in chunks]
+    for kind, per_chunk in per_kind.items():
         # np.max propagates NaN, and a non-finite worst value fails the kind
         worst, judged = ({k: float(np.max([w[k][i] for w in per_chunk])) for k in per_chunk[0]}
                          for i in (0, 1))  # the reported and the judged values

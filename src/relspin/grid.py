@@ -81,18 +81,20 @@ class GridSpec:
     def __init__(self, dim: int, n, lengths):
         if dim not in (1, 3):
             raise PreconditionError(f"grid dimension must be 1 or 3, got {dim}")
-        n = tuple(int(v) for v in (n if np.iterable(n) else [n] * dim))
+        n = tuple(n if np.iterable(n) else [n] * dim)
         lengths = tuple(float(v) for v in (lengths if np.iterable(lengths) else [lengths] * dim))
         if len(n) != dim or len(lengths) != dim:
             raise PreconditionError("n and lengths must match the grid dimension")
         for v in n:
-            if v < 8 or (v & (v - 1)) != 0:
+            if not (math.isfinite(v) and v == int(v)):  # 64.0 is 64; 64.7 is refused
+                raise PreconditionError(f"points per axis must be a finite integer, got {v}")
+            if v < 8 or (int(v) & (int(v) - 1)) != 0:
                 raise PreconditionError(f"points per axis must be a power of two >= 8, got {v}")
         for length in lengths:
             if not 0 < length < math.inf:
                 raise PreconditionError(f"box length must be positive and finite, got {length}")
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", tuple(int(v) for v in n))
         object.__setattr__(self, "lengths", lengths)
 
     @property

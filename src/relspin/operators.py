@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import ID4, commutator, dirac_matrices, herm_eigs, levi_civita_pairs
+from .algebra import ID4, commutator, dirac_matrices, herm_eigvals, levi_civita_pairs
 from .errors import PreconditionError, SingularMomentumError
 
 __all__ = [
@@ -260,7 +260,7 @@ def condition_checks(kind: SpinKind, p, params: PhysParams) -> ConditionReport:
     """
     p = np.asarray(p, dtype=float)
     s = spin_operator(kind, p, params)
-    spectrum = np.stack([herm_eigs(si)[0] for si in s], axis=-2)
+    spectrum = np.stack([herm_eigvals(si) for si in s], axis=-2)
     # [S_i, S_i] = 0 and [S_j, S_i] = -[S_i, S_j] exactly, so the cyclic
     # (i, j, k) carry every residual
     su2 = np.max([np.linalg.norm(commutator(s[i], s[j]) - 1j * s[k], axis=(-2, -1))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relspin.algebra import (ID4, anticommutator, commutator, dirac_matrices,
-                             herm_eigs, is_hermitian)
+                             herm_eigs, herm_eigvals, is_hermitian)
 from relspin.errors import PreconditionError
 from relspin.propagate import _exp_minus_idt
 
@@ -150,6 +150,31 @@ class TestStackedHermEigs:
         got = commutator(a, b)
         for i in range(3):
             assert np.array_equal(got[i], commutator(a[i], b))
+
+
+class TestHermEigvals:
+    """The eigenvalue-only solve gives the eigenvalues of ``herm_eigs``."""
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.integers(min_value=1, max_value=6))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_herm_eigs(self, seed, n):
+        r = np.random.default_rng(seed)
+        stack = np.stack([random_hermitian(r) for _ in range(2 * n)]).reshape(2, n, 4, 4)
+        stack[0, 0] = SIGMA[r.integers(3)] / 2
+        # roundoff-level anti-Hermitian noise is accepted and symmetrized away
+        stack[1, 0, 0, 1] += 1e-13
+        w = herm_eigvals(stack)
+        assert w.shape == (2, n, 4)
+        assert np.max(np.abs(w - herm_eigs(stack)[0])) <= 1e-14 * max(1.0, np.max(np.abs(w)))
+        for idx in np.ndindex(2, n):
+            assert np.array_equal(herm_eigvals(stack[idx]), w[idx])
+
+    def test_one_non_hermitian_rejects_the_batch(self, rng):
+        stack = np.stack([random_hermitian(rng) for _ in range(5)])
+        stack[3, 0, 1] += 1.0
+        with pytest.raises(PreconditionError, match="herm_eigvals"):
+            herm_eigvals(stack)
 
 
 def exp_minus_iHt(h, t):

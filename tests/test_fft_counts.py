@@ -1,5 +1,5 @@
-"""Exact transform, field-mesh, Arnoldi-step and kernel-product counts of
-fixed operations.
+"""Exact transform, field-mesh, Arnoldi-step, kernel-product and
+linear-algebra counts of fixed operations.
 
 Transforms dominate large-grid applies, so a change that adds one shows up
 here as a failure instead of only as a slower run.  A 3D count is in axis
@@ -9,7 +9,8 @@ and back, so it costs 2 per axis read.  A 1D count is in calls, which there
 equal passes.  Field meshes are evaluated when a leaf's cache fills, so their
 counts show how often a leaf refills.  Arnoldi steps are what a run pays
 where no exact step applies.  Kernel products, the entries ``grid.pointwise``
-multiplies, are a large-grid apply's other cost.
+multiplies, are a large-grid apply's other cost.  Stacked 4x4 solves and
+commutators are all the work of ``check-operators``.
 """
 
 from pathlib import Path
@@ -595,3 +596,26 @@ def test_products_per_apply(params, products, name, count, merged):
     coefs = [a for leaf in leaves for _, a in leaf._live if not any(a is b for b in leaf._arrays)]
     assert len(coefs) == merged
     assert all(np.size(a) < grid.npoints for a in coefs)
+
+
+def test_check_operators_linear_algebra(monkeypatch, capsys):
+    # 1000 samples are one chunk.  Per spin kind: one eigenvalue-only solve
+    # per component, stacked over the chunk, and no eigenvector solve (the
+    # spectrum check reads eigenvalues only); three commutators for su2 (the
+    # cyclic pairs) and three for free commutation (one per component)
+    from collections import Counter
+
+    from relspin import cli, operators
+    count = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            count[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(operators, "commutator", counted("commutator", operators.commutator))
+    assert cli.main(["check-operators", "--samples", "1000"]) == 0
+    assert (count["eigvalsh"], count["eigh"], count["commutator"]) == (9, 0, 18)

@@ -32,6 +32,18 @@ class TestGridSpec:
         with pytest.raises(PreconditionError, match="box length"):
             GridSpec(3, 16, [8.0, length, 8.0])
 
+    @pytest.mark.parametrize("count", [64.7, float("inf"), float("nan")])
+    def test_non_integer_count_refused(self, count):
+        # int() would truncate 64.7 to 64 and raise its own error on inf or nan
+        with pytest.raises(PreconditionError, match=f"finite integer, got {count}"):
+            GridSpec(1, count, 8.0)
+        with pytest.raises(PreconditionError, match=f"finite integer, got {count}"):
+            GridSpec(3, [16, count, 16], 8.0)
+
+    def test_integral_float_count(self):
+        assert GridSpec(1, 64.0, 8.0).n == (64,)
+        assert GridSpec(3, np.array([16.0, 32.0, 8.0]), 8.0).n == (16, 32, 8)
+
     def test_lattices(self):
         g = GridSpec(1, 8, 8.0)
         assert np.allclose(g.axis_positions(0), np.arange(-4.0, 4.0))

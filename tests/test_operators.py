@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relspin.algebra import ID4, commutator, herm_eigs, levi_civita
+from relspin.algebra import ID4, commutator, herm_eigs, herm_eigvals, levi_civita
 from relspin.errors import PreconditionError, SingularMomentumError
-from relspin.operators import (ALPHA, BETA, SIGMA, PhysParams, SpinKind,
+from relspin.operators import (ALPHA, BETA, P_FLOOR_SCALE, SIGMA, PhysParams, SpinKind,
                                condition_checks, energy_ep, free_dirac_matrix,
                                position_correction, spin_operator)
 
@@ -252,6 +252,24 @@ class TestBatchedEvaluation:
             position_correction(SpinKind.PRYCE, p, PhysParams())
         # the other kinds are regular at p = 0
         assert np.all(condition_checks(SpinKind.FW, p, PhysParams()).su2_residual <= 1e-12)
+
+
+class TestEigenvalueOnlySpectra:
+    """``condition_checks`` reads its spectra from ``herm_eigvals``; they are
+    the eigenvalues of the eigenvector solve ``herm_eigs``."""
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.floats(min_value=np.log10(1.001 * P_FLOOR_SCALE), max_value=3.0),
+           st.floats(min_value=0.2, max_value=5.0))
+    @example(seed=0, log_mag=np.log10(1.001 * P_FLOOR_SCALE), c=1.0)  # at the Pryce floor
+    @settings(max_examples=40, deadline=None)
+    def test_spin_operator_spectra_match_herm_eigs(self, seed, log_mag, c):
+        params = PhysParams(c=c)
+        d = np.random.default_rng(seed).normal(size=(6, 3))
+        p = params.m0 * c * 10.0**log_mag * d / np.linalg.norm(d, axis=1)[:, None]
+        for kind in SpinKind:
+            for s in spin_operator(kind, p, params):
+                assert np.max(np.abs(herm_eigvals(s) - herm_eigs(s)[0])) <= 1e-14
 
 
 class TestRotationCovariance:

@@ -327,6 +327,21 @@ class TestCheckOperators:
             docs.append(path.read_bytes())
         assert docs[0] == docs[1]
 
+    @pytest.mark.parametrize("samples", [1, 999, 1000, 1001, 2500, 50000])
+    def test_chunked_draws_equal_one_draw(self, samples):
+        # directions drawn per chunk take the generator's normals in the
+        # order one draw of all of them takes them, so the momenta (and the
+        # report) do not depend on the chunking
+        params = PhysParams(m0=1.3, c=2.0)
+        rng = np.random.default_rng(11)
+        mags = params.m0 * params.c * 10.0 ** rng.uniform(-3.0, np.log10(50.0), samples)
+        dirs = rng.normal(size=(samples, 3))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        chunks = list(cli._sample_momenta(samples, 50.0, params, 11))
+        assert [len(p) for p in chunks] == [min(cli._CHUNK, samples - i)
+                                            for i in range(0, samples, cli._CHUNK)]
+        assert np.array_equal(np.concatenate(chunks), mags[:, None] * dirs)
+
     def test_memory_bounded_in_samples(self, capsys):
         # the momenta go through the checks in chunks, so twenty times the
         # samples cost well under twice the peak (one batch: about 17 times)
@@ -342,16 +357,17 @@ class TestCheckOperators:
 
     @pytest.mark.parametrize("samples", ["50", "200"])
     def test_eigensolves_per_kind_independent_of_samples(self, monkeypatch, samples):
-        # one eigh per spin component, stacked over the samples of a chunk:
-        # three per spin kind, whatever the sample count up to one chunk
+        # one eigenvalue-only solve per spin component, stacked over the
+        # samples of a chunk: three per spin kind, whatever the sample count
+        # up to one chunk
         calls = [0]
-        eigh = np.linalg.eigh
+        eigvalsh = np.linalg.eigvalsh
 
         def counted(a):
             calls[0] += 1
-            return eigh(a)
+            return eigvalsh(a)
 
-        monkeypatch.setattr(np.linalg, "eigh", counted)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         assert main(["check-operators", "--samples", samples]) == 0
         assert calls[0] == 3 * 3
 
