@@ -419,7 +419,8 @@ def _cells(kind, hamiltonian, states, total, terms=(), gains=None):
     and in order: ``total``, the printed triple, is compiled on the first
     state's grid, where the printed tree dies, and ``gains`` are state 0's.
     A state and its H psi die before the next is read, so ``battery_states``
-    are held one at a time."""
+    are held one at a time.  A cell with a non-finite residual or norm (fields
+    beyond the float range) raises PreconditionError: no report holds it."""
     s_triple, si = spin_expr(kind, hamiltonian.params), 0
     for psi in states:  # no enumerate: its result tuple holds a state while the next is made
         psi = psi.to_momentum()
@@ -427,8 +428,15 @@ def _cells(kind, hamiltonian, states, total, terms=(), gains=None):
             total = [compiled(r_i, psi.grid) for r_i in total]
         h_psi = apply_expr(hamiltonian.total, psi, guard=VERIFY_GUARD)
         for axis in range(3):
-            yield psi.grid, _verify_cell(si, axis, s_triple[axis], hamiltonian.total, total[axis],
-                                         psi, h_psi, terms, gains if si == 0 else None)
+            cell = _verify_cell(si, axis, s_triple[axis], hamiltonian.total, total[axis],
+                                psi, h_psi, terms, gains if si == 0 else None)
+            if not np.isfinite([cell.residual, cell.lhs_norm, cell.rhs_norm, cell.scale,
+                                *cell.term_norms.values()]).all():
+                raise PreconditionError(
+                    f"{kind.value}/{hamiltonian.family}: state {si} axis {cell.axis} has a "
+                    f"non-finite residual or norm (residual {cell.residual}): the fields "
+                    "overflow the float range")
+            yield psi.grid, cell
         del psi, h_psi
         si += 1
     if si == 0:
@@ -472,7 +480,7 @@ def verify(kind: SpinKind, hamiltonian: NamedHamiltonian, states) -> ResidualRep
         model=hamiltonian.model.describe(),
         time=0.0, cells=cells, residual=worst,
         term_names=[n for n, _ in terms],
-        block_structure={name: block_parity(Add(list(triple))) for name, triple in terms},
+        block_structure={name: block_parity(Add(list(triple)), grid) for name, triple in terms},
         removal_gains=gains,
     )
     if worst <= HOLD_TOL:

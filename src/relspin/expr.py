@@ -70,19 +70,18 @@ component (``_own_rows``: r_j, p_j, 1/p^2), inside ``diag_along`` and on an
 owned input.  The caller's state and the leaves' cached scalars are never
 written.
 
-Two structural walks read a tree without applying it.  ``_monomials``
+One structural walk reads a tree without applying it.  ``_monomials``
 flattens a tree at (grid, t) into monomials, its vanishing subtrees dropped:
 the ordered product of the terms' 4x4 matrices, which commute with every
 scalar, times a chain of scalars.  Read as static (t None), a time-dependent
-leaf raises.  It is the one flattening: ``LeafStack`` reads it for static
-trees, the exact step of ``propagate`` for a Hamiltonian at the step
+leaf raises.  ``LeafStack`` reads it for static trees, ``block_parity`` at
+t = 0, the exact step of ``propagate`` for a Hamiltonian at the step
 midpoint, and ``compiled`` rewrites a tree for one (grid, t) into an equal
 tree of the same nodes from it: adjacent scalars of one space multiplied
 where that stays smaller than the grid, and those whose chains end in one
 array share its leaf, from the end that costs fewer passes (``_trie``).  So
 a Pryce total applies 1/p^2 once, and guards the sum of its terms' shares,
-not each share.  ``block_parity`` reads the blocks of a tree's form over the
-nonzero patterns of the leaves' matrices (``_form``).
+not each share.
 
 Leaves flagged ``singular_origin`` (the longitudinal 1/p^2 projector and
 friends) refuse to act on states whose k = 0 amplitude fraction exceeds the
@@ -487,27 +486,32 @@ class LeafStack:
     every state of the block that some matrix reads in one matrix product
     per slab of at most ``BLOCK_POINTS`` points along the leading grid axis
     (one slab in 1D, so a 3D slab needs memory of the order of the state's).
-    The rows are gathered at construction from the leaves' cached scalars,
-    and F is stacked then too when the grid is one slab; several slabs are
-    stacked per call, since holding all of them would cost more memory than
-    the state.  A singular scalar keeps the zero-mode guard of an apply,
-    read per state as every apply reads it (``zero_mode_weights``).
+    Construction refuses (PreconditionError) a time-dependent leaf, a
+    monomial of more than one scalar and scalars of two spaces, before it
+    gathers any row from the leaves' cached scalars.  F is stacked then too
+    when the grid is one slab; several slabs are stacked per call, since
+    holding all of them would cost more memory than the state.  A singular
+    scalar keeps the zero-mode guard of an apply, read per state as every
+    apply reads it (``zero_mode_weights``).
     """
 
     BLOCK_POINTS = 4096
 
     def __init__(self, entries, grid: GridSpec):
+        monos = [_monomials(entry, grid, None) for entry in entries]  # refuses a t-dependent leaf
+        if any(len(chain) > 1 for entry in monos for _, chain in entry):
+            raise PreconditionError("a LeafStack entry needs monomials of at most one scalar")
+        scalars = [chain[0] for entry in monos for _, chain in entry if chain]
+        spaces = {f[1] for f in scalars}
+        if len(spaces) > 1:
+            raise PreconditionError("a LeafStack needs leaves of one space")
         self.grid, n = grid, len(entries)
-        rows, mats, index, scalars = [np.ones(())], [np.zeros((n, 4, 4), complex)], {}, []
-        for li, entry in enumerate(entries):
-            for m, chain in _monomials(entry, grid, None):
+        rows, mats, index = [np.ones(())], [np.zeros((n, 4, 4), complex)], {}
+        for li, entry in enumerate(monos):
+            for m, chain in entry:
                 if not chain:
                     mats[0][li] += m
                     continue
-                if len(chain) > 1:
-                    raise PreconditionError("a LeafStack entry needs monomials of at most "
-                                            "one scalar")
-                scalars.append(chain[0])
                 for part, unit in ((np.real(chain[0][3]), 1.0), (np.imag(chain[0][3]), 1j)):
                     part = np.asarray(part, dtype=float)
                     if not part.any():
@@ -517,9 +521,6 @@ class LeafStack:
                         rows.append(part)
                         mats.append(np.zeros((n, 4, 4), complex))
                     mats[row][li] += unit * m
-        spaces = {f[1] for f in scalars}
-        if len(spaces) > 1:
-            raise PreconditionError("a LeafStack needs leaves of one space")
         mats = np.stack(mats, axis=1) * grid.weight
         a, b = np.triu_indices(4)
         m_ab, m_ba = mats[..., a, b], mats[..., b, a]
@@ -542,18 +543,6 @@ class LeafStack:
                       next((f[4] for f in scalars if f[2]), None),
                       a[used], b_slices, coef, rows, slabs,
                       np.stack(rows).reshape(len(rows), -1) if len(slabs) == 1 else None)
-
-    @staticmethod
-    def admits(expr: OperatorExpr, space: str, grid: GridSpec) -> bool:
-        """Whether ``expr`` can be an entry of a stack in ``space`` on ``grid``:
-        it is static, and each of its monomials has at most one scalar,
-        diagonal there."""
-        try:
-            monos = _monomials(expr, grid, None)
-        except PreconditionError:  # a time-dependent leaf
-            return False
-        return all(not chain or (len(chain) == 1 and chain[0][1] == space)
-                   for _, chain in monos)
 
     def contract(self, data, guard: float = DEFAULT_ZERO_MODE_GUARD):
         """The complex expectation of every entry (columns) in every state
@@ -594,23 +583,12 @@ class LeafStack:
 
 # -- block parity ----------------------------------------------------------------
 
-def _form(expr):
-    """The tree's 4x4 form over its leaves' nonzero patterns: Add sums and Mul
-    gives left @ right (every entry 1, so nothing cancels, and a number
-    folded into a leaf cannot change it)."""
-    if isinstance(expr, _DiagLeaf):
-        return sum((1.0 * (m != 0) for _, m in expr.terms), np.zeros((4, 4)))
-    if isinstance(expr, Add):
-        return sum(_form(child) for child in expr.children)
-    return _form(expr.left) @ _form(expr.right)
-
-
-def block_parity(expr: OperatorExpr) -> str:
-    """Classify an expression's particle-antiparticle block structure as
-    'diagonal', 'offdiagonal', 'zero', or 'mixed': the blocks where the
-    tree's ``_form`` is nonzero."""
-    form = _form(expr)
-    tol = 1e-12 * form.max()
-    diag = max(form[:2, :2].max(), form[2:, 2:].max()) > tol
-    off = max(form[:2, 2:].max(), form[2:, :2].max()) > tol
+def block_parity(expr: OperatorExpr, grid: GridSpec) -> str:
+    """Classify an expression's particle-antiparticle block structure on
+    ``grid`` at t = 0 as 'diagonal', 'offdiagonal', 'zero', or 'mixed': the
+    blocks where the matrix of some monomial (``_monomials``) is nonzero.  A
+    term that vanishes there, or whose products are exactly zero, is 'zero'."""
+    nonzero = sum((m != 0 for m, _ in _monomials(expr, grid, 0.0)), np.zeros((4, 4), bool))
+    diag = nonzero[:2, :2].any() or nonzero[2:, 2:].any()
+    off = nonzero[:2, 2:].any() or nonzero[2:, :2].any()
     return ("zero", "offdiagonal", "diagonal", "mixed")[2 * diag + off]

@@ -68,6 +68,11 @@ class PhysParams:
             raise PreconditionError(f"rest mass must be positive, got {self.m0}")
         if not self.c > 0:
             raise PreconditionError(f"speed of light must be positive, got {self.c}")
+        c2 = float(self.c) * float(self.c)  # a float product overflows to inf; ** raises
+        e0 = float(self.m0) * c2
+        if not all(0 < x < np.inf for x in (c2, e0, e0 * e0)):
+            raise PreconditionError(f"m0 = {self.m0} and c = {self.c} put c^2, m0 c^2 or "
+                                    "(m0 c^2)^2 outside the float range")
 
     @property
     def rest_energy(self) -> float:

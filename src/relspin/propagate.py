@@ -310,8 +310,9 @@ class _Observables:
     newest row's, contracts the block with that space's stack, moves the
     whole block to the other space in one transform and contracts it with
     the other stack.  The momentum copy gives the spins, p and the energy,
-    the position copy r, the norm and the flux.  An energy that is no stack
-    entry is an apply of H to each row's momentum copy (no Hamiltonian has
+    the position copy r, the norm and the flux.  An energy that the momentum
+    stack refuses (``LeafStack``: a time-dependent H, or scalars of both
+    spaces) is an apply of H to each row's momentum copy (no Hamiltonian has
     a singular leaf, so that apply refuses no row).  A row's guard refusal
     is raised when ``rows`` reaches that row, after the rows before it."""
 
@@ -323,14 +324,14 @@ class _Observables:
         # "norm" and "flux" first hold the squared norm and the boundary-shell weight
         mom = [s for k in SpinKind for s in self.spin[k]] + self.p
         names = [leaf.name for leaf in mom]
-        # the energy: a stack entry where H admits it, else H is applied per row
-        self.energy = hamiltonian.total
-        if LeafStack.admits(self.energy, MOMENTUM, grid):
-            mom, names, self.energy = mom + [self.energy], names + ["energy"], None
+        try:  # the energy: a stack entry where the stack takes it, else H is applied per row
+            stack = LeafStack(mom + [hamiltonian.total], grid)
+            names, self.energy = names + ["energy"], None
+        except PreconditionError:
+            stack, self.energy = LeafStack(mom, grid), hamiltonian.total
         pos = self.r + [ConstMatrix(ID4, name="norm"), PositionDiag(
             [(lambda g, t: g.boundary_shell_mask, ID4)], name="flux")]
-        self.stacks = [(names, LeafStack(mom, grid)),
-                       ([leaf.name for leaf in pos], LeafStack(pos, grid))]
+        self.stacks = [(names, stack), ([leaf.name for leaf in pos], LeafStack(pos, grid))]
         self.block = np.empty((max(1, LeafStack.BLOCK_POINTS // grid.npoints), 4, *grid.shape),
                               dtype=complex)
         self.pending = []  # (t, space) of each row written into the block

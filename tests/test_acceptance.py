@@ -244,7 +244,7 @@ def test_ac7_block_structure(em_battery):
         terms, _ = rhs(SpinKind.PRYCE, family, model, PARAMS)
         for name, triple in terms:
             for comp in triple:
-                parity = block_parity(comp)
+                parity = block_parity(comp, psi.grid)
                 assert parity in (claim, "zero"), (family, name, parity)
                 t_psi = apply_expr(comp, psi, guard=1e-4)
                 if t_psi.norm() <= 1e-14:

@@ -399,19 +399,31 @@ class TestCompiledRhs:
 
 
 class TestBlockStructure:
-    def test_pryce_em_offdiagonal(self, params):
+    def test_pryce_em_offdiagonal(self, params, grid_3d):
         model = UniformB(np.array([0.0, 0.0, 0.05]))
         terms, _ = rhs(SpinKind.PRYCE, "dirac-em", model, params)
         for name, triple in terms:
             for comp in triple:
-                assert block_parity(comp) in ("offdiagonal", "zero"), name
+                assert block_parity(comp, grid_3d) in ("offdiagonal", "zero"), name
 
-    def test_pryce_direct_diagonal(self, params):
+    def test_pryce_direct_diagonal(self, params, grid_3d):
         model = UniformB(np.array([0.0, 0.0, 0.05]))
         terms, _ = rhs(SpinKind.PRYCE, "fw-direct", model, params)
         for name, triple in terms:
             for comp in triple:
-                assert block_parity(comp) in ("diagonal", "zero"), name
+                assert block_parity(comp, grid_3d) in ("diagonal", "zero"), name
+
+    def test_vanishing_term_is_zero(self, params):
+        # the parity is read from the monomials on the grid at t = 0:
+        # soc-precession reads E = -dA/dt, which a constant envelope makes
+        # zero, so the term vanishes there; a Gaussian envelope with
+        # g'(0) != 0 makes it live, and it is diagonal
+        grid = GridSpec(3, 8, 12.0)
+        for envelope, parity in ((Envelope(), "zero"),
+                                 (Envelope(shape="gaussian", center=0.3, width=2.0), "diagonal")):
+            model = UniformB(np.array([0.0, 0.0, 0.05]), envelope)
+            terms = dict(rhs(SpinKind.FW, "fw-direct", model, params)[0])
+            assert block_parity(Add(list(terms["soc-precession"])), grid) == parity
 
     def test_state_level_projection(self, params, battery_3d):
         # apply each Pryce EM term between the upper/lower block projectors

@@ -665,21 +665,35 @@ class TestLeafStack:
                 scale = psi.norm() * apply_expr(expr, psi).norm()
                 assert abs(value - expectation(expr, psi)) <= 1e-13 * scale
 
-    def test_admits(self, grid):
+    def test_admits(self, grid, rng):
+        # an entry joins a stack of p_x (momentum) or r_x (position) where its
+        # construction passes, and then has its expectation; else it refuses
         mom = MomentumDiag([(lambda g, t: g.k[0], BETA)])
         uniform = PositionDiag([(lambda g, t: np.asarray(0.3), SIGMA[2])])
         sawtooth = PositionDiag([(lambda g, t: g.r[0], ID4)])
         pulsed = MomentumDiag([(lambda g, t: t * g.k[0], ID4)], time_dependent=True)
-        assert LeafStack.admits(Add([Scale(0.5, mom), Scale(2.0, uniform)]), MOMENTUM, grid)
-        assert LeafStack.admits(Add([uniform, sawtooth]), POSITION, grid)
-        assert not LeafStack.admits(Add([mom, sawtooth]), MOMENTUM, grid)
-        # one momentum scalar times a constant matrix: one scalar per monomial
-        assert LeafStack.admits(Mul(mom, uniform), MOMENTUM, grid)
-        # scalars of two spaces in one monomial
-        assert not LeafStack.admits(Mul(mom, sawtooth), MOMENTUM, grid)
-        assert not LeafStack.admits(Add([mom, pulsed]), MOMENTUM, grid)
-        with pytest.raises(PreconditionError, match="at most one scalar"):
-            LeafStack([Mul(mom, sawtooth)], grid)
+        cases = [
+            (MOMENTUM, Add([Scale(0.5, mom), Scale(2.0, uniform)]), None),
+            (POSITION, Add([uniform, sawtooth]), None),
+            # one momentum scalar times a constant matrix: one scalar per monomial
+            (MOMENTUM, Mul(mom, uniform), None),
+            (MOMENTUM, uniform, None),  # a constant joins either space
+            (MOMENTUM, Add([mom, sawtooth]), "one space"),
+            (POSITION, mom, "one space"),
+            # scalars of two spaces in one monomial
+            (MOMENTUM, Mul(mom, sawtooth), "at most one scalar"),
+            (MOMENTUM, Add([mom, pulsed]), "time-independent"),
+        ]
+        psi = random_field(grid, rng)
+        for space, expr, refusal in cases:
+            first = triple(P if space == MOMENTUM else R)[0]
+            if refusal is not None:
+                with pytest.raises(PreconditionError, match=refusal):
+                    LeafStack([first, expr], grid)
+                continue
+            value = LeafStack([first, expr], grid).expectations(psi)[1]
+            scale = psi.norm() * apply_expr(expr, psi).norm()
+            assert abs(value - expectation(expr, psi)) <= 1e-13 * scale
 
     def test_leaves_of_two_spaces_are_refused(self, grid):
         with pytest.raises(PreconditionError):
@@ -735,20 +749,20 @@ class TestSingularGuard:
 
 
 class TestBlockParity:
-    def test_leaf_parities(self):
-        assert block_parity(ConstMatrix(SIGMA[0])) == "diagonal"
-        assert block_parity(ConstMatrix(ALPHA[0])) == "offdiagonal"
-        assert block_parity(ConstMatrix(np.zeros((4, 4)))) == "zero"
-        assert block_parity(ConstMatrix(SIGMA[0] + ALPHA[0])) == "mixed"
+    def test_leaf_parities(self, grid):
+        assert block_parity(ConstMatrix(SIGMA[0]), grid) == "diagonal"
+        assert block_parity(ConstMatrix(ALPHA[0]), grid) == "offdiagonal"
+        assert block_parity(ConstMatrix(np.zeros((4, 4))), grid) == "zero"
+        assert block_parity(ConstMatrix(SIGMA[0] + ALPHA[0]), grid) == "mixed"
 
-    def test_products(self):
+    def test_products(self, grid):
         d = ConstMatrix(SIGMA[0])
         o = ConstMatrix(ALPHA[2])
-        assert block_parity(Mul(o, o)) == "diagonal"
-        assert block_parity(Mul(d, o)) == "offdiagonal"
-        assert block_parity(Add([d, Mul(o, o)])) == "diagonal"
-        assert block_parity(Add([d, o])) == "mixed"
-        assert block_parity(_comm(d, o)) == "offdiagonal"
+        assert block_parity(Mul(o, o), grid) == "diagonal"
+        assert block_parity(Mul(d, o), grid) == "offdiagonal"
+        assert block_parity(Add([d, Mul(o, o)]), grid) == "diagonal"
+        assert block_parity(Add([d, o]), grid) == "mixed"
+        assert block_parity(_comm(d, o), grid) == "offdiagonal"
 
 
 def _as_hamiltonian(expr, params):

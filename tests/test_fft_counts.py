@@ -20,7 +20,7 @@ import pytest
 
 from relspin.dynamics import (positive_energy_part, rhs, spin_expr, standard_battery, verify,
                               verify_residual)
-from relspin.expr import _DiagLeaf, apply_expr, expectation
+from relspin.expr import _DiagLeaf, _cost, apply_expr, compiled, expectation
 from relspin.fields import Envelope, UniformB, ZeroField
 from relspin.grid import GridSpec, SpinorField, gaussian_packet, pointwise
 from relspin.hamiltonians import (build_dirac_em, build_free_dirac, build_fw_direct,
@@ -249,6 +249,31 @@ def test_rung_residual(params, battery_3d, fft_count, products, kind, family, co
     verify(kind, ham, battery_3d)
     assert passes == count
     assert passes <= fft_count.passes and rung_products < products[0]
+
+
+# (kind, family, B, per axis (axis passes, kernel products)) of one apply of
+# the compiled printed total to a momentum state on the 32^3, L = 48 grid
+# (``expr._cost``, read from the records of the leaves ``compiled`` fills):
+# the baseline for choosing, per total, whether small same-space factors
+# are fused (``expr._fused``) and from which end chains share a leaf
+_COMPILED_COST = [
+    (SpinKind.PRYCE, "dirac-em", "z", [(4, 36), (4, 36), (4, 28)]),
+    (SpinKind.FW, "dirac-em", "z", [(10, 80), (10, 80), (12, 124)]),
+    (SpinKind.PRYCE, "fw-direct", "z", [(0, 12), (0, 12), (0, 8)]),
+    (SpinKind.FW, "fw-direct", "z", [(4, 72), (4, 72), (4, 48)]),
+    (SpinKind.PRYCE, "dirac-em", "skew", [(6, 80), (6, 80), (6, 68)]),
+    (SpinKind.FW, "dirac-em", "skew", [(26, 140), (26, 140), (26, 136)]),
+    (SpinKind.PRYCE, "fw-direct", "skew", [(0, 28), (0, 28), (0, 22)]),
+    (SpinKind.FW, "fw-direct", "skew", [(12, 116), (12, 116), (12, 108)]),
+]
+
+
+@pytest.mark.parametrize("kind, family, field, costs", _COMPILED_COST,
+                         ids=[f"{k}-{f}-{b}" for k, f, b, _ in _COMPILED_COST])
+def test_compiled_total_cost(params, grid_3d, kind, family, field, costs):
+    b0 = [0.0, 0.0, 0.05] if field == "z" else [0.03, 0.02, 0.05]
+    total = rhs(kind, family, UniformB(b0), params)[1]
+    assert [_cost(compiled(r_i, grid_3d)) for r_i in total] == costs
 
 
 @pytest.mark.parametrize("space, count", [("momentum", 0), ("position", 1)])

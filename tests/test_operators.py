@@ -307,5 +307,12 @@ class TestPhysParams:
         with pytest.raises(PreconditionError, match=f"^{name} must be finite"):
             PhysParams(**{name: value})
 
+    @pytest.mark.parametrize("m0, c", [(1e200, 1.0), (1.0, 1e-200), (1.0, 1e155),
+                                       (1e-170, 1e-70)])
+    def test_constants_outside_the_float_range_refused(self, m0, c):
+        # c^2, m0 c^2 or (m0 c^2)^2 overflows to inf or underflows to 0
+        with pytest.raises(PreconditionError, match=r"^m0 = .* and c = .* outside the float"):
+            PhysParams(m0=m0, c=c)
+
     def test_charge_sign_free(self):
         assert PhysParams(e=2.5).e == 2.5

@@ -162,7 +162,7 @@ def test_tree_is_its_dense_matrix(expr, grid, space, seed):
 
     # the measured block pattern lies within the claimed parity
     diag, off = _blocks(m, n)
-    may_diag, may_off = _ALLOWED[block_parity(expr)]
+    may_diag, may_off = _ALLOWED[block_parity(expr, grid)]
     assert (diag <= tol or may_diag) and (off <= tol or may_off)
 
 

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import relspin.expr
+import relspin.propagate
 from relspin.dynamics import positive_energy_part
 from relspin.errors import (BoundaryFluxError, KrylovConvergenceError, PreconditionError,
                             SingularMomentumError)
-from relspin.expr import _DiagLeaf, apply_expr, expectation
+from relspin.expr import LeafStack, _DiagLeaf, apply_expr, expectation
 from relspin.fields import Envelope, PlaneWavePulse, UniformB, UniformE, ZeroField
 from relspin.grid import GridSpec, SpinorField, gaussian_packet, zero_mode_weight
 from relspin.hamiltonians import (build_dirac_em, build_free_dirac, build_fw_direct,
@@ -651,13 +653,22 @@ class TestMeasure:
     @pytest.mark.parametrize("family", ["free", "zeeman"])
     def test_static_energy_applies_nothing(self, params, monkeypatch, family, hermitize):
         # free is one momentum leaf and the Zeeman-only fw-direct one constant
-        # leaf under a static uniform B: the energy is a stack entry
+        # leaf under a static uniform B: the energy is a stack entry, by the
+        # stack's construction, so H's monomials are expanded once
         g = GridSpec(1, 256, 256.0)
         ham = (build_free_dirac(params) if family == "free" else
                build_hamiltonian("fw-direct", _UNIFORM_B, params, terms=["zeeman"],
                                  hermitize=hermitize))
         psi = positive_energy_part(gaussian_packet(g, 10.0, 12.0, 1.0, [1, 1, 0, 0]), params)
+        expanded, monomials = [], relspin.expr._monomials
+
+        def expand(expr, grid, t):
+            expanded.append(expr is ham.total)
+            return monomials(expr, grid, t)
+
+        monkeypatch.setattr(relspin.expr, "_monomials", expand)
         obs = _Observables(ham, g)
+        assert sum(expanded) == 1 and obs.energy is None
         calls = [0]
         apply = _DiagLeaf._apply
 
@@ -672,6 +683,36 @@ class TestMeasure:
         ref = float(np.real(expectation(ham.total, psi, 0.3)))
         scale = psi.norm() * apply_expr(ham.total, psi, 0.3).norm()
         assert abs(row["energy"] - ref) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("model", ["uniform", "pulsed"])
+    def test_refused_energy_gathers_no_row(self, params, monkeypatch, model):
+        # dirac-em's energy has scalars of both spaces under a uniform B and a
+        # time-dependent leaf under a pulse: the momentum stack refuses it
+        # before it gathers any row (a row is read from the real and
+        # imaginary parts of its scalar), and H is applied per row
+        g = GridSpec(1, 256, 256.0)
+        ham = build_hamiltonian("dirac-em", _UNIFORM_B if model == "uniform" else _PULSED_B,
+                                params)
+        real, gathered, refused = np.real, [0], []
+
+        def counted(x):
+            gathered[0] += 1
+            return real(x)
+
+        class Watched(LeafStack):
+            def __init__(self, entries, grid):
+                before = gathered[0]
+                try:
+                    super().__init__(entries, grid)
+                except PreconditionError:
+                    refused.append(gathered[0] - before)
+                    raise
+
+        monkeypatch.setattr(np, "real", counted)
+        monkeypatch.setattr(relspin.propagate, "LeafStack", Watched)
+        obs = _Observables(ham, g)
+        assert refused == [0] and gathered[0] > 0  # the stacks made gathered theirs
+        assert obs.energy is ham.total and "energy" not in obs.stacks[0][0]
 
     def test_norm_and_flux_of_an_unnormalized_state(self, params, boundary_flux):
         # the flux is the shell's share of the squared norm, whatever the norm

@@ -258,6 +258,15 @@ class TestCheckOperators:
         assert main(["check-operators", "--samples", "5", flag, value]) == 2
         assert f"{named} must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--m0", "1e200"), ("--c", "1e-200")])
+    def test_constants_outside_the_float_range_usage_error(self, capsys, flag, value):
+        # (m0 c^2)^2 overflows with m0 = 1e200, and c^2 underflows with
+        # c = 1e-200: each once ended in a traceback or a misleading message
+        assert main(["check-operators", "--samples", "5", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: m0 = ") and "outside the float range" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+
     def test_nan_residual_fails(self, tmp_path, capsys, monkeypatch):
         import relspin.cli
         from relspin.operators import SpinKind, condition_checks
@@ -732,6 +741,20 @@ class TestVerifyDynamics:
         assert "verification.checks[3]" in err and message in err
         assert out == "" and not (tmp_path / "r.json").exists()
 
+    def test_non_finite_residual_refused(self, tmp_path, capsys):
+        # b0 = 1e300 overflows the norms of the first cell: the run exits 2
+        # naming the cell and writes no report, which could not hold a NaN
+        doc = json.loads((Path(__file__).resolve().parents[1] / "scenarios"
+                          / "uniform_b_verification.json").read_text())
+        doc["field"]["b0"] = [0.0, 0.0, 1e300]
+        report = tmp_path / "r.json"
+        code = main(["verify-dynamics", "--scenario", write_scenario(tmp_path, doc),
+                     "--report", str(report)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: pryce/dirac-em: state 0 axis x has a non-finite residual" in err
+        assert "Traceback" not in err and not report.exists()
+
     def test_missing_checks_rejected(self, tmp_path):
         doc = base_scenario(verification={"checks": []})
         path = write_scenario(tmp_path, doc)
@@ -823,6 +846,18 @@ class TestSimulate:
         assert main(["simulate", "--scenario", path, "--output", str(a)]) == 0
         assert main(["simulate", "--scenario", path, "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_constants_outside_the_float_range_config_error(self, tmp_path, capsys):
+        doc = json.loads((Path(__file__).resolve().parents[1] / "scenarios"
+                          / "free_particle.json").read_text())
+        doc["params"]["m0"] = 1e200
+        out = tmp_path / "out.csv"
+        code = main(["simulate", "--scenario", write_scenario(tmp_path, doc),
+                     "--output", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: params: m0 = 1e+200") and "Traceback" not in err
+        assert not out.exists()
 
     def test_scenario_without_propagation_rejected(self, tmp_path):
         doc = base_scenario()
