@@ -9,7 +9,7 @@ sweep             rerun a scenario over a field-strength ladder and emit
                   operator-divergence metrics
 
 Exit codes: 0 pass, 1 scientific check failure or aborted run, 2 usage or
-configuration error.
+configuration error, non-finite run or output that cannot be written.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ import numpy as np
 from . import __version__
 from .dynamics import (battery_states, classify_residual_series, standard_battery,
                        total_j_identity, verify, verify_residual)
-from .errors import (BoundaryFluxError, ConfigError, KrylovConvergenceError,
-                     PreconditionError, SingularMomentumError)
+from .errors import BoundaryFluxError, ConfigError, KrylovConvergenceError, PreconditionError
 from .expr import release_pool
 from .fields import UniformB, UniformE, PlaneWavePulse
 from .grid import GridSpec, set_fft_workers
@@ -121,8 +120,7 @@ def cmd_check_operators(args):
            "samples": args.samples, "pmax": args.pmax, "seed": args.seed,
            "results": summary}
     if out:
-        with open(out, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
+        _write(out, json.dumps(doc, indent=2, sort_keys=True))
     return EXIT_OK if all(e["pass"] for e in summary.values()) else EXIT_CHECK_FAILED
 
 
@@ -137,11 +135,20 @@ def _refinement_grids(grid, levels):
 
 def _writable(path):
     """``path``, refused before the run when it is a directory or its
-    directory does not exist (opened only after the run, it would end the run
-    in a traceback)."""
+    directory does not exist; a path that passes but still cannot be written
+    (a full device) is refused by ``_write`` after the run."""
     if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
         raise ConfigError(path, "not a file in an existing directory")
     return path
+
+
+def _write(path, text):
+    """Write ``text`` to ``path``; a failed write is a usage error naming it."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(path, f"cannot be written: {exc.strerror or exc}") from exc
 
 
 def _rung_residual(kind, ham, sc, grid):
@@ -213,8 +220,7 @@ def cmd_verify_dynamics(args):
            "reports": [r.to_dict() for r in reports],
            "total_j": tj}
     if out:
-        with open(out, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
+        _write(out, json.dumps(doc, indent=2, sort_keys=True))
         print(f"report written to {out}")
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
@@ -227,7 +233,7 @@ def cmd_simulate(args):
     ham = sc.make_hamiltonian()
     state = sc.make_state()
     traj = run(ham, state, sc.dt, sc.steps, stride=sc.stride)
-    traj.save(out)
+    _write(out, traj.to_csv())
     print(f"{len(traj.rows)} samples -> {out}")
     return EXIT_OK
 
@@ -269,8 +275,7 @@ def cmd_sweep(args):
                            for ax in "xyz"))
         for i in range(len(t)):
             lines.append("%.17g,%.17g,%.17g,%.17g" % (value, t[i], d_py[i], d_fw[i]))
-    with open(out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(out, "\n".join(lines) + "\n")
     print(f"sweep over {len(values)} field strengths -> {out}")
     return EXIT_OK
 
@@ -365,7 +370,7 @@ def main(argv=None):
     set_fft_workers(args.threads)
     try:
         return args.func(args)
-    except (ConfigError, SingularMomentumError, PreconditionError) as exc:
+    except (ConfigError, PreconditionError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (BoundaryFluxError, KrylovConvergenceError) as exc:

@@ -136,12 +136,12 @@ def _reduced(arr):
 
 
 def _refusal(name, w0, guard):
-    """The error refusing a state whose k = 0 weight w0 exceeds the guard of
-    the singular operator ``name``, or None."""
-    if w0 > guard:
+    """The error refusing a state whose k = 0 weight w0 is not finite or
+    exceeds the guard of the singular operator ``name``, or None."""
+    if not w0 <= guard:
         return SingularMomentumError(
-            f"operator {name} is singular at k=0 but the state has zero-mode weight "
-            f"{w0:.3e} > guard {guard:.1e}")
+            f"operator {name} is singular at k=0 but the state has zero-mode weight {w0:.3e}"
+            + (f" > guard {guard:.1e}" if np.isfinite(w0) else ", which is not finite"))
 
 
 def _one(grid, t):

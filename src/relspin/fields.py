@@ -1,14 +1,14 @@
 """Closed-form electromagnetic field configurations.
 
-Every model supplies the potentials (A, phi) together with E, B and the time
-derivatives dB/dt, d2B/dt2 (plus dE/dt and div E, which the fourth-order
-Hamiltonian terms need) as analytic closed forms -- derivatives are never
-finite-differenced in production code.  Each quantity is transcribed once,
-in the model's vectorized ``*_mesh`` method, which every operator reads.
-The tests check the meshes against a closed form of the potentials alone:
-B = curl A, E = -dA/dt - grad phi, the time derivatives and div E follow
-from it and from the meshes by complex-step differentiation, so the meshes
-stay complex-safe (no ``float()`` of a coordinate or a time).
+A model writes only closed-form time ladders of its potentials: d^n A/dt^n
+and d^n B/dt^n (B = curl A) for n <= 2, and phi with d^n (grad phi)/dt^n
+for n <= 1 where it has a scalar potential.  ``FieldModel`` derives from them,
+once, every mesh the operators read: A, phi, E = -dA/dt - grad phi, dE/dt,
+B, dB/dt, d2B/dt2, and div E (zero unless a model writes its own) --
+derivatives are never finite-differenced in production code.  The tests
+check the meshes against a closed form of the potentials alone by
+complex-step differentiation, so the ladders stay complex-safe (no
+``float()`` of a coordinate or a time).
 
 A model's read-only ``time_dependent`` says whether its meshes can change
 with t.  It is derived from the model, never set: False for ``ZeroField``
@@ -76,9 +76,6 @@ class Envelope:
         if self.shape == "gaussian" and not self.width > 0:
             raise PreconditionError("gaussian envelope needs width > 0")
 
-    def __call__(self, t: float) -> float:
-        return self.derivatives(t)[0]
-
     def derivatives(self, t: float):
         """(g, g', g'') at time t."""
         if self.shape == "constant":
@@ -100,15 +97,14 @@ class Envelope:
 
 
 class FieldModel:
-    """Base class; subclasses implement the vectorized ``*_mesh`` evaluators,
-    the one transcription of each field quantity, which every grid operator
-    reads.  Mesh arguments are broadcastable coordinate arrays (absent axes
-    enter as the scalar 0.0) and the returned components are arrays or
-    scalars broadcastable against them; a uniform quantity comes back as
-    scalars, which the operator leaves treat as constants.  Three floats
-    give the values at one point.  A mesh must accept complex coordinates
-    and times (no ``float()`` of either): the tests differentiate the meshes
-    by complex steps."""
+    """Base class.  A subclass writes its ladders ``_a`` and ``_b`` (and
+    ``_phi``/``_grad_phi``), each zero where it does not, and the ``*_mesh``
+    evaluators every grid operator reads are derived from them here.  Mesh
+    arguments are broadcastable coordinate arrays (absent axes enter as the
+    scalar 0.0); a returned component is an array or a scalar broadcastable
+    against them, and a uniform quantity is a scalar, which the operator
+    leaves treat as a constant.  Three floats give the values at one point.
+    A ladder must accept complex coordinates and times."""
 
     #: B, dB/dt, d2B/dt2 do not depend on position (true for all but plane waves)
     uniform_b = True
@@ -121,15 +117,42 @@ class FieldModel:
         better)."""
         return True
 
-    def a_mesh(self, r, t):  # every vector mesh a subclass does not define
+    def _a(self, r, t, n):
+        """d^n A/dt^n, n <= 2; ``_b`` is d^n B/dt^n and ``_grad_phi`` is
+        d^n (grad phi)/dt^n, n <= 1, alike."""
         return [0.0, 0.0, 0.0]
 
-    e_mesh = b_mesh = dedt_mesh = dbdt_mesh = d2bdt2_mesh = a_mesh
+    _b = _grad_phi = _a
 
-    def phi_mesh(self, r, t):  # every scalar mesh a subclass does not define
+    def _phi(self, r, t):
         return 0.0
 
-    dive_mesh = phi_mesh
+    def _e(self, r, t, n):  # d^n E/dt^n = -d^(n+1) A/dt^(n+1) - d^n (grad phi)/dt^n
+        return [-a - g for a, g in zip(self._a(r, t, n + 1), self._grad_phi(r, t, n))]
+
+    def a_mesh(self, r, t):
+        return self._a(r, t, 0)
+
+    def phi_mesh(self, r, t):
+        return self._phi(r, t)
+
+    def e_mesh(self, r, t):
+        return self._e(r, t, 0)
+
+    def dedt_mesh(self, r, t):
+        return self._e(r, t, 1)
+
+    def b_mesh(self, r, t):
+        return self._b(r, t, 0)
+
+    def dbdt_mesh(self, r, t):
+        return self._b(r, t, 1)
+
+    def d2bdt2_mesh(self, r, t):
+        return self._b(r, t, 2)
+
+    def dive_mesh(self, r, t):  # zero unless a model writes its own
+        return 0.0
 
     def describe(self) -> dict:
         raise NotImplementedError
@@ -171,29 +194,13 @@ class UniformB(FieldModel):
     def time_dependent(self):
         return self.envelope.shape != "constant"
 
-    def a_mesh(self, r, t):
-        g = self.envelope.derivatives(t)[0]
+    def _a(self, r, t, n):
+        g = self.envelope.derivatives(t)[n]
         return [0.5 * g * c for c in _cross_mesh(self.b0, r)]
 
-    def e_mesh(self, r, t):
-        gp = self.envelope.derivatives(t)[1]
-        return [-0.5 * gp * c for c in _cross_mesh(self.b0, r)]
-
-    def dedt_mesh(self, r, t):
-        gpp = self.envelope.derivatives(t)[2]
-        return [-0.5 * gpp * c for c in _cross_mesh(self.b0, r)]
-
-    def b_mesh(self, r, t):
-        g = self.envelope.derivatives(t)[0]
-        return [self.b0[0] * g, self.b0[1] * g, self.b0[2] * g]
-
-    def dbdt_mesh(self, r, t):
-        gp = self.envelope.derivatives(t)[1]
-        return [self.b0[0] * gp, self.b0[1] * gp, self.b0[2] * gp]
-
-    def d2bdt2_mesh(self, r, t):
-        gpp = self.envelope.derivatives(t)[2]
-        return [self.b0[0] * gpp, self.b0[1] * gpp, self.b0[2] * gpp]
+    def _b(self, r, t, n):
+        g = self.envelope.derivatives(t)[n]
+        return [c * g for c in self.b0]
 
     def describe(self):
         return {"type": "uniform_b", "b0": self.b0.tolist(),
@@ -214,36 +221,16 @@ class UniformE(FieldModel):
     def time_dependent(self):
         return self.envelope.shape != "constant"
 
-    def phi_mesh(self, r, t):
-        g = self.envelope.derivatives(t)[0]
-        return -_dot_mesh(self.e0, r) * g
+    def _phi(self, r, t):
+        return -_dot_mesh(self.e0, r) * self.envelope.derivatives(t)[0]
 
-    def e_mesh(self, r, t):
-        g = self.envelope.derivatives(t)[0]
-        return [self.e0[0] * g, self.e0[1] * g, self.e0[2] * g]
-
-    def dedt_mesh(self, r, t):
-        gp = self.envelope.derivatives(t)[1]
-        return [self.e0[0] * gp, self.e0[1] * gp, self.e0[2] * gp]
+    def _grad_phi(self, r, t, n):
+        g = self.envelope.derivatives(t)[n]
+        return [-c * g for c in self.e0]
 
     def describe(self):
         return {"type": "uniform_e", "e0": self.e0.tolist(),
                 "envelope": self.envelope.shape}
-
-
-def _pulse_shape(u, center, width):
-    """s = sin(u) G(u) with G a Gaussian; returns (s, s', s'', s''')."""
-    x = (u - center) / width
-    g = np.exp(-0.5 * x * x)
-    g1 = -x / width * g
-    g2 = (x * x - 1.0) / width**2 * g
-    g3 = x * (3.0 - x * x) / width**3 * g
-    sn, cs = np.sin(u), np.cos(u)
-    s = sn * g
-    s1 = cs * g + sn * g1
-    s2 = -sn * g + 2.0 * cs * g1 + sn * g2
-    s3 = -cs * g - 3.0 * sn * g1 + 3.0 * cs * g2 + sn * g3
-    return s, s1, s2, s3
 
 
 @dataclass
@@ -275,32 +262,27 @@ class PlaneWavePulse(FieldModel):
             raise PreconditionError("plane-wave pulse needs env_width > 0")
 
     def _shape(self, r, t):  # (s, s', s'', s''') at u = k.r - omega t on the mesh r
-        u = _dot_mesh(self.wavevector, r) - self.omega * t
-        return _pulse_shape(u, self.env_center, self.env_width)
+        u, width = _dot_mesh(self.wavevector, r) - self.omega * t, self.env_width
+        x = (u - self.env_center) / width
+        g = np.exp(-0.5 * x * x)
+        g1 = -x / width * g
+        g2 = (x * x - 1.0) / width**2 * g
+        g3 = x * (3.0 - x * x) / width**3 * g
+        sn, cs = np.sin(u), np.cos(u)
+        s = sn * g
+        s1 = cs * g + sn * g1
+        s2 = -sn * g + 2.0 * cs * g1 + sn * g2
+        s3 = -cs * g - 3.0 * sn * g1 + 3.0 * cs * g2 + sn * g3
+        return s, s1, s2, s3
 
-    def a_mesh(self, r, t):
-        s = self._shape(r, t)[0]
-        return [(c / self.omega) * s for c in self.e0]
+    def _ladder(self, v, n, f):  # d^n/dt^n of (v/omega) f(u), given f^(n)(u); du/dt = -omega
+        return [(c / self.omega, -c, c * self.omega)[n] * f for c in v]
 
-    def e_mesh(self, r, t):
-        s1 = self._shape(r, t)[1]
-        return [c * s1 for c in self.e0]
+    def _a(self, r, t, n):
+        return self._ladder(self.e0, n, self._shape(r, t)[n])
 
-    def b_mesh(self, r, t):
-        s1 = self._shape(r, t)[1]
-        return [(c / self.omega) * s1 for c in self._kxe]
-
-    def dedt_mesh(self, r, t):
-        s2 = self._shape(r, t)[2]
-        return [-c * self.omega * s2 for c in self.e0]
-
-    def dbdt_mesh(self, r, t):
-        s2 = self._shape(r, t)[2]
-        return [-c * s2 for c in self._kxe]
-
-    def d2bdt2_mesh(self, r, t):
-        s3 = self._shape(r, t)[3]
-        return [c * self.omega * s3 for c in self._kxe]
+    def _b(self, r, t, n):
+        return self._ladder(self._kxe, n, self._shape(r, t)[n + 1])
 
     def dive_mesh(self, r, t):
         s2 = self._shape(r, t)[2]
@@ -309,4 +291,3 @@ class PlaneWavePulse(FieldModel):
     def describe(self):
         return {"type": "plane_wave", "e0": self.e0.tolist(),
                 "wavevector": self.wavevector.tolist(), "omega": self.omega}
-

@@ -294,12 +294,13 @@ def zero_mode_weight(field: SpinorField) -> float:
 
 
 def zero_mode_weights(data, grid: GridSpec) -> np.ndarray:
-    """``zero_mode_weight`` of each state of ``data``, (states, 4, *grid)
-    in momentum space."""
-    w0 = np.sum(np.abs(data[(slice(None), slice(None), *grid.origin_index)]) ** 2, axis=1)
+    """``zero_mode_weight`` of each state of ``data``, (states, 4, *grid) in
+    momentum space; NaN, with no warning, where it is not finite."""
     v = data.reshape(len(data), -1).view(float)
-    total = np.einsum("si,si->s", v, v)  # no |x|^2 temporary, and no BLAS call
-    return np.divide(w0, total, out=np.zeros_like(w0), where=total > 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w0 = np.sum(np.abs(data[(slice(None), slice(None), *grid.origin_index)]) ** 2, axis=1)
+        total = np.einsum("si,si->s", v, v)  # no |x|^2 temporary, and no BLAS call
+        return np.divide(w0, total, out=np.zeros_like(w0), where=total != 0)
 
 
 def suppress_zero_mode(field: SpinorField) -> SpinorField:

@@ -112,17 +112,25 @@ def _factor(monos, tau, hermitian):
     return spaces[0], out
 
 
-def _factors(total, hermitian, tm, grid, dt):
-    """The factors of the exact step of H = ``total`` over dt with midpoint
-    ``tm`` (None for a static model, whose leaves do not change with t), in
-    the order they act: the position group V and the momentum group K as
-    V/2 K V/2, or the one there is; None where it is a Krylov step."""
+def _groups(total, grid, tm):
+    """H = ``total``'s position and momentum groups of monomials at the midpoint
+    ``tm`` (None when static); None where a monomial has two scalars."""
     monos = [(m, chain) for m, chain in _monomials(total, grid, 0.0 if tm is None else tm)
              if m.any()]
     if any(len(chain) > 1 for _, chain in monos):
         return None
-    pos = [(m, chain) for m, chain in monos if chain and chain[0][1] == POSITION]
-    mom = [(m, chain) for m, chain in monos if not chain or chain[0][1] == MOMENTUM]
+    return ([(m, chain) for m, chain in monos if chain and chain[0][1] == POSITION],
+            [(m, chain) for m, chain in monos if not chain or chain[0][1] == MOMENTUM])
+
+
+def _factors(total, hermitian, tm, grid, dt):
+    """The factors of the exact step of H = ``total`` over dt with midpoint
+    ``tm`` (``_groups``), in the order they act: the position group V and the
+    momentum group K as V/2 K V/2, or the one there is; None for Krylov."""
+    groups = _groups(total, grid, tm)
+    if groups is None:
+        return None
+    pos, mom = groups
     if pos and mom:
         half = _factor(pos, dt / 2.0, hermitian)
         factors = [half, _factor(mom, dt, hermitian), half]
@@ -247,14 +255,15 @@ def _evolve(hamiltonian, state, dt, steps, stride=1, t0=0.0, propagator=None,
     if not (np.isfinite(dt) and dt != 0):
         raise PreconditionError(f"dt must be finite and nonzero, got {dt!r}")
     exact = propagator is None
-    static = not hamiltonian.model.time_dependent
+    groups = _groups(hamiltonian.total, state.grid, None) if (
+        exact and not hamiltonian.model.time_dependent) else None
+    leap = groups is not None and not all(groups)  # at most one exact factor
     psi = state
     yield t0, psi
     for done in range(0, steps, stride):
         last = min(done + stride, steps)
         t, whole = t0 + done * dt, (last - done) * dt
-        factors = _plan(hamiltonian, psi.grid, t, whole) if exact and static else None
-        if factors is not None and len(factors) <= 1:
+        if leap and _plan(hamiltonian, psi.grid, t, whole) is not None:
             psi = strang_step_dirac(hamiltonian, psi, t, whole)
         else:
             for t in (t0 + s * dt for s in range(done, last)):

@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -148,6 +149,24 @@ class TestLeafKernel:
                             name="singular", singular_origin=True)
         with pytest.raises(SingularMomentumError):
             apply_expr(leaf, psi)
+
+    @pytest.mark.parametrize("bad", ["overflow", "nan"])
+    def test_singular_leaf_refuses_a_non_finite_weight(self, bad):
+        # a state whose k = 0 squared amplitudes overflow (entries near
+        # 1e200), or that holds a NaN, has no finite zero-mode weight: the
+        # weight is computed without a warning, and the guard refuses it
+        grid = _KERNEL_GRIDS[1]
+        phases = np.exp(2j * np.pi * np.random.default_rng(6).uniform(size=(4, *grid.shape)))
+        vals = 1e200 * phases if bad == "overflow" else phases
+        if bad == "nan":
+            vals[1, 2, 3, 4] = np.nan
+        psi = SpinorField(grid, vals, MOMENTUM)
+        leaf = MomentumDiag([(lambda g, t: g.k2, (ID4 - BETA) @ SIGMA[2])],
+                            name="singular", singular_origin=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SingularMomentumError, match="weight nan, which is not finite"):
+                apply_expr(leaf, psi)
 
     def test_zero_leaf_does_no_transform(self, grid, rng, fft_count):
         psi = random_field(grid, rng)
@@ -642,6 +661,18 @@ class TestLeafStack:
         assert refusals[0] is None and refusals[2] is None
         assert isinstance(refusals[1], SingularMomentumError)
         assert "operator singular is singular" in str(refusals[1])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the middle state's densities overflow
+    def test_block_guard_refuses_a_non_finite_weight(self):
+        grid = _KERNEL_GRIDS[1]
+        leaf = MomentumDiag([(lambda g, t: g.k2, (ID4 - BETA) @ SIGMA[2])],
+                            name="singular", singular_origin=True)
+        ok = random_field(grid, np.random.default_rng(4)).to_momentum()
+        block = np.stack([ok.data, 1e200 * ok.data, ok.data])
+        _, refusals = LeafStack([triple(P)[0], leaf], grid).contract(block, guard=1e-3)
+        assert refusals[0] is None and refusals[2] is None
+        assert isinstance(refusals[1], SingularMomentumError)
+        assert "weight nan, which is not finite" in str(refusals[1])
 
     @pytest.mark.parametrize("stack_type", [LeafStack, _SmallBlocks])
     def test_sums_of_scaled_leaves(self, rng, stack_type):

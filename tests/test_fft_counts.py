@@ -21,7 +21,7 @@ import pytest
 from relspin.dynamics import (positive_energy_part, rhs, spin_expr, standard_battery, verify,
                               verify_residual)
 from relspin.expr import _DiagLeaf, _cost, apply_expr, compiled, expectation
-from relspin.fields import Envelope, UniformB, ZeroField
+from relspin.fields import Envelope, UniformB, UniformE, ZeroField
 from relspin.grid import GridSpec, SpinorField, gaussian_packet, pointwise
 from relspin.hamiltonians import (build_dirac_em, build_free_dirac, build_fw_direct,
                                   build_hamiltonian)
@@ -315,6 +315,22 @@ def test_static_strang_builds_its_factors_once(params, mesh_count, monkeypatch):
     builds = calls["_factors"]
     assert (builds, calls["_plan"] - builds) == (1, 7)
     assert dict(mesh_count) == {"a_mesh": 1, "phi_mesh": 1}
+
+
+@pytest.mark.parametrize("model", [_MODEL, UniformE([0.01, 0.0, 0.0])],
+                         ids=["uniform-b", "uniform-e"])
+def test_static_strang_run_builds_only_the_step_it_takes(params, monkeypatch, model):
+    # a two-factor step is taken once per dt, so a static run at stride 5
+    # builds the factors of dt alone, and none of a 5 dt step it never takes
+    from relspin import propagate
+    sizes = []
+    factors = propagate._factors
+    monkeypatch.setattr(propagate, "_factors",
+                        lambda *args: sizes.append(args[-1]) or factors(*args))
+    grid = GridSpec(1, 128, 128.0)
+    psi = positive_energy_part(gaussian_packet(grid, 0.0, 8.0, 0.5, [1, 1, 0, 0]), params)
+    run(build_dirac_em(model, params), psi, 0.02, 20, stride=5)
+    assert sizes == [0.02]
 
 
 @pytest.mark.parametrize("space", ["position", "momentum"])

@@ -7,6 +7,7 @@ relation holds to 1e-14."""
 import numpy as np
 import pytest
 
+from relspin import fields
 from relspin.errors import PreconditionError
 from relspin.fields import Envelope, FieldModel, PlaneWavePulse, UniformB, UniformE, ZeroField
 
@@ -131,10 +132,14 @@ class TestEnvelope:
     ])
     def test_derivatives_match_finite_differences(self, env):
         h = 1e-5
+
+        def g_at(t):
+            return env.derivatives(t)[0]
+
         for t in (-1.0, 0.0, 0.7, 2.3):
             g, gp, gpp = env.derivatives(t)
-            num_p = (env(t + h) - env(t - h)) / (2 * h)
-            num_pp = (env(t + h) - 2 * env(t) + env(t - h)) / h**2
+            num_p = (g_at(t + h) - g_at(t - h)) / (2 * h)
+            num_pp = (g_at(t + h) - 2 * g + g_at(t - h)) / h**2
             assert abs(gp - num_p) <= 1e-8 * max(1, abs(gp))
             assert abs(gpp - num_pp) <= 1e-5 * max(1, abs(gpp))
 
@@ -273,6 +278,52 @@ class TestMaxwell:
         for _ in range(4):
             dev = _deviations(model, rng.uniform(-1.5, 1.5, 3), rng.uniform(-1.0, 1.0))
             assert max(dev.values()) <= 1e-14, dev
+
+
+class _VectorPotentialOnly(FieldModel):
+    """A model that writes only its A ladder, d^n A/dt^n of A(r, t) =
+    (sin(t) y z, exp(-t) x, t^2 z^2) for n <= 2; no B ladder, no phi."""
+
+    def _a(self, r, t, n):
+        x, y, z = r
+        return [(np.sin(t), np.cos(t), -np.sin(t))[n] * y * z,
+                (np.exp(-t), -np.exp(-t), np.exp(-t))[n] * x,
+                (t * t, 2.0 * t, 2.0)[n] * z * z]
+
+
+class TestDerivedMeshes:
+    """A model writes only its potentials' ladders; ``FieldModel`` alone
+    writes the meshes the operators read."""
+
+    _DERIVED = ("a_mesh", "phi_mesh", "e_mesh", "dedt_mesh", "b_mesh", "dbdt_mesh",
+                "d2bdt2_mesh")
+
+    def test_only_the_base_class_writes_the_meshes(self):
+        models = [cls for cls in vars(fields).values()
+                  if isinstance(cls, type) and issubclass(cls, FieldModel)]
+        assert {PlaneWavePulse, UniformB, UniformE, ZeroField} < set(models)
+        for cls in models:
+            written = set(self._DERIVED) & set(vars(cls))
+            assert written == (set(self._DERIVED) if cls is FieldModel else set()), cls
+
+    def test_e_and_dedt_follow_from_the_a_ladder(self):
+        model = _VectorPotentialOnly()
+
+        def a(r, t):
+            x, y, z = r
+            return np.array([np.sin(t) * y * z, np.exp(-t) * x, t * t * z * z])
+
+        rng = np.random.default_rng(29)
+        for _ in range(4):
+            r, t = rng.uniform(-1.5, 1.5, 3), rng.uniform(-1.0, 1.0)
+            assert np.max(np.abs(_at(model, "a_mesh", r, t) - a(r, t))) <= 1e-14
+            e = _at(model, "e_mesh", r, t)
+            assert np.max(np.abs(e + _step(a, r, t, 3))) <= 1e-14
+            assert np.max(np.abs(e)) > 1e-3
+            dedt = _at(model, "dedt_mesh", r, t)
+            assert np.max(np.abs(dedt - _step(_mesh(model, "e_mesh"), r, t, 3))) <= 1e-14
+            for name in ("phi_mesh", "b_mesh", "dbdt_mesh", "d2bdt2_mesh", "dive_mesh"):
+                assert np.all(_at(model, name, r, t) == 0), name
 
 
 class TestMeshShapes:

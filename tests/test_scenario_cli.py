@@ -741,19 +741,38 @@ class TestVerifyDynamics:
         assert "verification.checks[3]" in err and message in err
         assert out == "" and not (tmp_path / "r.json").exists()
 
-    def test_non_finite_residual_refused(self, tmp_path, capsys):
-        # b0 = 1e300 overflows the norms of the first cell: the run exits 2
-        # naming the cell and writes no report, which could not hold a NaN
+    def _overflowing_field(self, tmp_path, checks=None):
+        """The exit code of the shipped verification under b0 = 1e300, with
+        its own checks or ``checks``, and whether it wrote the report."""
         doc = json.loads((Path(__file__).resolve().parents[1] / "scenarios"
                           / "uniform_b_verification.json").read_text())
         doc["field"]["b0"] = [0.0, 0.0, 1e300]
+        if checks is not None:
+            doc["verification"]["checks"] = checks
         report = tmp_path / "r.json"
         code = main(["verify-dynamics", "--scenario", write_scenario(tmp_path, doc),
                      "--report", str(report)])
+        return code, report.exists()
+
+    def test_non_finite_residual_refused(self, tmp_path, capsys):
+        # b0 = 1e300 overflows the norms of the first cell of the fw check,
+        # whose operators have no k = 0 guard: the run exits 2 naming the
+        # cell and writes no report, which could not hold a NaN
+        code, written = self._overflowing_field(tmp_path, [{"kind": "fw", "family": "dirac-em"}])
         err = capsys.readouterr().err
         assert code == 2
-        assert "error: pryce/dirac-em: state 0 axis x has a non-finite residual" in err
-        assert "Traceback" not in err and not report.exists()
+        assert "error: fw/dirac-em: state 0 axis x has a non-finite residual" in err
+        assert "Traceback" not in err and not written
+
+    def test_non_finite_zero_mode_weight_refused(self, tmp_path, capsys):
+        # the pryce check applies the singular S_x to H psi, whose k = 0
+        # squared amplitudes overflow: its guard refuses the state before
+        # the cell, with one error line
+        code, written = self._overflowing_field(tmp_path)
+        err = capsys.readouterr().err
+        assert code == 2 and not written
+        assert err == ("error: operator S_Py_x is singular at k=0 but the state has "
+                       "zero-mode weight nan, which is not finite\n")
 
     def test_missing_checks_rejected(self, tmp_path):
         doc = base_scenario(verification={"checks": []})
@@ -1052,6 +1071,39 @@ class TestUsage:
         assert main(argv + ["check-operators", "--samples", "1"]) == 2
         err = capsys.readouterr().err
         assert "--threads" in err and "RELSPIN_THREADS" in err and "Traceback" not in err
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv, flag", [
+        (["check-operators", "--samples", "5"], "--json"),
+        (["verify-dynamics", "--scenario", "{scenario}"], "--report"),
+        (["simulate", "--scenario", "{scenario}"], "--output"),
+        (["sweep", "--scenario", "{scenario}", "--field-grid", "0.1"], "--output")],
+        ids=["check-operators", "verify-dynamics", "simulate", "sweep"])
+    def test_failed_write_exits_2_naming_the_path(self, tmp_path, capsys, argv, flag):
+        # /dev/full opens but fails every write: the finished run exits 2
+        # with one error line naming the path, not an OSError traceback
+        doc = base_scenario(field={"type": "uniform_b", "b0": [0.0, 0.0, 1.0]})
+        scenario = write_scenario(tmp_path, doc)
+        argv = [a.format(scenario=scenario) for a in argv] + [flag, "/dev/full"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: /dev/full: cannot be written") and err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_non_finite_run_exits_2_with_one_error_line(self, tmp_path, capsys):
+        # b0 = 1e300 overflows the first Arnoldi apply of the kinetic and
+        # Zeeman H: the library's FloatingPointError is a usage error, not
+        # a traceback, and no trajectory is written
+        doc = json.loads((Path(__file__).resolve().parents[1] / "scenarios"
+                          / "larmor_sweep.json").read_text())
+        doc["hamiltonian"]["terms"] = ["kinetic", "zeeman"]
+        doc["field"]["b0"] = [0.0, 0.0, 1e300]
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--scenario", write_scenario(tmp_path, doc),
+                     "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: operator application produced non-finite values\n"
+        assert not out.exists()
 
     def test_threads_knob(self):
         assert main(["--threads", "2", "check-operators", "--samples", "5"]) == 0
